@@ -51,14 +51,15 @@ def bench(sizes, repeats):
                     kernels.use_backend(bk)
                     fn()  # warm up
                     times.append(best_of(fn, repeats))
-                ratio = times[-1] / times[0] if len(times) == 2 and times[0] > 0 else float("nan")
+                ratio = f"{times[-1] / times[0]:.1f}x" if len(times) == 2 and times[0] > 0 else "n/a"
                 cells = "".join(f"{t*1e6:>12.1f}us" for t in times)
-                print(f"{name:<16}{n:>6}{cells}{ratio:>9.1f}x")
+                print(f"{name:<16}{n:>6}{cells}{ratio:>10}")
             # algorithmic ratio within the default backend
             kernels.use_backend(backends[0])
             t_fast = best_of(lambda: kernels.q_upper(a, b), repeats)
             t_naive = best_of(lambda: kernels.q_upper_naive(a, b), repeats)
-            print(f"{'fast/naive':<16}{n:>6}{'':>14}{'':>14}{t_naive/t_fast:>9.1f}x")
+            pad = " " * (14 * len(backends))
+            print(f"{'fast/naive':<16}{n:>6}{pad}{f'{t_naive / t_fast:.1f}x':>10}")
     finally:
         kernels.use_backend(before)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,7 +106,10 @@ class _Section:
             val = default
         else:
             raise ConfigurationError(f"missing required key '{self.path}{key}'")
-        if kind is not None and val is not None and not isinstance(val, kind):
+        # bool is a subclass of int, but true/false is not a count or a seed
+        if kind is not None and val is not None and (
+            not isinstance(val, kind) or (kind is int and isinstance(val, bool))
+        ):
             raise ConfigurationError(f"key '{self.path}{key}' has wrong type")
         return val
 
@@ -125,12 +129,18 @@ class _Section:
 def _as_float(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigurationError(f"key {path!r} must be a number")
-    return float(val)
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigurationError(f"key {path!r} must be finite, got {out!r}")
+    return out
 
 
 def _as_complex(val, path: str) -> complex:
     if isinstance(val, (int, float)) and not isinstance(val, bool):
-        return complex(val)
+        return complex(_as_float(val, path))
     if isinstance(val, list) and len(val) == 2:
         return complex(_as_float(val[0], path), _as_float(val[1], path))
     raise ConfigurationError(f"key {path!r} must be a number or [re, im] pair")
@@ -159,6 +169,8 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed config document at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # integer past int's digit limit, deep nesting
+        raise ConfigurationError(f"malformed config document: {exc}") from exc
     root = _Section(doc, "")
 
     msec = root.sub("model", required=True)
@@ -285,6 +297,19 @@ def _write(path: Path, text: str):
         fh.write(text)
 
 
+def _table_csv(header: Sequence[str], columns: Sequence) -> str:
+    """Header line plus one row per index of the columns, all at 17 digits.
+
+    The rows are formatted as one block: a single ``%`` template applied to
+    the row-major values, which gives the same text as formatting each
+    value with ``_fmt`` (rows are cut to the shortest column, as zip does).
+    """
+    n_rows = min(len(c) for c in columns)
+    values = np.column_stack([np.asarray(c, dtype=np.float64)[:n_rows] for c in columns])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(header) + "\n" + (row * n_rows) % tuple(values.ravel().tolist())
+
+
 def trace_csv(trace: FunctionalTrace) -> str:
     cols = ["t", "L0", "D0", "Q0", "cumD0", "charge", "max_abs_u", "max_abs_v"]
     arrays = [trace.times, trace.L0, trace.D0, trace.Q0, trace.cumD0,
@@ -292,32 +317,32 @@ def trace_csv(trace: FunctionalTrace) -> str:
     if trace.has_pair:
         cols += ["L1", "D1", "Q1", "cumD1"]
         arrays += [trace.L1, trace.D1, trace.Q1, trace.cumD1]
-    lines = [",".join(cols)]
-    for row in zip(*arrays):
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return _table_csv(cols, arrays)
 
 
 def snapshots_csv(snapshots: Sequence[SpinorField]) -> str:
-    lines = ["t,x,re_u,im_u,re_v,im_v"]
+    parts = ["t,x,re_u,im_u,re_v,im_v\n"]
+    grid = None
     for s in snapshots:
-        x = s.grid.sites()
-        for i in range(s.grid.n_points):
-            lines.append(
-                ",".join(_fmt(z) for z in (s.t, x[i], s.u[i].real, s.u[i].imag, s.v[i].real, s.v[i].imag))
-            )
-    return "\n".join(lines) + "\n"
+        if s.grid != grid:
+            # Each row after its t: the site's x, then the four field values.
+            grid = s.grid
+            rows = [",%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % _fmt(x) for x in grid.sites().tolist()]
+        values = np.column_stack((s.u.real, s.u.imag, s.v.real, s.v.imag))
+        t = _fmt(s.t)
+        parts.append((t + t.join(rows)) % tuple(values.ravel().tolist()))
+    return "".join(parts)
 
 
 def convergence_csv(table: ConvergenceTable) -> str:
-    lines = ["eps_coarse,eps_fine,field_distance,product_distance"]
     if table.mode == "consecutive":
-        pairs = zip(table.epsilons[:-1], table.epsilons[1:])
+        coarse, fine = table.epsilons[:-1], table.epsilons[1:]
     else:
-        pairs = zip(table.epsilons, table.epsilons)
-    for (ea, eb), dp, dq in zip(pairs, table.pair_distances, table.product_distances):
-        lines.append(",".join(_fmt(x) for x in (ea, eb, dp, dq)))
-    return "\n".join(lines) + "\n"
+        coarse, fine = table.epsilons, table.epsilons
+    return _table_csv(
+        ["eps_coarse", "eps_fine", "field_distance", "product_distance"],
+        [coarse, fine, table.pair_distances, table.product_distances],
+    )
 
 
 def _report_record(name: str, rep: AuditReport) -> dict:

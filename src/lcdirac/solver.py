@@ -92,7 +92,6 @@ def _step_forced(f: SpinorField, p: ModelParams, F1: Forcing, F2: Forcing) -> tu
 def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
     """Advance one light-cone step; returns the field at t + dt."""
     grid = f.grid
-    assert grid.dt == grid.dx, "time step must equal the lattice spacing"
     if cfg.forcing is None:
         u_new, v_new = kernels.step_unforced(
             f.u, f.v, grid.dt, p.m, p.alpha, p.beta, grid.boundary == "periodic"

@@ -74,6 +74,35 @@ class TestParse:
         assert cfg.init.v0.amplitude == 0.1 + 0j
 
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_number_rejected(self, literal):
+        text = json.dumps(base_doc(time={"T": 0.5})).replace("0.5", literal)
+        with pytest.raises(ConfigurationError, match=r"time\.T.*finite"):
+            parse_config(text)
+
+    def test_non_finite_amplitude_rejected(self):
+        doc = base_doc(init={"u0": {"kind": "uniform", "amplitude": 0.5},
+                             "v0": {"kind": "uniform", "amplitude": 0.0}})
+        with pytest.raises(ConfigurationError, match="amplitude.*finite"):
+            parse_config(json.dumps(doc).replace("0.5", "NaN"))
+
+    def test_integer_beyond_float_range_rejected(self):
+        text = json.dumps(base_doc(time={"T": 0.5})).replace("0.5", "1" + "0" * 400)
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [("time", "record_every"), ("grid", "n_points"), ("audit", "samples"), ("audit", "seed")],
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_for_integer_rejected(self, section, key, flag):
+        doc = base_doc()
+        doc.setdefault(section, {})[key] = flag
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{key}.*wrong type"):
+            parse_config(json.dumps(doc))
+
+
 class TestSimulate:
     def test_zero_datum_exit_zero(self, tmp_path):
         doc = base_doc(
@@ -250,6 +279,21 @@ class TestMain:
     def test_missing_file(self, capsys):
         assert main(["/nonexistent/cfg.json"]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+    def test_non_finite_horizon_exit_two(self, tmp_path, capsys, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_doc(time={"T": 0.5})).replace("0.5", literal))
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("literal", ["9" * 5000, "[" * 100_000])
+    def test_undecodable_literal_exit_two(self, tmp_path, capsys, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_doc(time={"T": 0.5})).replace("0.5", literal))
+        assert main([str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_end_to_end(self, tmp_path):
         doc = base_doc(time={"T": 0.5}, output={"path": str(tmp_path / "e2e")})
