@@ -55,7 +55,13 @@ from .solver import SolverConfig, evolve, thirring_soliton
 
 COMMANDS = ("simulate", "audit", "converge", "unique", "soliton-check")
 AUDITS = ("algebraic", "charge", "triangle", "pointwise", "bony", "gronwall")
+EVOLVED_AUDITS = AUDITS[1:]  # the audits that need the evolved run
 FORMATS = ("csv", "structured-report")
+
+# Largest run parse_config accepts, in lattice site updates: (steps + 1) x
+# sites x evolutions. An audit at N=3072, T=4 on [-6, 6] is 6.3e6; every-step
+# runs hold 32 B per site update, so the bound also caps stored levels at 3.2 GB.
+MAX_SITE_UPDATES = 10**8
 
 
 def _fmt(x: float) -> str:
@@ -278,6 +284,20 @@ def parse_config(text: str) -> RunConfig:
         asec.finish()
 
     root.finish()
+    if command == "audit":
+        runs = any(a in selection for a in EVOLVED_AUDITS) + ("gronwall" in selection)
+    else:
+        runs = {"simulate": 1, "converge": len(epsilons), "unique": 2 * len(epsilons)}.get(command, 0)
+    try:
+        steps = T / grid.dt if runs else 0.0
+        work = (steps + 1.0) * grid.n_points * max(runs, 1)
+    except (OverflowError, ZeroDivisionError):
+        work = math.inf
+    if not work <= MAX_SITE_UPDATES:
+        raise ConfigurationError(
+            f"run too large: {work:.3g} site updates (steps x sites x evolutions) exceed "
+            f"{MAX_SITE_UPDATES:.3g}; lower time.T or grid.n_points"
+        )
     return RunConfig(
         model=model, grid=grid, T=T, record_every=record_every, init=init,
         constants=constants, c_tol=c_tol, command=command, audit_selection=selection,
@@ -291,10 +311,22 @@ def parse_config(text: str) -> RunConfig:
 # Serialization
 
 
+def _output_dir(path: Path):
+    if path.parent.is_dir():
+        return
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {str(path.parent)!r}: {exc}") from exc
+
+
 def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    _output_dir(path)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _table_csv(header: Sequence[str], columns: Sequence) -> str:
@@ -483,7 +515,7 @@ def _cmd_audit(cfg: RunConfig, prefix: Path) -> int:
     status = 0
     snaps = None
     try:
-        if any(a in cfg.audit_selection for a in ("charge", "triangle", "pointwise", "bony", "gronwall")):
+        if any(a in cfg.audit_selection for a in EVOLVED_AUDITS):
             snaps = evolve(f0, p, SolverConfig(record_every=1), cfg.T)
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
@@ -599,6 +631,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         cfg = parse_config(text)
+        _output_dir(Path(cfg.out_path))  # before the run, not after it
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

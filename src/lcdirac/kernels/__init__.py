@@ -1,52 +1,119 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when present; the pure NumPy module is
-the always-available fallback with identical semantics. The active backend
-is fixed at import time and can be overridden programmatically (used by the
-benchmark and the cross-backend tests).
+``step_unforced`` has two backends with the same results bit for bit (but
+for the corner named in ``_step.c``):
+
+- ``compiled``: ``_step.c``, built with the system C compiler on first
+  import, cached as ``__pycache__/_step.<key>.so`` next to this file (the key
+  is a CRC-32 of the source and the flags) and called through ctypes;
+- ``pure``: the NumPy step in ``pure.py``, used whenever the build or the
+  load fails.
+
+``backend_reason()`` says which one runs and why. The ordered pair sums
+``q_upper`` and ``q_upper_naive`` are NumPy for every backend. The active
+backend is fixed at import and can be overridden with ``use_backend``
+(benchmarks and cross-backend tests).
 """
 from __future__ import annotations
 
+import ctypes
+import os
+import zlib
+
+import numpy as np
+
 from . import pure
+from .pure import q_upper, q_upper_naive  # noqa: F401  (public names)
 
-try:  # pragma: no cover - depends on how the package was built
-    from . import _core as compiled
-except ImportError:  # pragma: no cover
-    compiled = None
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_HERE = os.path.dirname(os.path.abspath(__file__))
 
-_active = compiled if compiled is not None else pure
+
+def _compile(source: str, target: str):
+    import subprocess  # only on a cache miss: it costs milliseconds to import
+
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        try:
+            done = subprocess.run(["cc", *CFLAGS, "-o", tmp, source],
+                                  capture_output=True, text=True, timeout=300)
+        except FileNotFoundError:
+            raise OSError("cc not found") from None
+        except subprocess.TimeoutExpired:
+            raise OSError("cc timed out") from None
+        if done.returncode != 0:
+            first = (done.stderr.strip().splitlines() or [f"exit status {done.returncode}"])[0]
+            raise OSError(f"cc failed: {first}")
+        os.replace(tmp, target)  # atomic: a concurrent import sees all or nothing
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
+    """Build ``_step.c`` into cache_dir unless cached, then load it.
+
+    Returns ``(C function or None, one-line reason)``; never raises.
+    """
+    source = os.path.join(_HERE, "_step.c")
+    try:
+        with open(source, "rb") as fh:
+            key = zlib.crc32(fh.read() + " ".join(CFLAGS).encode())
+        target = os.path.join(cache_dir, f"_step.{key:08x}.so")
+        if not os.path.exists(target):
+            _compile(source, target)
+        fn = ctypes.CDLL(target).lcd_step_unforced
+    except OSError as exc:
+        return None, f"pure: {exc}"
+    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
+    fn.restype = None
+    return fn, f"compiled: {os.path.basename(target)}"
+
+
+_c_step, _reason = load_compiled()
+_active = "compiled" if _c_step is not None else "pure"
+
+
+def _compiled_step(u, v, h, m, alpha, beta, periodic):
+    u = np.ascontiguousarray(u, dtype=np.complex128)
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError(f"u and v must be 1-d of equal length, got shapes {u.shape} and {v.shape}")
+    u_new = np.empty_like(u)
+    v_new = np.empty_like(v)
+    _c_step(u.ctypes.data, v.ctypes.data, u_new.ctypes.data, v_new.ctypes.data,
+            u.shape[0], h, m, alpha, beta, bool(periodic))
+    return u_new, v_new
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("compiled", "pure") if compiled is not None else ("pure",)
+    return ("compiled", "pure") if _c_step is not None else ("pure",)
 
 
 def backend_name() -> str:
-    return _active.BACKEND_NAME
+    return _active
+
+
+def backend_reason() -> str:
+    """One line: the active backend and why, e.g. ``pure: cc not found``."""
+    if _active == "pure" and _c_step is not None:
+        return "pure: selected with use_backend"
+    return _reason
 
 
 def use_backend(name: str):
     """Select 'compiled' or 'pure'; returns the previously active name."""
     global _active
-    before = backend_name()
-    if name == "pure":
-        _active = pure
-    elif name == "compiled":
-        if compiled is None:
-            raise RuntimeError("compiled kernels are not available in this install")
-        _active = compiled
-    else:
+    if name not in ("compiled", "pure"):
         raise ValueError(f"unknown backend {name!r}")
+    if name not in available_backends():
+        raise RuntimeError(f"compiled kernels are not available ({_reason})")
+    before, _active = _active, name
     return before
 
 
 def step_unforced(u, v, h, m, alpha, beta, periodic):
-    return _active.step_unforced(u, v, h, m, alpha, beta, periodic)
-
-
-def q_upper(a, b):
-    return _active.q_upper(a, b)
-
-
-def q_upper_naive(a, b):
-    return _active.q_upper_naive(a, b)
+    if _active == "compiled":
+        return _compiled_step(u, v, h, m, alpha, beta, periodic)
+    return pure.step_unforced(u, v, h, m, alpha, beta, periodic)

@@ -1,14 +1,12 @@
 """Pure NumPy implementations of the hot kernels.
 
-Reference semantics for the compiled extension: one unforced light-cone
-step, and the ordered pair sum q(a, b) = sum_{i<j} a_i b_j in both the
+One unforced light-cone step (the reference that ``_step.c`` reproduces bit
+for bit), and the ordered pair sum q(a, b) = sum_{i<j} a_i b_j in both the
 O(N) suffix-scan form and the O(N^2) direct form kept as an oracle.
 """
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND_NAME = "pure"
 
 
 def step_unforced(u, v, h, m, alpha, beta, periodic):

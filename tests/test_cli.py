@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ class TestParse:
         doc.setdefault(section, {})[key] = flag
         with pytest.raises(ConfigurationError, match=rf"{section}\.{key}.*wrong type"):
             parse_config(json.dumps(doc))
+
+    def test_work_bound_counts_evolutions(self):
+        # N=384 on [-6, 6]: dt = 1/32, so T=6000 is 192001 levels x 384 sites = 7.4e7.
+        doc = base_doc(time={"T": 6000.0}, mollify={"epsilons": [0.4, 0.2]})
+        assert parse_config(json.dumps(doc)).T == 6000.0
+        for over in ({"command": "converge"}, {"command": "audit", "audit_selection": ["charge", "gronwall"]}):
+            with pytest.raises(ConfigurationError, match="run too large"):
+                parse_config(json.dumps(dict(doc, **over)))
+        # the algebraic audit and the soliton check evolve nothing from the config
+        for over in ({"command": "audit", "audit_selection": ["algebraic"]}, {"command": "soliton-check"}):
+            parse_config(json.dumps(dict(doc, time={"T": 1e300}, **over)))
+
+    @pytest.mark.parametrize("grid", [{"n_points": 10**400}, {"x_min": 0.0, "x_max": 5e-324, "n_points": 4}])
+    def test_work_bound_degenerate_grids(self, grid):
+        with pytest.raises(ConfigurationError, match="run too large"):
+            parse_config(json.dumps(base_doc(grid=dict(base_doc()["grid"], **grid))))
 
 
 class TestSimulate:
@@ -294,6 +311,33 @@ class TestMain:
         path.write_text(json.dumps(base_doc(time={"T": 0.5})).replace("0.5", literal))
         assert main([str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unbounded_horizon_refused_before_running(self, tmp_path, capsys):
+        doc = base_doc(time={"T": 1e300}, grid={"x_min": -6.0, "x_max": 6.0, "n_points": 64})
+        start = time.perf_counter()
+        assert main([str(write_cfg(tmp_path, doc))]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "run too large" in err and "Traceback" not in err
+
+    def test_output_under_a_file_refused_before_running(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "afile").write_text("")
+        doc = base_doc(time={"T": 0.5}, output={"path": str(tmp_path / "afile" / "run")})
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("lcdirac.cli.evolve", no_run)
+        assert main([str(write_cfg(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and "Traceback" not in err
+
+    def test_unwritable_artifact_exit_two(self, tmp_path, capsys):
+        (tmp_path / "run_trace.csv").mkdir()  # a directory where the trace file goes
+        doc = base_doc(time={"T": 0.5}, output={"path": str(tmp_path / "run")})
+        assert main([str(write_cfg(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
 
     def test_end_to_end(self, tmp_path):
         doc = base_doc(time={"T": 0.5}, output={"path": str(tmp_path / "e2e")})

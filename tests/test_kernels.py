@@ -1,7 +1,22 @@
+import itertools
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lcdirac as lc
 from lcdirac import kernels
+from lcdirac.cli import parse_config, run_command
+from lcdirac.kernels import pure
+
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in kernels.available_backends(), reason=f"compiled kernels not built ({kernels.backend_reason()})"
+)
 
 
 @pytest.fixture
@@ -12,6 +27,14 @@ def arrays(rng):
     a = rng.uniform(size=n)
     b = rng.uniform(size=n)
     return u, v, a, b
+
+
+@pytest.fixture
+def backend():
+    """Run the test body, then restore the backend selected at import."""
+    before = kernels.backend_name()
+    yield kernels.use_backend
+    kernels.use_backend(before)
 
 
 def q_brute(a, b):
@@ -26,11 +49,8 @@ def test_q_upper_against_brute_force(rng):
     a = rng.uniform(size=40)
     b = rng.uniform(size=40)
     expect = q_brute(a, b)
-    for bk in kernels.available_backends():
-        kernels.use_backend(bk)
-        assert kernels.q_upper(a, b) == pytest.approx(expect, rel=1e-12)
-        assert kernels.q_upper_naive(a, b) == pytest.approx(expect, rel=1e-12)
-    kernels.use_backend(kernels.available_backends()[0])
+    assert kernels.q_upper(a, b) == pytest.approx(expect, rel=1e-12)
+    assert kernels.q_upper_naive(a, b) == pytest.approx(expect, rel=1e-12)
 
 
 def test_q_upper_small_sizes():
@@ -39,52 +59,197 @@ def test_q_upper_small_sizes():
 
 
 def test_fast_matches_naive_within_backend(rng):
-    for bk in kernels.available_backends():
-        kernels.use_backend(bk)
-        for n in (31, 256, 1024):
-            a = rng.uniform(size=n)
-            b = rng.uniform(size=n)
-            fast = kernels.q_upper(a, b)
-            naive = kernels.q_upper_naive(a, b)
-            assert fast == pytest.approx(naive, rel=1e-12)
-    kernels.use_backend(kernels.available_backends()[0])
+    for n in (31, 256, 1024):
+        a = rng.uniform(size=n)
+        b = rng.uniform(size=n)
+        assert kernels.q_upper(a, b) == pytest.approx(kernels.q_upper_naive(a, b), rel=1e-12)
 
 
+def _datum(kind, n):
+    """Zero (signed), rough (negative and imaginary amplitudes) or Gaussian data on [-8, 8)."""
+    grid = lc.make_grid(-8.0, 8.0, n)
+    if kind == "zero":
+        zeros = np.random.default_rng(n).choice([0.0, -0.0], size=(2, 2 * n)).view(np.complex128)
+        u0 = lc.ComponentSpec("sampled", values=zeros[0])
+        v0 = lc.ComponentSpec("sampled", values=zeros[1])
+    elif kind == "rough":
+        u0 = lc.ComponentSpec("indicator_jump", -0.3, center=0.2, halfwidth=1.0)
+        v0 = lc.ComponentSpec("power_singularity_truncated", 0.2j, center=-0.1, halfwidth=1.5,
+                              exponent=0.3, cap=10.0)
+    else:
+        u0 = lc.ComponentSpec("gaussian_pulse", 0.07, center=-0.5, width=0.8)
+        v0 = lc.ComponentSpec("gaussian_pulse", 0.03 - 0.04j, center=0.5, width=0.9)
+    f = lc.sample_initial(lc.InitialDatum(u0, v0), grid)
+    return f.u, f.v, grid.dt
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+@needs_compiled
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("params", [(1.0, 0.0, 0.25), (0.5, 1.0, 0.0), (0.0, 0.3, -0.2)])
-def test_backends_agree_on_step(arrays, periodic, params):
-    if len(kernels.available_backends()) < 2:
-        pytest.skip("compiled kernels not built")
-    u, v, _, _ = arrays
+def test_backends_agree_on_step(backend, periodic, params):
+    """Bit for bit, over 100 steps, signed zeros included."""
     m, alpha, beta = params
-    results = {}
-    for bk in kernels.available_backends():
-        kernels.use_backend(bk)
-        results[bk] = kernels.step_unforced(u, v, 0.03125, m, alpha, beta, periodic)
-    kernels.use_backend(kernels.available_backends()[0])
-    du = np.max(np.abs(results["compiled"][0] - results["pure"][0]))
-    dv = np.max(np.abs(results["compiled"][1] - results["pure"][1]))
-    scale = max(np.max(np.abs(u)), np.max(np.abs(v)))
-    assert du <= 1e-12 * scale and dv <= 1e-12 * scale
+    for n in (768, 3072, 4096):
+        for kind in ("zero", "rough", "gaussian"):
+            u, v, h = _datum(kind, n)
+            ends = {}
+            for name in ("pure", "compiled"):
+                backend(name)
+                a, b = u, v
+                for _ in range(100):
+                    a, b = kernels.step_unforced(a, b, h, m, alpha, beta, periodic)
+                ends[name] = a, b
+            for got, want in zip(ends["compiled"], ends["pure"]):
+                assert np.array_equal(_bits(got), _bits(want)), (n, kind)
 
 
-def test_backends_agree_on_q(arrays):
-    if len(kernels.available_backends()) < 2:
-        pytest.skip("compiled kernels not built")
+@needs_compiled
+def test_backends_agree_on_signed_zeros(backend):
+    """One step on data and parameters drawn from {+-0, small integers}.
+
+    Here the 0 * x terms of NumPy's complex products decide the sign of
+    many zeros, so a kernel that drops them differs from NumPy.
+    """
+    rng = np.random.default_rng(11)
+    u, v = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0], size=(2, 2 * 20000)).view(np.complex128)
+    choices = (0.0, -0.0, 1.0, -0.5)
+    for m, alpha, beta, periodic in itertools.product(choices, choices, choices, (True, False)):
+        ends = {}
+        for name in ("pure", "compiled"):
+            backend(name)
+            ends[name] = kernels.step_unforced(u, v, 0.5, m, alpha, beta, periodic)
+        for got, want in zip(ends["compiled"], ends["pure"]):
+            assert np.array_equal(_bits(got), _bits(want)), (m, alpha, beta, periodic)
+
+
+@needs_compiled
+def test_backends_agree_on_q(arrays, backend):
     _, _, a, b = arrays
     vals = {}
-    for bk in kernels.available_backends():
-        kernels.use_backend(bk)
-        vals[bk] = (kernels.q_upper(a, b), kernels.q_upper_naive(a, b))
-    kernels.use_backend(kernels.available_backends()[0])
-    assert vals["compiled"][0] == pytest.approx(vals["pure"][0], rel=1e-12)
-    assert vals["compiled"][1] == pytest.approx(vals["pure"][1], rel=1e-12)
+    for name in ("pure", "compiled"):
+        backend(name)
+        vals[name] = (kernels.q_upper(a, b), kernels.q_upper_naive(a, b))
+    assert vals["compiled"] == vals["pure"]  # q_upper is NumPy for every backend
 
 
-def test_use_backend_validation():
+@needs_compiled
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compiled_step_tiny_lattices(arrays, backend, n):
+    u, v, _, _ = arrays
+    backend("compiled")
+    for periodic in (True, False):
+        got = kernels.step_unforced(u[:n], v[:n], 0.1, 1.0, 1.0, 0.25, periodic)
+        want = pure.step_unforced(u[:n], v[:n], 0.1, 1.0, 1.0, 0.25, periodic)
+        assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+
+
+@needs_compiled
+def test_compiled_step_coerces_and_checks_inputs(arrays, backend):
+    u, v, _, _ = arrays
+    backend("compiled")
+    strided = np.repeat(u, 2)[::2]  # not contiguous
+    got = kernels.step_unforced(strided, list(v), 0.1, 1.0, 0.0, 0.25, True)
+    want = pure.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True)
+    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+    with pytest.raises(ValueError, match="equal length"):
+        kernels.step_unforced(u, v[:-1], 0.1, 1.0, 0.0, 0.25, True)
+    with pytest.raises(ValueError, match="equal length"):
+        kernels.step_unforced(u.reshape(1, -1), v.reshape(1, -1), 0.1, 1.0, 0.0, 0.25, True)
+
+
+ARTIFACT_DOCS = {
+    "simulate": {
+        "model": {"m": 1.0, "alpha": 0.0, "beta": 0.25},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 384, "boundary": "zero_inflow"},
+        "time": {"T": 1.0, "record_every": 3},
+        "init": {"u0": {"kind": "gaussian_pulse", "amplitude": 0.07, "center": -0.5, "width": 0.8},
+                 "v0": {"kind": "gaussian_pulse", "amplitude": [0.03, -0.04], "center": 0.5, "width": 0.9}},
+        "command": "simulate",
+    },
+    "audit": {
+        "model": {"m": 1.0, "alpha": 0.0, "beta": 0.25},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 384, "boundary": "zero_inflow"},
+        "time": {"T": 1.0},
+        "init": {"u0": {"kind": "gaussian_pulse", "amplitude": 0.07, "width": 0.8},
+                 "v0": {"kind": "gaussian_pulse", "amplitude": 0.055, "width": 0.9}},
+        "domain": {"a": -4.0, "b": 4.0},
+        "audit": {"samples": 2000},
+        "command": "audit",
+    },
+    "converge": {
+        "model": {"m": 1.0, "alpha": 1.0, "beta": 0.0},
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 512, "boundary": "periodic"},
+        "time": {"T": 0.25},
+        "init": {"u0": {"kind": "indicator_jump", "amplitude": -0.3, "halfwidth": 1.0},
+                 "v0": {"kind": "power_singularity_truncated", "amplitude": [0.0, 0.2], "halfwidth": 1.5,
+                        "exponent": 0.3, "cap": 10.0}},
+        "mollify": {"epsilons": [0.4, 0.2, 0.1]},
+        "command": "converge",
+    },
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("command", sorted(ARTIFACT_DOCS))
+def test_artifacts_identical_across_backends(tmp_path, backend, command):
+    outputs = {}
+    for name in ("pure", "compiled"):
+        backend(name)
+        doc = dict(ARTIFACT_DOCS[command], output={"path": str(tmp_path / name / "run")})
+        assert run_command(parse_config(json.dumps(doc))) == 0
+        files = sorted((tmp_path / name).iterdir())
+        outputs[name] = {p.name: p.read_bytes() for p in files}
+    assert outputs["compiled"] == outputs["pure"]
+    assert outputs["pure"]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_compiler_present_means_compiled():
+    # Guards tier-1 against silently running on the pure backend only.
+    assert kernels.backend_name() == "compiled", kernels.backend_reason()
+    assert kernels.backend_reason().startswith("compiled: _step.")
+
+
+def test_cached_import_loads_no_new_stdlib_module():
+    # subprocess costs ~4 ms to import and hashlib ~4.5 ms and 3.6 MB of RSS;
+    # with the library cached, importing the kernels needs neither.
+    code = ("import sys, numpy; before = set(sys.modules); import lcdirac.kernels; "
+            "print(sorted(m for m in set(sys.modules) - before if not m.startswith('lcdirac')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(kernels.__file__).parents[2]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "subprocess" not in done.stdout and "hashlib" not in done.stdout, done.stdout
+
+
+def test_no_compiler_falls_back_to_pure(tmp_path):
+    """A fresh copy of the package (no cached build) with no cc on PATH."""
+    src = Path(kernels.__file__).parents[1]
+    shutil.copytree(src, tmp_path / "lcdirac", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "empty").mkdir()
+    env = {"PATH": str(tmp_path / "empty"), "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    code = "from lcdirac import kernels; print(kernels.backend_name()); print(kernels.backend_reason())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines() == ["pure", "pure: cc not found"]
+    assert not list((tmp_path / "lcdirac").rglob("*.so*"))  # nothing built, no temp file left
+
+
+def test_unwritable_cache_falls_back_to_pure(tmp_path):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    fn, reason = kernels.load_compiled(str(blocker / "cache"))
+    assert fn is None
+    assert reason.startswith("pure: ") and "\n" not in reason
+
+
+def test_use_backend_validation(backend):
     with pytest.raises(ValueError):
         kernels.use_backend("gpu")
     before = kernels.backend_name()
     restored = kernels.use_backend("pure")
     assert restored == before
-    kernels.use_backend(before)
+    assert kernels.backend_reason().startswith("pure: ")
