@@ -31,6 +31,7 @@ from .functionals import (
     difference_functionals,
     gronwall_audit,
     pointwise_audit,
+    total_charge_audit,
     trace_base,
     trace_pair,
     triangle_charge_audit,

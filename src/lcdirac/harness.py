@@ -275,25 +275,49 @@ class ConvergenceTable:
             raise UsageError("distances must be nonnegative")
 
 
-def _max_time_distance(snapsA: Sequence[SpinorField], snapsB: Sequence[SpinorField]) -> float:
-    return max(l2_distance(a, b) for a, b in zip(snapsA, snapsB))
+class _PairDistance:
+    """Distances between two lockstep runs, fed one level of each at a time:
+    the max-in-time L2 field distance and the space-time L2 distance of the
+    pointwise products u v, trapezoid in time (a level's weight is known
+    once the next level arrives, so the latest row waits)."""
+
+    def __init__(self):
+        self.field = None
+        self.total = 0.0
+        self.levels = 0
+        self.last = None
+
+    def feed(self, a: SpinorField, b: SpinorField):
+        d = l2_distance(a, b)
+        self.field = d if self.field is None else max(self.field, d)
+        if self.last is not None:
+            w = 0.5 if self.levels == 1 else 1.0
+            self.total += w * self.last * a.grid.dt
+        prod = a.u * a.v - b.u * b.v
+        self.last = float(np.sum(prod.real**2 + prod.imag**2)) * a.grid.dx
+        self.levels += 1
+        self.dt = a.grid.dt
+
+    def product_distance(self) -> float:
+        return float(np.sqrt(self.total + 0.5 * self.last * self.dt))
 
 
-def _product_distance(snapsA: Sequence[SpinorField], snapsB: Sequence[SpinorField]) -> float:
-    """Space-time L2 distance of u*v, trapezoid in time."""
-    total = 0.0
-    n = len(snapsA)
-    for j, (a, b) in enumerate(zip(snapsA, snapsB)):
-        d = a.u * a.v - b.u * b.v
-        row = float(np.sum(d.real**2 + d.imag**2)) * a.grid.dx
-        w = 0.5 if j in (0, n - 1) else 1.0
-        total += w * row * a.grid.dt
-    return float(np.sqrt(total))
+def _lockstep_distances(
+    f0s: Sequence[SpinorField], pairs: Sequence[tuple[int, int]], p: ModelParams, T: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Evolve every datum in lockstep; (field, product) distances per run pair."""
+    dists = [_PairDistance() for _ in pairs]
 
+    def observe(levels):
+        # silent overflow on a huge but finite level: its run blows up at
+        # the next step, or the distance carries the inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for dist, (i, j) in zip(dists, pairs):
+                if levels[i] is not None and levels[j] is not None:
+                    dist.feed(levels[i], levels[j])
 
-def _evolved(datum, eps, grid, p, T, kernel):
-    f0 = mollify(datum, eps, grid, kernel)
-    return evolve(f0, p, SolverConfig(record_every=1), T)
+    evolve(f0s, p, SolverConfig(), T, observers=[observe])
+    return tuple(d.field for d in dists), tuple(d.product_distance() for d in dists)
 
 
 def convergence_study(
@@ -304,16 +328,11 @@ def convergence_study(
     T: float,
     kernel: str = "bump",
 ) -> ConvergenceTable:
-    """Evolve consecutive smoothing levels and record their distances."""
+    """Evolve every smoothing level in lockstep; distances of consecutive levels."""
     eps = tuple(float(e) for e in epsilons)
-    pair, prod = [], []
-    prev = _evolved(datum, eps[0], grid, p, T, kernel)
-    for e in eps[1:]:
-        cur = _evolved(datum, e, grid, p, T, kernel)
-        pair.append(_max_time_distance(prev, cur))
-        prod.append(_product_distance(prev, cur))
-        prev = cur
-    return ConvergenceTable(eps, tuple(pair), tuple(prod), mode="consecutive")
+    f0s = [mollify(datum, e, grid, kernel) for e in eps]
+    pair, prod = _lockstep_distances(f0s, [(j, j + 1) for j in range(len(eps) - 1)], p, T)
+    return ConvergenceTable(eps, pair, prod, mode="consecutive")
 
 
 def uniqueness_probe(
@@ -325,15 +344,12 @@ def uniqueness_probe(
     grid: GridSpec,
     T: float,
 ) -> ConvergenceTable:
-    """Evolve two kernel families and record cross-family distances per level."""
+    """Evolve both kernel families at every level in lockstep; cross-family
+    distances per level."""
     eps = tuple(float(e) for e in epsilons)
-    pair, prod = [], []
-    for e in eps:
-        runA = _evolved(datum, e, grid, p, T, family_a)
-        runB = _evolved(datum, e, grid, p, T, family_b)
-        pair.append(_max_time_distance(runA, runB))
-        prod.append(_product_distance(runA, runB))
-    return ConvergenceTable(eps, tuple(pair), tuple(prod), mode="cross")
+    f0s = [mollify(datum, e, grid, family) for e in eps for family in (family_a, family_b)]
+    pair, prod = _lockstep_distances(f0s, [(2 * j, 2 * j + 1) for j in range(len(eps))], p, T)
+    return ConvergenceTable(eps, pair, prod, mode="cross")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ for the corner named in ``_step.c``):
 
 - ``compiled``: ``_step.c``, built with the system C compiler on first
   import, cached as ``__pycache__/_step.<key>.so`` next to this file (the key
-  is a CRC-32 of the source and the flags) and called through ctypes;
+  is a CRC-32 of the source and the flags; a build deletes the libraries of
+  other keys) and called through ctypes;
 - ``pure``: the NumPy step in ``pure.py``, used whenever the build or the
   load fails.
 
@@ -51,6 +52,21 @@ def _compile(source: str, target: str):
             os.remove(tmp)
 
 
+def _remove_stale(cache_dir: str, keep: str):
+    """Delete the libraries built from an older source or flag set."""
+    try:
+        names = os.listdir(cache_dir)
+    except OSError:
+        return
+    for name in names:
+        path = os.path.join(cache_dir, name)
+        if name.startswith("_step.") and name.endswith(".so") and path != keep:
+            try:
+                os.remove(path)
+            except OSError:  # another process may hold or remove it
+                pass
+
+
 def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
     """Build ``_step.c`` into cache_dir unless cached, then load it.
 
@@ -63,6 +79,7 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
         target = os.path.join(cache_dir, f"_step.{key:08x}.so")
         if not os.path.exists(target):
             _compile(source, target)
+            _remove_stale(cache_dir, target)
         fn = ctypes.CDLL(target).lcd_step_unforced
     except OSError as exc:
         return None, f"pure: {exc}"

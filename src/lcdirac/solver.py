@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,17 +23,16 @@ from .model import ModelParams, eval_nonlinearity
 log = logging.getLogger(__name__)
 
 Forcing = Callable[[np.ndarray, float], np.ndarray]
+# Called with the lockstep runs' levels at one time (None for a run that blew up).
+Observer = Callable[[tuple], None]
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    scheme: str = "transport_rk2_source"
     forcing: Optional[tuple[Forcing, Forcing]] = None
     record_every: int = 1
 
     def __post_init__(self):
-        if self.scheme != "transport_rk2_source":
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
 
@@ -104,31 +103,81 @@ def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
     return SpinorField(grid, t_new, u_new, v_new)
 
 
-def evolve(f0: SpinorField, p: ModelParams, cfg: SolverConfig, T: float) -> list[SpinorField]:
-    """Iterate step up to horizon T; snapshots at t=0, every record_every, final.
+def evolve(
+    f0: Union[SpinorField, Sequence[SpinorField]],
+    p: ModelParams,
+    cfg: SolverConfig,
+    T: float,
+    observers: Optional[Sequence[Observer]] = None,
+) -> list[SpinorField]:
+    """Iterate step up to horizon T.
+
+    Without observers, f0 is one field and the result is its snapshots at
+    t=0, every record_every steps and the final step.
+
+    With observers, f0 is one field or a sequence of fields on one grid,
+    advanced in lockstep, and no level is kept beyond the current one: each
+    observer is called with the tuple of the runs' levels at t=0 and after
+    every step, and the result is the list of the runs' final levels. A run
+    that blows up leaves the lockstep together with every run after it
+    (their slots become None); the runs before it go on to T, and then the
+    error of the first run that blew up is raised with ``run`` set to its
+    index, which is the error evolving the runs one after another would
+    raise.
 
     T must be a nonnegative integer multiple of dt up to 1e-12 relative;
     otherwise it is rounded down and the shortfall logged.
     """
     if T < 0:
         raise UsageError(f"horizon must be nonnegative, got {T}")
-    dt = f0.grid.dt
+    runs = [f0] if isinstance(f0, SpinorField) else list(f0)
+    if not runs or observers is None and len(runs) > 1:
+        raise UsageError("evolve needs one field, or observers for several")
+    grid = runs[0].grid
+    if any(f.grid != grid for f in runs):
+        raise UsageError("lockstep runs need one grid")
+    dt = grid.dt
     ratio = T / dt
     n = round(ratio)
     if abs(ratio - n) > 1e-12 * max(1.0, abs(ratio)):
         n = int(np.floor(ratio))
         log.warning("horizon %s is not a step multiple; evolving to %s", T, n * dt)
-    snapshots = [f0]
-    f = f0
-    for k in range(1, n + 1):
-        try:
-            f = step(f, p, cfg)
-        except BlowUpError as exc:
-            exc.partial = snapshots
-            raise
-        if k % cfg.record_every == 0 or k == n:
-            snapshots.append(f)
-    return snapshots
+
+    if observers is None:
+        f = runs[0]
+        snapshots = [f]
+        for k in range(1, n + 1):
+            try:
+                f = step(f, p, cfg)
+            except BlowUpError as exc:
+                exc.partial = snapshots
+                raise
+            if k % cfg.record_every == 0 or k == n:
+                snapshots.append(f)
+        return snapshots
+
+    levels: list[Optional[SpinorField]] = runs
+    failed = None
+    for observe in observers:
+        observe(tuple(levels))
+    for _ in range(n):
+        for j, f in enumerate(levels):
+            if f is None:
+                break
+            try:
+                levels[j] = step(f, p, cfg)
+            except BlowUpError as exc:
+                exc.run = j
+                failed = exc
+                levels[j:] = [None] * (len(levels) - j)
+                break
+        if levels[0] is None:
+            break
+        for observe in observers:
+            observe(tuple(levels))
+    if failed is not None:
+        raise failed
+    return levels
 
 
 # ---------------------------------------------------------------------------

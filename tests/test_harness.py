@@ -3,7 +3,7 @@ import pytest
 
 import lcdirac as lc
 from lcdirac.errors import PlanningError, ResolutionError
-from lcdirac.harness import _max_time_distance, mollify
+from lcdirac.harness import mollify
 
 from conftest import random_field
 
@@ -150,9 +150,13 @@ class TestConvergenceStudy:
             lc.evolve(lc.mollify(jump_datum(), e, g), gn, lc.SolverConfig(), 0.5)
             for e in eps
         ]
-        d01 = _max_time_distance(runs[0], runs[1])
-        d12 = _max_time_distance(runs[1], runs[2])
-        d02 = _max_time_distance(runs[0], runs[2])
+
+        def dist(a, b):
+            return max(lc.l2_distance(x, y) for x, y in zip(a, b))
+
+        d01 = dist(runs[0], runs[1])
+        d12 = dist(runs[1], runs[2])
+        d02 = dist(runs[0], runs[2])
         assert d02 <= (d01 + d12) * (1 + 1e-12)
 
 

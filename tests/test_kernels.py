@@ -238,6 +238,16 @@ def test_no_compiler_falls_back_to_pure(tmp_path):
     assert not list((tmp_path / "lcdirac").rglob("*.so*"))  # nothing built, no temp file left
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_build_removes_stale_libraries(tmp_path):
+    (tmp_path / "_step.deadbeef.so").write_bytes(b"built from an older _step.c")
+    (tmp_path / "other.so").write_bytes(b"not ours")
+    fn, reason = kernels.load_compiled(str(tmp_path))
+    assert fn is not None, reason
+    built = reason.split(": ", 1)[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([built, "other.so"])
+
+
 def test_unwritable_cache_falls_back_to_pure(tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")

@@ -1,0 +1,483 @@
+"""The one-pass audit, converge and unique commands against list-based runs.
+
+The CLI evolves its runs in lockstep and feeds each level to per-level
+reductions; these tests recompute the same artifacts from full snapshot
+lists (the sequence-taking audit functions, and distances computed here),
+check the blow-up and error precedence through ``main``, and bound the
+levels and memory the audit pass keeps.
+"""
+import contextlib
+import dataclasses
+import io
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lcdirac as lc
+from lcdirac import cli, functionals
+from lcdirac.cli import main
+from lcdirac.errors import BlowUpError, UsageError
+
+GN_DATUM = lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", 0.07, center=-0.5, width=0.8),
+                          lc.ComponentSpec("gaussian_pulse", 0.055, center=0.5, width=0.9))
+GN_INIT = {
+    "u0": {"kind": "gaussian_pulse", "amplitude": 0.07, "center": -0.5, "width": 0.8},
+    "v0": {"kind": "gaussian_pulse", "amplitude": 0.055, "center": 0.5, "width": 0.9},
+}
+
+
+def audit_doc(path, **over):
+    doc = {
+        "model": {"m": 1.0, "alpha": 0.0, "beta": 0.25},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 192, "boundary": "zero_inflow"},
+        "time": {"T": 2.0},
+        "init": GN_INIT,
+        "domain": {"a": -4.0, "b": 4.0},
+        "command": "audit",
+        "audit_selection": list(cli.AUDITS),
+        "audit": {"samples": 2000},
+        "output": {"path": str(path / "run"), "format": "csv"},
+    }
+    doc.update(over)
+    return doc
+
+
+def run_main(tmp_path, doc, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    status = main([str(cfg_path)])
+    return status, capsys.readouterr().err
+
+
+def sequence_audits(cfg):
+    """The audits file of cfg, computed from evolve's full snapshot lists."""
+    p, k = cfg.model, cfg.constants
+    dom = cfg.domain if cfg.domain is not None else cli._default_domain(cfg)
+    f0 = lc.sample_initial(cfg.init, cfg.grid)
+    snaps = lc.evolve(f0, p, lc.SolverConfig(), cfg.T)
+    snaps_b = lc.evolve(cli._perturbed(f0, cfg.audit_perturbation), p, lc.SolverConfig(), cfg.T)
+    tau = cli._snap_tau(dom, cfg.T, cfg.grid.dt)
+    c0 = cfg.audit_c0 if cfg.audit_c0 is not None else lc.charge(f0) + 1.0
+    reports = {
+        "algebraic": lambda: lc.check_algebraic_bounds(cfg.audit_samples, p, k, cfg.audit_seed),
+        "charge": lambda: functionals.total_charge_audit(snaps, cfg.T, cfg.c_tol),
+        "triangle": lambda: lc.triangle_charge_audit(snaps, dom, tau, cfg.c_tol),
+        "pointwise": lambda: lc.pointwise_audit(snaps, dom, c0, p, cfg.c_tol),
+        "bony": lambda: lc.bony_decay_audit(snaps, dom, k, p, cfg.c_tol),
+        "gronwall": lambda: lc.gronwall_audit(snaps, snaps_b, dom, k, p, cfg.c_tol),
+    }
+    records = []
+    for name in cli.AUDITS:
+        if name in cfg.audit_selection:
+            rep = reports[name]()
+            if rep.constants_used is None:
+                rep = dataclasses.replace(rep, constants_used=k)
+            records.append(cli._report_record(name, rep))
+    return cli.reports_csv(records)
+
+
+STREAMING_CASES = {
+    "gross_neveu": {},
+    "thirring_periodic": {
+        "model": {"m": 1.0, "alpha": 1.0, "beta": 0.0},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 192, "boundary": "periodic"},
+    },
+    "apex_before_T": {"domain": {"a": -1.0, "b": 1.0}, "time": {"T": 3.0}},
+    "default_domain": {"domain": None, "time": {"T": 1.0}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMING_CASES))
+def test_cli_audits_equal_sequence_audits(tmp_path, capsys, case):
+    over = dict(STREAMING_CASES[case])
+    doc = audit_doc(tmp_path, **over)
+    if doc["domain"] is None:
+        del doc["domain"]
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 0, err
+    expected = sequence_audits(cli.parse_config(json.dumps(doc)))
+    assert (tmp_path / "run_audits.csv").read_text() == expected
+
+
+def test_nonzero_base_time_is_a_configuration_error(tmp_path, capsys):
+    doc = audit_doc(tmp_path, domain={"a": -4.0, "b": 4.0, "t0": 0.5})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 2 and "Traceback" not in err
+    with pytest.raises(UsageError) as exc_info:
+        sequence_audits(cli.parse_config(json.dumps(doc)))
+    assert str(exc_info.value) in err
+    assert not (tmp_path / "run_audits.csv").exists()
+
+
+def _pointwise_per_width(snaps, dom, C0, p):
+    """Largest pointwise-audit margin and its witness, one window width at a
+    time; also says whether a window (not a single site) attains it."""
+    f0, grid = snaps[0], snaps[0].grid
+    dx = grid.dx
+    au0, av0 = np.abs(f0.u) ** 2, np.abs(f0.v) ** 2
+    pre_u0 = np.concatenate([[0.0], np.cumsum(au0)])
+    pre_v0 = np.concatenate([[0.0], np.cumsum(av0)])
+    worst, witness, by_window = 0.0, None, False
+    for s in snaps:
+        if s.t > dom.apex_time + 1e-12:
+            break
+        kshift = round((s.t - dom.t0) / grid.dt)
+        E = float(np.exp(2.0 * abs(p.beta) * C0 + p.m * (s.t - dom.t0)))
+        i0, i1 = dom.section_indices(grid, s.t)
+        if i0 >= i1:
+            continue
+        au = s.u.real**2 + s.u.imag**2
+        av = s.v.real**2 + s.v.imag**2
+        for vio in (au[i0:i1] - E * (au0[i0 - kshift : i1 - kshift] + p.m * C0),
+                    av[i0:i1] - E * (av0[i0 + kshift : i1 + kshift] + p.m * C0)):
+            j = int(np.argmax(vio))
+            if vio[j] > worst:
+                worst, witness, by_window = float(vio[j]), (s.t, grid.x_min + (i0 + j) * dx), False
+        pre_u = np.concatenate([[0.0], np.cumsum(au)])
+        pre_v = np.concatenate([[0.0], np.cumsum(av)])
+        width = 2
+        while width <= i1 - i0:
+            starts = np.arange(i0, i1 - width + 1, width // 2)
+            su_t = (pre_u[starts + width] - pre_u[starts]) * dx
+            sv_t = (pre_v[starts + width] - pre_v[starts]) * dx
+            su_0 = (pre_u0[starts - kshift + width] - pre_u0[starts - kshift]) * dx
+            sv_0 = (pre_v0[starts + kshift + width] - pre_v0[starts + kshift]) * dx
+            vio = np.maximum(su_t - E * su_0, sv_t - E * sv_0) - E * p.m * C0 * (width * dx)
+            j = int(np.argmax(vio))
+            if vio[j] > worst:
+                worst, witness, by_window = float(vio[j]), (s.t, grid.x_min + starts[j] * dx), True
+            width *= 2
+    return worst, witness, by_window
+
+
+@pytest.mark.parametrize("model, gain, ramp, by_window", [
+    (lc.GROSS_NEVEU, 0.0, False, False),
+    (lc.ModelParams(0.0, 1.0, 0.0), 0.0, False, False),
+    (lc.ModelParams(0.0, 1.0, 0.0), 1e-3, False, True),
+    (lc.ModelParams(0.0, 1.0, 0.0), 1e-3, True, True),
+])
+def test_pointwise_windows_match_per_width_reference(model, gain, ramp, by_window):
+    # gain > 0 inflates |u| by (1 + gain) per step, a broken solver whose
+    # excess adds up over a window; massless, so no slack grows with the
+    # window and a window is the witness. With the ramp the gain grows to
+    # the right, so the worst window is the last one of its width.
+    g = lc.make_grid(-6, 6, 384, "zero_inflow")
+    dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+    datum = lc.InitialDatum(lc.ComponentSpec("indicator_jump", 0.7, center=-0.5, halfwidth=2.0),
+                            lc.ComponentSpec("gaussian_pulse", 0.9, center=0.5, width=0.8))
+    snaps = lc.evolve(lc.sample_initial(datum, g), model, lc.SolverConfig(), 1.5)
+    x = g.sites()
+    shape = np.clip((x + 4.0) / 8.0, 0.0, 1.0) if ramp else 1.0
+    snaps = [lc.SpinorField(g, s.t, s.u * (1.0 + gain * shape) ** k, s.v) for k, s in enumerate(snaps)]
+    C0 = lc.charge(snaps[0]) * 1.01
+    rep = lc.pointwise_audit(snaps, dom, C0, model)
+    worst, witness, window_won = _pointwise_per_width(snaps, dom, C0, model)
+    assert (rep.max_violation, rep.witness) == (worst, witness)
+    assert window_won == by_window
+
+
+def test_window_template_lists_every_dyadic_window_in_width_order():
+    red = functionals.PointwiseGrowth(lc.TriangleDomain(-1.0, 1.0), 1.0, lc.GROSS_NEVEU)
+    for n_sec in (300, 299, 256, 255, 128, 97, 64, 5, 4, 3, 2, 1, 0, 301):  # narrowing, then wider
+        starts, widths = red._windows(7, n_sec)
+        expected = [(7 + r, w) for w in (2, 4, 8, 16, 32, 64, 128, 256) if w <= n_sec
+                    for r in range(0, n_sec - w + 1, w // 2)]
+        assert list(zip(starts.tolist(), widths.tolist())) == expected
+
+
+def test_charge_audit_takes_the_largest_drift():
+    g = lc.make_grid(-2, 2, 64, "periodic")
+    f0 = lc.sample_initial(GN_DATUM, g)
+    levels = [lc.SpinorField(g, k * g.dt, f0.u * c, f0.v) for k, c in enumerate([1.0, 1.2, 1.1, 0.95])]
+    q = [lc.charge(f) for f in levels]
+    rep = functionals.total_charge_audit(levels, 1.0)
+    assert rep.max_violation == max(abs(x - q[0]) for x in q) == abs(q[1] - q[0])
+    assert rep.info["initial_charge"] == q[0]
+
+
+def test_pair_distance_weights_and_maximum():
+    from lcdirac.harness import _PairDistance
+
+    g = lc.make_grid(-2, 2, 64, "periodic")
+    f0 = lc.sample_initial(GN_DATUM, g)
+    scales = [(1.0, 1.0), (1.5, 1.0), (1.1, 0.95), (1.0, 0.9)]
+    a = [lc.SpinorField(g, k * g.dt, f0.u, f0.v) for k in range(4)]
+    b = [lc.SpinorField(g, k * g.dt, f0.u * su, f0.v * sv) for k, (su, sv) in enumerate(scales)]
+    dist = _PairDistance()
+    for x, y in zip(a, b):
+        dist.feed(x, y)
+    assert dist.field == max(lc.l2_distance(x, y) for x, y in zip(a, b)) == lc.l2_distance(a[1], b[1])
+    assert dist.product_distance() == _list_distances(a, b)[1]
+
+
+def _list_distances(runs_a, runs_b):
+    field = max(lc.l2_distance(a, b) for a, b in zip(runs_a, runs_b))
+    total, n = 0.0, len(runs_a)
+    for j, (a, b) in enumerate(zip(runs_a, runs_b)):
+        d = a.u * a.v - b.u * b.v
+        row = float(np.sum(d.real**2 + d.imag**2)) * a.grid.dx
+        total += (0.5 if j in (0, n - 1) else 1.0) * row * a.grid.dt
+    return field, float(np.sqrt(total))
+
+
+def _read_table(path):
+    lines = path.read_text().splitlines()[1:]
+    return [tuple(float(x) for x in line.split(",")) for line in lines]
+
+
+@pytest.mark.parametrize("command", ["converge", "unique"])
+def test_ladder_tables_equal_list_distances(tmp_path, capsys, command):
+    eps = [0.5, 0.25, 0.125]
+    doc = audit_doc(tmp_path, command=command, time={"T": 0.75},
+                    mollify={"epsilons": eps, "kernel": "bump", "kernel_b": "triangle"})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 0, err
+    cfg = cli.parse_config(json.dumps(doc))
+
+    def run(e, kernel):
+        return lc.evolve(lc.mollify(cfg.init, e, cfg.grid, kernel), cfg.model, lc.SolverConfig(), cfg.T)
+
+    if command == "converge":
+        runs = [run(e, "bump") for e in eps]
+        expected = [(eps[j], eps[j + 1], *_list_distances(runs[j], runs[j + 1])) for j in range(len(eps) - 1)]
+        table = _read_table(tmp_path / "run_convergence.csv")
+    else:
+        expected = [(e, e, *_list_distances(run(e, "bump"), run(e, "triangle"))) for e in eps]
+        table = _read_table(tmp_path / "run_uniqueness.csv")
+    assert table == expected
+
+
+# ---------------------------------------------------------------------------
+# Blow-up and error precedence of the lockstep audit pass
+
+HUGE_B = {"perturbation": 1e110, "samples": 2000}
+
+
+@pytest.mark.parametrize("domain", [{"a": -4.0, "b": 4.0}, {"a": -4.0, "b": 4.0, "t0": 0.25}])
+def test_blowup_in_a_writes_empty_audits(tmp_path, capsys, domain):
+    # a blow-up in A wins even over a cone error the pass met at t = 0
+    init = {"u0": {"kind": "gaussian_pulse", "amplitude": 1e110, "width": 0.8},
+            "v0": {"kind": "gaussian_pulse", "amplitude": 1e110, "width": 0.9}}
+    status, err = run_main(tmp_path, audit_doc(tmp_path, init=init, domain=domain), capsys)
+    assert status == 1 and "blow-up" in err and "Traceback" not in err
+    assert (tmp_path / "run_audits.csv").read_text() == "\n"
+
+
+def test_later_blowup_in_a_wins_over_earlier_blowup_in_b(tmp_path, capsys):
+    # A (amplitude 10) blows up at its 4th step, B (A x 1e50) at its first.
+    init = {"u0": {"kind": "gaussian_pulse", "amplitude": 10.0, "width": 0.8},
+            "v0": {"kind": "gaussian_pulse", "amplitude": 10.0, "width": 0.9}}
+    doc = audit_doc(tmp_path, init=init, audit={"perturbation": 1e50, "samples": 2000},
+                    grid={"x_min": -6.0, "x_max": 6.0, "n_points": 384, "boundary": "zero_inflow"})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 1 and "at t=0.125" in err
+    assert (tmp_path / "run_audits.csv").read_text() == "\n"
+
+
+def test_blowup_in_b_alone_writes_no_audits(tmp_path, capsys):
+    status, err = run_main(tmp_path, audit_doc(tmp_path, audit=HUGE_B), capsys)
+    assert status == 1 and "blow-up" in err and "Traceback" not in err
+    assert not (tmp_path / "run_audits.csv").exists()
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"domain": {"a": -4.01, "b": 4.0}}, "not on the lattice"),
+    ({"domain": {"a": -4.0, "b": 4.0, "t0": 0.25}}, "base time"),
+    ({"audit": {**HUGE_B, "c0": 0.0}}, "not below C0"),
+    ({"constants": {"delta0": 1e-9}}, "smallness threshold delta0"),
+])
+def test_cone_audit_errors_win_over_blowup_in_b(tmp_path, capsys, over, message):
+    doc = audit_doc(tmp_path, audit=HUGE_B)
+    doc.update(over)
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 2 and message in err and "blow-up" not in err
+    assert not (tmp_path / "run_audits.csv").exists()
+
+
+def test_blowup_in_b_wins_over_pair_precondition(tmp_path, capsys):
+    doc = audit_doc(tmp_path, audit=HUGE_B, constants={"delta": 1e-9})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 1 and "blow-up" in err
+    doc["audit"] = {"samples": 2000}
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 2 and "pair smallness" in err
+
+
+@pytest.mark.parametrize("section, key", [("grid", "n_points"), ("grid", "boundary"), ("time", "record_every")])
+def test_null_for_a_typed_key_is_a_configuration_error(tmp_path, capsys, section, key):
+    doc = audit_doc(tmp_path)
+    doc.setdefault(section, {})[key] = None
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 2 and "wrong type" in err and "Traceback" not in err
+
+
+def test_huge_grid_spacing_exits_cleanly(tmp_path, capsys):
+    # dx = 1e300 / 7: the charge budget's dx^2 overflows to inf, not to an OverflowError
+    doc = audit_doc(tmp_path, grid={"x_min": -1.0, "x_max": 1e300, "n_points": 8, "boundary": "zero_inflow"},
+                    audit_selection=["charge"], domain=None)
+    del doc["domain"]
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 0 and "Traceback" not in err
+    assert ",inf," in (tmp_path / "run_audits.csv").read_text()
+
+
+def test_lockstep_raises_the_first_failed_run(gn):
+    g = lc.make_grid(-6, 6, 384, "zero_inflow")
+
+    def field(amp):
+        datum = lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", amp, width=0.8),
+                                lc.ComponentSpec("gaussian_pulse", amp, width=0.9))
+        return lc.sample_initial(datum, g)
+
+    ok, late, early = field(0.07), field(10.0), field(1e110)
+    seen = []
+    with pytest.raises(BlowUpError) as exc_info:
+        lc.evolve([ok, early], gn, lc.SolverConfig(), 0.5, observers=[seen.append])
+    assert exc_info.value.run == 1
+    assert len(seen) == 17 and seen[0][1] is early
+    assert all(levels[1] is None for levels in seen[1:])  # run 0 went on alone to T
+    assert seen[-1][0].t == pytest.approx(0.5)
+    with pytest.raises(BlowUpError) as exc_info:
+        lc.evolve([late, early], gn, lc.SolverConfig(), 0.5, observers=[])
+    assert exc_info.value.run == 0 and exc_info.value.t == pytest.approx(4 * g.dt)
+    # the runs after a failed one leave with it: late's later blow-up is not raised
+    seen.clear()
+    with pytest.raises(BlowUpError) as exc_info:
+        lc.evolve([ok, early, late], gn, lc.SolverConfig(), 0.5, observers=[seen.append])
+    assert exc_info.value.run == 1 and exc_info.value.t == pytest.approx(g.dt)
+    assert all(levels[1:] == (None, None) for levels in seen[1:])
+
+
+def test_observed_evolve_returns_final_levels(gn):
+    g = lc.make_grid(-6, 6, 96, "zero_inflow")
+    f0 = lc.sample_initial(lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", 0.07, width=0.8),
+                                           lc.ComponentSpec("gaussian_pulse", 0.05, width=0.9)), g)
+    full = lc.evolve(f0, gn, lc.SolverConfig(), 1.0)
+    times = []
+    finals = lc.evolve([f0, f0], gn, lc.SolverConfig(), 1.0,
+                       observers=[lambda levels: times.append(levels[0].t)])
+    assert times == [s.t for s in full]
+    for last in finals:
+        assert np.array_equal(last.u, full[-1].u) and np.array_equal(last.v, full[-1].v)
+    assert [s.t for s in lc.evolve([f0], gn, lc.SolverConfig(), 1.0)] == times
+    with pytest.raises(UsageError):
+        lc.evolve([f0, f0], gn, lc.SolverConfig(), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The audit pass keeps O(1) levels
+
+
+def test_audit_pass_keeps_constant_levels(tmp_path, capsys, monkeypatch):
+    real_evolve, returned = cli.evolve, []
+
+    def spy(*args, **kwargs):
+        out = real_evolve(*args, **kwargs)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(cli, "evolve", spy)
+    doc = audit_doc(tmp_path, grid={"x_min": -6.0, "x_max": 6.0, "n_points": 3072, "boundary": "zero_inflow"},
+                    time={"T": 1.0}, audit_selection=list(cli.EVOLVED_AUDITS))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        status = main([str(cfg_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0, capsys.readouterr().err
+    assert returned and all(n <= 2 for n in returned)
+    # 257 levels of two runs at 3072 sites held 50.5 MB when every level was kept
+    assert peak < 10e6, peak
+
+
+# ---------------------------------------------------------------------------
+# Any config document: exit 0, 1 or 2 and never a traceback
+
+_finite = st.floats(-10, 10)
+_value = st.one_of(  # what a mutation writes: edge numbers and values of the wrong type
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 5), st.just(1e300), st.just(-0.0),
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=1),
+)
+_component = st.one_of(
+    st.builds(lambda a, c, w: {"kind": "gaussian_pulse", "amplitude": a, "center": c, "width": w},
+              st.one_of(_finite, st.lists(_finite, min_size=2, max_size=2)), st.floats(-2, 2), st.floats(0.1, 2)),
+    st.builds(lambda a, h: {"kind": "indicator_jump", "amplitude": a, "halfwidth": h},
+              _finite, st.floats(0.1, 3)),
+    st.builds(lambda a, e: {"kind": "power_singularity_truncated", "amplitude": a, "exponent": e,
+                            "halfwidth": 1.0, "cap": 10.0}, _finite, st.floats(0.05, 0.45)),
+    st.just({"kind": "uniform", "amplitude": 0.0}),
+)
+@st.composite
+def _valid_document(draw):
+    x_min, x_max = draw(st.floats(-6, -1)), draw(st.floats(1, 6))
+    n = draw(st.integers(8, 48))
+    dx = (x_max - x_min) / n
+    doc = {
+        "model": draw(st.one_of(st.just({"m": 1.0, "alpha": 0.0, "beta": 0.25}),
+                                st.just({"m": 1.0, "alpha": 1.0, "beta": 0.0}),
+                                st.fixed_dictionaries({"m": st.floats(0, 3), "alpha": _finite,
+                                                       "beta": _finite}))),
+        "grid": {"x_min": x_min, "x_max": x_max, "n_points": n,
+                 "boundary": draw(st.sampled_from(["periodic", "zero_inflow"]))},
+        "time": {"T": draw(st.floats(0, 1.5)), "record_every": draw(st.integers(1, 3))},
+        "init": {"u0": draw(_component), "v0": draw(_component)},
+        "command": draw(st.sampled_from([c for c in cli.COMMANDS if c != "soliton-check"])),
+        "audit_selection": draw(st.lists(st.sampled_from(cli.AUDITS), max_size=6)),
+        "audit": {"samples": draw(st.integers(1, 50)), "c0": draw(st.floats(0, 2)),
+                  "perturbation": draw(st.floats(-1, 1))},
+        "mollify": {"epsilons": sorted(draw(st.lists(st.integers(2, 8), min_size=1, max_size=3)), reverse=True),
+                    "kernel": draw(st.sampled_from(["bump", "triangle"]))},
+    }
+    doc["mollify"]["epsilons"] = [k * dx for k in doc["mollify"]["epsilons"]]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n // 2)), draw(st.integers(n // 2 + 1, n - 1))
+        doc["domain"] = {"a": x_min + i * dx, "b": x_min + j * dx}
+    return doc
+
+
+_paths = st.sampled_from([
+    ("model", "m"), ("model", "beta"), ("grid", "x_max"), ("grid", "n_points"), ("grid", "boundary"),
+    ("time", "T"), ("time", "record_every"), ("init", "u0", "amplitude"), ("init", "v0", "kind"),
+    ("init", "u0", "values"), ("domain", "a"), ("domain", "t0"), ("audit", "samples"), ("audit", "seed"),
+    ("audit", "c0"), ("constants", "delta"), ("constants", "C_tol"), ("mollify", "epsilons"),
+    ("mollify", "kernel_b"), ("soliton", "frequency"), ("audit_selection",), ("command",), ("output",),
+    ("model",), ("extra",),
+])
+
+
+def _mutated(doc, mutations):
+    for path, value in mutations:
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                break
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_valid_document(), mutations=st.lists(st.tuples(_paths, _value), max_size=2))
+def test_any_document_exits_cleanly(doc, mutations):
+    doc = _mutated(doc, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(doc.get("output"), dict) or "output" not in doc:
+            doc["output"] = {"path": str(Path(tmp) / "out" / "run")}
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main([str(path)])
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
