@@ -6,7 +6,6 @@ from .errors import (
     BlowUpError,
     ConfigurationError,
     FrequencyDomainError,
-    PlanningError,
     PreconditionError,
     ResolutionError,
     UsageError,
@@ -37,16 +36,13 @@ from .functionals import (
     triangle_charge_audit,
 )
 from .harness import (
-    ConePlan,
     ConvergenceTable,
     convergence_study,
     datum_from_profiles,
     mollify,
-    plan_cones,
     random_bump_profile,
     random_smooth_datum,
     uniqueness_probe,
-    verify_plan,
 )
 from .model import (
     GROSS_NEVEU,

@@ -24,7 +24,6 @@ from .errors import (
     BlowUpError,
     ConfigurationError,
     FrequencyDomainError,
-    PlanningError,
     PreconditionError,
     ResolutionError,
     UsageError,
@@ -609,8 +608,8 @@ def run_command(cfg: RunConfig) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, PreconditionError, ResolutionError, PlanningError,
-            FrequencyDomainError, UsageError) as exc:
+    except (ConfigurationError, PreconditionError, ResolutionError, FrequencyDomainError,
+            UsageError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,10 +18,6 @@ class PreconditionError(ValueError):
     """A smallness or coverage hypothesis required by an audit is not met."""
 
 
-class PlanningError(ValueError):
-    """No admissible cone decomposition exists for the given window/horizon."""
-
-
 class FrequencyDomainError(ValueError):
     """Standing-wave frequency outside the existence window."""
 

@@ -20,14 +20,14 @@ resolution-dependent budget.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import PreconditionError, UsageError
-from .fields import GridSpec, SpinorField, TriangleDomain, charge
+from .fields import SpinorField, TriangleDomain, charge
 from .model import EstimateConstants, ModelParams
 from .reports import AuditReport, tolerance_budget
 

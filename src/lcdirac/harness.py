@@ -1,5 +1,5 @@
 """Rough-data machinery: mollification, approximating sequences, Cauchy
-measurements, uniqueness probes, and the cone/grid decomposition planner.
+measurements, and uniqueness probes.
 
 Rough square-integrable data are smoothed by discrete convolution with a
 compactly supported unit-mass kernel; evolving a ladder of smoothing radii
@@ -8,18 +8,15 @@ strong solutions as limits of classical ones.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import PlanningError, ResolutionError, UsageError
-from .fields import GridSpec, InitialDatum, SpinorField, TriangleDomain, charge, l2_distance, sample_initial
-from .model import EstimateConstants, ModelParams
+from .errors import ResolutionError, UsageError
+from .fields import GridSpec, InitialDatum, SpinorField, l2_distance, sample_initial
+from .model import ModelParams
 from .solver import SolverConfig, evolve
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -87,163 +84,6 @@ def mollify(
     periodic = grid.boundary == "periodic"
     return SpinorField(
         grid, 0.0, _convolve(f.u, w, periodic, grid.dx), _convolve(f.v, w, periodic, grid.dx)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Cone decomposition planning
-
-
-@dataclass(frozen=True)
-class ConePlan:
-    """Tail cutoff, small-interval length, and the induction triangle grid.
-
-    B + 2T = 2 * n_tri * r holds exactly; triangles at level j are the
-    domains (m r, (m+4) r) based at time j r footing the induction that
-    advances the horizon by r per level.
-    """
-
-    B: float
-    r: float
-    n_tri: int
-    T: float
-    C0: float
-    delta: float
-    levels: int
-    triangles: tuple[TriangleDomain, ...]
-
-
-def _tail_charge(f: SpinorField, B: float) -> float:
-    x = f.grid.sites()
-    dens = f.density()
-    return float(np.sum(dens[np.abs(x) > B])) * f.grid.dx
-
-
-def _max_window_charge(f: SpinorField, lo: float, hi: float, width_cells: int) -> float:
-    """Largest charge among sliding windows of width_cells sites within [lo, hi]."""
-    x = f.grid.sites()
-    dens = f.density() * f.grid.dx
-    pre = np.concatenate([[0.0], np.cumsum(dens)])
-    n = f.grid.n_points
-    starts = np.arange(0, n - width_cells + 1)
-    keep = (x[starts] >= lo - 1e-12) & (x[starts] + width_cells * f.grid.dx <= hi + 1e-12)
-    starts = starts[keep]
-    if len(starts) == 0:
-        return 0.0
-    return float(np.max(pre[starts + width_cells] - pre[starts]))
-
-
-def plan_cones(
-    limit: SpinorField,
-    members: Sequence[SpinorField],
-    T: float,
-    p: ModelParams,
-    k: EstimateConstants,
-    C0: Optional[float] = None,
-) -> ConePlan:
-    """Choose the tail cutoff B and interval length r for the decomposition.
-
-    B is the smallest lattice multiple with tail charge below delta/4 for the
-    limit datum and delta/3 for every sequence member; r is the largest value
-    with B + 2T = 2 n r (whole cells) whose weighted 4r-interval charges stay
-    below delta/8 (limit) and delta/4 (members) across [-B-4T, B+4T].
-    """
-    grid = limit.grid
-    for f in members:
-        if f.grid != grid:
-            raise UsageError("sequence members live on a different grid")
-    dx = grid.dx
-    delta = k.delta
-    if C0 is None:
-        member_charges = [charge(f) for f in members]
-        C0 = 1.0 + (max(member_charges) if member_charges else 0.0) + charge(limit)
-
-    # Scan tail cutoffs ascending; for each, look for the largest r of the
-    # form B + 2T = 2 n r in whole cells (whole cells keep the triangle
-    # corners lattice-aligned and the budget identity exact). The first
-    # workable pair keeps B minimal.
-    weight = float(np.exp(2.0 * abs(p.beta) * C0 + p.m * T))
-    max_b_cells = int(min(-grid.x_min, grid.x_max) / dx)
-    tail_seen = False
-    chosen = None
-    for bc in range(1, max_b_cells + 1):
-        B = bc * dx
-        if not (
-            _tail_charge(limit, B) < delta / 4.0
-            and all(_tail_charge(f, B) < delta / 3.0 for f in members)
-        ):
-            continue
-        tail_seen = True
-        span_cells = round((B + 2.0 * T) / dx)
-        if abs(span_cells * dx - (B + 2.0 * T)) > 1e-9 * dx:
-            raise PlanningError(
-                "B + 2T is not a whole number of cells; choose a lattice-aligned horizon"
-            )
-        lo, hi = -B - 4.0 * T, B + 4.0 * T
-        for n_tri in range(1, span_cells // 2 + 1):
-            if span_cells % (2 * n_tri) != 0:
-                continue
-            r_cells = span_cells // (2 * n_tri)
-            r = r_cells * dx
-            win = min(4 * r_cells, grid.n_points)
-            ok = weight * (_max_window_charge(limit, lo, hi, win) + p.m * C0 * 4.0 * r) < delta / 8.0
-            if ok:
-                ok = all(
-                    weight * (_max_window_charge(f, lo, hi, win) + p.m * C0 * 4.0 * r) < delta / 4.0
-                    for f in members
-                )
-            if ok:
-                chosen = (B, n_tri, r_cells, r)
-                break
-        if chosen is not None:
-            break
-    if chosen is None:
-        if not tail_seen:
-            raise PlanningError(
-                "no tail cutoff B inside the grid window meets the tail conditions; "
-                "enlarge the window or reduce the data charge"
-            )
-        raise PlanningError(
-            "no interval length r meets the weighted small-interval conditions "
-            "(with m > 0 the mass term forces r below the lattice spacing unless "
-            "the lattice is fine enough); refine the lattice, enlarge the window, "
-            "shorten the horizon, or reduce the data charge"
-        )
-    B, n_tri, r_cells, r = chosen
-
-    levels = max(1, int(np.ceil(T / r - 1e-12)))
-    triangles = []
-    for j in range(levels):
-        for mm in range(-2 * n_tri + j, 2 * n_tri - 4 - j + 1):
-            triangles.append(TriangleDomain(mm * r, (mm + 4) * r, j * r))
-    return ConePlan(
-        B=B, r=r, n_tri=n_tri, T=T, C0=C0, delta=delta, levels=levels,
-        triangles=tuple(triangles),
-    )
-
-
-def verify_plan(
-    plan: ConePlan,
-    limit: SpinorField,
-    members: Sequence[SpinorField],
-    p: ModelParams,
-) -> bool:
-    """Recheck every planning condition by direct summation."""
-    if _tail_charge(limit, plan.B) >= plan.delta / 4.0:
-        return False
-    if any(_tail_charge(f, plan.B) >= plan.delta / 3.0 for f in members):
-        return False
-    if abs(plan.B + 2.0 * plan.T - 2.0 * plan.n_tri * plan.r) > 1e-9 * limit.grid.dx:
-        return False
-    weight = float(np.exp(2.0 * abs(p.beta) * plan.C0 + p.m * plan.T))
-    lo, hi = -plan.B - 4.0 * plan.T, plan.B + 4.0 * plan.T
-    win = min(round(4.0 * plan.r / limit.grid.dx), limit.grid.n_points)
-    slack = p.m * plan.C0 * 4.0 * plan.r
-    if weight * (_max_window_charge(limit, lo, hi, win) + slack) >= plan.delta / 8.0:
-        return False
-    return all(
-        weight * (_max_window_charge(f, lo, hi, win) + slack) < plan.delta / 4.0
-        for f in members
     )
 
 

@@ -1,7 +1,9 @@
 """Kernel backend selection.
 
-``step_unforced`` has two backends with the same results bit for bit (but
-for the corner named in ``_step.c``):
+``step_unforced`` is the one lattice step, unforced or, given
+``forcing``, forced (the name predates forcing; ``perfbench`` wraps it by
+that name). It has two backends with the same results bit for bit (but for
+the corner named in ``_step.c``):
 
 - ``compiled``: ``_step.c``, built with the system C compiler on first
   import, cached as ``__pycache__/_step.<key>.so`` next to this file (the key
@@ -80,10 +82,11 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
         if not os.path.exists(target):
             _compile(source, target)
             _remove_stale(cache_dir, target)
-        fn = ctypes.CDLL(target).lcd_step_unforced
+        fn = ctypes.CDLL(target).lcd_step
     except OSError as exc:
         return None, f"pure: {exc}"
-    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
+    fn.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
+                   + [ctypes.c_void_p] * 4)
     fn.restype = None
     return fn, f"compiled: {os.path.basename(target)}"
 
@@ -92,15 +95,23 @@ _c_step, _reason = load_compiled()
 _active = "compiled" if _c_step is not None else "pure"
 
 
-def _compiled_step(u, v, h, m, alpha, beta, periodic):
+def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing=None):
     u = np.ascontiguousarray(u, dtype=np.complex128)
     v = np.ascontiguousarray(v, dtype=np.complex128)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"u and v must be 1-d of equal length, got shapes {u.shape} and {v.shape}")
+    f_ptrs = [None] * 4  # NULL: the unforced step
+    if forcing is not None:
+        f = [np.ascontiguousarray(a, dtype=np.complex128) for a in forcing]
+        if len(f) != 4:
+            raise ValueError(f"forcing needs 4 arrays, got {len(f)}")
+        if any(a.shape != u.shape for a in f):
+            raise ValueError(f"forcing arrays must be shaped like u {u.shape}, got {[a.shape for a in f]}")
+        f_ptrs = [a.ctypes.data for a in f]
     u_new = np.empty_like(u)
     v_new = np.empty_like(v)
     _c_step(u.ctypes.data, v.ctypes.data, u_new.ctypes.data, v_new.ctypes.data,
-            u.shape[0], h, m, alpha, beta, bool(periodic))
+            u.shape[0], h, m, alpha, beta, bool(periodic), *f_ptrs)
     return u_new, v_new
 
 
@@ -130,7 +141,8 @@ def use_backend(name: str):
     return before
 
 
-def step_unforced(u, v, h, m, alpha, beta, periodic):
+def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
+    """One step; forcing is None or the four samples ``pure.step_unforced`` names."""
     if _active == "compiled":
-        return _compiled_step(u, v, h, m, alpha, beta, periodic)
-    return pure.step_unforced(u, v, h, m, alpha, beta, periodic)
+        return _compiled_step(u, v, h, m, alpha, beta, periodic, forcing)
+    return pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)

@@ -10,7 +10,7 @@ error at all.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -46,59 +46,20 @@ def _check_finite(u: np.ndarray, v: np.ndarray, grid: GridSpec, t: float):
     raise BlowUpError(t, site, grid.x_min + site * grid.dx, partial=None)
 
 
-def _shift_right(a: np.ndarray, periodic: bool) -> np.ndarray:
-    if periodic:
-        return np.roll(a, 1)
-    out = np.empty_like(a)
-    out[0] = 0.0
-    out[1:] = a[:-1]
-    return out
-
-
-def _shift_left(a: np.ndarray, periodic: bool) -> np.ndarray:
-    if periodic:
-        return np.roll(a, -1)
-    out = np.empty_like(a)
-    out[-1] = 0.0
-    out[:-1] = a[1:]
-    return out
-
-
-def _step_forced(f: SpinorField, p: ModelParams, F1: Forcing, F2: Forcing) -> tuple[np.ndarray, np.ndarray]:
-    grid = f.grid
-    h = grid.dt
-    x = grid.sites()
-    periodic = grid.boundary == "periodic"
-    u, v = f.u, f.v
-
-    _, n1, n2 = eval_nonlinearity(u, v, p)
-    uh = u + (0.5 * h) * (1j * (p.m * v - n1 + F1(x, f.t)))
-    vh = v + (0.5 * h) * (1j * (p.m * u - n2 + F2(x, f.t)))
-
-    u_base = _shift_right(u, periodic)
-    v_base = _shift_left(v, periodic)
-    uh_m = _shift_right(uh, periodic)
-    vh_p = _shift_left(vh, periodic)
-
-    t_half = f.t + 0.5 * h
-    _, n1m, _ = eval_nonlinearity(uh_m, vh, p)
-    u_new = u_base + h * (1j * (p.m * vh - n1m + F1(x - 0.5 * h, t_half)))
-    _, _, n2p = eval_nonlinearity(uh, vh_p, p)
-    v_new = v_base + h * (1j * (p.m * uh - n2p + F2(x + 0.5 * h, t_half)))
-    return u_new, v_new
-
-
 def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
     """Advance one light-cone step; returns the field at t + dt."""
     grid = f.grid
-    if cfg.forcing is None:
-        u_new, v_new = kernels.step_unforced(
-            f.u, f.v, grid.dt, p.m, p.alpha, p.beta, grid.boundary == "periodic"
-        )
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_new, v_new = _step_forced(f, p, *cfg.forcing)
-    t_new = f.t + grid.dt
+    h = grid.dt
+    forcing = None
+    if cfg.forcing is not None:
+        F1, F2 = cfg.forcing
+        x = grid.sites()
+        t_half = f.t + 0.5 * h
+        forcing = (F1(x, f.t), F2(x, f.t), F1(x - 0.5 * h, t_half), F2(x + 0.5 * h, t_half))
+    u_new, v_new = kernels.step_unforced(
+        f.u, f.v, h, p.m, p.alpha, p.beta, grid.boundary == "periodic", forcing=forcing
+    )
+    t_new = f.t + h
     _check_finite(u_new, v_new, grid, t_new)
     return SpinorField(grid, t_new, u_new, v_new)
 

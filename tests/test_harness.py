@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lcdirac as lc
-from lcdirac.errors import PlanningError, ResolutionError
+from lcdirac.errors import ResolutionError
 from lcdirac.harness import mollify
 
 from conftest import random_field
@@ -60,63 +60,6 @@ class TestMollify:
         dec = out_f.u[::8]
         err = np.max(np.abs(out_c.u - dec))
         assert err < 0.03
-
-
-class TestPlanCones:
-    def test_zero_data_vacuous(self, gn_constants):
-        # massless: every planning condition is genuinely vacuous for zero data
-        p = lc.ModelParams(0.0, 0.0, 0.25)
-        g = lc.make_grid(-8, 8, 512, "zero_inflow")
-        z = lc.sample_initial(lc.zero_datum(), g)
-        plan = lc.plan_cones(z, [z], T=1.0, p=p, k=gn_constants)
-        # smallest lattice B compatible with a whole-cell r (parity of B + 2T)
-        assert plan.B <= 2 * g.dx
-        assert plan.n_tri == 1
-        assert plan.B + 2 * plan.T == pytest.approx(2 * plan.n_tri * plan.r)
-        assert lc.verify_plan(plan, z, [z], p)
-
-    def test_massive_planning_needs_fine_lattice(self, gn, gn_constants):
-        # with m = 1 the mass term pins r below the lattice floor here
-        g = lc.make_grid(-8, 8, 512, "zero_inflow")
-        z = lc.sample_initial(lc.zero_datum(), g)
-        with pytest.raises(PlanningError, match="mass term"):
-            lc.plan_cones(z, [z], T=1.0, p=gn, k=gn_constants)
-
-    def test_small_gaussian_coarse_plan(self, gn_constants):
-        p = lc.ModelParams(0.0, 0.0, 0.25)
-        g = lc.make_grid(-8, 8, 512, "zero_inflow")
-        datum = lc.InitialDatum(
-            lc.ComponentSpec("gaussian_pulse", 0.003, center=0.0, width=0.5),
-            lc.ComponentSpec("gaussian_pulse", 0.002, center=0.0, width=0.5),
-        )
-        limit = lc.sample_initial(datum, g)
-        members = [lc.mollify(limit, e, g) for e in (0.25, 0.125)]
-        plan = lc.plan_cones(limit, members, T=1.0, p=p, k=gn_constants)
-        assert plan.levels >= 1
-        assert lc.verify_plan(plan, limit, members, p)
-        # triangles are lattice-aligned light cones on the r-grid
-        tri = plan.triangles[0]
-        assert (tri.b - tri.a) == pytest.approx(4 * plan.r)
-
-    def test_concentrated_datum_rejected(self, gn, gn_constants):
-        g = lc.make_grid(-8, 8, 512, "zero_inflow")
-        spike = np.zeros(512, complex)
-        spike[256] = 40.0
-        limit = lc.SpinorField(g, 0.0, spike, np.zeros(512, complex))
-        with pytest.raises(PlanningError):
-            lc.plan_cones(limit, [limit], T=1.0, p=gn, k=gn_constants)
-
-    def test_default_c0_formula(self, gn_constants):
-        p = lc.ModelParams(0.0, 0.0, 0.25)
-        g = lc.make_grid(-8, 8, 256, "zero_inflow")
-        datum = lc.InitialDatum(
-            lc.ComponentSpec("gaussian_pulse", 0.002, center=0.0, width=0.5),
-            lc.ComponentSpec("uniform", 0.0),
-        )
-        limit = lc.sample_initial(datum, g)
-        member = lc.mollify(limit, 0.25, g)
-        plan = lc.plan_cones(limit, [member], T=1.0, p=p, k=gn_constants)
-        assert plan.C0 == pytest.approx(1.0 + lc.charge(member) + lc.charge(limit))
 
 
 class TestConvergenceStudy:

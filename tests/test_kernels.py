@@ -108,22 +108,42 @@ def test_backends_agree_on_step(backend, periodic, params):
 
 
 @needs_compiled
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 257])
+def test_backends_agree_on_forced_step(backend, rng, periodic, n):
+    """Bit for bit over 20 steps, each with its own four forcing samples."""
+    u, v = rng.normal(size=(2, 2 * n)).view(np.complex128)
+    forcings = [rng.normal(size=(4, 2 * n)).view(np.complex128) for _ in range(20)]
+    ends = {}
+    for name in ("pure", "compiled"):
+        backend(name)
+        a, b = u, v
+        for forcing in forcings:
+            a, b = kernels.step_unforced(a, b, 0.1, 1.0, 0.5, 0.25, periodic, forcing=forcing)
+        ends[name] = a, b
+    for got, want in zip(ends["compiled"], ends["pure"]):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@needs_compiled
 def test_backends_agree_on_signed_zeros(backend):
-    """One step on data and parameters drawn from {+-0, small integers}.
+    """One step on data, forcing and parameters drawn from {+-0, small integers}.
 
     Here the 0 * x terms of NumPy's complex products decide the sign of
     many zeros, so a kernel that drops them differs from NumPy.
     """
     rng = np.random.default_rng(11)
     u, v = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0], size=(2, 2 * 20000)).view(np.complex128)
+    zeros = rng.choice([0.0, -0.0], size=(4, 2 * 20000)).view(np.complex128)
     choices = (0.0, -0.0, 1.0, -0.5)
     for m, alpha, beta, periodic in itertools.product(choices, choices, choices, (True, False)):
-        ends = {}
-        for name in ("pure", "compiled"):
-            backend(name)
-            ends[name] = kernels.step_unforced(u, v, 0.5, m, alpha, beta, periodic)
-        for got, want in zip(ends["compiled"], ends["pure"]):
-            assert np.array_equal(_bits(got), _bits(want)), (m, alpha, beta, periodic)
+        for forcing in (None, zeros):
+            ends = {}
+            for name in ("pure", "compiled"):
+                backend(name)
+                ends[name] = kernels.step_unforced(u, v, 0.5, m, alpha, beta, periodic, forcing=forcing)
+            for got, want in zip(ends["compiled"], ends["pure"]):
+                assert np.array_equal(_bits(got), _bits(want)), (m, alpha, beta, periodic, forcing is None)
 
 
 @needs_compiled
@@ -159,6 +179,16 @@ def test_compiled_step_coerces_and_checks_inputs(arrays, backend):
         kernels.step_unforced(u, v[:-1], 0.1, 1.0, 0.0, 0.25, True)
     with pytest.raises(ValueError, match="equal length"):
         kernels.step_unforced(u.reshape(1, -1), v.reshape(1, -1), 0.1, 1.0, 0.0, 0.25, True)
+
+    forcing = [u[::-1], v[::-1], 2 * u, list(v)]
+    got = kernels.step_unforced(strided, v, 0.1, 1.0, 0.0, 0.25, True,
+                                forcing=[np.repeat(f, 2)[::2] for f in forcing])
+    want = pure.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=[np.asarray(f) for f in forcing])
+    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+    with pytest.raises(ValueError, match="4 arrays"):
+        kernels.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=forcing[:3])
+    with pytest.raises(ValueError, match="shaped like u"):
+        kernels.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=forcing[:3] + [v[:-1]])
 
 
 ARTIFACT_DOCS = {
@@ -212,6 +242,17 @@ def test_compiler_present_means_compiled():
     # Guards tier-1 against silently running on the pure backend only.
     assert kernels.backend_name() == "compiled", kernels.backend_reason()
     assert kernels.backend_reason().startswith("compiled: _step.")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_step_source_compiles_without_warnings(tmp_path):
+    # The cached build keeps cc's warnings in captured stderr; here they fail.
+    source = Path(kernels.__file__).with_name("_step.c")
+    cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", *kernels.CFLAGS,
+           "-o", str(tmp_path / "_step.so"), str(source)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_cached_import_loads_no_new_stdlib_module():

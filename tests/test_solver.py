@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lcdirac as lc
+from lcdirac import kernels
 from lcdirac.errors import BlowUpError, FrequencyDomainError, UsageError
 
 from conftest import random_field
@@ -11,6 +12,28 @@ from conftest import random_field
 
 def uniform_datum(u_amp, v_amp):
     return lc.InitialDatum(lc.ComponentSpec("uniform", u_amp), lc.ComponentSpec("uniform", v_amp))
+
+
+def manufactured_order():
+    """Observed L2 order of the forced step on the manufactured solution, N = 128 -> 256."""
+    p = lc.ModelParams(1.0, 0.5, 0.25)
+    case = lc.manufactured_case(p, length=4.0)
+    errs = []
+    for n in (128, 256):
+        g = lc.make_grid(0, 4, n, "periodic")
+        f0 = case.initial(g)
+        snaps = lc.evolve(f0, p, lc.SolverConfig(forcing=case.forcing, record_every=10**9), 1.0)
+        errs.append(lc.l2_distance(snaps[-1], case.at(g, snaps[-1].t)))
+    return float(np.log2(errs[0] / errs[1]))
+
+
+# Each wraps the step kernel into a plausibly broken one.
+KERNEL_MUTANTS = {
+    "beta_flipped": lambda step: lambda u, v, h, m, a, b, *rest, **kw: step(u, v, h, m, a, -b, *rest, **kw),
+    "mass_dropped": lambda step: lambda u, v, h, m, *rest, **kw: step(u, v, h, 0.0, *rest, **kw),
+    "alpha_dropped": lambda step: lambda u, v, h, m, a, *rest, **kw: step(u, v, h, m, 0.0, *rest, **kw),
+    "gain_1pct": lambda step: lambda *args, **kw: tuple(1.01 * w for w in step(*args, **kw)),
+}
 
 
 class TestTransport:
@@ -160,16 +183,15 @@ class TestResidual:
         assert 3.0 <= res[0] / res[1] <= 5.0
 
     def test_manufactured_forced_convergence(self):
-        p = lc.ModelParams(1.0, 0.5, 0.25)
-        case = lc.manufactured_case(p, length=4.0)
-        errs = []
-        for n in (128, 256):
-            g = lc.make_grid(0, 4, n, "periodic")
-            f0 = case.initial(g)
-            snaps = lc.evolve(f0, p, lc.SolverConfig(forcing=case.forcing, record_every=10**9), 1.0)
-            errs.append(lc.l2_distance(snaps[-1], case.at(g, snaps[-1].t)))
-        order = np.log2(errs[0] / errs[1])
-        assert 1.8 <= order <= 2.2
+        assert 1.8 <= manufactured_order() <= 2.2
+
+    @pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
+    def test_manufactured_order_kills_kernel_mutants(self, monkeypatch, mutant):
+        # Forcing goes through the production step, so a wrong coupling
+        # there must break the second-order convergence.
+        monkeypatch.setattr(kernels, "step_unforced", KERNEL_MUTANTS[mutant](kernels.step_unforced))
+        order = manufactured_order()
+        assert not 1.8 <= order <= 2.2, order
 
 
 class TestSolitonOracle:
