@@ -58,8 +58,9 @@ EVOLVED_AUDITS = AUDITS[1:]  # the audits that need the evolved run
 FORMATS = ("csv", "structured-report")
 
 # Largest run parse_config accepts, in lattice site updates: (steps + 1) x
-# sites x evolutions. An audit at N=3072, T=4 on [-6, 6] is 6.3e6; every-step
-# runs hold 32 B per site update, so the bound also caps stored levels at 3.2 GB.
+# sites x evolutions. An audit at N=3072, T=4 on [-6, 6] is 6.3e6. Only
+# simulate holds levels, 32 B per site of each recorded level, so the bound
+# also caps them at 3.2 GB.
 MAX_SITE_UPDATES = 10**8
 
 
@@ -392,9 +393,10 @@ def _report_record(name: str, rep: AuditReport) -> dict:
     return rec
 
 
-def _json_scalar(v) -> str:
+def _scalar(v, none: str = "null") -> str:
+    """One report value as JSON text; none is the text for a missing value."""
     if v is None:
-        return "null"
+        return none
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -408,7 +410,7 @@ def reports_json(records: Sequence[dict]) -> str:
     """Flat record list with floats at 17 significant digits."""
     out = ["["]
     for i, rec in enumerate(records):
-        body = ", ".join(f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in rec.items())
+        body = ", ".join(f"{json.dumps(k)}: {_scalar(v)}" for k, v in rec.items())
         out.append("  {" + body + "}" + ("," if i + 1 < len(records) else ""))
     out.append("]")
     return "\n".join(out) + "\n"
@@ -420,22 +422,7 @@ def reports_csv(records: Sequence[dict]) -> str:
         for k in rec:
             if k not in cols:
                 cols.append(k)
-    lines = [",".join(cols)]
-    for rec in records:
-        row = []
-        for k in cols:
-            v = rec.get(k)
-            if v is None:
-                row.append("")
-            elif isinstance(v, bool):
-                row.append("true" if v else "false")
-            elif isinstance(v, (int, np.integer)):
-                row.append(str(int(v)))
-            elif isinstance(v, (float, np.floating)):
-                row.append(_fmt(v))
-            else:
-                row.append(json.dumps(str(v)))
-        lines.append(",".join(row))
+    lines = [",".join(cols)] + [",".join(_scalar(rec.get(k), "") for k in cols) for rec in records]
     return "\n".join(lines) + "\n"
 
 
@@ -446,32 +433,13 @@ def emit_reports(records: Sequence[dict], fmt: str, path: Path):
         _write(path.with_suffix(".csv"), reports_csv(records))
 
 
-def emit_outputs(artifact, fmt: str, path) -> Path:
-    """Serialize a trace, convergence table, snapshot list, or report set.
-
-    Returns the path written; traces and tables are always CSV, report
-    records honor the requested format.
-    """
-    path = Path(path)
-    if isinstance(artifact, FunctionalTrace):
-        out = path.with_suffix(".csv")
-        _write(out, trace_csv(artifact))
-    elif isinstance(artifact, ConvergenceTable):
-        out = path.with_suffix(".csv")
-        _write(out, convergence_csv(artifact))
-    elif isinstance(artifact, (list, tuple)) and artifact and isinstance(artifact[0], SpinorField):
-        out = path.with_suffix(".csv")
-        _write(out, snapshots_csv(artifact))
-    elif isinstance(artifact, (list, tuple)) and (not artifact or isinstance(artifact[0], dict)):
-        out = path.with_suffix(".json" if fmt == "structured-report" else ".csv")
-        emit_reports(list(artifact), fmt, path)
-    else:
-        raise UsageError(f"no serializer for artifact of type {type(artifact).__name__}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Commands
+
+
+def _artifact(prefix: Path, name: str) -> Path:
+    """The output path of one artifact, before its suffix is set."""
+    return prefix.parent / f"{prefix.name}_{name}"
 
 
 def _default_domain(cfg: RunConfig) -> TriangleDomain:
@@ -492,9 +460,12 @@ def _cmd_simulate(cfg: RunConfig, prefix: Path) -> int:
         snaps = exc.partial
         status = 1
         print(f"blow-up: {exc}", file=sys.stderr)
-    trace = trace_base(snaps, cfg.domain)
-    emit_outputs(trace, cfg.out_format, prefix.parent / (prefix.name + "_trace"))
-    emit_outputs(snaps, cfg.out_format, prefix.parent / (prefix.name + "_snapshots"))
+    # A huge but finite level overflows the functionals without a warning:
+    # the trace carries the inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = trace_base(snaps, cfg.domain)
+    _write(_artifact(prefix, "trace").with_suffix(".csv"), trace_csv(trace))
+    _write(_artifact(prefix, "snapshots").with_suffix(".csv"), snapshots_csv(snaps))
     return status
 
 
@@ -513,7 +484,7 @@ def _cmd_audit(cfg: RunConfig, prefix: Path) -> int:
     p, k = cfg.model, cfg.constants
     dom = cfg.domain if cfg.domain is not None else _default_domain(cfg)
     f0 = sample_initial(cfg.init, cfg.grid)
-    out = prefix.parent / (prefix.name + "_audits")
+    out = _artifact(prefix, "audits")
     evolved = [a for a in EVOLVED_AUDITS if a in cfg.audit_selection]
     c0 = None
     if "pointwise" in evolved:
@@ -560,7 +531,7 @@ def _cmd_converge(cfg: RunConfig, prefix: Path) -> int:
     if not cfg.epsilons:
         raise ConfigurationError("converge needs mollify.epsilons")
     table = convergence_study(cfg.init, cfg.epsilons, cfg.model, cfg.grid, cfg.T, cfg.kernel)
-    emit_outputs(table, cfg.out_format, prefix.parent / (prefix.name + "_convergence"))
+    _write(_artifact(prefix, "convergence").with_suffix(".csv"), convergence_csv(table))
     return 0
 
 
@@ -570,7 +541,7 @@ def _cmd_unique(cfg: RunConfig, prefix: Path) -> int:
     table = uniqueness_probe(
         cfg.init, cfg.kernel, cfg.kernel_b, cfg.epsilons, cfg.model, cfg.grid, cfg.T
     )
-    emit_outputs(table, cfg.out_format, prefix.parent / (prefix.name + "_uniqueness"))
+    _write(_artifact(prefix, "uniqueness").with_suffix(".csv"), convergence_csv(table))
     return 0
 
 
@@ -590,7 +561,7 @@ def _cmd_soliton(cfg: RunConfig, prefix: Path) -> int:
                 "accepted": oracle.available and variant == oracle.variant,
             }
         )
-    emit_reports(records, cfg.out_format, prefix.parent / (prefix.name + "_soliton"))
+    emit_reports(records, cfg.out_format, _artifact(prefix, "soliton"))
     return 0 if oracle.available else 1
 
 

@@ -193,7 +193,8 @@ class ComponentSpec:
         if self.kind == "uniform":
             return np.full(grid.n_points, a, dtype=np.complex128)
         if self.kind == "gaussian_pulse":
-            return a * np.exp(-(((x - self.center) / self.width) ** 2))
+            with np.errstate(over="ignore"):  # the square overflows to inf, exp(-inf) = 0
+                return a * np.exp(-(((x - self.center) / self.width) ** 2))
         if self.kind == "indicator_jump":
             inside = np.abs(x - self.center) <= self.halfwidth
             return np.where(inside, a, 0.0).astype(np.complex128)

@@ -37,13 +37,11 @@ class SolverConfig:
             raise ConfigurationError("record_every must be >= 1")
 
 
-def _check_finite(u: np.ndarray, v: np.ndarray, grid: GridSpec, t: float):
-    ok = np.isfinite(u.view(np.float64)).all() and np.isfinite(v.view(np.float64)).all()
-    if ok:
-        return
+def _blow_up(u: np.ndarray, v: np.ndarray, grid: GridSpec, t: float) -> BlowUpError:
+    """The error naming the first site of a level with a non-finite value."""
     bad = ~(np.isfinite(u.real) & np.isfinite(u.imag) & np.isfinite(v.real) & np.isfinite(v.imag))
     site = int(np.argmax(bad))
-    raise BlowUpError(t, site, grid.x_min + site * grid.dx, partial=None)
+    return BlowUpError(t, site, grid.x_min + site * grid.dx, partial=None)
 
 
 def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
@@ -60,8 +58,10 @@ def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
         f.u, f.v, h, p.m, p.alpha, p.beta, grid.boundary == "periodic", forcing=forcing
     )
     t_new = f.t + h
-    _check_finite(u_new, v_new, grid, t_new)
-    return SpinorField(grid, t_new, u_new, v_new)
+    try:  # the constructor's finiteness check is the level's only scan
+        return SpinorField(grid, t_new, u_new, v_new)
+    except ConfigurationError:
+        raise _blow_up(u_new, v_new, grid, t_new) from None
 
 
 def evolve(
@@ -73,29 +73,29 @@ def evolve(
 ) -> list[SpinorField]:
     """Iterate step up to horizon T.
 
-    Without observers, f0 is one field and the result is its snapshots at
-    t=0, every record_every steps and the final step.
+    f0 is one field or, with observers, a sequence of fields on one grid,
+    advanced in lockstep. Each observer is called with the tuple of the
+    runs' levels at t=0, after every record_every-th step and after the
+    final step; no level is kept beyond the current one, and the result is
+    the list of the runs' final levels. A run that blows up leaves the
+    lockstep together with every run after it (their slots become None);
+    the runs before it go on to T, and then the error of the first run that
+    blew up is raised with ``run`` set to its index, which is the error
+    evolving the runs one after another would raise.
 
-    With observers, f0 is one field or a sequence of fields on one grid,
-    advanced in lockstep, and no level is kept beyond the current one: each
-    observer is called with the tuple of the runs' levels at t=0 and after
-    every step, and the result is the list of the runs' final levels. A run
-    that blows up leaves the lockstep together with every run after it
-    (their slots become None); the runs before it go on to T, and then the
-    error of the first run that blew up is raised with ``run`` set to its
-    index, which is the error evolving the runs one after another would
-    raise.
+    Without observers, f0 is one field and the result is the list of the
+    levels an observer would see; a blow-up carries them as ``partial``.
 
     T must be a nonnegative integer multiple of dt up to 1e-12 relative;
     otherwise it is rounded down and the shortfall logged.
     """
     if T < 0:
         raise UsageError(f"horizon must be nonnegative, got {T}")
-    runs = [f0] if isinstance(f0, SpinorField) else list(f0)
-    if not runs or observers is None and len(runs) > 1:
+    levels: list[Optional[SpinorField]] = [f0] if isinstance(f0, SpinorField) else list(f0)
+    if not levels or observers is None and len(levels) > 1:
         raise UsageError("evolve needs one field, or observers for several")
-    grid = runs[0].grid
-    if any(f.grid != grid for f in runs):
+    grid = levels[0].grid
+    if any(f.grid != grid for f in levels):
         raise UsageError("lockstep runs need one grid")
     dt = grid.dt
     ratio = T / dt
@@ -104,41 +104,33 @@ def evolve(
         n = int(np.floor(ratio))
         log.warning("horizon %s is not a step multiple; evolving to %s", T, n * dt)
 
+    recorded = None
     if observers is None:
-        f = runs[0]
-        snapshots = [f]
-        for k in range(1, n + 1):
-            try:
-                f = step(f, p, cfg)
-            except BlowUpError as exc:
-                exc.partial = snapshots
-                raise
-            if k % cfg.record_every == 0 or k == n:
-                snapshots.append(f)
-        return snapshots
-
-    levels: list[Optional[SpinorField]] = runs
+        recorded = []
+        observers = [lambda lv: recorded.append(lv[0])]
     failed = None
-    for observe in observers:
-        observe(tuple(levels))
-    for _ in range(n):
-        for j, f in enumerate(levels):
-            if f is None:
+    for k in range(n + 1):
+        if k > 0:
+            for j, f in enumerate(levels):
+                if f is None:
+                    break
+                try:
+                    levels[j] = step(f, p, cfg)
+                except BlowUpError as exc:
+                    exc.run = j
+                    failed = exc
+                    levels[j:] = [None] * (len(levels) - j)
+                    break
+            if levels[0] is None:
                 break
-            try:
-                levels[j] = step(f, p, cfg)
-            except BlowUpError as exc:
-                exc.run = j
-                failed = exc
-                levels[j:] = [None] * (len(levels) - j)
-                break
-        if levels[0] is None:
-            break
-        for observe in observers:
-            observe(tuple(levels))
+        if k % cfg.record_every == 0 or k == n:
+            for observe in observers:
+                observe(tuple(levels))
     if failed is not None:
+        if recorded is not None:
+            failed.partial = recorded
         raise failed
-    return levels
+    return levels if recorded is None else recorded
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,7 @@ class TestSimulate:
         text = trace_csv(empty)
         assert text == "t,L0,D0,Q0,cumD0,charge,max_abs_u,max_abs_v\n"
 
-    def test_pair_trace_columns_serialized(self, tmp_path, rng):
-        from lcdirac.cli import emit_outputs
+    def test_pair_trace_columns_serialized(self, rng):
         from lcdirac.functionals import trace_pair
 
         g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
@@ -172,8 +171,7 @@ class TestSimulate:
         fB0 = lc.SpinorField(g, 0.0, f0.u * 1.001, f0.v * 1.001)
         a = lc.evolve(f0, lc.GROSS_NEVEU, lc.SolverConfig(), 1.0)
         b = lc.evolve(fB0, lc.GROSS_NEVEU, lc.SolverConfig(), 1.0)
-        out = emit_outputs(trace_pair(a, b, dom, k), "csv", tmp_path / "pair_trace")
-        header = out.read_text().splitlines()[0]
+        header = trace_csv(trace_pair(a, b, dom, k)).splitlines()[0]
         assert header == "t,L0,D0,Q0,cumD0,charge,max_abs_u,max_abs_v,L1,D1,Q1,cumD1"
 
     def test_singular_datum_simulates(self, tmp_path):

@@ -10,17 +10,19 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lcdirac as lc
-from lcdirac import cli, functionals
+from lcdirac import cli, functionals, kernels
 from lcdirac.cli import main
 from lcdirac.errors import BlowUpError, UsageError
 
@@ -327,6 +329,28 @@ def test_huge_grid_spacing_exits_cleanly(tmp_path, capsys):
     assert ",inf," in (tmp_path / "run_audits.csv").read_text()
 
 
+HUGE_SPACING = {"x_min": -1.0, "x_max": 1e300, "n_points": 8, "boundary": "zero_inflow"}
+
+
+@pytest.mark.parametrize("over", [
+    # the Gaussian exponent overflows to inf on sites 1e299 apart; exp(-inf) = 0
+    {"command": "simulate", "grid": HUGE_SPACING},
+    # the charge budget's dx^2 overflows to inf
+    {"audit_selection": ["charge"], "grid": HUGE_SPACING},
+    # the trace's densities of a huge but finite datum overflow; the run blows up
+    {"command": "simulate", "init": {"u0": {"kind": "uniform", "amplitude": 1e200},
+                                     "v0": {"kind": "uniform", "amplitude": 1e200}}},
+], ids=["gaussian_exponent", "charge_budget", "simulate_trace"])
+def test_accepted_extremes_raise_no_runtime_warning(tmp_path, capsys, over):
+    doc = audit_doc(tmp_path, **over)
+    del doc["domain"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, err = run_main(tmp_path, doc, capsys)
+    assert status in (0, 1) and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_lockstep_raises_the_first_failed_run(gn):
     g = lc.make_grid(-6, 6, 384, "zero_inflow")
 
@@ -368,6 +392,78 @@ def test_observed_evolve_returns_final_levels(gn):
     assert [s.t for s in lc.evolve([f0], gn, lc.SolverConfig(), 1.0)] == times
     with pytest.raises(UsageError):
         lc.evolve([f0, f0], gn, lc.SolverConfig(), 1.0)
+
+
+def _gn_field(n):
+    return lc.sample_initial(GN_DATUM, lc.make_grid(-6, 6, n, "zero_inflow"))
+
+
+@pytest.mark.parametrize("every", [1, 3, 4, 7])
+def test_observers_see_the_recorded_levels(gn, every):
+    f0 = _gn_field(96)
+    n = 17  # a multiple of none of 3, 4 and 7: the final step is recorded on its own
+    full = lc.evolve(f0, gn, lc.SolverConfig(), n * f0.grid.dt)
+    assert len(full) == n + 1
+    expected = [full[k] for k in sorted({*range(0, n + 1, every), n})]
+    cfg = lc.SolverConfig(record_every=every)
+    listed = lc.evolve(f0, gn, cfg, n * f0.grid.dt)
+    seen = []
+    finals = lc.evolve([f0, f0], gn, cfg, n * f0.grid.dt, observers=[seen.append])
+    assert [s.t for s in listed] == [lv[0].t for lv in seen] == [s.t for s in expected]
+    for s, lv, want in zip(listed, seen, expected):
+        for got in (s, *lv):
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+    assert all(np.array_equal(f.u, full[-1].u) for f in finals)
+
+
+def _poison_call(monkeypatch, call, part, site):
+    """Make the given kernel call (1-based) return NaN in one part of the
+    level at site and at a later site, and inf in the other component later."""
+    real, calls = kernels.step_unforced, [0]
+    comp, attr = part.split(".")
+
+    def poisoned(*args, **kwargs):
+        u, v = real(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] == call:
+            hit, other = (u, v) if comp == "u" else (v, u)
+            getattr(hit, attr)[[site, site + 20]] = np.nan
+            other.real[site + 10] = np.inf
+        return u, v
+
+    monkeypatch.setattr(kernels, "step_unforced", poisoned)
+
+
+PARTS = ["u.real", "u.imag", "v.real", "v.imag"]
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_blow_up_names_the_first_bad_site(gn, monkeypatch, part):
+    f0 = _gn_field(96)
+    g, T = f0.grid, 12 * f0.grid.dt
+    full = lc.evolve(f0, gn, lc.SolverConfig(), T)
+    _poison_call(monkeypatch, 5, part, 40)
+    with pytest.raises(BlowUpError) as exc_info:
+        lc.evolve(f0, gn, lc.SolverConfig(record_every=2), T)
+    err = exc_info.value
+    assert (err.site, err.t, err.x, err.run) == (40, full[5].t, g.x_min + 40 * g.dx, 0)
+    assert [s.t for s in err.partial] == [full[k].t for k in (0, 2, 4)]
+    assert all(np.array_equal(s.u, full[k].u) for s, k in zip(err.partial, (0, 2, 4)))
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_lockstep_blow_up_names_the_first_bad_site(gn, monkeypatch, part):
+    f0 = _gn_field(96)
+    g, T = f0.grid, 12 * f0.grid.dt
+    full = lc.evolve(f0, gn, lc.SolverConfig(), T)
+    _poison_call(monkeypatch, 10, part, 33)  # run 1's fifth step
+    seen = []
+    with pytest.raises(BlowUpError) as exc_info:
+        lc.evolve([f0, f0], gn, lc.SolverConfig(), T, observers=[seen.append])
+    err = exc_info.value
+    assert (err.site, err.t, err.x, err.run, err.partial) == (33, full[5].t, g.x_min + 33 * g.dx, 1, [])
+    assert len(seen) == 13 and all(lv[1] is None for lv in seen[5:])
+    assert np.array_equal(seen[-1][0].u, full[-1].u)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +563,30 @@ def _mutated(doc, mutations):
     return doc
 
 
+def _edge_document(**over):
+    """A fresh valid document for the fuzz's pinned examples."""
+    doc = {
+        "model": {"m": 1.0, "alpha": 0.0, "beta": 0.25},
+        "grid": {"x_min": -3.0, "x_max": 3.0, "n_points": 24, "boundary": "zero_inflow"},
+        "time": {"T": 0.5, "record_every": 2},
+        "init": {"u0": {"kind": "gaussian_pulse", "amplitude": 0.5, "center": 0.0, "width": 0.8},
+                 "v0": {"kind": "uniform", "amplitude": 0.0}},
+        "command": "simulate",
+    }
+    doc.update(over)
+    return doc
+
+
 @settings(max_examples=80, deadline=None)
 @given(doc=_valid_document(), mutations=st.lists(st.tuples(_paths, _value), max_size=2))
+# edge cases the search once found, pinned so that a source change cannot drop them
+@example(doc=_edge_document(), mutations=[(("grid", "n_points"), None)])
+@example(doc=_edge_document(), mutations=[(("grid", "boundary"), None)])
+@example(doc=_edge_document(grid={"x_min": 0.0, "x_max": 1e300, "n_points": 7}, command="audit",
+                            audit_selection=["charge"]), mutations=[])
+@example(doc=_edge_document(), mutations=[(("time", "T"), 1e300)])
+@example(doc=_edge_document(), mutations=[(("time", "record_every"), True)])
+@example(doc=_edge_document(), mutations=[(("init", "u0", "amplitude"), math.nan)])
 def test_any_document_exits_cleanly(doc, mutations):
     doc = _mutated(doc, mutations)
     with tempfile.TemporaryDirectory() as tmp:
