@@ -50,7 +50,7 @@ from .functionals import (  # noqa: F401  (the *_audit names: perfbench/child.py
 from .harness import ConvergenceTable, convergence_study, uniqueness_probe
 from .model import EstimateConstants, ModelParams, check_algebraic_bounds, derive_constants
 from .reports import AuditReport
-from .solver import SolverConfig, evolve, thirring_soliton
+from .solver import SolverConfig, evolve, horizon_steps, thirring_soliton
 
 COMMANDS = ("simulate", "audit", "converge", "unique", "soliton-check")
 AUDITS = ("algebraic", "charge", "triangle", "pointwise", "bony", "gronwall")
@@ -247,11 +247,7 @@ def parse_config(text: str) -> RunConfig:
     dsec = root.sub("domain")
     domain = None
     if dsec is not None:
-        domain = TriangleDomain(
-            _as_float(dsec.take("a"), "domain.a"),
-            _as_float(dsec.take("b"), "domain.b"),
-            _as_float(dsec.take("t0", default=0.0), "domain.t0"),
-        )
+        domain = TriangleDomain(_as_float(dsec.take("a"), "domain.a"), _as_float(dsec.take("b"), "domain.b"))
         dsec.finish()
 
     esec = root.sub("mollify")
@@ -280,6 +276,8 @@ def parse_config(text: str) -> RunConfig:
         audit_seed = asec.take("seed", default=0, kind=int)
         audit_pert = _as_float(asec.take("perturbation", default=1e-3), "audit.perturbation")
         asec.finish()
+    if audit_samples < 1:
+        raise ConfigurationError("audit.samples must be >= 1")
 
     root.finish()
     if command == "audit":
@@ -296,6 +294,13 @@ def parse_config(text: str) -> RunConfig:
             f"run too large: {work:.3g} site updates (steps x sites x evolutions) exceed "
             f"{MAX_SITE_UPDATES:.3g}; lower time.T or grid.n_points"
         )
+    if command == "simulate" and domain is not None:
+        t_last = horizon_steps(T, grid.dt)[0] * grid.dt
+        if t_last > domain.apex_time + 1e-12:
+            raise ConfigurationError(
+                f"domain apex at t={domain.apex_time} comes before the last recorded level at "
+                f"t={t_last}; the trace needs every level inside the cone"
+            )
     return RunConfig(
         model=model, grid=grid, T=T, record_every=record_every, init=init,
         constants=constants, c_tol=c_tol, command=command, audit_selection=selection,
@@ -426,29 +431,35 @@ def reports_csv(records: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reports(records: Sequence[dict], fmt: str, path: Path):
+def emit_reports(records: Sequence[dict], fmt: str, prefix: Path, name: str):
     if fmt == "structured-report":
-        _write(path.with_suffix(".json"), reports_json(records))
+        _write(_artifact(prefix, name, ".json"), reports_json(records))
     else:
-        _write(path.with_suffix(".csv"), reports_csv(records))
+        _write(_artifact(prefix, name), reports_csv(records))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def _artifact(prefix: Path, name: str) -> Path:
-    """The output path of one artifact, before its suffix is set."""
-    return prefix.parent / f"{prefix.name}_{name}"
+def _artifact(prefix: Path, name: str, suffix: str = ".csv") -> Path:
+    """The output path of one artifact: the prefix's name, then _name and the
+    suffix appended (a dot in the prefix's name is kept)."""
+    return prefix.parent / f"{prefix.name}_{name}{suffix}"
 
 
 def _default_domain(cfg: RunConfig) -> TriangleDomain:
     g = cfg.grid
-    return TriangleDomain(g.x_min, g.x_min + (g.n_points - 1) * g.dx, 0.0)
+    return TriangleDomain(g.x_min, g.x_min + (g.n_points - 1) * g.dx)
 
 
 def _perturbed(f0: SpinorField, rel: float) -> SpinorField:
-    return SpinorField(f0.grid, f0.t, f0.u * (1.0 + rel), f0.v * (1.0 + rel))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        u, v = f0.u * (1.0 + rel), f0.v * (1.0 + rel)
+    try:
+        return SpinorField(f0.grid, f0.t, u, v)
+    except ConfigurationError:
+        raise ConfigurationError(f"audit.perturbation {rel} overflows the perturbed datum") from None
 
 
 def _cmd_simulate(cfg: RunConfig, prefix: Path) -> int:
@@ -464,47 +475,45 @@ def _cmd_simulate(cfg: RunConfig, prefix: Path) -> int:
     # the trace carries the inf.
     with np.errstate(over="ignore", invalid="ignore"):
         trace = trace_base(snaps, cfg.domain)
-    _write(_artifact(prefix, "trace").with_suffix(".csv"), trace_csv(trace))
-    _write(_artifact(prefix, "snapshots").with_suffix(".csv"), snapshots_csv(snaps))
+    _write(_artifact(prefix, "trace"), trace_csv(trace))
+    _write(_artifact(prefix, "snapshots"), snapshots_csv(snaps))
     return status
 
 
 def _snap_tau(dom: TriangleDomain, T: float, dt: float) -> float:
-    tau = min(T, dom.apex_time)
-    k = int(np.floor((tau - dom.t0) / dt + 1e-12))
-    return dom.t0 + k * dt
+    """The triangle audit's tau: the last level evolve reaches by the apex."""
+    return horizon_steps(min(T, dom.apex_time), dt)[0] * dt
 
 
 def _cmd_audit(cfg: RunConfig, prefix: Path) -> int:
     """One lockstep pass over run A and, for gronwall, the perturbed run B.
 
-    A blow-up in A writes an empty audits file; a blow-up in B alone is
-    raised at gronwall's turn, after the audits before it have reported.
+    Every usage and precondition error is raised before the first step. A
+    blow-up stops both runs: in A it writes an empty audits file, in B none.
     """
     p, k = cfg.model, cfg.constants
     dom = cfg.domain if cfg.domain is not None else _default_domain(cfg)
     f0 = sample_initial(cfg.init, cfg.grid)
-    out = _artifact(prefix, "audits")
     evolved = [a for a in EVOLVED_AUDITS if a in cfg.audit_selection]
     c0 = None
     if "pointwise" in evolved:
-        c0 = cfg.audit_c0 if cfg.audit_c0 is not None else charge(f0) + 1.0
+        with np.errstate(over="ignore"):  # a huge datum's charge is inf: pointwise refuses it
+            c0 = cfg.audit_c0 if cfg.audit_c0 is not None else charge(f0) + 1.0
     audits = AuditPass(evolved, dom, k, p, T=cfg.T, tau=_snap_tau(dom, cfg.T, cfg.grid.dt),
                        C0=c0, c_tol=cfg.c_tol)
-    blowup_b = None
     if evolved:
         runs = [f0]
         if "gronwall" in evolved:
             runs.append(_perturbed(f0, cfg.audit_perturbation))
+        audits.start(tuple(runs))
         try:
             evolve(runs, p, SolverConfig(), cfg.T, observers=[audits])
         except BlowUpError as exc:
             if exc.run > 0:
-                blowup_b = exc
-            else:
-                print(f"blow-up: {exc}", file=sys.stderr)
-                emit_reports([], cfg.out_format, out)
-                return 1
+                raise
+            print(f"blow-up: {exc}", file=sys.stderr)
+            emit_reports([], cfg.out_format, prefix, "audits")
+            return 1
 
     records: list[dict] = []
     status = 0
@@ -513,8 +522,6 @@ def _cmd_audit(cfg: RunConfig, prefix: Path) -> int:
             continue
         if name == "algebraic":
             rep = check_algebraic_bounds(cfg.audit_samples, p, k, cfg.audit_seed)
-        elif name == "gronwall" and blowup_b is not None:
-            raise blowup_b
         else:
             rep = audits.report(name)
         if rep.constants_used is None:
@@ -523,7 +530,7 @@ def _cmd_audit(cfg: RunConfig, prefix: Path) -> int:
         if not rep.passed:
             status = 1
 
-    emit_reports(records, cfg.out_format, out)
+    emit_reports(records, cfg.out_format, prefix, "audits")
     return status
 
 
@@ -531,7 +538,7 @@ def _cmd_converge(cfg: RunConfig, prefix: Path) -> int:
     if not cfg.epsilons:
         raise ConfigurationError("converge needs mollify.epsilons")
     table = convergence_study(cfg.init, cfg.epsilons, cfg.model, cfg.grid, cfg.T, cfg.kernel)
-    _write(_artifact(prefix, "convergence").with_suffix(".csv"), convergence_csv(table))
+    _write(_artifact(prefix, "convergence"), convergence_csv(table))
     return 0
 
 
@@ -541,7 +548,7 @@ def _cmd_unique(cfg: RunConfig, prefix: Path) -> int:
     table = uniqueness_probe(
         cfg.init, cfg.kernel, cfg.kernel_b, cfg.epsilons, cfg.model, cfg.grid, cfg.T
     )
-    _write(_artifact(prefix, "uniqueness").with_suffix(".csv"), convergence_csv(table))
+    _write(_artifact(prefix, "uniqueness"), convergence_csv(table))
     return 0
 
 
@@ -561,7 +568,7 @@ def _cmd_soliton(cfg: RunConfig, prefix: Path) -> int:
                 "accepted": oracle.available and variant == oracle.variant,
             }
         )
-    emit_reports(records, cfg.out_format, _artifact(prefix, "soliton"))
+    emit_reports(records, cfg.out_format, prefix, "soliton")
     return 0 if oracle.available else 1
 
 

@@ -101,32 +101,28 @@ class SpinorField:
 
 @dataclass(frozen=True)
 class TriangleDomain:
-    """Backward light cone over [a, b] based at time t0.
+    """Backward light cone over [a, b] based at t = 0.
 
-    The cross-section at time t in [t0, (b-a)/2 + t0] is the open interval
-    (a - t0 + t, b + t0 - t); the apex sits at ((a+b)/2, (b-a)/2 + t0).
+    The cross-section at time t in [0, (b-a)/2] is the open interval
+    (a + t, b - t); the apex sits at ((a+b)/2, (b-a)/2). The system is
+    autonomous, so a cone based at a later time is a time shift of this one.
     """
 
     a: float
     b: float
-    t0: float = 0.0
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ConfigurationError(f"need a < b, got a={self.a}, b={self.b}")
-        if self.t0 < 0:
-            raise ConfigurationError(f"need t0 >= 0, got {self.t0}")
 
     @property
     def apex_time(self) -> float:
-        return 0.5 * (self.b - self.a) + self.t0
+        return 0.5 * (self.b - self.a)
 
     def cross_section(self, t: float) -> tuple[float, float]:
-        if t < self.t0 - 1e-12 or t > self.apex_time + 1e-12:
-            raise UsageError(
-                f"time {t} outside the cone's span [{self.t0}, {self.apex_time}]"
-            )
-        return (self.a - self.t0 + t, self.b + self.t0 - t)
+        if t < -1e-12 or t > self.apex_time + 1e-12:
+            raise UsageError(f"time {t} outside the cone's span [0.0, {self.apex_time}]")
+        return (self.a + t, self.b - t)
 
     def section_indices(self, grid: GridSpec, t: float) -> tuple[int, int]:
         """Half-open site-index range (i0, i1) strictly inside the section.

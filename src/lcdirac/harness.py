@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ResolutionError, UsageError
+from .errors import ConfigurationError, ResolutionError, UsageError
 from .fields import GridSpec, InitialDatum, SpinorField, l2_distance, sample_initial
 from .model import ModelParams
 from .solver import SolverConfig, evolve
@@ -82,13 +82,27 @@ def mollify(
         raise UsageError("datum sampled on a different grid")
     w = _kernel_taps(epsilon, grid.dx, kernel)
     periodic = grid.boundary == "periodic"
-    return SpinorField(
-        grid, 0.0, _convolve(f.u, w, periodic, grid.dx), _convolve(f.v, w, periodic, grid.dx)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge datum overflows: refused below
+        u, v = _convolve(f.u, w, periodic, grid.dx), _convolve(f.v, w, periodic, grid.dx)
+    try:
+        return SpinorField(grid, 0.0, u, v)
+    except ConfigurationError:
+        raise ConfigurationError(
+            f"the {kernel} mollifier at radius {epsilon} overflows on this datum"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
 # Convergence and uniqueness measurements
+
+
+def _ladder(epsilons: Sequence[float]) -> tuple[float, ...]:
+    """The smoothing radii as floats, refused unless positive and
+    nonincreasing (equal consecutive radii compare identical runs)."""
+    eps = tuple(float(e) for e in epsilons)
+    if any(e <= 0 for e in eps) or any(b > a for a, b in zip(eps, eps[1:])):
+        raise UsageError("epsilons must be nonincreasing and positive")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -107,10 +121,7 @@ class ConvergenceTable:
     mode: str = "consecutive"
 
     def __post_init__(self):
-        eps = np.array(self.epsilons)
-        # equal consecutive radii are tolerated (they compare identical runs)
-        if np.any(eps <= 0) or np.any(np.diff(eps) > 0):
-            raise UsageError("epsilons must be nonincreasing and positive")
+        _ladder(self.epsilons)
         if any(d < 0 for d in self.pair_distances + self.product_distances):
             raise UsageError("distances must be nonnegative")
 
@@ -153,8 +164,7 @@ def _lockstep_distances(
         # the next step, or the distance carries the inf
         with np.errstate(over="ignore", invalid="ignore"):
             for dist, (i, j) in zip(dists, pairs):
-                if levels[i] is not None and levels[j] is not None:
-                    dist.feed(levels[i], levels[j])
+                dist.feed(levels[i], levels[j])
 
     evolve(f0s, p, SolverConfig(), T, observers=[observe])
     return tuple(d.field for d in dists), tuple(d.product_distance() for d in dists)
@@ -169,7 +179,7 @@ def convergence_study(
     kernel: str = "bump",
 ) -> ConvergenceTable:
     """Evolve every smoothing level in lockstep; distances of consecutive levels."""
-    eps = tuple(float(e) for e in epsilons)
+    eps = _ladder(epsilons)
     f0s = [mollify(datum, e, grid, kernel) for e in eps]
     pair, prod = _lockstep_distances(f0s, [(j, j + 1) for j in range(len(eps) - 1)], p, T)
     return ConvergenceTable(eps, pair, prod, mode="consecutive")
@@ -186,7 +196,7 @@ def uniqueness_probe(
 ) -> ConvergenceTable:
     """Evolve both kernel families at every level in lockstep; cross-family
     distances per level."""
-    eps = tuple(float(e) for e in epsilons)
+    eps = _ladder(epsilons)
     f0s = [mollify(datum, e, grid, family) for e in eps for family in (family_a, family_b)]
     pair, prod = _lockstep_distances(f0s, [(2 * j, 2 * j + 1) for j in range(len(eps))], p, T)
     return ConvergenceTable(eps, pair, prod, mode="cross")

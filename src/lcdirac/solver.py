@@ -23,7 +23,7 @@ from .model import ModelParams, eval_nonlinearity
 log = logging.getLogger(__name__)
 
 Forcing = Callable[[np.ndarray, float], np.ndarray]
-# Called with the lockstep runs' levels at one time (None for a run that blew up).
+# Called with the lockstep runs' levels at one time.
 Observer = Callable[[tuple], None]
 
 
@@ -64,6 +64,17 @@ def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
         raise _blow_up(u_new, v_new, grid, t_new) from None
 
 
+def horizon_steps(T: float, dt: float) -> tuple[int, bool]:
+    """The number of steps evolve takes to horizon T, and whether T is a
+    step multiple: T / dt rounded when it is within 1e-12 relative of an
+    integer, otherwise rounded down."""
+    ratio = T / dt
+    n = round(ratio)
+    if abs(ratio - n) <= 1e-12 * max(1.0, abs(ratio)):
+        return n, True
+    return int(np.floor(ratio)), False
+
+
 def evolve(
     f0: Union[SpinorField, Sequence[SpinorField]],
     p: ModelParams,
@@ -77,59 +88,45 @@ def evolve(
     advanced in lockstep. Each observer is called with the tuple of the
     runs' levels at t=0, after every record_every-th step and after the
     final step; no level is kept beyond the current one, and the result is
-    the list of the runs' final levels. A run that blows up leaves the
-    lockstep together with every run after it (their slots become None);
-    the runs before it go on to T, and then the error of the first run that
-    blew up is raised with ``run`` set to its index, which is the error
-    evolving the runs one after another would raise.
+    the list of the runs' final levels. The first step that gives a
+    non-finite level stops every run: its BlowUpError is raised with
+    ``run`` set to the index of the run that blew up.
 
     Without observers, f0 is one field and the result is the list of the
     levels an observer would see; a blow-up carries them as ``partial``.
 
     T must be a nonnegative integer multiple of dt up to 1e-12 relative;
-    otherwise it is rounded down and the shortfall logged.
+    otherwise it is rounded down and the shortfall logged (horizon_steps).
     """
     if T < 0:
         raise UsageError(f"horizon must be nonnegative, got {T}")
-    levels: list[Optional[SpinorField]] = [f0] if isinstance(f0, SpinorField) else list(f0)
+    levels = [f0] if isinstance(f0, SpinorField) else list(f0)
     if not levels or observers is None and len(levels) > 1:
         raise UsageError("evolve needs one field, or observers for several")
     grid = levels[0].grid
     if any(f.grid != grid for f in levels):
         raise UsageError("lockstep runs need one grid")
-    dt = grid.dt
-    ratio = T / dt
-    n = round(ratio)
-    if abs(ratio - n) > 1e-12 * max(1.0, abs(ratio)):
-        n = int(np.floor(ratio))
-        log.warning("horizon %s is not a step multiple; evolving to %s", T, n * dt)
+    n, exact = horizon_steps(T, grid.dt)
+    if not exact:
+        log.warning("horizon %s is not a step multiple; evolving to %s", T, n * grid.dt)
 
     recorded = None
     if observers is None:
         recorded = []
         observers = [lambda lv: recorded.append(lv[0])]
-    failed = None
     for k in range(n + 1):
         if k > 0:
             for j, f in enumerate(levels):
-                if f is None:
-                    break
                 try:
                     levels[j] = step(f, p, cfg)
                 except BlowUpError as exc:
                     exc.run = j
-                    failed = exc
-                    levels[j:] = [None] * (len(levels) - j)
-                    break
-            if levels[0] is None:
-                break
+                    if recorded is not None:
+                        exc.partial = recorded
+                    raise
         if k % cfg.record_every == 0 or k == n:
             for observe in observers:
                 observe(tuple(levels))
-    if failed is not None:
-        if recorded is not None:
-            failed.partial = recorded
-        raise failed
     return levels if recorded is None else recorded
 
 

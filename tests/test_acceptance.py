@@ -132,7 +132,7 @@ def test_06_massless_thirring_modulus_transport():
 
 def test_07_triangle_charge_identity():
     rng = np.random.default_rng(77)
-    dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+    dom = lc.TriangleDomain(-4.0, 4.0)
     coarse, fine = [], []
     for _ in range(20):
         pu = lc.random_bump_profile(rng, (-3, 3))
@@ -155,7 +155,7 @@ def test_07_triangle_charge_identity():
 
 def test_08_pointwise_bounds_ensemble():
     rng = np.random.default_rng(88)
-    dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+    dom = lc.TriangleDomain(-4.0, 4.0)
     g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
     for i in range(50):
         m = 0.0 if i % 2 == 0 else 1.0
@@ -172,7 +172,7 @@ def test_09_bony_decay_ensemble():
     rng = np.random.default_rng(99)
     p = lc.GROSS_NEVEU
     k = lc.derive_constants(p)
-    dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+    dom = lc.TriangleDomain(-4.0, 4.0)
     g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
     for i in range(100):
         target = rng.uniform(0.2, 0.9) * k.delta0 / 2.0
@@ -202,7 +202,7 @@ def test_10_gronwall_difference_envelope():
     rng = np.random.default_rng(1010)
     p = lc.GROSS_NEVEU
     k = lc.derive_constants(p)
-    dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+    dom = lc.TriangleDomain(-4.0, 4.0)
     g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
     for i in range(50):
         target = rng.uniform(0.2, 0.8) * k.delta / 2.0
@@ -217,7 +217,7 @@ def test_10_gronwall_difference_envelope():
     report(10, "difference growth envelope", "(50 perturbed pairs under the smallness hypothesis)")
 
 
-def test_11_fast_naive_equivalence_and_speed(rng):
+def test_11_fast_naive_equivalence_and_speed(rng, monkeypatch):
     for n in (257, 1024, 4096):
         for _ in range(7 if n < 4096 else 6):
             a = rng.uniform(size=n)
@@ -230,10 +230,12 @@ def test_11_fast_naive_equivalence_and_speed(rng):
                         rng.normal(size=4096) + 1j * rng.normal(size=4096))
     fB = lc.SpinorField(g, 0.0, rng.normal(size=4096) + 1j * rng.normal(size=4096),
                         rng.normal(size=4096) + 1j * rng.normal(size=4096))
-    assert lc.base_functionals(fA)[2] == pytest.approx(lc.base_functionals(fA, naive=True)[2], rel=1e-12)
+    q0_fast = lc.base_functionals(fA)[2]
     q1_fast = lc.difference_functionals(fA, fB, None, k)[2]
-    q1_naive = lc.difference_functionals(fA, fB, None, k, naive=True)[2]
-    assert q1_fast == pytest.approx(q1_naive, rel=1e-12)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "q_upper", kernels.q_upper_naive)
+        assert q0_fast == pytest.approx(lc.base_functionals(fA)[2], rel=1e-12)
+        assert q1_fast == pytest.approx(lc.difference_functionals(fA, fB, None, k)[2], rel=1e-12)
 
     a = rng.uniform(size=4096)
     b = rng.uniform(size=4096)

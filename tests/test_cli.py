@@ -164,7 +164,7 @@ class TestSimulate:
         from lcdirac.functionals import trace_pair
 
         g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
-        dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+        dom = lc.TriangleDomain(-4.0, 4.0)
         k = lc.derive_constants(lc.GROSS_NEVEU)
         datum = lc.random_smooth_datum(rng, g, 0.005, (-3, 3))
         f0 = lc.sample_initial(datum, g)
@@ -336,6 +336,17 @@ class TestMain:
         assert main([str(write_cfg(tmp_path, doc))]) == 2
         err = capsys.readouterr().err
         assert "cannot write" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, fmt, names", [
+        ("simulate", "csv", ["run.v2_snapshots.csv", "run.v2_trace.csv"]),
+        ("audit", "structured-report", ["run.v2_audits.json"]),
+    ])
+    def test_dotted_output_path_keeps_every_artifact(self, tmp_path, command, fmt, names):
+        # the suffix is appended: a dot in the path's last part is not taken for one
+        doc = base_doc(command=command, time={"T": 0.5}, audit_selection=["charge"],
+                       output={"path": str(tmp_path / "out" / "run.v2"), "format": fmt})
+        assert main([str(write_cfg(tmp_path, doc))]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
 
     def test_end_to_end(self, tmp_path):
         doc = base_doc(time={"T": 0.5}, output={"path": str(tmp_path / "e2e")})

@@ -126,21 +126,22 @@ class TestSampling:
 class TestTriangleDomain:
     def test_invariants(self):
         with pytest.raises(ConfigurationError):
-            lc.TriangleDomain(1.0, 0.0, 0.0)
+            lc.TriangleDomain(1.0, 0.0)
         with pytest.raises(ConfigurationError):
-            lc.TriangleDomain(0.0, 1.0, -0.5)
+            lc.TriangleDomain(1.0, 1.0)
 
     def test_cross_section(self):
-        dom = lc.TriangleDomain(-2.0, 2.0, 1.0)
+        dom = lc.TriangleDomain(-3.0, 3.0)
         assert dom.apex_time == 3.0
-        lo, hi = dom.cross_section(2.0)
-        assert (lo, hi) == (-1.0, 1.0)
-        with pytest.raises(UsageError):
-            dom.cross_section(4.0)
+        assert dom.cross_section(0.0) == (-3.0, 3.0)
+        assert dom.cross_section(2.0) == (-1.0, 1.0)
+        for t in (-0.5, 4.0):
+            with pytest.raises(UsageError):
+                dom.cross_section(t)
 
     def test_section_indices_strictly_inside(self):
         g = lc.make_grid(-2, 2, 16, "periodic")  # dx = 0.25
-        dom = lc.TriangleDomain(-1.0, 1.0, 0.0)
+        dom = lc.TriangleDomain(-1.0, 1.0)
         i0, i1 = dom.section_indices(g, 0.0)
         x = g.sites()[i0:i1]
         assert x[0] > -1.0 and x[-1] < 1.0
@@ -182,9 +183,9 @@ class TestL2Distance:
         fA, fB = random_field(rng, g), random_field(rng, g)
         # split at a half-cell offset so no site is dropped or double counted
         mid = g.x_min + (g.n_points // 2) * g.dx + 0.5 * g.dx
-        full = lc.TriangleDomain(-1.5, 1.5, 0.0)
-        left = lc.TriangleDomain(-1.5, mid, 0.0)
-        right = lc.TriangleDomain(mid, 1.5, 0.0)
+        full = lc.TriangleDomain(-1.5, 1.5)
+        left = lc.TriangleDomain(-1.5, mid)
+        right = lc.TriangleDomain(mid, 1.5)
         d2 = lc.l2_distance(fA, fB, full) ** 2
         parts = lc.l2_distance(fA, fB, left) ** 2 + lc.l2_distance(fA, fB, right) ** 2
         assert d2 == pytest.approx(parts, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lcdirac as lc
+from lcdirac import kernels
 from lcdirac.errors import PreconditionError, UsageError
 from lcdirac.functionals import trace_base, trace_pair
 
@@ -15,7 +16,7 @@ def indicator(amp, center, halfwidth):
 @pytest.fixture
 def cone_setup(rng):
     grid = lc.make_grid(-6, 6, 384, "zero_inflow")  # dx = 1/32
-    dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+    dom = lc.TriangleDomain(-4.0, 4.0)
     return grid, dom
 
 
@@ -41,11 +42,12 @@ class TestBaseFunctionals:
         reversed_f = lc.SpinorField(g, 0.0, left_of.v, left_of.u)
         assert lc.base_functionals(reversed_f)[2] == 0.0
 
-    def test_fast_matches_naive(self, rng):
+    def test_fast_matches_naive(self, rng, monkeypatch):
         g = lc.make_grid(-1, 1, 2048, "zero_inflow")
         f = random_field(rng, g)
         fast = lc.base_functionals(f)
-        slow = lc.base_functionals(f, naive=True)
+        monkeypatch.setattr(kernels, "q_upper", kernels.q_upper_naive)
+        slow = lc.base_functionals(f)
         assert fast[2] == pytest.approx(slow[2], rel=1e-12)
 
     def test_interaction_product_bound(self, rng):
@@ -60,7 +62,7 @@ class TestBaseFunctionals:
 
     def test_empty_section_returns_zeros(self, rng):
         g = lc.make_grid(-2, 2, 64, "zero_inflow")
-        dom = lc.TriangleDomain(-g.dx, g.dx, 0.0)
+        dom = lc.TriangleDomain(-g.dx, g.dx)
         f = random_field(rng, g)
         apex = lc.SpinorField(g, dom.apex_time, f.u, f.v)
         assert lc.base_functionals(apex, dom) == (0.0, 0.0, 0.0)
@@ -82,11 +84,12 @@ class TestDifferenceFunctionals:
         assert D1 == pytest.approx(2 * D0, rel=1e-12)
         assert Q1 == pytest.approx(2 * Q0, rel=1e-12)
 
-    def test_fast_matches_naive(self, rng, gn_constants):
+    def test_fast_matches_naive(self, rng, gn_constants, monkeypatch):
         g = lc.make_grid(-1, 1, 1024, "zero_inflow")
         fA, fB = random_field(rng, g), random_field(rng, g)
         fast = lc.difference_functionals(fA, fB, None, gn_constants)
-        slow = lc.difference_functionals(fA, fB, None, gn_constants, naive=True)
+        monkeypatch.setattr(kernels, "q_upper", kernels.q_upper_naive)
+        slow = lc.difference_functionals(fA, fB, None, gn_constants)
         assert fast[2] == pytest.approx(slow[2], rel=1e-12)
 
     def test_mismatch_rejected(self, rng, gn_constants):
@@ -126,7 +129,7 @@ class TestTriangleChargeAudit:
 
     def test_transport_pulse_inside_cone(self):
         grid = lc.make_grid(-4, 4, 128, "zero_inflow")
-        dom = lc.TriangleDomain(-3.0, 3.0, 0.0)
+        dom = lc.TriangleDomain(-3.0, 3.0)
         datum = lc.InitialDatum(indicator(1.0, 0.0, 0.5), indicator(0.8, 0.0, 0.5))
         p = lc.ModelParams(0.0, 0.0, 0.0)
         snaps = lc.evolve(lc.sample_initial(datum, grid), p, lc.SolverConfig(), 1.0)
@@ -140,7 +143,7 @@ class TestTriangleChargeAudit:
         residuals = []
         for n in (384, 768):
             grid = lc.make_grid(-6, 6, n, "zero_inflow")
-            dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+            dom = lc.TriangleDomain(-4.0, 4.0)
             datum = lc.datum_from_profiles(pu, pv, grid, target_charge=0.5)
             snaps = lc.evolve(lc.sample_initial(datum, grid), gn, lc.SolverConfig(), 2.0)
             rep = lc.triangle_charge_audit(snaps, dom, 2.0)
@@ -152,7 +155,7 @@ class TestTriangleChargeAudit:
         grid, _ = cone_setup
         snaps = lc.evolve(lc.sample_initial(lc.zero_datum(), grid), gn, lc.SolverConfig(), 1.0)
         with pytest.raises(UsageError):
-            lc.triangle_charge_audit(snaps, lc.TriangleDomain(-4.001, 4.0, 0.0), 1.0)
+            lc.triangle_charge_audit(snaps, lc.TriangleDomain(-4.001, 4.0), 1.0)
 
     def test_needs_every_step(self, gn, cone_setup):
         grid, dom = cone_setup
@@ -270,7 +273,7 @@ class TestMonotoneSlack:
         vios = []
         for n in (384, 768):
             grid = lc.make_grid(-6, 6, n, "zero_inflow")
-            dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+            dom = lc.TriangleDomain(-4.0, 4.0)
             datum = lc.datum_from_profiles(pu, pv, grid, target_charge=0.05)
             snaps = lc.evolve(lc.sample_initial(datum, grid), gn, lc.SolverConfig(), 2.0)
             for rep in (

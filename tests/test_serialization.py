@@ -77,7 +77,7 @@ def awkward_trace(pair: bool) -> FunctionalTrace:
     n = len(AWKWARD)
     cols = [awkward_rotation(0, n)] + [awkward_rotation(k, n, nonneg=True) for k in range(1, 8)]
     pair_cols = [awkward_rotation(k, n, nonneg=True) for k in range(8, 12)] if pair else [None] * 4
-    return FunctionalTrace(*cols, None, *pair_cols)
+    return FunctionalTrace(*cols, *pair_cols)
 
 
 def trace_columns(tr: FunctionalTrace):
@@ -144,7 +144,7 @@ class TestTrace:
         n = 33
         cols = [np.sort(rng.uniform(0, 5, n))] + [10.0 ** rng.uniform(-300, 300, n) for _ in range(7)]
         pair_cols = [10.0 ** rng.uniform(-20, 20, n) for _ in range(4)] if pair else [None] * 4
-        tr = FunctionalTrace(*cols, None, *pair_cols)
+        tr = FunctionalTrace(*cols, *pair_cols)
         text = trace_csv(tr)
         assert text == ref_trace(tr)
         assert_round_trip(text, trace_columns(tr))
@@ -152,7 +152,7 @@ class TestTrace:
     @pytest.mark.parametrize("pair", [False, True])
     def test_empty_trace(self, pair):
         empty = np.array([])
-        tr = FunctionalTrace(*[empty] * 8, None, *([empty] * 4 if pair else [None] * 4))
+        tr = FunctionalTrace(*[empty] * 8, *([empty] * 4 if pair else [None] * 4))
         assert trace_csv(tr) == ",".join(TRACE_COLS + (PAIR_COLS if pair else [])) + "\n"
         assert trace_csv(tr) == ref_trace(tr)
 

@@ -108,13 +108,17 @@ def test_cli_audits_equal_sequence_audits(tmp_path, capsys, case):
 
 
 def test_nonzero_base_time_is_a_configuration_error(tmp_path, capsys):
+    # every cone is based at t = 0; a base time is no key of the domain
     doc = audit_doc(tmp_path, domain={"a": -4.0, "b": 4.0, "t0": 0.5})
-    status, err = run_main(tmp_path, doc, capsys)
-    assert status == 2 and "Traceback" not in err
-    with pytest.raises(UsageError) as exc_info:
-        sequence_audits(cli.parse_config(json.dumps(doc)))
-    assert str(exc_info.value) in err
+    with counted_steps() as steps:
+        status, err = run_main(tmp_path, doc, capsys)
+    assert status == 2 and "unknown key 'domain.t0'" in err and steps == [0]
     assert not (tmp_path / "run_audits.csv").exists()
+    # snapshot lists that start later are refused by the list-form audits
+    g = lc.make_grid(-6, 6, 192, "zero_inflow")
+    snaps = lc.evolve(lc.sample_initial(GN_DATUM, g), lc.GROSS_NEVEU, lc.SolverConfig(), 1.0)
+    with pytest.raises(UsageError, match="base time"):
+        lc.triangle_charge_audit(snaps[8:], lc.TriangleDomain(-4.0, 4.0), 0.5)
 
 
 def _pointwise_per_width(snaps, dom, C0, p):
@@ -129,8 +133,8 @@ def _pointwise_per_width(snaps, dom, C0, p):
     for s in snaps:
         if s.t > dom.apex_time + 1e-12:
             break
-        kshift = round((s.t - dom.t0) / grid.dt)
-        E = float(np.exp(2.0 * abs(p.beta) * C0 + p.m * (s.t - dom.t0)))
+        kshift = round(s.t / grid.dt)
+        E = float(np.exp(2.0 * abs(p.beta) * C0 + p.m * s.t))
         i0, i1 = dom.section_indices(grid, s.t)
         if i0 >= i1:
             continue
@@ -170,7 +174,7 @@ def test_pointwise_windows_match_per_width_reference(model, gain, ramp, by_windo
     # window and a window is the witness. With the ramp the gain grows to
     # the right, so the worst window is the last one of its width.
     g = lc.make_grid(-6, 6, 384, "zero_inflow")
-    dom = lc.TriangleDomain(-4.0, 4.0, 0.0)
+    dom = lc.TriangleDomain(-4.0, 4.0)
     datum = lc.InitialDatum(lc.ComponentSpec("indicator_jump", 0.7, center=-0.5, halfwidth=2.0),
                             lc.ComponentSpec("gaussian_pulse", 0.9, center=0.5, width=0.8))
     snaps = lc.evolve(lc.sample_initial(datum, g), model, lc.SolverConfig(), 1.5)
@@ -261,54 +265,125 @@ def test_ladder_tables_equal_list_distances(tmp_path, capsys, command):
 HUGE_B = {"perturbation": 1e110, "samples": 2000}
 
 
-@pytest.mark.parametrize("domain", [{"a": -4.0, "b": 4.0}, {"a": -4.0, "b": 4.0, "t0": 0.25}])
+def outside_cone(amplitude):
+    """A narrow pulse at x = 5, outside the cone [-4, 4]: it passes every
+    precondition of the audits whatever its amplitude."""
+    pulse = {"kind": "gaussian_pulse", "amplitude": amplitude, "center": 5.0, "width": 0.05}
+    return {"u0": pulse, "v0": pulse}
+
+
+@contextlib.contextmanager
+def counted_steps():
+    """Count the calls of the step kernel; yields a one-element list."""
+    real, calls = kernels.step_unforced, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "step_unforced", counted)
+        yield calls
+
+
+@pytest.mark.parametrize("domain", [{"a": -4.0, "b": 4.0}, {"a": -1.0, "b": 1.0}])
 def test_blowup_in_a_writes_empty_audits(tmp_path, capsys, domain):
-    # a blow-up in A wins even over a cone error the pass met at t = 0
-    init = {"u0": {"kind": "gaussian_pulse", "amplitude": 1e110, "width": 0.8},
-            "v0": {"kind": "gaussian_pulse", "amplitude": 1e110, "width": 0.9}}
-    status, err = run_main(tmp_path, audit_doc(tmp_path, init=init, domain=domain), capsys)
-    assert status == 1 and "blow-up" in err and "Traceback" not in err
-    assert (tmp_path / "run_audits.csv").read_text() == "\n"
-
-
-def test_later_blowup_in_a_wins_over_earlier_blowup_in_b(tmp_path, capsys):
-    # A (amplitude 10) blows up at its 4th step, B (A x 1e50) at its first.
-    init = {"u0": {"kind": "gaussian_pulse", "amplitude": 10.0, "width": 0.8},
-            "v0": {"kind": "gaussian_pulse", "amplitude": 10.0, "width": 0.9}}
-    doc = audit_doc(tmp_path, init=init, audit={"perturbation": 1e50, "samples": 2000},
-                    grid={"x_min": -6.0, "x_max": 6.0, "n_points": 384, "boundary": "zero_inflow"})
+    # A and B blow up at the same step; A, the first run, is reported
+    doc = audit_doc(tmp_path, init=outside_cone(10.0), domain=domain)
     status, err = run_main(tmp_path, doc, capsys)
-    assert status == 1 and "at t=0.125" in err
+    assert status == 1 and "blow-up" in err and "at t=0.3125" in err and "Traceback" not in err
     assert (tmp_path / "run_audits.csv").read_text() == "\n"
+
+
+def test_earlier_blowup_in_b_wins_over_later_blowup_in_a(tmp_path, capsys):
+    # A (amplitude 10) blows up at its 5th step, B (A x 1e50) at its first:
+    # B stops both runs, and no audits file is written
+    doc = audit_doc(tmp_path, init=outside_cone(10.0), audit={"perturbation": 1e50, "samples": 2000})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 1 and "at t=0.0625" in err
+    assert not (tmp_path / "run_audits.csv").exists()
 
 
 def test_blowup_in_b_alone_writes_no_audits(tmp_path, capsys):
-    status, err = run_main(tmp_path, audit_doc(tmp_path, audit=HUGE_B), capsys)
+    doc = audit_doc(tmp_path, init=outside_cone(1e-3), audit=HUGE_B)
+    status, err = run_main(tmp_path, doc, capsys)
     assert status == 1 and "blow-up" in err and "Traceback" not in err
     assert not (tmp_path / "run_audits.csv").exists()
 
 
 @pytest.mark.parametrize("over, message", [
     ({"domain": {"a": -4.01, "b": 4.0}}, "not on the lattice"),
-    ({"domain": {"a": -4.0, "b": 4.0, "t0": 0.25}}, "base time"),
+    ({"domain": {"a": -4.0, "b": 4.0, "t0": 0.25}}, "domain.t0"),
     ({"audit": {**HUGE_B, "c0": 0.0}}, "not below C0"),
-    ({"constants": {"delta0": 1e-9}}, "smallness threshold delta0"),
+    ({"constants": {"delta0": 1e-9}, "init": GN_INIT}, "smallness threshold delta0"),
 ])
 def test_cone_audit_errors_win_over_blowup_in_b(tmp_path, capsys, over, message):
-    doc = audit_doc(tmp_path, audit=HUGE_B)
+    # B alone would blow up; each error is raised before the first step
+    doc = audit_doc(tmp_path, init=outside_cone(1e-3), audit=HUGE_B)
     doc.update(over)
-    status, err = run_main(tmp_path, doc, capsys)
+    with counted_steps() as steps:
+        status, err = run_main(tmp_path, doc, capsys)
     assert status == 2 and message in err and "blow-up" not in err
+    assert steps == [0]
     assert not (tmp_path / "run_audits.csv").exists()
 
 
-def test_blowup_in_b_wins_over_pair_precondition(tmp_path, capsys):
-    doc = audit_doc(tmp_path, audit=HUGE_B, constants={"delta": 1e-9})
-    status, err = run_main(tmp_path, doc, capsys)
-    assert status == 1 and "blow-up" in err
-    doc["audit"] = {"samples": 2000}
-    status, err = run_main(tmp_path, doc, capsys)
+def test_pair_precondition_wins_over_blowup_in_b(tmp_path, capsys):
+    # B (A x 1e110) fails the pair smallness hypothesis before it can blow up
+    with counted_steps() as steps:
+        status, err = run_main(tmp_path, audit_doc(tmp_path, audit=HUGE_B), capsys)
+    assert status == 2 and "pair smallness" in err and steps == [0]
+    status, err = run_main(tmp_path, audit_doc(tmp_path, constants={"delta": 1e-9}), capsys)
     assert status == 2 and "pair smallness" in err
+
+
+README_AUDIT = {"u0": {"kind": "gaussian_pulse", "amplitude": 1e110, "center": -0.5, "width": 0.8},
+                "v0": {"kind": "gaussian_pulse", "amplitude": 1e110, "center": 0.5, "width": 0.9}}
+UNIFORM_1E307 = {"u0": {"kind": "uniform", "amplitude": 1e307}, "v0": {"kind": "uniform", "amplitude": 1e307}}
+PERIODIC_16 = {"x_min": -8.0, "x_max": 8.0, "n_points": 1024, "boundary": "periodic"}
+
+REFUSED = {
+    "c0_zero": ({"audit": {"samples": 2000, "c0": 0.0}}, "not below C0"),
+    "delta0": ({"constants": {"delta0": 1e-9}}, "smallness threshold delta0"),
+    "delta": ({"constants": {"delta": 1e-9}}, "pair smallness threshold delta"),
+    "misaligned_a": ({"domain": {"a": -4.01, "b": 4.0}}, "not on the lattice"),
+    "domain_t0": ({"domain": {"a": -4.0, "b": 4.0, "t0": 0.0}}, "unknown key 'domain.t0'"),
+    "samples_zero": ({"audit": {"samples": 0}}, "audit.samples must be >= 1"),
+    "readme_audit_1e110": ({"init": README_AUDIT, "grid": {**audit_doc(Path())["grid"], "n_points": 384}},
+                           "exceeds the smallness threshold delta0"),
+    "simulate_apex": ({"command": "simulate", "grid": {**audit_doc(Path())["grid"], "n_points": 768},
+                       "domain": {"a": -1.0, "b": 1.0}, "time": {"T": 1.015625}},
+                      "comes before the last recorded level at t=1.015625"),
+    "converge_increasing": ({"command": "converge", "mollify": {"epsilons": [0.25, 0.5]}},
+                            "epsilons must be nonincreasing"),
+    "unique_increasing": ({"command": "unique", "mollify": {"epsilons": [0.25, 0.25, 0.5]}},
+                          "epsilons must be nonincreasing"),
+    "perturbation_overflow": ({"init": {"u0": {"kind": "uniform", "amplitude": 1e300},
+                                        "v0": {"kind": "uniform", "amplitude": 0.0}},
+                               "audit": {"samples": 2000, "perturbation": 1e10}},
+                              "audit.perturbation 10000000000.0 overflows"),
+    "mollify_1e307": ({"command": "converge", "grid": PERIODIC_16, "init": UNIFORM_1E307,
+                       "mollify": {"epsilons": [4.0, 2.0]}}, "the bump mollifier at radius 4.0 overflows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_configs_take_no_step(tmp_path, capsys, case):
+    over, message = REFUSED[case]
+    with counted_steps() as steps:
+        status, err = run_main(tmp_path, audit_doc(tmp_path, **over), capsys)
+    assert status == 2 and message in err and "Traceback" not in err
+    assert steps == [0]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_simulate_domain_check_uses_the_evolved_horizon(tmp_path, capsys):
+    # T = 1.01 is 64.64 steps of 1/64: evolve stops at t = 1.0, the apex
+    doc = audit_doc(tmp_path, command="simulate", domain={"a": -1.0, "b": 1.0}, time={"T": 1.01},
+                    grid={**audit_doc(Path())["grid"], "n_points": 768})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 0, err
+    assert _read_table(tmp_path / "run_trace.csv")[-1][0] == 1.0
 
 
 @pytest.mark.parametrize("section, key", [("grid", "n_points"), ("grid", "boundary"), ("time", "record_every")])
@@ -332,22 +407,28 @@ def test_huge_grid_spacing_exits_cleanly(tmp_path, capsys):
 HUGE_SPACING = {"x_min": -1.0, "x_max": 1e300, "n_points": 8, "boundary": "zero_inflow"}
 
 
-@pytest.mark.parametrize("over", [
+@pytest.mark.parametrize("over, expected", [
     # the Gaussian exponent overflows to inf on sites 1e299 apart; exp(-inf) = 0
-    {"command": "simulate", "grid": HUGE_SPACING},
+    ({"command": "simulate", "grid": HUGE_SPACING}, 0),
     # the charge budget's dx^2 overflows to inf
-    {"audit_selection": ["charge"], "grid": HUGE_SPACING},
+    ({"audit_selection": ["charge"], "grid": HUGE_SPACING}, 0),
     # the trace's densities of a huge but finite datum overflow; the run blows up
-    {"command": "simulate", "init": {"u0": {"kind": "uniform", "amplitude": 1e200},
-                                     "v0": {"kind": "uniform", "amplitude": 1e200}}},
-], ids=["gaussian_exponent", "charge_budget", "simulate_trace"])
-def test_accepted_extremes_raise_no_runtime_warning(tmp_path, capsys, over):
+    ({"command": "simulate", "init": {"u0": {"kind": "uniform", "amplitude": 1e200},
+                                      "v0": {"kind": "uniform", "amplitude": 1e200}}}, 1),
+    # a zero C_tol times the inf charge of a huge datum: a nan budget fails the audit
+    ({"audit_selection": ["charge"], "constants": {"C_tol": 0}, "time": {"T": 0.0},
+      "init": {"u0": {"kind": "uniform", "amplitude": 1e300}, "v0": {"kind": "uniform", "amplitude": 0.0}}}, 1),
+    # the mollified datum overflows; refused before the run
+    ({"command": "converge", "grid": PERIODIC_16, "init": UNIFORM_1E307,
+      "mollify": {"epsilons": [4.0, 2.0]}}, 2),
+], ids=["gaussian_exponent", "charge_budget", "simulate_trace", "nan_budget", "mollifier"])
+def test_accepted_extremes_raise_no_runtime_warning(tmp_path, capsys, over, expected):
     doc = audit_doc(tmp_path, **over)
     del doc["domain"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         status, err = run_main(tmp_path, doc, capsys)
-    assert status in (0, 1) and "Traceback" not in err
+    assert status == expected and "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -363,19 +444,17 @@ def test_lockstep_raises_the_first_failed_run(gn):
     seen = []
     with pytest.raises(BlowUpError) as exc_info:
         lc.evolve([ok, early], gn, lc.SolverConfig(), 0.5, observers=[seen.append])
-    assert exc_info.value.run == 1
-    assert len(seen) == 17 and seen[0][1] is early
-    assert all(levels[1] is None for levels in seen[1:])  # run 0 went on alone to T
-    assert seen[-1][0].t == pytest.approx(0.5)
+    assert exc_info.value.run == 1 and exc_info.value.t == pytest.approx(g.dt)
+    assert len(seen) == 1 and seen[0] == (ok, early)  # the blow-up stopped run 0 too
     with pytest.raises(BlowUpError) as exc_info:
         lc.evolve([late, early], gn, lc.SolverConfig(), 0.5, observers=[])
-    assert exc_info.value.run == 0 and exc_info.value.t == pytest.approx(4 * g.dt)
-    # the runs after a failed one leave with it: late's later blow-up is not raised
+    assert exc_info.value.run == 1 and exc_info.value.t == pytest.approx(g.dt)
+    # the first blow-up in time is raised, whatever the run's index
     seen.clear()
     with pytest.raises(BlowUpError) as exc_info:
-        lc.evolve([ok, early, late], gn, lc.SolverConfig(), 0.5, observers=[seen.append])
-    assert exc_info.value.run == 1 and exc_info.value.t == pytest.approx(g.dt)
-    assert all(levels[1:] == (None, None) for levels in seen[1:])
+        lc.evolve([ok, late], gn, lc.SolverConfig(), 0.5, observers=[seen.append])
+    assert exc_info.value.run == 1 and exc_info.value.t == pytest.approx(4 * g.dt)
+    assert len(seen) == 4 and all(None not in levels for levels in seen)
 
 
 def test_observed_evolve_returns_final_levels(gn):
@@ -462,12 +541,58 @@ def test_lockstep_blow_up_names_the_first_bad_site(gn, monkeypatch, part):
         lc.evolve([f0, f0], gn, lc.SolverConfig(), T, observers=[seen.append])
     err = exc_info.value
     assert (err.site, err.t, err.x, err.run, err.partial) == (33, full[5].t, g.x_min + 33 * g.dx, 1, [])
-    assert len(seen) == 13 and all(lv[1] is None for lv in seen[5:])
-    assert np.array_equal(seen[-1][0].u, full[-1].u)
+    assert len(seen) == 5 and all(None not in lv for lv in seen)  # both runs stop at the blow-up
+    assert np.array_equal(seen[-1][0].u, full[4].u) and np.array_equal(seen[-1][1].u, full[4].u)
 
 
 # ---------------------------------------------------------------------------
 # The audit pass keeps O(1) levels
+
+
+def _held_arrays(obj, seen=None):
+    """Every SpinorField and ndarray reachable from obj's attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, (lc.SpinorField, np.ndarray)):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [held for child in children for held in _held_arrays(child, seen)]
+
+
+def test_reductions_hold_no_level(gn, gn_constants):
+    from lcdirac.harness import _PairDistance
+
+    g = lc.make_grid(-6, 6, 96, "zero_inflow")
+    f0 = lc.sample_initial(GN_DATUM, g)
+    dom = lc.TriangleDomain(-4.0, 4.0)
+    audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
+                                   C0=lc.charge(f0) + 1.0)
+    dist = _PairDistance()
+    fed = []
+
+    def keep(levels):
+        fed.extend(levels)
+        dist.feed(*levels)
+
+    runs = [f0, cli._perturbed(f0, 1e-3)]
+    audits.start(tuple(runs))
+    lc.evolve(runs, gn, lc.SolverConfig(), 1.0, observers=[audits, keep])
+    assert len(fed) == 2 * 9
+    for name in cli.EVOLVED_AUDITS:
+        assert audits.report(name).passed
+    held = _held_arrays(audits) + _held_arrays(dist)
+    assert held and not [h for h in held if isinstance(h, lc.SpinorField)]
+    for arr in held:
+        assert not any(np.shares_memory(arr, level.u) or np.shares_memory(arr, level.v) for level in fed)
 
 
 def test_audit_pass_keeps_constant_levels(tmp_path, capsys, monkeypatch):
@@ -587,6 +712,10 @@ def _edge_document(**over):
 @example(doc=_edge_document(), mutations=[(("time", "T"), 1e300)])
 @example(doc=_edge_document(), mutations=[(("time", "record_every"), True)])
 @example(doc=_edge_document(), mutations=[(("init", "u0", "amplitude"), math.nan)])
+@example(doc=_edge_document(grid={"x_min": -1.0, "x_max": 1.0, "n_points": 8}, command="audit",
+                            init={"u0": {"kind": "indicator_jump", "amplitude": 3.5e-141, "halfwidth": 1.0},
+                                  "v0": {"kind": "uniform", "amplitude": 0.0}},
+                            audit_selection=["bony"]), mutations=[])  # L0(0)**2 underflows to 0
 def test_any_document_exits_cleanly(doc, mutations):
     doc = _mutated(doc, mutations)
     with tempfile.TemporaryDirectory() as tmp:
@@ -595,7 +724,9 @@ def test_any_document_exits_cleanly(doc, mutations):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), counted_steps() as steps:
             status = main([str(path)])
     assert status in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if status == 2:  # a refused document is refused before the first step
+        assert steps == [0], err.getvalue()
