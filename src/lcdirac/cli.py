@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,15 @@ COMMANDS = ("simulate", "audit", "converge", "unique", "soliton-check")
 AUDITS = ("algebraic", "charge", "triangle", "pointwise", "bony", "gronwall")
 EVOLVED_AUDITS = AUDITS[1:]  # the audits that need the evolved run
 FORMATS = ("csv", "structured-report")
+# The artifacts each command writes; the reports (audits, soliton) are .json
+# in the structured-report format, every other artifact is .csv.
+ARTIFACTS = {
+    "simulate": ("trace", "snapshots"),
+    "audit": ("audits",),
+    "converge": ("convergence",),
+    "unique": ("uniqueness",),
+    "soliton-check": ("soliton",),
+}
 
 # Largest run parse_config accepts, in lattice site updates: (steps + 1) x
 # sites x evolutions. An audit at N=3072, T=4 on [-6, 6] is 6.3e6. Only
@@ -431,21 +441,36 @@ def reports_csv(records: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reports(records: Sequence[dict], fmt: str, prefix: Path, name: str):
-    if fmt == "structured-report":
-        _write(_artifact(prefix, name, ".json"), reports_json(records))
-    else:
-        _write(_artifact(prefix, name), reports_csv(records))
+def emit_reports(records: Sequence[dict], fmt: str, path: Path):
+    _write(path, reports_json(records) if fmt == "structured-report" else reports_csv(records))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def _artifact(prefix: Path, name: str, suffix: str = ".csv") -> Path:
-    """The output path of one artifact: the prefix's name, then _name and the
-    suffix appended (a dot in the prefix's name is kept)."""
-    return prefix.parent / f"{prefix.name}_{name}{suffix}"
+def _artifact_paths(cfg: RunConfig) -> dict[str, Path]:
+    """The path of every artifact cfg's command writes, by name: output.path,
+    then _name and the suffix appended (a dot in output.path is kept)."""
+    report = cfg.command in ("audit", "soliton-check") and cfg.out_format == "structured-report"
+    suffix = ".json" if report else ".csv"
+    prefix = Path(cfg.out_path)
+    return {name: prefix.parent / f"{prefix.name}_{name}{suffix}" for name in ARTIFACTS[cfg.command]}
+
+
+def _check_outputs(cfg: RunConfig):
+    """Create the output directory and refuse an artifact path that cannot
+    be written (a directory, or a file or directory without write access),
+    so that such a config fails before the run, not after it."""
+    _output_dir(Path(cfg.out_path))
+    for path in _artifact_paths(cfg).values():
+        if path.is_dir():
+            reason = "is a directory"
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        raise ConfigurationError(f"cannot write {str(path)!r}: {reason}")
 
 
 def _default_domain(cfg: RunConfig) -> TriangleDomain:
@@ -462,7 +487,7 @@ def _perturbed(f0: SpinorField, rel: float) -> SpinorField:
         raise ConfigurationError(f"audit.perturbation {rel} overflows the perturbed datum") from None
 
 
-def _cmd_simulate(cfg: RunConfig, prefix: Path) -> int:
+def _cmd_simulate(cfg: RunConfig, out: dict[str, Path]) -> int:
     f0 = sample_initial(cfg.init, cfg.grid)
     status = 0
     try:
@@ -475,8 +500,8 @@ def _cmd_simulate(cfg: RunConfig, prefix: Path) -> int:
     # the trace carries the inf.
     with np.errstate(over="ignore", invalid="ignore"):
         trace = trace_base(snaps, cfg.domain)
-    _write(_artifact(prefix, "trace"), trace_csv(trace))
-    _write(_artifact(prefix, "snapshots"), snapshots_csv(snaps))
+    _write(out["trace"], trace_csv(trace))
+    _write(out["snapshots"], snapshots_csv(snaps))
     return status
 
 
@@ -485,7 +510,7 @@ def _snap_tau(dom: TriangleDomain, T: float, dt: float) -> float:
     return horizon_steps(min(T, dom.apex_time), dt)[0] * dt
 
 
-def _cmd_audit(cfg: RunConfig, prefix: Path) -> int:
+def _cmd_audit(cfg: RunConfig, out: dict[str, Path]) -> int:
     """One lockstep pass over run A and, for gronwall, the perturbed run B.
 
     Every usage and precondition error is raised before the first step. A
@@ -512,7 +537,7 @@ def _cmd_audit(cfg: RunConfig, prefix: Path) -> int:
             if exc.run > 0:
                 raise
             print(f"blow-up: {exc}", file=sys.stderr)
-            emit_reports([], cfg.out_format, prefix, "audits")
+            emit_reports([], cfg.out_format, out["audits"])
             return 1
 
     records: list[dict] = []
@@ -530,29 +555,29 @@ def _cmd_audit(cfg: RunConfig, prefix: Path) -> int:
         if not rep.passed:
             status = 1
 
-    emit_reports(records, cfg.out_format, prefix, "audits")
+    emit_reports(records, cfg.out_format, out["audits"])
     return status
 
 
-def _cmd_converge(cfg: RunConfig, prefix: Path) -> int:
+def _cmd_converge(cfg: RunConfig, out: dict[str, Path]) -> int:
     if not cfg.epsilons:
         raise ConfigurationError("converge needs mollify.epsilons")
     table = convergence_study(cfg.init, cfg.epsilons, cfg.model, cfg.grid, cfg.T, cfg.kernel)
-    _write(_artifact(prefix, "convergence"), convergence_csv(table))
+    _write(out["convergence"], convergence_csv(table))
     return 0
 
 
-def _cmd_unique(cfg: RunConfig, prefix: Path) -> int:
+def _cmd_unique(cfg: RunConfig, out: dict[str, Path]) -> int:
     if not cfg.epsilons:
         raise ConfigurationError("unique needs mollify.epsilons")
     table = uniqueness_probe(
         cfg.init, cfg.kernel, cfg.kernel_b, cfg.epsilons, cfg.model, cfg.grid, cfg.T
     )
-    _write(_artifact(prefix, "uniqueness"), convergence_csv(table))
+    _write(out["uniqueness"], convergence_csv(table))
     return 0
 
 
-def _cmd_soliton(cfg: RunConfig, prefix: Path) -> int:
+def _cmd_soliton(cfg: RunConfig, out: dict[str, Path]) -> int:
     oracle = thirring_soliton(cfg.model.m, cfg.frequency, cfg.grid)
     records = []
     for variant, residuals, orders in oracle.trials:
@@ -568,12 +593,11 @@ def _cmd_soliton(cfg: RunConfig, prefix: Path) -> int:
                 "accepted": oracle.available and variant == oracle.variant,
             }
         )
-    emit_reports(records, cfg.out_format, prefix, "soliton")
+    emit_reports(records, cfg.out_format, out["soliton"])
     return 0 if oracle.available else 1
 
 
 def run_command(cfg: RunConfig) -> int:
-    prefix = Path(cfg.out_path)
     handler = {
         "simulate": _cmd_simulate,
         "audit": _cmd_audit,
@@ -582,7 +606,7 @@ def run_command(cfg: RunConfig) -> int:
         "soliton-check": _cmd_soliton,
     }[cfg.command]
     try:
-        return handler(cfg, prefix)
+        return handler(cfg, _artifact_paths(cfg))
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 1
@@ -606,7 +630,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         cfg = parse_config(text)
-        _output_dir(Path(cfg.out_path))  # before the run, not after it
+        _check_outputs(cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -77,7 +77,6 @@ def difference_functionals(
     fA: SpinorField,
     fB: SpinorField,
     dom: Optional[TriangleDomain],
-    k: EstimateConstants,
 ) -> tuple[float, float, float]:
     """(L1, D1, Q1) for the pair over the cross-section."""
     if fA.grid != fB.grid or fA.t != fB.t:
@@ -157,13 +156,12 @@ def trace_pair(
     snapsA: Sequence[SpinorField],
     snapsB: Sequence[SpinorField],
     dom: Optional[TriangleDomain],
-    k: EstimateConstants,
 ) -> FunctionalTrace:
     """Base functionals of the first field plus the pair functionals."""
     if len(snapsA) != len(snapsB):
         raise UsageError("pair traces need snapshot sequences of equal length")
     base = trace_base(snapsA, dom)
-    rows = [difference_functionals(a, b, dom, k) for a, b in zip(snapsA, snapsB)]
+    rows = [difference_functionals(a, b, dom) for a, b in zip(snapsA, snapsB)]
     L1, D1, Q1 = (np.array(col) for col in zip(*rows))
     return FunctionalTrace(
         base.times, base.L0, base.D0, base.Q0, base.cumD0, base.charge,
@@ -368,11 +366,11 @@ class PointwiseGrowth:
 
 class ConeRows:
     """One row per level inside the cone up to its apex: (L0, D0, Q0) of one
-    run, or (L1, D1, Q1) of runs 0 and 1 when k is given. Bony and gronwall
+    run, or (L1, D1, Q1) of runs 0 and 1 when pair is set. Bony and gronwall
     share run A's rows, so a level at a time already held is skipped."""
 
-    def __init__(self, dom: TriangleDomain, k: Optional[EstimateConstants] = None, run: int = 0):
-        self.dom, self.k, self.run = dom, k, run
+    def __init__(self, dom: TriangleDomain, run: int = 0, pair: bool = False):
+        self.dom, self.run, self.pair = dom, run, pair
         self.times: list[float] = []
         self.rows: list[tuple[float, float, float]] = []
 
@@ -381,10 +379,10 @@ class ConeRows:
         if f.t > self.dom.apex_time + 1e-12 or self.times and self.times[-1] == f.t:
             return
         self.times.append(f.t)
-        if self.k is None:
-            self.rows.append(base_functionals(f, self.dom))
+        if self.pair:
+            self.rows.append(difference_functionals(levels[0], levels[1], self.dom))
         else:
-            self.rows.append(difference_functionals(levels[0], levels[1], self.dom, self.k))
+            self.rows.append(base_functionals(f, self.dom))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Times and the three columns of the rows."""
@@ -443,7 +441,7 @@ class GronwallEnvelope:
     def __init__(self, rows_a: ConeRows, k: EstimateConstants, p: ModelParams, c_tol: float = 10.0):
         self.rows_a, self.k, self.p, self.c_tol = rows_a, k, p, c_tol
         self.rows_b = ConeRows(rows_a.dom, run=1)
-        self.pair = ConeRows(rows_a.dom, k)
+        self.pair = ConeRows(rows_a.dom, pair=True)
 
     def start(self, levels: tuple):
         dom, k = self.rows_a.dom, self.k

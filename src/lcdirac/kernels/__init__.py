@@ -28,7 +28,7 @@ import numpy as np
 from . import pure
 from .pure import q_upper, q_upper_naive  # noqa: F401  (public names)
 
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
 

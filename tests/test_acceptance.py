@@ -225,17 +225,16 @@ def test_11_fast_naive_equivalence_and_speed(rng, monkeypatch):
             assert kernels.q_upper(a, b) == pytest.approx(kernels.q_upper_naive(a, b), rel=1e-12)
     # field-level equivalence via the functional evaluators
     g = lc.make_grid(-1.0, 1.0, 4096, "zero_inflow")
-    k = lc.derive_constants(lc.GROSS_NEVEU)
     fA = lc.SpinorField(g, 0.0, rng.normal(size=4096) + 1j * rng.normal(size=4096),
                         rng.normal(size=4096) + 1j * rng.normal(size=4096))
     fB = lc.SpinorField(g, 0.0, rng.normal(size=4096) + 1j * rng.normal(size=4096),
                         rng.normal(size=4096) + 1j * rng.normal(size=4096))
     q0_fast = lc.base_functionals(fA)[2]
-    q1_fast = lc.difference_functionals(fA, fB, None, k)[2]
+    q1_fast = lc.difference_functionals(fA, fB, None)[2]
     with monkeypatch.context() as m:
         m.setattr(kernels, "q_upper", kernels.q_upper_naive)
         assert q0_fast == pytest.approx(lc.base_functionals(fA)[2], rel=1e-12)
-        assert q1_fast == pytest.approx(lc.difference_functionals(fA, fB, None, k)[2], rel=1e-12)
+        assert q1_fast == pytest.approx(lc.difference_functionals(fA, fB, None)[2], rel=1e-12)
 
     a = rng.uniform(size=4096)
     b = rng.uniform(size=4096)

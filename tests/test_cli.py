@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,13 +166,12 @@ class TestSimulate:
 
         g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
         dom = lc.TriangleDomain(-4.0, 4.0)
-        k = lc.derive_constants(lc.GROSS_NEVEU)
         datum = lc.random_smooth_datum(rng, g, 0.005, (-3, 3))
         f0 = lc.sample_initial(datum, g)
         fB0 = lc.SpinorField(g, 0.0, f0.u * 1.001, f0.v * 1.001)
         a = lc.evolve(f0, lc.GROSS_NEVEU, lc.SolverConfig(), 1.0)
         b = lc.evolve(fB0, lc.GROSS_NEVEU, lc.SolverConfig(), 1.0)
-        header = trace_csv(trace_pair(a, b, dom, k)).splitlines()[0]
+        header = trace_csv(trace_pair(a, b, dom)).splitlines()[0]
         assert header == "t,L0,D0,Q0,cumD0,charge,max_abs_u,max_abs_v,L1,D1,Q1,cumD1"
 
     def test_singular_datum_simulates(self, tmp_path):
@@ -330,12 +330,45 @@ class TestMain:
         err = capsys.readouterr().err
         assert "cannot create output directory" in err and "Traceback" not in err
 
-    def test_unwritable_artifact_exit_two(self, tmp_path, capsys):
-        (tmp_path / "run_trace.csv").mkdir()  # a directory where the trace file goes
+    def test_unwritable_artifact_exit_two(self, tmp_path, capsys, monkeypatch):
+        """A directory where any artifact goes is refused before the run."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("lcdirac.kernels.step_unforced", no_run)
+        monkeypatch.setattr("lcdirac.cli.thirring_soliton", no_run)  # soliton-check steps nothing
+        jump = {"u0": {"kind": "indicator_jump", "amplitude": 1.0, "halfwidth": 1.0},
+                "v0": {"kind": "uniform", "amplitude": 0.0}}
+        cases = [
+            ({"command": "simulate"}, ["trace.csv", "snapshots.csv"]),
+            ({"command": "audit", "audit_selection": ["charge"]}, ["audits.csv"]),
+            ({"command": "audit", "audit_selection": ["charge"], "format": "structured-report"}, ["audits.json"]),
+            ({"command": "converge", "init": jump, "mollify": {"epsilons": [0.25, 0.125]}}, ["convergence.csv"]),
+            ({"command": "unique", "init": jump, "mollify": {"epsilons": [0.25, 0.125]}}, ["uniqueness.csv"]),
+            ({"command": "soliton-check", "model": {"m": 1.0, "alpha": 1.0, "beta": 0.0},
+              "soliton": {"frequency": 0.5}}, ["soliton.csv"]),
+            ({"command": "soliton-check", "model": {"m": 1.0, "alpha": 1.0, "beta": 0.0},
+              "soliton": {"frequency": 0.5}, "format": "structured-report"}, ["soliton.json"]),
+        ]
+        for k, (over, names) in enumerate(cases):
+            for name in names:
+                out = tmp_path / f"{k}_{name}"
+                over = dict(over)
+                output = {"path": str(out / "run"), "format": over.pop("format", "csv")}
+                (out / f"run_{name}").mkdir(parents=True)  # a directory where the artifact goes
+                doc = base_doc(time={"T": 0.5}, output=output, **over)
+                assert main([str(write_cfg(tmp_path, doc))]) == 2, (over, name)
+                err = capsys.readouterr().err
+                assert f"cannot write {str(out / f'run_{name}')!r}: is a directory" in err, err
+                assert "Traceback" not in err
+
+    def test_artifact_without_write_access_exit_two(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "run_snapshots.csv").write_text("")
+        monkeypatch.setattr("lcdirac.cli.os.access", lambda path, mode: Path(path).name != "run_snapshots.csv")
         doc = base_doc(time={"T": 0.5}, output={"path": str(tmp_path / "run")})
         assert main([str(write_cfg(tmp_path, doc))]) == 2
-        err = capsys.readouterr().err
-        assert "cannot write" in err and "Traceback" not in err
+        assert "run_snapshots.csv': permission denied" in capsys.readouterr().err
+        assert not (tmp_path / "run_trace.csv").exists()
 
     @pytest.mark.parametrize("command, fmt, names", [
         ("simulate", "csv", ["run.v2_snapshots.csv", "run.v2_trace.csv"]),

@@ -69,35 +69,35 @@ class TestBaseFunctionals:
 
 
 class TestDifferenceFunctionals:
-    def test_identical_pair(self, rng, gn_constants):
+    def test_identical_pair(self, rng):
         g = lc.make_grid(-1, 1, 128, "zero_inflow")
         f = random_field(rng, g)
-        assert lc.difference_functionals(f, f, None, gn_constants) == (0.0, 0.0, 0.0)
+        assert lc.difference_functionals(f, f, None) == (0.0, 0.0, 0.0)
 
-    def test_against_zero_field_doubles_weights(self, rng, gn_constants):
+    def test_against_zero_field_doubles_weights(self, rng):
         g = lc.make_grid(-1, 1, 256, "zero_inflow")
         f = random_field(rng, g)
         z = lc.SpinorField(g, 0.0, np.zeros(256, complex), np.zeros(256, complex))
-        L1, D1, Q1 = lc.difference_functionals(f, z, None, gn_constants)
+        L1, D1, Q1 = lc.difference_functionals(f, z, None)
         L0, D0, Q0 = lc.base_functionals(f)
         assert L1 == pytest.approx(lc.charge(f), rel=1e-12)
         assert D1 == pytest.approx(2 * D0, rel=1e-12)
         assert Q1 == pytest.approx(2 * Q0, rel=1e-12)
 
-    def test_fast_matches_naive(self, rng, gn_constants, monkeypatch):
+    def test_fast_matches_naive(self, rng, monkeypatch):
         g = lc.make_grid(-1, 1, 1024, "zero_inflow")
         fA, fB = random_field(rng, g), random_field(rng, g)
-        fast = lc.difference_functionals(fA, fB, None, gn_constants)
+        fast = lc.difference_functionals(fA, fB, None)
         monkeypatch.setattr(kernels, "q_upper", kernels.q_upper_naive)
-        slow = lc.difference_functionals(fA, fB, None, gn_constants)
+        slow = lc.difference_functionals(fA, fB, None)
         assert fast[2] == pytest.approx(slow[2], rel=1e-12)
 
-    def test_mismatch_rejected(self, rng, gn_constants):
+    def test_mismatch_rejected(self, rng):
         g = lc.make_grid(-1, 1, 64, "zero_inflow")
         fA = random_field(rng, g)
         fB = random_field(rng, g, t=g.dt)
         with pytest.raises(UsageError):
-            lc.difference_functionals(fA, fB, None, gn_constants)
+            lc.difference_functionals(fA, fB, None)
 
 
 class TestTraces:
@@ -109,14 +109,14 @@ class TestTraces:
         assert np.all(np.diff(tr.cumD0) >= 0)
         assert np.all(tr.Q0 >= 0) and np.all(tr.L0 >= 0)
 
-    def test_pair_trace_columns(self, rng, gn, gn_constants, cone_setup):
+    def test_pair_trace_columns(self, rng, gn, cone_setup):
         grid, dom = cone_setup
         datum = lc.random_smooth_datum(rng, grid, 0.01, (-3, 3))
         f0 = lc.sample_initial(datum, grid)
         fB0 = lc.SpinorField(grid, 0.0, f0.u * 1.001, f0.v * 1.001)
         a = lc.evolve(f0, gn, lc.SolverConfig(), 1.0)
         b = lc.evolve(fB0, gn, lc.SolverConfig(), 1.0)
-        tr = trace_pair(a, b, dom, gn_constants)
+        tr = trace_pair(a, b, dom)
         assert tr.has_pair and np.all(np.diff(tr.cumD1) >= 0)
 
 

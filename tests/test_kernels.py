@@ -66,7 +66,13 @@ def test_fast_matches_naive_within_backend(rng):
 
 
 def _datum(kind, n):
-    """Zero (signed), rough (negative and imaginary amplitudes) or Gaussian data on [-8, 8)."""
+    """Zero (signed), rough (negative and imaginary amplitudes) or Gaussian data on [-8, 8).
+
+    A grid has at least two sites, so n = 1 gives the first site of the two-site datum.
+    """
+    if n == 1:
+        u, v, h = _datum(kind, 2)
+        return u[:1], v[:1], h
     grid = lc.make_grid(-8.0, 8.0, n)
     if kind == "zero":
         zeros = np.random.default_rng(n).choice([0.0, -0.0], size=(2, 2 * n)).view(np.complex128)
@@ -87,13 +93,18 @@ def _bits(a):
     return a.view(np.uint64)
 
 
+# The C step works in blocks of 256 sites: sizes below, at and around one and
+# two blocks, and a partial last block.
+STEP_SIZES = (1, 2, 255, 256, 257, 511, 513, 768, 1000, 3072, 4096)
+
+
 @needs_compiled
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("params", [(1.0, 0.0, 0.25), (0.5, 1.0, 0.0), (0.0, 0.3, -0.2)])
 def test_backends_agree_on_step(backend, periodic, params):
     """Bit for bit, over 100 steps, signed zeros included."""
     m, alpha, beta = params
-    for n in (768, 3072, 4096):
+    for n in STEP_SIZES:
         for kind in ("zero", "rough", "gaussian"):
             u, v, h = _datum(kind, n)
             ends = {}
@@ -109,7 +120,7 @@ def test_backends_agree_on_step(backend, periodic, params):
 
 @needs_compiled
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("n", [1, 2, 3, 257])
+@pytest.mark.parametrize("n", [1, 2, 3, 257, 600])
 def test_backends_agree_on_forced_step(backend, rng, periodic, n):
     """Bit for bit over 20 steps, each with its own four forcing samples."""
     u, v = rng.normal(size=(2, 2 * n)).view(np.complex128)
