@@ -53,7 +53,6 @@ from .model import (
     derive_constants,
     eval_difference_terms,
     eval_nonlinearity,
-    eval_r0,
 )
 from .solver import (
     ManufacturedCase,

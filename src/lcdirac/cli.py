@@ -10,7 +10,6 @@ round trip through text is lossless.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -38,6 +37,7 @@ from .fields import (
     charge,
     make_grid,
     sample_initial,
+    zero_datum,
 )
 from .functionals import (  # noqa: F401  (the *_audit names: perfbench/child.py wraps them here)
     AuditPass,
@@ -50,7 +50,7 @@ from .functionals import (  # noqa: F401  (the *_audit names: perfbench/child.py
 )
 from .harness import ConvergenceTable, convergence_study, uniqueness_probe
 from .model import EstimateConstants, ModelParams, check_algebraic_bounds, derive_constants
-from .reports import AuditReport
+from .reports import C_TOL, AuditReport
 from .solver import SolverConfig, evolve, horizon_steps, thirring_soliton
 
 COMMANDS = ("simulate", "audit", "converge", "unique", "soliton-check")
@@ -127,11 +127,13 @@ class _Section:
             raise ConfigurationError(f"key '{self.path}{key}' has wrong type")
         return val
 
-    def sub(self, key: str, required=False) -> Optional["_Section"]:
+    def sub(self, key: str, required=False) -> "_Section":
+        """The nested section at key; an absent optional one is empty, so
+        its keys take their defaults."""
         if key not in self.data:
             if required:
                 raise ConfigurationError(f"missing required section '{self.path}{key}'")
-            return None
+            return _Section({}, f"{self.path}{key}.")
         return _Section(self.data.pop(key), f"{self.path}{key}.")
 
     def finish(self):
@@ -205,20 +207,17 @@ def parse_config(text: str) -> RunConfig:
     gsec.finish()
 
     tsec = root.sub("time")
-    T, record_every = 1.0, 1
-    if tsec is not None:
-        T = _as_float(tsec.take("T", default=1.0), "time.T")
-        record_every = tsec.take("record_every", default=1, kind=int)
-        tsec.finish()
+    T = _as_float(tsec.take("T", default=1.0), "time.T")
+    record_every = tsec.take("record_every", default=1, kind=int)
+    tsec.finish()
     if T < 0:
         raise ConfigurationError("time.T must be nonnegative")
     if record_every < 1:
         raise ConfigurationError("time.record_every must be >= 1")
 
-    isec = root.sub("init")
-    if isec is None:
-        init = InitialDatum(ComponentSpec("uniform", 0.0), ComponentSpec("uniform", 0.0))
-    else:
+    init = zero_datum()
+    if "init" in root.data:
+        isec = root.sub("init")
         init = InitialDatum(
             _component(isec.sub("u0", required=True)),
             _component(isec.sub("v0", required=True)),
@@ -226,14 +225,10 @@ def parse_config(text: str) -> RunConfig:
         isec.finish()
 
     csec = root.sub("constants")
-    overrides: dict[str, Optional[float]] = {"delta0": None, "c_star": None, "K": None, "delta": None}
-    c_tol = 10.0
-    if csec is not None:
-        for name in overrides:
-            if name in csec.data:
-                overrides[name] = _as_float(csec.take(name), f"constants.{name}")
-        c_tol = _as_float(csec.take("C_tol", default=10.0), "constants.C_tol")
-        csec.finish()
+    overrides = {name: _as_float(csec.take(name), f"constants.{name}")
+                 for name in ("delta0", "c_star", "K", "delta") if name in csec.data}
+    c_tol = _as_float(csec.take("C_tol", default=C_TOL), "constants.C_tol")
+    csec.finish()
     constants = derive_constants(model, **overrides)
 
     command = root.take("command", kind=str)
@@ -246,46 +241,39 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(f"unknown audit {a!r}; expected subset of {AUDITS}")
 
     osec = root.sub("output")
-    out_path, out_format = "lcdirac_out", "csv"
-    if osec is not None:
-        out_path = osec.take("path", default="lcdirac_out", kind=str)
-        out_format = osec.take("format", default="csv", kind=str)
-        osec.finish()
+    out_path = osec.take("path", default="lcdirac_out", kind=str)
+    out_format = osec.take("format", default="csv", kind=str)
+    osec.finish()
     if out_format not in FORMATS:
         raise ConfigurationError(f"unknown output format {out_format!r}")
 
-    dsec = root.sub("domain")
     domain = None
-    if dsec is not None:
+    if "domain" in root.data:
+        dsec = root.sub("domain")
         domain = TriangleDomain(_as_float(dsec.take("a"), "domain.a"), _as_float(dsec.take("b"), "domain.b"))
         dsec.finish()
 
+    listed = "mollify" in root.data  # a mollify section must list its epsilons
     esec = root.sub("mollify")
-    epsilons: tuple[float, ...] = ()
-    kernel, kernel_b = "bump", "triangle"
-    if esec is not None:
-        epsilons = tuple(
-            _as_float(e, "mollify.epsilons") for e in esec.take("epsilons", kind=list)
-        )
-        kernel = esec.take("kernel", default="bump", kind=str)
-        kernel_b = esec.take("kernel_b", default="triangle", kind=str)
-        esec.finish()
+    epsilons = tuple(
+        _as_float(e, "mollify.epsilons") for e in (esec.take("epsilons", kind=list) if listed else ())
+    )
+    kernel = esec.take("kernel", default="bump", kind=str)
+    kernel_b = esec.take("kernel_b", default="triangle", kind=str)
+    esec.finish()
 
-    ssec = root.sub("soliton")
     frequency = 0.5 * model.m
-    if ssec is not None:
+    if "soliton" in root.data:
+        ssec = root.sub("soliton")
         frequency = _as_float(ssec.take("frequency"), "soliton.frequency")
         ssec.finish()
 
     asec = root.sub("audit")
-    audit_c0, audit_samples, audit_seed, audit_pert = None, 100_000, 0, 1e-3
-    if asec is not None:
-        if "c0" in asec.data:
-            audit_c0 = _as_float(asec.take("c0"), "audit.c0")
-        audit_samples = asec.take("samples", default=100_000, kind=int)
-        audit_seed = asec.take("seed", default=0, kind=int)
-        audit_pert = _as_float(asec.take("perturbation", default=1e-3), "audit.perturbation")
-        asec.finish()
+    audit_c0 = _as_float(asec.take("c0"), "audit.c0") if "c0" in asec.data else None
+    audit_samples = asec.take("samples", default=100_000, kind=int)
+    audit_seed = asec.take("seed", default=0, kind=int)
+    audit_pert = _as_float(asec.take("perturbation", default=1e-3), "audit.perturbation")
+    asec.finish()
     if audit_samples < 1:
         raise ConfigurationError("audit.samples must be >= 1")
 
@@ -390,7 +378,9 @@ def convergence_csv(table: ConvergenceTable) -> str:
     )
 
 
-def _report_record(name: str, rep: AuditReport) -> dict:
+def _report_record(name: str, rep: AuditReport, k: EstimateConstants) -> dict:
+    """The flat record of one audit report; every record carries the run's
+    estimate constants."""
     rec: dict[str, Any] = {
         "audit": name,
         "inequality": rep.inequality,
@@ -400,9 +390,8 @@ def _report_record(name: str, rep: AuditReport) -> dict:
         "witness_time": rep.witness[0] if rep.witness else None,
         "witness_location": rep.witness[1] if rep.witness else None,
     }
-    if isinstance(rep.constants_used, EstimateConstants):
-        for f in ("c", "delta0", "c_star", "K", "delta"):
-            rec[f"constants_{f}"] = getattr(rep.constants_used, f)
+    for f in ("c", "delta0", "c_star", "K", "delta"):
+        rec[f"constants_{f}"] = getattr(k, f)
     for key, val in rep.info.items():
         rec[f"info_{key}"] = val
     return rec
@@ -549,9 +538,7 @@ def _cmd_audit(cfg: RunConfig, out: dict[str, Path]) -> int:
             rep = check_algebraic_bounds(cfg.audit_samples, p, k, cfg.audit_seed)
         else:
             rep = audits.report(name)
-        if rep.constants_used is None:
-            rep = dataclasses.replace(rep, constants_used=k)
-        records.append(_report_record(name, rep))
+        records.append(_report_record(name, rep, k))
         if not rep.passed:
             status = 1
 
@@ -560,8 +547,8 @@ def _cmd_audit(cfg: RunConfig, out: dict[str, Path]) -> int:
 
 
 def _cmd_converge(cfg: RunConfig, out: dict[str, Path]) -> int:
-    if not cfg.epsilons:
-        raise ConfigurationError("converge needs mollify.epsilons")
+    if len(cfg.epsilons) < 2:  # one radius has no pair to compare
+        raise ConfigurationError("converge needs at least two mollify.epsilons")
     table = convergence_study(cfg.init, cfg.epsilons, cfg.model, cfg.grid, cfg.T, cfg.kernel)
     _write(out["convergence"], convergence_csv(table))
     return 0
@@ -578,6 +565,11 @@ def _cmd_unique(cfg: RunConfig, out: dict[str, Path]) -> int:
 
 
 def _cmd_soliton(cfg: RunConfig, out: dict[str, Path]) -> int:
+    if (cfg.model.alpha, cfg.model.beta) != (1.0, 0.0):
+        raise ConfigurationError(
+            "soliton-check validates the Thirring standing wave; it needs model.alpha = 1 and "
+            "model.beta = 0"
+        )
     oracle = thirring_soliton(cfg.model.m, cfg.frequency, cfg.grid)
     records = []
     for variant, residuals, orders in oracle.trials:

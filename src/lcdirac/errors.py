@@ -25,15 +25,16 @@ class FrequencyDomainError(ValueError):
 class BlowUpError(RuntimeError):
     """Solver produced a non-finite value.
 
-    Carries the first offending site and time, whatever snapshots were
-    recorded before the failure, and the index of the failed run among
-    runs evolved in lockstep (0 for a single run).
+    Carries the first offending site and time; evolve sets ``partial``
+    (whatever snapshots were recorded before the failure) and ``run`` (the
+    index of the failed run among runs evolved in lockstep, 0 for a single
+    run).
     """
 
-    def __init__(self, t: float, site: int, x: float, partial=None, run: int = 0):
+    def __init__(self, t: float, site: int, x: float):
         super().__init__(f"non-finite field value at x={x!r} (site {site}) at t={t!r}")
         self.t = t
         self.site = site
         self.x = x
-        self.partial = partial if partial is not None else []
-        self.run = run
+        self.partial = []
+        self.run = 0

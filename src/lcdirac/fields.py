@@ -246,8 +246,8 @@ def charge(f: SpinorField, window: Optional[TriangleDomain] = None) -> float:
     return float(np.sum(dens) * f.grid.dx)
 
 
-def l2_distance(fA: SpinorField, fB: SpinorField, window: Optional[TriangleDomain] = None) -> float:
-    """L2 distance of two snapshots over the full line or a cross-section.
+def l2_distance(fA: SpinorField, fB: SpinorField) -> float:
+    """L2 distance of two snapshots over the full line.
 
     Summation is a fixed deterministic (pairwise) reduction, so repeated
     evaluation is bit-stable.
@@ -256,7 +256,4 @@ def l2_distance(fA: SpinorField, fB: SpinorField, window: Optional[TriangleDomai
     du = fA.u - fB.u
     dv = fA.v - fB.v
     dens = (du.real**2 + du.imag**2) + (dv.real**2 + dv.imag**2)
-    if window is not None:
-        i0, i1 = window.section_indices(fA.grid, fA.t)
-        dens = dens[i0:i1]
     return float(np.sqrt(np.sum(dens) * fA.grid.dx))

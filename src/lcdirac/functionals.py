@@ -27,9 +27,9 @@ import numpy as np
 
 from . import kernels
 from .errors import PreconditionError, UsageError
-from .fields import SpinorField, TriangleDomain, charge
+from .fields import SpinorField, TriangleDomain, _check_same_frame, charge
 from .model import EstimateConstants, ModelParams
-from .reports import AuditReport, tolerance_budget
+from .reports import C_TOL, AuditReport, tolerance_budget
 
 log = logging.getLogger(__name__)
 
@@ -79,8 +79,7 @@ def difference_functionals(
     dom: Optional[TriangleDomain],
 ) -> tuple[float, float, float]:
     """(L1, D1, Q1) for the pair over the cross-section."""
-    if fA.grid != fB.grid or fA.t != fB.t:
-        raise UsageError("pair functionals need matching grids and times")
+    _check_same_frame(fA, fB)
     i0, i1 = _section(fA, dom)
     if i0 >= i1:
         return 0.0, 0.0, 0.0
@@ -106,20 +105,17 @@ def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FunctionalTrace:
-    """Time series of the cone functionals with running time integrals.
-
-    The charge and max-modulus columns are filled by trace_base and
-    trace_pair; a trace built by hand may leave them out.
-    """
+    """Time series of the cone functionals with running time integrals;
+    the pair columns L1, D1, Q1, cumD1 are set by trace_pair only."""
 
     times: np.ndarray
     L0: np.ndarray
     D0: np.ndarray
     Q0: np.ndarray
     cumD0: np.ndarray
-    charge: Optional[np.ndarray] = None
-    max_abs_u: Optional[np.ndarray] = None
-    max_abs_v: Optional[np.ndarray] = None
+    charge: np.ndarray
+    max_abs_u: np.ndarray
+    max_abs_v: np.ndarray
     L1: Optional[np.ndarray] = None
     D1: Optional[np.ndarray] = None
     Q1: Optional[np.ndarray] = None
@@ -173,13 +169,14 @@ def trace_pair(
 # ---------------------------------------------------------------------------
 # Audits
 #
-# Each evolved audit is a reduction with three methods. start(levels) takes
-# the runs' levels at t = 0 and raises every usage or precondition error, so
-# a refused audit costs no step; feed(levels) takes the runs' levels at one
-# time, t = 0 included; report() returns the AuditReport. A reduction keeps
-# numbers, never a level. AuditPass drives one reduction per selected audit
-# over runs evolved in lockstep, and the sequence-taking functions below
-# feed the same pass from lists.
+# Each evolved audit is a reduction. start(levels) takes the runs' levels at
+# t = 0 and raises every usage or precondition error, so a refused audit
+# costs no step; feed(levels) takes the runs' levels at one time, t = 0
+# included; report() returns the AuditReport. Bony and gronwall have no feed
+# of their own: they report from ConeRows, which are fed instead. A
+# reduction keeps numbers, never a level. AuditPass drives one reduction per
+# selected audit over runs evolved in lockstep, and the sequence-taking
+# functions below feed the same pass from lists.
 
 
 def _require_every_step(snapshots: Sequence[SpinorField]):
@@ -192,7 +189,7 @@ def _require_every_step(snapshots: Sequence[SpinorField]):
 class TotalCharge:
     """Drift of the total charge over the run against an O(dx^2) budget."""
 
-    def __init__(self, T: float, c_tol: float = 10.0):
+    def __init__(self, T: float, c_tol: float):
         self.T, self.c_tol = T, c_tol
         self.drift = 0.0
 
@@ -220,7 +217,7 @@ class TriangleCharge:
     """Cone charge balance up to tau: keeps the edge flux densities of each
     level and the interior charges at t = 0 and at tau."""
 
-    def __init__(self, dom: TriangleDomain, tau: float, c_tol: float = 10.0):
+    def __init__(self, dom: TriangleDomain, tau: float, c_tol: float):
         self.dom, self.tau, self.c_tol = dom, tau, c_tol
         self.flux_u: list[float] = []
         self.flux_v: list[float] = []
@@ -273,7 +270,7 @@ class PointwiseGrowth:
     """Largest margin of the pointwise and dyadic-window growth bounds over
     the levels inside the cone, with the first place it is attained."""
 
-    def __init__(self, dom: TriangleDomain, C0: float, p: ModelParams, c_tol: float = 10.0):
+    def __init__(self, dom: TriangleDomain, C0: float, p: ModelParams, c_tol: float):
         self.dom, self.C0, self.p, self.c_tol = dom, C0, p, c_tol
         self.worst = 0.0
         self.witness = None
@@ -366,8 +363,7 @@ class PointwiseGrowth:
 
 class ConeRows:
     """One row per level inside the cone up to its apex: (L0, D0, Q0) of one
-    run, or (L1, D1, Q1) of runs 0 and 1 when pair is set. Bony and gronwall
-    share run A's rows, so a level at a time already held is skipped."""
+    run, or (L1, D1, Q1) of runs 0 and 1 when pair is set."""
 
     def __init__(self, dom: TriangleDomain, run: int = 0, pair: bool = False):
         self.dom, self.run, self.pair = dom, run, pair
@@ -376,7 +372,7 @@ class ConeRows:
 
     def feed(self, levels: tuple):
         f = levels[self.run]
-        if f.t > self.dom.apex_time + 1e-12 or self.times and self.times[-1] == f.t:
+        if f.t > self.dom.apex_time + 1e-12:
             return
         self.times.append(f.t)
         if self.pair:
@@ -391,9 +387,10 @@ class ConeRows:
 
 class BonyDecay:
     """Decay of the interaction potential net of dissipation, from run A's
-    cone rows; the smallness hypothesis is checked at start."""
+    cone rows (fed by AuditPass); the smallness hypothesis is checked at
+    start."""
 
-    def __init__(self, rows: ConeRows, k: EstimateConstants, p: ModelParams, c_tol: float = 10.0):
+    def __init__(self, rows: ConeRows, k: EstimateConstants, p: ModelParams, c_tol: float):
         self.rows, self.k, self.p, self.c_tol = rows, k, p, c_tol
 
     def start(self, levels: tuple):
@@ -403,9 +400,6 @@ class BonyDecay:
                 f"charge level {L00} over the base section exceeds the smallness threshold delta0={self.k.delta0}"
             )
         self.dx = levels[0].grid.dx
-
-    def feed(self, levels: tuple):
-        self.rows.feed(levels)
 
     def report(self) -> AuditReport:
         p = self.p
@@ -425,7 +419,6 @@ class BonyDecay:
             max_violation=worst,
             tolerance_budget=budget,
             witness=(float(times[j]), None) if worst > 0 else None,
-            constants_used=self.k,
             info={
                 "L0_initial": float(L00),
                 "Q0_initial": float(Q0[0]),
@@ -436,12 +429,13 @@ class BonyDecay:
 
 class GronwallEnvelope:
     """Pair-difference envelope from the cone rows of runs A and B and of the
-    pair; the pair smallness hypothesis is checked at start."""
+    pair (fed by AuditPass); the pair smallness hypothesis is checked at
+    start."""
 
-    def __init__(self, rows_a: ConeRows, k: EstimateConstants, p: ModelParams, c_tol: float = 10.0):
-        self.rows_a, self.k, self.p, self.c_tol = rows_a, k, p, c_tol
-        self.rows_b = ConeRows(rows_a.dom, run=1)
-        self.pair = ConeRows(rows_a.dom, pair=True)
+    def __init__(self, rows_a: ConeRows, rows_b: ConeRows, pair: ConeRows,
+                 k: EstimateConstants, p: ModelParams, c_tol: float):
+        self.rows_a, self.rows_b, self.pair = rows_a, rows_b, pair
+        self.k, self.p, self.c_tol = k, p, c_tol
 
     def start(self, levels: tuple):
         dom, k = self.rows_a.dom, self.k
@@ -451,10 +445,6 @@ class GronwallEnvelope:
                 f"charge levels ({L0A}, {L0B}) not both below the pair smallness threshold delta={k.delta}"
             )
         self.dx = levels[0].grid.dx
-
-    def feed(self, levels: tuple):
-        for rows in (self.rows_a, self.rows_b, self.pair):
-            rows.feed(levels)
 
     def report(self) -> AuditReport:
         k, p = self.k, self.p
@@ -486,7 +476,6 @@ class GronwallEnvelope:
             max_violation=worst,
             tolerance_budget=budget,
             witness=witness,
-            constants_used=k,
             info={"seed": float(seed), "h3_final": float(h3[-1])},
         )
 
@@ -496,7 +485,9 @@ class AuditPass:
     level once to one reduction per selected evolved audit.
 
     names are among charge, triangle, pointwise, bony and gronwall; run B
-    (the perturbed run) is read only by gronwall. start() takes the runs'
+    (the perturbed run) is read only by gronwall. Bony and gronwall report
+    from cone rows the pass builds and feeds: run A's rows, shared by both,
+    and for gronwall run B's rows and the pair's. start() takes the runs'
     levels at t = 0 and raises the first usage or precondition error in the
     order charge, triangle, pointwise, bony, gronwall, before any step.
     """
@@ -511,20 +502,27 @@ class AuditPass:
         T: Optional[float] = None,
         tau: Optional[float] = None,
         C0: Optional[float] = None,
-        c_tol: float = 10.0,
+        c_tol: float = C_TOL,
     ):
         self.audits: dict = {}
-        rows_a = ConeRows(dom)  # run A's rows, shared by bony and gronwall
         if "charge" in names:
             self.audits["charge"] = TotalCharge(T, c_tol)
         if "triangle" in names:
             self.audits["triangle"] = TriangleCharge(dom, tau, c_tol)
         if "pointwise" in names:
             self.audits["pointwise"] = PointwiseGrowth(dom, C0, p, c_tol)
+        # what each level is fed to, once: the reductions above and the
+        # cone rows that bony and gronwall report from
+        self.fed = list(self.audits.values())
+        if "bony" in names or "gronwall" in names:
+            rows_a = ConeRows(dom)  # shared by bony and gronwall
+            self.fed.append(rows_a)
         if "bony" in names:
             self.audits["bony"] = BonyDecay(rows_a, k, p, c_tol)
         if "gronwall" in names:
-            self.audits["gronwall"] = GronwallEnvelope(rows_a, k, p, c_tol)
+            rows_b, pair = ConeRows(dom, run=1), ConeRows(dom, pair=True)
+            self.fed += [rows_b, pair]
+            self.audits["gronwall"] = GronwallEnvelope(rows_a, rows_b, pair, k, p, c_tol)
 
     def start(self, levels: tuple):
         cones = any(name != "charge" for name in self.audits)
@@ -540,8 +538,8 @@ class AuditPass:
         # A huge but finite level may overflow in these products without a
         # warning: its run blows up at the next step, or the report carries the inf.
         with np.errstate(over="ignore", invalid="ignore"):
-            for audit in self.audits.values():
-                audit.feed(levels)
+            for reduction in self.fed:
+                reduction.feed(levels)
 
     def report(self, name: str) -> AuditReport:
         return self.audits[name].report()
@@ -561,7 +559,7 @@ def _audited(name: str, runs: Sequence[Sequence[SpinorField]], dom, k=None, p=No
     return audits.report(name)
 
 
-def total_charge_audit(snapshots: Sequence[SpinorField], T: float, c_tol: float = 10.0) -> AuditReport:
+def total_charge_audit(snapshots: Sequence[SpinorField], T: float, c_tol: float = C_TOL) -> AuditReport:
     """Largest drift of the total charge from its initial value over the
     recorded levels, against c_tol dx^2 (1 + initial charge) max(T, 1)."""
     return _audited("charge", [snapshots], None, T=T, c_tol=c_tol)
@@ -571,7 +569,7 @@ def triangle_charge_audit(
     snapshots: Sequence[SpinorField],
     dom: TriangleDomain,
     tau: float,
-    c_tol: float = 10.0,
+    c_tol: float = C_TOL,
 ) -> AuditReport:
     """Charge balance over the truncated cone: interior charge at tau plus
     twice the outgoing edge fluxes must return the initial interior charge."""
@@ -583,7 +581,7 @@ def pointwise_audit(
     dom: TriangleDomain,
     C0: float,
     p: ModelParams,
-    c_tol: float = 10.0,
+    c_tol: float = C_TOL,
 ) -> AuditReport:
     """Exponential pointwise and interval bounds on |u|^2, |v|^2 in the cone.
 
@@ -600,7 +598,7 @@ def bony_decay_audit(
     dom: TriangleDomain,
     k: EstimateConstants,
     p: ModelParams,
-    c_tol: float = 10.0,
+    c_tol: float = C_TOL,
 ) -> AuditReport:
     """Decay of the interaction potential net of dissipation:
 
@@ -619,7 +617,7 @@ def gronwall_audit(
     dom: TriangleDomain,
     k: EstimateConstants,
     p: ModelParams,
-    c_tol: float = 10.0,
+    c_tol: float = C_TOL,
 ) -> AuditReport:
     """Difference-functional envelope under the pair smallness hypothesis.
 

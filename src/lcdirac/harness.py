@@ -64,22 +64,16 @@ def _convolve(data: np.ndarray, w: np.ndarray, periodic: bool, dx: float) -> np.
     return full[half : half + len(data)] * dx
 
 
-def mollify(
-    datum: InitialDatum | SpinorField,
-    epsilon: float,
-    grid: GridSpec,
-    kernel: str = "bump",
-) -> SpinorField:
-    """Smooth the datum by unit-mass convolution at radius epsilon.
+def mollify(f: SpinorField, epsilon: float, kernel: str = "bump") -> SpinorField:
+    """Smooth the sampled datum f by unit-mass convolution at radius
+    epsilon; the result is the t = 0 field on f's grid.
 
     The convolution is performed on the lattice; smoothing never increases
     the charge (discrete Young inequality), up to rounding.
     """
     if kernel not in KERNELS:
         raise UsageError(f"unknown mollifier kernel {kernel!r}")
-    f = datum if isinstance(datum, SpinorField) else sample_initial(datum, grid)
-    if f.grid != grid:
-        raise UsageError("datum sampled on a different grid")
+    grid = f.grid
     w = _kernel_taps(epsilon, grid.dx, kernel)
     periodic = grid.boundary == "periodic"
     with np.errstate(over="ignore", invalid="ignore"):  # a huge datum overflows: refused below
@@ -180,7 +174,8 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Evolve every smoothing level in lockstep; distances of consecutive levels."""
     eps = _ladder(epsilons)
-    f0s = [mollify(datum, e, grid, kernel) for e in eps]
+    f = sample_initial(datum, grid)
+    f0s = [mollify(f, e, kernel) for e in eps]
     pair, prod = _lockstep_distances(f0s, [(j, j + 1) for j in range(len(eps) - 1)], p, T)
     return ConvergenceTable(eps, pair, prod, mode="consecutive")
 
@@ -197,7 +192,8 @@ def uniqueness_probe(
     """Evolve both kernel families at every level in lockstep; cross-family
     distances per level."""
     eps = _ladder(epsilons)
-    f0s = [mollify(datum, e, grid, family) for e in eps for family in (family_a, family_b)]
+    f = sample_initial(datum, grid)
+    f0s = [mollify(f, e, family) for e in eps for family in (family_a, family_b)]
     pair, prod = _lockstep_distances(f0s, [(2 * j, 2 * j + 1) for j in range(len(eps))], p, T)
     return ConvergenceTable(eps, pair, prod, mode="cross")
 

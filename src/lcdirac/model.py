@@ -120,20 +120,11 @@ def eval_nonlinearity(u, v, p: ModelParams):
     return W, N1, N2
 
 
-def eval_r0(u, v, p: ModelParams, k: EstimateConstants):
-    """Charge-growth envelope m(|u|^2+|v|^2) + c |u|^2 |v|^2."""
-    au2 = np.real(u) ** 2 + np.imag(u) ** 2
-    av2 = np.real(v) ** 2 + np.imag(v) ** 2
-    return p.m * (au2 + av2) + k.c * au2 * av2
-
-
-def eval_difference_terms(uA, vA, uB, vB, p: ModelParams, k: EstimateConstants, at_y=None):
-    """Difference fields and their quadratic envelopes (U, V, r2, r1).
+def eval_difference_terms(uA, vA, uB, vB):
+    """Difference fields and their quadratic envelope (U, V, r2).
 
     U = uA - uB, V = vA - vB;
-    r2 = |U|^2 (|vA|^2 + |vB|^2) + (|uA|^2 + |uB|^2) |V|^2, evaluated
-    diagonally unless at_y = (uA_y, vA_y, uB_y, vB_y) supplies the moduli of
-    a second point; r1 = m(|U|^2 + |V|^2) + c_star * r2 (diagonal form).
+    r2 = |U|^2 (|vA|^2 + |vB|^2) + (|uA|^2 + |uB|^2) |V|^2.
     """
     uA = np.asarray(uA, dtype=np.complex128)
     vA = np.asarray(vA, dtype=np.complex128)
@@ -143,18 +134,9 @@ def eval_difference_terms(uA, vA, uB, vB, p: ModelParams, k: EstimateConstants, 
     V = vA - vB
     aU2 = U.real**2 + U.imag**2
     aV2 = V.real**2 + V.imag**2
-    umod_x = (uA.real**2 + uA.imag**2) + (uB.real**2 + uB.imag**2)
-    vmod_x = (vA.real**2 + vA.imag**2) + (vB.real**2 + vB.imag**2)
-    r2_diag = aU2 * vmod_x + umod_x * aV2
-    if at_y is None:
-        r2 = r2_diag
-    else:
-        uAy, vAy, uBy, vBy = (np.asarray(z, dtype=np.complex128) for z in at_y)
-        Vy = vAy - vBy
-        vmod_y = (vAy.real**2 + vAy.imag**2) + (vBy.real**2 + vBy.imag**2)
-        r2 = aU2 * vmod_y + umod_x * (Vy.real**2 + Vy.imag**2)
-    r1 = p.m * (aU2 + aV2) + k.c_star * r2_diag
-    return U, V, r2, r1
+    umod = (uA.real**2 + uA.imag**2) + (uB.real**2 + uB.imag**2)
+    vmod = (vA.real**2 + vA.imag**2) + (vB.real**2 + vB.imag**2)
+    return U, V, aU2 * vmod + umod * aV2
 
 
 def source_charge_rate(u, v, p: ModelParams):
@@ -212,7 +194,7 @@ def check_algebraic_bounds(
         lhs_a = np.abs(ru) + np.abs(rv)
         rhs_a = 8.0 * abs(p.beta) * (u.real**2 + u.imag**2) * (v.real**2 + v.imag**2)
 
-        U, V, r2, _ = eval_difference_terms(u, v, up, vp, p, k)
+        U, V, r2 = eval_difference_terms(u, v, up, vp)
         lhs_b = np.abs(u * v - up * vp) ** 2
         rhs_b = 2.0 * r2
 
@@ -249,6 +231,5 @@ def check_algebraic_bounds(
         max_violation=max(max_excess, 0.0),
         tolerance_budget=0.0,
         witness=failed_witness if not passed else None,
-        constants_used=k,
         info={f"max_ratio_{n}": r for n, r in worst.items()},
     )

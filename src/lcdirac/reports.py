@@ -4,6 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+# Default of the tolerance-budget factor, the config key constants.C_tol.
+C_TOL = 10.0
+
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -18,7 +21,6 @@ class AuditReport:
     max_violation: float
     tolerance_budget: float
     witness: Optional[tuple] = None
-    constants_used: Optional[object] = None
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -29,7 +31,7 @@ class AuditReport:
             raise ValueError("passed flag inconsistent with measured violation")
 
 
-def tolerance_budget(dx: float, initial_charge: float, c_tol: float = 10.0) -> float:
+def tolerance_budget(dx: float, initial_charge: float, c_tol: float) -> float:
     """Resolution-dependent slack for auditing continuum inequalities.
 
     Linear in dx: the discrete defect of the second-order scheme integrated

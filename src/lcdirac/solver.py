@@ -41,7 +41,7 @@ def _blow_up(u: np.ndarray, v: np.ndarray, grid: GridSpec, t: float) -> BlowUpEr
     """The error naming the first site of a level with a non-finite value."""
     bad = ~(np.isfinite(u.real) & np.isfinite(u.imag) & np.isfinite(v.real) & np.isfinite(v.imag))
     site = int(np.argmax(bad))
-    return BlowUpError(t, site, grid.x_min + site * grid.dx, partial=None)
+    return BlowUpError(t, site, grid.x_min + site * grid.dx)
 
 
 def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
@@ -272,7 +272,7 @@ class SolitonOracle:
         return SpinorField(self.grid, t, ph * u0, ph * v0)
 
 
-def thirring_soliton(m: float, frequency: float, grid: GridSpec, min_order: float = 1.8) -> SolitonOracle:
+def thirring_soliton(m: float, frequency: float, grid: GridSpec) -> SolitonOracle:
     """Standing-wave profile for alpha = 1, beta = 0, validated empirically.
 
     Four sign variants of the ansatz (internal phase mirror x time-phase
@@ -286,6 +286,7 @@ def thirring_soliton(m: float, frequency: float, grid: GridSpec, min_order: floa
     variants = [(False, -1), (True, -1), (False, +1), (True, +1)]
     base_n = 256
     horizon_cells = 16  # T = window / 16 at every trial resolution
+    min_order = 1.8  # smallest residual order under refinement that accepts a variant
     trials = []
     for variant in variants:
         flip, phase_sign = variant

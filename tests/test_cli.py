@@ -266,6 +266,22 @@ class TestConvergeUnique:
         doc = base_doc(command="converge", output={"path": str(tmp_path / "x")})
         assert run_command(parse_config(json.dumps(doc))) == 2
 
+    def test_unique_single_radius_is_valid(self, tmp_path):
+        # one radius compares the two kernel families (converge needs two radii)
+        doc = base_doc(
+            command="unique",
+            time={"T": 0.25},
+            init={
+                "u0": {"kind": "indicator_jump", "amplitude": 1.0, "halfwidth": 1.0},
+                "v0": {"kind": "uniform", "amplitude": 0.0},
+            },
+            mollify={"epsilons": [0.25]},
+            output={"path": str(tmp_path / "uni")},
+        )
+        assert run_command(parse_config(json.dumps(doc))) == 0
+        lines = (tmp_path / "uni_uniqueness.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0.25,0.25,")
+
 
 class TestSolitonCheck:
     def test_accepted(self, tmp_path):
@@ -279,6 +295,22 @@ class TestSolitonCheck:
         assert run_command(parse_config(json.dumps(doc))) == 0
         text = (tmp_path / "sol_soliton.csv").read_text()
         assert "true" in text
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.25), (1.0, 0.25), (0.5, 0.0)])
+    def test_other_couplings_exit_two_before_any_residual(self, tmp_path, capsys, monkeypatch, alpha, beta):
+        # the oracle's residual is the alpha = 1, beta = 0 equation only
+        def no_residual(*args, **kwargs):
+            raise AssertionError("residual computed")
+
+        monkeypatch.setattr("lcdirac.solver.pde_residual", no_residual)
+        doc = base_doc(
+            command="soliton-check",
+            model={"m": 1.0, "alpha": alpha, "beta": beta},
+            output={"path": str(tmp_path / "sol")},
+        )
+        assert run_command(parse_config(json.dumps(doc))) == 2
+        assert "needs model.alpha = 1 and model.beta = 0" in capsys.readouterr().err
+        assert not (tmp_path / "sol_soliton.csv").exists()
 
     def test_bad_frequency_exit_two(self, tmp_path):
         doc = base_doc(

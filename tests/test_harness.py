@@ -18,20 +18,20 @@ def jump_datum(u_amp=1.0, v_amp=0.75):
 class TestMollify:
     def test_zero_datum(self):
         g = lc.make_grid(-4, 4, 256, "zero_inflow")
-        f = lc.mollify(lc.zero_datum(), 0.25, g)
+        f = lc.mollify(lc.sample_initial(lc.zero_datum(), g), 0.25)
         assert not f.u.any() and not f.v.any()
 
     @pytest.mark.parametrize("kernel", ["bump", "triangle"])
     def test_charge_nonexpansive(self, rng, kernel):
         g = lc.make_grid(-4, 4, 512, "zero_inflow")
         f = random_field(rng, g)
-        out = lc.mollify(f, 0.25, g, kernel)
+        out = lc.mollify(f, 0.25, kernel)
         assert lc.charge(out) <= lc.charge(f) * (1 + 1e-12)
 
     def test_resolution_floor(self):
         g = lc.make_grid(-4, 4, 64, "zero_inflow")  # dx = 1/8
         with pytest.raises(ResolutionError):
-            lc.mollify(lc.zero_datum(), 0.2, g)
+            lc.mollify(lc.sample_initial(lc.zero_datum(), g), 0.2)
 
     def test_indicator_plateau_and_support(self):
         g = lc.make_grid(-4, 4, 1024, "zero_inflow")  # dx = 1/128
@@ -40,7 +40,7 @@ class TestMollify:
             lc.ComponentSpec("indicator_jump", 1.0, center=0.0, halfwidth=1.0),
             lc.ComponentSpec("uniform", 0.0),
         )
-        f = lc.mollify(datum, eps, g)
+        f = lc.mollify(lc.sample_initial(datum, g), eps)
         x = g.sites()
         inner = np.abs(x) <= 1.0 - eps - g.dx
         outer = np.abs(x) >= 1.0 + eps + g.dx
@@ -55,8 +55,8 @@ class TestMollify:
         coarse = lc.make_grid(-4, 4, 512, "zero_inflow")
         fine = lc.make_grid(-4, 4, 4096, "zero_inflow")
         datum = jump_datum()
-        out_c = lc.mollify(datum, eps, coarse)
-        out_f = lc.mollify(datum, eps, fine)
+        out_c = lc.mollify(lc.sample_initial(datum, coarse), eps)
+        out_f = lc.mollify(lc.sample_initial(datum, fine), eps)
         dec = out_f.u[::8]
         err = np.max(np.abs(out_c.u - dec))
         assert err < 0.03
@@ -90,7 +90,7 @@ class TestConvergenceStudy:
         g = lc.make_grid(-6, 6, 768, "zero_inflow")
         eps = [0.5, 0.25, 0.125]
         runs = [
-            lc.evolve(lc.mollify(jump_datum(), e, g), gn, lc.SolverConfig(), 0.5)
+            lc.evolve(lc.mollify(lc.sample_initial(jump_datum(), g), e), gn, lc.SolverConfig(), 0.5)
             for e in eps
         ]
 

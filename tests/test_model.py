@@ -85,41 +85,21 @@ class TestNonlinearity:
 
 
 class TestEnvelopes:
-    def test_r0_examples(self, gn_constants):
-        k0 = lc.derive_constants(lc.ModelParams(1.0, 1.0, 0.0))
-        assert lc.eval_r0(0.0, 0.0, lc.ModelParams(1.0, 1.0, 0.0), k0) == 0.0
-        assert lc.eval_r0(1.0, 1.0, lc.ModelParams(1.0, 1.0, 0.0), k0) == 2.0
-        p = lc.ModelParams(1.0, 0.0, 0.25)
-        assert lc.eval_r0(1.0, 1.0, p, lc.derive_constants(p)) == 4.0
-
-    def test_difference_terms_trivial(self, gn, gn_constants):
-        U, V, r2, r1 = lc.eval_difference_terms(1 + 2j, -1j, 1 + 2j, -1j, gn, gn_constants)
-        assert U == 0 and V == 0 and r2 == 0 and r1 == 0
+    def test_difference_terms_trivial(self):
+        U, V, r2 = lc.eval_difference_terms(1 + 2j, -1j, 1 + 2j, -1j)
+        assert U == 0 and V == 0 and r2 == 0
 
     def test_difference_terms_point(self):
-        p = lc.ModelParams(0.0, 0.0, 0.25)
-        k = lc.derive_constants(p)
-        U, V, r2, r1 = lc.eval_difference_terms(1.0, 1.0, 0.0, 1.0, p, k)
+        U, V, r2 = lc.eval_difference_terms(1.0, 1.0, 0.0, 1.0)
         assert U == 1.0 and V == 0.0
         assert r2 == 2.0
-        assert r1 == 2.0 * k.c_star
 
-    def test_product_difference_bound(self, rng, gn, gn_constants):
+    def test_product_difference_bound(self, rng):
         n = 100_000
         uA, vA, uB, vB = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4))
-        _, _, r2, _ = lc.eval_difference_terms(uA, vA, uB, vB, gn, gn_constants)
+        _, _, r2 = lc.eval_difference_terms(uA, vA, uB, vB)
         lhs = np.abs(uA * vA - uB * vB) ** 2
         assert np.all(lhs <= 2 * r2 * (1 + 1e-12))
-
-    def test_two_point_form(self, rng, gn, gn_constants):
-        z = [complex(rng.normal(), rng.normal()) for _ in range(8)]
-        U, V, r2, _ = lc.eval_difference_terms(z[0], z[1], z[2], z[3], gn, gn_constants,
-                                               at_y=(z[4], z[5], z[6], z[7]))
-        Vy = z[5] - z[7]
-        expect = abs(z[0] - z[2]) ** 2 * (abs(z[5]) ** 2 + abs(z[7]) ** 2) + (
-            abs(z[0]) ** 2 + abs(z[2]) ** 2
-        ) * abs(Vy) ** 2
-        assert r2 == pytest.approx(expect, rel=1e-12)
 
 
 class TestConstants:
@@ -159,10 +139,10 @@ class TestAlgebraicBounds:
         with pytest.raises(ConfigurationError):
             lc.check_algebraic_bounds(0, gn, gn_constants)
 
-    def test_all_zero_tuple_saturates_nothing(self, gn, gn_constants):
+    def test_all_zero_tuple_saturates_nothing(self, gn):
         ru, rv = source_charge_rate(0.0, 0.0, gn)
         assert abs(ru) + abs(rv) == 0.0
-        _, _, r2, _ = lc.eval_difference_terms(0.0, 0.0, 0.0, 0.0, gn, gn_constants)
+        _, _, r2 = lc.eval_difference_terms(0.0, 0.0, 0.0, 0.0)
         assert r2 == 0.0  # both sides of every bound are 0 at the origin
 
 

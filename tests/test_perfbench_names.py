@@ -1,18 +1,43 @@
 """The traced benchmark view wraps lcdirac functions by the names their
-callers look them up under; a rename or removal here must fail tier-1,
-not only the traced benchmark run."""
+callers look them up under, and the benchmark's references call the
+library directly; a rename, removal or signature change here must fail
+tier-1, not only the benchmark run."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
 
 
 def test_perfbench_child_installs_on_this_tree():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import child, tracing; child.install(tracing.Tracer())"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["simulate_csv", "audit_cone", "converge_rough"])
+def test_perfbench_reference_runs_on_this_tree(tmp_path, workload):
+    # the in-process reference at the smoke size, then the CLI's artifacts
+    # checked against it, as the benchmark does for every invocation
+    script = (
+        "import json, sys; from pathlib import Path\n"
+        "from workloads import WORKLOADS, make_config\n"
+        "from lcdirac.cli import main\n"
+        "w, prefix = sys.argv[1], Path(sys.argv[2])\n"
+        "doc = make_config(w, 0, prefix, smoke=True)\n"
+        "expected = WORKLOADS[w].reference(doc)\n"
+        "cfg = prefix.with_name('cfg.json'); cfg.write_text(json.dumps(doc))\n"
+        "assert main([str(cfg)]) == 0\n"
+        "WORKLOADS[w].check(prefix, expected)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, workload, str(tmp_path / "run")],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

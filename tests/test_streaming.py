@@ -7,7 +7,7 @@ check the blow-up and error precedence through ``main``, and bound the
 levels and memory the audit pass keeps.
 """
 import contextlib
-import dataclasses
+import csv
 import io
 import json
 import math
@@ -25,6 +25,7 @@ import lcdirac as lc
 from lcdirac import cli, functionals, kernels
 from lcdirac.cli import main
 from lcdirac.errors import BlowUpError, UsageError
+from lcdirac.reports import C_TOL
 
 GN_DATUM = lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", 0.07, center=-0.5, width=0.8),
                           lc.ComponentSpec("gaussian_pulse", 0.055, center=0.5, width=0.9))
@@ -77,10 +78,7 @@ def sequence_audits(cfg):
     records = []
     for name in cli.AUDITS:
         if name in cfg.audit_selection:
-            rep = reports[name]()
-            if rep.constants_used is None:
-                rep = dataclasses.replace(rep, constants_used=k)
-            records.append(cli._report_record(name, rep))
+            records.append(cli._report_record(name, reports[name](), k))
     return cli.reports_csv(records)
 
 
@@ -189,7 +187,7 @@ def test_pointwise_windows_match_per_width_reference(model, gain, ramp, by_windo
 
 
 def test_window_template_lists_every_dyadic_window_in_width_order():
-    red = functionals.PointwiseGrowth(lc.TriangleDomain(-1.0, 1.0), 1.0, lc.GROSS_NEVEU)
+    red = functionals.PointwiseGrowth(lc.TriangleDomain(-1.0, 1.0), 1.0, lc.GROSS_NEVEU, C_TOL)
     for n_sec in (300, 299, 256, 255, 128, 97, 64, 5, 4, 3, 2, 1, 0, 301):  # narrowing, then wider
         starts, widths = red._windows(7, n_sec)
         expected = [(7 + r, w) for w in (2, 4, 8, 16, 32, 64, 128, 256) if w <= n_sec
@@ -247,7 +245,8 @@ def test_ladder_tables_equal_list_distances(tmp_path, capsys, command):
     cfg = cli.parse_config(json.dumps(doc))
 
     def run(e, kernel):
-        return lc.evolve(lc.mollify(cfg.init, e, cfg.grid, kernel), cfg.model, lc.SolverConfig(), cfg.T)
+        f0 = lc.mollify(lc.sample_initial(cfg.init, cfg.grid), e, kernel)
+        return lc.evolve(f0, cfg.model, lc.SolverConfig(), cfg.T)
 
     if command == "converge":
         runs = [run(e, "bump") for e in eps]
@@ -257,6 +256,41 @@ def test_ladder_tables_equal_list_distances(tmp_path, capsys, command):
         expected = [(e, e, *_list_distances(run(e, "bump"), run(e, "triangle"))) for e in eps]
         table = _read_table(tmp_path / "run_uniqueness.csv")
     assert table == expected
+
+
+@pytest.mark.parametrize("command", ["converge", "unique"])
+def test_ladder_samples_the_datum_once(tmp_path, capsys, monkeypatch, command):
+    # every radius mollifies the one sampled field
+    real, calls = lc.harness.sample_initial, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lc.harness, "sample_initial", counted)
+    doc = audit_doc(tmp_path, command=command, time={"T": 0.125},
+                    mollify={"epsilons": [1.0, 0.75, 0.5, 0.25, 0.125]})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 0, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured-report"])
+def test_every_audit_record_carries_the_run_constants(tmp_path, capsys, fmt):
+    doc = audit_doc(tmp_path, time={"T": 0.5}, constants={"c_star": 20.0, "K": 45.0},
+                    output={"path": str(tmp_path / "run"), "format": fmt})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 0, err
+    k = cli.parse_config(json.dumps(doc)).constants
+    if fmt == "csv":
+        with open(tmp_path / "run_audits.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
+    else:
+        records = json.loads((tmp_path / "run_audits.json").read_text())
+    assert [r["audit"] for r in records] == list(cli.AUDITS)
+    for rec in records:
+        for name in ("c", "delta0", "c_star", "K", "delta"):
+            assert float(rec[f"constants_{name}"]) == getattr(k, name), (rec["audit"], name)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +392,8 @@ REFUSED = {
                             "epsilons must be nonincreasing"),
     "unique_increasing": ({"command": "unique", "mollify": {"epsilons": [0.25, 0.25, 0.5]}},
                           "epsilons must be nonincreasing"),
+    "converge_one_radius": ({"command": "converge", "mollify": {"epsilons": [0.25]}},
+                            "converge needs at least two mollify.epsilons"),
     "perturbation_overflow": ({"init": {"u0": {"kind": "uniform", "amplitude": 1e300},
                                         "v0": {"kind": "uniform", "amplitude": 0.0}},
                                "audit": {"samples": 2000, "perturbation": 1e10}},
