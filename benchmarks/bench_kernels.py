@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the lattice step on each kernel backend, and the ordered pair sum.
+"""Time the lattice step and the CSV formatter on each kernel backend, and
+the ordered pair sum.
 
 The unforced light-cone step runs on every available backend (``compiled``
 is ``_step.c`` through ctypes, ``pure`` is NumPy) for the two models the
@@ -7,8 +8,11 @@ end-to-end workloads step: Thirring (alpha = 1) on a periodic lattice, as in
 ``converge_rough``, and Gross-Neveu (beta = 0.25) with zero inflow, as in
 ``audit_cone``. Each cell is nanoseconds per site update, from the best of
 ``--repeats`` timings of CALLS steps; the last column is the
-pure/compiled ratio. ``q_upper`` is NumPy on every backend, so it is timed
-once, beside its O(N^2) oracle ``q_upper_naive`` and their time ratio.
+pure/compiled ratio. Below the step rows, ``format_rows`` writes one
+snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
+template), in nanoseconds per value. ``q_upper`` is NumPy on every backend,
+so it is timed once, beside its O(N^2) oracle ``q_upper_naive`` and their
+time ratio.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 768,3072,4096] [--repeats 7]
 """
@@ -45,6 +49,16 @@ def step_ns_per_site(u, v, p, periodic, repeats) -> float:
     return best_of(steps, repeats) / (CALLS * u.shape[0]) * 1e9
 
 
+def format_ns_per_value(block, repeats) -> float:
+    return best_of(lambda: kernels.format_rows(block), repeats) / block.size * 1e9
+
+
+def print_row(label, n, times):
+    ratio = f"{times[-1] / times[0]:.1f}x" if len(times) == 2 else "n/a"
+    cells = "".join(f"{t:>12.1f}" for t in times)
+    print(f"{label:<26}{n:>6}{cells}{ratio:>10}")
+
+
 def bench(sizes, repeats):
     rng = np.random.default_rng(7)
     backends = kernels.available_backends()
@@ -63,9 +77,17 @@ def bench(sizes, repeats):
                 for bk in backends:
                     kernels.use_backend(bk)
                     times.append(step_ns_per_site(u, v, p, periodic, repeats))
-                ratio = f"{times[-1] / times[0]:.1f}x" if len(times) == 2 else "n/a"
-                cells = "".join(f"{t:>12.1f}" for t in times)
-                print(f"{name:<26}{n:>6}{cells}{ratio:>10}")
+                print_row(name, n, times)
+        # one snapshot level: t, x and the four field components at 17 digits
+        n = 768
+        block = np.column_stack([np.full(n, 0.25), np.linspace(-8.0, 8.0, n, endpoint=False),
+                                 0.1 * rng.normal(size=(n, 4))])
+        print("format: ns per value")
+        times = []
+        for bk in backends:
+            kernels.use_backend(bk)
+            times.append(format_ns_per_value(block, repeats))
+        print_row("format_rows, 6 columns", n, times)
     finally:
         kernels.use_backend(before)
 

@@ -20,6 +20,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     BlowUpError,
     ConfigurationError,
@@ -93,7 +94,6 @@ class RunConfig:
     c_tol: float
     command: str
     audit_selection: tuple[str, ...]
-    out_path: str
     out_format: str
     domain: Optional[TriangleDomain]
     epsilons: tuple[float, ...]
@@ -104,6 +104,7 @@ class RunConfig:
     audit_samples: int
     audit_seed: int
     audit_perturbation: float
+    artifacts: dict[str, Path]  # the path of every artifact the command writes, by name
 
 
 class _Section:
@@ -177,6 +178,15 @@ def _component(sec: _Section) -> ComponentSpec:
         )
     sec.finish()
     return ComponentSpec(kind, **kwargs)
+
+
+def _artifact_paths(command: str, out_path: str, out_format: str) -> dict[str, Path]:
+    """The path of every artifact the command writes, by name: output.path,
+    then _name and the suffix appended (a dot in output.path is kept)."""
+    report = command in ("audit", "soliton-check") and out_format == "structured-report"
+    suffix = ".json" if report else ".csv"
+    prefix = Path(out_path)
+    return {name: prefix.parent / f"{prefix.name}_{name}{suffix}" for name in ARTIFACTS[command]}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -302,9 +312,10 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         model=model, grid=grid, T=T, record_every=record_every, init=init,
         constants=constants, c_tol=c_tol, command=command, audit_selection=selection,
-        out_path=out_path, out_format=out_format, domain=domain, epsilons=epsilons,
+        out_format=out_format, domain=domain, epsilons=epsilons,
         kernel=kernel, kernel_b=kernel_b, frequency=frequency, audit_c0=audit_c0,
         audit_samples=audit_samples, audit_seed=audit_seed, audit_perturbation=audit_pert,
+        artifacts=_artifact_paths(command, out_path, out_format),
     )
 
 
@@ -331,16 +342,11 @@ def _write(path: Path, text: str):
 
 
 def _table_csv(header: Sequence[str], columns: Sequence) -> str:
-    """Header line plus one row per index of the columns, all at 17 digits.
-
-    The rows are formatted as one block: a single ``%`` template applied to
-    the row-major values, which gives the same text as formatting each
-    value with ``_fmt`` (rows are cut to the shortest column, as zip does).
-    """
+    """Header line plus one row per index of the columns, all at 17 digits
+    (rows are cut to the shortest column, as zip does)."""
     n_rows = min(len(c) for c in columns)
     values = np.column_stack([np.asarray(c, dtype=np.float64)[:n_rows] for c in columns])
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    return ",".join(header) + "\n" + (row * n_rows) % tuple(values.ravel().tolist())
+    return ",".join(header) + "\n" + kernels.format_rows(values)
 
 
 def trace_csv(trace: FunctionalTrace) -> str:
@@ -354,16 +360,15 @@ def trace_csv(trace: FunctionalTrace) -> str:
 
 
 def snapshots_csv(snapshots: Sequence[SpinorField]) -> str:
+    """One block per level, so only one level's rows are formatted at a time."""
     parts = ["t,x,re_u,im_u,re_v,im_v\n"]
-    grid = None
     for s in snapshots:
-        if s.grid != grid:
-            # Each row after its t: the site's x, then the four field values.
-            grid = s.grid
-            rows = [",%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % _fmt(x) for x in grid.sites().tolist()]
-        values = np.column_stack((s.u.real, s.u.imag, s.v.real, s.v.imag))
-        t = _fmt(s.t)
-        parts.append((t + t.join(rows)) % tuple(values.ravel().tolist()))
+        block = np.empty((s.grid.n_points, 6))
+        block[:, 0] = s.t
+        block[:, 1] = s.grid.sites()
+        block[:, 2], block[:, 3] = s.u.real, s.u.imag
+        block[:, 4], block[:, 5] = s.v.real, s.v.imag
+        parts.append(kernels.format_rows(block))
     return "".join(parts)
 
 
@@ -438,21 +443,12 @@ def emit_reports(records: Sequence[dict], fmt: str, path: Path):
 # Commands
 
 
-def _artifact_paths(cfg: RunConfig) -> dict[str, Path]:
-    """The path of every artifact cfg's command writes, by name: output.path,
-    then _name and the suffix appended (a dot in output.path is kept)."""
-    report = cfg.command in ("audit", "soliton-check") and cfg.out_format == "structured-report"
-    suffix = ".json" if report else ".csv"
-    prefix = Path(cfg.out_path)
-    return {name: prefix.parent / f"{prefix.name}_{name}{suffix}" for name in ARTIFACTS[cfg.command]}
-
-
 def _check_outputs(cfg: RunConfig):
     """Create the output directory and refuse an artifact path that cannot
     be written (a directory, or a file or directory without write access),
     so that such a config fails before the run, not after it."""
-    _output_dir(Path(cfg.out_path))
-    for path in _artifact_paths(cfg).values():
+    for path in cfg.artifacts.values():
+        _output_dir(path)
         if path.is_dir():
             reason = "is a directory"
         elif not os.access(path if path.exists() else path.parent, os.W_OK):
@@ -476,7 +472,7 @@ def _perturbed(f0: SpinorField, rel: float) -> SpinorField:
         raise ConfigurationError(f"audit.perturbation {rel} overflows the perturbed datum") from None
 
 
-def _cmd_simulate(cfg: RunConfig, out: dict[str, Path]) -> int:
+def _cmd_simulate(cfg: RunConfig) -> int:
     f0 = sample_initial(cfg.init, cfg.grid)
     status = 0
     try:
@@ -489,8 +485,8 @@ def _cmd_simulate(cfg: RunConfig, out: dict[str, Path]) -> int:
     # the trace carries the inf.
     with np.errstate(over="ignore", invalid="ignore"):
         trace = trace_base(snaps, cfg.domain)
-    _write(out["trace"], trace_csv(trace))
-    _write(out["snapshots"], snapshots_csv(snaps))
+    _write(cfg.artifacts["trace"], trace_csv(trace))
+    _write(cfg.artifacts["snapshots"], snapshots_csv(snaps))
     return status
 
 
@@ -499,7 +495,7 @@ def _snap_tau(dom: TriangleDomain, T: float, dt: float) -> float:
     return horizon_steps(min(T, dom.apex_time), dt)[0] * dt
 
 
-def _cmd_audit(cfg: RunConfig, out: dict[str, Path]) -> int:
+def _cmd_audit(cfg: RunConfig) -> int:
     """One lockstep pass over run A and, for gronwall, the perturbed run B.
 
     Every usage and precondition error is raised before the first step. A
@@ -526,7 +522,7 @@ def _cmd_audit(cfg: RunConfig, out: dict[str, Path]) -> int:
             if exc.run > 0:
                 raise
             print(f"blow-up: {exc}", file=sys.stderr)
-            emit_reports([], cfg.out_format, out["audits"])
+            emit_reports([], cfg.out_format, cfg.artifacts["audits"])
             return 1
 
     records: list[dict] = []
@@ -542,29 +538,29 @@ def _cmd_audit(cfg: RunConfig, out: dict[str, Path]) -> int:
         if not rep.passed:
             status = 1
 
-    emit_reports(records, cfg.out_format, out["audits"])
+    emit_reports(records, cfg.out_format, cfg.artifacts["audits"])
     return status
 
 
-def _cmd_converge(cfg: RunConfig, out: dict[str, Path]) -> int:
+def _cmd_converge(cfg: RunConfig) -> int:
     if len(cfg.epsilons) < 2:  # one radius has no pair to compare
         raise ConfigurationError("converge needs at least two mollify.epsilons")
     table = convergence_study(cfg.init, cfg.epsilons, cfg.model, cfg.grid, cfg.T, cfg.kernel)
-    _write(out["convergence"], convergence_csv(table))
+    _write(cfg.artifacts["convergence"], convergence_csv(table))
     return 0
 
 
-def _cmd_unique(cfg: RunConfig, out: dict[str, Path]) -> int:
+def _cmd_unique(cfg: RunConfig) -> int:
     if not cfg.epsilons:
         raise ConfigurationError("unique needs mollify.epsilons")
     table = uniqueness_probe(
         cfg.init, cfg.kernel, cfg.kernel_b, cfg.epsilons, cfg.model, cfg.grid, cfg.T
     )
-    _write(out["uniqueness"], convergence_csv(table))
+    _write(cfg.artifacts["uniqueness"], convergence_csv(table))
     return 0
 
 
-def _cmd_soliton(cfg: RunConfig, out: dict[str, Path]) -> int:
+def _cmd_soliton(cfg: RunConfig) -> int:
     if (cfg.model.alpha, cfg.model.beta) != (1.0, 0.0):
         raise ConfigurationError(
             "soliton-check validates the Thirring standing wave; it needs model.alpha = 1 and "
@@ -585,7 +581,7 @@ def _cmd_soliton(cfg: RunConfig, out: dict[str, Path]) -> int:
                 "accepted": oracle.available and variant == oracle.variant,
             }
         )
-    emit_reports(records, cfg.out_format, out["soliton"])
+    emit_reports(records, cfg.out_format, cfg.artifacts["soliton"])
     return 0 if oracle.available else 1
 
 
@@ -598,7 +594,7 @@ def run_command(cfg: RunConfig) -> int:
         "soliton-check": _cmd_soliton,
     }[cfg.command]
     try:
-        return handler(cfg, _artifact_paths(cfg))
+        return handler(cfg)
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 1

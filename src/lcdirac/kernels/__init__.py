@@ -1,16 +1,23 @@
 """Kernel backend selection.
 
-``step_unforced`` is the one lattice step, unforced or, given
-``forcing``, forced (the name predates forcing; ``perfbench`` wraps it by
-that name). It has two backends with the same results bit for bit (but for
-the corner named in ``_step.c``):
+Two kernels have a compiled and a pure backend with the same results bit
+for bit (but for the step's corner named in ``_step.c``):
 
-- ``compiled``: ``_step.c``, built with the system C compiler on first
-  import, cached as ``__pycache__/_step.<key>.so`` next to this file (the key
-  is a CRC-32 of the source and the flags; a build deletes the libraries of
-  other keys) and called through ctypes;
-- ``pure``: the NumPy step in ``pure.py``, used whenever the build or the
-  load fails.
+- ``step_unforced`` is the one lattice step, unforced or, given
+  ``forcing``, forced (the name predates forcing; ``perfbench`` wraps it by
+  that name);
+- ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
+  values, byte for byte as Python's ``%`` operator does.
+
+The backends:
+
+- ``compiled``: ``_step.c`` and ``_format.c``, built into one library with
+  the system C compiler on first import, cached as
+  ``__pycache__/_step.<key>.so`` next to this file (the key is a CRC-32 of
+  both sources and the flags; a build deletes the libraries of other keys)
+  and called through ctypes;
+- ``pure``: the NumPy step in ``pure.py`` and one ``%`` template per block,
+  used whenever the build or the load fails.
 
 ``backend_reason()`` says which one runs and why. The ordered pair sums
 ``q_upper`` and ``q_upper_naive`` are NumPy for every backend. The active
@@ -30,16 +37,27 @@ from .pure import q_upper, q_upper_naive  # noqa: F401  (public names)
 
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCES = tuple(os.path.join(_HERE, name) for name in ("_step.c", "_format.c"))
+TOKEN_BYTES = 25  # the longest %.17g token, -2.2250738585072014e-308, and a separator
 
 
-def _compile(source: str, target: str):
+def library_key(sources=SOURCES) -> int:
+    """CRC-32 of the sources and the flags: the cached library's name."""
+    data = b""
+    for source in sources:
+        with open(source, "rb") as fh:
+            data += fh.read()
+    return zlib.crc32(data + " ".join(CFLAGS).encode())
+
+
+def _compile(sources, target: str):
     import subprocess  # only on a cache miss: it costs milliseconds to import
 
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         try:
-            done = subprocess.run(["cc", *CFLAGS, "-o", tmp, source],
+            done = subprocess.run(["cc", *CFLAGS, "-o", tmp, *sources],
                                   capture_output=True, text=True, timeout=300)
         except FileNotFoundError:
             raise OSError("cc not found") from None
@@ -70,29 +88,30 @@ def _remove_stale(cache_dir: str, keep: str):
 
 
 def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
-    """Build ``_step.c`` into cache_dir unless cached, then load it.
+    """Build ``_step.c`` and ``_format.c`` into cache_dir unless cached,
+    then load the library.
 
-    Returns ``(C function or None, one-line reason)``; never raises.
+    Returns ``(library or None, one-line reason)``; never raises.
     """
-    source = os.path.join(_HERE, "_step.c")
     try:
-        with open(source, "rb") as fh:
-            key = zlib.crc32(fh.read() + " ".join(CFLAGS).encode())
-        target = os.path.join(cache_dir, f"_step.{key:08x}.so")
+        target = os.path.join(cache_dir, f"_step.{library_key():08x}.so")
         if not os.path.exists(target):
-            _compile(source, target)
+            _compile(SOURCES, target)
             _remove_stale(cache_dir, target)
-        fn = ctypes.CDLL(target).lcd_step
-    except OSError as exc:
+        lib = ctypes.CDLL(target)
+        step, fmt = lib.lcd_step, lib.lcd_format_rows
+    except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
         return None, f"pure: {exc}"
-    fn.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
-                   + [ctypes.c_void_p] * 4)
-    fn.restype = None
-    return fn, f"compiled: {os.path.basename(target)}"
+    step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
+                     + [ctypes.c_void_p] * 4)
+    step.restype = None
+    fmt.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t]
+    fmt.restype = ctypes.c_ssize_t
+    return lib, f"compiled: {os.path.basename(target)}"
 
 
-_c_step, _reason = load_compiled()
-_active = "compiled" if _c_step is not None else "pure"
+_lib, _reason = load_compiled()
+_active = "compiled" if _lib is not None else "pure"
 
 
 def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing=None):
@@ -110,13 +129,13 @@ def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing=None):
         f_ptrs = [a.ctypes.data for a in f]
     u_new = np.empty_like(u)
     v_new = np.empty_like(v)
-    _c_step(u.ctypes.data, v.ctypes.data, u_new.ctypes.data, v_new.ctypes.data,
-            u.shape[0], h, m, alpha, beta, bool(periodic), *f_ptrs)
+    _lib.lcd_step(u.ctypes.data, v.ctypes.data, u_new.ctypes.data, v_new.ctypes.data,
+                  u.shape[0], h, m, alpha, beta, bool(periodic), *f_ptrs)
     return u_new, v_new
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("compiled", "pure") if _c_step is not None else ("pure",)
+    return ("compiled", "pure") if _lib is not None else ("pure",)
 
 
 def backend_name() -> str:
@@ -125,7 +144,7 @@ def backend_name() -> str:
 
 def backend_reason() -> str:
     """One line: the active backend and why, e.g. ``pure: cc not found``."""
-    if _active == "pure" and _c_step is not None:
+    if _active == "pure" and _lib is not None:
         return "pure: selected with use_backend"
     return _reason
 
@@ -146,3 +165,30 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
     if _active == "compiled":
         return _compiled_step(u, v, h, m, alpha, beta, periodic, forcing)
     return pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
+
+
+def _compiled_format(values):
+    """The C rows of a 2-d float64 block, or None when a value is undecided."""
+    rows, cols = values.shape
+    cap = rows * cols * TOKEN_BYTES
+    buf = np.empty(cap, dtype=np.uint8)
+    n = _lib.lcd_format_rows(values.ctypes.data, rows, cols, buf.ctypes.data, cap)
+    return None if n < 0 else str(buf[:n], "ascii")
+
+
+def format_rows(values) -> str:
+    """CSV rows of a 2-d block: each value as ``"%.17g" % x``, ``,`` between
+    values, ``\n`` after each row.
+
+    The compiled backend formats in C; a block with a value the C cannot
+    decide (none is known) is formatted by the template, as on ``pure``.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise ValueError(f"values must be 2-d with at least one column, got shape {values.shape}")
+    if _active == "compiled":
+        text = _compiled_format(values)
+        if text is not None:
+            return text
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return (row * values.shape[0]) % tuple(values.ravel().tolist())

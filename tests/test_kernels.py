@@ -258,12 +258,26 @@ def test_compiler_present_means_compiled():
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_step_source_compiles_without_warnings(tmp_path):
     # The cached build keeps cc's warnings in captured stderr; here they fail.
-    source = Path(kernels.__file__).with_name("_step.c")
+    assert [Path(s).name for s in kernels.SOURCES] == ["_step.c", "_format.c"]
     cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", *kernels.CFLAGS,
-           "-o", str(tmp_path / "_step.so"), str(source)]
+           "-o", str(tmp_path / "_step.so"), *kernels.SOURCES]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_editing_either_source_changes_the_key(tmp_path):
+    copies = [tmp_path / Path(s).name for s in kernels.SOURCES]
+    for source, copy in zip(kernels.SOURCES, copies):
+        shutil.copyfile(source, copy)
+    key = kernels.library_key(copies)
+    assert key == kernels.library_key()
+    seen = {key}
+    for copy in copies:
+        with open(copy, "a") as fh:
+            fh.write("/* edited */\n")
+        seen.add(kernels.library_key(copies))
+    assert len(seen) == 3
 
 
 def test_cached_import_loads_no_new_stdlib_module():

@@ -1,15 +1,22 @@
 """Golden tests for the CSV writers.
 
-The writers format whole blocks with one ``%`` template; these tests pin
-their output byte for byte to the plain per-value ``f"{float(x):.17g}"``
+The writers format whole blocks through ``kernels.format_rows`` (C on the
+compiled backend, one ``%`` template on pure); these tests pin their output
+on every backend byte for byte to the plain per-value ``f"{float(x):.17g}"``
 form, and check that every token parses back to the exact source double.
+The C formatter is also checked on its own, block by block, over a seeded
+corpus of awkward doubles.
 """
+import ctypes
+import functools
 import struct
+import types
 
 import numpy as np
 import pytest
 
 import lcdirac as lc
+from lcdirac import kernels
 from lcdirac.cli import convergence_csv, snapshots_csv, trace_csv
 from lcdirac.functionals import FunctionalTrace
 from lcdirac.harness import ConvergenceTable
@@ -19,6 +26,22 @@ from conftest import random_field
 AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 0.1, 1 / 3, 1e16, 1e17, -1.5e300]
 TRACE_COLS = ["t", "L0", "D0", "Q0", "cumD0", "charge", "max_abs_u", "max_abs_v"]
 PAIR_COLS = ["L1", "D1", "Q1", "cumD1"]
+
+
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in kernels.available_backends(), reason=f"compiled kernels not built ({kernels.backend_reason()})"
+)
+
+
+@pytest.fixture(autouse=True)
+def writer_backend(request):
+    """Run each test on its class's ``backend`` (by default the one selected
+    at import: compiled when it is built), then restore that one. The
+    ``*Pure`` subclasses rerun every writer test on the pure backend."""
+    before = kernels.backend_name()
+    kernels.use_backend(getattr(request.cls, "backend", before))
+    yield
+    kernels.use_backend(before)
 
 
 def ref_fmt(x) -> str:
@@ -178,3 +201,130 @@ class TestConvergence:
         table = ConvergenceTable((0.1,), (), (), "consecutive")
         assert convergence_csv(table) == "eps_coarse,eps_fine,field_distance,product_distance\n"
         assert convergence_csv(table) == ref_convergence(table)
+
+
+class TestSnapshotsPure(TestSnapshots):
+    backend = "pure"
+
+
+class TestTracePure(TestTrace):
+    backend = "pure"
+
+
+class TestConvergencePure(TestConvergence):
+    backend = "pure"
+
+
+# ---------------------------------------------------------------------------
+# The C formatter, block by block
+
+
+def from_bits(patterns) -> np.ndarray:
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+@functools.cache
+def corpus() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(17)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+    near = lambda a: np.concatenate([np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)])  # noqa: E731
+    return {
+        "random bit patterns": rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False).view(np.float64),
+        "normals scaled 1e-320 to 1e308": rng.normal(size=100_000) * 10.0 ** rng.uniform(-320, 307, 100_000),
+        "integers near 1e17": 1e17 + 16.0 * np.arange(-20_000, 20_000),
+        "integers near 1e16": 1e16 + 2.0 * np.arange(-20_000, 20_000),
+        "dyadic ties": 1.0 + np.arange(2**17) * 2.0**-17,
+        "powers of ten and neighbours": np.concatenate([near(powers), -near(powers)]),
+        "fixed/exponent switch": np.concatenate(
+            [near(switch), np.linspace(0.99e-5, 1.01e-5, 4001), np.linspace(0.99e17, 1.01e17, 4001)]
+        ),
+        "specials": np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                              1.7976931348623157e308, -1.7976931348623157e308]),
+        "nans of either sign": from_bits([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                                          0xFFF0000000000001, 0xFFFFFFFFFFFFFFFF]),
+    }
+
+
+def ref_rows(block: np.ndarray) -> str:
+    return "".join(",".join(ref_fmt(x) for x in row) + "\n" for row in block.tolist())
+
+
+def assert_c_rows(block: np.ndarray):
+    """The C text of block equals the per-value reference; a mismatch names
+    its first row (a plain == on megabyte strings makes pytest's diff crawl)."""
+    text = kernels._compiled_format(block)
+    assert text is not None, "the C formatter left a value undecided"
+    want = ref_rows(block)
+    if text != want:
+        got_rows, want_rows = text.splitlines(), want.splitlines()
+        row = next((i for i, (g, w) in enumerate(zip(got_rows, want_rows)) if g != w), min(len(got_rows), len(want_rows)))
+        values = [struct.pack(">d", x).hex() for x in block[row]] if row < len(block) else []
+        pytest.fail(f"row {row} of {len(block)}: bits {values}: C {got_rows[row:row + 1]} != {want_rows[row:row + 1]}")
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", list(corpus()))
+def test_c_block_matches_per_value_format(name):
+    values = corpus()[name]
+    cut = values.size // 6 * 6
+    assert_c_rows(values[:cut].reshape(-1, 6))
+    assert_c_rows(values[cut:].reshape(-1, 1))  # the rest as one column
+
+
+@needs_compiled
+def test_nan_prints_without_sign():
+    text = kernels._compiled_format(corpus()["nans of either sign"].reshape(1, -1))
+    assert text == "nan,nan,nan,nan,nan\n"
+
+
+@needs_compiled
+def test_longest_tokens_fill_the_buffer_exactly():
+    block = np.full((7, 3), -2.2250738585072014e-308)
+    assert_c_rows(block)
+    assert len(kernels._compiled_format(block)) == block.size * kernels.TOKEN_BYTES
+
+
+@needs_compiled
+def test_c_refuses_to_write_past_cap():
+    block = np.full((2, 3), -2.2250738585072014e-308)
+    cap = block.size * kernels.TOKEN_BYTES
+    for short in (1, kernels.TOKEN_BYTES, cap - 1):
+        buf = ctypes.create_string_buffer(b"#" * (cap + 8), cap + 8)
+        n = kernels._lib.lcd_format_rows(block.ctypes.data, 2, 3, buf, short)
+        assert n == -1
+        assert buf.raw[short:] == b"#" * (cap + 8 - short)  # nothing written past cap
+    assert kernels._lib.lcd_format_rows(block.ctypes.data, 2, 3, buf, cap) == cap
+
+
+@needs_compiled
+def test_format_rows_coerces_and_checks_input():
+    want = ref_rows(np.array([[1.0, 2.5], [3.0, -0.0]]))
+    assert kernels.format_rows([[1, 2.5], [3, -0.0]]) == want  # a list of ints and floats
+    strided = np.array([[1.0, 9.0, 2.5], [3.0, 9.0, -0.0]])[:, ::2]
+    assert kernels.format_rows(strided) == want
+    assert kernels.format_rows(np.float32([[0.1]])) == "%.17g\n" % float(np.float32(0.1))
+    assert kernels.format_rows(np.empty((0, 4))) == ""
+    for bad in (np.zeros(3), np.zeros((2, 2, 2)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="2-d"):
+            kernels.format_rows(bad)
+
+
+@needs_compiled
+def test_failed_c_block_falls_back_to_template(monkeypatch, rng):
+    """A block the C leaves undecided is written by the template, same bytes."""
+    calls = []
+
+    def undecided(x, rows, cols, out, cap):
+        calls.append(rows * cols)
+        ctypes.memset(out, ord("#"), cap)  # a failed call may have written part of the buffer
+        return -1
+
+    g = lc.make_grid(-6.0, 6.0, 48, "zero_inflow")
+    snaps = [random_field(rng, g, 10.0 ** rng.uniform(-8, 3), t=0.125 * j) for j in range(3)]
+    tr = awkward_trace(pair=True)
+    assert kernels.backend_name() == "compiled"
+    monkeypatch.setattr(kernels, "_lib", types.SimpleNamespace(lcd_format_rows=undecided))
+    assert snapshots_csv(snaps) == ref_snapshots(snaps)
+    assert trace_csv(tr) == ref_trace(tr)
+    assert calls == [48 * 6] * 3 + [len(AWKWARD) * 12]
