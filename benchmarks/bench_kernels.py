@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the lattice step and the CSV formatter on each kernel backend, and
-the ordered pair sum.
+"""Time the lattice step, the CSV formatter and the audit pass on each
+kernel backend, and the ordered pair sum.
 
 The unforced light-cone step runs on every available backend (``compiled``
 is ``_step.c`` through ctypes, ``pure`` is NumPy) for the two models the
@@ -10,7 +10,12 @@ end-to-end workloads step: Thirring (alpha = 1) on a periodic lattice, as in
 ``--repeats`` timings of CALLS steps; the last column is the
 pure/compiled ratio. Below the step rows, ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
-template), in nanoseconds per value. ``q_upper`` is NumPy on every backend,
+template), in nanoseconds per value. Then a full ``AuditPass`` (charge,
+triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
+[-6, 6), cone [-4, 4], T = 1: the size of the ``audit_cone`` workload, its
+257 levels evolved once and held) is fed every level, in microseconds per
+level; ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
+NumPy on both. ``q_upper`` is NumPy on every backend,
 so it is timed once, beside its O(N^2) oracle ``q_upper_naive`` and their
 time ratio.
 
@@ -23,9 +28,12 @@ import time
 
 import numpy as np
 
+import lcdirac as lc
 from lcdirac import GROSS_NEVEU, THIRRING, kernels
+from lcdirac.functionals import AuditPass
 
 CALLS = 20  # steps per timing
+AUDITS = ("charge", "triangle", "pointwise", "bony", "gronwall")
 MODELS = (("thirring, periodic", THIRRING, True), ("gross-neveu, zero inflow", GROSS_NEVEU, False))
 
 
@@ -51,6 +59,33 @@ def step_ns_per_site(u, v, p, periodic, repeats) -> float:
 
 def format_ns_per_value(block, repeats) -> float:
     return best_of(lambda: kernels.format_rows(block), repeats) / block.size * 1e9
+
+
+def audit_levels():
+    """Levels of audit_cone's size: Gross-Neveu pulses on 3072 sites and a
+    copy perturbed by 1e-3, both evolved to T = 1."""
+    grid = lc.make_grid(-6.0, 6.0, 3072, "zero_inflow")
+    datum = lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", 0.07, center=-0.5, width=0.8),
+                            lc.ComponentSpec("gaussian_pulse", 0.055, center=0.5, width=0.9))
+    f0 = lc.sample_initial(datum, grid)
+    runs = [f0, lc.SpinorField(grid, 0.0, f0.u * (1.0 + 1e-3), f0.v)]
+    levels = []
+    lc.evolve(runs, GROSS_NEVEU, lc.SolverConfig(), 1.0, observers=[levels.append])
+    return levels
+
+
+def audit_us_per_level(levels, repeats) -> float:
+    f0 = levels[0][0]
+    dom = lc.TriangleDomain(-4.0, 4.0)
+    k = lc.derive_constants(GROSS_NEVEU)
+
+    def feed():
+        audits = AuditPass(AUDITS, dom, k, GROSS_NEVEU, T=1.0, tau=levels[-1][0].t, C0=lc.charge(f0) + 1.0)
+        audits.start(levels[0])
+        for lv in levels:
+            audits(lv)
+
+    return best_of(feed, repeats) / len(levels) * 1e6
 
 
 def print_row(label, n, times):
@@ -88,6 +123,13 @@ def bench(sizes, repeats):
             kernels.use_backend(bk)
             times.append(format_ns_per_value(block, repeats))
         print_row("format_rows, 6 columns", n, times)
+        levels = audit_levels()
+        print("audit pass: us per level")
+        times = []
+        for bk in backends:
+            kernels.use_backend(bk)
+            times.append(audit_us_per_level(levels, repeats))
+        print_row("AuditPass, 5 audits", levels[0][0].grid.n_points, times)
     finally:
         kernels.use_backend(before)
 

@@ -171,12 +171,25 @@ def trace_pair(
 #
 # Each evolved audit is a reduction. start(levels) takes the runs' levels at
 # t = 0 and raises every usage or precondition error, so a refused audit
-# costs no step; feed(levels) takes the runs' levels at one time, t = 0
-# included; report() returns the AuditReport. Bony and gronwall have no feed
-# of their own: they report from ConeRows, which are fed instead. A
-# reduction keeps numbers, never a level. AuditPass drives one reduction per
-# selected audit over runs evolved in lockstep, and the sequence-taking
-# functions below feed the same pass from lists.
+# costs no step; feed(levels, terms) takes the runs' levels at one time,
+# t = 0 included, with their elementwise terms (a kernels.LevelTerms the
+# pass writes once per level); report() returns the AuditReport. The
+# reductions sum the terms with NumPy's pairwise np.add.reduce, the order
+# the list-form functionals above sum in, so each number is theirs bit for
+# bit. Bony and gronwall have no feed of their own: they report from
+# ConeRows, which are fed instead. A reduction keeps numbers, never a level.
+# AuditPass drives one reduction per selected audit over runs evolved in
+# lockstep, and the sequence-taking functions below feed the same pass from
+# lists.
+
+
+def _sum(terms: np.ndarray) -> float:
+    return float(np.add.reduce(terms))
+
+
+def _upper_sum(terms: np.ndarray) -> float:
+    """q_upper(a, b) from the terms a_i suffix(b)_i: 0 below two sites."""
+    return _sum(terms) if len(terms) >= 2 else 0.0
 
 
 def _require_every_step(snapshots: Sequence[SpinorField]):
@@ -196,8 +209,8 @@ class TotalCharge:
     def start(self, levels: tuple):
         self.q0, self.dx = charge(levels[0]), levels[0].grid.dx
 
-    def feed(self, levels: tuple):
-        self.drift = max(self.drift, abs(charge(levels[0]) - self.q0))
+    def feed(self, levels: tuple, terms: kernels.LevelTerms):
+        self.drift = max(self.drift, abs(_sum(terms.dens[0]) * self.dx - self.q0))  # charge(levels[0]) bit for bit
 
     def report(self) -> AuditReport:
         # NumPy's power: inf, not OverflowError, for a grid spacing past 1e154;
@@ -232,18 +245,16 @@ class TriangleCharge:
         self.dx, self.dt = f0.grid.dx, f0.grid.dt
         self.interior0 = charge(f0, dom)
 
-    def feed(self, levels: tuple):
+    def feed(self, levels: tuple, terms: kernels.LevelTerms):
         f, tau = levels[0], self.tau
         if f.t > tau + 1e-12:
             return
         kshift = round(f.t / self.dt)
-        zu = f.u[self.ib - kshift]
-        zv = f.v[self.ia + kshift]
-        self.flux_u.append(zu.real**2 + zu.imag**2)
-        self.flux_v.append(zv.real**2 + zv.imag**2)
+        self.flux_u.append(terms.au[0, self.ib - kshift])
+        self.flux_v.append(terms.av[0, self.ia + kshift])
         # the last level fed must be the one at tau
         at_tau = abs(f.t - tau) <= 1e-9 * max(1.0, abs(tau))
-        self.interior_tau = charge(f, self.dom) if at_tau else None
+        self.interior_tau = _sum(terms.dens[0, terms.i0 : terms.i1]) * self.dx if at_tau else None  # charge(f, dom) bit for bit
 
     def report(self) -> AuditReport:
         if self.interior_tau is None:
@@ -268,13 +279,14 @@ class TriangleCharge:
 
 class PointwiseGrowth:
     """Largest margin of the pointwise and dyadic-window growth bounds over
-    the levels inside the cone, with the first place it is attained."""
+    the levels inside the cone, with the first place it is attained. The
+    margins of each level are level_terms' growth margins, with the growth
+    factor AuditPass takes from growth()."""
 
     def __init__(self, dom: TriangleDomain, C0: float, p: ModelParams, c_tol: float):
         self.dom, self.C0, self.p, self.c_tol = dom, C0, p, c_tol
         self.worst = 0.0
         self.witness = None
-        self.n_template = -1
 
     def start(self, levels: tuple):
         f0, dom = levels[0], self.dom
@@ -287,67 +299,17 @@ class PointwiseGrowth:
             raise PreconditionError(
                 f"initial charge {self.charge0} over [{dom.a}, {dom.b}] is not below C0={self.C0}"
             )
-        self.au0 = f0.u.real**2 + f0.u.imag**2
-        self.av0 = f0.v.real**2 + f0.v.imag**2
-        self.pre_u0 = np.concatenate([[0.0], np.cumsum(self.au0)])
-        self.pre_v0 = np.concatenate([[0.0], np.cumsum(self.av0)])
 
-    def _windows(self, i0: int, n_sec: int) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, widths) of every dyadic window of the section of n_sec
-        sites from i0: widths 2, 4, ... up to n_sec, stride half a width,
-        width-major, then by start. Cut from a template built for the
-        widest section seen (the first, as the cone narrows)."""
-        if n_sec > self.n_template:
-            rel, wid = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-            width = 2
-            while width <= n_sec:
-                rel.append(np.arange(0, n_sec - width + 1, width // 2))
-                wid.append(np.full(len(rel[-1]), width))
-                width *= 2
-            self.n_template = n_sec
-            self.rel, self.wid = np.concatenate(rel), np.concatenate(wid)
-        keep = self.rel + self.wid <= n_sec
-        return i0 + self.rel[keep], self.wid[keep]
+    def growth(self, t: float) -> float:
+        """E(t) = exp(2|beta| C0 + m t)."""
+        return float(np.exp(2.0 * abs(self.p.beta) * self.C0 + self.p.m * t))
 
-    def feed(self, levels: tuple):
+    def feed(self, levels: tuple, terms: kernels.LevelTerms):
         s = levels[0]
-        dom, p, C0, grid = self.dom, self.p, self.C0, s.grid
-        if s.t > dom.apex_time + 1e-12:
-            return
-        dx = grid.dx
-        kshift = round(s.t / grid.dt)
-        E = float(np.exp(2.0 * abs(p.beta) * C0 + p.m * s.t))
-        i0, i1 = dom.section_indices(grid, s.t)
-        if i0 >= i1:
-            return
-        au = s.u.real**2 + s.u.imag**2
-        av = s.v.real**2 + s.v.imag**2
-        vio_u = au[i0:i1] - E * (self.au0[i0 - kshift : i1 - kshift] + p.m * C0)
-        vio_v = av[i0:i1] - E * (self.av0[i0 + kshift : i1 + kshift] + p.m * C0)
-        for vio in (vio_u, vio_v):
-            j = int(np.argmax(vio))
-            if vio[j] > self.worst:
-                self.worst = float(vio[j])
-                self.witness = (s.t, grid.x_min + (i0 + j) * dx)
-
-        # interval forms over every sliding dyadic window of the section at once
-        starts, width = self._windows(i0, i1 - i0)
-        if len(starts) == 0:
-            return
-        pre_u = np.concatenate([[0.0], np.cumsum(au)])
-        pre_v = np.concatenate([[0.0], np.cumsum(av)])
-        ends = starts + width
-        su_t = (pre_u[ends] - pre_u[starts]) * dx
-        sv_t = (pre_v[ends] - pre_v[starts]) * dx
-        lo_u, lo_v = starts - kshift, starts + kshift  # the windows' feet at t = 0
-        su_0 = (self.pre_u0[lo_u + width] - self.pre_u0[lo_u]) * dx
-        sv_0 = (self.pre_v0[lo_v + width] - self.pre_v0[lo_v]) * dx
-        slack = E * p.m * C0 * (width * dx)
-        vio_w = np.maximum(su_t - E * su_0, sv_t - E * sv_0) - slack
-        j = int(np.argmax(vio_w))
-        if vio_w[j] > self.worst:
-            self.worst = float(vio_w[j])
-            self.witness = (s.t, grid.x_min + starts[j] * dx)
+        for margin, site in zip(terms.margins.tolist(), terms.sites.tolist()):
+            if margin > self.worst:
+                self.worst = margin
+                self.witness = (s.t, s.grid.x_min + site * s.grid.dx)
 
     def report(self) -> AuditReport:
         budget = tolerance_budget(self.dx, self.charge0, self.c_tol)
@@ -370,15 +332,25 @@ class ConeRows:
         self.times: list[float] = []
         self.rows: list[tuple[float, float, float]] = []
 
-    def feed(self, levels: tuple):
+    def feed(self, levels: tuple, terms: kernels.LevelTerms):
         f = levels[self.run]
         if f.t > self.dom.apex_time + 1e-12:
             return
         self.times.append(f.t)
+        self.rows.append(self._row(terms))
+
+    def _row(self, terms: kernels.LevelTerms) -> tuple[float, float, float]:
+        """base_functionals(f, dom), or difference_functionals for the pair,
+        bit for bit."""
+        i0, i1, dx = terms.i0, terms.i1, terms.dx
+        if i0 >= i1:
+            return 0.0, 0.0, 0.0
         if self.pair:
-            self.rows.append(difference_functionals(levels[0], levels[1], self.dom))
-        else:
-            self.rows.append(base_functionals(f, self.dom))
+            q = _upper_sum(terms.q1u[i0:i1]) + _upper_sum(terms.q1v[i0:i1])
+            return _sum(terms.l1[i0:i1]) * dx, _sum(terms.d1[i0:i1]) * dx, q * dx * dx
+        r = self.run
+        return (_sum(terms.dens[r, i0:i1]) * dx, _sum(terms.prod[r, i0:i1]) * dx,
+                _upper_sum(terms.q[r, i0:i1]) * dx * dx)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Times and the three columns of the rows."""
@@ -490,6 +462,10 @@ class AuditPass:
     and for gronwall run B's rows and the pair's. start() takes the runs'
     levels at t = 0 and raises the first usage or precondition error in the
     order charge, triangle, pointwise, bony, gronwall, before any step.
+
+    Each level is written once into the LevelTerms that start() allocates:
+    one call to kernels.level_terms computes every elementwise term the
+    reductions sum, and the reductions keep only the sums.
     """
 
     def __init__(
@@ -504,6 +480,7 @@ class AuditPass:
         C0: Optional[float] = None,
         c_tol: float = C_TOL,
     ):
+        self.dom = dom
         self.audits: dict = {}
         if "charge" in names:
             self.audits["charge"] = TotalCharge(T, c_tol)
@@ -533,13 +510,36 @@ class AuditPass:
         with np.errstate(over="ignore", invalid="ignore"):
             for audit in self.audits.values():
                 audit.start(levels)
+        f0, pointwise = levels[0], self.audits.get("pointwise")
+        growth = {}
+        if pointwise is not None:
+            growth = {"origin": (f0.u, f0.v), "m": pointwise.p.m, "C0": pointwise.C0}
+        runs = 2 if "gronwall" in self.audits else 1
+        self.terms = kernels.LevelTerms(f0.grid.n_points, runs, f0.grid.dx, **growth)
 
     def __call__(self, levels: tuple):
         # A huge but finite level may overflow in these products without a
         # warning: its run blows up at the next step, or the report carries the inf.
         with np.errstate(over="ignore", invalid="ignore"):
+            self._write_terms(levels)
             for reduction in self.fed:
-                reduction.feed(levels)
+                reduction.feed(levels, self.terms)
+
+    def _write_terms(self, levels: tuple):
+        """The section of the cone at this level (empty past the apex), and
+        every term over it in one pass; growth margins when pointwise runs."""
+        f, dom, terms = levels[0], self.dom, self.terms
+        runs = levels[: terms.runs]
+        if len(runs) == 2:
+            _check_same_frame(*runs)
+        i0 = i1 = kshift = 0
+        E = None
+        if dom is not None and f.t <= dom.apex_time + 1e-12:
+            i0, i1 = dom.section_indices(f.grid, f.t)
+            kshift = round(f.t / f.grid.dt)
+            if "pointwise" in self.audits:
+                E = self.audits["pointwise"].growth(f.t)
+        kernels.level_terms(terms, [(lv.u, lv.v) for lv in runs], i0, i1, kshift, E)
 
     def report(self, name: str) -> AuditReport:
         return self.audits[name].report()

@@ -1,23 +1,31 @@
 """Kernel backend selection.
 
-Two kernels have a compiled and a pure backend with the same results bit
+Three kernels have a compiled and a pure backend with the same results bit
 for bit (but for the step's corner named in ``_step.c``):
 
 - ``step_unforced`` is the one lattice step, unforced or, given
   ``forcing``, forced (the name predates forcing; ``perfbench`` wraps it by
   that name);
 - ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
-  values, byte for byte as Python's ``%`` operator does.
+  values, byte for byte as Python's ``%`` operator does;
+- ``level_terms`` writes every elementwise term the audits sum at one
+  level (densities, products, suffix-scan products, pair terms) into a
+  ``LevelTerms``, with the growth margins and their sites.
+
+Every pairwise sum stays in NumPy on both backends: the callers sum the
+terms with ``np.add.reduce``, so moving the terms to C changes no
+summation order and no digit of an artifact. Only sequential scans (the
+``np.cumsum`` order) run in C.
 
 The backends:
 
-- ``compiled``: ``_step.c`` and ``_format.c``, built into one library with
-  the system C compiler on first import, cached as
+- ``compiled``: ``_step.c``, ``_format.c`` and ``_level.c``, built into one
+  library with the system C compiler on first import, cached as
   ``__pycache__/_step.<key>.so`` next to this file (the key is a CRC-32 of
-  both sources and the flags; a build deletes the libraries of other keys)
+  the sources and the flags; a build deletes the libraries of other keys)
   and called through ctypes;
-- ``pure``: the NumPy step in ``pure.py`` and one ``%`` template per block,
-  used whenever the build or the load fails.
+- ``pure``: the NumPy step and level terms in ``pure.py`` and one ``%``
+  template per block, used whenever the build or the load fails.
 
 ``backend_reason()`` says which one runs and why. The ordered pair sums
 ``q_upper`` and ``q_upper_naive`` are NumPy for every backend. The active
@@ -32,12 +40,13 @@ import zlib
 
 import numpy as np
 
+from ..errors import UsageError
 from . import pure
 from .pure import q_upper, q_upper_naive  # noqa: F401  (public names)
 
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _HERE = os.path.dirname(os.path.abspath(__file__))
-SOURCES = tuple(os.path.join(_HERE, name) for name in ("_step.c", "_format.c"))
+SOURCES = tuple(os.path.join(_HERE, name) for name in ("_step.c", "_format.c", "_level.c"))
 TOKEN_BYTES = 25  # the longest %.17g token, -2.2250738585072014e-308, and a separator
 
 
@@ -88,8 +97,7 @@ def _remove_stale(cache_dir: str, keep: str):
 
 
 def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
-    """Build ``_step.c`` and ``_format.c`` into cache_dir unless cached,
-    then load the library.
+    """Build the sources into cache_dir unless cached, then load the library.
 
     Returns ``(library or None, one-line reason)``; never raises.
     """
@@ -99,7 +107,7 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
             _compile(SOURCES, target)
             _remove_stale(cache_dir, target)
         lib = ctypes.CDLL(target)
-        step, fmt = lib.lcd_step, lib.lcd_format_rows
+        step, fmt, level = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms
     except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
         return None, f"pure: {exc}"
     step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
@@ -107,6 +115,8 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
     step.restype = None
     fmt.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t]
     fmt.restype = ctypes.c_ssize_t
+    level.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int, ctypes.c_double]
+    level.restype = None
     return lib, f"compiled: {os.path.basename(target)}"
 
 
@@ -192,3 +202,99 @@ def format_rows(values) -> str:
             return text
     row = ",".join(["%.17g"] * values.shape[1]) + "\n"
     return (row * values.shape[0]) % tuple(values.ravel().tolist())
+
+
+class _Level(ctypes.Structure):
+    """``lcd_level`` in ``_level.c``, field for field."""
+
+    ARRAYS = ("au", "av", "dens", "prod", "q", "l1", "d1", "q1u", "q1v",
+              "pre_u", "pre_v", "au0", "av0", "pre_u0", "pre_v0", "margins", "sites")
+    _fields_ = ([("n", ctypes.c_ssize_t), ("runs", ctypes.c_ssize_t)]
+                + [(name, ctypes.c_double) for name in ("dx", "m", "C0")]
+                + [(name, ctypes.c_void_p) for name in ARRAYS])
+
+
+class LevelTerms:
+    """The buffers ``level_terms`` writes one level into, allocated once
+    for n sites and 1 or 2 runs (A, then B), with the addresses the C pass
+    takes kept in one struct (``a.ctypes.data`` costs about 2 us a lookup).
+
+    Per run r, over the grid: ``au[r]`` = |u|^2, ``av[r]`` = |v|^2 and
+    ``dens[r]`` = au + av. Over the section [i0, i1) of the last level
+    written (``i0 = i1 = 0`` when empty), at the same indices: ``prod[r]`` =
+    au av and ``q[r]`` = au suffix(av), whose sum is q_upper(au, av); for
+    two runs, with U = uA - uB, V = vA - vB, umod = auA + auB and
+    vmod = avA + avB: ``l1`` = |U|^2 + |V|^2, ``d1`` = |U|^2 vmod + umod
+    |V|^2, ``q1u`` = |U|^2 suffix(vmod) and ``q1v`` = umod suffix(|V|^2).
+    Outside the section these hold what earlier levels left.
+
+    With origin, run A's (u, v) at t = 0, and the run's m and C0, a level
+    written with a growth factor also gets the growth margins: ``margins``
+    and ``sites`` hold the largest margin, and its site as ``np.argmax``
+    finds it, of |u|^2 and of |v|^2 against their feet at t = 0 and of the
+    bound over every dyadic window (-inf and -1 without a candidate);
+    ``pre_u`` and ``pre_v`` are the level's prefix sums, and ``au0``,
+    ``av0``, ``pre_u0`` and ``pre_v0`` the origin's.
+    """
+
+    def __init__(self, n: int, runs: int, dx: float, origin=None, m: float = 0.0, C0: float = 0.0):
+        if runs not in (1, 2):
+            raise ValueError(f"runs must be 1 or 2, got {runs}")
+        self.n, self.runs, self.dx, self.m, self.C0 = n, runs, dx, m, C0
+        self.au, self.av, self.dens, self.prod, self.q = np.zeros((5, runs, n))
+        self.l1 = self.d1 = self.q1u = self.q1v = None
+        if runs == 2:
+            self.l1, self.d1, self.q1u, self.q1v = np.zeros((4, n))
+        self.pre_u = self.pre_v = self.au0 = self.av0 = self.pre_u0 = self.pre_v0 = None
+        if origin is not None:
+            u0, v0 = (_field(a, n) for a in origin)
+            self.au0 = u0.real**2 + u0.imag**2
+            self.av0 = v0.real**2 + v0.imag**2
+            self.pre_u0 = np.concatenate([[0.0], np.cumsum(self.au0)])
+            self.pre_v0 = np.concatenate([[0.0], np.cumsum(self.av0)])
+            self.pre_u, self.pre_v = np.zeros((2, n + 1))
+        self.margins = np.full(3, -np.inf)
+        self.sites = np.full(3, -1, dtype=np.intp)
+        self.i0 = self.i1 = 0
+        arrays = (getattr(self, name) for name in _Level.ARRAYS)
+        self._struct = _Level(n, runs, dx, m, C0, *(None if a is None else a.ctypes.data for a in arrays))
+        self._address = ctypes.addressof(self._struct)
+
+
+def _field(a, n: int) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    if a.shape != (n,):
+        raise UsageError(f"a field of shape {a.shape} on terms sized for {n} sites")
+    return a
+
+
+def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E):
+    """Write one level's terms into terms (see ``LevelTerms``).
+
+    runs holds one (u, v) pair per run of terms; [i0, i1) is the section,
+    empty when i1 <= i0. E, the growth factor at this level (None for
+    none), asks for the growth margins of a nonempty section, with the feet
+    kshift sites along each characteristic. A section whose feet leave the
+    grid raises UsageError, as does a field of another size, so the C pass
+    never reads past a buffer.
+    """
+    fields = [(_field(u, terms.n), _field(v, terms.n)) for u, v in runs]
+    if len(fields) != terms.runs:
+        raise ValueError(f"terms hold {terms.runs} runs, got {len(fields)}")
+    if i1 <= i0:  # no section, so no margins
+        i0 = i1 = 0
+        E = None
+    reach = 0  # how far past the section the C pass reads
+    if E is not None:
+        if terms.au0 is None:
+            raise ValueError("growth margins need terms made with an origin")
+        reach = abs(kshift)
+    if i0 - reach < 0 or i1 + reach > terms.n:
+        raise UsageError(f"section [{i0}, {i1}) with its feet {reach} sites out "
+                         f"leaves the grid of {terms.n} sites")
+    terms.i0, terms.i1 = i0, i1
+    if _active == "compiled":
+        ptrs = [a.ctypes.data for run in fields for a in run] + [None, None]  # NULL: no run B
+        _lib.lcd_level_terms(terms._address, *ptrs[:4], i0, i1, kshift, E is not None, 0.0 if E is None else E)
+    else:
+        pure.level_terms(terms, fields, i0, i1, kshift, E)

@@ -11,6 +11,7 @@ import pytest
 
 import lcdirac as lc
 from lcdirac import kernels
+from lcdirac.errors import UsageError
 from lcdirac.cli import parse_config, run_command
 from lcdirac.kernels import pure
 
@@ -202,6 +203,134 @@ def test_compiled_step_coerces_and_checks_inputs(arrays, backend):
         kernels.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=forcing[:3] + [v[:-1]])
 
 
+def _terms_on(name, n, runs, i0, i1, kshift=0, E=None, origin=None, m=1.0, C0=0.3, dx=0.05):
+    """Every buffer of kernels.LevelTerms after one level_terms call on backend name."""
+    before = kernels.use_backend(name)
+    try:
+        growth = {} if origin is None else {"origin": origin, "m": m, "C0": C0}
+        terms = kernels.LevelTerms(n, len(runs), dx, **growth)
+        kernels.level_terms(terms, runs, i0, i1, kshift, E)
+    finally:
+        kernels.use_backend(before)
+    return {name: getattr(terms, name) for name in kernels._Level.ARRAYS if getattr(terms, name) is not None}
+
+
+def _assert_terms_agree(runs, i0, i1, kshift=0, E=None, origin=None, **kw):
+    n = runs[0][0].shape[0]
+    got = _terms_on("compiled", n, runs, i0, i1, kshift, E, origin, **kw)
+    want = _terms_on("pure", n, runs, i0, i1, kshift, E, origin, **kw)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert np.array_equal(got[name].view(np.uint64), want[name].view(np.uint64)), (name, i0, i1, kshift)
+    return got
+
+
+def _cplx(rng, n, scale=1.0):
+    return scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+@needs_compiled
+@pytest.mark.parametrize("runs", [1, 2])
+def test_backends_agree_on_level_terms(rng, runs):
+    """Bit for bit on random levels and sections, with and without margins."""
+    n = 300
+    origin = (_cplx(rng, n), _cplx(rng, n))
+    for _ in range(40):
+        fields = [(_cplx(rng, n), _cplx(rng, n)) for _ in range(runs)]
+        kshift = int(rng.integers(0, 40))
+        i0 = int(rng.integers(kshift, 150))
+        i1 = int(rng.integers(i0, n - kshift + 1))
+        _assert_terms_agree(fields, i0, i1)
+        _assert_terms_agree(fields, i0, i1, kshift, float(rng.uniform(0.5, 3.0)), origin)
+
+
+@needs_compiled
+def test_backends_agree_on_level_terms_of_a_gain_mutant(rng):
+    """A level that grew by 1 % along each characteristic beats its bounds,
+    pointwise and over windows: both witnesses are positive."""
+    n, kshift, E = 256, 20, 1.0
+    u0, v0 = _cplx(rng, n), _cplx(rng, n)
+    u = np.zeros(n, complex)
+    u[kshift:] = 1.01 * u0[: n - kshift]
+    v = np.zeros(n, complex)
+    v[: n - kshift] = v0[kshift:]
+    for runs in ([(u, v)], [(u, v), (u0, v0)]):
+        got = _assert_terms_agree(runs, kshift, n - kshift, kshift, E, (u0, v0), m=0.0)
+        assert got["margins"][0] > 0 and got["margins"][2] > 0
+        assert got["sites"][2] >= kshift
+
+
+@needs_compiled
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e154, 1.5e154])
+def test_backends_agree_on_level_terms_with_extreme_values(rng, bad):
+    n, kshift = 64, 3
+    origin = (_cplx(rng, n), _cplx(rng, n))
+    for where in (0, 3, 31, 60, 63):
+        for part in (1.0, 1j):
+            fields = [(_cplx(rng, n), _cplx(rng, n)), (_cplx(rng, n), _cplx(rng, n))]
+            fields[where % 2][where % 3 % 2][where] = bad * part
+            for runs in (fields[:1], fields):
+                _assert_terms_agree(runs, kshift, n - kshift, kshift, 2.0, origin)
+                _assert_terms_agree(runs, 10, 40)
+
+
+@needs_compiled
+def test_backends_agree_on_level_terms_of_small_and_odd_sections(rng):
+    """Sections of 0 to 3 sites, and of 2^k - 1, 2^k and 2^k + 1 sites, whose
+    windows end at or just before the section's end; the feet of the first
+    and last window on the grid's first and last site."""
+    n = 160
+    origin = (_cplx(rng, n), _cplx(rng, n))
+    fields = [(_cplx(rng, n), _cplx(rng, n)), (_cplx(rng, n), _cplx(rng, n))]
+    lengths = [0, 1, 2, 3] + [2**k + d for k in range(2, 7) for d in (-1, 0, 1)]
+    for length in lengths:
+        for kshift in (0, 5):
+            for i0 in (kshift, n - kshift - length):  # the section at either end of the grid
+                got = _assert_terms_agree(fields, i0, i0 + length, kshift, 1.5, origin)
+                has_window = length >= 2
+                assert (got["sites"][2] >= 0) == has_window and (got["sites"][0] >= 0) == (length > 0)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_level_terms_refuse_feet_off_the_grid(rng, name):
+    n = 64
+    origin = (_cplx(rng, n), _cplx(rng, n))
+    fields = [(_cplx(rng, n), _cplx(rng, n))]
+    _terms_on(name, n, fields, 5, n - 5, 5, 1.0, origin)  # the feet on the first and last site
+    for i0, i1 in ((4, 30), (30, n - 4)):
+        with pytest.raises(UsageError, match="leaves the grid"):
+            _terms_on(name, n, fields, i0, i1, 5, 1.0, origin)
+    _terms_on(name, n, fields, 4, n - 4, 5)  # no margins: the feet are not read
+    with pytest.raises(UsageError, match="sites"):
+        _terms_on(name, n + 1, fields, 4, n - 4)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_window_witness_is_the_first_dyadic_window_in_width_order(name):
+    """Run A's |u|^2 is 1 on a block of sites and 0 elsewhere, the level at
+    t = 0 is zero and m = 0, so a window's margin is dx times its overlap
+    with the block. The witness must be the first window of largest overlap
+    when every dyadic window of the section is listed width-major: widths 2,
+    4, ... up to the section, then by start, stride half a width."""
+    i0, pad = 7, 7
+    for n_sec in (300, 299, 256, 255, 128, 97, 64, 5, 4, 3, 2, 1, 0, 301):
+        windows = [(i0 + r, w) for w in (2, 4, 8, 16, 32, 64, 128, 256) if w <= n_sec
+                   for r in range(0, n_sec - w + 1, w // 2)]
+        n = n_sec + i0 + pad
+        zero = np.zeros(n, complex)
+        for lo, length in ((i0, 1), (i0 + 1, 2), (i0 + 3, 3), (i0 + 60, 5), (i0 + 100, 40), (i0, n_sec),
+                           (i0 + n_sec - 3, 3), (i0 + n_sec // 2, n_sec - n_sec // 2)):
+            u = zero.copy()
+            u[lo : lo + length] = 1.0
+            got = _terms_on(name, n, [(u, zero)], i0, i0 + n_sec, 0, 1.0, (zero, zero), m=0.0, dx=1.0)
+            if not windows:
+                assert (got["margins"][2], got["sites"][2]) == (-np.inf, -1)
+                continue
+            overlap = [max(0, min(s + w, lo + length) - max(s, lo)) for s, w in windows]
+            first = overlap.index(max(overlap))
+            assert (got["margins"][2], got["sites"][2]) == (max(overlap), windows[first][0]), (n_sec, lo, length)
+
+
 ARTIFACT_DOCS = {
     "simulate": {
         "model": {"m": 1.0, "alpha": 0.0, "beta": 0.25},
@@ -258,7 +387,7 @@ def test_compiler_present_means_compiled():
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_step_source_compiles_without_warnings(tmp_path):
     # The cached build keeps cc's warnings in captured stderr; here they fail.
-    assert [Path(s).name for s in kernels.SOURCES] == ["_step.c", "_format.c"]
+    assert [Path(s).name for s in kernels.SOURCES] == ["_step.c", "_format.c", "_level.c"]
     cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", *kernels.CFLAGS,
            "-o", str(tmp_path / "_step.so"), *kernels.SOURCES]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
@@ -277,7 +406,7 @@ def test_editing_either_source_changes_the_key(tmp_path):
         with open(copy, "a") as fh:
             fh.write("/* edited */\n")
         seen.add(kernels.library_key(copies))
-    assert len(seen) == 3
+    assert len(seen) == len(copies) + 1
 
 
 def test_cached_import_loads_no_new_stdlib_module():

@@ -25,7 +25,6 @@ import lcdirac as lc
 from lcdirac import cli, functionals, kernels
 from lcdirac.cli import main
 from lcdirac.errors import BlowUpError, UsageError
-from lcdirac.reports import C_TOL
 
 GN_DATUM = lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", 0.07, center=-0.5, width=0.8),
                           lc.ComponentSpec("gaussian_pulse", 0.055, center=0.5, width=0.9))
@@ -160,6 +159,10 @@ def _pointwise_per_width(snaps, dom, C0, p):
     return worst, witness, by_window
 
 
+WINDOW_DATUM = lc.InitialDatum(lc.ComponentSpec("indicator_jump", 0.7, center=-0.5, halfwidth=2.0),
+                              lc.ComponentSpec("gaussian_pulse", 0.9, center=0.5, width=0.8))
+
+
 @pytest.mark.parametrize("model, gain, ramp, by_window", [
     (lc.GROSS_NEVEU, 0.0, False, False),
     (lc.ModelParams(0.0, 1.0, 0.0), 0.0, False, False),
@@ -173,26 +176,69 @@ def test_pointwise_windows_match_per_width_reference(model, gain, ramp, by_windo
     # the right, so the worst window is the last one of its width.
     g = lc.make_grid(-6, 6, 384, "zero_inflow")
     dom = lc.TriangleDomain(-4.0, 4.0)
-    datum = lc.InitialDatum(lc.ComponentSpec("indicator_jump", 0.7, center=-0.5, halfwidth=2.0),
-                            lc.ComponentSpec("gaussian_pulse", 0.9, center=0.5, width=0.8))
-    snaps = lc.evolve(lc.sample_initial(datum, g), model, lc.SolverConfig(), 1.5)
+    snaps = lc.evolve(lc.sample_initial(WINDOW_DATUM, g), model, lc.SolverConfig(), 1.5)
     x = g.sites()
     shape = np.clip((x + 4.0) / 8.0, 0.0, 1.0) if ramp else 1.0
     snaps = [lc.SpinorField(g, s.t, s.u * (1.0 + gain * shape) ** k, s.v) for k, s in enumerate(snaps)]
     C0 = lc.charge(snaps[0]) * 1.01
-    rep = lc.pointwise_audit(snaps, dom, C0, model)
     worst, witness, window_won = _pointwise_per_width(snaps, dom, C0, model)
-    assert (rep.max_violation, rep.witness) == (worst, witness)
     assert window_won == by_window
+    for name in kernels.available_backends():
+        with backend(name):
+            rep = lc.pointwise_audit(snaps, dom, C0, model)
+        assert (rep.max_violation, rep.witness) == (worst, witness), name
 
 
-def test_window_template_lists_every_dyadic_window_in_width_order():
-    red = functionals.PointwiseGrowth(lc.TriangleDomain(-1.0, 1.0), 1.0, lc.GROSS_NEVEU, C_TOL)
-    for n_sec in (300, 299, 256, 255, 128, 97, 64, 5, 4, 3, 2, 1, 0, 301):  # narrowing, then wider
-        starts, widths = red._windows(7, n_sec)
-        expected = [(7 + r, w) for w in (2, 4, 8, 16, 32, 64, 128, 256) if w <= n_sec
-                    for r in range(0, n_sec - w + 1, w // 2)]
-        assert list(zip(starts.tolist(), widths.tolist())) == expected
+@contextlib.contextmanager
+def backend(name):
+    before = kernels.use_backend(name)
+    try:
+        yield
+    finally:
+        kernels.use_backend(before)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_pointwise_cone_on_the_whole_grid(name):
+    # The cone's edges sit on the grid's first and last site, so the feet of
+    # the first and last window fall next to the ends of the level at t = 0,
+    # and the bounds check lets every level through; a gain makes a window
+    # the witness.
+    g = lc.make_grid(-6, 6, 192, "zero_inflow")
+    dom = lc.TriangleDomain(g.x_min, g.x_min + (g.n_points - 1) * g.dx)
+    model = lc.ModelParams(0.0, 1.0, 0.0)
+    snaps = lc.evolve(lc.sample_initial(WINDOW_DATUM, g), model, lc.SolverConfig(), dom.apex_time)
+    snaps = [lc.SpinorField(g, s.t, s.u * 1.001**k, s.v) for k, s in enumerate(snaps)]
+    C0 = lc.charge(snaps[0]) * 1.01
+    worst, witness, window_won = _pointwise_per_width(snaps, dom, C0, model)
+    with backend(name):
+        rep = lc.pointwise_audit(snaps, dom, C0, model)
+    assert (rep.max_violation, rep.witness) == (worst, witness)
+    assert worst > 0 and window_won
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_cone_rows_equal_the_list_functionals(name, gn, gn_constants):
+    """The rows the pass sums from level_terms' buffers are base_functionals
+    and difference_functionals bit for bit, down to the apex's sections of
+    three, one and no sites; the charge drift is charge()'s."""
+    g = lc.make_grid(-6, 6, 96, "zero_inflow")
+    f0 = lc.sample_initial(GN_DATUM, g)
+    dom = lc.TriangleDomain(-1.0, 1.0)
+    runs = [f0, cli._perturbed(f0, 1e-3)]
+    seen = []
+    with backend(name):
+        audits = functionals.AuditPass(["charge", "bony", "gronwall"], dom, gn_constants, gn, T=1.5)
+        audits.start(tuple(runs))
+        lc.evolve(runs, gn, lc.SolverConfig(), 1.5, observers=[audits, seen.append])
+    gronwall = audits.audits["gronwall"]
+    inside = [lv for lv in seen if lv[0].t <= dom.apex_time + 1e-12]
+    assert {len(range(*dom.section_indices(g, a.t))) for a, _ in inside} >= {0, 1, 3}
+    assert gronwall.rows_a.rows == [lc.base_functionals(a, dom) for a, _ in inside]
+    assert gronwall.rows_b.rows == [lc.base_functionals(b, dom) for _, b in inside]
+    assert gronwall.pair.rows == [lc.difference_functionals(a, b, dom) for a, b in inside]
+    q0 = lc.charge(f0)
+    assert audits.audits["charge"].drift == max(abs(lc.charge(a) - q0) for a, _ in seen)
 
 
 def test_charge_audit_takes_the_largest_drift():
