@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the lattice step, the CSV formatter and the audit pass on each
-kernel backend, and the ordered pair sum.
+kernel backend, and the standalone ordered pair sum.
 
 The unforced light-cone step runs on every available backend (``compiled``
 is ``_step.c`` through ctypes, ``pure`` is NumPy) for the two models the
@@ -15,9 +15,11 @@ triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
 [-6, 6), cone [-4, 4], T = 1: the size of the ``audit_cone`` workload, its
 257 levels evolved once and held) is fed every level, in microseconds per
 level; ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
-NumPy on both. ``q_upper`` is NumPy on every backend,
-so it is timed once, beside its O(N^2) oracle ``q_upper_naive`` and their
-time ratio.
+NumPy on both. Last, the standalone ordered pair sum ``q_upper`` (NumPy on
+every backend, and no longer called by lcdirac: the cone functionals sum
+``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
+oracle ``q_upper_naive`` that the tests compare the functionals with, and
+their time ratio.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 768,3072,4096] [--repeats 7]
 """

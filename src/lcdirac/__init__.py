@@ -30,7 +30,6 @@ from .functionals import (
     difference_functionals,
     gronwall_audit,
     pointwise_audit,
-    total_charge_audit,
     trace_base,
     trace_pair,
     triangle_charge_audit,
@@ -38,10 +37,7 @@ from .functionals import (
 from .harness import (
     ConvergenceTable,
     convergence_study,
-    datum_from_profiles,
     mollify,
-    random_bump_profile,
-    random_smooth_datum,
     uniqueness_probe,
 )
 from .model import (

@@ -12,14 +12,15 @@ and for a pair of fields, with U = uA - uB, V = vA - vB:
     D1 = sum r2(x, x) dx
     Q1 = sum_{x<y} r2(x, y) dx^2
 
-Q0/Q1 are evaluated in O(N) by suffix scans (kernels.q_upper; the direct
-O(N^2) kernels.q_upper_naive is its oracle). Each audit verifies a
+Every one of them is a NumPy sum of the elementwise terms that one
+kernels.level_terms pass writes per level; Q0/Q1 take O(N) by suffix
+scans inside that pass. The single-level functions, the traces and the
+audits share that pass and the row rule _row. Each audit verifies a
 continuum inequality (or, for the total charge, a conservation law) on the
 discrete solution within a resolution-dependent budget.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,8 +32,6 @@ from .fields import SpinorField, TriangleDomain, _check_same_frame, charge
 from .model import EstimateConstants, ModelParams
 from .reports import C_TOL, AuditReport, tolerance_budget
 
-log = logging.getLogger(__name__)
-
 __all__ = [
     "AuditPass",
     "AuditReport",
@@ -41,7 +40,6 @@ __all__ = [
     "difference_functionals",
     "trace_base",
     "trace_pair",
-    "total_charge_audit",
     "triangle_charge_audit",
     "pointwise_audit",
     "bony_decay_audit",
@@ -49,28 +47,47 @@ __all__ = [
 ]
 
 
-def _section(f: SpinorField, dom: Optional[TriangleDomain]) -> tuple[int, int]:
-    if dom is None:
-        return 0, f.grid.n_points
-    i0, i1 = dom.section_indices(f.grid, f.t)
+def _row(terms: kernels.LevelTerms, run: int = 0, pair: bool = False) -> tuple[float, float, float]:
+    """(L0, D0, Q0) of one run, or (L1, D1, Q1) of runs 0 and 1 when pair is
+    set, summed from the terms over the section they were last written for."""
+    i0, i1, dx = terms.i0, terms.i1, terms.dx
     if i0 >= i1:
-        log.debug("degenerate cross-section at t=%s", f.t)
-    return i0, i1
+        return 0.0, 0.0, 0.0
+    if pair:
+        q = _upper_sum(terms.q1u[i0:i1]) + _upper_sum(terms.q1v[i0:i1])
+        return _sum(terms.l1[i0:i1]) * dx, _sum(terms.d1[i0:i1]) * dx, q * dx * dx
+    return (_sum(terms.dens[run, i0:i1]) * dx, _sum(terms.prod[run, i0:i1]) * dx,
+            _upper_sum(terms.q[run, i0:i1]) * dx * dx)
+
+
+def _sum(terms: np.ndarray) -> float:
+    return float(np.add.reduce(terms))
+
+
+def _upper_sum(terms: np.ndarray) -> float:
+    """q_upper(a, b) from the terms a_i suffix(b)_i: 0 below two sites."""
+    return _sum(terms) if len(terms) >= 2 else 0.0
+
+
+def _terms(f: SpinorField, runs: int) -> kernels.LevelTerms:
+    return kernels.LevelTerms(f.grid.n_points, runs, f.grid.dx)
+
+
+def _functionals(terms: kernels.LevelTerms, levels: tuple,
+                 dom: Optional[TriangleDomain]) -> tuple[float, float, float]:
+    """Write levels (one run, or a pair) into terms over the cross-section of
+    dom at their time, or the full line, and sum their row."""
+    if len(levels) == 2:
+        _check_same_frame(*levels)
+    f = levels[0]
+    i0, i1 = (0, f.grid.n_points) if dom is None else dom.section_indices(f.grid, f.t)
+    kernels.level_terms(terms, [(lv.u, lv.v) for lv in levels], i0, i1, 0, None)
+    return _row(terms, pair=len(levels) == 2)
 
 
 def base_functionals(f: SpinorField, dom: Optional[TriangleDomain] = None) -> tuple[float, float, float]:
     """(L0, D0, Q0) over the cross-section of dom at f.t, or the full line."""
-    i0, i1 = _section(f, dom)
-    if i0 >= i1:
-        return 0.0, 0.0, 0.0
-    u = f.u[i0:i1]
-    v = f.v[i0:i1]
-    au2 = u.real**2 + u.imag**2
-    av2 = v.real**2 + v.imag**2
-    dx = f.grid.dx
-    L0 = float(np.sum(au2 + av2)) * dx
-    D0 = float(np.sum(au2 * av2)) * dx
-    return L0, D0, kernels.q_upper(au2, av2) * dx * dx
+    return _functionals(_terms(f, 1), (f,), dom)
 
 
 def difference_functionals(
@@ -79,21 +96,7 @@ def difference_functionals(
     dom: Optional[TriangleDomain],
 ) -> tuple[float, float, float]:
     """(L1, D1, Q1) for the pair over the cross-section."""
-    _check_same_frame(fA, fB)
-    i0, i1 = _section(fA, dom)
-    if i0 >= i1:
-        return 0.0, 0.0, 0.0
-    U = fA.u[i0:i1] - fB.u[i0:i1]
-    V = fA.v[i0:i1] - fB.v[i0:i1]
-    aU2 = U.real**2 + U.imag**2
-    aV2 = V.real**2 + V.imag**2
-    vmod = (fA.v[i0:i1].real**2 + fA.v[i0:i1].imag**2) + (fB.v[i0:i1].real**2 + fB.v[i0:i1].imag**2)
-    umod = (fA.u[i0:i1].real**2 + fA.u[i0:i1].imag**2) + (fB.u[i0:i1].real**2 + fB.u[i0:i1].imag**2)
-    dx = fA.grid.dx
-    L1 = float(np.sum(aU2 + aV2)) * dx
-    D1 = float(np.sum(aU2 * vmod + umod * aV2)) * dx
-    Q1 = (kernels.q_upper(aU2, vmod) + kernels.q_upper(umod, aV2)) * dx * dx
-    return L1, D1, Q1
+    return _functionals(_terms(fA, 2), (fA, fB), dom)
 
 
 def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -141,7 +144,8 @@ def trace_base(snapshots: Sequence[SpinorField], dom: Optional[TriangleDomain] =
     """Base functionals of each snapshot; the charge column is L0, which is
     charge(s, dom) bit for bit."""
     times = np.array([s.t for s in snapshots])
-    rows = [base_functionals(s, dom) for s in snapshots]
+    terms = _terms(snapshots[0], 1)
+    rows = [_functionals(terms, (s,), dom) for s in snapshots]
     L0, D0, Q0 = (np.array(col) for col in zip(*rows))
     mau = np.array([float(np.max(np.abs(s.u))) for s in snapshots])
     mav = np.array([float(np.max(np.abs(s.v))) for s in snapshots])
@@ -157,7 +161,8 @@ def trace_pair(
     if len(snapsA) != len(snapsB):
         raise UsageError("pair traces need snapshot sequences of equal length")
     base = trace_base(snapsA, dom)
-    rows = [difference_functionals(a, b, dom) for a, b in zip(snapsA, snapsB)]
+    terms = _terms(snapsA[0], 2)
+    rows = [_functionals(terms, (a, b), dom) for a, b in zip(snapsA, snapsB)]
     L1, D1, Q1 = (np.array(col) for col in zip(*rows))
     return FunctionalTrace(
         base.times, base.L0, base.D0, base.Q0, base.cumD0, base.charge,
@@ -174,22 +179,13 @@ def trace_pair(
 # costs no step; feed(levels, terms) takes the runs' levels at one time,
 # t = 0 included, with their elementwise terms (a kernels.LevelTerms the
 # pass writes once per level); report() returns the AuditReport. The
-# reductions sum the terms with NumPy's pairwise np.add.reduce, the order
-# the list-form functionals above sum in, so each number is theirs bit for
-# bit. Bony and gronwall have no feed of their own: they report from
-# ConeRows, which are fed instead. A reduction keeps numbers, never a level.
+# reductions sum the terms with NumPy's pairwise np.add.reduce, and ConeRows
+# sum their rows with _row, so each row is the functionals' above. Bony and
+# gronwall have no feed of their own: they report from ConeRows, which are
+# fed instead. A reduction keeps numbers, never a level.
 # AuditPass drives one reduction per selected audit over runs evolved in
 # lockstep, and the sequence-taking functions below feed the same pass from
 # lists.
-
-
-def _sum(terms: np.ndarray) -> float:
-    return float(np.add.reduce(terms))
-
-
-def _upper_sum(terms: np.ndarray) -> float:
-    """q_upper(a, b) from the terms a_i suffix(b)_i: 0 below two sites."""
-    return _sum(terms) if len(terms) >= 2 else 0.0
 
 
 def _require_every_step(snapshots: Sequence[SpinorField]):
@@ -337,20 +333,7 @@ class ConeRows:
         if f.t > self.dom.apex_time + 1e-12:
             return
         self.times.append(f.t)
-        self.rows.append(self._row(terms))
-
-    def _row(self, terms: kernels.LevelTerms) -> tuple[float, float, float]:
-        """base_functionals(f, dom), or difference_functionals for the pair,
-        bit for bit."""
-        i0, i1, dx = terms.i0, terms.i1, terms.dx
-        if i0 >= i1:
-            return 0.0, 0.0, 0.0
-        if self.pair:
-            q = _upper_sum(terms.q1u[i0:i1]) + _upper_sum(terms.q1v[i0:i1])
-            return _sum(terms.l1[i0:i1]) * dx, _sum(terms.d1[i0:i1]) * dx, q * dx * dx
-        r = self.run
-        return (_sum(terms.dens[r, i0:i1]) * dx, _sum(terms.prod[r, i0:i1]) * dx,
-                _upper_sum(terms.q[r, i0:i1]) * dx * dx)
+        self.rows.append(_row(terms, self.run, self.pair))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Times and the three columns of the rows."""
@@ -557,12 +540,6 @@ def _audited(name: str, runs: Sequence[Sequence[SpinorField]], dom, k=None, p=No
     for levels in zip(*runs):
         audits(levels)
     return audits.report(name)
-
-
-def total_charge_audit(snapshots: Sequence[SpinorField], T: float, c_tol: float = C_TOL) -> AuditReport:
-    """Largest drift of the total charge from its initial value over the
-    recorded levels, against c_tol dx^2 (1 + initial charge) max(T, 1)."""
-    return _audited("charge", [snapshots], None, T=T, c_tol=c_tol)
 
 
 def triangle_charge_audit(

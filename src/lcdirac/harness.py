@@ -9,7 +9,7 @@ strong solutions as limits of classical ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -196,78 +196,3 @@ def uniqueness_probe(
     f0s = [mollify(f, e, family) for e in eps for family in (family_a, family_b)]
     pair, prod = _lockstep_distances(f0s, [(2 * j, 2 * j + 1) for j in range(len(eps))], p, T)
     return ConvergenceTable(eps, pair, prod, mode="cross")
-
-
-# ---------------------------------------------------------------------------
-# Ensemble data
-
-
-def random_bump_profile(
-    rng: np.random.Generator,
-    support: tuple[float, float],
-    n_bumps: int = 3,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form random superposition of complex Gaussian bumps.
-
-    Grid independent, so the same profile can be sampled across refinement
-    levels; centers stay inside the support so the data are effectively
-    compact.
-    """
-    lo, hi = support
-    pad = 0.15 * (hi - lo)
-    terms = [
-        (
-            rng.normal() + 1j * rng.normal(),
-            rng.uniform(lo + pad, hi - pad),
-            rng.uniform(0.25, 0.6) * (hi - lo) / 4.0,
-        )
-        for _ in range(n_bumps)
-    ]
-
-    def profile(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x, dtype=np.complex128)
-        for amp, c, w in terms:
-            out += amp * np.exp(-(((x - c) / w) ** 2))
-        return out
-
-    return profile
-
-
-def datum_from_profiles(
-    pu: Callable[[np.ndarray], np.ndarray],
-    pv: Callable[[np.ndarray], np.ndarray],
-    grid: GridSpec,
-    target_charge: Optional[float] = None,
-    reference_n: int = 4096,
-) -> InitialDatum:
-    """Sample two closed-form profiles onto the grid, optionally rescaled.
-
-    The charge normalization is computed on a fixed fine reference lattice
-    so the scale does not change under grid refinement.
-    """
-    from .fields import ComponentSpec
-
-    scale = 1.0
-    if target_charge is not None:
-        ref = GridSpec(grid.x_min, grid.x_max, reference_n, grid.boundary)
-        xr = ref.sites()
-        total = float(np.sum(np.abs(pu(xr)) ** 2 + np.abs(pv(xr)) ** 2)) * ref.dx
-        scale = np.sqrt(target_charge / total) if total > 0 else 0.0
-    x = grid.sites()
-    return InitialDatum(
-        ComponentSpec("sampled", values=pu(x) * scale),
-        ComponentSpec("sampled", values=pv(x) * scale),
-    )
-
-
-def random_smooth_datum(
-    rng: np.random.Generator,
-    grid: GridSpec,
-    target_charge: float,
-    support: tuple[float, float],
-    n_bumps: int = 3,
-) -> InitialDatum:
-    """Random compact smooth datum with the given charge; ensemble helper."""
-    pu = random_bump_profile(rng, support, n_bumps)
-    pv = random_bump_profile(rng, support, n_bumps)
-    return datum_from_profiles(pu, pv, grid, target_charge, reference_n=grid.n_points)

@@ -8,9 +8,10 @@ for bit (but for the step's corner named in ``_step.c``):
   that name);
 - ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
   values, byte for byte as Python's ``%`` operator does;
-- ``level_terms`` writes every elementwise term the audits sum at one
-  level (densities, products, suffix-scan products, pair terms) into a
-  ``LevelTerms``, with the growth margins and their sites.
+- ``level_terms`` writes every elementwise term the cone functionals and
+  the audits sum at one level (densities, products, suffix-scan products,
+  pair terms) into a ``LevelTerms``, with the growth margins and their
+  sites; it is the one formula for L0/D0/Q0 and L1/D1/Q1.
 
 Every pairwise sum stays in NumPy on both backends: the callers sum the
 terms with ``np.add.reduce``, so moving the terms to C changes no
@@ -28,7 +29,10 @@ The backends:
   template per block, used whenever the build or the load fails.
 
 ``backend_reason()`` says which one runs and why. The ordered pair sums
-``q_upper`` and ``q_upper_naive`` are NumPy for every backend. The active
+``q_upper`` (O(N)) and ``q_upper_naive`` (O(N^2)) are NumPy for every
+backend and on no production path: ``level_terms`` writes the suffix-scan
+products the cone functionals sum. The tests keep ``q_upper_naive`` as
+their oracle, and ``perfbench`` wraps ``q_upper`` by name. The active
 backend is fixed at import and can be overridden with ``use_backend``
 (benchmarks and cross-backend tests).
 """

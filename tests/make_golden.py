@@ -47,6 +47,11 @@ CONFIGS = {
     "simulate_thirring_periodic_rough": {
         "model": THIRRING, "grid": PERIODIC, "time": {"T": 0.5}, "init": ROUGH, "command": "simulate",
     },
+    # The cone trace up to the apex: the last sections hold 3, 1 and 0 sites.
+    "simulate_gross_neveu_cone_to_apex": {
+        "model": GROSS_NEVEU, "grid": ZERO_INFLOW, "time": {"T": 1.0}, "init": PULSES,
+        "domain": {"a": -1.0, "b": 1.0}, "command": "simulate",
+    },
     "simulate_blow_up": {
         "model": GROSS_NEVEU, "grid": ZERO_INFLOW, "time": {"T": 1.0},
         "init": {c: {"kind": "uniform", "amplitude": 1e200} for c in ("u0", "v0")}, "command": "simulate",

@@ -13,6 +13,9 @@ import lcdirac as lc
 from lcdirac import kernels
 from lcdirac.cli import parse_config, run_command
 
+from conftest import backend, naive_q1
+from ensembles import datum_from_profiles, random_bump_profile, random_smooth_datum
+
 
 def report(num, name, detail=""):
     print(f"ACCEPTANCE {num:>2} {name}: PASS {detail}")
@@ -135,12 +138,12 @@ def test_07_triangle_charge_identity():
     dom = lc.TriangleDomain(-4.0, 4.0)
     coarse, fine = [], []
     for _ in range(20):
-        pu = lc.random_bump_profile(rng, (-3, 3))
-        pv = lc.random_bump_profile(rng, (-3, 3))
+        pu = random_bump_profile(rng, (-3, 3))
+        pv = random_bump_profile(rng, (-3, 3))
         res = []
         for n in (384, 768):
             g = lc.make_grid(-6.0, 6.0, n, "zero_inflow")
-            datum = lc.datum_from_profiles(pu, pv, g, target_charge=0.5)
+            datum = datum_from_profiles(pu, pv, g, target_charge=0.5)
             snaps = lc.evolve(lc.sample_initial(datum, g), lc.GROSS_NEVEU, lc.SolverConfig(), 2.0)
             rep = lc.triangle_charge_audit(snaps, dom, 2.0)
             assert rep.passed, rep
@@ -160,7 +163,7 @@ def test_08_pointwise_bounds_ensemble():
     for i in range(50):
         m = 0.0 if i % 2 == 0 else 1.0
         p = lc.ModelParams(m, 0.0, 0.25)
-        datum = lc.random_smooth_datum(rng, g, rng.uniform(0.02, 0.08), (-3, 3))
+        datum = random_smooth_datum(rng, g, rng.uniform(0.02, 0.08), (-3, 3))
         f0 = lc.sample_initial(datum, g)
         snaps = lc.evolve(f0, p, lc.SolverConfig(), 2.0)
         rep = lc.pointwise_audit(snaps, dom, lc.charge(f0) + 1.0, p)
@@ -176,7 +179,7 @@ def test_09_bony_decay_ensemble():
     g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
     for i in range(100):
         target = rng.uniform(0.2, 0.9) * k.delta0 / 2.0
-        datum = lc.random_smooth_datum(rng, g, target, (-3, 3))
+        datum = random_smooth_datum(rng, g, target, (-3, 3))
         snaps = lc.evolve(lc.sample_initial(datum, g), p, lc.SolverConfig(), 2.0)
         rep = lc.bony_decay_audit(snaps, dom, k, p)
         assert rep.passed, (i, rep)
@@ -206,7 +209,7 @@ def test_10_gronwall_difference_envelope():
     g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
     for i in range(50):
         target = rng.uniform(0.2, 0.8) * k.delta / 2.0
-        datum = lc.random_smooth_datum(rng, g, target, (-3, 3))
+        datum = random_smooth_datum(rng, g, target, (-3, 3))
         f0 = lc.sample_initial(datum, g)
         c = np.exp(1j * rng.uniform(0, 2 * np.pi))
         fB0 = lc.SpinorField(g, 0.0, f0.u * (1 + 1e-3 * c), f0.v * (1 + 1e-3 * c))
@@ -217,7 +220,7 @@ def test_10_gronwall_difference_envelope():
     report(10, "difference growth envelope", "(50 perturbed pairs under the smallness hypothesis)")
 
 
-def test_11_fast_naive_equivalence_and_speed(rng, monkeypatch):
+def test_11_fast_naive_equivalence_and_speed(rng):
     for n in (257, 1024, 4096):
         for _ in range(7 if n < 4096 else 6):
             a = rng.uniform(size=n)
@@ -229,12 +232,12 @@ def test_11_fast_naive_equivalence_and_speed(rng, monkeypatch):
                         rng.normal(size=4096) + 1j * rng.normal(size=4096))
     fB = lc.SpinorField(g, 0.0, rng.normal(size=4096) + 1j * rng.normal(size=4096),
                         rng.normal(size=4096) + 1j * rng.normal(size=4096))
-    q0_fast = lc.base_functionals(fA)[2]
-    q1_fast = lc.difference_functionals(fA, fB, None)[2]
-    with monkeypatch.context() as m:
-        m.setattr(kernels, "q_upper", kernels.q_upper_naive)
-        assert q0_fast == pytest.approx(lc.base_functionals(fA)[2], rel=1e-12)
-        assert q1_fast == pytest.approx(lc.difference_functionals(fA, fB, None)[2], rel=1e-12)
+    q0_naive = kernels.q_upper_naive(np.abs(fA.u) ** 2, np.abs(fA.v) ** 2) * g.dx**2
+    q1_naive = naive_q1(fA, fB) * g.dx**2
+    for name in kernels.available_backends():
+        with backend(name):
+            assert lc.base_functionals(fA)[2] == pytest.approx(q0_naive, rel=1e-12)
+            assert lc.difference_functionals(fA, fB, None)[2] == pytest.approx(q1_naive, rel=1e-12)
 
     a = rng.uniform(size=4096)
     b = rng.uniform(size=4096)

@@ -10,6 +10,8 @@ from lcdirac.cli import main, parse_config, run_command, trace_csv
 from lcdirac.errors import ConfigurationError
 from lcdirac.functionals import FunctionalTrace
 
+from ensembles import random_smooth_datum
+
 
 def base_doc(**over):
     doc = {
@@ -166,7 +168,7 @@ class TestSimulate:
 
         g = lc.make_grid(-6.0, 6.0, 384, "zero_inflow")
         dom = lc.TriangleDomain(-4.0, 4.0)
-        datum = lc.random_smooth_datum(rng, g, 0.005, (-3, 3))
+        datum = random_smooth_datum(rng, g, 0.005, (-3, 3))
         f0 = lc.sample_initial(datum, g)
         fB0 = lc.SpinorField(g, 0.0, f0.u * 1.001, f0.v * 1.001)
         a = lc.evolve(f0, lc.GROSS_NEVEU, lc.SolverConfig(), 1.0)

@@ -6,7 +6,8 @@ from lcdirac import kernels
 from lcdirac.errors import PreconditionError, UsageError
 from lcdirac.functionals import trace_base, trace_pair
 
-from conftest import random_field
+from conftest import backend, naive_q1, random_field
+from ensembles import datum_from_profiles, random_bump_profile, random_smooth_datum
 
 
 def indicator(amp, center, halfwidth):
@@ -42,13 +43,14 @@ class TestBaseFunctionals:
         reversed_f = lc.SpinorField(g, 0.0, left_of.v, left_of.u)
         assert lc.base_functionals(reversed_f)[2] == 0.0
 
-    def test_fast_matches_naive(self, rng, monkeypatch):
-        g = lc.make_grid(-1, 1, 2048, "zero_inflow")
-        f = random_field(rng, g)
-        fast = lc.base_functionals(f)
-        monkeypatch.setattr(kernels, "q_upper", kernels.q_upper_naive)
-        slow = lc.base_functionals(f)
-        assert fast[2] == pytest.approx(slow[2], rel=1e-12)
+    def test_fast_matches_naive(self, rng):
+        for n in (2, 3, 2048):
+            g = lc.make_grid(-1, 1, n, "zero_inflow")
+            f = random_field(rng, g)
+            naive = kernels.q_upper_naive(np.abs(f.u) ** 2, np.abs(f.v) ** 2) * g.dx**2
+            for name in kernels.available_backends():
+                with backend(name):
+                    assert lc.base_functionals(f)[2] == pytest.approx(naive, rel=1e-12)
 
     def test_interaction_product_bound(self, rng):
         g = lc.make_grid(-1, 1, 512, "zero_inflow")
@@ -84,13 +86,14 @@ class TestDifferenceFunctionals:
         assert D1 == pytest.approx(2 * D0, rel=1e-12)
         assert Q1 == pytest.approx(2 * Q0, rel=1e-12)
 
-    def test_fast_matches_naive(self, rng, monkeypatch):
-        g = lc.make_grid(-1, 1, 1024, "zero_inflow")
-        fA, fB = random_field(rng, g), random_field(rng, g)
-        fast = lc.difference_functionals(fA, fB, None)
-        monkeypatch.setattr(kernels, "q_upper", kernels.q_upper_naive)
-        slow = lc.difference_functionals(fA, fB, None)
-        assert fast[2] == pytest.approx(slow[2], rel=1e-12)
+    def test_fast_matches_naive(self, rng):
+        for n in (2, 3, 1024):
+            g = lc.make_grid(-1, 1, n, "zero_inflow")
+            fA, fB = random_field(rng, g), random_field(rng, g)
+            naive = naive_q1(fA, fB) * g.dx**2
+            for name in kernels.available_backends():
+                with backend(name):
+                    assert lc.difference_functionals(fA, fB, None)[2] == pytest.approx(naive, rel=1e-12)
 
     def test_mismatch_rejected(self, rng):
         g = lc.make_grid(-1, 1, 64, "zero_inflow")
@@ -103,7 +106,7 @@ class TestDifferenceFunctionals:
 class TestTraces:
     def test_cumulative_nondecreasing(self, rng, gn, cone_setup):
         grid, dom = cone_setup
-        datum = lc.random_smooth_datum(rng, grid, 0.05, (-3, 3))
+        datum = random_smooth_datum(rng, grid, 0.05, (-3, 3))
         snaps = lc.evolve(lc.sample_initial(datum, grid), gn, lc.SolverConfig(), 2.0)
         tr = trace_base(snaps, dom)
         assert np.all(np.diff(tr.cumD0) >= 0)
@@ -111,7 +114,7 @@ class TestTraces:
 
     def test_pair_trace_columns(self, rng, gn, cone_setup):
         grid, dom = cone_setup
-        datum = lc.random_smooth_datum(rng, grid, 0.01, (-3, 3))
+        datum = random_smooth_datum(rng, grid, 0.01, (-3, 3))
         f0 = lc.sample_initial(datum, grid)
         fB0 = lc.SpinorField(grid, 0.0, f0.u * 1.001, f0.v * 1.001)
         a = lc.evolve(f0, gn, lc.SolverConfig(), 1.0)
@@ -138,13 +141,13 @@ class TestTriangleChargeAudit:
         assert rep.max_violation <= 1e-12
 
     def test_gross_neveu_residual_and_refinement(self, rng, gn):
-        pu = lc.random_bump_profile(rng, (-3, 3))
-        pv = lc.random_bump_profile(rng, (-3, 3))
+        pu = random_bump_profile(rng, (-3, 3))
+        pv = random_bump_profile(rng, (-3, 3))
         residuals = []
         for n in (384, 768):
             grid = lc.make_grid(-6, 6, n, "zero_inflow")
             dom = lc.TriangleDomain(-4.0, 4.0)
-            datum = lc.datum_from_profiles(pu, pv, grid, target_charge=0.5)
+            datum = datum_from_profiles(pu, pv, grid, target_charge=0.5)
             snaps = lc.evolve(lc.sample_initial(datum, grid), gn, lc.SolverConfig(), 2.0)
             rep = lc.triangle_charge_audit(snaps, dom, 2.0)
             assert rep.passed
@@ -218,7 +221,7 @@ class TestBonyDecayAudit:
 
     def test_small_data_pass(self, rng, gn, gn_constants, cone_setup):
         grid, dom = cone_setup
-        datum = lc.random_smooth_datum(rng, grid, gn_constants.delta0 / 2 * 0.8, (-3, 3))
+        datum = random_smooth_datum(rng, grid, gn_constants.delta0 / 2 * 0.8, (-3, 3))
         snaps = lc.evolve(lc.sample_initial(datum, grid), gn, lc.SolverConfig(), 2.0)
         rep = lc.bony_decay_audit(snaps, dom, gn_constants, gn)
         assert rep.passed
@@ -227,14 +230,14 @@ class TestBonyDecayAudit:
     def test_massless_net_decay(self, rng, gn_constants, cone_setup):
         grid, dom = cone_setup
         p = lc.ModelParams(0.0, 0.0, 0.25)
-        datum = lc.random_smooth_datum(rng, grid, gn_constants.delta0 / 2, (-3, 3))
+        datum = random_smooth_datum(rng, grid, gn_constants.delta0 / 2, (-3, 3))
         snaps = lc.evolve(lc.sample_initial(datum, grid), p, lc.SolverConfig(), 2.0)
         rep = lc.bony_decay_audit(snaps, dom, gn_constants, p)
         assert rep.passed  # with m = 0 the budget line is flat: pure net decay
 
     def test_smallness_precondition(self, rng, gn, gn_constants, cone_setup):
         grid, dom = cone_setup
-        datum = lc.random_smooth_datum(rng, grid, 4 * gn_constants.delta0, (-3, 3))
+        datum = random_smooth_datum(rng, grid, 4 * gn_constants.delta0, (-3, 3))
         snaps = [lc.sample_initial(datum, grid)]
         with pytest.raises(PreconditionError, match="smallness"):
             lc.bony_decay_audit(snaps, dom, gn_constants, gn)
@@ -243,14 +246,14 @@ class TestBonyDecayAudit:
 class TestGronwallAudit:
     def test_identical_fields(self, rng, gn, gn_constants, cone_setup):
         grid, dom = cone_setup
-        datum = lc.random_smooth_datum(rng, grid, gn_constants.delta / 2, (-3, 3))
+        datum = random_smooth_datum(rng, grid, gn_constants.delta / 2, (-3, 3))
         snaps = lc.evolve(lc.sample_initial(datum, grid), gn, lc.SolverConfig(), 2.0)
         rep = lc.gronwall_audit(snaps, snaps, dom, gn_constants, gn)
         assert rep.passed
 
     def test_perturbed_pair(self, rng, gn, gn_constants, cone_setup):
         grid, dom = cone_setup
-        datum = lc.random_smooth_datum(rng, grid, gn_constants.delta / 2, (-3, 3))
+        datum = random_smooth_datum(rng, grid, gn_constants.delta / 2, (-3, 3))
         f0 = lc.sample_initial(datum, grid)
         fB0 = lc.SpinorField(grid, 0.0, f0.u * (1 + 1e-6), f0.v * (1 + 1e-6))
         a = lc.evolve(f0, gn, lc.SolverConfig(), 2.0)
@@ -260,7 +263,7 @@ class TestGronwallAudit:
 
     def test_pair_smallness_precondition(self, rng, gn, gn_constants, cone_setup):
         grid, dom = cone_setup
-        datum = lc.random_smooth_datum(rng, grid, 10 * gn_constants.delta, (-3, 3))
+        datum = random_smooth_datum(rng, grid, 10 * gn_constants.delta, (-3, 3))
         f0 = lc.sample_initial(datum, grid)
         with pytest.raises(PreconditionError, match="smallness"):
             lc.gronwall_audit([f0], [f0], dom, gn_constants, gn)
@@ -268,13 +271,13 @@ class TestGronwallAudit:
 
 class TestMonotoneSlack:
     def test_refined_audit_violation_not_worse(self, rng, gn):
-        pu = lc.random_bump_profile(rng, (-3, 3))
-        pv = lc.random_bump_profile(rng, (-3, 3))
+        pu = random_bump_profile(rng, (-3, 3))
+        pv = random_bump_profile(rng, (-3, 3))
         vios = []
         for n in (384, 768):
             grid = lc.make_grid(-6, 6, n, "zero_inflow")
             dom = lc.TriangleDomain(-4.0, 4.0)
-            datum = lc.datum_from_profiles(pu, pv, grid, target_charge=0.05)
+            datum = datum_from_profiles(pu, pv, grid, target_charge=0.05)
             snaps = lc.evolve(lc.sample_initial(datum, grid), gn, lc.SolverConfig(), 2.0)
             for rep in (
                 lc.triangle_charge_audit(snaps, dom, 2.0),

@@ -6,6 +6,7 @@ from lcdirac.errors import ResolutionError
 from lcdirac.harness import mollify
 
 from conftest import random_field
+from ensembles import datum_from_profiles, random_bump_profile, random_smooth_datum
 
 
 def jump_datum(u_amp=1.0, v_amp=0.75):
@@ -131,18 +132,18 @@ class TestUniquenessProbe:
 class TestEnsembleData:
     def test_deterministic_and_charged(self):
         g = lc.make_grid(-6, 6, 384, "zero_inflow")
-        a = lc.random_smooth_datum(np.random.default_rng(5), g, 0.04, (-3, 3))
-        b = lc.random_smooth_datum(np.random.default_rng(5), g, 0.04, (-3, 3))
+        a = random_smooth_datum(np.random.default_rng(5), g, 0.04, (-3, 3))
+        b = random_smooth_datum(np.random.default_rng(5), g, 0.04, (-3, 3))
         fa, fb = lc.sample_initial(a, g), lc.sample_initial(b, g)
         assert np.array_equal(fa.u, fb.u)
         assert lc.charge(fa) == pytest.approx(0.04, rel=1e-9)
 
     def test_profile_scale_stable_under_refinement(self, rng):
-        pu = lc.random_bump_profile(rng, (-3, 3))
-        pv = lc.random_bump_profile(rng, (-3, 3))
+        pu = random_bump_profile(rng, (-3, 3))
+        pv = random_bump_profile(rng, (-3, 3))
         charges = []
         for n in (384, 768):
             g = lc.make_grid(-6, 6, n, "zero_inflow")
-            datum = lc.datum_from_profiles(pu, pv, g, target_charge=0.5)
+            datum = datum_from_profiles(pu, pv, g, target_charge=0.5)
             charges.append(lc.charge(lc.sample_initial(datum, g)))
         assert charges[0] == pytest.approx(charges[1], rel=1e-6)

@@ -22,6 +22,7 @@ from lcdirac.functionals import FunctionalTrace
 from lcdirac.harness import ConvergenceTable
 
 from conftest import random_field
+from ensembles import random_smooth_datum
 
 AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 0.1, 1 / 3, 1e16, 1e17, -1.5e300]
 TRACE_COLS = ["t", "L0", "D0", "Q0", "cumD0", "charge", "max_abs_u", "max_abs_v"]
@@ -145,7 +146,7 @@ class TestSnapshots:
 
     def test_evolved_run(self, rng):
         g = lc.make_grid(-6.0, 6.0, 64, "zero_inflow")
-        f0 = lc.sample_initial(lc.random_smooth_datum(rng, g, 0.05, (-3, 3)), g)
+        f0 = lc.sample_initial(random_smooth_datum(rng, g, 0.05, (-3, 3)), g)
         snaps = lc.evolve(f0, lc.GROSS_NEVEU, lc.SolverConfig(record_every=3), 1.0)
         assert snapshots_csv(snaps) == ref_snapshots(snaps)
 

@@ -26,6 +26,8 @@ from lcdirac import cli, functionals, kernels
 from lcdirac.cli import main
 from lcdirac.errors import BlowUpError, UsageError
 
+from conftest import backend
+
 GN_DATUM = lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", 0.07, center=-0.5, width=0.8),
                           lc.ComponentSpec("gaussian_pulse", 0.055, center=0.5, width=0.9))
 GN_INIT = {
@@ -68,7 +70,7 @@ def sequence_audits(cfg):
     c0 = cfg.audit_c0 if cfg.audit_c0 is not None else lc.charge(f0) + 1.0
     reports = {
         "algebraic": lambda: lc.check_algebraic_bounds(cfg.audit_samples, p, k, cfg.audit_seed),
-        "charge": lambda: functionals.total_charge_audit(snaps, cfg.T, cfg.c_tol),
+        "charge": lambda: functionals._audited("charge", [snaps], None, T=cfg.T, c_tol=cfg.c_tol),
         "triangle": lambda: lc.triangle_charge_audit(snaps, dom, tau, cfg.c_tol),
         "pointwise": lambda: lc.pointwise_audit(snaps, dom, c0, p, cfg.c_tol),
         "bony": lambda: lc.bony_decay_audit(snaps, dom, k, p, cfg.c_tol),
@@ -189,15 +191,6 @@ def test_pointwise_windows_match_per_width_reference(model, gain, ramp, by_windo
         assert (rep.max_violation, rep.witness) == (worst, witness), name
 
 
-@contextlib.contextmanager
-def backend(name):
-    before = kernels.use_backend(name)
-    try:
-        yield
-    finally:
-        kernels.use_backend(before)
-
-
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_pointwise_cone_on_the_whole_grid(name):
     # The cone's edges sit on the grid's first and last site, so the feet of
@@ -217,11 +210,32 @@ def test_pointwise_cone_on_the_whole_grid(name):
     assert worst > 0 and window_won
 
 
+def _cone_rows_oracle(levels, dom):
+    """(L0, D0, Q0) of one run's levels, or (L1, D1, Q1) of a pair's, from
+    the densities over each section with the O(N^2) ordered pair sum."""
+    rows = []
+    for lv in levels:
+        f, dx = lv[0], lv[0].grid.dx
+        sec = slice(*dom.section_indices(f.grid, f.t))
+        au, av = ([np.abs(getattr(x, c)[sec]) ** 2 for x in lv] for c in "uv")
+        if len(lv) == 1:
+            a, b, c = au[0] + av[0], au[0] * av[0], kernels.q_upper_naive(au[0], av[0])
+        else:
+            aU2 = np.abs(lv[0].u[sec] - lv[1].u[sec]) ** 2
+            aV2 = np.abs(lv[0].v[sec] - lv[1].v[sec]) ** 2
+            umod, vmod = au[0] + au[1], av[0] + av[1]
+            a, b = aU2 + aV2, aU2 * vmod + umod * aV2
+            c = kernels.q_upper_naive(aU2, vmod) + kernels.q_upper_naive(umod, aV2)
+        rows.append((np.sum(a) * dx, np.sum(b) * dx, c * dx * dx))
+    return np.array(rows)
+
+
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_cone_rows_equal_the_list_functionals(name, gn, gn_constants):
     """The rows the pass sums from level_terms' buffers are base_functionals
-    and difference_functionals bit for bit, down to the apex's sections of
-    three, one and no sites; the charge drift is charge()'s."""
+    and difference_functionals on every backend bit for bit, and an
+    independent NumPy oracle's within rounding, down to the apex's sections
+    of three, one and no sites; the charge drift is charge()'s."""
     g = lc.make_grid(-6, 6, 96, "zero_inflow")
     f0 = lc.sample_initial(GN_DATUM, g)
     dom = lc.TriangleDomain(-1.0, 1.0)
@@ -234,9 +248,14 @@ def test_cone_rows_equal_the_list_functionals(name, gn, gn_constants):
     gronwall = audits.audits["gronwall"]
     inside = [lv for lv in seen if lv[0].t <= dom.apex_time + 1e-12]
     assert {len(range(*dom.section_indices(g, a.t))) for a, _ in inside} >= {0, 1, 3}
-    assert gronwall.rows_a.rows == [lc.base_functionals(a, dom) for a, _ in inside]
-    assert gronwall.rows_b.rows == [lc.base_functionals(b, dom) for _, b in inside]
-    assert gronwall.pair.rows == [lc.difference_functionals(a, b, dom) for a, b in inside]
+    for other in kernels.available_backends():
+        with backend(other):
+            assert gronwall.rows_a.rows == [lc.base_functionals(a, dom) for a, _ in inside]
+            assert gronwall.rows_b.rows == [lc.base_functionals(b, dom) for _, b in inside]
+            assert gronwall.pair.rows == [lc.difference_functionals(a, b, dom) for a, b in inside]
+    for rows, levels in ((gronwall.rows_a, [(a,) for a, _ in inside]),
+                         (gronwall.rows_b, [(b,) for _, b in inside]), (gronwall.pair, inside)):
+        np.testing.assert_allclose(np.array(rows.rows), _cone_rows_oracle(levels, dom), rtol=1e-12, atol=0)
     q0 = lc.charge(f0)
     assert audits.audits["charge"].drift == max(abs(lc.charge(a) - q0) for a, _ in seen)
 
@@ -246,7 +265,7 @@ def test_charge_audit_takes_the_largest_drift():
     f0 = lc.sample_initial(GN_DATUM, g)
     levels = [lc.SpinorField(g, k * g.dt, f0.u * c, f0.v) for k, c in enumerate([1.0, 1.2, 1.1, 0.95])]
     q = [lc.charge(f) for f in levels]
-    rep = functionals.total_charge_audit(levels, 1.0)
+    rep = functionals._audited("charge", [levels], None, T=1.0)
     assert rep.max_violation == max(abs(x - q[0]) for x in q) == abs(q[1] - q[0])
     assert rep.info["initial_charge"] == q[0]
 
