@@ -15,7 +15,10 @@ triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
 [-6, 6), cone [-4, 4], T = 1: the size of the ``audit_cone`` workload, its
 257 levels evolved once and held) is fed every level, in microseconds per
 level; ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
-NumPy on both. Last, the standalone ordered pair sum ``q_upper`` (NumPy on
+NumPy on both. Then the pair distances ``converge`` and ``unique`` take at
+every level (``_PairDistance.feed``: one distance-mode ``level_terms``
+pass over two random Thirring-sized runs and two NumPy sums), in
+microseconds per pair-level. Last, the standalone ordered pair sum ``q_upper`` (NumPy on
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
 oracle ``q_upper_naive`` that the tests compare the functionals with, and
@@ -33,6 +36,7 @@ import numpy as np
 import lcdirac as lc
 from lcdirac import GROSS_NEVEU, THIRRING, kernels
 from lcdirac.functionals import AuditPass
+from lcdirac.harness import _PairDistance
 
 CALLS = 20  # steps per timing
 AUDITS = ("charge", "triangle", "pointwise", "bony", "gronwall")
@@ -90,6 +94,19 @@ def audit_us_per_level(levels, repeats) -> float:
     return best_of(feed, repeats) / len(levels) * 1e6
 
 
+def distance_us_per_pair_level(n, rng, repeats) -> float:
+    grid = lc.make_grid(-8.0, 8.0, n, "periodic")
+    a, b = (lc.SpinorField(grid, 0.0, 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                           0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))) for _ in range(2))
+
+    def feed():
+        dist = _PairDistance()
+        for _ in range(CALLS):
+            dist.feed(a, b)
+
+    return best_of(feed, repeats) / CALLS * 1e6
+
+
 def print_row(label, n, times):
     ratio = f"{times[-1] / times[0]:.1f}x" if len(times) == 2 else "n/a"
     cells = "".join(f"{t:>12.1f}" for t in times)
@@ -132,6 +149,13 @@ def bench(sizes, repeats):
             kernels.use_backend(bk)
             times.append(audit_us_per_level(levels, repeats))
         print_row("AuditPass, 5 audits", levels[0][0].grid.n_points, times)
+        print("pair distance: us per pair-level")
+        for n in sizes:
+            times = []
+            for bk in backends:
+                kernels.use_backend(bk)
+                times.append(distance_us_per_pair_level(n, rng, repeats))
+            print_row("_PairDistance.feed", n, times)
     finally:
         kernels.use_backend(before)
 

@@ -11,7 +11,9 @@ for bit (but for the step's corner named in ``_step.c``):
 - ``level_terms`` writes every elementwise term the cone functionals and
   the audits sum at one level (densities, products, suffix-scan products,
   pair terms) into a ``LevelTerms``, with the growth margins and their
-  sites; it is the one formula for L0/D0/Q0 and L1/D1/Q1.
+  sites; it is the one formula for L0/D0/Q0 and L1/D1/Q1. In distance mode
+  it writes the terms of the field and product distances of two runs,
+  which ``converge`` and ``unique`` take at every level.
 
 Every pairwise sum stays in NumPy on both backends: the callers sum the
 terms with ``np.add.reduce``, so moving the terms to C changes no
@@ -21,14 +23,26 @@ summation order and no digit of an artifact. Only sequential scans (the
 The backends:
 
 - ``compiled``: ``_step.c``, ``_format.c`` and ``_level.c``, built into one
-  library with the system C compiler on first import, cached as
-  ``__pycache__/_step.<key>.so`` next to this file (the key is a CRC-32 of
-  the sources and the flags; a build deletes the libraries of other keys)
-  and called through ctypes;
+  library with the system C compiler on first import, for the CPU it runs
+  on (``CFLAGS``, with ``-march=native``), cached as
+  ``__pycache__/_step.<key>.so`` next to this file and called through
+  ctypes. The key is a CRC-32 of the sources, the flags and the CPU
+  fingerprint (``cpu_fingerprint``: the CRC-32 of the first flags line of
+  /proc/cpuinfo), so a cached library never loads on another CPU; a build
+  deletes the libraries of other keys. Where there is no fingerprint, or cc
+  rejects the native flags, the library is built with ``PORTABLE_CFLAGS``
+  as ``_step.<key>.portable.so``; both builds give the same bits;
 - ``pure``: the NumPy step and level terms in ``pure.py`` and one ``%``
   template per block, used whenever the build or the load fails.
 
-``backend_reason()`` says which one runs and why. The ordered pair sums
+NumPy rounds each part of a complex product once (a fused multiply-add)
+where its FMA loops are dispatched, and twice otherwise. The distance
+terms must round as NumPy does, so ``FUSED_PRODUCT`` probes NumPy once at
+import and the C pass follows it.
+
+``backend_reason()`` says which one runs and why: for ``compiled``, the
+library, its flag set (native, or portable and why) and whether the
+distance product is fused. The ordered pair sums
 ``q_upper`` (O(N)) and ``q_upper_naive`` (O(N^2)) are NumPy for every
 backend and on no production path: ``level_terms`` writes the suffix-scan
 products the cone functionals sum. The tests keep ``q_upper_naive`` as
@@ -48,29 +62,60 @@ from ..errors import UsageError
 from . import pure
 from .pure import q_upper, q_upper_naive  # noqa: F401  (public names)
 
-CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+PORTABLE_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# For the CPU of the build. Without SLP vectorisation: with AVX2 or AVX-512
+# it vectorised _format.c's digit stores and made format_rows about 8 %
+# slower; the step and level loops are loop-vectorised either way.
+CFLAGS = ("-O3", "-march=native", "-fno-tree-slp-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCES = tuple(os.path.join(_HERE, name) for name in ("_step.c", "_format.c", "_level.c"))
 TOKEN_BYTES = 25  # the longest %.17g token, -2.2250738585072014e-308, and a separator
 
 
-def library_key(sources=SOURCES) -> int:
-    """CRC-32 of the sources and the flags: the cached library's name."""
+def cpu_fingerprint(path: str = "/proc/cpuinfo"):
+    """CRC-32 of the first ``flags`` (x86) or ``Features`` (ARM) line of
+    path, the instruction sets -march=native may use; None without one."""
+    try:
+        with open(path, "rb") as fh:
+            for line in fh:
+                if line.startswith((b"flags", b"Features")):
+                    return zlib.crc32(line)
+    except OSError:
+        pass
+    return None
+
+
+def _numpy_fuses_complex_product() -> bool:
+    """Whether NumPy rounds each part of a complex product once, as
+    fma(ar, br, -ai bi), as its SIMD loops do where its FMA dispatch is
+    active, or twice, as ar br - ai bi. The real part of these 16 equal
+    products is -2^-60 fused and 0 unfused."""
+    a = np.full(16, complex(1.0 + 2.0**-30, 1.0))
+    b = np.full(16, complex(1.0 - 2.0**-30, 1.0))
+    return bool(((a * b).real != 0.0).all())
+
+
+CPU = cpu_fingerprint()
+FUSED_PRODUCT = _numpy_fuses_complex_product()
+
+
+def library_key(sources=SOURCES, fingerprint=CPU) -> int:
+    """CRC-32 of the sources, the flags and the CPU fingerprint: the cached library's name."""
     data = b""
     for source in sources:
         with open(source, "rb") as fh:
             data += fh.read()
-    return zlib.crc32(data + " ".join(CFLAGS).encode())
+    return zlib.crc32(data + " ".join(CFLAGS).encode() + repr(fingerprint).encode())
 
 
-def _compile(sources, target: str):
+def _compile(sources, target: str, flags):
     import subprocess  # only on a cache miss: it costs milliseconds to import
 
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         try:
-            done = subprocess.run(["cc", *CFLAGS, "-o", tmp, *sources],
+            done = subprocess.run(["cc", *flags, "-o", tmp, *sources, "-lm"],
                                   capture_output=True, text=True, timeout=300)
         except FileNotFoundError:
             raise OSError("cc not found") from None
@@ -86,7 +131,7 @@ def _compile(sources, target: str):
 
 
 def _remove_stale(cache_dir: str, keep: str):
-    """Delete the libraries built from an older source or flag set."""
+    """Delete the libraries built from an older source or flag set, or for another CPU."""
     try:
         names = os.listdir(cache_dir)
     except OSError:
@@ -100,16 +145,45 @@ def _remove_stale(cache_dir: str, keep: str):
                 pass
 
 
-def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
+def _cached_or_built(cache_dir: str, fingerprint) -> tuple[str, str]:
+    """The library for this CPU, built unless cached, and its flag set.
+
+    With a fingerprint it is ``_step.<key>.so``, built with CFLAGS; where
+    there is none, or cc rejects CFLAGS, ``_step.<key>.portable.so``, built
+    with PORTABLE_CFLAGS. The key holds the fingerprint, so a portable build
+    cached for a CPU records that cc rejected CFLAGS there, and cc is not
+    asked again.
+    """
+    base = os.path.join(cache_dir, f"_step.{library_key(fingerprint=fingerprint):08x}")
+    native, portable = f"{base}.so", f"{base}.portable.so"
+    native_why = None if fingerprint is None else f"native flags for CPU {fingerprint:08x}"
+    if native_why and os.path.exists(native):
+        return native, native_why
+    why = "portable flags: " + ("no CPU fingerprint" if native_why is None else "cc rejected the native flags")
+    if os.path.exists(portable):
+        return portable, why
+    if native_why:
+        try:
+            _compile(SOURCES, native, CFLAGS)
+        except OSError:
+            pass  # cc rejects CFLAGS, or fails again below
+        else:
+            _remove_stale(cache_dir, native)
+            return native, native_why
+    _compile(SOURCES, portable, PORTABLE_CFLAGS)
+    _remove_stale(cache_dir, portable)
+    return portable, why
+
+
+def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerprint=CPU):
     """Build the sources into cache_dir unless cached, then load the library.
 
-    Returns ``(library or None, one-line reason)``; never raises.
+    fingerprint (``cpu_fingerprint()``) names the CPU the build is for;
+    None builds with the portable flags. Returns ``(library or None,
+    one-line reason)``; never raises.
     """
     try:
-        target = os.path.join(cache_dir, f"_step.{library_key():08x}.so")
-        if not os.path.exists(target):
-            _compile(SOURCES, target)
-            _remove_stale(cache_dir, target)
+        target, flags = _cached_or_built(cache_dir, fingerprint)
         lib = ctypes.CDLL(target)
         step, fmt, level = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms
     except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
@@ -121,7 +195,8 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__")):
     fmt.restype = ctypes.c_ssize_t
     level.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int, ctypes.c_double]
     level.restype = None
-    return lib, f"compiled: {os.path.basename(target)}"
+    product = "fused" if FUSED_PRODUCT else "unfused"
+    return lib, f"compiled: {os.path.basename(target)} ({flags}; {product} distance product)"
 
 
 _lib, _reason = load_compiled()
@@ -211,9 +286,10 @@ def format_rows(values) -> str:
 class _Level(ctypes.Structure):
     """``lcd_level`` in ``_level.c``, field for field."""
 
-    ARRAYS = ("au", "av", "dens", "prod", "q", "l1", "d1", "q1u", "q1v",
+    ARRAYS = ("au", "av", "dens", "prod", "q", "l1", "d1", "q1u", "q1v", "p1",
               "pre_u", "pre_v", "au0", "av0", "pre_u0", "pre_v0", "margins", "sites")
-    _fields_ = ([("n", ctypes.c_ssize_t), ("runs", ctypes.c_ssize_t)]
+    _fields_ = ([("n", ctypes.c_ssize_t), ("runs", ctypes.c_ssize_t),
+                 ("distance", ctypes.c_int), ("fused", ctypes.c_int)]
                 + [(name, ctypes.c_double) for name in ("dx", "m", "C0")]
                 + [(name, ctypes.c_void_p) for name in ARRAYS])
 
@@ -223,14 +299,19 @@ class LevelTerms:
     for n sites and 1 or 2 runs (A, then B), with the addresses the C pass
     takes kept in one struct (``a.ctypes.data`` costs about 2 us a lookup).
 
-    Per run r, over the grid: ``au[r]`` = |u|^2, ``av[r]`` = |v|^2 and
-    ``dens[r]`` = au + av. Over the section [i0, i1) of the last level
-    written (``i0 = i1 = 0`` when empty), at the same indices: ``prod[r]`` =
+    Over the section [i0, i1) of the last level written (``i0 = i1 = 0``
+    when empty), per run r: ``au[r]`` = |u|^2, ``av[r]`` = |v|^2,
+    ``dens[r]`` = au + av (for run A over the whole grid), ``prod[r]`` =
     au av and ``q[r]`` = au suffix(av), whose sum is q_upper(au, av); for
     two runs, with U = uA - uB, V = vA - vB, umod = auA + auB and
     vmod = avA + avB: ``l1`` = |U|^2 + |V|^2, ``d1`` = |U|^2 vmod + umod
     |V|^2, ``q1u`` = |U|^2 suffix(vmod) and ``q1v`` = umod suffix(|V|^2).
     Outside the section these hold what earlier levels left.
+
+    With distance set (two runs, no origin), only ``l1`` and ``p1`` =
+    |uA vA - uB vB|^2 are kept and written, the terms of
+    ``fields.l2_distance`` and of the product distance; the complex products
+    round as NumPy's do on this host (``FUSED_PRODUCT``).
 
     With origin, run A's (u, v) at t = 0, and the run's m and C0, a level
     written with a growth factor also gets the growth margins: ``margins``
@@ -241,14 +322,21 @@ class LevelTerms:
     ``av0``, ``pre_u0`` and ``pre_v0`` the origin's.
     """
 
-    def __init__(self, n: int, runs: int, dx: float, origin=None, m: float = 0.0, C0: float = 0.0):
+    def __init__(self, n: int, runs: int, dx: float, origin=None, m: float = 0.0, C0: float = 0.0,
+                 distance: bool = False):
         if runs not in (1, 2):
             raise ValueError(f"runs must be 1 or 2, got {runs}")
-        self.n, self.runs, self.dx, self.m, self.C0 = n, runs, dx, m, C0
-        self.au, self.av, self.dens, self.prod, self.q = np.zeros((5, runs, n))
-        self.l1 = self.d1 = self.q1u = self.q1v = None
-        if runs == 2:
-            self.l1, self.d1, self.q1u, self.q1v = np.zeros((4, n))
+        if distance and (runs != 2 or origin is not None):
+            raise ValueError("distance terms take two runs and no origin")
+        self.n, self.runs, self.dx, self.m, self.C0, self.distance = n, runs, dx, m, C0, distance
+        self.au = self.av = self.dens = self.prod = self.q = None
+        self.l1 = self.d1 = self.q1u = self.q1v = self.p1 = None
+        if distance:
+            self.l1, self.p1 = np.zeros((2, n))
+        else:
+            self.au, self.av, self.dens, self.prod, self.q = np.zeros((5, runs, n))
+            if runs == 2:
+                self.l1, self.d1, self.q1u, self.q1v = np.zeros((4, n))
         self.pre_u = self.pre_v = self.au0 = self.av0 = self.pre_u0 = self.pre_v0 = None
         if origin is not None:
             u0, v0 = (_field(a, n) for a in origin)
@@ -261,7 +349,8 @@ class LevelTerms:
         self.sites = np.full(3, -1, dtype=np.intp)
         self.i0 = self.i1 = 0
         arrays = (getattr(self, name) for name in _Level.ARRAYS)
-        self._struct = _Level(n, runs, dx, m, C0, *(None if a is None else a.ctypes.data for a in arrays))
+        self._struct = _Level(n, runs, distance, FUSED_PRODUCT, dx, m, C0,
+                              *(None if a is None else a.ctypes.data for a in arrays))
         self._address = ctypes.addressof(self._struct)
 
 

@@ -3,18 +3,24 @@
  * sums of the terms stay in NumPy (np.add.reduce on these buffers), so no
  * summation order changes; only the sequential scans (np.cumsum order) run
  * here. Build with -ffp-contract=off and never with -ffast-math: no
- * multiply-add may be fused, and the NaN tests must survive.
+ * multiply-add may be fused but the explicit fma() calls, and the NaN tests
+ * must survive.
  *
- * Per run r (A, then B), with au = |u|^2, av = |v|^2 and the section
- * [i0, i1):
- *   au, av, dens = au + av                  over the grid
- *   prod = au av, q = au suffix(av)         over the section
+ * With au = |u|^2, av = |v|^2 and the section [i0, i1):
+ *   au, av, dens = au + av                  run A over the grid, run B over
+ *                                           the section
+ *   prod = au av, q = au suffix(av)         each run over the section
  * and for the pair (U = uA - uB, V = vA - vB, umod = auA + auB,
  * vmod = avA + avB), over the section:
  *   l1 = |U|^2 + |V|^2, d1 = |U|^2 vmod + umod |V|^2,
  *   q1u = |U|^2 suffix(vmod), q1v = umod suffix(|V|^2)
  * where suffix(b)_i = sum_{j > i} b_j, accumulated from the right as
  * q_upper's reversed cumsum does.
+ *
+ * In distance mode (two runs, no per-run term) only l1 and
+ * p1 = |uA vA - uB vB|^2 are written over the section, each complex
+ * product rounded as NumPy's: once per part (fma) where NumPy's FMA loops
+ * run, twice otherwise; the caller probes NumPy and sets fused.
  *
  * With with_margins set, also run A's prefix sums over the grid and the growth
  * margins against the level at t = 0 (kshift sites back along each
@@ -34,9 +40,10 @@ typedef struct { double re, im; } cplx;
  * major; pre_* and the prefix sums at t = 0 hold n + 1 values. */
 typedef struct {
     ptrdiff_t n, runs;
+    int distance, fused;
     double dx, m, C0;
     double *au, *av, *dens, *prod, *q;
-    double *l1, *d1, *q1u, *q1v;
+    double *l1, *d1, *q1u, *q1v, *p1;
     double *pre_u, *pre_v;
     const double *au0, *av0, *pre_u0, *pre_v0;
     double *margins;
@@ -68,11 +75,11 @@ static double maximum(double a, double b)
 }
 
 static void densities(const cplx *restrict u, const cplx *restrict v, double *restrict au,
-                      double *restrict av, double *restrict dens, ptrdiff_t n)
+                      double *restrict av, double *restrict dens, ptrdiff_t i0, ptrdiff_t i1)
 {
     ptrdiff_t i;
 
-    for (i = 0; i < n; i++) {
+    for (i = i0; i < i1; i++) {
         au[i] = abs2(u[i]);
         av[i] = abs2(v[i]);
         dens[i] = au[i] + av[i];
@@ -135,6 +142,55 @@ static void pair_terms(const lcd_level *L, const cplx *ua, const cplx *va, const
     }
 }
 
+/* a b as NumPy multiplies complex arrays: fused, each part as one fma,
+ * or unfused, four products and two sums. NumPy's fused real part is
+ * a.re b.re - p, p = a.im b.im, by a subtracting fma, which returns a NaN
+ * p unchanged; fma(a.re, b.re, -p) returns -p from a software fma, so p is
+ * negated only when it is not a NaN. */
+static inline cplx cmul(cplx a, cplx b, int fused)
+{
+    cplx r;
+
+    if (fused) {
+        double p = a.im * b.im;
+
+        r.re = fma(a.re, b.re, p == p ? -p : p);
+        r.im = fma(a.re, b.im, a.im * b.re);
+    } else {
+        r.re = a.re * b.re - a.im * b.im;
+        r.im = a.re * b.im + a.im * b.re;
+    }
+    return r;
+}
+
+/* always inlined, so each call compiles a loop for one constant fused */
+static inline __attribute__((always_inline)) void
+distance_loop(const cplx *restrict ua, const cplx *restrict va, const cplx *restrict ub,
+              const cplx *restrict vb, double *restrict l1, double *restrict p1, ptrdiff_t i0,
+              ptrdiff_t i1, int fused)
+{
+    ptrdiff_t i;
+
+    for (i = i0; i < i1; i++) {
+        cplx U = {ua[i].re - ub[i].re, ua[i].im - ub[i].im};
+        cplx V = {va[i].re - vb[i].re, va[i].im - vb[i].im};
+        cplx pa = cmul(ua[i], va[i], fused), pb = cmul(ub[i], vb[i], fused);
+        cplx d = {pa.re - pb.re, pa.im - pb.im};
+
+        l1[i] = abs2(U) + abs2(V);
+        p1[i] = abs2(d);
+    }
+}
+
+static void distance_terms(const lcd_level *L, const cplx *ua, const cplx *va, const cplx *ub,
+                           const cplx *vb, ptrdiff_t i0, ptrdiff_t i1)
+{
+    if (L->fused)
+        distance_loop(ua, va, ub, vb, L->l1, L->p1, i0, i1, 1);
+    else
+        distance_loop(ua, va, ub, vb, L->l1, L->p1, i0, i1, 0);
+}
+
 static void growth_margins(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t kshift, double E)
 {
     const double *au = L->au, *av = L->av, *pre_u = L->pre_u, *pre_v = L->pre_v;
@@ -166,7 +222,7 @@ static void growth_margins(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1, ptrdi
 
 /* Runs A and B, n sites each (ub and vb NULL for one run); 0 <= i0 <= i1 <= n.
  * With with_margins, au0 and the other arrays at t = 0 are set and the feet
- * lie on the grid. */
+ * lie on the grid; in distance mode, with_margins is 0. */
 void lcd_level_terms(const lcd_level *L, const cplx *ua, const cplx *va, const cplx *ub,
                      const cplx *vb, ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t kshift,
                      int with_margins, double E)
@@ -175,10 +231,15 @@ void lcd_level_terms(const lcd_level *L, const cplx *ua, const cplx *va, const c
     const ptrdiff_t n = L->n;
     ptrdiff_t r, i;
 
+    if (L->distance) {
+        distance_terms(L, ua, va, ub, vb, i0, i1);
+        return;
+    }
     for (r = 0; r < L->runs; r++) {
         double *au = L->au + r * n, *av = L->av + r * n, *prod = L->prod + r * n;
 
-        densities(u[r], v[r], au, av, L->dens + r * n, n);
+        /* run B's densities are read over the section only */
+        densities(u[r], v[r], au, av, L->dens + r * n, r == 0 ? 0 : i0, r == 0 ? n : i1);
         for (i = i0; i < i1; i++)
             prod[i] = au[i] * av[i];
         upper_terms(au, av, L->q + r * n, i0, i1);

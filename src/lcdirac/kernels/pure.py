@@ -112,6 +112,8 @@ def level_terms(terms, runs, i0, i1, kshift, E):
     (which names each one), for runs, one (u, v) pair per run, over the
     section [i0, i1); with E, the growth factor at this level, also the
     growth margins against the level at t = 0. The sums stay with the caller.
+    In distance mode the complex products are NumPy's, the rounding that
+    the compiled pass follows.
 
     Overflow is left to the caller, as in the compiled backend.
     """
@@ -121,11 +123,12 @@ def level_terms(terms, runs, i0, i1, kshift, E):
 
 def _level_terms(terms, runs, i0, i1, kshift, E):
     sec = slice(i0, i1)
-    for r, (u, v) in enumerate(runs):
+    for r, (u, v) in enumerate([] if terms.distance else runs):
+        span = slice(None) if r == 0 else sec  # run B is read over the section only
         au, av = terms.au[r], terms.av[r]
-        au[:] = u.real**2 + u.imag**2
-        av[:] = v.real**2 + v.imag**2
-        terms.dens[r] = au + av
+        au[span] = u[span].real**2 + u[span].imag**2
+        av[span] = v[span].real**2 + v[span].imag**2
+        terms.dens[r, span] = au[span] + av[span]
         terms.prod[r, sec] = au[sec] * av[sec]
         terms.q[r, sec] = au[sec] * upper_suffix(av[sec])
     if len(runs) == 2:
@@ -134,12 +137,16 @@ def _level_terms(terms, runs, i0, i1, kshift, E):
         V = vA[sec] - vB[sec]
         aU2 = U.real**2 + U.imag**2
         aV2 = V.real**2 + V.imag**2
-        vmod = terms.av[0, sec] + terms.av[1, sec]
-        umod = terms.au[0, sec] + terms.au[1, sec]
         terms.l1[sec] = aU2 + aV2
-        terms.d1[sec] = aU2 * vmod + umod * aV2
-        terms.q1u[sec] = aU2 * upper_suffix(vmod)
-        terms.q1v[sec] = umod * upper_suffix(aV2)
+        if terms.distance:
+            d = uA[sec] * vA[sec] - uB[sec] * vB[sec]
+            terms.p1[sec] = d.real**2 + d.imag**2
+        else:
+            vmod = terms.av[0, sec] + terms.av[1, sec]
+            umod = terms.au[0, sec] + terms.au[1, sec]
+            terms.d1[sec] = aU2 * vmod + umod * aV2
+            terms.q1u[sec] = aU2 * upper_suffix(vmod)
+            terms.q1v[sec] = umod * upper_suffix(aV2)
     terms.margins[:] = -np.inf
     terms.sites[:] = -1
     if E is not None:

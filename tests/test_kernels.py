@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -240,7 +241,10 @@ def test_backends_agree_on_level_terms(rng, runs):
         kshift = int(rng.integers(0, 40))
         i0 = int(rng.integers(kshift, 150))
         i1 = int(rng.integers(i0, n - kshift + 1))
-        _assert_terms_agree(fields, i0, i1)
+        got = _assert_terms_agree(fields, i0, i1)
+        if runs == 2:  # run B's densities are written over the section only
+            outside = np.r_[0:i0, i1:n]
+            assert not any(got[name][1, outside].any() for name in ("au", "av", "dens"))
         _assert_terms_agree(fields, i0, i1, kshift, float(rng.uniform(0.5, 3.0)), origin)
 
 
@@ -331,6 +335,109 @@ def test_window_witness_is_the_first_dyadic_window_in_width_order(name):
             assert (got["margins"][2], got["sites"][2]) == (max(overlap), windows[first][0]), (n_sec, lo, length)
 
 
+# Corner values: NaN, infinities, values whose products overflow, and values
+# near 1e-300 whose products underflow.
+CORNERS = (np.nan, np.inf, -np.inf, 1e154, -1.5e154, 1e-300, -3e-300, 5e-324, -0.0)
+
+
+def _cornered(rng, n, count=3):
+    """A random complex field with count corner values among its real and imaginary parts."""
+    z = _cplx(rng, n)
+    parts = z.view(np.float64)
+    parts[rng.choice(2 * n, size=min(count, 2 * n), replace=False)] = rng.choice(CORNERS, size=min(count, 2 * n))
+    return z
+
+
+def _distance_terms(runs, name="compiled"):
+    """(l1, p1) of one distance-mode level_terms call on backend name."""
+    n = runs[0][0].shape[0]
+    before = kernels.use_backend(name)
+    try:
+        terms = kernels.LevelTerms(n, 2, 0.05, distance=True)
+        kernels.level_terms(terms, runs, 0, n, 0, None)
+    finally:
+        kernels.use_backend(before)
+    return terms.l1, terms.p1
+
+
+def _unfused_distance_terms(runs):
+    """(l1, p1) in NumPy real arithmetic: each part of a complex product
+    rounded after each multiply and each sum."""
+    (uA, vA), (uB, vB) = runs
+
+    def mul(a, b):
+        return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, V = uA - uB, vA - vB
+        (ar, ai), (br, bi) = mul(uA, vA), mul(uB, vB)
+        return (U.real**2 + U.imag**2) + (V.real**2 + V.imag**2), (ar - br) ** 2 + (ai - bi) ** 2
+
+
+def _distance_cases(rng):
+    """Random pairs at N = 2, 3 and 4096, pairs with corner values, and
+    pairs whose products overflow."""
+    cases = []
+    for n in (2, 3, 4096):
+        cases.append([(_cplx(rng, n), _cplx(rng, n)) for _ in range(2)])
+        for _ in range(20):
+            cases.append([(_cornered(rng, n, 1 + n // 1000), _cornered(rng, n, 1)) for _ in range(2)])
+        cases.append([(_cplx(rng, n, 1e154), _cplx(rng, n, 1e154)) for _ in range(2)])
+    return cases
+
+
+def _assert_bits_equal(got, want, *context):
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), context
+
+
+@needs_compiled
+def test_backends_agree_on_distance_terms(rng):
+    """Bit for bit with NumPy's complex product, whichever rounding it has here."""
+    for runs in _distance_cases(rng):
+        _assert_bits_equal(_distance_terms(runs), _distance_terms(runs, "pure"), runs[0][0].shape)
+
+
+@needs_compiled
+def test_unfused_distance_terms_match_real_arithmetic(rng, monkeypatch):
+    monkeypatch.setattr(kernels, "FUSED_PRODUCT", False)
+    for runs in _distance_cases(rng):
+        _assert_bits_equal(_distance_terms(runs), _unfused_distance_terms(runs), runs[0][0].shape)
+
+
+def test_numpy_product_probe_follows_its_dispatch():
+    """With NumPy's dispatched loops off, its complex product is unfused;
+    the probe must say so, and both backends must still agree with it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+
+    code = (
+        "import numpy as np, sys; sys.path.insert(0, sys.argv[1]); import test_kernels as t\n"
+        "from lcdirac import kernels\n"
+        "print(kernels.FUSED_PRODUCT)\n"
+        "for runs in t._distance_cases(np.random.default_rng(5)):\n"
+        "    want = t._unfused_distance_terms(runs)\n"
+        "    for name in kernels.available_backends():\n"
+        "        t._assert_bits_equal(t._distance_terms(runs, name), want, name)\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+               PYTHONPATH=str(Path(kernels.__file__).parents[2]))
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    if kernels.FUSED_PRODUCT:  # then the fused rule came from a dispatched loop
+        assert done.stdout.split() == ["False"]
+
+
+def test_distance_terms_refuse_other_shapes():
+    with pytest.raises(ValueError, match="two runs"):
+        kernels.LevelTerms(8, 1, 0.1, distance=True)
+    with pytest.raises(ValueError, match="two runs"):
+        kernels.LevelTerms(8, 2, 0.1, origin=(np.zeros(8), np.zeros(8)), distance=True)
+
+
 ARTIFACT_DOCS = {
     "simulate": {
         "model": {"m": 1.0, "alpha": 0.0, "beta": 0.25},
@@ -388,11 +495,12 @@ def test_compiler_present_means_compiled():
 def test_step_source_compiles_without_warnings(tmp_path):
     # The cached build keeps cc's warnings in captured stderr; here they fail.
     assert [Path(s).name for s in kernels.SOURCES] == ["_step.c", "_format.c", "_level.c"]
-    cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", *kernels.CFLAGS,
-           "-o", str(tmp_path / "_step.so"), *kernels.SOURCES]
-    done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    for flags in (kernels.CFLAGS, kernels.PORTABLE_CFLAGS):
+        cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", *flags,
+               "-o", str(tmp_path / "_step.so"), *kernels.SOURCES, "-lm"]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (flags, done.stderr)
+        assert done.stderr == ""
 
 
 def test_editing_either_source_changes_the_key(tmp_path):
@@ -407,6 +515,19 @@ def test_editing_either_source_changes_the_key(tmp_path):
             fh.write("/* edited */\n")
         seen.add(kernels.library_key(copies))
     assert len(seen) == len(copies) + 1
+    fingerprints = {kernels.CPU, None, 0, 1}  # another CPU, or none, gets another library
+    assert len({kernels.library_key(copies, fingerprint=fp) for fp in fingerprints}) == len(fingerprints)
+
+
+def test_cpu_fingerprint_reads_the_first_flags_line(tmp_path):
+    info = tmp_path / "cpuinfo"
+    info.write_bytes(b"processor\t: 0\nflags\t\t: fpu sse2 avx2\n\nprocessor\t: 1\nflags\t\t: fpu\n")
+    assert kernels.cpu_fingerprint(str(info)) == zlib.crc32(b"flags\t\t: fpu sse2 avx2\n")
+    info.write_bytes(b"processor\t: 0\nFeatures\t: fp asimd\n")
+    assert kernels.cpu_fingerprint(str(info)) == zlib.crc32(b"Features\t: fp asimd\n")
+    info.write_bytes(b"processor\t: 0\n")
+    assert kernels.cpu_fingerprint(str(info)) is None
+    assert kernels.cpu_fingerprint(str(tmp_path / "missing")) is None
 
 
 def test_cached_import_loads_no_new_stdlib_module():
@@ -439,8 +560,80 @@ def test_build_removes_stale_libraries(tmp_path):
     (tmp_path / "other.so").write_bytes(b"not ours")
     fn, reason = kernels.load_compiled(str(tmp_path))
     assert fn is not None, reason
-    built = reason.split(": ", 1)[1]
+    built = Path(fn._name).name
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([built, "other.so"])
+
+
+def _kernel_outputs(monkeypatch, lib):
+    """Every compiled kernel's output, as bytes, on random and corner inputs
+    (NaN, infinities, overflowing and underflowing values, signed zeros),
+    computed by lib; the distance terms with the product fused and unfused."""
+    monkeypatch.setattr(kernels, "_lib", lib)
+    kernels.use_backend("compiled")
+    rng = np.random.default_rng(16)
+    out = []
+    for n in (1, 3, 257, 4096):
+        u, v = _cplx(rng, n, 0.3), _cornered(rng, n)
+        forcing = [_cplx(rng, n) for _ in range(4)]
+        for periodic, f in itertools.product((True, False), (None, forcing)):
+            a, b = u, v
+            for _ in range(5):
+                a, b = kernels.step_unforced(a, b, 0.1, 1.0, 0.5, 0.25, periodic, forcing=f)
+            out += [a.tobytes(), b.tobytes()]
+    u, v = rng.choice([0.0, -0.0, 1.0, -0.5, 1e-160, -3e-170], size=(2, 2 * 2000)).view(np.complex128)
+    out += [a.tobytes() for a in kernels.step_unforced(u, v, 0.5, -0.0, 1.0, -0.5, False)]
+    block = _cornered(rng, 600, 60).view(np.float64).reshape(-1, 6)
+    out.append(kernels.format_rows(block).encode())
+    origin = (_cplx(rng, 300), _cplx(rng, 300))
+    for fields in ([(_cplx(rng, 300), _cplx(rng, 300)) for _ in range(2)],
+                   [(_cornered(rng, 300), _cornered(rng, 300)) for _ in range(2)]):
+        out += [a.tobytes() for a in _terms_on("compiled", 300, fields, 20, 270, 20, 1.5, origin).values()]
+    for fused in (True, False):
+        monkeypatch.setattr(kernels, "FUSED_PRODUCT", fused)
+        for runs in _distance_cases(rng):
+            out += [a.tobytes() for a in _distance_terms(runs)]
+    return out
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@needs_compiled
+def test_portable_build_matches_native(tmp_path, monkeypatch, backend):
+    """The library built without -march=native (and with libm's fma where
+    the CPU has none) gives the same bits as the native one."""
+    portable, reason = kernels.load_compiled(str(tmp_path), fingerprint=None)
+    assert portable is not None, reason
+    assert "portable flags: no CPU fingerprint" in reason and Path(portable._name).name.endswith(".portable.so")
+    want = _kernel_outputs(monkeypatch, kernels._lib)
+    got = _kernel_outputs(monkeypatch, portable)
+    assert len(got) == len(want)
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_cc_rejecting_the_native_flags_builds_portable(tmp_path):
+    """A fresh copy of the package with a cc that rejects -march=native:
+    a portable build, not the pure backend, and no second cc call once cached."""
+    src = Path(kernels.__file__).parents[1]
+    shutil.copytree(src, tmp_path / "lcdirac", ignore=shutil.ignore_patterns("__pycache__"))
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    log = tmp_path / "cc.log"
+    (bin_dir / "cc").write_text(
+        "#!/bin/sh\n"
+        f"echo called >> '{log}'\n"
+        'for a in "$@"; do [ "$a" = -march=native ] && '
+        "{ echo \"cc: error: unrecognized command-line option '-march=native'\" >&2; exit 1; }; done\n"
+        f'exec \'{shutil.which("cc")}\' "$@"\n'
+    )
+    (bin_dir / "cc").chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}", PYTHONPATH=str(tmp_path),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = "from lcdirac import kernels; print(kernels.backend_reason())"
+    for calls in (2, 2):  # the native attempt and the portable build, then the cached library
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert done.stdout.startswith("compiled: _step.") and ".portable.so (portable flags: cc rejected" in done.stdout
+        assert len(log.read_text().splitlines()) == calls
 
 
 def test_unwritable_cache_falls_back_to_pure(tmp_path):
