@@ -16,9 +16,9 @@ triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
 257 levels evolved once and held) is fed every level, in microseconds per
 level; ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
 NumPy on both. Then the pair distances ``converge`` and ``unique`` take at
-every level (``_PairDistance.feed``: one distance-mode ``level_terms``
-pass over two random Thirring-sized runs and two NumPy sums), in
-microseconds per pair-level. Last, the standalone ordered pair sum ``q_upper`` (NumPy on
+every level (``_PairDistance.feed``: one ``distance_terms`` pass over two
+random Thirring-sized runs, the product in real arithmetic on both
+backends, and two NumPy sums), in microseconds per pair-level. Last, the standalone ordered pair sum ``q_upper`` (NumPy on
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
 oracle ``q_upper_naive`` that the tests compare the functionals with, and

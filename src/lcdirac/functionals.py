@@ -140,16 +140,23 @@ class FunctionalTrace:
         return self.L1 is not None
 
 
-def trace_base(snapshots: Sequence[SpinorField], dom: Optional[TriangleDomain] = None) -> FunctionalTrace:
-    """Base functionals of each snapshot; the charge column is L0, which is
-    charge(s, dom) bit for bit."""
+def _trace(snapshots: Sequence[SpinorField], rows: list, pair_rows: Optional[list] = None) -> FunctionalTrace:
     times = np.array([s.t for s in snapshots])
-    terms = _terms(snapshots[0], 1)
-    rows = [_functionals(terms, (s,), dom) for s in snapshots]
     L0, D0, Q0 = (np.array(col) for col in zip(*rows))
     mau = np.array([float(np.max(np.abs(s.u))) for s in snapshots])
     mav = np.array([float(np.max(np.abs(s.v))) for s in snapshots])
-    return FunctionalTrace(times, L0, D0, Q0, _cumtrapz(times, D0), L0, mau, mav)
+    pair = {}
+    if pair_rows is not None:
+        L1, D1, Q1 = (np.array(col) for col in zip(*pair_rows))
+        pair = dict(L1=L1, D1=D1, Q1=Q1, cumD1=_cumtrapz(times, D1))
+    return FunctionalTrace(times, L0, D0, Q0, _cumtrapz(times, D0), L0, mau, mav, **pair)
+
+
+def trace_base(snapshots: Sequence[SpinorField], dom: Optional[TriangleDomain] = None) -> FunctionalTrace:
+    """Base functionals of each snapshot; the charge column is L0, which is
+    charge(s, dom) bit for bit."""
+    terms = _terms(snapshots[0], 1)
+    return _trace(snapshots, [_functionals(terms, (s,), dom) for s in snapshots])
 
 
 def trace_pair(
@@ -157,18 +164,16 @@ def trace_pair(
     snapsB: Sequence[SpinorField],
     dom: Optional[TriangleDomain],
 ) -> FunctionalTrace:
-    """Base functionals of the first field plus the pair functionals."""
+    """Base functionals of the first field plus the pair functionals, from
+    one two-run pass per level; the base columns are trace_base's."""
     if len(snapsA) != len(snapsB):
         raise UsageError("pair traces need snapshot sequences of equal length")
-    base = trace_base(snapsA, dom)
     terms = _terms(snapsA[0], 2)
-    rows = [_functionals(terms, (a, b), dom) for a, b in zip(snapsA, snapsB)]
-    L1, D1, Q1 = (np.array(col) for col in zip(*rows))
-    return FunctionalTrace(
-        base.times, base.L0, base.D0, base.Q0, base.cumD0, base.charge,
-        base.max_abs_u, base.max_abs_v,
-        L1=L1, D1=D1, Q1=Q1, cumD1=_cumtrapz(base.times, D1),
-    )
+    rows, pair_rows = [], []
+    for a, b in zip(snapsA, snapsB):
+        pair_rows.append(_functionals(terms, (a, b), dom))
+        rows.append(_row(terms, 0))
+    return _trace(snapsA, rows, pair_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Kernel backend selection.
 
-Three kernels have a compiled and a pure backend with the same results bit
+Four kernels have a compiled and a pure backend with the same results bit
 for bit (but for the step's corner named in ``_step.c``):
 
 - ``step_unforced`` is the one lattice step, unforced or, given
@@ -11,9 +11,10 @@ for bit (but for the step's corner named in ``_step.c``):
 - ``level_terms`` writes every elementwise term the cone functionals and
   the audits sum at one level (densities, products, suffix-scan products,
   pair terms) into a ``LevelTerms``, with the growth margins and their
-  sites; it is the one formula for L0/D0/Q0 and L1/D1/Q1. In distance mode
-  it writes the terms of the field and product distances of two runs,
-  which ``converge`` and ``unique`` take at every level.
+  sites; it is the one formula for L0/D0/Q0 and L1/D1/Q1;
+- ``distance_terms`` writes the terms of the field and product distances
+  of two runs, which ``converge`` and ``unique`` take at every level; each
+  complex product is four real products and two sums on both backends.
 
 Every pairwise sum stays in NumPy on both backends: the callers sum the
 terms with ``np.add.reduce``, so moving the terms to C changes no
@@ -26,23 +27,18 @@ The backends:
   library with the system C compiler on first import, for the CPU it runs
   on (``CFLAGS``, with ``-march=native``), cached as
   ``__pycache__/_step.<key>.so`` next to this file and called through
-  ctypes. The key is a CRC-32 of the sources, the flags and the CPU
-  fingerprint (``cpu_fingerprint``: the CRC-32 of the first flags line of
-  /proc/cpuinfo), so a cached library never loads on another CPU; a build
-  deletes the libraries of other keys. Where there is no fingerprint, or cc
-  rejects the native flags, the library is built with ``PORTABLE_CFLAGS``
-  as ``_step.<key>.portable.so``; both builds give the same bits;
-- ``pure``: the NumPy step and level terms in ``pure.py`` and one ``%``
-  template per block, used whenever the build or the load fails.
-
-NumPy rounds each part of a complex product once (a fused multiply-add)
-where its FMA loops are dispatched, and twice otherwise. The distance
-terms must round as NumPy does, so ``FUSED_PRODUCT`` probes NumPy once at
-import and the C pass follows it.
+  ctypes. The key is a CRC-32 of the sources, the build's flags and the
+  CPU fingerprint (``cpu_fingerprint``: the CRC-32 of the first flags line
+  of /proc/cpuinfo), so a cached library never loads on another CPU; a
+  build deletes the libraries of other keys. Where there is no fingerprint,
+  or cc rejects the native flags, the library is built with
+  ``PORTABLE_CFLAGS`` as ``_step.<key>.portable.so``; both builds give the
+  same bits and link nothing beyond libc;
+- ``pure``: the NumPy kernels in ``pure.py`` and one ``%`` template per
+  block, used whenever the build or the load fails.
 
 ``backend_reason()`` says which one runs and why: for ``compiled``, the
-library, its flag set (native, or portable and why) and whether the
-distance product is fused. The ordered pair sums
+library and its flag set (native, or portable and why). The ordered pair sums
 ``q_upper`` (O(N)) and ``q_upper_naive`` (O(N^2)) are NumPy for every
 backend and on no production path: ``level_terms`` writes the suffix-scan
 products the cone functionals sum. The tests keep ``q_upper_naive`` as
@@ -85,27 +81,16 @@ def cpu_fingerprint(path: str = "/proc/cpuinfo"):
     return None
 
 
-def _numpy_fuses_complex_product() -> bool:
-    """Whether NumPy rounds each part of a complex product once, as
-    fma(ar, br, -ai bi), as its SIMD loops do where its FMA dispatch is
-    active, or twice, as ar br - ai bi. The real part of these 16 equal
-    products is -2^-60 fused and 0 unfused."""
-    a = np.full(16, complex(1.0 + 2.0**-30, 1.0))
-    b = np.full(16, complex(1.0 - 2.0**-30, 1.0))
-    return bool(((a * b).real != 0.0).all())
-
-
 CPU = cpu_fingerprint()
-FUSED_PRODUCT = _numpy_fuses_complex_product()
 
 
-def library_key(sources=SOURCES, fingerprint=CPU) -> int:
-    """CRC-32 of the sources, the flags and the CPU fingerprint: the cached library's name."""
+def library_key(sources=SOURCES, fingerprint=CPU, flags=CFLAGS) -> int:
+    """CRC-32 of the sources, the flags of the build and the CPU fingerprint: the cached library's name."""
     data = b""
     for source in sources:
         with open(source, "rb") as fh:
             data += fh.read()
-    return zlib.crc32(data + " ".join(CFLAGS).encode() + repr(fingerprint).encode())
+    return zlib.crc32(data + " ".join(flags).encode() + repr(fingerprint).encode())
 
 
 def _compile(sources, target: str, flags):
@@ -115,7 +100,7 @@ def _compile(sources, target: str, flags):
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         try:
-            done = subprocess.run(["cc", *flags, "-o", tmp, *sources, "-lm"],
+            done = subprocess.run(["cc", *flags, "-o", tmp, *sources],
                                   capture_output=True, text=True, timeout=300)
         except FileNotFoundError:
             raise OSError("cc not found") from None
@@ -150,15 +135,17 @@ def _cached_or_built(cache_dir: str, fingerprint) -> tuple[str, str]:
 
     With a fingerprint it is ``_step.<key>.so``, built with CFLAGS; where
     there is none, or cc rejects CFLAGS, ``_step.<key>.portable.so``, built
-    with PORTABLE_CFLAGS. The key holds the fingerprint, so a portable build
-    cached for a CPU records that cc rejected CFLAGS there, and cc is not
-    asked again.
+    with PORTABLE_CFLAGS. Each key holds the flags of its build and the
+    fingerprint; the portable key also holds CFLAGS, so a portable build
+    cached for a CPU records that cc rejected these CFLAGS there, and cc is
+    not asked again.
     """
-    base = os.path.join(cache_dir, f"_step.{library_key(fingerprint=fingerprint):08x}")
-    native, portable = f"{base}.so", f"{base}.portable.so"
+    native = os.path.join(cache_dir, f"_step.{library_key(fingerprint=fingerprint, flags=CFLAGS):08x}.so")
     native_why = None if fingerprint is None else f"native flags for CPU {fingerprint:08x}"
     if native_why and os.path.exists(native):
         return native, native_why
+    key = library_key(fingerprint=fingerprint, flags=CFLAGS + PORTABLE_CFLAGS)
+    portable = os.path.join(cache_dir, f"_step.{key:08x}.portable.so")
     why = "portable flags: " + ("no CPU fingerprint" if native_why is None else "cc rejected the native flags")
     if os.path.exists(portable):
         return portable, why
@@ -185,7 +172,7 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
     try:
         target, flags = _cached_or_built(cache_dir, fingerprint)
         lib = ctypes.CDLL(target)
-        step, fmt, level = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms
+        step, fmt, level, dist = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms, lib.lcd_distance_terms
     except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
         return None, f"pure: {exc}"
     step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
@@ -195,8 +182,9 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
     fmt.restype = ctypes.c_ssize_t
     level.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int, ctypes.c_double]
     level.restype = None
-    product = "fused" if FUSED_PRODUCT else "unfused"
-    return lib, f"compiled: {os.path.basename(target)} ({flags}; {product} distance product)"
+    dist.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_ssize_t]
+    dist.restype = None
+    return lib, f"compiled: {os.path.basename(target)} ({flags})"
 
 
 _lib, _reason = load_compiled()
@@ -286,10 +274,9 @@ def format_rows(values) -> str:
 class _Level(ctypes.Structure):
     """``lcd_level`` in ``_level.c``, field for field."""
 
-    ARRAYS = ("au", "av", "dens", "prod", "q", "l1", "d1", "q1u", "q1v", "p1",
+    ARRAYS = ("au", "av", "dens", "prod", "q", "l1", "d1", "q1u", "q1v",
               "pre_u", "pre_v", "au0", "av0", "pre_u0", "pre_v0", "margins", "sites")
-    _fields_ = ([("n", ctypes.c_ssize_t), ("runs", ctypes.c_ssize_t),
-                 ("distance", ctypes.c_int), ("fused", ctypes.c_int)]
+    _fields_ = ([("n", ctypes.c_ssize_t), ("runs", ctypes.c_ssize_t)]
                 + [(name, ctypes.c_double) for name in ("dx", "m", "C0")]
                 + [(name, ctypes.c_void_p) for name in ARRAYS])
 
@@ -308,11 +295,6 @@ class LevelTerms:
     |V|^2, ``q1u`` = |U|^2 suffix(vmod) and ``q1v`` = umod suffix(|V|^2).
     Outside the section these hold what earlier levels left.
 
-    With distance set (two runs, no origin), only ``l1`` and ``p1`` =
-    |uA vA - uB vB|^2 are kept and written, the terms of
-    ``fields.l2_distance`` and of the product distance; the complex products
-    round as NumPy's do on this host (``FUSED_PRODUCT``).
-
     With origin, run A's (u, v) at t = 0, and the run's m and C0, a level
     written with a growth factor also gets the growth margins: ``margins``
     and ``sites`` hold the largest margin, and its site as ``np.argmax``
@@ -322,21 +304,14 @@ class LevelTerms:
     ``av0``, ``pre_u0`` and ``pre_v0`` the origin's.
     """
 
-    def __init__(self, n: int, runs: int, dx: float, origin=None, m: float = 0.0, C0: float = 0.0,
-                 distance: bool = False):
+    def __init__(self, n: int, runs: int, dx: float, origin=None, m: float = 0.0, C0: float = 0.0):
         if runs not in (1, 2):
             raise ValueError(f"runs must be 1 or 2, got {runs}")
-        if distance and (runs != 2 or origin is not None):
-            raise ValueError("distance terms take two runs and no origin")
-        self.n, self.runs, self.dx, self.m, self.C0, self.distance = n, runs, dx, m, C0, distance
-        self.au = self.av = self.dens = self.prod = self.q = None
-        self.l1 = self.d1 = self.q1u = self.q1v = self.p1 = None
-        if distance:
-            self.l1, self.p1 = np.zeros((2, n))
-        else:
-            self.au, self.av, self.dens, self.prod, self.q = np.zeros((5, runs, n))
-            if runs == 2:
-                self.l1, self.d1, self.q1u, self.q1v = np.zeros((4, n))
+        self.n, self.runs, self.dx, self.m, self.C0 = n, runs, dx, m, C0
+        self.au, self.av, self.dens, self.prod, self.q = np.zeros((5, runs, n))
+        self.l1 = self.d1 = self.q1u = self.q1v = None
+        if runs == 2:
+            self.l1, self.d1, self.q1u, self.q1v = np.zeros((4, n))
         self.pre_u = self.pre_v = self.au0 = self.av0 = self.pre_u0 = self.pre_v0 = None
         if origin is not None:
             u0, v0 = (_field(a, n) for a in origin)
@@ -349,8 +324,7 @@ class LevelTerms:
         self.sites = np.full(3, -1, dtype=np.intp)
         self.i0 = self.i1 = 0
         arrays = (getattr(self, name) for name in _Level.ARRAYS)
-        self._struct = _Level(n, runs, distance, FUSED_PRODUCT, dx, m, C0,
-                              *(None if a is None else a.ctypes.data for a in arrays))
+        self._struct = _Level(n, runs, dx, m, C0, *(None if a is None else a.ctypes.data for a in arrays))
         self._address = ctypes.addressof(self._struct)
 
 
@@ -391,3 +365,22 @@ def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E):
         _lib.lcd_level_terms(terms._address, *ptrs[:4], i0, i1, kshift, E is not None, 0.0 if E is None else E)
     else:
         pure.level_terms(terms, fields, i0, i1, kshift, E)
+
+
+def distance_terms(out, run_a, run_b):
+    """Write the terms of the field and product distances of runs A and B,
+    each a (u, v) pair, into out, a C-contiguous (2, n) float64 array:
+    ``out[0]`` = |U|^2 + |V|^2 with U = uA - uB and V = vA - vB, the terms of
+    ``fields.l2_distance``, and ``out[1]`` = |uA vA - uB vB|^2, each complex
+    product as four real products and two sums. The sums stay with the
+    caller. A field of another size raises UsageError before the pass runs.
+    """
+    if out.dtype != np.float64 or out.ndim != 2 or out.shape[0] != 2 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous (2, n) float64 array, got {out.dtype} {out.shape}")
+    n = out.shape[1]
+    (ua, va), (ub, vb) = ((_field(u, n), _field(v, n)) for u, v in (run_a, run_b))
+    if _active == "compiled":
+        l1 = out.ctypes.data
+        _lib.lcd_distance_terms(l1, l1 + 8 * n, ua.ctypes.data, va.ctypes.data, ub.ctypes.data, vb.ctypes.data, n)
+    else:
+        pure.distance_terms(out, (ua, va), (ub, vb))

@@ -1,10 +1,10 @@
-/* The elementwise terms of one audited level; see level_terms in
- * kernels/pure.py, the NumPy code this reproduces bit for bit. The pairwise
- * sums of the terms stay in NumPy (np.add.reduce on these buffers), so no
- * summation order changes; only the sequential scans (np.cumsum order) run
- * here. Build with -ffp-contract=off and never with -ffast-math: no
- * multiply-add may be fused but the explicit fma() calls, and the NaN tests
- * must survive.
+/* The elementwise terms of one audited level, and of the distances of two
+ * runs; see level_terms and distance_terms in kernels/pure.py, the NumPy
+ * code this reproduces bit for bit. The pairwise sums of the terms stay in
+ * NumPy (np.add.reduce on these buffers), so no summation order changes;
+ * only the sequential scans (np.cumsum order) run here. Build with
+ * -ffp-contract=off and never with -ffast-math: no multiply-add may be
+ * fused, and the NaN tests must survive.
  *
  * With au = |u|^2, av = |v|^2 and the section [i0, i1):
  *   au, av, dens = au + av                  run A over the grid, run B over
@@ -17,11 +17,6 @@
  * where suffix(b)_i = sum_{j > i} b_j, accumulated from the right as
  * q_upper's reversed cumsum does.
  *
- * In distance mode (two runs, no per-run term) only l1 and
- * p1 = |uA vA - uB vB|^2 are written over the section, each complex
- * product rounded as NumPy's: once per part (fma) where NumPy's FMA loops
- * run, twice otherwise; the caller probes NumPy and sets fused.
- *
  * With with_margins set, also run A's prefix sums over the grid and the growth
  * margins against the level at t = 0 (kshift sites back along each
  * characteristic): the pointwise margins of |u|^2 and |v|^2 and the margin
@@ -30,6 +25,10 @@
  * it: the first NaN, else the first strict maximum; -inf and site -1 when
  * there is no candidate. The caller checks that the feet i0 - kshift and
  * i1 + kshift lie on the grid.
+ *
+ * lcd_distance_terms writes, over the whole grid, l1 as above and
+ * p1 = |uA vA - uB vB|^2, each complex product in real arithmetic: four
+ * products and two sums.
  */
 #include <math.h>
 #include <stddef.h>
@@ -40,10 +39,9 @@ typedef struct { double re, im; } cplx;
  * major; pre_* and the prefix sums at t = 0 hold n + 1 values. */
 typedef struct {
     ptrdiff_t n, runs;
-    int distance, fused;
     double dx, m, C0;
     double *au, *av, *dens, *prod, *q;
-    double *l1, *d1, *q1u, *q1v, *p1;
+    double *l1, *d1, *q1u, *q1v;
     double *pre_u, *pre_v;
     const double *au0, *av0, *pre_u0, *pre_v0;
     double *margins;
@@ -142,55 +140,6 @@ static void pair_terms(const lcd_level *L, const cplx *ua, const cplx *va, const
     }
 }
 
-/* a b as NumPy multiplies complex arrays: fused, each part as one fma,
- * or unfused, four products and two sums. NumPy's fused real part is
- * a.re b.re - p, p = a.im b.im, by a subtracting fma, which returns a NaN
- * p unchanged; fma(a.re, b.re, -p) returns -p from a software fma, so p is
- * negated only when it is not a NaN. */
-static inline cplx cmul(cplx a, cplx b, int fused)
-{
-    cplx r;
-
-    if (fused) {
-        double p = a.im * b.im;
-
-        r.re = fma(a.re, b.re, p == p ? -p : p);
-        r.im = fma(a.re, b.im, a.im * b.re);
-    } else {
-        r.re = a.re * b.re - a.im * b.im;
-        r.im = a.re * b.im + a.im * b.re;
-    }
-    return r;
-}
-
-/* always inlined, so each call compiles a loop for one constant fused */
-static inline __attribute__((always_inline)) void
-distance_loop(const cplx *restrict ua, const cplx *restrict va, const cplx *restrict ub,
-              const cplx *restrict vb, double *restrict l1, double *restrict p1, ptrdiff_t i0,
-              ptrdiff_t i1, int fused)
-{
-    ptrdiff_t i;
-
-    for (i = i0; i < i1; i++) {
-        cplx U = {ua[i].re - ub[i].re, ua[i].im - ub[i].im};
-        cplx V = {va[i].re - vb[i].re, va[i].im - vb[i].im};
-        cplx pa = cmul(ua[i], va[i], fused), pb = cmul(ub[i], vb[i], fused);
-        cplx d = {pa.re - pb.re, pa.im - pb.im};
-
-        l1[i] = abs2(U) + abs2(V);
-        p1[i] = abs2(d);
-    }
-}
-
-static void distance_terms(const lcd_level *L, const cplx *ua, const cplx *va, const cplx *ub,
-                           const cplx *vb, ptrdiff_t i0, ptrdiff_t i1)
-{
-    if (L->fused)
-        distance_loop(ua, va, ub, vb, L->l1, L->p1, i0, i1, 1);
-    else
-        distance_loop(ua, va, ub, vb, L->l1, L->p1, i0, i1, 0);
-}
-
 static void growth_margins(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t kshift, double E)
 {
     const double *au = L->au, *av = L->av, *pre_u = L->pre_u, *pre_v = L->pre_v;
@@ -222,7 +171,7 @@ static void growth_margins(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1, ptrdi
 
 /* Runs A and B, n sites each (ub and vb NULL for one run); 0 <= i0 <= i1 <= n.
  * With with_margins, au0 and the other arrays at t = 0 are set and the feet
- * lie on the grid; in distance mode, with_margins is 0. */
+ * lie on the grid. */
 void lcd_level_terms(const lcd_level *L, const cplx *ua, const cplx *va, const cplx *ub,
                      const cplx *vb, ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t kshift,
                      int with_margins, double E)
@@ -231,10 +180,6 @@ void lcd_level_terms(const lcd_level *L, const cplx *ua, const cplx *va, const c
     const ptrdiff_t n = L->n;
     ptrdiff_t r, i;
 
-    if (L->distance) {
-        distance_terms(L, ua, va, ub, vb, i0, i1);
-        return;
-    }
     for (r = 0; r < L->runs; r++) {
         double *au = L->au + r * n, *av = L->av + r * n, *prod = L->prod + r * n;
 
@@ -253,5 +198,29 @@ void lcd_level_terms(const lcd_level *L, const cplx *ua, const cplx *va, const c
     for (i = 0; i < 3; i++) {
         L->margins[i] = -HUGE_VAL;
         L->sites[i] = -1;
+    }
+}
+
+static cplx cmul(cplx a, cplx b)
+{
+    cplx r = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+    return r;
+}
+
+/* l1 and p1 of runs A and B, n sites each, over the grid */
+void lcd_distance_terms(double *restrict l1, double *restrict p1, const cplx *restrict ua,
+                        const cplx *restrict va, const cplx *restrict ub, const cplx *restrict vb,
+                        ptrdiff_t n)
+{
+    ptrdiff_t i;
+
+    for (i = 0; i < n; i++) {
+        cplx U = {ua[i].re - ub[i].re, ua[i].im - ub[i].im};
+        cplx V = {va[i].re - vb[i].re, va[i].im - vb[i].im};
+        cplx pa = cmul(ua[i], va[i]), pb = cmul(ub[i], vb[i]);
+        cplx d = {pa.re - pb.re, pa.im - pb.im};
+
+        l1[i] = abs2(U) + abs2(V);
+        p1[i] = abs2(d);
     }
 }

@@ -1,10 +1,10 @@
 """Pure NumPy implementations of the hot kernels.
 
 One light-cone step, unforced or forced (the reference that ``_step.c``
-reproduces bit for bit); the elementwise terms of one audited level (the
-reference that ``_level.c`` reproduces bit for bit); and the ordered pair
-sum q(a, b) = sum_{i<j} a_i b_j in both the O(N) suffix-scan form and the
-O(N^2) direct form kept as an oracle.
+reproduces bit for bit); the elementwise terms of one audited level and of
+the distances of two runs (the references that ``_level.c`` reproduces bit
+for bit); and the ordered pair sum q(a, b) = sum_{i<j} a_i b_j in both the
+O(N) suffix-scan form and the O(N^2) direct form kept as an oracle.
 """
 from __future__ import annotations
 
@@ -112,8 +112,6 @@ def level_terms(terms, runs, i0, i1, kshift, E):
     (which names each one), for runs, one (u, v) pair per run, over the
     section [i0, i1); with E, the growth factor at this level, also the
     growth margins against the level at t = 0. The sums stay with the caller.
-    In distance mode the complex products are NumPy's, the rounding that
-    the compiled pass follows.
 
     Overflow is left to the caller, as in the compiled backend.
     """
@@ -123,7 +121,7 @@ def level_terms(terms, runs, i0, i1, kshift, E):
 
 def _level_terms(terms, runs, i0, i1, kshift, E):
     sec = slice(i0, i1)
-    for r, (u, v) in enumerate([] if terms.distance else runs):
+    for r, (u, v) in enumerate(runs):
         span = slice(None) if r == 0 else sec  # run B is read over the section only
         au, av = terms.au[r], terms.av[r]
         au[span] = u[span].real**2 + u[span].imag**2
@@ -138,15 +136,11 @@ def _level_terms(terms, runs, i0, i1, kshift, E):
         aU2 = U.real**2 + U.imag**2
         aV2 = V.real**2 + V.imag**2
         terms.l1[sec] = aU2 + aV2
-        if terms.distance:
-            d = uA[sec] * vA[sec] - uB[sec] * vB[sec]
-            terms.p1[sec] = d.real**2 + d.imag**2
-        else:
-            vmod = terms.av[0, sec] + terms.av[1, sec]
-            umod = terms.au[0, sec] + terms.au[1, sec]
-            terms.d1[sec] = aU2 * vmod + umod * aV2
-            terms.q1u[sec] = aU2 * upper_suffix(vmod)
-            terms.q1v[sec] = umod * upper_suffix(aV2)
+        vmod = terms.av[0, sec] + terms.av[1, sec]
+        umod = terms.au[0, sec] + terms.au[1, sec]
+        terms.d1[sec] = aU2 * vmod + umod * aV2
+        terms.q1u[sec] = aU2 * upper_suffix(vmod)
+        terms.q1v[sec] = umod * upper_suffix(aV2)
     terms.margins[:] = -np.inf
     terms.sites[:] = -1
     if E is not None:
@@ -188,3 +182,17 @@ def _growth_margins(terms, i0, i1, kshift, E):
     vio_w = np.maximum(su_t - E * su_0, sv_t - E * sv_0) - slack
     j = int(np.argmax(vio_w))
     terms.margins[2], terms.sites[2] = vio_w[j], starts[j]
+
+
+def distance_terms(out, run_a, run_b):
+    """Write the field- and product-distance terms of two runs into out (see
+    kernels.distance_terms); each complex product is four real products and
+    two sums, not NumPy's complex multiply, whose rounding depends on the
+    CPU it dispatches to."""
+    (uA, vA), (uB, vB) = run_a, run_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, V = uA - uB, vA - vB
+        out[0] = (U.real**2 + U.imag**2) + (V.real**2 + V.imag**2)
+        re = (uA.real * vA.real - uA.imag * vA.imag) - (uB.real * vB.real - uB.imag * vB.imag)
+        im = (uA.real * vA.imag + uA.imag * vA.real) - (uB.real * vB.imag + uB.imag * vB.real)
+        out[1] = re**2 + im**2

@@ -121,6 +121,9 @@ class TestTraces:
         b = lc.evolve(fB0, gn, lc.SolverConfig(), 1.0)
         tr = trace_pair(a, b, dom)
         assert tr.has_pair and np.all(np.diff(tr.cumD1) >= 0)
+        base = trace_base(a, dom)
+        for name in ("L0", "D0", "Q0", "cumD0", "charge"):
+            assert getattr(tr, name).tobytes() == getattr(base, name).tobytes(), name
 
 
 class TestTriangleChargeAudit:

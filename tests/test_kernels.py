@@ -349,18 +349,17 @@ def _cornered(rng, n, count=3):
 
 
 def _distance_terms(runs, name="compiled"):
-    """(l1, p1) of one distance-mode level_terms call on backend name."""
-    n = runs[0][0].shape[0]
+    """(l1, p1) of one kernels.distance_terms call on backend name."""
+    out = np.empty((2, runs[0][0].shape[0]))
     before = kernels.use_backend(name)
     try:
-        terms = kernels.LevelTerms(n, 2, 0.05, distance=True)
-        kernels.level_terms(terms, runs, 0, n, 0, None)
+        kernels.distance_terms(out, *runs)
     finally:
         kernels.use_backend(before)
-    return terms.l1, terms.p1
+    return out[0], out[1]
 
 
-def _unfused_distance_terms(runs):
+def _real_distance_terms(runs):
     """(l1, p1) in NumPy real arithmetic: each part of a complex product
     rounded after each multiply and each sum."""
     (uA, vA), (uB, vB) = runs
@@ -391,51 +390,61 @@ def _assert_bits_equal(got, want, *context):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), context
 
 
-@needs_compiled
 def test_backends_agree_on_distance_terms(rng):
-    """Bit for bit with NumPy's complex product, whichever rounding it has here."""
+    """Each backend equals the real-arithmetic reference bit for bit."""
     for runs in _distance_cases(rng):
-        _assert_bits_equal(_distance_terms(runs), _distance_terms(runs, "pure"), runs[0][0].shape)
+        want = _real_distance_terms(runs)
+        for name in kernels.available_backends():
+            _assert_bits_equal(_distance_terms(runs, name), want, name, runs[0][0].shape)
 
 
-@needs_compiled
-def test_unfused_distance_terms_match_real_arithmetic(rng, monkeypatch):
-    monkeypatch.setattr(kernels, "FUSED_PRODUCT", False)
-    for runs in _distance_cases(rng):
-        _assert_bits_equal(_distance_terms(runs), _unfused_distance_terms(runs), runs[0][0].shape)
+def _distance_digests():
+    """{backend: CRC-32 of its distance terms over _distance_cases at seed 5}."""
+    cases = _distance_cases(np.random.default_rng(5))
+    return {name: zlib.crc32(b"".join(a.tobytes() for runs in cases for a in _distance_terms(runs, name)))
+            for name in kernels.available_backends()}
 
 
-def test_numpy_product_probe_follows_its_dispatch():
-    """With NumPy's dispatched loops off, its complex product is unfused;
-    the probe must say so, and both backends must still agree with it."""
+def test_distance_terms_ignore_numpy_dispatch():
+    """With NumPy's dispatched SIMD loops off (its complex product then
+    rounds differently on FMA hardware), both backends write the same bits."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__
     except ImportError:  # NumPy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__
 
-    code = (
-        "import numpy as np, sys; sys.path.insert(0, sys.argv[1]); import test_kernels as t\n"
-        "from lcdirac import kernels\n"
-        "print(kernels.FUSED_PRODUCT)\n"
-        "for runs in t._distance_cases(np.random.default_rng(5)):\n"
-        "    want = t._unfused_distance_terms(runs)\n"
-        "    for name in kernels.available_backends():\n"
-        "        t._assert_bits_equal(t._distance_terms(runs, name), want, name)\n"
-    )
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_kernels as t\n"
+            "print(repr(t._distance_digests()))\n")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
                PYTHONPATH=str(Path(kernels.__file__).parents[2]))
     done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    if kernels.FUSED_PRODUCT:  # then the fused rule came from a dispatched loop
-        assert done.stdout.split() == ["False"]
+    assert done.stdout.strip() == repr(_distance_digests())
 
 
-def test_distance_terms_refuse_other_shapes():
-    with pytest.raises(ValueError, match="two runs"):
-        kernels.LevelTerms(8, 1, 0.1, distance=True)
-    with pytest.raises(ValueError, match="two runs"):
-        kernels.LevelTerms(8, 2, 0.1, origin=(np.zeros(8), np.zeros(8)), distance=True)
+def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
+    """On either backend, a field of another size, or a wrong out, is
+    refused before the pass runs."""
+    calls = []
+    monkeypatch.setattr(kernels, "_lib", type("Lib", (), {"lcd_distance_terms": lambda *a: calls.append(a)}))
+    monkeypatch.setattr(kernels.pure, "distance_terms", lambda *a: calls.append(a))
+    n = 8
+    run = (_cplx(rng, n), _cplx(rng, n))
+    for name in ("compiled", "pure"):
+        monkeypatch.setattr(kernels, "_active", name)
+        calls.clear()
+        kernels.distance_terms(np.empty((2, n)), run, run)
+        assert len(calls) == 1, name
+        for other in ((_cplx(rng, n + 1), run[1]), (run[0], _cplx(rng, n - 1)), (run[0][:, None], run[1])):
+            with pytest.raises(UsageError, match="sites"):
+                kernels.distance_terms(np.empty((2, n)), run, other)
+            with pytest.raises(UsageError, match="sites"):
+                kernels.distance_terms(np.empty((2, n)), other, run)
+        for out in (np.empty((3, n)), np.empty(2 * n), np.empty((2, n), np.float32), np.empty((n, 2)).T):
+            with pytest.raises(ValueError, match="out must be"):
+                kernels.distance_terms(out, run, run)
+        assert len(calls) == 1, name
 
 
 ARTIFACT_DOCS = {
@@ -495,9 +504,11 @@ def test_compiler_present_means_compiled():
 def test_step_source_compiles_without_warnings(tmp_path):
     # The cached build keeps cc's warnings in captured stderr; here they fail.
     assert [Path(s).name for s in kernels.SOURCES] == ["_step.c", "_format.c", "_level.c"]
+    # on Linux, link with every symbol resolved and no libm: the library needs only libc
+    defs = ["-Wl,-z,defs"] if sys.platform.startswith("linux") else []
     for flags in (kernels.CFLAGS, kernels.PORTABLE_CFLAGS):
-        cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", *flags,
-               "-o", str(tmp_path / "_step.so"), *kernels.SOURCES, "-lm"]
+        cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", *flags, *defs,
+               "-o", str(tmp_path / "_step.so"), *kernels.SOURCES]
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, (flags, done.stderr)
         assert done.stderr == ""
@@ -517,6 +528,21 @@ def test_editing_either_source_changes_the_key(tmp_path):
     assert len(seen) == len(copies) + 1
     fingerprints = {kernels.CPU, None, 0, 1}  # another CPU, or none, gets another library
     assert len({kernels.library_key(copies, fingerprint=fp) for fp in fingerprints}) == len(fingerprints)
+    portable = kernels.library_key(copies, flags=kernels.PORTABLE_CFLAGS)
+    assert portable not in seen
+    assert kernels.library_key(copies, flags=kernels.PORTABLE_CFLAGS + ("-DEDITED",)) != portable
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_editing_the_portable_flags_rebuilds(tmp_path, monkeypatch):
+    """A portable library cached under other portable flags is not loaded."""
+    first, reason = kernels.load_compiled(str(tmp_path), fingerprint=None)
+    assert first is not None, reason
+    monkeypatch.setattr(kernels, "PORTABLE_CFLAGS", kernels.PORTABLE_CFLAGS + ("-DEDITED",))
+    second, reason = kernels.load_compiled(str(tmp_path), fingerprint=None)
+    assert second is not None, reason
+    assert Path(second._name).name != Path(first._name).name
+    assert [p.name for p in tmp_path.iterdir()] == [Path(second._name).name]
 
 
 def test_cpu_fingerprint_reads_the_first_flags_line(tmp_path):
@@ -567,7 +593,7 @@ def test_build_removes_stale_libraries(tmp_path):
 def _kernel_outputs(monkeypatch, lib):
     """Every compiled kernel's output, as bytes, on random and corner inputs
     (NaN, infinities, overflowing and underflowing values, signed zeros),
-    computed by lib; the distance terms with the product fused and unfused."""
+    computed by lib."""
     monkeypatch.setattr(kernels, "_lib", lib)
     kernels.use_backend("compiled")
     rng = np.random.default_rng(16)
@@ -588,18 +614,15 @@ def _kernel_outputs(monkeypatch, lib):
     for fields in ([(_cplx(rng, 300), _cplx(rng, 300)) for _ in range(2)],
                    [(_cornered(rng, 300), _cornered(rng, 300)) for _ in range(2)]):
         out += [a.tobytes() for a in _terms_on("compiled", 300, fields, 20, 270, 20, 1.5, origin).values()]
-    for fused in (True, False):
-        monkeypatch.setattr(kernels, "FUSED_PRODUCT", fused)
-        for runs in _distance_cases(rng):
-            out += [a.tobytes() for a in _distance_terms(runs)]
+    for runs in _distance_cases(rng):
+        out += [a.tobytes() for a in _distance_terms(runs)]
     return out
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 @needs_compiled
 def test_portable_build_matches_native(tmp_path, monkeypatch, backend):
-    """The library built without -march=native (and with libm's fma where
-    the CPU has none) gives the same bits as the native one."""
+    """The library built without -march=native gives the same bits as the native one."""
     portable, reason = kernels.load_compiled(str(tmp_path), fingerprint=None)
     assert portable is not None, reason
     assert "portable flags: no CPU fingerprint" in reason and Path(portable._name).name.endswith(".portable.so")

@@ -285,11 +285,19 @@ def test_pair_distance_weights_and_maximum():
     assert dist.product_distance() == _list_distances(a, b)[1]
 
 
-def _list_distances(runs_a, runs_b):
+def _real_product(a, b):
+    """a b in real arithmetic, four products and two sums, as the distance pass forms it."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _list_distances(runs_a, runs_b, product=_real_product):
     field = max(lc.l2_distance(a, b) for a, b in zip(runs_a, runs_b))
     total, n = 0.0, len(runs_a)
     for j, (a, b) in enumerate(zip(runs_a, runs_b)):
-        d = a.u * a.v - b.u * b.v
+        d = product(a.u, a.v) - product(b.u, b.v)
         row = float(np.sum(d.real**2 + d.imag**2)) * a.grid.dx
         total += (0.5 if j in (0, n - 1) else 1.0) * row * a.grid.dt
     return field, float(np.sqrt(total))
@@ -315,12 +323,18 @@ def test_ladder_tables_equal_list_distances(tmp_path, capsys, command):
 
     if command == "converge":
         runs = [run(e, "bump") for e in eps]
-        expected = [(eps[j], eps[j + 1], *_list_distances(runs[j], runs[j + 1])) for j in range(len(eps) - 1)]
+        pairs = [(eps[j], eps[j + 1], runs[j], runs[j + 1]) for j in range(len(eps) - 1)]
         table = _read_table(tmp_path / "run_convergence.csv")
     else:
-        expected = [(e, e, *_list_distances(run(e, "bump"), run(e, "triangle"))) for e in eps]
+        pairs = [(e, e, run(e, "bump"), run(e, "triangle")) for e in eps]
         table = _read_table(tmp_path / "run_uniqueness.csv")
-    assert table == expected
+    assert table == [(e1, e2, *_list_distances(a, b)) for e1, e2, a, b in pairs]
+    if command == "converge":
+        # NumPy's complex product rounds as its CPU dispatch does: the same
+        # distance to rounding. (The unique rows compare near-equal runs,
+        # whose cancelling products leave a relative gap near 1e-14.)
+        numpy_product = [_list_distances(a, b, np.multiply)[1] for *_, a, b in pairs]
+        np.testing.assert_allclose([row[3] for row in table], numpy_product, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("command", ["converge", "unique"])
