@@ -390,8 +390,16 @@ def _assert_bits_equal(got, want, *context):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), context
 
 
+@needs_compiled
 def test_backends_agree_on_distance_terms(rng):
-    """Each backend equals the real-arithmetic reference bit for bit."""
+    """The compiled and pure backends write the same bits."""
+    for runs in _distance_cases(rng):
+        _assert_bits_equal(_distance_terms(runs), _distance_terms(runs, "pure"), runs[0][0].shape)
+
+
+def test_unfused_distance_terms_match_real_arithmetic(rng):
+    """Each backend equals the real-arithmetic reference bit for bit: every
+    complex product is formed from four real products and two sums, none fused."""
     for runs in _distance_cases(rng):
         want = _real_distance_terms(runs)
         for name in kernels.available_backends():
