@@ -8,7 +8,11 @@ end-to-end workloads step: Thirring (alpha = 1) on a periodic lattice, as in
 ``converge_rough``, and Gross-Neveu (beta = 0.25) with zero inflow, as in
 ``audit_cone``. Each cell is nanoseconds per site update, from the best of
 ``--repeats`` timings of CALLS steps; the last column is the
-pure/compiled ratio. Below the step rows, ``format_rows`` writes one
+pure/compiled ratio. Then one step per level for Thirring on a periodic
+lattice, in microseconds per level: the kernel call
+(``kernels.step_unforced``) beside ``solver.step``, which adds the Python
+around it (forcing check, the new ``SpinorField`` and the blow-up verdict),
+so the overhead per level stays visible. Then ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
 template), in nanoseconds per value. Then a full ``AuditPass`` (charge,
 triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
@@ -34,7 +38,7 @@ import time
 import numpy as np
 
 import lcdirac as lc
-from lcdirac import GROSS_NEVEU, THIRRING, kernels
+from lcdirac import GROSS_NEVEU, THIRRING, kernels, solver
 from lcdirac.functionals import AuditPass
 from lcdirac.harness import _PairDistance
 
@@ -61,6 +65,24 @@ def step_ns_per_site(u, v, p, periodic, repeats) -> float:
             kernels.step_unforced(u, v, h, p.m, p.alpha, p.beta, periodic)
 
     return best_of(steps, repeats) / (CALLS * u.shape[0]) * 1e9
+
+
+def level_us(n, p, rng, repeats):
+    """(kernel call, solver.step) in us per level on a periodic grid of n sites."""
+    grid = lc.make_grid(-8.0, 8.0, n, "periodic")
+    f = lc.SpinorField(grid, 0.0, 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                       0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+    cfg = lc.SolverConfig()
+
+    def kernel():
+        for _ in range(CALLS):
+            kernels.step_unforced(f.u, f.v, grid.dt, p.m, p.alpha, p.beta, True)
+
+    def step():
+        for _ in range(CALLS):
+            solver.step(f, p, cfg)
+
+    return best_of(kernel, repeats) / CALLS * 1e6, best_of(step, repeats) / CALLS * 1e6
 
 
 def format_ns_per_value(block, repeats) -> float:
@@ -132,6 +154,14 @@ def bench(sizes, repeats):
                     kernels.use_backend(bk)
                     times.append(step_ns_per_site(u, v, p, periodic, repeats))
                 print_row(name, n, times)
+        print("step per level, thirring, periodic: us per level")
+        for n in sizes:
+            rows = []
+            for bk in backends:
+                kernels.use_backend(bk)
+                rows.append(level_us(n, THIRRING, rng, repeats))
+            print_row("kernels.step_unforced", n, [r[0] for r in rows])
+            print_row("solver.step", n, [r[1] for r in rows])
         # one snapshot level: t, x and the four field components at 17 digits
         n = 768
         block = np.column_stack([np.full(n, 0.25), np.linspace(-8.0, 8.0, n, endpoint=False),

@@ -94,6 +94,17 @@ class SpinorField:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
+    @classmethod
+    def _evolved(cls, grid: GridSpec, t: float, u: np.ndarray, v: np.ndarray) -> "SpinorField":
+        """A level the step kernel wrote: u and v are fresh C-contiguous
+        complex128 arrays of grid length that the kernel found finite, so
+        only the read-only marking of the public constructor is left."""
+        u.setflags(write=False)
+        v.setflags(write=False)
+        f = object.__new__(cls)
+        f.__dict__.update(grid=grid, t=t, u=u, v=v)
+        return f
+
     def density(self) -> np.ndarray:
         """Pointwise charge density |u|^2 + |v|^2."""
         return (self.u.real**2 + self.u.imag**2) + (self.v.real**2 + self.v.imag**2)

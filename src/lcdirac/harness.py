@@ -128,9 +128,10 @@ class _PairDistance:
     pointwise products u v, trapezoid in time (a level's weight is known
     once the next level arrives, so the latest row waits).
 
-    Each level's terms are written in one kernels.distance_terms pass and
-    summed with np.add.reduce, the order of np.sum, so the field distance
-    equals l2_distance bit for bit."""
+    Each level's terms are written in one kernels.distance_terms pass into
+    one kernels.DistanceTerms, made at the first level, and summed with
+    np.add.reduce, the order of np.sum, so the field distance equals
+    l2_distance bit for bit."""
 
     def __init__(self):
         self.terms = None
@@ -142,14 +143,15 @@ class _PairDistance:
     def feed(self, a: SpinorField, b: SpinorField):
         grid = a.grid
         if self.terms is None:
-            self.terms = np.empty((2, grid.n_points))
+            self.terms = kernels.DistanceTerms(grid.n_points)
         kernels.distance_terms(self.terms, (a.u, a.v), (b.u, b.v))
-        d = float(np.sqrt(np.add.reduce(self.terms[0]) * grid.dx))
+        l1, p1 = self.terms.out
+        d = float(np.sqrt(np.add.reduce(l1) * grid.dx))
         self.field = d if self.field is None else max(self.field, d)
         if self.last is not None:
             w = 0.5 if self.levels == 1 else 1.0
             self.total += w * self.last * grid.dt
-        self.last = float(np.add.reduce(self.terms[1])) * grid.dx
+        self.last = float(np.add.reduce(p1)) * grid.dx
         self.levels += 1
         self.dt = grid.dt
 

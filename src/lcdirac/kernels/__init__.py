@@ -5,7 +5,9 @@ for bit (but for the step's corner named in ``_step.c``):
 
 - ``step_unforced`` is the one lattice step, unforced or, given
   ``forcing``, forced (the name predates forcing; ``perfbench`` wraps it by
-  that name);
+  that name); it returns the new u and v and the blow-up verdict, the
+  first site where either has a non-finite part (-1 for none), found in
+  the pass that writes the level;
 - ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
   values, byte for byte as Python's ``%`` operator does;
 - ``level_terms`` writes every elementwise term the cone functionals and
@@ -13,8 +15,9 @@ for bit (but for the step's corner named in ``_step.c``):
   pair terms) into a ``LevelTerms``, with the growth margins and their
   sites; it is the one formula for L0/D0/Q0 and L1/D1/Q1;
 - ``distance_terms`` writes the terms of the field and product distances
-  of two runs, which ``converge`` and ``unique`` take at every level; each
-  complex product is four real products and two sums on both backends.
+  of two runs, which ``converge`` and ``unique`` take at every level, into
+  a ``DistanceTerms``; each complex product is four real products and two
+  sums on both backends.
 
 Every pairwise sum stays in NumPy on both backends: the callers sum the
 terms with ``np.add.reduce``, so moving the terms to C changes no
@@ -177,7 +180,7 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
         return None, f"pure: {exc}"
     step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
                      + [ctypes.c_void_p] * 4)
-    step.restype = None
+    step.restype = ctypes.c_ssize_t
     fmt.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t]
     fmt.restype = ctypes.c_ssize_t
     level.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int, ctypes.c_double]
@@ -206,9 +209,9 @@ def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing=None):
         f_ptrs = [a.ctypes.data for a in f]
     u_new = np.empty_like(u)
     v_new = np.empty_like(v)
-    _lib.lcd_step(u.ctypes.data, v.ctypes.data, u_new.ctypes.data, v_new.ctypes.data,
-                  u.shape[0], h, m, alpha, beta, bool(periodic), *f_ptrs)
-    return u_new, v_new
+    bad = _lib.lcd_step(u.ctypes.data, v.ctypes.data, u_new.ctypes.data, v_new.ctypes.data,
+                        u.shape[0], h, m, alpha, beta, bool(periodic), *f_ptrs)
+    return u_new, v_new, bad
 
 
 def available_backends() -> tuple[str, ...]:
@@ -238,7 +241,12 @@ def use_backend(name: str):
 
 
 def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
-    """One step; forcing is None or the four samples ``pure.step_unforced`` names."""
+    """One step; forcing is None or the four samples ``pure.step_unforced`` names.
+
+    Returns ``(u_new, v_new, bad)``: the new level as fresh C-contiguous
+    complex128 arrays shaped like u, and the first site where u_new or
+    v_new has a non-finite part, or -1 when both are finite.
+    """
     if _active == "compiled":
         return _compiled_step(u, v, h, m, alpha, beta, periodic, forcing)
     return pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
@@ -367,20 +375,31 @@ def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E):
         pure.level_terms(terms, fields, i0, i1, kshift, E)
 
 
-def distance_terms(out, run_a, run_b):
-    """Write the terms of the field and product distances of runs A and B,
-    each a (u, v) pair, into out, a C-contiguous (2, n) float64 array:
-    ``out[0]`` = |U|^2 + |V|^2 with U = uA - uB and V = vA - vB, the terms of
-    ``fields.l2_distance``, and ``out[1]`` = |uA vA - uB vB|^2, each complex
-    product as four real products and two sums. The sums stay with the
-    caller. A field of another size raises UsageError before the pass runs.
+class DistanceTerms:
+    """The buffer ``distance_terms`` writes the pair-distance terms of one
+    level into, allocated once for n sites, with its address kept (the
+    lookup costs about 2 us): ``out``, a C-contiguous (2, n) float64 array;
+    ``out[0]`` = |U|^2 + |V|^2 with U = uA - uB and V = vA - vB, the terms
+    of ``fields.l2_distance``, and ``out[1]`` = |uA vA - uB vB|^2.
     """
-    if out.dtype != np.float64 or out.ndim != 2 or out.shape[0] != 2 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous (2, n) float64 array, got {out.dtype} {out.shape}")
-    n = out.shape[1]
+
+    def __init__(self, n: int):
+        self.n = n
+        self.out = np.zeros((2, n))
+        self._address = self.out.ctypes.data
+
+
+def distance_terms(terms: DistanceTerms, run_a, run_b):
+    """Write the terms of the field and product distances of runs A and B,
+    each a (u, v) pair, into ``terms.out`` (see ``DistanceTerms``), each
+    complex product as four real products and two sums. The sums stay with
+    the caller. A field of another size raises UsageError before the pass
+    runs.
+    """
+    n = terms.n
     (ua, va), (ub, vb) = ((_field(u, n), _field(v, n)) for u, v in (run_a, run_b))
     if _active == "compiled":
-        l1 = out.ctypes.data
+        l1 = terms._address
         _lib.lcd_distance_terms(l1, l1 + 8 * n, ua.ctypes.data, va.ctypes.data, ub.ctypes.data, vb.ctypes.data, n)
     else:
-        pure.distance_terms(out, (ua, va), (ub, vb))
+        pure.distance_terms(terms.out, (ua, va), (ub, vb))

@@ -21,8 +21,17 @@
  * The helpers that take forcing pointers are always inlined, so the loops
  * are compiled once with the pointers NULL and once without, and the
  * unforced step tests no pointer per site.
+ *
+ * lcd_step returns the first site whose new u or v has a non-finite part
+ * (NaN or +-inf), or -1: the blow-up verdict, so the caller scans no level
+ * again. Once a block is written, one more loop ORs the exponent fields of
+ * its values, each plus one, which sets the sign bit only for an exponent
+ * of all ones; only a block with that bit set is scanned site by site, and
+ * only the first such block. The check reads the stores and changes none.
  */
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 #define INLINE static inline __attribute__((always_inline))
 #define BLOCK 256
@@ -83,17 +92,47 @@ INLINE void update(cplx u_left, cplx v_right, const cplx *uh, const cplx *vh,
     vn[i] = add(v_right, rmul(k->h, source(vh[2], uh[1], k, at(f3, i))));
 }
 
+#define EXPONENT UINT64_C(0x7ff0000000000000)
+#define EXPONENT_ONE UINT64_C(0x0010000000000000)
+
+/* The exponent field of x plus one: the sign bit is set when, and only
+ * when, all eleven exponent bits of x are ones, that is x is NaN or +-inf. */
+static inline uint64_t carry(double x)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    return (b & EXPONENT) + EXPONENT_ONE;
+}
+
+/* The first site of [lo, hi) with a non-finite part in un or vn, or -1. */
+static ptrdiff_t first_bad(const cplx *un, const cplx *vn, ptrdiff_t lo, ptrdiff_t hi)
+{
+    const double *a = &un[lo].re, *b = &vn[lo].re;
+    ptrdiff_t i, len = 2 * (hi - lo);
+    uint64_t flag = 0;
+
+    for (i = 0; i < len; i++) /* no branch, so the loop is vectorised */
+        flag |= carry(a[i]) | carry(b[i]);
+    if (!(flag >> 63))
+        return -1;
+    for (i = lo; i < hi; i++)
+        if ((carry(un[i].re) | carry(un[i].im) | carry(vn[i].re) | carry(vn[i].im)) >> 63)
+            return i;
+    return -1;
+}
+
 /* Neighbours past either end wrap (periodic) or are zero (zero inflow).
  * f[0], f[1]: F1 and F2 at (x_i, t); f[2]: F1 at (x_i - h/2, t + h/2);
- * f[3]: F2 at (x_i + h/2, t + h/2); all NULL for the unforced step. */
-INLINE void step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_t n,
-                 const params *k, int periodic,
-                 const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
+ * f[3]: F2 at (x_i + h/2, t + h/2); all NULL for the unforced step.
+ * Returns the first site of un or vn with a non-finite part, or -1. */
+INLINE ptrdiff_t step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_t n,
+                      const params *k, int periodic,
+                      const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
 {
     cplx uh[BLOCK + 2], vh[BLOCK + 2]; /* entry j: the stages of site lo - 1 + j */
     cplx uh_first = zero, vh_first = zero, uh_last = zero, vh_last = zero;
     const cplx u_edge = periodic ? u[n - 1] : zero, v_edge = periodic ? v[0] : zero;
-    ptrdiff_t lo, hi, i, j;
+    ptrdiff_t lo, hi, i, j, bad = -1;
 
     if (periodic) { /* the stages that wrap: of site 0 past the end, of site n - 1 before 0 */
         half(u, v, f0, f1, 0, k, &uh_first, &vh_first);
@@ -118,21 +157,24 @@ INLINE void step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_t n,
             update(u_edge, n > 1 ? v[1] : v_edge, uh, vh, f2, f3, 0, k, un, vn);
         if (hi == n && n > 1)
             update(u[n - 2], v_edge, uh + (n - 1 - lo), vh + (n - 1 - lo), f2, f3, n - 1, k, un, vn);
+        if (bad < 0) /* sites [lo, hi) are written */
+            bad = first_bad(un, vn, lo, hi);
     }
+    return bad;
 }
 
 /* un and vn must not overlap u, v or the forcing samples; f0 NULL means
- * no forcing, and then f1..f3 are not read. */
-void lcd_step(const cplx *restrict u, const cplx *restrict v, cplx *restrict un,
-              cplx *restrict vn, ptrdiff_t n, double h, double m, double alpha,
-              double beta, int periodic, const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
+ * no forcing, and then f1..f3 are not read. Returns the first site where
+ * un or vn is not finite, or -1. */
+ptrdiff_t lcd_step(const cplx *restrict u, const cplx *restrict v, cplx *restrict un,
+                   cplx *restrict vn, ptrdiff_t n, double h, double m, double alpha,
+                   double beta, int periodic, const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
 {
     const params k = {h, 0.5 * h, m, alpha, 2.0 * beta};
 
     if (n <= 0)
-        return;
+        return -1;
     if (f0)
-        step(u, v, un, vn, n, &k, periodic, f0, f1, f2, f3);
-    else
-        step(u, v, un, vn, n, &k, periodic, NULL, NULL, NULL, NULL);
+        return step(u, v, un, vn, n, &k, periodic, f0, f1, f2, f3);
+    return step(u, v, un, vn, n, &k, periodic, NULL, NULL, NULL, NULL);
 }

@@ -1,10 +1,11 @@
 """Pure NumPy implementations of the hot kernels.
 
-One light-cone step, unforced or forced (the reference that ``_step.c``
-reproduces bit for bit); the elementwise terms of one audited level and of
-the distances of two runs (the references that ``_level.c`` reproduces bit
-for bit); and the ordered pair sum q(a, b) = sum_{i<j} a_i b_j in both the
-O(N) suffix-scan form and the O(N^2) direct form kept as an oracle.
+One light-cone step, unforced or forced, with its blow-up verdict (the
+reference that ``_step.c`` reproduces bit for bit); the elementwise terms
+of one audited level and of the distances of two runs (the references that
+``_level.c`` reproduces bit for bit); and the ordered pair sum
+q(a, b) = sum_{i<j} a_i b_j in both the O(N) suffix-scan form and the
+O(N^2) direct form kept as an oracle.
 """
 from __future__ import annotations
 
@@ -27,11 +28,14 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
     F1 and F2 at (x_i, t), F1 at (x_i - h/2, t + h/2) and F2 at
     (x_i + h/2, t + h/2).
 
-    Overflow is left to the caller's finite check (blow-up reporting), as
-    in the compiled backend.
+    Returns ``(u_new, v_new, bad)``, where bad is the first site where
+    u_new or v_new has a non-finite part, or -1: overflow is not raised but
+    reported, as in the compiled backend.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(u, v, h, m, alpha, beta, periodic, forcing)
+        u_new, v_new = _step(u, v, h, m, alpha, beta, periodic, forcing)
+    finite = np.isfinite(u_new.real) & np.isfinite(u_new.imag) & np.isfinite(v_new.real) & np.isfinite(v_new.imag)
+    return u_new, v_new, -1 if finite.all() else int(np.argmin(finite))
 
 
 def _step(u, v, h, m, alpha, beta, periodic, forcing):

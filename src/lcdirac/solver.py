@@ -37,13 +37,6 @@ class SolverConfig:
             raise ConfigurationError("record_every must be >= 1")
 
 
-def _blow_up(u: np.ndarray, v: np.ndarray, grid: GridSpec, t: float) -> BlowUpError:
-    """The error naming the first site of a level with a non-finite value."""
-    bad = ~(np.isfinite(u.real) & np.isfinite(u.imag) & np.isfinite(v.real) & np.isfinite(v.imag))
-    site = int(np.argmax(bad))
-    return BlowUpError(t, site, grid.x_min + site * grid.dx)
-
-
 def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
     """Advance one light-cone step; returns the field at t + dt."""
     grid = f.grid
@@ -54,14 +47,13 @@ def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
         x = grid.sites()
         t_half = f.t + 0.5 * h
         forcing = (F1(x, f.t), F2(x, f.t), F1(x - 0.5 * h, t_half), F2(x + 0.5 * h, t_half))
-    u_new, v_new = kernels.step_unforced(
+    u_new, v_new, bad = kernels.step_unforced(
         f.u, f.v, h, p.m, p.alpha, p.beta, grid.boundary == "periodic", forcing=forcing
     )
     t_new = f.t + h
-    try:  # the constructor's finiteness check is the level's only scan
-        return SpinorField(grid, t_new, u_new, v_new)
-    except ConfigurationError:
-        raise _blow_up(u_new, v_new, grid, t_new) from None
+    if bad >= 0:  # the kernel's verdict is the level's only finiteness check
+        raise BlowUpError(t_new, bad, grid.x_min + bad * grid.dx)
+    return SpinorField._evolved(grid, t_new, u_new, v_new)
 
 
 def horizon_steps(T: float, dt: float) -> tuple[int, bool]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 
 import lcdirac as lc
+from lcdirac import kernels
 from lcdirac.cli import main, parse_config, run_command, trace_csv
 from lcdirac.errors import ConfigurationError
 from lcdirac.functionals import FunctionalTrace
@@ -436,3 +440,19 @@ class TestMain:
             assert run_command(parse_config(json.dumps(doc))) == 0
             outs.append((tmp_path / tag / "run_audits.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif("compiled" not in kernels.available_backends(),
+                    reason=f"compiled kernels not built ({kernels.backend_reason()})")
+def test_cli_import_loads_no_subprocess():
+    """With the compiled library cached (this process built or loaded it),
+    a fresh interpreter imports lcdirac.cli without subprocess: only a
+    build imports it, which keeps it out of every run's set-up time."""
+    src = str(Path(kernels.__file__).parents[2])
+    code = ("import sys, lcdirac.cli\n"
+            "from lcdirac import kernels\n"
+            "print(kernels.backend_name(), 'subprocess' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["compiled", "False"]

@@ -116,6 +116,25 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             lc.ComponentSpec("power_singularity_truncated", exponent=0.7)
 
+    def test_field_checks_its_input(self, rng):
+        g = lc.make_grid(0, 1, 16, "periodic")
+        u = rng.normal(size=16) + 1j * rng.normal(size=16)
+        for bad in (np.nan, np.inf, -np.inf):
+            for part in ("real", "imag"):
+                z = u.copy()
+                getattr(z, part)[5] = bad
+                for args in ((z, u), (u, z)):
+                    with pytest.raises(ConfigurationError, match="non-finite"):
+                        lc.SpinorField(g, 0.0, *args)
+        for other in (u[:15], np.concatenate([u, u]), u.reshape(4, 4), u[:1].reshape(())):
+            with pytest.raises(ConfigurationError, match="length mismatch"):
+                lc.SpinorField(g, 0.0, other, u)
+            with pytest.raises(ConfigurationError, match="length mismatch"):
+                lc.SpinorField(g, 0.0, u, other)
+        f = lc.SpinorField(g, 0.0, np.repeat(u, 2)[::2], list(u.real))
+        assert f.u.flags.c_contiguous and f.u.dtype == np.complex128 and np.array_equal(f.u, u)
+        assert f.v.dtype == np.complex128 and np.array_equal(f.v, u.real)
+
     def test_field_immutable(self, rng):
         g = lc.make_grid(0, 1, 16, "periodic")
         f = random_field(rng, g)

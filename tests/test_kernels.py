@@ -39,6 +39,14 @@ def backend():
     kernels.use_backend(before)
 
 
+@pytest.fixture(scope="module")
+def portable_build(tmp_path_factory):
+    """The library built with the portable flags, and its reason line."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    return kernels.load_compiled(str(tmp_path_factory.mktemp("portable")), fingerprint=None)
+
+
 def q_brute(a, b):
     total = 0.0
     for i in range(len(a)):
@@ -114,7 +122,7 @@ def test_backends_agree_on_step(backend, periodic, params):
                 backend(name)
                 a, b = u, v
                 for _ in range(100):
-                    a, b = kernels.step_unforced(a, b, h, m, alpha, beta, periodic)
+                    a, b, _ = kernels.step_unforced(a, b, h, m, alpha, beta, periodic)
                 ends[name] = a, b
             for got, want in zip(ends["compiled"], ends["pure"]):
                 assert np.array_equal(_bits(got), _bits(want)), (n, kind)
@@ -132,7 +140,7 @@ def test_backends_agree_on_forced_step(backend, rng, periodic, n):
         backend(name)
         a, b = u, v
         for forcing in forcings:
-            a, b = kernels.step_unforced(a, b, 0.1, 1.0, 0.5, 0.25, periodic, forcing=forcing)
+            a, b, _ = kernels.step_unforced(a, b, 0.1, 1.0, 0.5, 0.25, periodic, forcing=forcing)
         ends[name] = a, b
     for got, want in zip(ends["compiled"], ends["pure"]):
         assert np.array_equal(_bits(got), _bits(want))
@@ -155,7 +163,8 @@ def test_backends_agree_on_signed_zeros(backend):
             for name in ("pure", "compiled"):
                 backend(name)
                 ends[name] = kernels.step_unforced(u, v, 0.5, m, alpha, beta, periodic, forcing=forcing)
-            for got, want in zip(ends["compiled"], ends["pure"]):
+            assert ends["compiled"][2] == ends["pure"][2]
+            for got, want in zip(ends["compiled"][:2], ends["pure"][:2]):
                 assert np.array_equal(_bits(got), _bits(want)), (m, alpha, beta, periodic, forcing is None)
 
 
@@ -177,7 +186,8 @@ def test_compiled_step_tiny_lattices(arrays, backend, n):
     for periodic in (True, False):
         got = kernels.step_unforced(u[:n], v[:n], 0.1, 1.0, 1.0, 0.25, periodic)
         want = pure.step_unforced(u[:n], v[:n], 0.1, 1.0, 1.0, 0.25, periodic)
-        assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+        assert got[2] == want[2] == -1
+        assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got[:2], want[:2]))
 
 
 @needs_compiled
@@ -187,7 +197,8 @@ def test_compiled_step_coerces_and_checks_inputs(arrays, backend):
     strided = np.repeat(u, 2)[::2]  # not contiguous
     got = kernels.step_unforced(strided, list(v), 0.1, 1.0, 0.0, 0.25, True)
     want = pure.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True)
-    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+    assert got[2] == want[2] == -1
+    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got[:2], want[:2]))
     with pytest.raises(ValueError, match="equal length"):
         kernels.step_unforced(u, v[:-1], 0.1, 1.0, 0.0, 0.25, True)
     with pytest.raises(ValueError, match="equal length"):
@@ -197,11 +208,82 @@ def test_compiled_step_coerces_and_checks_inputs(arrays, backend):
     got = kernels.step_unforced(strided, v, 0.1, 1.0, 0.0, 0.25, True,
                                 forcing=[np.repeat(f, 2)[::2] for f in forcing])
     want = pure.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=[np.asarray(f) for f in forcing])
-    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+    assert got[2] == want[2] == -1
+    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got[:2], want[:2]))
     with pytest.raises(ValueError, match="4 arrays"):
         kernels.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=forcing[:3])
     with pytest.raises(ValueError, match="shaped like u"):
         kernels.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=forcing[:3] + [v[:-1]])
+
+
+VERDICT_N = 1100  # four 256-site blocks of the C step and a partial fifth
+VERDICT_SITES = (0, 255, 256, 257, 700, VERDICT_N - 1)
+# Forcing that overflows exactly one part of u_new (F1 at the half step)
+# or v_new (F2 at the half step) at its site, when m = alpha = beta = 0 and
+# h = 4: the update adds h i f, so h * 1e308 overflows in one part only.
+ONE_PART = {"u.real": (2, -1e308j), "u.imag": (2, 1e308), "v.real": (3, -1e308j), "v.imag": (3, 1e308)}
+
+
+def _first_nonfinite(u, v):
+    """The first site where a part of u or v is not finite, or -1."""
+    bad = np.flatnonzero(~np.isfinite(np.stack([u.real, u.imag, v.real, v.imag])).all(axis=0))
+    return int(bad[0]) if bad.size else -1
+
+
+def _verdict_cases():
+    """(u, v, h, (m, alpha, beta), periodic, forcing, site, part) of steps
+    whose output first goes non-finite at site, with only part bad there;
+    site and part None where the test reads the site from the output."""
+    rng = np.random.default_rng(18)
+    n = VERDICT_N
+    cases = []
+    for periodic in (True, False):
+        u, v = _cplx(rng, n, 0.3), _cplx(rng, n, 0.3)
+        cases.append((u, v, 0.1, (1.0, 0.5, 0.25), periodic, None, -1, None))
+        cases.append((u, v, 0.1, (1.0, 0.5, 0.25), periodic, [_cplx(rng, n, 0.3) for _ in range(4)], -1, None))
+        # a NaN, infinite or overflowing input spoils both parts near its site, and later ones
+        for value, comp, site in itertools.product((np.nan, np.inf, -np.inf, 1e200), "uv", VERDICT_SITES):
+            a, b = u.copy(), v.copy()
+            (a if comp == "u" else b).real[site] = value
+            (b if comp == "u" else a).imag[min(site + 300, n - 1)] = value
+            cases.append((a, b, 0.1, (1.0, 0.5, 0.25), periodic, None, None, None))
+            f = [np.zeros(n, complex) for _ in range(4)]
+            f[0 if comp == "u" else 1][site] = value
+            cases.append((u, v, 0.1, (1.0, 0.5, 0.25), periodic, f, None, None))
+        for (part, (k, value)), site in itertools.product(ONE_PART.items(), VERDICT_SITES):
+            f = [np.zeros(n, complex) for _ in range(4)]
+            f[k][site] = value
+            if site + 256 < n:
+                f[5 - k][site + 256] = np.nan  # a later bad site, in the other component
+            cases.append((u, v, 4.0, (0.0, 0.0, 0.0), periodic, f, site, part))
+    return cases
+
+
+@pytest.mark.parametrize("build", ["compiled", "pure", "portable"])
+def test_step_verdict_is_the_first_nonfinite_site(build, backend, request, monkeypatch):
+    """The step's verdict is the first site where a part of u_new or v_new
+    is not finite, and -1 on finite output, at block edges and in later
+    blocks, for each part, periodic and zero inflow, forced and unforced."""
+    if build != "pure":
+        if "compiled" not in kernels.available_backends():
+            pytest.skip(f"compiled kernels not built ({kernels.backend_reason()})")
+        if build == "portable":
+            lib, reason = request.getfixturevalue("portable_build")
+            assert lib is not None, reason
+            monkeypatch.setattr(kernels, "_lib", lib)
+    backend("pure" if build == "pure" else "compiled")
+    read_sites = set()
+    for u, v, h, (m, alpha, beta), periodic, forcing, site, part in _verdict_cases():
+        u_new, v_new, bad = kernels.step_unforced(u, v, h, m, alpha, beta, periodic, forcing=forcing)
+        assert bad == _first_nonfinite(u_new, v_new), (periodic, forcing is None, site, part)
+        if site is None:
+            read_sites.add(bad)
+            continue
+        assert bad == site, (periodic, part)
+        if part is not None:
+            parts = {"u.real": u_new.real, "u.imag": u_new.imag, "v.real": v_new.real, "v.imag": v_new.imag}
+            assert [name for name, a in parts.items() if not np.isfinite(a[site])] == [part]
+    assert read_sites >= set(VERDICT_SITES)
 
 
 def _terms_on(name, n, runs, i0, i1, kshift=0, E=None, origin=None, m=1.0, C0=0.3, dx=0.05):
@@ -350,13 +432,13 @@ def _cornered(rng, n, count=3):
 
 def _distance_terms(runs, name="compiled"):
     """(l1, p1) of one kernels.distance_terms call on backend name."""
-    out = np.empty((2, runs[0][0].shape[0]))
+    terms = kernels.DistanceTerms(runs[0][0].shape[0])
     before = kernels.use_backend(name)
     try:
-        kernels.distance_terms(out, *runs)
+        kernels.distance_terms(terms, *runs)
     finally:
         kernels.use_backend(before)
-    return out[0], out[1]
+    return terms.out[0], terms.out[1]
 
 
 def _real_distance_terms(runs):
@@ -432,26 +514,27 @@ def test_distance_terms_ignore_numpy_dispatch():
 
 
 def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
-    """On either backend, a field of another size, or a wrong out, is
-    refused before the pass runs."""
+    """On either backend, a field of another size is refused before the
+    pass runs; the buffer the pass writes is C-contiguous (2, n) float64."""
     calls = []
     monkeypatch.setattr(kernels, "_lib", type("Lib", (), {"lcd_distance_terms": lambda *a: calls.append(a)}))
     monkeypatch.setattr(kernels.pure, "distance_terms", lambda *a: calls.append(a))
     n = 8
     run = (_cplx(rng, n), _cplx(rng, n))
+    terms = kernels.DistanceTerms(n)
+    out = terms.out
+    assert out.dtype == np.float64 and out.shape == (2, n) and out.flags.c_contiguous
+    assert terms._address == out.ctypes.data
     for name in ("compiled", "pure"):
         monkeypatch.setattr(kernels, "_active", name)
         calls.clear()
-        kernels.distance_terms(np.empty((2, n)), run, run)
+        kernels.distance_terms(terms, run, run)
         assert len(calls) == 1, name
         for other in ((_cplx(rng, n + 1), run[1]), (run[0], _cplx(rng, n - 1)), (run[0][:, None], run[1])):
             with pytest.raises(UsageError, match="sites"):
-                kernels.distance_terms(np.empty((2, n)), run, other)
+                kernels.distance_terms(terms, run, other)
             with pytest.raises(UsageError, match="sites"):
-                kernels.distance_terms(np.empty((2, n)), other, run)
-        for out in (np.empty((3, n)), np.empty(2 * n), np.empty((2, n), np.float32), np.empty((n, 2)).T):
-            with pytest.raises(ValueError, match="out must be"):
-                kernels.distance_terms(out, run, run)
+                kernels.distance_terms(terms, other, run)
         assert len(calls) == 1, name
 
 
@@ -612,10 +695,11 @@ def _kernel_outputs(monkeypatch, lib):
         for periodic, f in itertools.product((True, False), (None, forcing)):
             a, b = u, v
             for _ in range(5):
-                a, b = kernels.step_unforced(a, b, 0.1, 1.0, 0.5, 0.25, periodic, forcing=f)
-            out += [a.tobytes(), b.tobytes()]
+                a, b, bad = kernels.step_unforced(a, b, 0.1, 1.0, 0.5, 0.25, periodic, forcing=f)
+            out += [a.tobytes(), b.tobytes(), str(bad).encode()]
     u, v = rng.choice([0.0, -0.0, 1.0, -0.5, 1e-160, -3e-170], size=(2, 2 * 2000)).view(np.complex128)
-    out += [a.tobytes() for a in kernels.step_unforced(u, v, 0.5, -0.0, 1.0, -0.5, False)]
+    a, b, bad = kernels.step_unforced(u, v, 0.5, -0.0, 1.0, -0.5, False)
+    out += [a.tobytes(), b.tobytes(), str(bad).encode()]
     block = _cornered(rng, 600, 60).view(np.float64).reshape(-1, 6)
     out.append(kernels.format_rows(block).encode())
     origin = (_cplx(rng, 300), _cplx(rng, 300))
@@ -629,9 +713,9 @@ def _kernel_outputs(monkeypatch, lib):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 @needs_compiled
-def test_portable_build_matches_native(tmp_path, monkeypatch, backend):
+def test_portable_build_matches_native(portable_build, monkeypatch, backend):
     """The library built without -march=native gives the same bits as the native one."""
-    portable, reason = kernels.load_compiled(str(tmp_path), fingerprint=None)
+    portable, reason = portable_build
     assert portable is not None, reason
     assert "portable flags: no CPU fingerprint" in reason and Path(portable._name).name.endswith(".portable.so")
     want = _kernel_outputs(monkeypatch, kernels._lib)

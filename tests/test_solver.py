@@ -7,7 +7,7 @@ import lcdirac as lc
 from lcdirac import kernels
 from lcdirac.errors import BlowUpError, FrequencyDomainError, UsageError
 
-from conftest import random_field
+from conftest import backend, random_field
 
 
 def uniform_datum(u_amp, v_amp):
@@ -27,13 +27,49 @@ def manufactured_order():
     return float(np.log2(errs[0] / errs[1]))
 
 
+def _gain_1pct(step):
+    def gained(*args, **kw):
+        u, v, bad = step(*args, **kw)
+        return 1.01 * u, 1.01 * v, bad  # the arrays only: the verdict passes through
+
+    return gained
+
+
 # Each wraps the step kernel into a plausibly broken one.
 KERNEL_MUTANTS = {
     "beta_flipped": lambda step: lambda u, v, h, m, a, b, *rest, **kw: step(u, v, h, m, a, -b, *rest, **kw),
     "mass_dropped": lambda step: lambda u, v, h, m, *rest, **kw: step(u, v, h, 0.0, *rest, **kw),
     "alpha_dropped": lambda step: lambda u, v, h, m, a, *rest, **kw: step(u, v, h, m, 0.0, *rest, **kw),
-    "gain_1pct": lambda step: lambda *args, **kw: tuple(1.01 * w for w in step(*args, **kw)),
+    "gain_1pct": _gain_1pct,
 }
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+@pytest.mark.parametrize("boundary", ["periodic", "zero_inflow"])
+def test_evolved_levels_are_read_only_finite_and_timed(rng, name, boundary):
+    """Every level evolve yields, in the list and the observer form, is
+    read-only, C-contiguous complex128 of grid length and finite, on the
+    run's grid at t = k dt summed step by step: what the step's own
+    constructor trusts the kernel for instead of checking again."""
+    g = lc.make_grid(-2, 2, 300, boundary)
+    f0, f1 = random_field(rng, g, scale=0.5), random_field(rng, g, scale=0.3)
+    steps = 6
+    with backend(name):
+        listed = lc.evolve(f0, lc.GROSS_NEVEU, lc.SolverConfig(), steps * g.dt)
+        seen = []
+        lc.evolve([f0, f1], lc.GROSS_NEVEU, lc.SolverConfig(), steps * g.dt, observers=[seen.append])
+    assert len(listed) == len(seen) == steps + 1
+    t = 0.0
+    for k, levels in enumerate(zip(listed, *zip(*seen))):
+        for f in levels:
+            assert type(f) is lc.SpinorField and f.grid == g and f.t == t, (k, f.t, t)
+            for a in (f.u, f.v):
+                assert type(a) is np.ndarray and a.dtype == np.complex128 and a.shape == (g.n_points,)
+                assert a.flags.c_contiguous and not a.flags.writeable
+                assert np.isfinite(a.view(np.float64)).all()
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+        t += g.dt
 
 
 class TestTransport:

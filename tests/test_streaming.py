@@ -612,18 +612,20 @@ def test_observers_see_the_recorded_levels(gn, every):
 
 def _poison_call(monkeypatch, call, part, site):
     """Make the given kernel call (1-based) return NaN in one part of the
-    level at site and at a later site, and inf in the other component later."""
+    level at site and at a later site, and inf in the other component later,
+    with site as the blow-up verdict, as the kernel reports it."""
     real, calls = kernels.step_unforced, [0]
     comp, attr = part.split(".")
 
     def poisoned(*args, **kwargs):
-        u, v = real(*args, **kwargs)
+        u, v, bad = real(*args, **kwargs)
         calls[0] += 1
         if calls[0] == call:
             hit, other = (u, v) if comp == "u" else (v, u)
             getattr(hit, attr)[[site, site + 20]] = np.nan
             other.real[site + 10] = np.inf
-        return u, v
+            bad = site
+        return u, v, bad
 
     monkeypatch.setattr(kernels, "step_unforced", poisoned)
 
