@@ -22,11 +22,15 @@ level; ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
 NumPy on both. Then the pair distances ``converge`` and ``unique`` take at
 every level (``_PairDistance.feed``: one ``distance_terms`` pass over two
 random Thirring-sized runs, the product in real arithmetic on both
-backends, and two NumPy sums), in microseconds per pair-level. Last, the standalone ordered pair sum ``q_upper`` (NumPy on
+backends, and two NumPy sums), in microseconds per pair-level. Then the standalone ordered pair sum ``q_upper`` (NumPy on
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
 oracle ``q_upper_naive`` that the tests compare the functionals with, and
-their time ratio.
+their time ratio. Last, the algebraic audit (``check_algebraic_bounds``,
+NumPy on every backend) on 100 000 Gross-Neveu tuples, the ``audit``
+default: milliseconds per call and the ``tracemalloc`` peak in MiB, which
+its ``BLOCK``-sized evaluation keeps to the chunk's draws plus a few
+MiB.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 768,3072,4096] [--repeats 7]
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -129,6 +134,22 @@ def distance_us_per_pair_level(n, rng, repeats) -> float:
     return best_of(feed, repeats) / CALLS * 1e6
 
 
+def algebraic_ms_and_peak(samples, repeats):
+    k = lc.derive_constants(GROSS_NEVEU)
+
+    def check():
+        lc.check_algebraic_bounds(samples, GROSS_NEVEU, k, seed=0)
+
+    ms = best_of(check, repeats) * 1e3
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ms, peak / 2**20
+
+
 def print_row(label, n, times):
     ratio = f"{times[-1] / times[0]:.1f}x" if len(times) == 2 else "n/a"
     cells = "".join(f"{t:>12.1f}" for t in times)
@@ -198,6 +219,10 @@ def bench(sizes, repeats):
         t_naive = best_of(lambda: kernels.q_upper_naive(a, b), repeats)
         print(f"{'q_upper':<16}{n:>6}{t_fast * 1e6:>12.1f}us")
         print(f"{'q_upper_naive':<16}{n:>6}{t_naive * 1e6:>12.1f}us{f'{t_naive / t_fast:.1f}x':>10}")
+
+    n = 100_000
+    ms, peak = algebraic_ms_and_peak(n, repeats)
+    print(f"{'algebraic audit':<16}{n:>7}{ms:>11.1f}ms{peak:>9.1f}MiB peak")
 
 
 def main():

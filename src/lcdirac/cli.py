@@ -74,6 +74,10 @@ ARTIFACTS = {
 # also caps them at 3.2 GB.
 MAX_SITE_UPDATES = 10**8
 
+# Largest audit.samples parse_config accepts: the algebraic audit checks its
+# tuples at about 2.3 M per second on one core, so 1e7 is a few seconds.
+MAX_AUDIT_SAMPLES = 10**7
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -286,6 +290,10 @@ def parse_config(text: str) -> RunConfig:
     asec.finish()
     if audit_samples < 1:
         raise ConfigurationError("audit.samples must be >= 1")
+    if audit_samples > MAX_AUDIT_SAMPLES:
+        raise ConfigurationError(
+            f"audit.samples {audit_samples} exceeds {MAX_AUDIT_SAMPLES:.3g} (MAX_AUDIT_SAMPLES)"
+        )
 
     root.finish()
     if command == "audit":

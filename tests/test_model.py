@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import lcdirac as lc
+from lcdirac import model
 from lcdirac.errors import ConfigurationError
 from lcdirac.model import EstimateConstants, source_charge_rate
 
@@ -144,6 +147,157 @@ class TestAlgebraicBounds:
         assert abs(ru) + abs(rv) == 0.0
         _, _, r2 = lc.eval_difference_terms(0.0, 0.0, 0.0, 0.0)
         assert r2 == 0.0  # both sides of every bound are 0 at the origin
+
+
+def _quad(seed, n):
+    """The tuples (u, v, u', v') check_algebraic_bounds draws in a first chunk of n."""
+    rng = np.random.default_rng(seed)
+    draws = [(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(4)]
+    return [np.sqrt(r) * np.exp(1j * th) for r, th in draws]
+
+
+def _tuples(seed, n, index):
+    return tuple(complex(z[index]) for z in _quad(seed, n))
+
+
+def _poison_nonlinearity(monkeypatch, value, every, components=("N1",)):
+    real = model.eval_nonlinearity
+
+    def poisoned(u, v, p):
+        W, N1, N2 = real(u, v, p)
+        for name in components:
+            {"N1": N1, "N2": N2}[name][every - 1::every] = value
+        return W, N1, N2
+
+    monkeypatch.setattr(model, "eval_nonlinearity", poisoned)
+
+
+class TestNonFiniteTerms:
+    """A NaN or +-inf bound term fails the audit with max_violation inf,
+    witnessed by that bound's first non-finite tuple."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_every_7th_n1(self, monkeypatch, gn, gn_constants, value):
+        _poison_nonlinearity(monkeypatch, value, 7)
+        rep = lc.check_algebraic_bounds(20_000, gn, gn_constants, seed=3)
+        assert not rep.passed and rep.max_violation == np.inf
+        assert rep.witness == ("difference_envelope", *_tuples(3, 20_000, 6))
+
+    def test_all_of_n1_and_n2(self, monkeypatch, thirring):
+        _poison_nonlinearity(monkeypatch, np.nan, 1, ("N1", "N2"))
+        rep = lc.check_algebraic_bounds(2000, thirring, lc.derive_constants(thirring), seed=0)
+        assert not rep.passed and rep.max_violation == np.inf
+        assert rep.witness == ("difference_envelope", *_tuples(0, 2000, 0))
+
+    def test_all_of_the_charge_rate(self, monkeypatch, gn, gn_constants):
+        def nan_rate(u, v, p):
+            return np.full(u.shape, np.nan), np.full(u.shape, np.nan)
+
+        monkeypatch.setattr(model, "source_charge_rate", nan_rate)
+        rep = lc.check_algebraic_bounds(2000, gn, gn_constants, seed=11)
+        assert not rep.passed and rep.max_violation == np.inf
+        assert rep.witness == ("charge_rate", *_tuples(11, 2000, 0))
+
+    def test_outranks_a_finite_violation(self, monkeypatch, thirring):
+        # c_star = 2 fails the envelope by a finite excess; the last block's NaN still wins
+        real = model.source_charge_rate
+
+        def last_nan(u, v, p):
+            ru, rv = real(u, v, p)
+            if u.size < model.BLOCK:
+                ru[-1] = np.nan
+            return ru, rv
+
+        monkeypatch.setattr(model, "source_charge_rate", last_nan)
+        k = lc.derive_constants(thirring, c_star=2.0)
+        rep = lc.check_algebraic_bounds(20_000, thirring, k, seed=5)
+        assert not rep.passed and rep.max_violation == np.inf
+        assert rep.witness == ("charge_rate", *_tuples(5, 20_000, 19_999))
+
+
+class TestBlocks:
+    """The blocks give bit for bit the report of one pass over each chunk
+    (BLOCK = CHUNK, the evaluation before the blocks)."""
+
+    @staticmethod
+    def _both(monkeypatch, *args):
+        blocked = lc.check_algebraic_bounds(*args)
+        block = model.BLOCK
+        monkeypatch.setattr(model, "BLOCK", model.CHUNK)
+        one_pass = lc.check_algebraic_bounds(*args)
+        monkeypatch.setattr(model, "BLOCK", block)
+        return blocked, one_pass
+
+    @pytest.mark.parametrize("p", [lc.GROSS_NEVEU, lc.THIRRING, lc.ModelParams(1.0, 0.6, -0.8)])
+    def test_default_constants(self, monkeypatch, p):
+        samples = 3 * model.BLOCK + 5
+        blocked, one_pass = self._both(monkeypatch, samples, p, lc.derive_constants(p), 7)
+        assert blocked.passed and blocked == one_pass
+
+    @pytest.mark.parametrize("c_star, passed", [(2.0, False), (4.0, True)])
+    def test_thirring_c_star_around_the_tight_value(self, monkeypatch, thirring, c_star, passed):
+        # the tight envelope constant for Thirring is 3
+        k = lc.derive_constants(thirring, c_star=c_star)
+        blocked, one_pass = self._both(monkeypatch, 30_000, thirring, k, 5)
+        assert blocked == one_pass and blocked.passed is passed
+        if not passed:
+            assert blocked.witness[0] == "difference_envelope"
+
+    @pytest.mark.parametrize("c_star", [None, 2.0])
+    def test_across_chunks(self, monkeypatch, thirring, c_star):
+        monkeypatch.setattr(model, "CHUNK", 3000)
+        monkeypatch.setattr(model, "BLOCK", 700)
+        k = lc.derive_constants(thirring, c_star=c_star)
+        blocked, one_pass = self._both(monkeypatch, 7500, thirring, k, 2)
+        monkeypatch.setattr(model, "CHUNK", 7500)
+        assert blocked == one_pass and blocked.passed is (c_star is None)
+        assert lc.check_algebraic_bounds(7500, thirring, k, 2) != blocked  # other chunks, other tuples
+
+    def test_zero_rhs_violations_in_several_blocks(self, monkeypatch, thirring):
+        # beta = 0 makes the charge-rate rhs 0, so every mutated tuple is a zero-rhs violation
+        real = model.source_charge_rate
+        bad_per_call = []
+
+        def rim_rate(u, v, p):
+            ru, rv = real(u, v, p)
+            bad = u.real**2 + u.imag**2 > 0.9999
+            bad_per_call.append(int(bad.sum()))
+            return np.where(bad, v.real**2 + v.imag**2, ru), rv
+
+        monkeypatch.setattr(model, "source_charge_rate", rim_rate)
+        blocked, one_pass = self._both(monkeypatch, 40_000, thirring, lc.derive_constants(thirring), 6)
+        blocks = bad_per_call[:-1]
+        assert blocks[0] == 0 and sum(c > 0 for c in blocks) >= 3 and bad_per_call[-1] == sum(blocks)
+        assert blocked == one_pass
+        # the first zero-rhs tuple is the witness; the largest excess is max_violation
+        quad = _quad(6, 40_000)
+        rim = quad[0].real**2 + quad[0].imag**2 > 0.9999
+        first = int(np.argmax(rim))
+        assert blocked.witness == ("charge_rate", *(complex(z[first]) for z in quad))
+        assert blocked.max_violation == np.max(quad[1].real[rim] ** 2 + quad[1].imag[rim] ** 2) > 0
+
+    def test_two_bounds_failing(self, monkeypatch, gn):
+        real = model.source_charge_rate
+
+        def tripled(u, v, p):
+            ru, rv = real(u, v, p)
+            return 3.0 * ru, 3.0 * rv
+
+        monkeypatch.setattr(model, "source_charge_rate", tripled)
+        k = lc.derive_constants(gn, c_star=lc.derive_constants(gn).c_star / 40)
+        blocked, one_pass = self._both(monkeypatch, 20_000, gn, k, 3)
+        assert blocked == one_pass and not blocked.passed
+        assert blocked.info["max_ratio_charge_rate"] > 1 and blocked.info["max_ratio_difference_envelope"] > 1
+
+    def test_working_set(self, gn, gn_constants):
+        # the 100 000 tuples' eight uniform arrays are 6.1 MiB; the blocks add about 2.4 MiB
+        tracemalloc.start()
+        try:
+            lc.check_algebraic_bounds(100_000, gn, gn_constants, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 @given(finite_c, finite_c, st.floats(0, 2), st.floats(-1, 1), st.floats(-1, 1))

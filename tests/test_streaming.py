@@ -462,6 +462,7 @@ REFUSED = {
     "misaligned_a": ({"domain": {"a": -4.01, "b": 4.0}}, "not on the lattice"),
     "domain_t0": ({"domain": {"a": -4.0, "b": 4.0, "t0": 0.0}}, "unknown key 'domain.t0'"),
     "samples_zero": ({"audit": {"samples": 0}}, "audit.samples must be >= 1"),
+    "samples_1e10": ({"audit": {"samples": 10**10}}, "audit.samples 10000000000 exceeds 1e+07"),
     "readme_audit_1e110": ({"init": README_AUDIT, "grid": {**audit_doc(Path())["grid"], "n_points": 384}},
                            "exceeds the smallness threshold delta0"),
     "simulate_apex": ({"command": "simulate", "grid": {**audit_doc(Path())["grid"], "n_points": 768},
