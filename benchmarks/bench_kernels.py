@@ -14,7 +14,10 @@ lattice, in microseconds per level: the kernel call
 around it (forcing check, the new ``SpinorField`` and the blow-up verdict),
 so the overhead per level stays visible. Then ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
-template), in nanoseconds per value. Then a full ``AuditPass`` (charge,
+template), in nanoseconds per value, and beside it ``cli.snapshots_csv``
+writes a run of the ``simulate_csv`` workload's size (65 levels of 768
+sites) into its one byte buffer, in nanoseconds per value, so the Python
+around the C stays visible. Then a full ``AuditPass`` (charge,
 triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
 [-6, 6), cone [-4, 4], T = 1: the size of the ``audit_cone`` workload, its
 257 levels evolved once and held) is fed every level, in microseconds per
@@ -43,7 +46,7 @@ import tracemalloc
 import numpy as np
 
 import lcdirac as lc
-from lcdirac import GROSS_NEVEU, THIRRING, kernels, solver
+from lcdirac import GROSS_NEVEU, THIRRING, cli, kernels, solver
 from lcdirac.functionals import AuditPass
 from lcdirac.harness import _PairDistance
 
@@ -92,6 +95,10 @@ def level_us(n, p, rng, repeats):
 
 def format_ns_per_value(block, repeats) -> float:
     return best_of(lambda: kernels.format_rows(block), repeats) / block.size * 1e9
+
+
+def snapshots_ns_per_value(levels, repeats) -> float:
+    return best_of(lambda: cli.snapshots_csv(levels), repeats) / (len(levels) * levels[0].grid.n_points * 6) * 1e9
 
 
 def audit_levels():
@@ -193,6 +200,14 @@ def bench(sizes, repeats):
             kernels.use_backend(bk)
             times.append(format_ns_per_value(block, repeats))
         print_row("format_rows, 6 columns", n, times)
+        grid = lc.make_grid(-6.0, 6.0, n, "zero_inflow")
+        snaps = [lc.SpinorField(grid, k * grid.dt, 0.07 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                                0.07 * (rng.normal(size=n) + 1j * rng.normal(size=n))) for k in range(65)]
+        times = []
+        for bk in backends:
+            kernels.use_backend(bk)
+            times.append(snapshots_ns_per_value(snaps, repeats))
+        print_row("snapshots_csv, 65 levels", n, times)
         levels = audit_levels()
         print("audit pass: us per level")
         times = []

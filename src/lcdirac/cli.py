@@ -340,11 +340,13 @@ def _output_dir(path: Path):
         raise ConfigurationError(f"cannot create output directory {str(path.parent)!r}: {exc}") from exc
 
 
-def _write(path: Path, text: str):
+def _write(path: Path, data):
+    """Write an artifact in binary mode: bytes as they are, text encoded as
+    UTF-8 (all the CLI writes is ASCII)."""
     _output_dir(path)
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
 
@@ -367,17 +369,34 @@ def trace_csv(trace: FunctionalTrace) -> str:
     return _table_csv(cols, arrays)
 
 
-def snapshots_csv(snapshots: Sequence[SpinorField]) -> str:
-    """One block per level, so only one level's rows are formatted at a time."""
-    parts = ["t,x,re_u,im_u,re_v,im_v\n"]
+SNAPSHOTS_HEADER = b"t,x,re_u,im_u,re_v,im_v\n"
+
+
+def snapshots_csv(snapshots: Sequence[SpinorField]) -> memoryview:
+    """The snapshot CSV as ASCII bytes: the header and every level are
+    written into one buffer sized for the longest tokens, and the bytes
+    written are returned as a view of it.
+
+    The buffer is a NumPy array, left uninitialised, so only the pages the
+    text reaches are touched. Each grid has one (n, 6) block with its x
+    column filled once; a level fills the other columns and is formatted
+    in one call.
+    """
+    sites = sum(s.grid.n_points for s in snapshots)
+    buf = np.empty(len(SNAPSHOTS_HEADER) + 6 * sites * kernels.TOKEN_BYTES, dtype=np.uint8)
+    end = len(SNAPSHOTS_HEADER)
+    buf[:end] = np.frombuffer(SNAPSHOTS_HEADER, dtype=np.uint8)
+    blocks: dict[GridSpec, np.ndarray] = {}
     for s in snapshots:
-        block = np.empty((s.grid.n_points, 6))
+        block = blocks.get(s.grid)
+        if block is None:
+            block = blocks[s.grid] = np.empty((s.grid.n_points, 6))
+            block[:, 1] = s.grid.sites()
         block[:, 0] = s.t
-        block[:, 1] = s.grid.sites()
         block[:, 2], block[:, 3] = s.u.real, s.u.imag
         block[:, 4], block[:, 5] = s.v.real, s.v.imag
-        parts.append(kernels.format_rows(block))
-    return "".join(parts)
+        end = kernels.format_rows_into(buf, end, block)
+    return memoryview(buf[:end])
 
 
 def convergence_csv(table: ConvergenceTable) -> str:

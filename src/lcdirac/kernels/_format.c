@@ -14,6 +14,13 @@
  * is almost never undecided; then the call fails and the caller formats the
  * block another way. There is no snprintf, so no locale, and no libm.
  *
+ * The 64x64 -> 128-bit products come from the compiler (u128). D's 17
+ * digits are written two at a time from a 200-byte pair table, in two
+ * independent halves (the top 9 and the bottom 8). Every store has a fixed
+ * size: a token is written into the TOKEN_MAX bytes the caller guarantees
+ * free, and a store past its end is overwritten by the separator and the
+ * next token, or lies beyond the returned length.
+ *
  * The table is built with exact multi-limb arithmetic when the library is
  * loaded, so no call ever writes it.
  */
@@ -25,7 +32,10 @@
 #define P_MAX 345
 #define LIMBS 40          /* 32-bit limbs: 2^1184 and 10^345 both fit */
 #define K_NEG 1184        /* 10^-p is read from floor(2^K_NEG / 10^p) */
+#define INLINE static inline __attribute__((always_inline))
 #define TOKEN_MAX 25      /* "-2.2250738585072014e-308" and a separator */
+
+__extension__ typedef unsigned __int128 u128; /* __extension__: accepted under -pedantic */
 
 typedef struct { uint64_t hi, lo; int t; int exact; } pow10_entry; /* 10^p ~ (hi:lo) 2^t */
 
@@ -33,6 +43,13 @@ static pow10_entry table[P_MAX - P_MIN + 1];
 
 static const uint64_t E16 = UINT64_C(10000000000000000);
 static const uint64_t E17 = UINT64_C(100000000000000000);
+
+static const char PAIRS[201] = /* "00" "01" ... "99" */
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
 
 static int bit_length(const uint32_t *a, int n) /* a has n limbs, the top one nonzero */
 {
@@ -95,28 +112,18 @@ __attribute__((constructor)) static void build_table(void)
     }
 }
 
-static void mul64(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
-{
-    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32, b0 = b & 0xffffffffu, b1 = b >> 32;
-    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
-    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
-    *lo = mid << 32 | (p00 & 0xffffffffu);
-    *hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
-}
-
 /* D = round(m 2^q 10^p) for a normalised m (top bit set): 1 when decided,
  * 0 when the truncated table leaves it open or p or the shift is out of range.
  * *floor_d is the integer part of the truncated product, for the caller's
  * exponent check. */
-static int scaled_digits(uint64_t m, int q, int p, uint64_t *d, uint64_t *floor_d)
+INLINE int scaled_digits(uint64_t m, int q, int p, uint64_t *d, uint64_t *floor_d)
 {
     if (p < P_MIN || p > P_MAX)
         return 0;
     const pow10_entry *e = &table[p - P_MIN];
-    uint64_t a1, a0, b1, b0;
-    mul64(m, e->lo, &a1, &a0);
-    mul64(m, e->hi, &b1, &b0);
-    uint64_t r0 = a0, r1 = a1 + b0, r2 = b1 + (r1 < b0); /* the product r2:r1:r0 */
+    u128 a = (u128)m * e->lo, b = (u128)m * e->hi;
+    u128 mid = (a >> 64) + (uint64_t)b;
+    uint64_t r0 = (uint64_t)a, r1 = (uint64_t)mid, r2 = (uint64_t)(b >> 64) + (uint64_t)(mid >> 64); /* the product r2:r1:r0 */
     int sh = -(q + e->t) - 128;                           /* value = product / 2^(128 + sh) */
     if (sh < 1 || sh > 63)
         return 0;
@@ -171,6 +178,33 @@ static int decimal(uint64_t m, int q, uint64_t *d, int *e10)
     return 1;
 }
 
+/* x < 10^8 as 8 digits, four pairs */
+INLINE void put8(char *out, uint32_t x)
+{
+    uint32_t a = x / 10000, b = x % 10000;
+    memcpy(out, PAIRS + 2 * (a / 100), 2);
+    memcpy(out + 2, PAIRS + 2 * (a % 100), 2);
+    memcpy(out + 4, PAIRS + 2 * (b / 100), 2);
+    memcpy(out + 6, PAIRS + 2 * (b % 100), 2);
+}
+
+/* D in [1e16, 1e17) as its 17 digits at out, the top 9 and the bottom 8
+ * written independently; returns the count of digits without the trailing
+ * zeros. */
+static int put17(char *out, uint64_t d)
+{
+    uint32_t hi = (uint32_t)(d / 100000000), lo = (uint32_t)(d % 100000000);
+    out[0] = (char)('0' + hi / 100000000);
+    put8(out + 1, hi % 100000000);
+    put8(out + 9, lo);
+    int nd = lo ? 17 : 9;
+    while (out[nd - 1] == '0')
+        nd--;
+    return nd;
+}
+
+/* The token of x at out, where TOKEN_MAX bytes are free and every store
+ * stays: returns the token's end, or NULL when x is undecided. */
 static char *put_double(char *out, double x)
 {
     uint64_t bits;
@@ -196,46 +230,35 @@ static char *put_double(char *out, double x)
     if (!decimal(m, q, &d, &e))
         return NULL;
 
-    char dig[17];
-    for (int i = 16; i >= 0; i--) {
-        dig[i] = (char)('0' + d % 10);
-        d /= 10;
-    }
-    int nd = 17;
-    while (dig[nd - 1] == '0')
-        nd--;
-    if (e >= -4 && e < 17) {
-        if (e >= 0) {
-            memcpy(out, dig, (size_t)e + 1);
-            out += e + 1;
-            if (nd > e + 1) {
-                *out++ = '.';
-                memcpy(out, dig + e + 1, (size_t)(nd - e - 1));
-                out += nd - e - 1;
-            }
-        } else {
-            memcpy(out, "0.000", (size_t)(1 - e));
-            out += 1 - e;
-            memcpy(out, dig, (size_t)nd);
-            out += nd;
+    if (e >= 0 && e < 17) {
+        char t[40]; /* the digits with the point after e + 1 of them, built here: the stores reach t + 33 */
+        int nd = put17(t, d);
+        if (nd > e + 1) {
+            memmove(t + e + 2, t + e + 1, 16);
+            t[e + 1] = '.';
         }
-        return out;
+        memcpy(out, t, 18); /* up to 17 digits and the point */
+        return out + (nd > e + 1 ? nd + 1 : e + 1);
     }
-    *out++ = dig[0];
-    if (nd > 1) {
-        *out++ = '.';
-        memcpy(out, dig + 1, (size_t)(nd - 1));
-        out += nd - 1;
+    if (e < 0 && e >= -4) {
+        memcpy(out, "0.000000", 8); /* "0." and -e - 1 zeros, then the digits */
+        return out + 1 - e + put17(out + 1 - e, d);
     }
-    *out++ = 'e';
-    *out++ = e < 0 ? '-' : '+';
+    int nd = put17(out + 1, d); /* d.ddd: the first digit moves left over the point */
+    out[0] = out[1];
+    out[1] = '.';
+    out += nd > 1 ? nd + 1 : 1;
+    out[0] = 'e';
+    out[1] = e < 0 ? '-' : '+';
     if (e < 0)
         e = -e;
-    if (e >= 100)
-        *out++ = (char)('0' + e / 100);
-    *out++ = (char)('0' + e / 10 % 10);
-    *out++ = (char)('0' + e % 10);
-    return out;
+    if (e >= 100) {
+        out[2] = (char)('0' + e / 100);
+        memcpy(out + 3, PAIRS + 2 * (e % 100), 2);
+        return out + 5;
+    }
+    memcpy(out + 2, PAIRS + 2 * e, 2);
+    return out + 4;
 }
 
 /* Rows of x (rows x cols, row-major) as CSV text in out: values joined by

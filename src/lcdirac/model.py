@@ -50,7 +50,11 @@ class EstimateConstants:
     are validated against the strict inequalities that make the estimates
     effective:
 
-        -2 + 2*delta0*c < -1,   -2 + 2*c_star*delta < -1,   -K + 2*c_star < -1.
+        -2 + 2*delta0*c < -1,   -2 + 2*c_star*delta < -1,   -K + 2*c_star < -1,
+
+    which bound c_star and K only from above. So their signs are checked
+    first: c_star dominates the difference-term envelope, positive for any
+    nonzero coupling and never negative, and the weight K is positive.
     """
 
     c: float
@@ -59,9 +63,15 @@ class EstimateConstants:
     K: float
     delta: float
 
-    def validate(self, beta: float):
-        if self.c != 8.0 * abs(beta):
-            raise ConfigurationError(f"c must equal 8|beta| = {8*abs(beta)}, got {self.c}")
+    def validate(self, p: ModelParams):
+        if self.c != 8.0 * abs(p.beta):
+            raise ConfigurationError(f"c must equal 8|beta| = {8*abs(p.beta)}, got {self.c}")
+        if not self.c_star >= 0:
+            raise ConfigurationError(f"c_star must be >= 0, got {self.c_star}")
+        if (p.alpha or p.beta) and not self.c_star > 0:
+            raise ConfigurationError(f"c_star must be > 0 for a nonzero coupling, got {self.c_star}")
+        if not self.K > 0:
+            raise ConfigurationError(f"K must be > 0, got {self.K}")
         if not (-2.0 + 2.0 * self.delta0 * self.c < -1.0):
             raise ConfigurationError("-2+2delta_0 c<-1 violated")
         if not (-2.0 + 2.0 * self.c_star * self.delta < -1.0):
@@ -95,7 +105,7 @@ def derive_constants(
     if delta is None:
         delta = min(delta0, 1.0 / (4.0 * c_star)) if c_star > 0 else delta0
     k = EstimateConstants(c=c, delta0=delta0, c_star=c_star, K=K, delta=delta)
-    k.validate(p.beta)
+    k.validate(p)
     return k
 
 

@@ -400,6 +400,24 @@ class TestMain:
                 assert f"cannot write {str(out / f'run_{name}')!r}: is a directory" in err, err
                 assert "Traceback" not in err
 
+    def test_snapshots_write_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        """The snapshot bytes are written in binary mode; a path that fails
+        there (the pre-run check skipped) still exits 2 with the path named."""
+        monkeypatch.setattr("lcdirac.cli._check_outputs", lambda cfg: None)
+        (tmp_path / "run_snapshots.csv").mkdir()
+        doc = base_doc(time={"T": 0.5}, output={"path": str(tmp_path / "run")})
+        assert main([str(write_cfg(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {str(tmp_path / 'run_snapshots.csv')!r}" in err, err
+        assert "Traceback" not in err
+        assert (tmp_path / "run_trace.csv").read_text().startswith("t,L0,")
+
+    def test_negative_c_star_exit_two(self, tmp_path, capsys):
+        doc = base_doc(constants={"c_star": -5}, output={"path": str(tmp_path / "run")})
+        assert main([str(write_cfg(tmp_path, doc))]) == 2
+        assert "configuration error: c_star must be >= 0, got -5.0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
     def test_artifact_without_write_access_exit_two(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "run_snapshots.csv").write_text("")
         monkeypatch.setattr("lcdirac.cli.os.access", lambda path, mode: Path(path).name != "run_snapshots.csv")

@@ -120,7 +120,32 @@ class TestConstants:
 
     def test_c_tied_to_beta(self):
         with pytest.raises(ConfigurationError):
-            EstimateConstants(c=1.0, delta0=0.1, c_star=16.0, K=34.0, delta=0.01).validate(0.25)
+            EstimateConstants(c=1.0, delta0=0.1, c_star=16.0, K=34.0, delta=0.01).validate(lc.GROSS_NEVEU)
+
+    @pytest.mark.parametrize("p", [lc.THIRRING, lc.GROSS_NEVEU, lc.ModelParams(1.0, 0.0, -0.25)])
+    @pytest.mark.parametrize("c_star", [-5.0, -0.0, 0.0])
+    def test_c_star_must_be_positive_for_a_coupling(self, p, c_star):
+        """Negative or zero c_star with a nonzero coupling is refused by name,
+        though the inequalities, bounding c_star and K from above, hold."""
+        with pytest.raises(ConfigurationError, match=r"c_star must be"):
+            lc.derive_constants(p, c_star=c_star, delta=0.01)
+
+    def test_negative_c_star_refused_without_coupling(self):
+        free = lc.ModelParams(1.0, 0.0, 0.0)
+        with pytest.raises(ConfigurationError, match=r"c_star must be >= 0, got -1.0"):
+            lc.derive_constants(free, c_star=-1.0)
+        assert lc.derive_constants(free, c_star=0.0).c_star == 0.0
+
+    @pytest.mark.parametrize("K", [-8.0, 0.0])
+    def test_nonpositive_K_refused(self, K):
+        """Named before the inequality -K + 2 c_star < -1, which also excludes it."""
+        free = lc.ModelParams(1.0, 0.0, 0.0)
+        with pytest.raises(ConfigurationError, match=r"K must be > 0"):
+            EstimateConstants(c=0.0, delta0=1.0, c_star=0.0, K=K, delta=1.0).validate(free)
+
+    def test_zero_coupling_default_accepted(self):
+        k = lc.derive_constants(lc.ModelParams(1.0, 0.0, 0.0))
+        assert (k.c, k.c_star, k.K) == (0.0, 0.0, 2.0)
 
     def test_smallness_violation(self):
         with pytest.raises(ConfigurationError, match=r"delta_0"):

@@ -14,6 +14,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcdirac as lc
 from lcdirac import kernels
@@ -54,13 +56,14 @@ def ref_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ref_snapshots(snaps) -> str:
+def ref_snapshots(snaps) -> bytes:
+    """snapshots_csv writes bytes: the reference table as ASCII."""
     rows = []
     for s in snaps:
         x = s.grid.sites()
         for i in range(s.grid.n_points):
             rows.append((s.t, x[i], s.u[i].real, s.u[i].imag, s.v[i].real, s.v[i].imag))
-    return ref_table(["t", "x", "re_u", "im_u", "re_v", "im_v"], rows)
+    return ref_table(["t", "x", "re_u", "im_u", "re_v", "im_v"], rows).encode("ascii")
 
 
 def ref_trace(tr: FunctionalTrace) -> str:
@@ -129,10 +132,10 @@ class TestSnapshots:
             )
             for k, t in enumerate(AWKWARD)
         ]
-        text = snapshots_csv(snaps)
+        text = bytes(snapshots_csv(snaps))
         assert text == ref_snapshots(snaps)
-        assert_round_trip(text, snapshot_columns(snaps))
-        assert "-0," in text and "4.9406564584124654e-324" in text
+        assert_round_trip(text.decode("ascii"), snapshot_columns(snaps))
+        assert b"-0," in text and b"4.9406564584124654e-324" in text
 
     def test_random_multilevel_two_grids(self, rng):
         g1 = lc.make_grid(-6.0, 6.0, 48, "zero_inflow")
@@ -140,9 +143,9 @@ class TestSnapshots:
         snaps = [random_field(rng, g1, 10.0 ** rng.uniform(-8, 3), t=0.125 * j) for j in range(5)]
         snaps += [random_field(rng, g2, 10.0 ** rng.uniform(-8, 3), t=1.0 + 0.1 * j) for j in range(4)]
         snaps += [random_field(rng, g1, 1e-300, t=2.0)]  # back to the first grid
-        text = snapshots_csv(snaps)
+        text = bytes(snapshots_csv(snaps))
         assert text == ref_snapshots(snaps)
-        assert_round_trip(text, snapshot_columns(snaps))
+        assert_round_trip(text.decode("ascii"), snapshot_columns(snaps))
 
     def test_evolved_run(self, rng):
         g = lc.make_grid(-6.0, 6.0, 64, "zero_inflow")
@@ -150,8 +153,25 @@ class TestSnapshots:
         snaps = lc.evolve(f0, lc.GROSS_NEVEU, lc.SolverConfig(record_every=3), 1.0)
         assert snapshots_csv(snaps) == ref_snapshots(snaps)
 
+    def test_longest_tokens_fill_the_buffer(self, monkeypatch):
+        """Every token of every level is a longest one: the levels meet end
+        to end in the shared buffer and fill it to its last byte, with no
+        block left to the template on the compiled backend."""
+        longest = -2.2250738585072014e-308
+        g = lc.make_grid(longest, longest + 8 * 5e-324, 8, "periodic")
+        x = g.sites()
+        assert {len(ref_fmt(v)) for v in [longest, *x]} == {kernels.TOKEN_BYTES - 1}
+        snaps = [lc.SpinorField(g, longest, np.roll(x, k) + 1j * x, x + 1j * np.roll(x, -k)) for k in range(5)]
+        if kernels.backend_name() == "compiled":
+            def no_template(values):
+                raise AssertionError("a block fell back to the template")
+            monkeypatch.setattr(kernels, "_template", no_template)
+        text = bytes(snapshots_csv(snaps))
+        assert text == ref_snapshots(snaps)
+        assert len(text) == len(b"t,x,re_u,im_u,re_v,im_v\n") + 5 * 8 * 6 * kernels.TOKEN_BYTES
+
     def test_no_snapshots_header_only(self):
-        assert snapshots_csv([]) == "t,x,re_u,im_u,re_v,im_v\n"
+        assert snapshots_csv([]) == b"t,x,re_u,im_u,re_v,im_v\n"
 
 
 class TestTrace:
@@ -244,7 +264,56 @@ def corpus() -> dict[str, np.ndarray]:
                               1.7976931348623157e308, -1.7976931348623157e308]),
         "nans of either sign": from_bits([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                                           0xFFF0000000000001, 0xFFFFFFFFFFFFFFFF]),
+        "zeros around the 9 + 8 digit split": split_zeros(),
+        **{f"fixed notation, exponent {e}, 1 to 17 digits": fixed_class(rng, e) for e in FIXED_EXPONENTS},
     }
+
+
+FIXED_EXPONENTS = range(-4, 17)  # "%.17g" writes these decimal exponents without an exponent part
+# 17-digit strings whose zeros sit on either side of the split between the
+# top 9 and the bottom 8 digits, which the C writes as two halves
+SPLIT_DIGITS = ("12345678900000000", "10000000050000000", "12345678012345678", "10000000000000001",
+                "99999999900000000", "12345678000000009", "10000000100000000", "10000000000000000",
+                "99999999099999999", "12300000000004560")
+
+
+def nudged(values) -> np.ndarray:
+    """values and both their neighbours, then all of them negated."""
+    a = np.asarray(values, dtype=np.float64)
+    a = np.concatenate([np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)])
+    return np.concatenate([a, -a])
+
+
+def split_zeros() -> np.ndarray:
+    exponents = (-300, -5, -4, -1, 0, 1, 8, 9, 15, 16, 17, 300)
+    values = [float(f"{d[0]}.{d[1:]}e{e}") for d in SPLIT_DIGITS for e in exponents]
+    return nudged(values + [123456789e8, 100000000.5, 1.00000005, 1e16 + 2.0])
+
+
+def fixed_class(rng, e: int, per_count: int = 4) -> np.ndarray:
+    """Values with decimal exponent e: for each count of significant digits
+    from 1 to 17, random strings of that many digits (the last nonzero) are
+    parsed, with their neighbours, until per_count of them are written with
+    exactly that many digits (a parsed string often needs all 17)."""
+    values = []
+    for nd in range(1, 18):
+        hits = 0
+        while hits < per_count:
+            digits = [int(rng.integers(1, 10))] + rng.integers(0, 10, nd - 1).tolist()
+            if nd > 1:
+                digits[-1] = int(rng.integers(1, 10))
+            near = nudged([float(f"{''.join(map(str, digits))}e{e - nd + 1}")])[:3].tolist()
+            values += near
+            hits += sum(exponent_and_digits(x) == (e, nd) for x in near)
+    values = np.unique(values)
+    return np.concatenate([values, -values])
+
+
+def exponent_and_digits(x: float) -> tuple[int, int]:
+    """The decimal exponent of x and the count of significant digits
+    ``"%.17g"`` writes for it."""
+    mantissa, exponent = ("%.16e" % abs(x)).split("e")
+    return int(exponent), len(mantissa.replace(".", "").rstrip("0"))
 
 
 def ref_rows(block: np.ndarray) -> str:
@@ -271,6 +340,29 @@ def test_c_block_matches_per_value_format(name):
     cut = values.size // 6 * 6
     assert_c_rows(values[:cut].reshape(-1, 6))
     assert_c_rows(values[cut:].reshape(-1, 1))  # the rest as one column
+
+
+def test_fixed_classes_cover_every_digit_count():
+    """Each fixed-notation class holds a value written with each count of
+    significant digits from 1 to 17 at its exponent, so each (exponent,
+    count) pair of the C's fixed-notation layouts is compared."""
+    for e in FIXED_EXPONENTS:
+        seen = {nd for x in corpus()[f"fixed notation, exponent {e}, 1 to 17 digits"].tolist()
+                for exponent, nd in [exponent_and_digits(x)] if exponent == e}
+        assert seen == set(range(1, 18)), e
+    split = {exponent_and_digits(x)[1] for x in corpus()["zeros around the 9 + 8 digit split"].tolist()}
+    assert {1, 9, 10, 17} <= split
+
+
+@needs_compiled
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+def test_c_rows_equal_percent_format_over_bit_patterns(patterns):
+    """Any float64 bit patterns: the C row equals ``"%.17g" % x`` joined."""
+    values = from_bits(patterns)
+    want = ",".join("%.17g" % x for x in values.tolist()) + "\n"
+    assert kernels._compiled_format(values.reshape(1, -1)) == want
+    assert kernels.format_rows(values.reshape(1, -1)) == want
 
 
 @needs_compiled
@@ -309,6 +401,27 @@ def test_format_rows_coerces_and_checks_input():
     for bad in (np.zeros(3), np.zeros((2, 2, 2)), np.zeros((3, 0))):
         with pytest.raises(ValueError, match="2-d"):
             kernels.format_rows(bad)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_format_rows_into_writes_at_the_offset(backend):
+    block = np.array([[1.0, -0.0, 0.1], [5e-324, np.nan, -1e300]])
+    cap = block.size * kernels.TOKEN_BYTES
+    buf = np.full(3 + cap, ord("#"), dtype=np.uint8)
+    before = kernels.use_backend(backend)
+    try:
+        end = kernels.format_rows_into(buf, 3, block)
+        for at, size in ((3, 2 + cap), (-1, 3 + cap)):  # one byte short; an offset before the buffer
+            with pytest.raises(ValueError, match="do not fit"):
+                kernels.format_rows_into(np.empty(size, dtype=np.uint8), at, block)
+        for bad in (np.empty(cap, dtype=np.int8), np.empty((2, cap), dtype=np.uint8),
+                    np.empty(2 * cap, dtype=np.uint8)[::2], np.frombuffer(bytes(cap), dtype=np.uint8)):
+            with pytest.raises(ValueError, match="writable 1-d C-contiguous uint8"):
+                kernels.format_rows_into(bad, 0, block)
+    finally:
+        kernels.use_backend(before)
+    assert buf[:3].tobytes() == b"###"
+    assert buf[3:end].tobytes() == ref_rows(block).encode("ascii")
 
 
 @needs_compiled
