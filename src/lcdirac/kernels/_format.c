@@ -129,23 +129,17 @@ INLINE int scaled_digits(uint64_t m, int q, int p, uint64_t *d, uint64_t *floor_
         return 0;
     uint64_t i = r2 >> sh, rt = r2 & ((UINT64_C(1) << sh) - 1), half = UINT64_C(1) << (sh - 1);
     *floor_d = i;
-    if (e->exact) {
-        int above = rt > half || (rt == half && (r1 | r0)), tie = rt == half && !(r1 | r0);
-        *d = i + (above || (tie && (i & 1)));
-        return 1;
-    }
-    /* the exact value lies in (product, product + m): compare both ends with the half */
-    if (rt >= half) {
-        *d = i + 1;
-        return 1;
-    }
+    /* Both rules are evaluated, without a branch: which one applies, and
+     * its outcome, change from value to value. An exact product rounds half
+     * to even. For a truncated entry the exact value lies in (product,
+     * product + m): D rounds up when the lower end is at or above the half,
+     * down when the upper end is below it, and is otherwise undecided. */
+    int up_exact = (rt > half) | ((rt == half) & ((r1 | r0) != 0 || (i & 1)));
     uint64_t s0 = r0 + m, s1 = r1 + (s0 < r0);
-    uint64_t st = rt + (s0 < r0 && s1 == 0); /* the sum's carry into the top part */
-    if (st < half || (st == half && !(s1 | s0))) {
-        *d = i;
-        return 1;
-    }
-    return 0;
+    uint64_t st = rt + ((s0 < r0) & (s1 == 0)); /* the sum's carry into the top part */
+    int up = rt >= half, down = (st < half) | ((st == half) & ((s1 | s0) == 0));
+    *d = i + (uint64_t)(e->exact ? up_exact : up);
+    return e->exact | up | down;
 }
 
 /* One finite nonzero |x| = m 2^q: D in [1e16, 1e17) and e as defined above. */
