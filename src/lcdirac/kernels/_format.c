@@ -238,7 +238,7 @@ static char *put_double(char *out, double x)
         memcpy(out, "0.000000", 8); /* "0." and -e - 1 zeros, then the digits */
         return out + 1 - e + put17(out + 1 - e, d);
     }
-    int nd = put17(out + 1, d); /* d.ddd: the first digit moves left over the point */
+    int nd = put17(out + 1, d); /* d.ddd: the first digit moves one place left, the point takes its place */
     out[0] = out[1];
     out[1] = '.';
     out += nd > 1 ? nd + 1 : 1;
