@@ -9,18 +9,17 @@ round trip through text is lossless.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
+from ._records import record
 from .errors import (
     BlowUpError,
     ConfigurationError,
@@ -87,7 +86,7 @@ def _fmt(x: float) -> str:
 # Config schema
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     model: ModelParams
     grid: GridSpec
@@ -631,15 +630,29 @@ def run_command(cfg: RunConfig) -> int:
         return 2
 
 
+USAGE = "usage: python -m lcdirac CONFIG"
+HELP = f"""{USAGE}
+
+Light-cone lattice solver and estimate audits for cubic nonlinear Dirac systems.
+
+CONFIG is the path of the JSON run configuration; its "command" says what
+to run. Exit status: 0 on success, 1 when an audit or check fails or the
+run blows up, 2 on a usage or configuration error."""
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="lcdirac",
-        description="Light-cone lattice solver and estimate audits for cubic nonlinear Dirac systems.",
-    )
-    parser.add_argument("config", help="path of the JSON run configuration")
-    args = parser.parse_args(argv)
+    """Run the config named by the one argument (sys.argv[1:] by default)
+    and return the exit status; -h or --help prints the help. Never raises
+    SystemExit."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args in (["-h"], ["--help"]):
+        print(HELP)
+        return 0
+    if len(args) != 1:
+        print(f"{USAGE}\nlcdirac: error: expected one config path, got {len(args)} arguments", file=sys.stderr)
+        return 2
     try:
-        text = Path(args.config).read_text()
+        text = Path(args[0]).read_text()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -6,11 +6,11 @@ pass exactly through lattice points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._records import record
 from .errors import ConfigurationError, UsageError
 
 BOUNDARIES = ("periodic", "zero_inflow")
@@ -19,7 +19,7 @@ BOUNDARIES = ("periodic", "zero_inflow")
 _ALIGN_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class GridSpec:
     """Uniform spatial lattice on [x_min, x_max) with n_points sites."""
 
@@ -65,7 +65,7 @@ def make_grid(x_min: float, x_max: float, n_points: int, boundary: str = "period
     return GridSpec(float(x_min), float(x_max), int(n_points), boundary)
 
 
-@dataclass(frozen=True)
+@record
 class SpinorField:
     """Snapshot of the two complex amplitudes on a grid at one time level.
 
@@ -110,7 +110,7 @@ class SpinorField:
         return (self.u.real**2 + self.u.imag**2) + (self.v.real**2 + self.v.imag**2)
 
 
-@dataclass(frozen=True)
+@record
 class TriangleDomain:
     """Backward light cone over [a, b] based at t = 0.
 
@@ -154,7 +154,7 @@ class TriangleDomain:
 # Initial data
 
 
-@dataclass(frozen=True)
+@record
 class ComponentSpec:
     """One spinor component of an initial datum.
 
@@ -220,7 +220,7 @@ class ComponentSpec:
         return self.values.copy()
 
 
-@dataclass(frozen=True)
+@record
 class InitialDatum:
     """Initial data for the two components, specified independently."""
 

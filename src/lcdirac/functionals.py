@@ -21,12 +21,12 @@ discrete solution within a resolution-dependent budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
+from ._records import record
 from .errors import PreconditionError, UsageError
 from .fields import SpinorField, TriangleDomain, _check_same_frame, charge
 from .model import EstimateConstants, ModelParams
@@ -106,7 +106,7 @@ def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class FunctionalTrace:
     """Time series of the cone functionals with running time integrals;
     the pair columns L1, D1, Q1, cumD1 are set by trace_pair only."""

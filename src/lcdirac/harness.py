@@ -8,12 +8,12 @@ strong solutions as limits of classical ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import kernels
+from ._records import record
 from .errors import ConfigurationError, ResolutionError, UsageError
 # l2_distance is unused here but kept importable: the benchmark's tracer wraps it by this name
 from .fields import GridSpec, InitialDatum, SpinorField, l2_distance, sample_initial  # noqa: F401
@@ -101,7 +101,7 @@ def _ladder(epsilons: Sequence[float]) -> tuple[float, ...]:
     return eps
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceTable:
     """Distances across a ladder of smoothing radii.
 

@@ -7,11 +7,11 @@ alpha = 0, beta = 1/4 the Gross-Neveu one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._records import record
 from .errors import ConfigurationError
 from .reports import AuditReport
 
@@ -22,7 +22,7 @@ UNCONSTRAINED = 1.0e6
 EXACT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """Mass and the two coupling constants of the interaction density."""
 
@@ -42,7 +42,7 @@ THIRRING = ModelParams(m=1.0, alpha=1.0, beta=0.0)
 GROSS_NEVEU = ModelParams(m=1.0, alpha=0.0, beta=0.25)
 
 
-@dataclass(frozen=True)
+@record
 class EstimateConstants:
     """Constants entering the decay and difference estimates.
 
@@ -89,11 +89,15 @@ def derive_constants(
     K: Optional[float] = None,
     delta: Optional[float] = None,
 ) -> EstimateConstants:
-    """Defaults satisfying the strict inequalities with a factor-two margin.
+    """Defaults satisfying the strict inequalities.
 
-    c_star = 16(|alpha| + 4|beta|) dominates the difference-term envelope
-    (the tight value is 8(|alpha| + 4|beta|)); K = 2 c_star + 2 then leaves
-    -K + 2 c_star = -2.
+    c_star = 16(|alpha| + 4|beta|) dominates the difference-term envelope,
+    bound (c) of check_algebraic_bounds, lhs_c <= (c_star / 2) r2. The tight
+    value is about 3(|alpha| + 4|beta|): the largest lhs_c / r2 that 1e6
+    random tuples reach is 1.44-1.49 (|alpha| + 4|beta|) for Thirring,
+    Gross-Neveu and alpha = 1, beta = 1/4, and a hill climb reaches 1.4996.
+    So the default is about 5.3 times the tight value. K = 2 c_star + 2
+    then leaves -K + 2 c_star = -2.
     """
     c = 8.0 * abs(p.beta)
     if delta0 is None:

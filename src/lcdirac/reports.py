@@ -1,14 +1,15 @@
 """Audit report record and the shared tolerance-budget rule."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
+
+from ._records import fresh, record
 
 # Default of the tolerance-budget factor, the config key constants.C_tol.
 C_TOL = 10.0
 
 
-@dataclass(frozen=True)
+@record
 class AuditReport:
     """Outcome of one numerically verified inequality.
 
@@ -21,7 +22,7 @@ class AuditReport:
     max_violation: float
     tolerance_budget: float
     witness: Optional[tuple] = None
-    info: dict = field(default_factory=dict)
+    info: dict = fresh(dict)
 
     def __post_init__(self):
         object.__setattr__(self, "passed", bool(self.passed))

@@ -9,25 +9,22 @@ error at all.
 """
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import kernels
+from ._records import record
 from .errors import BlowUpError, ConfigurationError, FrequencyDomainError, UsageError
 from .fields import GridSpec, SpinorField
 from .model import ModelParams, eval_nonlinearity
-
-log = logging.getLogger(__name__)
 
 Forcing = Callable[[np.ndarray, float], np.ndarray]
 # Called with the lockstep runs' levels at one time.
 Observer = Callable[[tuple], None]
 
 
-@dataclass(frozen=True)
+@record
 class SolverConfig:
     forcing: Optional[tuple[Forcing, Forcing]] = None
     record_every: int = 1
@@ -100,7 +97,9 @@ def evolve(
         raise UsageError("lockstep runs need one grid")
     n, exact = horizon_steps(T, grid.dt)
     if not exact:
-        log.warning("horizon %s is not a step multiple; evolving to %s", T, n * grid.dt)
+        import logging  # only here: the warning is all lcdirac logs, and logging costs milliseconds to import
+
+        logging.getLogger(__name__).warning("horizon %s is not a step multiple; evolving to %s", T, n * grid.dt)
 
     recorded = None
     if observers is None:
@@ -169,7 +168,7 @@ def pde_residual(candidate, p: ModelParams, grid: GridSpec, T: float) -> tuple[f
 # Manufactured solutions
 
 
-@dataclass(frozen=True)
+@record
 class ManufacturedCase:
     """Closed-form two-mode pair with the forcing that makes it exact."""
 
@@ -242,7 +241,7 @@ def _standing_profile(x: np.ndarray, m: float, omega: float, flip: bool) -> tupl
     return u, v
 
 
-@dataclass(frozen=True)
+@record
 class SolitonOracle:
     """Validated standing-wave solution, or the record of why none passed."""
 

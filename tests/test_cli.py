@@ -333,6 +333,29 @@ class TestMain:
         assert main(["/nonexistent/cfg.json"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [[], ["a.json", "b.json"], ["--help", "a.json"]])
+    def test_not_one_argument_exit_two(self, capsys, argv):
+        assert main(argv) == 2  # returned, not raised as SystemExit
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: python -m lcdirac CONFIG\n") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exit_zero(self, capsys, flag):
+        assert main([flag]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: python -m lcdirac CONFIG\n") and "exit status" in out.lower()
+        assert err == ""
+
+    def test_module_without_argument_exit_two(self):
+        src = str(Path(kernels.__file__).parents[2])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "lcdirac"], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: python -m lcdirac CONFIG\n")
+        assert "Traceback" not in done.stderr and done.stdout == ""
+
     @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
     def test_non_finite_horizon_exit_two(self, tmp_path, capsys, literal):
         path = tmp_path / "cfg.json"
@@ -465,12 +488,20 @@ class TestMain:
 def test_cli_import_loads_no_subprocess():
     """With the compiled library cached (this process built or loaded it),
     a fresh interpreter imports lcdirac.cli without subprocess: only a
-    build imports it, which keeps it out of every run's set-up time."""
+    build imports it, which keeps it out of every run's set-up time. Nor
+    does it import anything else NumPy has not loaded but json: no
+    dataclasses, logging or argparse, which cost milliseconds each."""
     src = str(Path(kernels.__file__).parents[2])
-    code = ("import sys, lcdirac.cli\n"
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import lcdirac.cli\n"
             "from lcdirac import kernels\n"
-            "print(kernels.backend_name(), 'subprocess' in sys.modules)\n")
+            "added = sorted(set(sys.modules) - before)\n"
+            "print(kernels.backend_name(), *(m for m in added if m.split('.')[0] != 'lcdirac'))\n")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["compiled", "False"]
+    backend, *added = done.stdout.split()
+    assert backend == "compiled"
+    allowed = {"json", "json.decoder", "json.encoder", "json.scanner", "_json", "__future__"}
+    assert set(added) <= allowed, sorted(set(added) - allowed)
