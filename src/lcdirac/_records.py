@@ -1,6 +1,6 @@
 """Frozen value records: the one class decorator behind lcdirac's record types.
 
-``@record`` does what ``@dataclass(frozen=True)`` did for these classes: the
+``@record`` does what ``@dataclass(frozen=True)`` does for these classes: the
 annotated class attributes, in order, are the fields, a class attribute of
 the same name is the field's default, and ``fresh(factory)`` gives a default
 built anew for each instance. It adds ``__init__`` (by position or keyword,
@@ -9,10 +9,11 @@ then ``__post_init__`` if the class has one), a frozen ``__setattr__`` and
 ``object.__setattr__``), and ``__eq__``, ``__hash__`` and ``__repr__`` over
 the fields in order.
 
-The methods are closures over the field names. ``dataclasses`` instead
-compiles source text for each class, about 1 ms per class at import, which
-was most of the time lcdirac took to import. No ``__slots__``: instances
-keep a ``__dict__``, which ``SpinorField._evolved`` fills directly.
+The methods are closures over the field names, made in microseconds;
+``dataclasses`` compiles source text for each class, about 1 ms per class
+at import, more than all of lcdirac's other import-time work together.
+No ``__slots__``: instances keep a ``__dict__``, which
+``SpinorField._evolved`` fills directly.
 """
 from __future__ import annotations
 

@@ -88,6 +88,8 @@ def _fmt(x: float) -> str:
 
 @record
 class RunConfig:
+    """A parsed and validated config document, every default filled in."""
+
     model: ModelParams
     grid: GridSpec
     T: float
