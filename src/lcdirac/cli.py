@@ -304,7 +304,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         steps = T / grid.dt if runs else 0.0
         work = (steps + 1.0) * grid.n_points * max(runs, 1)
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:  # an n_points past the float range
         work = math.inf
     if not work <= MAX_SITE_UPDATES:
         raise ConfigurationError(
@@ -595,21 +595,13 @@ def _cmd_soliton(cfg: RunConfig) -> int:
             "model.beta = 0"
         )
     oracle = thirring_soliton(cfg.model.m, cfg.frequency, cfg.grid)
-    records = []
-    for variant, residuals, orders in oracle.trials:
-        records.append(
-            {
-                "variant_phase_mirror": bool(variant[0]),
-                "variant_time_sign": int(variant[1]),
-                "residual_coarse": residuals[0],
-                "residual_mid": residuals[1],
-                "residual_fine": residuals[2],
-                "order_first": orders[0],
-                "order_second": orders[1],
-                "accepted": oracle.available and variant == oracle.variant,
-            }
-        )
-    emit_reports(records, cfg.out_format, cfg.artifacts["soliton"])
+    coarse, mid, fine = oracle.residuals
+    first, second = oracle.residual_orders
+    emit_reports(
+        [{"residual_coarse": coarse, "residual_mid": mid, "residual_fine": fine,
+          "order_first": first, "order_second": second, "accepted": oracle.available}],
+        cfg.out_format, cfg.artifacts["soliton"],
+    )
     return 0 if oracle.available else 1
 
 

@@ -6,6 +6,8 @@ pass exactly through lattice points.
 """
 from __future__ import annotations
 
+import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -37,6 +39,13 @@ class GridSpec:
             )
         if self.boundary not in BOUNDARIES:
             raise ConfigurationError(f"unknown boundary mode {self.boundary!r}")
+        # An n_points past the float range has no float dx; the CLI's work
+        # bound refuses such a grid as too large.
+        if self.n_points <= sys.float_info.max and not 0.0 < self.dx < math.inf:
+            raise ConfigurationError(
+                f"grid spacing dx={self.dx} is not finite and positive: x_min={self.x_min}, "
+                f"x_max={self.x_max}, n_points={self.n_points}"
+            )
 
     @property
     def dx(self) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import lcdirac as lc
-from lcdirac import kernels
+from lcdirac import kernels, solver
 
 settings.register_profile(
     "ci",
@@ -52,6 +52,21 @@ def backend(name):
         yield
     finally:
         kernels.use_backend(before)
+
+
+# Each swaps one sign of the standing wave in lcdirac.solver for the wrong one:
+# the attribute it replaces and a wrapper of the original.
+SOLITON_MUTANTS = {
+    # u and v swapped, which is the phase mirror g -> -g
+    "mirrored_profile": ("_standing_profile", lambda profile: lambda x, m, omega: profile(x, m, omega)[::-1]),
+    # the time phase e^{+i omega t} in place of e^{-i omega t}
+    "reversed_time_phase": ("_standing_wave", lambda wave: lambda f0, omega, t: wave(f0, -omega, t)),
+}
+
+
+def apply_soliton_mutant(monkeypatch, name):
+    attr, wrap = SOLITON_MUTANTS[name]
+    monkeypatch.setattr(solver, attr, wrap(getattr(solver, attr)))
 
 
 def naive_q1(fA, fB):

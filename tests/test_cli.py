@@ -14,6 +14,7 @@ from lcdirac.cli import main, parse_config, run_command, trace_csv
 from lcdirac.errors import ConfigurationError
 from lcdirac.functionals import FunctionalTrace
 
+from conftest import SOLITON_MUTANTS, apply_soliton_mutant
 from ensembles import random_smooth_datum
 
 
@@ -123,7 +124,10 @@ class TestParse:
 
     @pytest.mark.parametrize("grid", [{"n_points": 10**400}, {"x_min": 0.0, "x_max": 5e-324, "n_points": 4}])
     def test_work_bound_degenerate_grids(self, grid):
-        with pytest.raises(ConfigurationError, match="run too large"):
+        # 10**400 points have no float dx, and the work bound refuses the run;
+        # a spacing that underflows to 0 is refused by the grid itself
+        match = "run too large" if "x_min" not in grid else "dx=0.0 is not finite and positive"
+        with pytest.raises(ConfigurationError, match=match):
             parse_config(json.dumps(base_doc(grid=dict(base_doc()["grid"], **grid))))
 
 
@@ -289,18 +293,44 @@ class TestConvergeUnique:
         assert len(lines) == 2 and lines[1].startswith("0.25,0.25,")
 
 
+SOLITON_HEADER = "residual_coarse,residual_mid,residual_fine,order_first,order_second,accepted"
+
+
+def soliton_check(tmp_path, m, frequency):
+    """Run soliton-check on [-16, 16]: the exit status and the rows of its CSV."""
+    doc = base_doc(
+        command="soliton-check",
+        model={"m": m, "alpha": 1.0, "beta": 0.0},
+        grid={"x_min": -16.0, "x_max": 16.0, "n_points": 512, "boundary": "zero_inflow"},
+        soliton={"frequency": frequency},
+        output={"path": str(tmp_path / "sol"), "format": "csv"},
+    )
+    status = run_command(parse_config(json.dumps(doc)))
+    return status, (tmp_path / "sol_soliton.csv").read_text().splitlines()
+
+
 class TestSolitonCheck:
     def test_accepted(self, tmp_path):
-        doc = base_doc(
-            command="soliton-check",
-            model={"m": 1.0, "alpha": 1.0, "beta": 0.0},
-            grid={"x_min": -16.0, "x_max": 16.0, "n_points": 512, "boundary": "zero_inflow"},
-            soliton={"frequency": 0.5},
-            output={"path": str(tmp_path / "sol"), "format": "csv"},
-        )
-        assert run_command(parse_config(json.dumps(doc))) == 0
-        text = (tmp_path / "sol_soliton.csv").read_text()
-        assert "true" in text
+        status, lines = soliton_check(tmp_path, 1.0, 0.5)
+        assert status == 0
+        assert lines[0] == SOLITON_HEADER and len(lines) == 2
+        row = lines[1].split(",")
+        assert row[-1] == "true" and all(float(o) >= 1.8 for o in row[3:5])
+
+    def test_under_resolved_exit_one(self, tmp_path):
+        # the wave at m = 3, omega = 2.9 is too narrow for 256 sites on [-16, 16]: orders 1.65 and 1.89
+        status, lines = soliton_check(tmp_path, 3.0, 2.9)
+        assert status == 1
+        assert lines[0] == SOLITON_HEADER and len(lines) == 2
+        row = lines[1].split(",")
+        assert row[-1] == "false" and float(row[3]) < 1.8 <= float(row[4])
+
+    @pytest.mark.parametrize("mutant", sorted(SOLITON_MUTANTS))
+    def test_wrong_sign_mutant_exit_one(self, tmp_path, monkeypatch, mutant):
+        apply_soliton_mutant(monkeypatch, mutant)
+        status, lines = soliton_check(tmp_path, 1.0, 0.5)
+        assert status == 1
+        assert lines[1].endswith(",false")
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, 0.25), (1.0, 0.25), (0.5, 0.0)])
     def test_other_couplings_exit_two_before_any_residual(self, tmp_path, capsys, monkeypatch, alpha, beta):

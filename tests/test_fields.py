@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import lcdirac as lc
@@ -225,3 +227,16 @@ def test_l2_metric_properties(zs, ws):
     assert d == lc.l2_distance(fB, fA)
     if d == 0:
         assert np.allclose(fA.u, fB.u)
+
+
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False), st.integers(2, 10**6))
+@example(-1e308, 1e308, 8)  # the extent overflows to inf
+@example(0.0, 1e-323, 256)  # the spacing underflows to 0
+def test_grid_spacing_finite_positive_or_refused(x_min, x_max, n):
+    try:
+        g = lc.make_grid(x_min, x_max, n)
+    except ConfigurationError as exc:
+        assert not x_max > x_min or "is not finite and positive" in str(exc)
+        return
+    assert 0.0 < g.dx < math.inf
+    assert np.all(np.isfinite(g.sites()))

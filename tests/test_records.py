@@ -41,7 +41,7 @@ CASES = {
     "AuditReport": lambda: (AuditReport, ("charge", True, 0.0, 1.0, (0.5, 1.0), {"scale": 2.0})),
     "SolverConfig": lambda: (SolverConfig, (None, 3)),
     "ManufacturedCase": lambda: (ManufacturedCase, (np.sin, np.cos, (np.add, np.subtract))),
-    "SolitonOracle": lambda: (SolitonOracle, (False, 1.0, 0.5, GRID, None, (1.9,), (), None)),
+    "SolitonOracle": lambda: (SolitonOracle, (False, 1.0, 0.5, GRID, (0.4, 0.1, 0.03), (2.0, 1.7), None)),
     "RunConfig": lambda: (RunConfig, _run_config_values()),
 }
 
@@ -123,7 +123,7 @@ def test_defaults():
     assert lc.GridSpec(-1.0, 1.0, 8).boundary == "periodic"
     spec = lc.ComponentSpec("uniform")
     assert (spec.amplitude, spec.center, spec.width, spec.values) == (1.0 + 0.0j, 0.0, 1.0, None)
-    assert lc.SolitonOracle(False, 1.0, 0.5, GRID).residual_orders == ()
+    assert lc.SolitonOracle(False, 1.0, 0.5, GRID, (0.4, 0.1, 0.03), (2.0, 1.7)).field is None
     assert ConvergenceTable((0.4, 0.2), (1e-3,), (2e-3,)).mode == "consecutive"
 
 

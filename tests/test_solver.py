@@ -7,7 +7,7 @@ import lcdirac as lc
 from lcdirac import kernels
 from lcdirac.errors import BlowUpError, FrequencyDomainError, UsageError
 
-from conftest import backend, random_field
+from conftest import SOLITON_MUTANTS, apply_soliton_mutant, backend, random_field
 
 
 def uniform_datum(u_amp, v_amp):
@@ -248,6 +248,15 @@ class TestSolitonOracle:
         assert np.max(np.abs(f.u[:8])) < 1e-4
         later = oracle.at(1.0)
         assert np.allclose(np.abs(later.u), np.abs(f.u))
+
+    @pytest.mark.parametrize("mutant", sorted(SOLITON_MUTANTS))
+    def test_order_check_refuses_wrong_signs(self, monkeypatch, mutant):
+        apply_soliton_mutant(monkeypatch, mutant)
+        oracle = lc.thirring_soliton(1.0, 0.5, lc.make_grid(-16, 16, 512, "zero_inflow"))
+        assert not oracle.available and oracle.field is None
+        assert all(abs(o) < 0.5 for o in oracle.residual_orders), oracle.residual_orders
+        with pytest.raises(UsageError, match="unavailable"):
+            oracle.at(0.0)
 
     def test_solver_tracks_oracle(self):
         g = lc.make_grid(-16, 16, 1024, "zero_inflow")

@@ -770,7 +770,7 @@ def _valid_document(draw):
                  "boundary": draw(st.sampled_from(["periodic", "zero_inflow"]))},
         "time": {"T": draw(st.floats(0, 1.5)), "record_every": draw(st.integers(1, 3))},
         "init": {"u0": draw(_component), "v0": draw(_component)},
-        "command": draw(st.sampled_from([c for c in cli.COMMANDS if c != "soliton-check"])),
+        "command": draw(st.sampled_from(cli.COMMANDS)),
         "audit_selection": draw(st.lists(st.sampled_from(cli.AUDITS), max_size=6)),
         "audit": {"samples": draw(st.integers(1, 50)), "c0": draw(st.floats(0, 2)),
                   "perturbation": draw(st.floats(-1, 1))},
@@ -834,6 +834,12 @@ def _edge_document(**over):
                             init={"u0": {"kind": "indicator_jump", "amplitude": 3.5e-141, "halfwidth": 1.0},
                                   "v0": {"kind": "uniform", "amplitude": 0.0}},
                             audit_selection=["bony"]), mutations=[])  # L0(0)**2 underflows to 0
+@example(doc=_edge_document(grid={"x_min": -1e308, "x_max": 1e308, "n_points": 8}, command="audit",
+                            audit_selection=["charge"]), mutations=[])  # dx overflows to inf
+@example(doc=_edge_document(model={"m": 1e300, "alpha": 1.0, "beta": 0.0}, command="soliton-check",
+                            grid={"x_min": -3.0, "x_max": 3.0, "n_points": 7}), mutations=[])
+@example(doc=_edge_document(model={"m": 1.0, "alpha": 1.0, "beta": 0.0}, command="soliton-check",
+                            grid={"x_min": 0.0, "x_max": 1e300, "n_points": 7}), mutations=[])
 def test_any_document_exits_cleanly(doc, mutations):
     doc = _mutated(doc, mutations)
     with tempfile.TemporaryDirectory() as tmp:
