@@ -12,6 +12,9 @@ for bit (but for the step's corner named in ``_step.c``):
   values, byte for byte as Python's ``%`` operator does;
   ``format_rows_into`` writes the same rows as ASCII into a caller's
   uint8 array at an offset, so a writer can fill one buffer block by block;
+  on ``compiled``, ``_format.c`` writes every double, with no fallback
+  (``tests/test_format_proof.py`` proves that its rounding decides each
+  one);
 - ``level_terms`` writes every elementwise term the cone functionals and
   the audits sum at one level (densities, products, suffix-scan products,
   pair terms) into a ``LevelTerms``, with the growth margins and their
@@ -257,15 +260,6 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
     return pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
 
 
-def _compiled_format(values):
-    """The C rows of a 2-d float64 block, or None when a value is undecided."""
-    rows, cols = values.shape
-    cap = rows * cols * TOKEN_BYTES
-    buf = np.empty(cap, dtype=np.uint8)
-    n = _lib.lcd_format_rows(values.ctypes.data, rows, cols, buf.ctypes.data, cap)
-    return None if n < 0 else str(buf[:n], "ascii")
-
-
 def _block(values) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] == 0:
@@ -280,17 +274,11 @@ def _template(values) -> str:
 
 def format_rows(values) -> str:
     """CSV rows of a 2-d block: each value as ``"%.17g" % x``, ``,`` between
-    values, ``\n`` after each row.
-
-    The compiled backend formats in C; a block with a value the C cannot
-    decide (none is known) is formatted by the template, as on ``pure``.
+    values, ``\n`` after each row (``format_rows_into`` on a buffer of its own).
     """
     values = _block(values)
-    if _active == "compiled":
-        text = _compiled_format(values)
-        if text is not None:
-            return text
-    return _template(values)
+    buf = np.empty(values.size * TOKEN_BYTES, dtype=np.uint8)
+    return str(buf[:format_rows_into(buf, 0, values)], "ascii")
 
 
 def format_rows_into(buf: np.ndarray, at: int, values) -> int:
@@ -299,8 +287,9 @@ def format_rows_into(buf: np.ndarray, at: int, values) -> int:
 
     buf must hold ``values.size * TOKEN_BYTES`` bytes from at, room for the
     longest tokens; the bytes past the returned offset are left undefined.
-    As in ``format_rows``, a block the C leaves undecided is written by the
-    template.
+    The compiled backend writes every double in C (``_format.c``, proven
+    for all of them by ``tests/test_format_proof.py``); pure uses one ``%``
+    template per block.
     """
     values = _block(values)
     rows, cols = values.shape
@@ -311,8 +300,9 @@ def format_rows_into(buf: np.ndarray, at: int, values) -> int:
         raise ValueError(f"{cap} bytes from offset {at} do not fit a buffer of {buf.size}")
     if _active == "compiled":
         n = _lib.lcd_format_rows(values.ctypes.data, rows, cols, buf.ctypes.data + at, cap)
-        if n >= 0:
-            return at + n
+        if n < 0:  # only a short buffer, which the check above rules out
+            raise RuntimeError(f"lcd_format_rows refused {cap} bytes for a {rows}x{cols} block")
+        return at + n
     text = _template(values).encode("ascii")
     buf[at:at + len(text)] = np.frombuffer(text, dtype=np.uint8)
     return at + len(text)

@@ -10,9 +10,12 @@
  * the 192-bit product m T is D's scaled value minus an error in [0, m): D is
  * decided when that interval cannot hold the half point. For 0 <= p <= 55
  * T is exact, so the product is exact and a true tie goes to the even D.
- * Otherwise the interval (2^64 wide, against a half point of about 2^134)
- * is almost never undecided; then the call fails and the caller formats the
- * block another way. There is no snprintf, so no locale, and no libm.
+ * For every other p the interval never holds it: over every double and
+ * both decimal exponents decimal() tries, no product comes within 2^4.5
+ * interval widths of a half point, and none whose digits are kept within
+ * 2^9.1 (tests/test_format_proof.py counts them with exact integers). The
+ * same test shows that p stays in the table and the shift in 1..63, so every
+ * double is decided. There is no snprintf, so no locale, and no libm.
  *
  * The 64x64 -> 128-bit products come from the compiler (u128). D's 17
  * digits are written two at a time from a 200-byte pair table, in two
@@ -112,38 +115,29 @@ __attribute__((constructor)) static void build_table(void)
     }
 }
 
-/* D = round(m 2^q 10^p) for a normalised m (top bit set): 1 when decided,
- * 0 when the truncated table leaves it open or p or the shift is out of range.
- * *floor_d is the integer part of the truncated product, for the caller's
- * exponent check. */
-INLINE int scaled_digits(uint64_t m, int q, int p, uint64_t *d, uint64_t *floor_d)
+/* D = round(m 2^q 10^p) for a normalised m (top bit set). *floor_d is the
+ * integer part of the truncated product, for the caller's exponent check. */
+INLINE uint64_t scaled_digits(uint64_t m, int q, int p, uint64_t *floor_d)
 {
-    if (p < P_MIN || p > P_MAX)
-        return 0;
     const pow10_entry *e = &table[p - P_MIN];
     u128 a = (u128)m * e->lo, b = (u128)m * e->hi;
     u128 mid = (a >> 64) + (uint64_t)b;
     uint64_t r0 = (uint64_t)a, r1 = (uint64_t)mid, r2 = (uint64_t)(b >> 64) + (uint64_t)(mid >> 64); /* the product r2:r1:r0 */
     int sh = -(q + e->t) - 128;                           /* value = product / 2^(128 + sh) */
-    if (sh < 1 || sh > 63)
-        return 0;
     uint64_t i = r2 >> sh, rt = r2 & ((UINT64_C(1) << sh) - 1), half = UINT64_C(1) << (sh - 1);
     *floor_d = i;
     /* Both rules are evaluated, without a branch: which one applies, and
      * its outcome, change from value to value. An exact product rounds half
      * to even. For a truncated entry the exact value lies in (product,
-     * product + m): D rounds up when the lower end is at or above the half,
-     * down when the upper end is below it, and is otherwise undecided. */
+     * product + m), which holds no half point, so the product's side of the
+     * half decides. */
     int up_exact = (rt > half) | ((rt == half) & ((r1 | r0) != 0 || (i & 1)));
-    uint64_t s0 = r0 + m, s1 = r1 + (s0 < r0);
-    uint64_t st = rt + ((s0 < r0) & (s1 == 0)); /* the sum's carry into the top part */
-    int up = rt >= half, down = (st < half) | ((st == half) & ((s1 | s0) == 0));
-    *d = i + (uint64_t)(e->exact ? up_exact : up);
-    return e->exact | up | down;
+    return i + (uint64_t)(e->exact ? up_exact : rt >= half);
 }
 
-/* One finite nonzero |x| = m 2^q: D in [1e16, 1e17) and e as defined above. */
-static int decimal(uint64_t m, int q, uint64_t *d, int *e10)
+/* One finite nonzero |x| = m 2^q: D in [1e16, 1e17) and its decimal
+ * exponent e as defined above, returned. */
+static int decimal(uint64_t m, int q, uint64_t *d)
 {
     int lz = m >> 52 ? 11 : 0; /* normalise m to 64 bits: subnormals need more */
     m <<= lz;
@@ -155,21 +149,16 @@ static int decimal(uint64_t m, int q, uint64_t *d, int *e10)
     int b = q + 63;                                      /* floor(log2 |x|) */
     int e = b >= 0 ? (b * 78913) >> 18 : -((-b * 78913 + 262143) >> 18); /* floor(b log10 2) */
     uint64_t fl;
-    if (!scaled_digits(m, q, 16 - e, d, &fl))
-        return 0;
+    *d = scaled_digits(m, q, 16 - e, &fl);
     if (fl >= E17) { /* |x| >= 10^(e+1): one digit too many */
         e++;
-        if (!scaled_digits(m, q, 16 - e, d, &fl) || fl >= E17)
-            return 0;
+        *d = scaled_digits(m, q, 16 - e, &fl);
     }
     if (*d == E17) { /* rounded up to the next power of ten */
         *d = E16;
         e++;
     }
-    if (*d < E16 || *d >= E17)
-        return 0;
-    *e10 = e;
-    return 1;
+    return e;
 }
 
 /* x < 10^8 as 8 digits, four pairs */
@@ -198,7 +187,7 @@ static int put17(char *out, uint64_t d)
 }
 
 /* The token of x at out, where TOKEN_MAX bytes are free and every store
- * stays: returns the token's end, or NULL when x is undecided. */
+ * stays: returns the token's end. */
 static char *put_double(char *out, double x)
 {
     uint64_t bits;
@@ -219,10 +208,8 @@ static char *put_double(char *out, double x)
         *out++ = '0';
         return out;
     }
-    uint64_t m = biased ? frac | UINT64_C(1) << 52 : frac, d;
-    int q = (biased ? biased : 1) - 1075, e;
-    if (!decimal(m, q, &d, &e))
-        return NULL;
+    uint64_t d;
+    int e = decimal(biased ? frac | UINT64_C(1) << 52 : frac, (biased ? biased : 1) - 1075, &d);
 
     if (e >= 0 && e < 17) {
         char t[40]; /* the digits with the point after e + 1 of them, built here: the stores reach t + 33 */
@@ -256,8 +243,8 @@ static char *put_double(char *out, double x)
 }
 
 /* Rows of x (rows x cols, row-major) as CSV text in out: values joined by
- * ',', each row ended by '\n'. Returns the bytes written, or -1 when a value
- * is undecided or out could overflow cap (nothing past cap is written). */
+ * ',', each row ended by '\n'. Returns the bytes written, or -1 when out could
+ * overflow cap (nothing past cap is written). */
 ptrdiff_t lcd_format_rows(const double *x, size_t rows, size_t cols, char *out, size_t cap)
 {
     char *p = out, *end = out + cap;
@@ -266,8 +253,6 @@ ptrdiff_t lcd_format_rows(const double *x, size_t rows, size_t cols, char *out, 
             if (end - p < TOKEN_MAX)
                 return -1;
             p = put_double(p, x[r * cols + c]);
-            if (p == NULL)
-                return -1;
             *p++ = c + 1 < cols ? ',' : '\n';
         }
     }

@@ -182,19 +182,38 @@ BLOCK = 8192
 _BOUNDS = ("charge_rate", "product_difference", "difference_envelope")
 
 
+def _abs2(z):
+    """|z|^2 as the sum of the squared parts."""
+    return z.real**2 + z.imag**2
+
+
+def _abs2_product_difference(u, v, up, vp):
+    """|u v - u' v'|^2, each product four real products and two sums."""
+    re = (u.real * v.real - u.imag * v.imag) - (up.real * vp.real - up.imag * vp.imag)
+    im = (u.real * v.imag + u.imag * v.real) - (up.real * vp.imag + up.imag * vp.real)
+    return re**2 + im**2
+
+
 def _bound_terms(u, v, up, vp, p: ModelParams, k: EstimateConstants):
-    """(lhs, rhs) of each bound in _BOUNDS order, at the tuples (u, v, u', v')."""
+    """(lhs, rhs) of each bound in _BOUNDS order, at the tuples (u, v, u', v').
+
+    The complex products and moduli are real arithmetic, as in
+    ``kernels.pure.distance_terms``: NumPy's complex multiply and ``np.abs``
+    round differently in the SIMD loops a CPU dispatches to, so the ratios
+    would too.
+    """
     ru, rv = source_charge_rate(u, v, p)
     lhs_a = np.abs(ru) + np.abs(rv)
     rhs_a = 8.0 * abs(p.beta) * (u.real**2 + u.imag**2) * (v.real**2 + v.imag**2)
 
     U, V, r2 = eval_difference_terms(u, v, up, vp)
-    lhs_b = np.abs(u * v - up * vp) ** 2
+    lhs_b = _abs2_product_difference(u, v, up, vp)
     rhs_b = 2.0 * r2
 
     _, N1, N2 = eval_nonlinearity(u, v, p)
     _, N1p, N2p = eval_nonlinearity(up, vp, p)
-    lhs_c = np.abs((N1 - N1p) * np.conj(U)) + np.abs((N2 - N2p) * np.conj(V))
+    # |a conj(b)| = sqrt(|a|^2 |b|^2)
+    lhs_c = np.sqrt(_abs2(N1 - N1p) * _abs2(U)) + np.sqrt(_abs2(N2 - N2p) * _abs2(V))
     rhs_c = 0.5 * k.c_star * r2
     return (lhs_a, rhs_a), (lhs_b, rhs_b), (lhs_c, rhs_c)
 

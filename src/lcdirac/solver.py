@@ -297,7 +297,13 @@ def thirring_soliton(m: float, frequency: float, grid: GridSpec) -> SolitonOracl
 
     horizon_cells = 16  # T = window / 16 at every trial resolution
     min_order = 1.8  # smallest residual order under refinement that accepts the profile
-    grids = [GridSpec(grid.x_min, grid.x_max, n, "zero_inflow") for n in (256, 512, 1024)]
+    sizes = (256, 512, 1024)
+    if not (grid.x_max - grid.x_min) / sizes[-1] > 0.0:
+        raise ConfigurationError(
+            f"soliton window [{grid.x_min}, {grid.x_max}] is too narrow for the trial grids of "
+            f"{sizes[0]} to {sizes[-1]} sites: (x_max - x_min) / {sizes[-1]} rounds to 0"
+        )
+    grids = [GridSpec(grid.x_min, grid.x_max, n, "zero_inflow") for n in sizes]
     residuals = []
     # A window the trial grids cannot resolve overflows here; its residuals
     # come out non-finite or zero, and the order check refuses them.

@@ -5,7 +5,8 @@ of small configs, with each run's exit status.
 ``tests/test_golden.py`` runs the same configs on every kernel backend and
 compares. A change that moves a digit of any artifact fails there; when the
 change is deliberate, rerun this script and list the changed digests with
-the change:
+the change; the script prints them, against the file it replaces, with any
+change of NumPy version or CPU model:
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -109,14 +110,38 @@ def run_config(doc: dict, workdir: Path) -> dict:
     return {"status": status, "artifacts": digests}
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per difference between two golden records: a changed
+    machine field, a config added or removed, a changed exit status, and
+    each artifact whose digest changed, appeared or went."""
+    lines = [f"{key}: {old.get(key)} -> {new[key]}" for key in ("numpy", "cpu") if old.get(key) != new[key]]
+    before, after = old.get("configs", {}), new["configs"]
+    lines += [f"{name}: removed" for name in sorted(before.keys() - after.keys())]
+    for name, got in after.items():
+        was = before.get(name)
+        if was is None:
+            lines.append(f"{name}: added")
+            continue
+        if was["status"] != got["status"]:
+            lines.append(f"{name}: exit status {was['status']} -> {got['status']}")
+        for artifact in sorted(was["artifacts"].keys() | got["artifacts"].keys()):
+            a, b = was["artifacts"].get(artifact), got["artifacts"].get(artifact)
+            if a != b:
+                lines.append(f"{name}/{artifact}: {'added' if a is None else 'removed' if b is None else 'changed'}")
+    return lines
+
+
 def main() -> int:
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in CONFIGS.items():
             (Path(tmp) / name).mkdir()
             results[name] = run_config(doc, Path(tmp) / name)
-    GOLDEN.write_text(json.dumps({**machine(), "configs": results}, indent=1) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {**machine(), "configs": results}
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {GOLDEN} ({len(results)} configs)")
+    print("\n".join(changes(old, new)) or "no digest changed")
     return 0
 
 

@@ -348,6 +348,20 @@ class TestSolitonCheck:
         assert "needs model.alpha = 1 and model.beta = 0" in capsys.readouterr().err
         assert not (tmp_path / "sol_soliton.csv").exists()
 
+    def test_window_too_narrow_for_the_trial_grids_exit_two(self, tmp_path, capsys):
+        # the config's own 2-site grid has a spacing; the 256- to 1024-site trial grids have none
+        doc = base_doc(
+            command="soliton-check",
+            model={"m": 1.0, "alpha": 1.0, "beta": 0.0},
+            grid={"x_min": 0.0, "x_max": 1e-323, "n_points": 2, "boundary": "zero_inflow"},
+            output={"path": str(tmp_path / "sol")},
+        )
+        assert run_command(parse_config(json.dumps(doc))) == 2
+        err = capsys.readouterr().err
+        assert "soliton window [0.0, 1e-323] is too narrow for the trial grids of 256 to 1024 sites" in err
+        assert "n_points" not in err
+        assert not (tmp_path / "sol_soliton.csv").exists()
+
     def test_bad_frequency_exit_two(self, tmp_path):
         doc = base_doc(
             command="soliton-check",

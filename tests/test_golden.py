@@ -12,7 +12,7 @@ import pytest
 
 from lcdirac import kernels
 
-from make_golden import CONFIGS, GOLDEN, machine, run_config
+from make_golden import CONFIGS, GOLDEN, changes, machine, run_config
 
 RECORDED = json.loads(GOLDEN.read_text())
 
@@ -36,3 +36,17 @@ def test_artifacts_match_golden(tmp_path, capsys, on_backend, name):
         here, there = machine(), {k: RECORDED[k] for k in ("numpy", "cpu")}
         pytest.fail(f"{name} on the {on_backend} backend: got {got}, recorded {want}; "
                     f"recorded on {there}, this machine is {here}")
+
+
+def test_changes_lists_each_difference():
+    old = {"numpy": "2.0", "cpu": "A", "configs": {
+        "kept": {"status": 0, "artifacts": {"a.csv": "1", "b.csv": "2", "c.csv": "3"}},
+        "gone": {"status": 0, "artifacts": {}}}}
+    new = {"numpy": "2.0", "cpu": "B", "configs": {
+        "kept": {"status": 1, "artifacts": {"a.csv": "1", "b.csv": "9", "d.csv": "4"}},
+        "new": {"status": 0, "artifacts": {}}}}
+    assert changes(old, new) == [
+        "cpu: A -> B", "gone: removed", "kept: exit status 0 -> 1", "kept/b.csv: changed",
+        "kept/c.csv: removed", "kept/d.csv: added", "new: added",
+    ]
+    assert changes(new, new) == [] and changes({}, new)[:2] == ["numpy: None -> 2.0", "cpu: None -> B"]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,44 @@ def _quad(seed, n):
     rng = np.random.default_rng(seed)
     draws = [(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(4)]
     return [np.sqrt(r) * np.exp(1j * th) for r, th in draws]
+
+
+def _scalar_bound_terms(u, v, up, vp, p, k):
+    """_bound_terms at one tuple in Python floats, each complex product
+    spelled out in NumPy's evaluation order: the reference it matches bit
+    for bit on any CPU."""
+    def sq(z):
+        return z.real * z.real + z.imag * z.imag
+
+    def nonlinearity(u, v):
+        s = 2.0 * (u.real * v.real + u.imag * v.imag)
+        au2, av2, c = sq(u), sq(v), 2.0 * p.beta * s
+        return (complex(p.alpha * u.real * av2 + c * v.real, p.alpha * u.imag * av2 + c * v.imag),
+                complex(p.alpha * v.real * au2 + c * u.real, p.alpha * v.imag * au2 + c * u.imag))
+
+    s = 2.0 * (u.real * v.real + u.imag * v.imag)
+    ru = -4.0 * p.beta * s * (u.imag * v.real - u.real * v.imag)
+    U, V = u - up, v - vp
+    r2 = sq(U) * (sq(v) + sq(vp)) + (sq(u) + sq(up)) * sq(V)
+    re = (u.real * v.real - u.imag * v.imag) - (up.real * vp.real - up.imag * vp.imag)
+    im = (u.real * v.imag + u.imag * v.real) - (up.real * vp.imag + up.imag * vp.real)
+    (N1, N2), (N1p, N2p) = nonlinearity(u, v), nonlinearity(up, vp)
+    return ((abs(ru) + abs(-ru), 8.0 * abs(p.beta) * sq(u) * sq(v)),
+            (re * re + im * im, 2.0 * r2),
+            (math.sqrt(sq(N1 - N1p) * sq(U)) + math.sqrt(sq(N2 - N2p) * sq(V)), 0.5 * k.c_star * r2))
+
+
+@pytest.mark.parametrize("p", [lc.GROSS_NEVEU, lc.THIRRING, lc.ModelParams(1.0, 0.6, -0.8)])
+def test_bound_terms_match_a_scalar_evaluation_bit_for_bit(p):
+    """No term depends on NumPy's complex multiply or np.abs, whose SIMD
+    loops round differently on different CPUs."""
+    k = lc.derive_constants(p)
+    quad = _quad(9, 2000)
+    terms = model._bound_terms(*quad, p, k)
+    for i in range(2000):
+        want = _scalar_bound_terms(*(complex(z[i]) for z in quad), p, k)
+        got = tuple((float(lhs[i]), float(rhs[i])) for lhs, rhs in terms)
+        assert got == want, i
 
 
 def _tuples(seed, n, index):

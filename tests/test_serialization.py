@@ -5,7 +5,8 @@ compiled backend, one ``%`` template on pure); these tests pin their output
 on every backend byte for byte to the plain per-value ``f"{float(x):.17g}"``
 form, and check that every token parses back to the exact source double.
 The C formatter is also checked on its own, block by block, over a seeded
-corpus of awkward doubles.
+corpus of awkward doubles and the doubles whose products come nearest a
+rounding half point (``test_format_proof``).
 """
 import ctypes
 import functools
@@ -25,6 +26,7 @@ from lcdirac.harness import ConvergenceTable
 
 from conftest import random_field
 from ensembles import random_smooth_datum
+from test_format_proof import near_half_doubles
 
 AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 0.1, 1 / 3, 1e16, 1e17, -1.5e300]
 TRACE_COLS = ["t", "L0", "D0", "Q0", "cumD0", "charge", "max_abs_u", "max_abs_v"]
@@ -153,19 +155,14 @@ class TestSnapshots:
         snaps = lc.evolve(f0, lc.GROSS_NEVEU, lc.SolverConfig(record_every=3), 1.0)
         assert snapshots_csv(snaps) == ref_snapshots(snaps)
 
-    def test_longest_tokens_fill_the_buffer(self, monkeypatch):
+    def test_longest_tokens_fill_the_buffer(self):
         """Every token of every level is a longest one: the levels meet end
-        to end in the shared buffer and fill it to its last byte, with no
-        block left to the template on the compiled backend."""
+        to end in the shared buffer and fill it to its last byte."""
         longest = -2.2250738585072014e-308
         g = lc.make_grid(longest, longest + 8 * 5e-324, 8, "periodic")
         x = g.sites()
         assert {len(ref_fmt(v)) for v in [longest, *x]} == {kernels.TOKEN_BYTES - 1}
         snaps = [lc.SpinorField(g, longest, np.roll(x, k) + 1j * x, x + 1j * np.roll(x, -k)) for k in range(5)]
-        if kernels.backend_name() == "compiled":
-            def no_template(values):
-                raise AssertionError("a block fell back to the template")
-            monkeypatch.setattr(kernels, "_template", no_template)
         text = bytes(snapshots_csv(snaps))
         assert text == ref_snapshots(snaps)
         assert len(text) == len(b"t,x,re_u,im_u,re_v,im_v\n") + 5 * 8 * 6 * kernels.TOKEN_BYTES
@@ -265,6 +262,8 @@ def corpus() -> dict[str, np.ndarray]:
         "nans of either sign": from_bits([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                                           0xFFF0000000000001, 0xFFFFFFFFFFFFFFFF]),
         "zeros around the 9 + 8 digit split": split_zeros(),
+        "products within 2^16 error widths of a half point":
+            np.concatenate([near_half_doubles(), -near_half_doubles()]),
         **{f"fixed notation, exponent {e}, 1 to 17 digits": fixed_class(rng, e) for e in FIXED_EXPONENTS},
     }
 
@@ -323,8 +322,8 @@ def ref_rows(block: np.ndarray) -> str:
 def assert_c_rows(block: np.ndarray):
     """The C text of block equals the per-value reference; a mismatch names
     its first row (a plain == on megabyte strings makes pytest's diff crawl)."""
-    text = kernels._compiled_format(block)
-    assert text is not None, "the C formatter left a value undecided"
+    assert kernels.backend_name() == "compiled"
+    text = kernels.format_rows(block)
     want = ref_rows(block)
     if text != want:
         got_rows, want_rows = text.splitlines(), want.splitlines()
@@ -361,13 +360,12 @@ def test_c_rows_equal_percent_format_over_bit_patterns(patterns):
     """Any float64 bit patterns: the C row equals ``"%.17g" % x`` joined."""
     values = from_bits(patterns)
     want = ",".join("%.17g" % x for x in values.tolist()) + "\n"
-    assert kernels._compiled_format(values.reshape(1, -1)) == want
     assert kernels.format_rows(values.reshape(1, -1)) == want
 
 
 @needs_compiled
 def test_nan_prints_without_sign():
-    text = kernels._compiled_format(corpus()["nans of either sign"].reshape(1, -1))
+    text = kernels.format_rows(corpus()["nans of either sign"].reshape(1, -1))
     assert text == "nan,nan,nan,nan,nan\n"
 
 
@@ -375,7 +373,7 @@ def test_nan_prints_without_sign():
 def test_longest_tokens_fill_the_buffer_exactly():
     block = np.full((7, 3), -2.2250738585072014e-308)
     assert_c_rows(block)
-    assert len(kernels._compiled_format(block)) == block.size * kernels.TOKEN_BYTES
+    assert len(kernels.format_rows(block)) == block.size * kernels.TOKEN_BYTES
 
 
 @needs_compiled
@@ -425,20 +423,9 @@ def test_format_rows_into_writes_at_the_offset(backend):
 
 
 @needs_compiled
-def test_failed_c_block_falls_back_to_template(monkeypatch, rng):
-    """A block the C leaves undecided is written by the template, same bytes."""
-    calls = []
-
-    def undecided(x, rows, cols, out, cap):
-        calls.append(rows * cols)
-        ctypes.memset(out, ord("#"), cap)  # a failed call may have written part of the buffer
-        return -1
-
-    g = lc.make_grid(-6.0, 6.0, 48, "zero_inflow")
-    snaps = [random_field(rng, g, 10.0 ** rng.uniform(-8, 3), t=0.125 * j) for j in range(3)]
-    tr = awkward_trace(pair=True)
-    assert kernels.backend_name() == "compiled"
-    monkeypatch.setattr(kernels, "_lib", types.SimpleNamespace(lcd_format_rows=undecided))
-    assert snapshots_csv(snaps) == ref_snapshots(snaps)
-    assert trace_csv(tr) == ref_trace(tr)
-    assert calls == [48 * 6] * 3 + [len(AWKWARD) * 12]
+def test_refused_c_block_raises(monkeypatch):
+    """The C refuses only a short buffer, which format_rows_into's own size
+    check rules out: a refusal raises, with no fallback."""
+    monkeypatch.setattr(kernels, "_lib", types.SimpleNamespace(lcd_format_rows=lambda *args: -1))
+    with pytest.raises(RuntimeError, match="refused 50 bytes for a 1x2 block"):
+        kernels.format_rows([[1.0, 2.0]])
