@@ -10,9 +10,11 @@ end-to-end workloads step: Thirring (alpha = 1) on a periodic lattice, as in
 ``--repeats`` timings of CALLS steps; the last column is the
 pure/compiled ratio. Then one step per level for Thirring on a periodic
 lattice, in microseconds per level: the kernel call
-(``kernels.step_unforced``) beside ``solver.step``, which adds the Python
-around it (forcing check, the new ``SpinorField`` and the blow-up verdict),
-so the overhead per level stays visible. Then ``format_rows`` writes one
+(``kernels.step_unforced``) on fresh arrays, the same call from one
+``LevelPool`` pair into another as ``evolve`` makes it, ``solver.step``,
+which adds the Python around it (forcing check, the new ``SpinorField``
+and the blow-up verdict), and on ``compiled`` the bare ``lcd_step`` on
+the pool's bound addresses, so the overhead per level stays visible. Then ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
 template), in nanoseconds per value, and beside it ``cli.snapshots_csv``
 writes a run of the ``simulate_csv`` workload's size (65 levels of 768
@@ -25,7 +27,8 @@ level; ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
 NumPy on both. Then the pair distances ``converge`` and ``unique`` take at
 every level (``_PairDistance.feed``: one ``distance_terms`` pass over two
 random Thirring-sized runs, the product in real arithmetic on both
-backends, and two NumPy sums), in microseconds per pair-level. Then the standalone ordered pair sum ``q_upper`` (NumPy on
+backends, and two NumPy sums), in microseconds per pair-level, on fresh
+levels and on levels in a ``LevelPool``, as ``converge`` feeds them. Then the standalone ordered pair sum ``q_upper`` (NumPy on
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
 oracle ``q_upper_naive`` that the tests compare the functionals with, and
@@ -46,7 +49,7 @@ import tracemalloc
 import numpy as np
 
 import lcdirac as lc
-from lcdirac import GROSS_NEVEU, THIRRING, cli, kernels, solver
+from lcdirac import GROSS_NEVEU, THIRRING, SpinorField, cli, kernels, solver
 from lcdirac.functionals import AuditPass
 from lcdirac.harness import _PairDistance
 
@@ -76,7 +79,8 @@ def step_ns_per_site(u, v, p, periodic, repeats) -> float:
 
 
 def level_us(n, p, rng, repeats):
-    """(kernel call, solver.step) in us per level on a periodic grid of n sites."""
+    """(kernel call, kernel call into a pool pair, solver.step and, on
+    compiled, bare lcd_step) in us per level on a periodic grid of n sites."""
     grid = lc.make_grid(-8.0, 8.0, n, "periodic")
     f = lc.SpinorField(grid, 0.0, 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
                        0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
@@ -90,7 +94,26 @@ def level_us(n, p, rng, repeats):
         for _ in range(CALLS):
             solver.step(f, p, cfg)
 
-    return best_of(kernel, repeats) / CALLS * 1e6, best_of(step, repeats) / CALLS * 1e6
+    with kernels.LevelPool(n) as pool:
+        a, b = pool.take(), pool.take()
+        a[0].base[:] = f.u, f.v  # a pair's buffers are the rows of one array
+
+        def pooled():  # from a into b and back, as evolve steps one run
+            x, y = a, b
+            for _ in range(CALLS):
+                kernels.step_unforced(*x, grid.dt, p.m, p.alpha, p.beta, True, out=y)
+                x, y = y, x
+
+        times = [best_of(kernel, repeats), best_of(pooled, repeats), best_of(step, repeats)]
+        if kernels.backend_name() == "compiled":
+            bound = [kernels._BOUND[id(buf)] for buf in (*a, *b)]
+
+            def bare():
+                for _ in range(CALLS):
+                    kernels._lib.lcd_step(*bound, n, grid.dt, p.m, p.alpha, p.beta, True, None, None, None, None)
+
+            times.append(best_of(bare, repeats))
+    return [t / CALLS * 1e6 for t in times]
 
 
 def format_ns_per_value(block, repeats) -> float:
@@ -110,7 +133,10 @@ def audit_levels():
     f0 = lc.sample_initial(datum, grid)
     runs = [f0, lc.SpinorField(grid, 0.0, f0.u * (1.0 + 1e-3), f0.v)]
     levels = []
-    lc.evolve(runs, GROSS_NEVEU, lc.SolverConfig(), 1.0, observers=[levels.append])
+    def keep(lv):  # evolve's levels are valid only during the call
+        levels.append(tuple(lc.SpinorField(f.grid, f.t, f.u.copy(), f.v.copy()) for f in lv))
+
+    lc.evolve(runs, GROSS_NEVEU, lc.SolverConfig(), 1.0, observers=[keep])
     return levels
 
 
@@ -128,17 +154,28 @@ def audit_us_per_level(levels, repeats) -> float:
     return best_of(feed, repeats) / len(levels) * 1e6
 
 
-def distance_us_per_pair_level(n, rng, repeats) -> float:
+def distance_us_per_pair_level(n, rng, repeats) -> tuple[float, float]:
+    """_PairDistance.feed in us per pair-level: on fresh levels, and on the
+    same levels copied into a LevelPool's buffers."""
     grid = lc.make_grid(-8.0, 8.0, n, "periodic")
     a, b = (lc.SpinorField(grid, 0.0, 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
                            0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))) for _ in range(2))
 
-    def feed():
-        dist = _PairDistance()
-        for _ in range(CALLS):
-            dist.feed(a, b)
+    def us(x, y):
+        def feed():
+            dist = _PairDistance()
+            for _ in range(CALLS):
+                dist.feed(x, y)
 
-    return best_of(feed, repeats) / CALLS * 1e6
+        return best_of(feed, repeats) / CALLS * 1e6
+
+    with kernels.LevelPool(n) as pool:
+        pooled = []
+        for f in (a, b):
+            pair = pool.take()
+            pair[0].base[:] = f.u, f.v
+            pooled.append(SpinorField._evolved(grid, 0.0, *pair))
+        return us(a, b), us(*pooled)
 
 
 def algebraic_ms_and_peak(samples, repeats):
@@ -189,7 +226,10 @@ def bench(sizes, repeats):
                 kernels.use_backend(bk)
                 rows.append(level_us(n, THIRRING, rng, repeats))
             print_row("kernels.step_unforced", n, [r[0] for r in rows])
-            print_row("solver.step", n, [r[1] for r in rows])
+            print_row("step_unforced, pool", n, [r[1] for r in rows])
+            print_row("solver.step", n, [r[2] for r in rows])
+            if len(rows[0]) > 3:
+                print_row("lcd_step, bound", n, [rows[0][3]])
         # one snapshot level: t, x and the four field components at 17 digits
         n = 768
         block = np.column_stack([np.full(n, 0.25), np.linspace(-8.0, 8.0, n, endpoint=False),
@@ -217,11 +257,12 @@ def bench(sizes, repeats):
         print_row("AuditPass, 5 audits", levels[0][0].grid.n_points, times)
         print("pair distance: us per pair-level")
         for n in sizes:
-            times = []
+            rows = []
             for bk in backends:
                 kernels.use_backend(bk)
-                times.append(distance_us_per_pair_level(n, rng, repeats))
-            print_row("_PairDistance.feed", n, times)
+                rows.append(distance_us_per_pair_level(n, rng, repeats))
+            print_row("_PairDistance.feed", n, [r[0] for r in rows])
+            print_row("_PairDistance.feed, pool", n, [r[1] for r in rows])
     finally:
         kernels.use_backend(before)
 

@@ -105,8 +105,9 @@ class SpinorField:
 
     @classmethod
     def _evolved(cls, grid: GridSpec, t: float, u: np.ndarray, v: np.ndarray) -> "SpinorField":
-        """A level the step kernel wrote: u and v are fresh C-contiguous
-        complex128 arrays of grid length that the kernel found finite, so
+        """A level the step kernel wrote: u and v are C-contiguous
+        complex128 arrays of grid length that the kernel found finite (fresh
+        arrays, copies of them, or a ``kernels.LevelPool``'s buffers), so
         only the read-only marking of the public constructor is left."""
         u.setflags(write=False)
         v.setflags(write=False)

@@ -126,12 +126,13 @@ class _PairDistance:
     """Distances between two lockstep runs, fed one level of each at a time:
     the max-in-time L2 field distance and the space-time L2 distance of the
     pointwise products u v, trapezoid in time (a level's weight is known
-    once the next level arrives, so the latest row waits).
+    once the next level arrives, so the latest row waits); over one level,
+    a zero horizon, the product distance is 0.
 
     Each level's terms are written in one kernels.distance_terms pass into
     one kernels.DistanceTerms, made at the first level, and summed with
     np.add.reduce, the order of np.sum, so the field distance equals
-    l2_distance bit for bit."""
+    l2_distance bit for bit. Only the sums are kept, never a level."""
 
     def __init__(self):
         self.terms = None
@@ -156,7 +157,18 @@ class _PairDistance:
         self.dt = grid.dt
 
     def product_distance(self) -> float:
+        if self.levels == 1:
+            return 0.0
         return float(np.sqrt(self.total + 0.5 * self.last * self.dt))
+
+
+def _mollified(
+    datum: InitialDatum, grid: GridSpec, eps: Sequence[float], families: Sequence[str]
+) -> list[SpinorField]:
+    """The datum sampled once and mollified at each radius by each family in
+    turn; the sample is not kept past this call, so the runs start without it."""
+    f = sample_initial(datum, grid)
+    return [mollify(f, e, family) for e in eps for family in families]
 
 
 def _lockstep_distances(
@@ -186,8 +198,7 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Evolve every smoothing level in lockstep; distances of consecutive levels."""
     eps = _ladder(epsilons)
-    f = sample_initial(datum, grid)
-    f0s = [mollify(f, e, kernel) for e in eps]
+    f0s = _mollified(datum, grid, eps, [kernel])
     pair, prod = _lockstep_distances(f0s, [(j, j + 1) for j in range(len(eps) - 1)], p, T)
     return ConvergenceTable(eps, pair, prod, mode="consecutive")
 
@@ -204,7 +215,6 @@ def uniqueness_probe(
     """Evolve both kernel families at every level in lockstep; cross-family
     distances per level."""
     eps = _ladder(epsilons)
-    f = sample_initial(datum, grid)
-    f0s = [mollify(f, e, family) for e in eps for family in (family_a, family_b)]
+    f0s = _mollified(datum, grid, eps, [family_a, family_b])
     pair, prod = _lockstep_distances(f0s, [(2 * j, 2 * j + 1) for j in range(len(eps))], p, T)
     return ConvergenceTable(eps, pair, prod, mode="cross")

@@ -7,7 +7,9 @@ for bit (but for the step's corner named in ``_step.c``):
   ``forcing``, forced (the name predates forcing; ``perfbench`` wraps it by
   that name); it returns the new u and v and the blow-up verdict, the
   first site where either has a non-finite part (-1 for none), found in
-  the pass that writes the level;
+  the pass that writes the level. Given ``out``, a pair of a
+  ``LevelPool``'s buffers, it writes the level there, as ``evolve`` does
+  at every step; without, into fresh arrays;
 - ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
   values, byte for byte as Python's ``%`` operator does;
   ``format_rows_into`` writes the same rows as ASCII into a caller's
@@ -23,6 +25,12 @@ for bit (but for the step's corner named in ``_step.c``):
   of two runs, which ``converge`` and ``unique`` take at every level, into
   a ``DistanceTerms``; each complex product is four real products and two
   sums on both backends.
+
+While a ``LevelPool`` is open, its buffers' addresses are bound:
+``step_unforced``, ``level_terms`` and ``distance_terms`` take such a
+buffer as it is, with no address lookup (``a.ctypes.data`` costs about
+2 us) and no conversion; any other array is converted and checked as
+before.
 
 Every pairwise sum stays in NumPy on both backends: the callers sum the
 terms with ``np.add.reduce``, so moving the terms to C changes no
@@ -202,9 +210,86 @@ _lib, _reason = load_compiled()
 _active = "compiled" if _lib is not None else "pure"
 
 
-def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing=None):
-    u = np.ascontiguousarray(u, dtype=np.complex128)
-    v = np.ascontiguousarray(v, dtype=np.complex128)
+# The address of every buffer of an open LevelPool, by the buffer's id. A
+# pool adds each buffer when it makes it and removes them all when it
+# closes; while it is open it holds them, so no other object has their ids.
+_BOUND: dict[int, int] = {}
+
+
+class LevelPool:
+    """The level buffers of runs evolved in lockstep, written in turn.
+
+    A pair is the two rows (u, v) of one complex128 array of 2 x n sites,
+    each row a read-only C-contiguous view of it (the array is the rows'
+    ``base``, which only ``step_unforced`` writes). ``take`` returns a free
+    pair, made when none is free; ``give`` frees the pair whose u buffer it
+    is given and ignores any other array. Runs that each hold one pair, and
+    step into one free pair at a time, make one pair more than there are
+    runs.
+
+    Each buffer's address is bound once, when it is made, and unbound by
+    ``close`` (or at the end of a ``with`` block); the buffers stay valid
+    arrays.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._free: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __enter__(self) -> "LevelPool":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._free:
+            return self._free.pop()
+        pair = tuple(np.empty((2, self.n), dtype=np.complex128))
+        for buf in pair:
+            buf.setflags(write=False)
+            _BOUND[id(buf)] = buf.ctypes.data
+        self.pairs.append(pair)
+        return pair
+
+    def give(self, u: np.ndarray):
+        for pair in self.pairs:
+            if pair[0] is u:
+                self._free.append(pair)
+                return
+
+    def close(self):
+        for pair in self.pairs:
+            for buf in pair:
+                _BOUND.pop(id(buf), None)
+
+
+def _bound(a) -> tuple[np.ndarray, int]:
+    """a and its address: as it is for an open pool's buffer, else as a
+    C-contiguous complex128 array (a copy if need be, which the caller
+    keeps alive while C reads it)."""
+    address = _BOUND.get(id(a))
+    if address is None:
+        a = np.ascontiguousarray(a, dtype=np.complex128)
+        address = a.ctypes.data
+    return a, address
+
+
+def _out_addresses(out, u, v) -> tuple[int, int]:
+    """The addresses of out, two buffers of an open pool shaped like u that
+    are neither u nor v (the step reads u and v while it writes out)."""
+    u_out, v_out = out
+    a, b = _BOUND.get(id(u_out)), _BOUND.get(id(v_out))
+    if a is None or b is None or u_out.shape != u.shape or v_out.shape != u.shape:
+        raise ValueError(f"out must be two buffers of an open LevelPool shaped like u {u.shape}")
+    if u_out is v_out or u_out is u or u_out is v or v_out is u or v_out is v:
+        raise ValueError("out must be two buffers apart from u and v")
+    return a, b
+
+
+def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out):
+    (u, au), (v, av) = _bound(u), _bound(v)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"u and v must be 1-d of equal length, got shapes {u.shape} and {v.shape}")
     f_ptrs = [None] * 4  # NULL: the unforced step
@@ -215,10 +300,13 @@ def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing=None):
         if any(a.shape != u.shape for a in f):
             raise ValueError(f"forcing arrays must be shaped like u {u.shape}, got {[a.shape for a in f]}")
         f_ptrs = [a.ctypes.data for a in f]
-    u_new = np.empty_like(u)
-    v_new = np.empty_like(v)
-    bad = _lib.lcd_step(u.ctypes.data, v.ctypes.data, u_new.ctypes.data, v_new.ctypes.data,
-                        u.shape[0], h, m, alpha, beta, bool(periodic), *f_ptrs)
+    if out is None:
+        u_new, v_new = np.empty_like(u), np.empty_like(v)
+        a, b = u_new.ctypes.data, v_new.ctypes.data
+    else:
+        u_new, v_new = out
+        a, b = _out_addresses(out, u, v)
+    bad = _lib.lcd_step(au, av, a, b, u.shape[0], h, m, alpha, beta, bool(periodic), *f_ptrs)
     return u_new, v_new, bad
 
 
@@ -248,16 +336,26 @@ def use_backend(name: str):
     return before
 
 
-def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
+def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None, out=None):
     """One step; forcing is None or the four samples ``pure.step_unforced`` names.
 
-    Returns ``(u_new, v_new, bad)``: the new level as fresh C-contiguous
-    complex128 arrays shaped like u, and the first site where u_new or
-    v_new has a non-finite part, or -1 when both are finite.
+    Returns ``(u_new, v_new, bad)``: the new level, shaped like u, and the
+    first site where u_new or v_new has a non-finite part, or -1 when both
+    are finite. Given out, two buffers of an open ``LevelPool`` other than
+    u and v, the level is written into them and they are u_new and v_new;
+    without, u_new and v_new are fresh C-contiguous complex128 arrays.
     """
     if _active == "compiled":
-        return _compiled_step(u, v, h, m, alpha, beta, periodic, forcing)
-    return pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
+        return _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out)
+    u_new, v_new, bad = pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
+    if out is None:
+        return u_new, v_new, bad
+    _out_addresses(out, np.asarray(u), np.asarray(v))
+    for buf, new in zip(out, (u_new, v_new)):
+        buf.setflags(write=True)  # a row of a pool's array, which is writable
+        buf[...] = new
+        buf.setflags(write=False)
+    return out[0], out[1], bad
 
 
 def _block(values) -> np.ndarray:
@@ -351,7 +449,7 @@ class LevelTerms:
             self.l1, self.d1, self.q1u, self.q1v = np.zeros((4, n))
         self.pre_u = self.pre_v = self.au0 = self.av0 = self.pre_u0 = self.pre_v0 = None
         if origin is not None:
-            u0, v0 = (_field(a, n) for a in origin)
+            u0, v0 = (_field(a, n)[0] for a in origin)
             self.au0 = u0.real**2 + u0.imag**2
             self.av0 = v0.real**2 + v0.imag**2
             self.pre_u0 = np.concatenate([[0.0], np.cumsum(self.au0)])
@@ -365,11 +463,12 @@ class LevelTerms:
         self._address = ctypes.addressof(self._struct)
 
 
-def _field(a, n: int) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+def _field(a, n: int) -> tuple[np.ndarray, int]:
+    """a as a C-contiguous complex128 field of n sites, and its address."""
+    a, address = _bound(a)
     if a.shape != (n,):
         raise UsageError(f"a field of shape {a.shape} on terms sized for {n} sites")
-    return a
+    return a, address
 
 
 def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E):
@@ -382,7 +481,7 @@ def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E):
     grid raises UsageError, as does a field of another size, so the C pass
     never reads past a buffer.
     """
-    fields = [(_field(u, terms.n), _field(v, terms.n)) for u, v in runs]
+    fields = [(_field(u, terms.n), _field(v, terms.n)) for u, v in runs]  # ((u, address), (v, address))
     if len(fields) != terms.runs:
         raise ValueError(f"terms hold {terms.runs} runs, got {len(fields)}")
     if i1 <= i0:  # no section, so no margins
@@ -398,10 +497,10 @@ def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E):
                          f"leaves the grid of {terms.n} sites")
     terms.i0, terms.i1 = i0, i1
     if _active == "compiled":
-        ptrs = [a.ctypes.data for run in fields for a in run] + [None, None]  # NULL: no run B
+        ptrs = [address for run in fields for _, address in run] + [None, None]  # NULL: no run B
         _lib.lcd_level_terms(terms._address, *ptrs[:4], i0, i1, kshift, E is not None, 0.0 if E is None else E)
     else:
-        pure.level_terms(terms, fields, i0, i1, kshift, E)
+        pure.level_terms(terms, [(u, v) for (u, _), (v, _) in fields], i0, i1, kshift, E)
 
 
 class DistanceTerms:
@@ -426,9 +525,9 @@ def distance_terms(terms: DistanceTerms, run_a, run_b):
     runs.
     """
     n = terms.n
-    (ua, va), (ub, vb) = ((_field(u, n), _field(v, n)) for u, v in (run_a, run_b))
+    (ua, a), (va, b), (ub, c), (vb, d) = (_field(x, n) for x in (*run_a, *run_b))
     if _active == "compiled":
         l1 = terms._address
-        _lib.lcd_distance_terms(l1, l1 + 8 * n, ua.ctypes.data, va.ctypes.data, ub.ctypes.data, vb.ctypes.data, n)
+        _lib.lcd_distance_terms(l1, l1 + 8 * n, a, b, c, d, n)
     else:
         pure.distance_terms(terms.out, (ua, va), (ub, vb))

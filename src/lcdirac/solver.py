@@ -20,7 +20,8 @@ from .fields import GridSpec, SpinorField
 from .model import ModelParams, eval_nonlinearity
 
 Forcing = Callable[[np.ndarray, float], np.ndarray]
-# Called with the lockstep runs' levels at one time.
+# Called with the lockstep runs' levels at one time; see evolve for how long
+# they stay valid.
 Observer = Callable[[tuple], None]
 
 
@@ -34,8 +35,9 @@ class SolverConfig:
             raise ConfigurationError("record_every must be >= 1")
 
 
-def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
-    """Advance one light-cone step; returns the field at t + dt."""
+def step(f: SpinorField, p: ModelParams, cfg: SolverConfig, out=None) -> SpinorField:
+    """Advance one light-cone step; returns the field at t + dt, written
+    into out, two buffers of an open ``kernels.LevelPool``, if given."""
     grid = f.grid
     h = grid.dt
     forcing = None
@@ -45,7 +47,7 @@ def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
         t_half = f.t + 0.5 * h
         forcing = (F1(x, f.t), F2(x, f.t), F1(x - 0.5 * h, t_half), F2(x + 0.5 * h, t_half))
     u_new, v_new, bad = kernels.step_unforced(
-        f.u, f.v, h, p.m, p.alpha, p.beta, grid.boundary == "periodic", forcing=forcing
+        f.u, f.v, h, p.m, p.alpha, p.beta, grid.boundary == "periodic", forcing=forcing, out=out
     )
     t_new = f.t + h
     if bad >= 0:  # the kernel's verdict is the level's only finiteness check
@@ -76,13 +78,22 @@ def evolve(
     f0 is one field or, with observers, a sequence of fields on one grid,
     advanced in lockstep. Each observer is called with the tuple of the
     runs' levels at t=0, after every record_every-th step and after the
-    final step; no level is kept beyond the current one, and the result is
-    the list of the runs' final levels. The first step that gives a
-    non-finite level stops every run: its BlowUpError is raised with
-    ``run`` set to the index of the run that blew up.
+    final step; the result is the list of the runs' final levels. The
+    first step that gives a non-finite level stops every run: its
+    BlowUpError is raised with ``run`` set to the index of the run that
+    blew up.
+
+    The levels after t=0 live in buffers of one ``kernels.LevelPool``,
+    which holds one pair per run and one spare: each step writes a run's
+    new level into the spare, and the pair of the level it replaces becomes
+    the spare. So an observer gets read-only levels that are valid only
+    during its call: whatever it keeps past the call must be numbers or
+    copies. The t=0 fields are never written, and the final levels stay
+    valid once evolve returns.
 
     Without observers, f0 is one field and the result is the list of the
-    levels an observer would see; a blow-up carries them as ``partial``.
+    levels an observer would see, each level after t=0 a copy; a blow-up
+    carries them as ``partial``.
 
     T must be a nonnegative integer multiple of dt up to 1e-12 relative;
     otherwise it is rounded down and the shortfall logged (horizon_steps).
@@ -103,22 +114,31 @@ def evolve(
 
     recorded = None
     if observers is None:
-        recorded = []
-        observers = [lambda lv: recorded.append(lv[0])]
-    for k in range(n + 1):
-        if k > 0:
-            for j, f in enumerate(levels):
-                try:
-                    levels[j] = step(f, p, cfg)
-                except BlowUpError as exc:
-                    exc.run = j
-                    if recorded is not None:
-                        exc.partial = recorded
-                    raise
-        if k % cfg.record_every == 0 or k == n:
-            for observe in observers:
-                observe(tuple(levels))
+        recorded, first = [], levels[0]
+        observers = [lambda lv: recorded.append(lv[0] if lv[0] is first else _copied(lv[0]))]
+    with kernels.LevelPool(grid.n_points) as pool:
+        for k in range(n + 1):
+            if k > 0:
+                for j, f in enumerate(levels):
+                    out = pool.take()
+                    try:
+                        levels[j] = new = step(f, p, cfg, out)
+                    except BlowUpError as exc:
+                        exc.run = j
+                        if recorded is not None:
+                            exc.partial = recorded
+                        raise
+                    pool.give(f.u)
+                    if new.u is not out[0]:  # a step that wrote a level of its own
+                        pool.give(out[0])
+            if k % cfg.record_every == 0 or k == n:
+                for observe in observers:
+                    observe(tuple(levels))
     return levels if recorded is None else recorded
+
+
+def _copied(f: SpinorField) -> SpinorField:
+    return SpinorField._evolved(f.grid, f.t, f.u.copy(), f.v.copy())
 
 
 # ---------------------------------------------------------------------------

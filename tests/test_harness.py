@@ -63,7 +63,29 @@ class TestMollify:
         assert err < 0.03
 
 
+def rough_datum():
+    return lc.InitialDatum(
+        lc.ComponentSpec("indicator_jump", 0.3, center=0.2, halfwidth=1.0),
+        lc.ComponentSpec("power_singularity_truncated", 0.2, center=-0.3, halfwidth=1.5, exponent=0.3, cap=10.0),
+    )
+
+
+ZERO_HORIZONS = pytest.mark.parametrize("steps", [0.0, 0.5], ids=["T=0", "T=dt/2"])  # both evolve no step
+
+
 class TestConvergenceStudy:
+    @ZERO_HORIZONS
+    def test_zero_horizon_distances(self, steps):
+        """Over [0, 0] the product distance is 0 and the field distance is
+        that of the mollified data."""
+        g = lc.make_grid(-8, 8, 512, "periodic")
+        eps = [0.4, 0.2, 0.1]
+        table = lc.convergence_study(rough_datum(), eps, lc.THIRRING, g, steps * g.dt)
+        f0s = [lc.mollify(lc.sample_initial(rough_datum(), g), e) for e in eps]
+        assert table.product_distances == (0.0, 0.0)
+        assert table.pair_distances == tuple(lc.l2_distance(a, b) for a, b in zip(f0s, f0s[1:]))
+        assert all(d > 0 for d in table.pair_distances)
+
     def test_identical_epsilons_zero_distance(self, gn):
         g = lc.make_grid(-6, 6, 768, "zero_inflow")
         table = lc.convergence_study(jump_datum(), [0.25, 0.25], gn, g, 0.5)
@@ -105,6 +127,17 @@ class TestConvergenceStudy:
 
 
 class TestUniquenessProbe:
+    @ZERO_HORIZONS
+    def test_zero_horizon_distances(self, steps):
+        g = lc.make_grid(-8, 8, 512, "periodic")
+        eps = [0.4, 0.2, 0.1]
+        table = lc.uniqueness_probe(rough_datum(), "bump", "triangle", eps, lc.THIRRING, g, steps * g.dt)
+        f = lc.sample_initial(rough_datum(), g)
+        assert table.product_distances == (0.0, 0.0, 0.0)
+        assert table.pair_distances == tuple(lc.l2_distance(lc.mollify(f, e, "bump"), lc.mollify(f, e, "triangle"))
+                                             for e in eps)
+        assert all(d > 0 for d in table.pair_distances)
+
     def test_same_family_identically_zero(self, gn):
         g = lc.make_grid(-6, 6, 768, "zero_inflow")
         table = lc.uniqueness_probe(jump_datum(), "bump", "bump", [0.25, 0.125], gn, g, 0.5)

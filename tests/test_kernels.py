@@ -467,6 +467,65 @@ def _distance_cases(rng):
     return cases
 
 
+def _pooled(pool, u, v):
+    """A pair of pool buffers holding copies of u and v: the two rows of the
+    pair's array."""
+    pair = pool.take()
+    pair[0].base[:] = u, v
+    return pair
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_pool_buffers_give_the_bits_of_fresh_arrays(rng, backend, name):
+    """Stepping into a pool pair, stepping from one, and the level and
+    distance terms of pool buffers equal the same calls on fresh arrays,
+    bit for bit; the buffers are read-only, and bound only while the pool
+    is open."""
+    backend(name)
+    n = 97
+    u, v, ub, vb = (_cplx(rng, n, 0.3) for _ in range(4))
+    with kernels.LevelPool(n) as pool:
+        a, b, c = pool.take(), _pooled(pool, u, v), _pooled(pool, ub, vb)
+        assert all(not buf.flags.writeable and buf.flags.c_contiguous for pair in (a, b, c) for buf in pair)
+        for periodic in (True, False):
+            want = kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, periodic)
+            got = kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, periodic, out=a)
+            assert got[0] is a[0] and got[1] is a[1] and got[2] == want[2]
+            _assert_bits_equal(got[:2], want[:2], periodic)
+            _assert_bits_equal(kernels.step_unforced(*b, 0.1, 1.0, 0.5, 0.25, periodic, out=a)[:2],
+                               kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, periodic)[:2], periodic)
+        terms, fresh = kernels.LevelTerms(n, 2, 0.1), kernels.LevelTerms(n, 2, 0.1)
+        kernels.level_terms(terms, [b, c], 10, 80, 0, None)
+        kernels.level_terms(fresh, [(u, v), (ub, vb)], 10, 80, 0, None)
+        _assert_bits_equal([getattr(terms, k) for k in ("au", "prod", "q", "d1", "q1v")],
+                           [getattr(fresh, k) for k in ("au", "prod", "q", "d1", "q1v")])
+        dist, fresh = kernels.DistanceTerms(n), kernels.DistanceTerms(n)
+        kernels.distance_terms(dist, b, c)
+        kernels.distance_terms(fresh, (u, v), (ub, vb))
+        _assert_bits_equal(dist.out, fresh.out)
+    assert not any(id(buf) in kernels._BOUND for pair in (a, b, c) for buf in pair)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_step_refuses_an_out_that_is_not_a_free_pool_pair(rng, backend, name):
+    backend(name)
+    n = 16
+    u, v = _cplx(rng, n), _cplx(rng, n)
+    with kernels.LevelPool(n) as pool, kernels.LevelPool(n + 1) as other:
+        a, b, wide = pool.take(), _pooled(pool, u, v), other.take()
+        for out in ((np.empty(n, complex), np.empty(n, complex)),  # not a pool's
+                    wide,  # another size
+                    (a[0], a[0]), (a[0], b[1]), (b[0], a[1])):  # one buffer twice, or the level read
+            with pytest.raises(ValueError):
+                kernels.step_unforced(*b, 0.1, 1.0, 0.5, 0.25, True, out=out)
+        with pytest.raises(UsageError):
+            kernels.distance_terms(kernels.DistanceTerms(n), b, wide)
+        with pytest.raises(UsageError):
+            kernels.level_terms(kernels.LevelTerms(n + 1, 1, 0.1), [b], 0, 4, 0, None)
+    with pytest.raises(ValueError):  # closed: no longer bound
+        kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, True, out=a)
+
+
 def _assert_bits_equal(got, want, *context):
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), context

@@ -41,3 +41,36 @@ def test_perfbench_reference_runs_on_this_tree(tmp_path, workload):
         cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_step_sees_every_level():
+    # the benchmark's kernels.step_* metrics come from the calls of
+    # kernels.step_unforced that the child wraps: one per run per step, each
+    # with the level's u first
+    script = (
+        "import child, tracing\n"
+        "import lcdirac as lc\n"
+        "from lcdirac import kernels\n"
+        "tracer = tracing.Tracer()\n"
+        "child.install(tracer)\n"
+        "traced, sizes = kernels.step_unforced, []\n"
+        "def spy(*args, **kwargs):\n"
+        "    sizes.append(args[0].size)\n"
+        "    return traced(*args, **kwargs)\n"
+        "kernels.step_unforced = spy\n"
+        "g = lc.make_grid(-2.0, 2.0, 64, 'periodic')\n"
+        "f0 = lc.sample_initial(lc.InitialDatum(lc.ComponentSpec('gaussian_pulse', 0.3),\n"
+        "                                       lc.ComponentSpec('gaussian_pulse', 0.2)), g)\n"
+        "def run():\n"
+        "    lc.evolve([f0, f0, f0], lc.THIRRING, lc.SolverConfig(), 5 * g.dt, observers=[lambda levels: None])\n"
+        "    assert sizes == [64] * 15, sizes\n"
+        "    lc.evolve(f0, lc.THIRRING, lc.SolverConfig(record_every=2), 5 * g.dt)\n"
+        "    assert sizes == [64] * 20, sizes\n"
+        "tracer.wrap(run, 'cli.run_command')()\n"
+        "m = tracing.layer_metrics(tracer.document())\n"
+        "assert m['kernels.step_calls'] == 20 and m['solver.site_updates'] == 20 * 64, m\n"
+        "assert m['kernels.step_s'] > 0 and m['kernels.step_ns_per_site'] > 0, m\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -50,26 +51,31 @@ def test_evolved_levels_are_read_only_finite_and_timed(rng, name, boundary):
     """Every level evolve yields, in the list and the observer form, is
     read-only, C-contiguous complex128 of grid length and finite, on the
     run's grid at t = k dt summed step by step: what the step's own
-    constructor trusts the kernel for instead of checking again."""
+    constructor trusts the kernel for instead of checking again. An
+    observer's levels are checked during its call, the only time they are
+    valid."""
     g = lc.make_grid(-2, 2, 300, boundary)
     f0, f1 = random_field(rng, g, scale=0.5), random_field(rng, g, scale=0.3)
     steps = 6
+    times = list(itertools.accumulate([0.0] + [g.dt] * steps))
+
+    def check(f, k):
+        assert type(f) is lc.SpinorField and f.grid == g and f.t == times[k], (k, f.t, times[k])
+        for a in (f.u, f.v):
+            assert type(a) is np.ndarray and a.dtype == np.complex128 and a.shape == (g.n_points,)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert np.isfinite(a.view(np.float64)).all()
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    calls = []
     with backend(name):
         listed = lc.evolve(f0, lc.GROSS_NEVEU, lc.SolverConfig(), steps * g.dt)
-        seen = []
-        lc.evolve([f0, f1], lc.GROSS_NEVEU, lc.SolverConfig(), steps * g.dt, observers=[seen.append])
-    assert len(listed) == len(seen) == steps + 1
-    t = 0.0
-    for k, levels in enumerate(zip(listed, *zip(*seen))):
-        for f in levels:
-            assert type(f) is lc.SpinorField and f.grid == g and f.t == t, (k, f.t, t)
-            for a in (f.u, f.v):
-                assert type(a) is np.ndarray and a.dtype == np.complex128 and a.shape == (g.n_points,)
-                assert a.flags.c_contiguous and not a.flags.writeable
-                assert np.isfinite(a.view(np.float64)).all()
-                with pytest.raises(ValueError):
-                    a[0] = 0.0
-        t += g.dt
+        lc.evolve([f0, f1], lc.GROSS_NEVEU, lc.SolverConfig(), steps * g.dt,
+                  observers=[lambda levels: calls.append([check(f, len(calls)) for f in levels])])
+    assert len(listed) == len(calls) == steps + 1
+    for k, f in enumerate(listed):
+        check(f, k)
 
 
 class TestTransport:

@@ -52,6 +52,12 @@ def audit_doc(path, **over):
     return doc
 
 
+def keep_copies(seen):
+    """An observer that appends copies of the levels it gets to seen: evolve's
+    levels are valid only during the call."""
+    return lambda levels: seen.append(tuple(lc.SpinorField(f.grid, f.t, f.u.copy(), f.v.copy()) for f in levels))
+
+
 def run_main(tmp_path, doc, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -244,7 +250,7 @@ def test_cone_rows_equal_the_list_functionals(name, gn, gn_constants):
     with backend(name):
         audits = functionals.AuditPass(["charge", "bony", "gronwall"], dom, gn_constants, gn, T=1.5)
         audits.start(tuple(runs))
-        lc.evolve(runs, gn, lc.SolverConfig(), 1.5, observers=[audits, seen.append])
+        lc.evolve(runs, gn, lc.SolverConfig(), 1.5, observers=[audits, keep_copies(seen)])
     gronwall = audits.audits["gronwall"]
     inside = [lv for lv in seen if lv[0].t <= dom.apex_time + 1e-12]
     assert {len(range(*dom.section_indices(g, a.t))) for a, _ in inside} >= {0, 1, 3}
@@ -603,7 +609,7 @@ def test_observers_see_the_recorded_levels(gn, every):
     cfg = lc.SolverConfig(record_every=every)
     listed = lc.evolve(f0, gn, cfg, n * f0.grid.dt)
     seen = []
-    finals = lc.evolve([f0, f0], gn, cfg, n * f0.grid.dt, observers=[seen.append])
+    finals = lc.evolve([f0, f0], gn, cfg, n * f0.grid.dt, observers=[keep_copies(seen)])
     assert [s.t for s in listed] == [lv[0].t for lv in seen] == [s.t for s in expected]
     for s, lv, want in zip(listed, seen, expected):
         for got in (s, *lv):
@@ -614,7 +620,8 @@ def test_observers_see_the_recorded_levels(gn, every):
 def _poison_call(monkeypatch, call, part, site):
     """Make the given kernel call (1-based) return NaN in one part of the
     level at site and at a later site, and inf in the other component later,
-    with site as the blow-up verdict, as the kernel reports it."""
+    with site as the blow-up verdict, as the kernel reports it. The poisoned
+    level is a copy: the level the kernel writes into a pool is read-only."""
     real, calls = kernels.step_unforced, [0]
     comp, attr = part.split(".")
 
@@ -622,6 +629,7 @@ def _poison_call(monkeypatch, call, part, site):
         u, v, bad = real(*args, **kwargs)
         calls[0] += 1
         if calls[0] == call:
+            u, v = u.copy(), v.copy()
             hit, other = (u, v) if comp == "u" else (v, u)
             getattr(hit, attr)[[site, site + 20]] = np.nan
             other.real[site + 10] = np.inf
@@ -656,7 +664,7 @@ def test_lockstep_blow_up_names_the_first_bad_site(gn, monkeypatch, part):
     _poison_call(monkeypatch, 10, part, 33)  # run 1's fifth step
     seen = []
     with pytest.raises(BlowUpError) as exc_info:
-        lc.evolve([f0, f0], gn, lc.SolverConfig(), T, observers=[seen.append])
+        lc.evolve([f0, f0], gn, lc.SolverConfig(), T, observers=[keep_copies(seen)])
     err = exc_info.value
     assert (err.site, err.t, err.x, err.run, err.partial) == (33, full[5].t, g.x_min + 33 * g.dx, 1, [])
     assert len(seen) == 5 and all(None not in lv for lv in seen)  # both runs stop at the blow-up
@@ -711,6 +719,107 @@ def test_reductions_hold_no_level(gn, gn_constants):
     assert held and not [h for h in held if isinstance(h, lc.SpinorField)]
     for arr in held:
         assert not any(np.shares_memory(arr, level.u) or np.shares_memory(arr, level.v) for level in fed)
+
+
+def _recorded_pools(monkeypatch, reuse=True):
+    """Make evolve's pools record themselves into the returned list; without
+    reuse a pool never frees a pair, so each level keeps buffers of its own."""
+    pools = []
+
+    class Pool(kernels.LevelPool):
+        def __init__(self, n):
+            super().__init__(n)
+            pools.append(self)
+
+        def give(self, u):
+            if reuse:
+                super().give(u)
+
+    monkeypatch.setattr(kernels, "LevelPool", Pool)
+    return pools
+
+
+def _poison(pools, keep=()):
+    """Fill every buffer of the pools with NaN but those of the levels in keep."""
+    kept = {id(a) for f in keep for a in (f.u, f.v)}
+    for pool in pools:
+        for buf in (b for pair in pool.pairs for b in pair):
+            if id(buf) not in kept:
+                buf.base[:] = np.nan
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_constants):
+    """AuditPass and _PairDistance keep numbers, never a level: with each
+    buffer NaN from the observer call after its level is replaced, and
+    every buffer NaN once evolve returns, they report what a run on the
+    reused pool reports, bit for bit. No observer can write into a level."""
+    from lcdirac.harness import _PairDistance
+
+    g = lc.make_grid(-6, 6, 96, "zero_inflow")
+    f0 = lc.sample_initial(GN_DATUM, g)
+    runs = [f0, cli._perturbed(f0, 1e-3), cli._perturbed(f0, -2e-3)]
+    dom = lc.TriangleDomain(-4.0, 4.0)
+    pairs = [(0, 1), (1, 2), (0, 2)]
+
+    def measure(extra, after):
+        audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
+                                       C0=lc.charge(f0) + 1.0)
+        audits.start(tuple(runs[:2]))
+        dists = [_PairDistance() for _ in pairs]
+
+        def feed(levels):
+            audits(levels[:2])
+            for dist, (i, j) in zip(dists, pairs):
+                dist.feed(levels[i], levels[j])
+
+        lc.evolve(runs, gn, lc.SolverConfig(), 1.0, observers=[feed, *extra])
+        after()
+        return ([audits.report(a) for a in cli.EVOLVED_AUDITS],
+                [(d.field, d.product_distance()) for d in dists])
+
+    def poison_past(levels):
+        for f in levels:
+            for a in (f.u, f.v):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+                with pytest.raises(ValueError):
+                    np.copyto(a, 0.0)
+        _poison(pools, keep=levels)
+
+    with backend(name):
+        reused = measure([], lambda: None)
+        pools = _recorded_pools(monkeypatch, reuse=False)
+        poisoned = measure([poison_past], lambda: _poison(pools))
+    assert len(pools) == 1 and len(pools[0].pairs) == 3 * 8  # a pair for each run and step (dt = 1/8)
+    assert poisoned == reused
+    assert all(r.passed for r in reused[0]) and all(d > 0 for row in reused[1] for d in row)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_pool_holds_a_pair_per_run_and_one_spare(monkeypatch, name, gn):
+    """Each step writes into the spare pair; the buffers are bound only while
+    evolve runs, and nothing keeps them once the levels are dropped."""
+    import gc
+    import weakref
+
+    pools = _recorded_pools(monkeypatch)
+    f0 = _gn_field(96)
+    with backend(name):
+        for runs, steps in ((1, 0), (1, 1), (1, 5), (3, 1), (3, 5)):
+            pools.clear()
+            if runs == 1:
+                lc.evolve(f0, gn, lc.SolverConfig(), steps * f0.grid.dt)
+            else:
+                lc.evolve([f0] * runs, gn, lc.SolverConfig(), steps * f0.grid.dt, observers=[])
+            (pool,) = pools
+            assert len(pool.pairs) == min(steps, 1) * runs + (steps > 1), (runs, steps)
+            assert not any(id(b) in kernels._BOUND for pair in pool.pairs for b in pair)
+    refs = [weakref.ref(b) for pair in pool.pairs for b in pair]
+    pools.clear()
+    del pool
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
 
 
 def test_audit_pass_keeps_constant_levels(tmp_path, capsys, monkeypatch):
