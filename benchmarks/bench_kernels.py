@@ -32,11 +32,11 @@ levels and on levels in a ``LevelPool``, as ``converge`` feeds them. Then the st
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
 oracle ``q_upper_naive`` that the tests compare the functionals with, and
-their time ratio. Last, the algebraic audit (``check_algebraic_bounds``,
-NumPy on every backend) on 100 000 Gross-Neveu tuples, the ``audit``
-default: milliseconds per call and the ``tracemalloc`` peak in MiB, which
-its ``BLOCK``-sized evaluation keeps to the chunk's draws plus a few
-MiB.
+their time ratio. Last, the algebraic audit (``check_algebraic_bounds``)
+on 100 000 Gross-Neveu tuples, the ``audit`` default, on each backend
+(``_algebraic.c``'s one pass per chunk, or the NumPy block loop):
+milliseconds per call and the ``tracemalloc`` peak in MiB. Both keep it to
+the chunk's draws, 6.1 MiB, which the NumPy blocks add a few MiB to.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 768,3072,4096] [--repeats 7]
 """
@@ -163,7 +163,7 @@ def distance_us_per_pair_level(n, rng, repeats) -> tuple[float, float]:
 
     def us(x, y):
         def feed():
-            dist = _PairDistance()
+            dist = _PairDistance(kernels.DistanceTerms(n))
             for _ in range(CALLS):
                 dist.feed(x, y)
 
@@ -277,8 +277,14 @@ def bench(sizes, repeats):
         print(f"{'q_upper_naive':<16}{n:>6}{t_naive * 1e6:>12.1f}us{f'{t_naive / t_fast:.1f}x':>10}")
 
     n = 100_000
-    ms, peak = algebraic_ms_and_peak(n, repeats)
-    print(f"{'algebraic audit':<16}{n:>7}{ms:>11.1f}ms{peak:>9.1f}MiB peak")
+    before = kernels.backend_name()
+    try:
+        for bk in kernels.available_backends():
+            kernels.use_backend(bk)
+            ms, peak = algebraic_ms_and_peak(n, repeats)
+            print(f"{'algebraic audit, ' + bk:<26}{n:>7}{ms:>11.1f}ms{peak:>9.1f}MiB peak")
+    finally:
+        kernels.use_backend(before)
 
 
 def main():

@@ -130,12 +130,14 @@ class _PairDistance:
     a zero horizon, the product distance is 0.
 
     Each level's terms are written in one kernels.distance_terms pass into
-    one kernels.DistanceTerms, made at the first level, and summed with
+    terms, a kernels.DistanceTerms of the grid's size, and summed with
     np.add.reduce, the order of np.sum, so the field distance equals
-    l2_distance bit for bit. Only the sums are kept, never a level."""
+    l2_distance bit for bit. feed sums the terms before it returns, so the
+    pairs of one lockstep run share one terms. Only the sums are kept,
+    never a level."""
 
-    def __init__(self):
-        self.terms = None
+    def __init__(self, terms: kernels.DistanceTerms):
+        self.terms = terms
         self.field = None
         self.total = 0.0
         self.levels = 0
@@ -143,8 +145,6 @@ class _PairDistance:
 
     def feed(self, a: SpinorField, b: SpinorField):
         grid = a.grid
-        if self.terms is None:
-            self.terms = kernels.DistanceTerms(grid.n_points)
         kernels.distance_terms(self.terms, (a.u, a.v), (b.u, b.v))
         l1, p1 = self.terms.out
         d = float(np.sqrt(np.add.reduce(l1) * grid.dx))
@@ -175,7 +175,8 @@ def _lockstep_distances(
     f0s: Sequence[SpinorField], pairs: Sequence[tuple[int, int]], p: ModelParams, T: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Evolve every datum in lockstep; (field, product) distances per run pair."""
-    dists = [_PairDistance() for _ in pairs]
+    terms = kernels.DistanceTerms(f0s[0].grid.n_points)
+    dists = [_PairDistance(terms) for _ in pairs]
 
     def observe(levels):
         # silent overflow on a huge but finite level: its run blows up at

@@ -1,6 +1,6 @@
 """Kernel backend selection.
 
-Four kernels have a compiled and a pure backend with the same results bit
+Five kernels have a compiled and a pure backend with the same results bit
 for bit (but for the step's corner named in ``_step.c``):
 
 - ``step_unforced`` is the one lattice step, unforced or, given
@@ -24,7 +24,10 @@ for bit (but for the step's corner named in ``_step.c``):
 - ``distance_terms`` writes the terms of the field and product distances
   of two runs, which ``converge`` and ``unique`` take at every level, into
   a ``DistanceTerms``; each complex product is four real products and two
-  sums on both backends.
+  sums on both backends;
+- ``algebraic_extremes`` forms one chunk of ``model.check_algebraic_bounds``'
+  random tuples and returns each pointwise bound's extremes over it
+  (``_algebraic.c``); its pure twin is the NumPy block loop in ``model``.
 
 While a ``LevelPool`` is open, its buffers' addresses are bound:
 ``step_unforced``, ``level_terms`` and ``distance_terms`` take such a
@@ -39,9 +42,10 @@ summation order and no digit of an artifact. Only sequential scans (the
 
 The backends:
 
-- ``compiled``: ``_step.c``, ``_format.c`` and ``_level.c``, built into one
-  library with the system C compiler on first import, for the CPU it runs
-  on (``CFLAGS``, with ``-march=native``), cached as
+- ``compiled``: ``_step.c``, ``_format.c``, ``_level.c`` and
+  ``_algebraic.c``, built into one library with the system C compiler on
+  first import, for the CPU it runs on (``CFLAGS``, with
+  ``-march=native``), cached as
   ``__pycache__/_step.<key>.so`` next to this file and called through
   ctypes. The key is a CRC-32 of the sources, the build's flags and the
   CPU fingerprint (``cpu_fingerprint``: the CRC-32 of the first flags line
@@ -49,7 +53,9 @@ The backends:
   build deletes the libraries of other keys. Where there is no fingerprint,
   or cc rejects the native flags, the library is built with
   ``PORTABLE_CFLAGS`` as ``_step.<key>.portable.so``; both builds give the
-  same bits and link nothing beyond libc;
+  same bits and link nothing beyond libc and libm (``LDLIBS``: only
+  ``_algebraic.c``'s ``sincos``; ``-fno-math-errno`` keeps ``sqrt`` an
+  instruction);
 - ``pure``: the NumPy kernels in ``pure.py`` and one ``%`` template per
   block, used whenever the build or the load fails.
 
@@ -74,16 +80,18 @@ from ..errors import UsageError
 from . import pure
 from .pure import q_upper, q_upper_naive  # noqa: F401  (public names)
 
-PORTABLE_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+PORTABLE_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+LDLIBS = ("-lm",)  # after the sources: sincos
 # For the CPU of the build. Without SLP vectorisation: measured in one
 # process on a 2-core AVX-512 Xeon, 150 alternating rounds, the time with it
 # over the time without was 1.00-1.01 for format_rows (the pair-table digit
 # stores no longer care; it was 1.08 for the old per-digit loop), 1.00-1.01
 # for the step and 1.01-1.03 for level_terms. The loops are
 # loop-vectorised either way.
-CFLAGS = ("-O3", "-march=native", "-fno-tree-slp-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
+CFLAGS = ("-O3", "-march=native", "-fno-tree-slp-vectorize", "-ffp-contract=off", "-fno-math-errno",
+          "-fPIC", "-shared")
 _HERE = os.path.dirname(os.path.abspath(__file__))
-SOURCES = tuple(os.path.join(_HERE, name) for name in ("_step.c", "_format.c", "_level.c"))
+SOURCES = tuple(os.path.join(_HERE, name) for name in ("_step.c", "_format.c", "_level.c", "_algebraic.c"))
 TOKEN_BYTES = 25  # the longest %.17g token, -2.2250738585072014e-308, and a separator
 
 
@@ -104,12 +112,12 @@ CPU = cpu_fingerprint()
 
 
 def library_key(sources=SOURCES, fingerprint=CPU, flags=CFLAGS) -> int:
-    """CRC-32 of the sources, the flags of the build and the CPU fingerprint: the cached library's name."""
+    """CRC-32 of the sources, the flags of the build (with LDLIBS) and the CPU fingerprint: the cached library's name."""
     data = b""
     for source in sources:
         with open(source, "rb") as fh:
             data += fh.read()
-    return zlib.crc32(data + " ".join(flags).encode() + repr(fingerprint).encode())
+    return zlib.crc32(data + " ".join(flags + LDLIBS).encode() + repr(fingerprint).encode())
 
 
 def _compile(sources, target: str, flags):
@@ -119,7 +127,7 @@ def _compile(sources, target: str, flags):
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         try:
-            done = subprocess.run(["cc", *flags, "-o", tmp, *sources],
+            done = subprocess.run(["cc", *flags, "-o", tmp, *sources, *LDLIBS],
                                   capture_output=True, text=True, timeout=300)
         except FileNotFoundError:
             raise OSError("cc not found") from None
@@ -192,6 +200,7 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
         target, flags = _cached_or_built(cache_dir, fingerprint)
         lib = ctypes.CDLL(target)
         step, fmt, level, dist = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms, lib.lcd_distance_terms
+        alg, disk = lib.lcd_algebraic_extremes, lib.lcd_disk_points
     except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
         return None, f"pure: {exc}"
     step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
@@ -203,6 +212,11 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
     level.restype = None
     dist.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_ssize_t]
     dist.restype = None
+    alg.argtypes = ([ctypes.POINTER(ctypes.c_void_p), ctypes.c_ssize_t] + [ctypes.c_double] * 4
+                    + [ctypes.c_void_p] * 2)
+    alg.restype = None
+    disk.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t, ctypes.c_void_p]
+    disk.restype = None
     return lib, f"compiled: {os.path.basename(target)} ({flags})"
 
 
@@ -531,3 +545,26 @@ def distance_terms(terms: DistanceTerms, run_a, run_b):
         _lib.lcd_distance_terms(l1, l1 + 8 * n, a, b, c, d, n)
     else:
         pure.distance_terms(terms.out, (ua, va), (ub, vb))
+
+
+def algebraic_extremes(draws, alpha: float, beta: float, c_star: float, slack: float):
+    """Each pointwise bound's extremes over one chunk of tuples, in C.
+
+    draws is the chunk's four (r, theta) pairs of equal-length 1-d arrays,
+    for u, v, u' and v'; slack is 1 + ``model.EXACT_SLACK``. Returns
+    ``(vals, at)``, (3, 3) float64 and intp arrays with one row per bound
+    in ``model._BOUNDS`` order: vals holds the largest excess
+    lhs - rhs slack above 0, the largest finite lhs / rhs over rhs > 0 and
+    the lhs of the first tuple with rhs == 0 and lhs > 0; at holds the
+    first tuple of that excess, that first tuple, and the first tuple with
+    a non-finite lhs or rhs, -1 for none (``_algebraic.c``). Compiled only:
+    ``model`` keeps the pure twin.
+    """
+    arrays = [np.ascontiguousarray(a, dtype=np.float64) for pair in draws for a in pair]
+    n = arrays[0].shape[0]
+    if len(arrays) != 8 or any(a.shape != (n,) for a in arrays):
+        raise ValueError(f"draws must be four pairs of 1-d arrays of one length, got {[a.shape for a in arrays]}")
+    vals, at = np.zeros((3, 3)), np.full((3, 3), -1, dtype=np.intp)
+    ptrs = (ctypes.c_void_p * 8)(*(a.ctypes.data for a in arrays))
+    _lib.lcd_algebraic_extremes(ptrs, n, alpha, beta, c_star, slack, vals.ctypes.data, at.ctypes.data)
+    return vals, at

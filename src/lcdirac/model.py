@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from ._records import record
 from .errors import ConfigurationError
 from .reports import AuditReport
@@ -173,9 +174,10 @@ def source_charge_rate(u, v, p: ModelParams):
 # ---------------------------------------------------------------------------
 # Randomized verification of the algebraic bounds
 
-# Tuples drawn at a time, and evaluated at a time. A chunk draws all its
-# uniforms before any block is evaluated, so BLOCK changes no tuple and no
-# bit of the report; it only keeps the temporaries cache-sized.
+# Tuples drawn at a time, and evaluated at a time by the pure backend. A
+# chunk draws all its uniforms before any block is evaluated, so BLOCK
+# changes no tuple and no bit of the report; it only keeps the temporaries
+# cache-sized.
 CHUNK = 200_000
 BLOCK = 8192
 
@@ -218,48 +220,56 @@ def _bound_terms(u, v, up, vp, p: ModelParams, k: EstimateConstants):
     return (lhs_a, rhs_a), (lhs_b, rhs_b), (lhs_c, rhs_c)
 
 
-class _ChunkExtremes:
-    """What one pass over a chunk finds for one bound, gathered block by block.
+def _feed(vals, at, lhs, rhs, lo: int):
+    """Update one bound's row of ``kernels.algebraic_extremes``' (vals, at)
+    with the block of terms that starts at tuple lo of the chunk.
 
-    The largest positive excess lhs - rhs (1 + EXACT_SLACK) and its first
-    tuple, the largest lhs / rhs over rhs > 0, the first tuple with rhs == 0
-    and lhs > 0 and its lhs, and the first tuple with a non-finite lhs or rhs.
-    Maxima are exact, and only a strictly larger value replaces a kept one,
-    so the blocks give the same values and tuples as the whole chunk.
+    vals: the largest positive excess lhs - rhs (1 + EXACT_SLACK), the
+    largest finite lhs / rhs over rhs > 0, and the lhs of the first tuple
+    with rhs == 0 and lhs > 0; at: the first tuple of that excess, that
+    first tuple, and the first tuple with a non-finite lhs or rhs (-1 for
+    none). Maxima are exact, only a strictly larger value replaces a kept
+    one, and a NaN or inf ratio never counts, so the blocks give the same
+    values and tuples as the whole chunk.
     """
-
-    def __init__(self):
-        self.excess, self.excess_at = 0.0, None
-        self.ratio = 0.0
-        self.zero_lhs, self.zero_at = 0.0, None
-        self.nonfinite_at = None
-
-    def feed(self, lhs, rhs, quad):
-        excess = lhs - rhs * (1.0 + EXACT_SLACK)
-        i = int(np.argmax(excess))
-        if excess[i] > self.excess:
-            self.excess, self.excess_at = float(excess[i]), _tuple_at(quad, i)
-        pos = rhs > 0
-        if pos.all():
-            self.ratio = max(self.ratio, float(np.max(lhs / rhs)))
-        else:
-            if pos.any():
-                self.ratio = max(self.ratio, float(np.max(lhs[pos] / rhs[pos])))
-            # rhs == 0 demands lhs == 0 exactly
-            if self.zero_at is None:
-                zero_bad = (~pos) & (lhs > 0)
-                if zero_bad.any():
-                    j = int(np.argmax(zero_bad))
-                    self.zero_lhs, self.zero_at = float(lhs[j]), _tuple_at(quad, j)
-        # a NaN or +-inf in lhs or rhs makes the excess, and so its sum, non-finite
-        if self.nonfinite_at is None and not np.isfinite(np.add.reduce(excess)):
-            bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
-            if bad.any():
-                self.nonfinite_at = _tuple_at(quad, int(np.argmax(bad)))
+    excess = lhs - rhs * (1.0 + EXACT_SLACK)
+    i = int(np.argmax(excess))
+    if excess[i] > vals[0]:
+        vals[0], at[0] = excess[i], lo + i
+    pos = rhs > 0
+    ratio = lhs / rhs if pos.all() else lhs[pos] / rhs[pos]
+    vals[1] = max(vals[1], np.max(ratio, initial=0.0, where=np.isfinite(ratio)))
+    # rhs == 0 demands lhs == 0 exactly
+    if at[1] < 0:
+        zero_bad = (~pos) & (lhs > 0)
+        if zero_bad.any():
+            j = int(np.argmax(zero_bad))
+            vals[2], at[1] = lhs[j], lo + j
+    # a NaN or +-inf in lhs or rhs makes the excess, and so its sum, non-finite
+    if at[2] < 0 and not np.isfinite(np.add.reduce(excess)):
+        bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+        if bad.any():
+            at[2] = lo + int(np.argmax(bad))
 
 
-def _tuple_at(quad, i):
-    return tuple(complex(z[i]) for z in quad)
+def _pure_extremes(draws, p: ModelParams, k: EstimateConstants):
+    """``kernels.algebraic_extremes`` in NumPy, BLOCK tuples at a time."""
+    vals, at = np.zeros((3, 3)), np.full((3, 3), -1, dtype=np.intp)
+    for lo in range(0, draws[0][0].shape[0], BLOCK):
+        quad = [np.sqrt(r[lo:lo + BLOCK]) * np.exp(1j * th[lo:lo + BLOCK]) for r, th in draws]
+        for row, (lhs, rhs) in enumerate(_bound_terms(*quad, p, k)):
+            _feed(vals[row], at[row], lhs, rhs, lo)
+    return vals, at
+
+
+def _draws(rng, n: int):
+    """The next chunk of n tuples as (r, theta) pairs for u, v, u' and v'."""
+    return [(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(4)]
+
+
+def _tuple_at(draws, i: int):
+    """Tuple i of a chunk, formed as the block loop forms it."""
+    return tuple(complex((np.sqrt(r[i:i + 1]) * np.exp(1j * th[i:i + 1]))[0]) for r, th in draws)
 
 
 def check_algebraic_bounds(
@@ -274,16 +284,17 @@ def check_algebraic_bounds(
     Each with multiplicative slack 1 + 1e-12; the bounds are exact in reals.
     The tuples (u, v, u', v') lie in the unit disk, sqrt(r) exp(i theta).
     They are drawn from default_rng(seed) CHUNK at a time: each chunk draws
-    its r then its theta for u, then for v, u' and v', n uniforms each. The
-    chunk is then evaluated BLOCK tuples at a time, and each bound's
-    extremes over the blocks are exactly those over the whole chunk, so
-    the block size changes no result. A NaN or +-inf term fails the audit
-    with max_violation inf; the witness is the first such tuple of the
-    first chunk that has one, in the first of its bounds in (a), (b), (c).
-    Returns the maximum measured ratio per bound in info.
+    its r then its theta for u, then for v, u' and v', n uniforms each. Each
+    chunk is evaluated in one pass, ``kernels.algebraic_extremes`` on the
+    compiled backend and BLOCK tuples at a time on pure, with the same
+    bits. A NaN or +-inf term fails the audit with max_violation inf; the
+    witness is the first such tuple of the first chunk that has one, in
+    the first of its bounds in (a), (b), (c). Returns the largest finite
+    ratio lhs / rhs per bound in info.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
+    compiled = kernels.backend_name() == "compiled"
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(_BOUNDS, 0.0)
     failed_witness = nonfinite = None
@@ -291,23 +302,24 @@ def check_algebraic_bounds(
     done = 0
     while done < samples:
         n = min(CHUNK, samples - done)
-        draws = [(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(4)]
-        extremes = [_ChunkExtremes() for _ in _BOUNDS]
+        draws = _draws(rng, n)
         # a non-finite term is reported as a violation, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
-            for lo in range(0, n, BLOCK):
-                quad = [np.sqrt(r[lo:lo + BLOCK]) * np.exp(1j * th[lo:lo + BLOCK]) for r, th in draws]
-                for ext, (lhs, rhs) in zip(extremes, _bound_terms(*quad, p, k)):
-                    ext.feed(lhs, rhs, quad)
-        # the update of a single pass over the chunk, in bound order
-        for name, ext in zip(_BOUNDS, extremes):
-            if ext.excess > max_excess:
-                max_excess, failed_witness = ext.excess, (name, *ext.excess_at)
-            worst[name] = max(worst[name], ext.ratio)
-            if ext.zero_at is not None:
-                max_excess, failed_witness = max(max_excess, ext.zero_lhs), (name, *ext.zero_at)
-            if nonfinite is None and ext.nonfinite_at is not None:
-                nonfinite = (name, *ext.nonfinite_at)
+            if compiled:
+                vals, at = kernels.algebraic_extremes(draws, p.alpha, p.beta, k.c_star, 1.0 + EXACT_SLACK)
+            else:
+                vals, at = _pure_extremes(draws, p, k)
+            # the update of a single pass over the chunk, in bound order
+            for name, (excess, ratio, zero_lhs), (excess_at, zero_at, nonfinite_at) in zip(
+                _BOUNDS, vals.tolist(), at.tolist()
+            ):
+                if excess > max_excess:
+                    max_excess, failed_witness = excess, (name, *_tuple_at(draws, excess_at))
+                worst[name] = max(worst[name], ratio)
+                if zero_at >= 0:
+                    max_excess, failed_witness = max(max_excess, zero_lhs), (name, *_tuple_at(draws, zero_at))
+                if nonfinite is None and nonfinite_at >= 0:
+                    nonfinite = (name, *_tuple_at(draws, nonfinite_at))
         done += n
 
     if nonfinite is not None:

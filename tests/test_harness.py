@@ -3,6 +3,7 @@ import pytest
 
 import lcdirac as lc
 from lcdirac.errors import ResolutionError
+from lcdirac import harness, kernels
 from lcdirac.harness import mollify
 
 from conftest import random_field
@@ -180,3 +181,25 @@ class TestEnsembleData:
             datum = datum_from_profiles(pu, pv, g, target_charge=0.5)
             charges.append(lc.charge(lc.sample_initial(datum, g)))
         assert charges[0] == pytest.approx(charges[1], rel=1e-6)
+
+
+def test_lockstep_pairs_share_one_distance_buffer(monkeypatch):
+    """The pairs of one lockstep run write their terms into one
+    DistanceTerms, and get the distances of a run of each pair alone."""
+    made = []
+
+    class Recorded(kernels.DistanceTerms):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(kernels, "DistanceTerms", Recorded)
+    g = lc.make_grid(-8, 8, 512, "periodic")
+    eps = [0.8, 0.4, 0.2, 0.1]
+    table = lc.convergence_study(rough_datum(), eps, lc.THIRRING, g, 0.5)
+    assert len(made) == 1
+    f0s = harness._mollified(rough_datum(), g, eps, ["bump"])
+    alone = [harness._lockstep_distances(f0s[j:j + 2], [(0, 1)], lc.THIRRING, 0.5) for j in range(3)]
+    assert len(made) == 4
+    assert table.pair_distances == tuple(field[0] for field, _ in alone)
+    assert table.product_distances == tuple(prod[0] for _, prod in alone)

@@ -7,11 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lcdirac as lc
-from lcdirac import model
+from lcdirac import kernels, model
 from lcdirac.errors import ConfigurationError
 from lcdirac.model import EstimateConstants, source_charge_rate
 
+from conftest import backend
+
 finite_c = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in kernels.available_backends(), reason=f"compiled kernels not built ({kernels.backend_reason()})"
+)
+
+
+@pytest.fixture
+def pure_backend():
+    """The NumPy block loop: the tests that patch model's evaluation
+    functions or BLOCK reach only it; the compiled pass calls neither."""
+    with backend("pure"):
+        yield
 
 
 class TestNonlinearity:
@@ -236,9 +249,11 @@ def _poison_nonlinearity(monkeypatch, value, every, components=("N1",)):
     monkeypatch.setattr(model, "eval_nonlinearity", poisoned)
 
 
+@pytest.mark.usefixtures("pure_backend")
 class TestNonFiniteTerms:
     """A NaN or +-inf bound term fails the audit with max_violation inf,
-    witnessed by that bound's first non-finite tuple."""
+    witnessed by that bound's first non-finite tuple (the pure block loop;
+    TestCompiledPass feeds both backends non-finite draws)."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_every_7th_n1(self, monkeypatch, gn, gn_constants, value):
@@ -279,9 +294,10 @@ class TestNonFiniteTerms:
         assert rep.witness == ("charge_rate", *_tuples(5, 20_000, 19_999))
 
 
+@pytest.mark.usefixtures("pure_backend")
 class TestBlocks:
-    """The blocks give bit for bit the report of one pass over each chunk
-    (BLOCK = CHUNK, the evaluation before the blocks)."""
+    """The pure backend's blocks give bit for bit the report of one pass
+    over each chunk (BLOCK = CHUNK, the evaluation before the blocks)."""
 
     @staticmethod
     def _both(monkeypatch, *args):
@@ -370,3 +386,156 @@ def test_gauge_invariance_of_W(u, v, m, alpha, beta):
     W0, _, _ = lc.eval_nonlinearity(u, v, p)
     W1, _, _ = lc.eval_nonlinearity(1j * u, 1j * v, p)
     assert W1 == pytest.approx(W0, rel=1e-9, abs=1e-9)
+
+
+def _both_backends(*args):
+    """check_algebraic_bounds(*args) on compiled, then on pure."""
+    reports = []
+    for name in ("compiled", "pure"):
+        with backend(name):
+            reports.append(lc.check_algebraic_bounds(*args))
+    return reports
+
+
+def _poison_draws(monkeypatch, pair, part, index, value):
+    """Make every chunk's draws carry value in r (part 0) or theta (part 1)
+    of the tuple's pair-th point (u, v, u', v') at index."""
+    real = model._draws
+
+    def poisoned(rng, n):
+        draws = real(rng, n)
+        if index < n:
+            draws[pair][part][index] = value
+        return draws
+
+    monkeypatch.setattr(model, "_draws", poisoned)
+
+
+def _largest_finite_ratios(seed, n, p, k, skip=None):
+    """Per bound, the largest finite lhs / rhs over rhs > 0 of the first
+    chunk's tuples but skip, evaluated in one pass."""
+    quad = [np.delete(z, [] if skip is None else [skip]) for z in _quad(seed, n)]
+    out = []
+    for lhs, rhs in model._bound_terms(*quad, p, k):
+        pos = rhs > 0
+        out.append(float(np.max(lhs[pos] / rhs[pos], initial=0.0)))
+    return out
+
+
+@needs_compiled
+class TestCompiledPass:
+    """kernels.algebraic_extremes against the pure block loop, bit for bit."""
+
+    @pytest.mark.parametrize("p", [lc.THIRRING, lc.GROSS_NEVEU, lc.ModelParams(1.0, 0.6, -0.8)])
+    @pytest.mark.parametrize("c_star", [None, 2.0, 4.0])
+    def test_reports_match_pure(self, p, c_star):
+        # the tight c_star is 3 for Thirring and Gross-Neveu, and above 4 for (0.6, -0.8)
+        passed = c_star is None or (c_star == 4.0 and p.alpha * p.beta == 0)
+        compiled, pure = _both_backends(30_000, p, lc.derive_constants(p, c_star=c_star), 5)
+        assert compiled == pure and compiled.passed is passed
+        if not passed:
+            assert compiled.witness[0] == "difference_envelope" and 0 < compiled.max_violation < np.inf
+
+    def test_thirring_charge_rate_rhs_is_zero(self, thirring):
+        # beta = 0: rhs and lhs of the charge rate are 0 at every tuple
+        compiled, pure = _both_backends(20_000, thirring, lc.derive_constants(thirring), 4)
+        assert compiled == pure and compiled.passed
+        assert compiled.info["max_ratio_charge_rate"] == 0.0
+
+    @pytest.mark.parametrize("c_star", [None, 2.0])
+    def test_across_chunks(self, monkeypatch, thirring, c_star):
+        monkeypatch.setattr(model, "CHUNK", 3000)
+        k = lc.derive_constants(thirring, c_star=c_star)
+        compiled, pure = _both_backends(7500, thirring, k, 2)
+        assert compiled == pure and compiled.passed is (c_star is None)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("pair, bound", [(0, "charge_rate"), (3, "product_difference")])
+    def test_nonfinite_draw(self, monkeypatch, gn, pair, bound, value):
+        # u feeds all three bounds; v' only (b) and (c)
+        _poison_draws(monkeypatch, pair, 0, 4321, value)
+        k = lc.derive_constants(gn, c_star=2.0)  # a finite violation as well, which the non-finite term outranks
+        compiled, pure = _both_backends(20_000, gn, k, 3)
+        assert repr(compiled) == repr(pure)  # repr: a NaN in the witness is not == itself
+        assert not compiled.passed and compiled.max_violation == np.inf
+        assert compiled.witness[0] == bound and not np.isfinite(compiled.witness[1 + pair])
+        assert repr(compiled.witness[1:]) == repr(_witness_at(3, 20_000, 4321, pair, value))
+
+    def test_nonfinite_theta_in_a_later_chunk(self, monkeypatch, thirring):
+        monkeypatch.setattr(model, "CHUNK", 3000)
+        _poison_draws(monkeypatch, 1, 1, 2999, np.inf)  # theta of v: the last tuple of every chunk
+        compiled, pure = _both_backends(7000, thirring, lc.derive_constants(thirring), 8)
+        assert repr(compiled) == repr(pure) and compiled.max_violation == np.inf
+        assert compiled.witness[0] == "charge_rate"
+
+    @pytest.mark.parametrize("scale, seed", [(1e-160, 0), (1e-162, 1)])
+    def test_underflowing_tuples(self, scale, seed):
+        """Tuples whose quartic terms underflow: charge-rate ratios above
+        the bound's 1 and, at 1e-162, a product difference > 0 over an rhs
+        of 0."""
+        p = lc.ModelParams(1.0, 0.6, -0.8)
+        k = lc.derive_constants(p)
+        rng = np.random.default_rng(seed)
+        draws = [(scale * rng.uniform(0.1, 1.0, 20_000), rng.uniform(0.0, 2.0 * np.pi, 20_000)) for _ in range(4)]
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            want = model._pure_extremes(draws, p, k)
+        got = kernels.algebraic_extremes(draws, p.alpha, p.beta, k.c_star, 1.0 + model.EXACT_SLACK)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert want[0][0, 1] > 1.0  # the charge rate's ratio
+        assert bool(want[1][1, 1] >= 0) is (scale == 1e-162)
+
+    def test_disk_points_match_numpy_bit_for_bit(self):
+        """sqrt(r) (cos th, sin th) by sincos is np.sqrt(r) * np.exp(1j * th),
+        signed zeros included, at the quadrant angles and the ends of the
+        draws' ranges, and on random draws."""
+        angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, np.nextafter(2 * np.pi, 0.0)]
+        radii = [0.0, 1.0, np.nextafter(1.0, 0.0), 0.5]
+        r, th = (np.array(a, dtype=np.float64).ravel() for a in np.meshgrid(radii, angles))
+        rng = np.random.default_rng(25)
+        r = np.concatenate([r, rng.uniform(0.0, 1.0, 50_000)])
+        th = np.concatenate([th, rng.uniform(0.0, 2.0 * np.pi, 50_000)])
+        got = np.empty(r.shape, dtype=np.complex128)
+        kernels._lib.lcd_disk_points(r.ctypes.data, th.ctypes.data, r.shape[0], got.ctypes.data)
+        want = np.sqrt(r) * np.exp(1j * th)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.signbit(got.real[:20]).any()  # -0 at r = 0, theta = pi
+
+    def test_working_set(self, gn, gn_constants):
+        # the 100 000 tuples' eight uniform arrays are 6.1 MiB; the C pass adds nothing per tuple
+        with backend("compiled"):
+            tracemalloc.start()
+            try:
+                lc.check_algebraic_bounds(100_000, gn, gn_constants, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 7 * 2**20
+
+
+def _witness_at(seed, n, index, pair, value):
+    """The first chunk's tuple at index with value in r of its pair-th point."""
+    rng = np.random.default_rng(seed)
+    draws = [(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(4)]
+    draws[pair][0][index] = value
+    with np.errstate(invalid="ignore"):
+        return tuple(complex(np.sqrt(r[index]) * np.exp(1j * th[index])) for r, th in draws)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+@pytest.mark.parametrize("block", [None, 700, model.CHUNK])
+def test_nan_ratio_keeps_the_largest_finite_ratio(monkeypatch, thirring, name, block):
+    """A NaN ratio drops only its own tuple, not its block: each
+    max_ratio_* is the largest finite ratio of the other tuples, whatever
+    BLOCK is."""
+    if block is not None:
+        monkeypatch.setattr(model, "BLOCK", block)
+    k = lc.derive_constants(thirring)
+    lhs, rhs = model._bound_terms(*_quad(5, 30_000), thirring, k)[2]
+    index = int(np.argmax(lhs / rhs)) ^ 1  # beside the largest envelope ratio, in its block for any even BLOCK
+    _poison_draws(monkeypatch, 2, 0, index, np.inf)  # r of u': (b) and (c) are inf / inf there
+    with backend(name):
+        rep = lc.check_algebraic_bounds(30_000, thirring, k, seed=5)
+    assert not rep.passed and rep.witness[0] == "product_difference"
+    want = _largest_finite_ratios(5, 30_000, thirring, k, skip=index)
+    assert list(rep.info.values()) == want
+    assert want[2] > 0.1

@@ -284,7 +284,7 @@ def test_pair_distance_weights_and_maximum():
     scales = [(1.0, 1.0), (1.5, 1.0), (1.1, 0.95), (1.0, 0.9)]
     a = [lc.SpinorField(g, k * g.dt, f0.u, f0.v) for k in range(4)]
     b = [lc.SpinorField(g, k * g.dt, f0.u * su, f0.v * sv) for k, (su, sv) in enumerate(scales)]
-    dist = _PairDistance()
+    dist = _PairDistance(kernels.DistanceTerms(g.n_points))
     for x, y in zip(a, b):
         dist.feed(x, y)
     assert dist.field == max(lc.l2_distance(x, y) for x, y in zip(a, b)) == lc.l2_distance(a[1], b[1])
@@ -702,7 +702,7 @@ def test_reductions_hold_no_level(gn, gn_constants):
     dom = lc.TriangleDomain(-4.0, 4.0)
     audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
                                    C0=lc.charge(f0) + 1.0)
-    dist = _PairDistance()
+    dist = _PairDistance(kernels.DistanceTerms(g.n_points))
     fed = []
 
     def keep(levels):
@@ -766,7 +766,8 @@ def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_co
         audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
                                        C0=lc.charge(f0) + 1.0)
         audits.start(tuple(runs[:2]))
-        dists = [_PairDistance() for _ in pairs]
+        terms = kernels.DistanceTerms(g.n_points)
+        dists = [_PairDistance(terms) for _ in pairs]
 
         def feed(levels):
             audits(levels[:2])
