@@ -104,11 +104,14 @@ class SpinorField:
 
     @classmethod
     def _evolved(cls, grid: GridSpec, t: float, u: np.ndarray, v: np.ndarray) -> "SpinorField":
-        """A level the step kernel wrote: u and v are read-only
-        C-contiguous complex128 arrays of grid length that the kernel found
-        finite (a ``kernels.LevelPool``'s buffers, read-only from the
-        start, or fresh arrays and copies their maker marked read-only), so
-        none of the public constructor's checks is left."""
+        """A level the step kernel wrote: u and v are C-contiguous
+        complex128 arrays of grid length that the kernel found finite (fresh
+        arrays, copies of them, or a ``kernels.LevelPool``'s buffers, which
+        are read-only already), so only the read-only marking of the public
+        constructor is left."""
+        if u.flags.writeable:
+            u.setflags(write=False)
+            v.setflags(write=False)
         f = object.__new__(cls)
         f.__dict__.update(grid=grid, t=t, u=u, v=v)
         return f

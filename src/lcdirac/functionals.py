@@ -99,11 +99,26 @@ def difference_functionals(
     return _functionals(_terms(fA, 2), (fA, fB), dom)
 
 
-def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    if len(values) > 1:
-        out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))
+def _cumtrapz(times: Sequence[float], values: Sequence[float]) -> list[float]:
+    """Running trapezoid integral of values over times from 0, each area and
+    each running sum rounded as NumPy's elementwise terms and np.cumsum
+    round them."""
+    out = [0.0] * min(len(values), 1)
+    for i in range(1, len(values)):
+        area = 0.5 * (values[i] + values[i - 1]) * (times[i] - times[i - 1])
+        out.append(area if i == 1 else out[-1] + area)
     return out
+
+
+def _argmax(values: Sequence[float]) -> int:
+    """np.argmax of values: the first largest one, or the first nan."""
+    j = 0
+    for i, x in enumerate(values):
+        if x != x:
+            return i
+        if x > values[j]:
+            j = i
+    return j
 
 
 @record
@@ -141,15 +156,17 @@ class FunctionalTrace:
 
 
 def _trace(snapshots: Sequence[SpinorField], rows: list, pair_rows: Optional[list] = None) -> FunctionalTrace:
-    times = np.array([s.t for s in snapshots])
-    L0, D0, Q0 = (np.array(col) for col in zip(*rows))
+    times = [s.t for s in snapshots]
+    L0, D0, Q0 = zip(*rows)
     mau = np.array([float(np.max(np.abs(s.u))) for s in snapshots])
     mav = np.array([float(np.max(np.abs(s.v))) for s in snapshots])
     pair = {}
     if pair_rows is not None:
-        L1, D1, Q1 = (np.array(col) for col in zip(*pair_rows))
-        pair = dict(L1=L1, D1=D1, Q1=Q1, cumD1=_cumtrapz(times, D1))
-    return FunctionalTrace(times, L0, D0, Q0, _cumtrapz(times, D0), L0, mau, mav, **pair)
+        L1, D1, Q1 = zip(*pair_rows)
+        pair = dict(L1=np.array(L1), D1=np.array(D1), Q1=np.array(Q1), cumD1=np.array(_cumtrapz(times, D1)))
+    L0 = np.array(L0)
+    return FunctionalTrace(np.array(times), L0, np.array(D0), np.array(Q0), np.array(_cumtrapz(times, D0)),
+                           L0, mau, mav, **pair)
 
 
 def trace_base(snapshots: Sequence[SpinorField], dom: Optional[TriangleDomain] = None) -> FunctionalTrace:
@@ -261,11 +278,11 @@ class TriangleCharge:
         if self.interior_tau is None:
             raise UsageError("snapshots do not reach tau")
         interior0, interior_tau, dt = self.interior0, self.interior_tau, self.dt
-        w = np.full(len(self.flux_u), dt)
+        w = [dt] * len(self.flux_u)
         w[0] = w[-1] = 0.5 * dt
-        boundary = 2.0 * float(np.sum(np.array(self.flux_u) * w)) + 2.0 * float(
-            np.sum(np.array(self.flux_v) * w)
-        )
+        # each edge's trapezoid sum: the products rounded as NumPy's, summed by np.add.reduce
+        flux_u, flux_v = (np.array([float(f) * x for f, x in zip(flux, w)]) for flux in (self.flux_u, self.flux_v))
+        boundary = 2.0 * float(np.add.reduce(flux_u)) + 2.0 * float(np.add.reduce(flux_v))
         residual = abs(interior_tau + boundary - interior0)
         budget = tolerance_budget(self.dx, interior0, self.c_tol)
         return AuditReport(
@@ -340,9 +357,9 @@ class ConeRows:
         self.times.append(f.t)
         self.rows.append(_row(terms, self.run, self.pair))
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def columns(self) -> tuple[Sequence[float], ...]:
         """Times and the three columns of the rows."""
-        return (np.array(self.times), *(np.array(col) for col in zip(*self.rows)))
+        return (self.times, *zip(*self.rows))
 
 
 class BonyDecay:
@@ -364,12 +381,11 @@ class BonyDecay:
     def report(self) -> AuditReport:
         p = self.p
         times, L0, D0, Q0 = self.rows.columns()
-        L00 = L0[0]
-        elapsed = times - times[0]
-        rhs = 2.0 * p.m * L00**2 * elapsed + Q0[0]
-        vio = Q0 + _cumtrapz(times, D0) - rhs
-        j = int(np.argmax(vio))
-        worst = float(max(vio[j], 0.0))
+        L00 = np.float64(L0[0])  # squared to inf, not OverflowError, past 1e154
+        rise = float(2.0 * p.m * L00**2)
+        vio = [q + c - (rise * (t - times[0]) + Q0[0]) for t, q, c in zip(times, Q0, _cumtrapz(times, D0))]
+        j = _argmax(vio)
+        worst = max(vio[j], 0.0)
         seed_vio = Q0[0] - L00**2
         worst = max(worst, float(seed_vio))
         budget = tolerance_budget(self.dx, L00, self.c_tol)
@@ -411,22 +427,29 @@ class GronwallEnvelope:
         times, L0A, D0A, _ = self.rows_a.columns()
         _, L0B, D0B, _ = self.rows_b.columns()
         _, L1, D1, Q1 = self.pair.columns()
-        elapsed = times - times[0]
-        h3 = 2.0 * p.m * (L0A[0] + L0B[0]) * elapsed + _cumtrapz(times, k.c * (D0A + D0B))
+        # each term is rounded as the elementwise NumPy expression in its comment
+        elapsed = [t - times[0] for t in times]
+        rise = 2.0 * p.m * (L0A[0] + L0B[0])
+        # h3 = rise * elapsed + cumtrapz(times, c (D0A + D0B))
+        h3 = [rise * e + c for e, c in zip(elapsed, _cumtrapz(times, [k.c * (a + b) for a, b in zip(D0A, D0B)]))]
         seed = L1[0] + k.K * Q1[0]
-        env = seed * np.exp(h3)
+        growth = np.exp(np.array(h3)).tolist()
 
-        vio_env = L1 + k.K * Q1 - env
+        # L1 + K Q1 - seed exp(h3)
+        vio_env = [l1 + k.K * q1 - seed * g for l1, q1, g in zip(L1, Q1, growth)]
         d = k.delta
-        factor = (4.0 * p.m * d + 4.0 * p.m * d * d * k.c) * elapsed + 2.0 * k.c * d * d + 1.0
-        vio_d1 = _cumtrapz(times, D1) - seed * factor * np.exp(h3)
-        vio_h3 = h3 - (4.0 * p.m * (d + d * d) * elapsed + 2.0 * d * d)
+        slope = 4.0 * p.m * d + 4.0 * p.m * d * d * k.c
+        # cumtrapz(times, D1) - seed ((slope elapsed + 2 c delta^2) + 1) exp(h3)
+        vio_d1 = [c - seed * (slope * e + 2.0 * k.c * d * d + 1.0) * g
+                  for e, c, g in zip(elapsed, _cumtrapz(times, D1), growth)]
+        # h3 - (4 m (delta + delta^2) elapsed + 2 delta^2)
+        vio_h3 = [h - (4.0 * p.m * (d + d * d) * e + 2.0 * d * d) for e, h in zip(elapsed, h3)]
 
         budget = tolerance_budget(self.dx, L0A[0] + L0B[0], self.c_tol)
         worst = 0.0
         witness = None
         for name, vio in (("envelope", vio_env), ("dissipation", vio_d1), ("exponent_ceiling", vio_h3)):
-            j = int(np.argmax(vio))
+            j = _argmax(vio)
             if vio[j] > worst:
                 worst = float(vio[j])
                 witness = (float(times[j]), name)

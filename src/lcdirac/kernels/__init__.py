@@ -71,6 +71,7 @@ backend is fixed at import and can be overridden with ``use_backend``
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import zlib
 
@@ -200,7 +201,7 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
         target, flags = _cached_or_built(cache_dir, fingerprint)
         lib = ctypes.CDLL(target)
         step, fmt, level, dist = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms, lib.lcd_distance_terms
-        alg, disk = lib.lcd_algebraic_extremes, lib.lcd_disk_points
+        alg = lib.lcd_algebraic_extremes
     except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
         return None, f"pure: {exc}"
     step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
@@ -215,8 +216,6 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
     alg.argtypes = ([ctypes.POINTER(ctypes.c_void_p), ctypes.c_ssize_t] + [ctypes.c_double] * 4
                     + [ctypes.c_void_p] * 2)
     alg.restype = None
-    disk.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t, ctypes.c_void_p]
-    disk.restype = None
     return lib, f"compiled: {os.path.basename(target)} ({flags})"
 
 
@@ -457,23 +456,36 @@ class LevelTerms:
         if runs not in (1, 2):
             raise ValueError(f"runs must be 1 or 2, got {runs}")
         self.n, self.runs, self.dx, self.m, self.C0 = n, runs, dx, m, C0
-        self.au, self.av, self.dens, self.prod, self.q = np.zeros((5, runs, n))
+        # the float64 buffers are views of one block, so their addresses
+        # take one lookup
+        layout = [(name, (runs, n)) for name in ("au", "av", "dens", "prod", "q")]
         self.l1 = self.d1 = self.q1u = self.q1v = None
         if runs == 2:
-            self.l1, self.d1, self.q1u, self.q1v = np.zeros((4, n))
+            layout += [(name, (n,)) for name in ("l1", "d1", "q1u", "q1v")]
         self.pre_u = self.pre_v = self.au0 = self.av0 = self.pre_u0 = self.pre_v0 = None
         if origin is not None:
+            layout += [(name, (n,)) for name in ("au0", "av0")]
+            layout += [(name, (n + 1,)) for name in ("pre_u", "pre_v", "pre_u0", "pre_v0")]
+        layout.append(("margins", (3,)))
+        block = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        addresses, at = dict.fromkeys(_Level.ARRAYS), 0
+        base = block.ctypes.data
+        for name, shape in layout:
+            size = math.prod(shape)
+            setattr(self, name, block[at : at + size].reshape(shape))
+            addresses[name] = base + 8 * at
+            at += size
+        if origin is not None:
             u0, v0 = (_field(a, n)[0] for a in origin)
-            self.au0 = u0.real**2 + u0.imag**2
-            self.av0 = v0.real**2 + v0.imag**2
-            self.pre_u0 = np.concatenate([[0.0], np.cumsum(self.au0)])
-            self.pre_v0 = np.concatenate([[0.0], np.cumsum(self.av0)])
-            self.pre_u, self.pre_v = np.zeros((2, n + 1))
-        self.margins = np.full(3, -np.inf)
+            np.add(u0.real**2, u0.imag**2, out=self.au0)
+            np.add(v0.real**2, v0.imag**2, out=self.av0)
+            np.cumsum(self.au0, out=self.pre_u0[1:])
+            np.cumsum(self.av0, out=self.pre_v0[1:])
+        self.margins.fill(-np.inf)
         self.sites = np.full(3, -1, dtype=np.intp)
+        addresses["sites"] = self.sites.ctypes.data
         self.i0 = self.i1 = 0
-        arrays = (getattr(self, name) for name in _Level.ARRAYS)
-        self._struct = _Level(n, runs, dx, m, C0, *(None if a is None else a.ctypes.data for a in arrays))
+        self._struct = _Level(n, runs, dx, m, C0, *addresses.values())
         self._address = ctypes.addressof(self._struct)
 
 

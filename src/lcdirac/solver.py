@@ -52,9 +52,6 @@ def step(f: SpinorField, p: ModelParams, cfg: SolverConfig, out=None) -> SpinorF
     t_new = f.t + h
     if bad >= 0:  # the kernel's verdict is the level's only finiteness check
         raise BlowUpError(t_new, bad, grid.x_min + bad * grid.dx)
-    if out is None:  # fresh arrays; a pool's buffers are read-only already
-        u_new.setflags(write=False)
-        v_new.setflags(write=False)
     return SpinorField._evolved(grid, t_new, u_new, v_new)
 
 
@@ -141,10 +138,7 @@ def evolve(
 
 
 def _copied(f: SpinorField) -> SpinorField:
-    u, v = f.u.copy(), f.v.copy()
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return SpinorField._evolved(f.grid, f.t, u, v)
+    return SpinorField._evolved(f.grid, f.t, f.u.copy(), f.v.copy())
 
 
 # ---------------------------------------------------------------------------

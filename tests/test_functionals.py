@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lcdirac as lc
-from lcdirac import kernels
+from lcdirac import functionals, kernels
 from lcdirac.errors import PreconditionError, UsageError
 from lcdirac.functionals import trace_base, trace_pair
 
@@ -124,6 +124,27 @@ class TestTraces:
         base = trace_base(a, dom)
         for name in ("L0", "D0", "Q0", "cumD0", "charge"):
             assert getattr(tr, name).tobytes() == getattr(base, name).tobytes(), name
+
+
+class TestReportArithmetic:
+    """The reports' Python-float helpers round as the NumPy expressions they replace."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 300])
+    def test_cumtrapz_is_numpy_bit_for_bit(self, rng, n):
+        times = np.cumsum(rng.uniform(0.0, 0.1, n))
+        values = rng.normal(size=n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        want = np.zeros_like(values)
+        if n > 1:
+            want[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))
+        got = np.array(functionals._cumtrapz(times.tolist(), values.tolist()))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [0.0], [1.0, 3.0, 3.0, 2.0], [-np.inf, -np.inf], [2.0, np.nan, 5.0, np.nan], [np.nan, 1.0],
+        [-1.0, -0.0, 0.0], [1.0, 2.0, np.inf, np.nan],
+    ])
+    def test_argmax_is_numpy_argmax(self, values):
+        assert functionals._argmax(values) == int(np.argmax(values))
 
 
 class TestTriangleChargeAudit:

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import tracemalloc
 
@@ -495,7 +496,10 @@ class TestCompiledPass:
         r = np.concatenate([r, rng.uniform(0.0, 1.0, 50_000)])
         th = np.concatenate([th, rng.uniform(0.0, 2.0 * np.pi, 50_000)])
         got = np.empty(r.shape, dtype=np.complex128)
-        kernels._lib.lcd_disk_points(r.ctypes.data, th.ctypes.data, r.shape[0], got.ctypes.data)
+        disk = kernels._lib.lcd_disk_points  # exported for this test; lcdirac never calls it
+        disk.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t, ctypes.c_void_p]
+        disk.restype = None
+        disk(r.ctypes.data, th.ctypes.data, r.shape[0], got.ctypes.data)
         want = np.sqrt(r) * np.exp(1j * th)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.signbit(got.real[:20]).any()  # -0 at r = 0, theta = pi
