@@ -23,7 +23,9 @@ around the C stays visible. Then a full ``AuditPass`` (charge,
 triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
 [-6, 6), cone [-4, 4], T = 1: the size of the ``audit_cone`` workload, its
 257 levels evolved once and held) is fed every level, in microseconds per
-level; ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
+level, the t = 0 call included: as in ``evolve``, that first call also
+starts the pass (its t = 0 checks and charges come from that level's
+terms); ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
 NumPy on both. Then the pair distances ``converge`` and ``unique`` take at
 every level (``_PairDistance.feed``: one ``distance_terms`` pass over two
 random Thirring-sized runs, the product in real arithmetic on both
@@ -147,7 +149,6 @@ def audit_us_per_level(levels, repeats) -> float:
 
     def feed():
         audits = AuditPass(AUDITS, dom, k, GROSS_NEVEU, T=1.0, tau=levels[-1][0].t, C0=lc.charge(f0) + 1.0)
-        audits.start(levels[0])
         for lv in levels:
             audits(lv)
 

@@ -543,7 +543,6 @@ def _cmd_audit(cfg: RunConfig) -> int:
         runs = [f0]
         if "gronwall" in evolved:
             runs.append(_perturbed(f0, cfg.audit_perturbation))
-        audits.start(tuple(runs))
         try:
             evolve(runs, p, SolverConfig(), cfg.T, observers=[audits])
         except BlowUpError as exc:

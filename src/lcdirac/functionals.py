@@ -28,7 +28,8 @@ import numpy as np
 from . import kernels
 from ._records import record
 from .errors import PreconditionError, UsageError
-from .fields import SpinorField, TriangleDomain, _check_same_frame, charge
+from .fields import SpinorField, TriangleDomain, _check_same_frame
+from .fields import charge  # noqa: F401  (perfbench/child.py wraps it here)
 from .model import EstimateConstants, ModelParams
 from .reports import C_TOL, AuditReport, tolerance_budget
 
@@ -62,6 +63,11 @@ def _row(terms: kernels.LevelTerms, run: int = 0, pair: bool = False) -> tuple[f
 
 def _sum(terms: np.ndarray) -> float:
     return float(np.add.reduce(terms))
+
+
+def _section_charge(terms: kernels.LevelTerms, run: int = 0) -> float:
+    """charge(f, dom) bit for bit, f being the run's level last written."""
+    return _sum(terms.dens[run, terms.i0 : terms.i1]) * terms.dx
 
 
 def _upper_sum(terms: np.ndarray) -> float:
@@ -196,11 +202,13 @@ def trace_pair(
 # ---------------------------------------------------------------------------
 # Audits
 #
-# Each evolved audit is a reduction. start(levels) takes the runs' levels at
-# t = 0 and raises every usage or precondition error, so a refused audit
-# costs no step; feed(levels, terms) takes the runs' levels at one time,
-# t = 0 included, with their elementwise terms (a kernels.LevelTerms the
-# pass writes once per level); report() returns the AuditReport. The
+# Each evolved audit is a reduction. start(levels, terms) takes the runs'
+# levels at t = 0 with their terms and raises every usage or precondition
+# error: AuditPass calls it on its first call, which evolve makes before
+# any step, so a refused audit costs no step. feed(levels, terms) takes the
+# runs' levels at one time, t = 0 included, with their elementwise terms (a
+# kernels.LevelTerms the pass writes once per level); report() returns the
+# AuditReport. The
 # reductions sum the terms with NumPy's pairwise np.add.reduce, and ConeRows
 # sum their rows with _row, so each row is the functionals' above. Bony and
 # gronwall have no feed of their own: they report from ConeRows, which are
@@ -224,8 +232,8 @@ class TotalCharge:
         self.T, self.c_tol = T, c_tol
         self.drift = 0.0
 
-    def start(self, levels: tuple):
-        self.q0, self.dx = charge(levels[0]), levels[0].grid.dx
+    def start(self, levels: tuple, terms: kernels.LevelTerms):
+        self.q0, self.dx = _sum(terms.dens[0]) * terms.dx, terms.dx  # charge(levels[0]) bit for bit
 
     def feed(self, levels: tuple, terms: kernels.LevelTerms):
         self.drift = max(self.drift, abs(_sum(terms.dens[0]) * self.dx - self.q0))  # charge(levels[0]) bit for bit
@@ -254,14 +262,14 @@ class TriangleCharge:
         self.flux_v: list[float] = []
         self.interior_tau = None
 
-    def start(self, levels: tuple):
+    def start(self, levels: tuple, terms: kernels.LevelTerms):
         f0, dom = levels[0], self.dom
         self.ia = f0.grid.index_of(dom.a)  # also validates lattice alignment
         self.ib = f0.grid.index_of(dom.b)
         if not -1e-12 <= self.tau <= dom.apex_time + 1e-12:
             raise UsageError(f"tau={self.tau} outside the cone's span [0.0, {dom.apex_time}]")
         self.dx, self.dt = f0.grid.dx, f0.grid.dt
-        self.interior0 = charge(f0, dom)
+        self.interior0 = _section_charge(terms)
 
     def feed(self, levels: tuple, terms: kernels.LevelTerms):
         f, tau = levels[0], self.tau
@@ -272,14 +280,15 @@ class TriangleCharge:
         self.flux_v.append(terms.av[0, self.ia + kshift])
         # the last level fed must be the one at tau
         at_tau = abs(f.t - tau) <= 1e-9 * max(1.0, abs(tau))
-        self.interior_tau = _sum(terms.dens[0, terms.i0 : terms.i1]) * self.dx if at_tau else None  # charge(f, dom) bit for bit
+        self.interior_tau = _section_charge(terms) if at_tau else None
 
     def report(self) -> AuditReport:
         if self.interior_tau is None:
             raise UsageError("snapshots do not reach tau")
         interior0, interior_tau, dt = self.interior0, self.interior_tau, self.dt
-        w = [dt] * len(self.flux_u)
-        w[0] = w[-1] = 0.5 * dt
+        n = len(self.flux_u)
+        # the trapezoid weights; a single level (tau = 0) spans no time and has none
+        w = [0.5 * dt] + [dt] * (n - 2) + [0.5 * dt] if n > 1 else []
         # each edge's trapezoid sum: the products rounded as NumPy's, summed by np.add.reduce
         flux_u, flux_v = (np.array([float(f) * x for f, x in zip(flux, w)]) for flux in (self.flux_u, self.flux_v))
         boundary = 2.0 * float(np.add.reduce(flux_u)) + 2.0 * float(np.add.reduce(flux_v))
@@ -306,13 +315,12 @@ class PointwiseGrowth:
         self.worst = 0.0
         self.witness = None
 
-    def start(self, levels: tuple):
-        f0, dom = levels[0], self.dom
-        grid = f0.grid
+    def start(self, levels: tuple, terms: kernels.LevelTerms):
+        grid, dom = levels[0].grid, self.dom
         ia = grid.index_of(dom.a)
         ib = grid.index_of(dom.b)
         self.dx = grid.dx
-        self.charge0 = float(np.sum(f0.density()[ia : ib + 1])) * grid.dx
+        self.charge0 = _sum(terms.dens[0, ia : ib + 1]) * grid.dx
         if not self.charge0 < self.C0:
             raise PreconditionError(
                 f"initial charge {self.charge0} over [{dom.a}, {dom.b}] is not below C0={self.C0}"
@@ -370,8 +378,8 @@ class BonyDecay:
     def __init__(self, rows: ConeRows, k: EstimateConstants, p: ModelParams, c_tol: float):
         self.rows, self.k, self.p, self.c_tol = rows, k, p, c_tol
 
-    def start(self, levels: tuple):
-        L00 = charge(levels[0], self.rows.dom)  # the base row's L0, bit for bit
+    def start(self, levels: tuple, terms: kernels.LevelTerms):
+        L00 = _section_charge(terms)  # the base row's L0
         if not L00 <= self.k.delta0:
             raise PreconditionError(
                 f"charge level {L00} over the base section exceeds the smallness threshold delta0={self.k.delta0}"
@@ -413,9 +421,9 @@ class GronwallEnvelope:
         self.rows_a, self.rows_b, self.pair = rows_a, rows_b, pair
         self.k, self.p, self.c_tol = k, p, c_tol
 
-    def start(self, levels: tuple):
-        dom, k = self.rows_a.dom, self.k
-        L0A, L0B = charge(levels[0], dom), charge(levels[1], dom)
+    def start(self, levels: tuple, terms: kernels.LevelTerms):
+        k = self.k
+        L0A, L0B = _section_charge(terms, 0), _section_charge(terms, 1)
         if not (L0A < k.delta and L0B < k.delta):
             raise PreconditionError(
                 f"charge levels ({L0A}, {L0B}) not both below the pair smallness threshold delta={k.delta}"
@@ -470,13 +478,14 @@ class AuditPass:
     names are among charge, triangle, pointwise, bony and gronwall; run B
     (the perturbed run) is read only by gronwall. Bony and gronwall report
     from cone rows the pass builds and feeds: run A's rows, shared by both,
-    and for gronwall run B's rows and the pair's. start() takes the runs'
-    levels at t = 0 and raises the first usage or precondition error in the
-    order charge, triangle, pointwise, bony, gronwall, before any step.
+    and for gronwall run B's rows and the pair's. The first call, with the
+    runs' levels at t = 0 that evolve passes before any step, starts each
+    reduction on their terms and raises the first usage or precondition
+    error in the order charge, triangle, pointwise, bony, gronwall.
 
-    Each level is written once into the LevelTerms that start() allocates:
-    one call to kernels.level_terms computes every elementwise term the
-    reductions sum, and the reductions keep only the sums.
+    Each level is written once into the LevelTerms that the first call
+    allocates: one call to kernels.level_terms computes every elementwise
+    term the reductions sum, and the reductions keep only the sums.
     """
 
     def __init__(
@@ -492,6 +501,7 @@ class AuditPass:
         c_tol: float = C_TOL,
     ):
         self.dom = dom
+        self.terms: Optional[kernels.LevelTerms] = None  # allocated by the first call
         self.audits: dict = {}
         if "charge" in names:
             self.audits["charge"] = TotalCharge(T, c_tol)
@@ -512,34 +522,37 @@ class AuditPass:
             self.fed += [rows_b, pair]
             self.audits["gronwall"] = GronwallEnvelope(rows_a, rows_b, pair, k, p, c_tol)
 
-    def start(self, levels: tuple):
-        cones = any(name != "charge" for name in self.audits)
-        if cones and abs(levels[0].t) > 1e-12:
-            raise UsageError("snapshots must start at the cone's base time t = 0")
-        # a huge but finite datum's charges overflow to inf without a warning;
-        # the cone audits' preconditions refuse them
+    def __call__(self, levels: tuple):
+        # A huge but finite level may overflow in these products without a
+        # warning: the preconditions refuse an inf charge at t = 0, a later
+        # level's run blows up at the next step, or the report carries the inf.
         with np.errstate(over="ignore", invalid="ignore"):
-            for audit in self.audits.values():
-                audit.start(levels)
+            if self.terms is None:
+                self._start(levels)
+            else:
+                self._write_terms(levels, self.terms)
+            for reduction in self.fed:
+                reduction.feed(levels, self.terms)
+
+    def _start(self, levels: tuple):
+        """The first call's own work; the pass is started once every start passed."""
         f0, pointwise = levels[0], self.audits.get("pointwise")
+        if any(name != "charge" for name in self.audits) and abs(f0.t) > 1e-12:
+            raise UsageError("snapshots must start at the cone's base time t = 0")
         growth = {}
         if pointwise is not None:
             growth = {"origin": (f0.u, f0.v), "m": pointwise.p.m, "C0": pointwise.C0}
         runs = 2 if "gronwall" in self.audits else 1
-        self.terms = kernels.LevelTerms(f0.grid.n_points, runs, f0.grid.dx, **growth)
+        terms = kernels.LevelTerms(f0.grid.n_points, runs, f0.grid.dx, **growth)
+        self._write_terms(levels, terms)
+        for audit in self.audits.values():
+            audit.start(levels, terms)
+        self.terms = terms
 
-    def __call__(self, levels: tuple):
-        # A huge but finite level may overflow in these products without a
-        # warning: its run blows up at the next step, or the report carries the inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._write_terms(levels)
-            for reduction in self.fed:
-                reduction.feed(levels, self.terms)
-
-    def _write_terms(self, levels: tuple):
+    def _write_terms(self, levels: tuple, terms: kernels.LevelTerms):
         """The section of the cone at this level (empty past the apex), and
         every term over it in one pass; growth margins when pointwise runs."""
-        f, dom, terms = levels[0], self.dom, self.terms
+        f, dom = levels[0], self.dom
         runs = levels[: terms.runs]
         if len(runs) == 2:
             _check_same_frame(*runs)
@@ -553,6 +566,8 @@ class AuditPass:
         kernels.level_terms(terms, [(lv.u, lv.v) for lv in runs], i0, i1, kshift, E)
 
     def report(self, name: str) -> AuditReport:
+        if self.terms is None:
+            raise UsageError("the audit pass has been fed no level")
         return self.audits[name].report()
 
 
@@ -564,7 +579,6 @@ def _audited(name: str, runs: Sequence[Sequence[SpinorField]], dom, k=None, p=No
         for snaps in runs:
             _require_every_step(snaps)
     audits = AuditPass([name], dom, k, p, **kw)
-    audits.start(tuple(snaps[0] for snaps in runs))
     for levels in zip(*runs):
         audits(levels)
     return audits.report(name)

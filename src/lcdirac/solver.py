@@ -96,7 +96,8 @@ def evolve(
     carries them as ``partial``.
 
     T must be a nonnegative integer multiple of dt up to 1e-12 relative;
-    otherwise it is rounded down and the shortfall logged (horizon_steps).
+    otherwise it is rounded down and the shortfall logged (horizon_steps)
+    once the t=0 observers return, so a run they refuse logs nothing.
     """
     if T < 0:
         raise UsageError(f"horizon must be nonnegative, got {T}")
@@ -107,11 +108,6 @@ def evolve(
     if any(f.grid != grid for f in levels):
         raise UsageError("lockstep runs need one grid")
     n, exact = horizon_steps(T, grid.dt)
-    if not exact:
-        import logging  # only here: the warning is all lcdirac logs, and logging costs milliseconds to import
-
-        logging.getLogger(__name__).warning("horizon %s is not a step multiple; evolving to %s", T, n * grid.dt)
-
     recorded = None
     if observers is None:
         recorded, first = [], levels[0]
@@ -134,6 +130,10 @@ def evolve(
             if k % cfg.record_every == 0 or k == n:
                 for observe in observers:
                     observe(tuple(levels))
+            if k == 0 and not exact:  # once the t=0 observers, which may refuse the run, accept it
+                import logging  # only here: the warning is all lcdirac logs, and logging costs milliseconds to import
+
+                logging.getLogger(__name__).warning("horizon %s is not a step multiple; evolving to %s", T, n * grid.dt)
     return levels if recorded is None else recorded
 
 

@@ -226,6 +226,21 @@ class TestAudit:
         assert run_command(parse_config(json.dumps(doc))) == 2
         assert "smallness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("time, domain", [
+        ({"T": 0.0}, {"a": -4.0, "b": 4.0}),
+        ({"T": 2.0}, {"a": 0.0, "b": 0.03125}),  # the apex half a step up
+    ], ids=["T_zero", "apex_below_one_step"])
+    def test_triangle_over_one_level_has_no_flux(self, tmp_path, time, domain):
+        # tau = 0: the edge fluxes' trapezoid over no time is 0, so the
+        # balance holds exactly, with v nonzero on the edge x = a
+        doc = self.audit_doc(tmp_path, time=time, domain=domain, audit_selection=["triangle"],
+                             output={"path": str(tmp_path / "aud"), "format": "structured-report"})
+        doc["init"]["v0"] = {"kind": "uniform", "amplitude": 0.05}
+        assert run_command(parse_config(json.dumps(doc))) == 0
+        [rec] = json.loads((tmp_path / "aud_audits.json").read_text())
+        assert rec["info_boundary_flux"] == 0 and rec["max_violation"] == 0
+        assert rec["witness_time"] is None and rec["info_interior_final"] == rec["info_interior_initial"]
+
     def test_structured_report_format(self, tmp_path):
         doc = self.audit_doc(
             tmp_path,

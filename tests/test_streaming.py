@@ -10,6 +10,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import math
 import tempfile
 import tracemalloc
@@ -236,21 +237,53 @@ def _cone_rows_oracle(levels, dom):
     return np.array(rows)
 
 
+def _no_charge(*args):
+    raise AssertionError("the audit pass called charge()")
+
+
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_cone_rows_equal_the_list_functionals(name, gn, gn_constants):
     """The rows the pass sums from level_terms' buffers are base_functionals
     and difference_functionals on every backend bit for bit, and an
     independent NumPy oracle's within rounding, down to the apex's sections
-    of three, one and no sites; the charge drift is charge()'s."""
+    of three, one and no sites; the charge drift is charge()'s. The pass
+    calls charge() nowhere: every start value is a sum of the t = 0 terms
+    and equals charge()'s bit for bit, and the reports are the list-form
+    audits'."""
     g = lc.make_grid(-6, 6, 96, "zero_inflow")
     f0 = lc.sample_initial(GN_DATUM, g)
     dom = lc.TriangleDomain(-1.0, 1.0)
     runs = [f0, cli._perturbed(f0, 1e-3)]
+    tau, C0 = cli._snap_tau(dom, 1.5, g.dt), lc.charge(f0) + 1.0
     seen = []
-    with backend(name):
-        audits = functionals.AuditPass(["charge", "bony", "gronwall"], dom, gn_constants, gn, T=1.5)
-        audits.start(tuple(runs))
+    with backend(name), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functionals, "charge", _no_charge)
+        audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.5, tau=tau, C0=C0)
+        with pytest.raises(UsageError, match="fed no level"):
+            audits.report("charge")
         lc.evolve(runs, gn, lc.SolverConfig(), 1.5, observers=[audits, keep_copies(seen)])
+        reports = {a: audits.report(a) for a in cli.EVOLVED_AUDITS}
+        # gronwall's section charges of runs A and B, as its refusal prints them
+        k = lc.EstimateConstants(gn_constants.c, gn_constants.delta0, gn_constants.c_star, gn_constants.K, 1e-9)
+        with pytest.raises(lc.PreconditionError) as refused:
+            functionals.AuditPass(["gronwall"], dom, k, gn)(tuple(runs))
+    a0, b0 = runs
+    started = audits.audits
+    assert started["charge"].q0 == lc.charge(a0)
+    assert started["triangle"].interior0 == lc.charge(a0, dom)
+    closed = lc.TriangleDomain(dom.a - g.dx, dom.b + g.dx)  # the sites of [a, b] at t = 0
+    assert started["pointwise"].charge0 == lc.charge(a0, closed)
+    assert reports["bony"].info["L0_initial"] == lc.charge(a0, dom)
+    assert f"({lc.charge(a0, dom)!r}, {lc.charge(b0, dom)!r}) not both below" in str(refused.value)
+    snaps_a, snaps_b = [a for a, _ in seen], [b for _, b in seen]
+    with backend(name):
+        assert reports == {
+            "charge": functionals._audited("charge", [snaps_a], None, T=1.5),
+            "triangle": lc.triangle_charge_audit(snaps_a, dom, tau),
+            "pointwise": lc.pointwise_audit(snaps_a, dom, C0, gn),
+            "bony": lc.bony_decay_audit(snaps_a, dom, gn_constants, gn),
+            "gronwall": lc.gronwall_audit(snaps_a, snaps_b, dom, gn_constants, gn),
+        }
     gronwall = audits.audits["gronwall"]
     inside = [lv for lv in seen if lv[0].t <= dom.apex_time + 1e-12]
     assert {len(range(*dom.section_indices(g, a.t))) for a, _ in inside} >= {0, 1, 3}
@@ -454,6 +487,17 @@ def test_pair_precondition_wins_over_blowup_in_b(tmp_path, capsys):
     assert status == 2 and "pair smallness" in err and steps == [0]
     status, err = run_main(tmp_path, audit_doc(tmp_path, constants={"delta": 1e-9}), capsys)
     assert status == 2 and "pair smallness" in err
+
+
+def test_refused_audit_logs_no_horizon_shortfall(tmp_path, capsys, caplog):
+    # the pass refuses the run at t = 0, before evolve logs that T = 2.01 is cut to 2.0
+    doc = audit_doc(tmp_path, time={"T": 2.01}, constants={"delta0": 1e-9})
+    with caplog.at_level(logging.WARNING, logger="lcdirac.solver"):
+        status, err = run_main(tmp_path, doc, capsys)
+    assert status == 2 and "smallness threshold delta0" in err
+    assert not caplog.records
+    assert run_main(tmp_path, audit_doc(tmp_path, time={"T": 2.01}), capsys)[0] == 0
+    assert [r.message for r in caplog.records] == ["horizon 2.01 is not a step multiple; evolving to 2.0"]
 
 
 README_AUDIT = {"u0": {"kind": "gaussian_pulse", "amplitude": 1e110, "center": -0.5, "width": 0.8},
@@ -710,7 +754,6 @@ def test_reductions_hold_no_level(gn, gn_constants):
         dist.feed(*levels)
 
     runs = [f0, cli._perturbed(f0, 1e-3)]
-    audits.start(tuple(runs))
     lc.evolve(runs, gn, lc.SolverConfig(), 1.0, observers=[audits, keep])
     assert len(fed) == 2 * 9
     for name in cli.EVOLVED_AUDITS:
@@ -765,7 +808,6 @@ def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_co
     def measure(extra, after):
         audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
                                        C0=lc.charge(f0) + 1.0)
-        audits.start(tuple(runs[:2]))
         terms = kernels.DistanceTerms(g.n_points)
         dists = [_PairDistance(terms) for _ in pairs]
 
