@@ -34,11 +34,7 @@ levels and on levels in a ``LevelPool``, as ``converge`` feeds them. Then the st
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
 oracle ``q_upper_naive`` that the tests compare the functionals with, and
-their time ratio. Last, the algebraic audit (``check_algebraic_bounds``)
-on 100 000 Gross-Neveu tuples, the ``audit`` default, on each backend
-(``_algebraic.c``'s one pass per chunk, or the NumPy block loop):
-milliseconds per call and the ``tracemalloc`` peak in MiB. Both keep it to
-the chunk's draws, 6.1 MiB, which the NumPy blocks add a few MiB to.
+their time ratio.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 768,3072,4096] [--repeats 7]
 """
@@ -46,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -179,22 +174,6 @@ def distance_us_per_pair_level(n, rng, repeats) -> tuple[float, float]:
         return us(a, b), us(*pooled)
 
 
-def algebraic_ms_and_peak(samples, repeats):
-    k = lc.derive_constants(GROSS_NEVEU)
-
-    def check():
-        lc.check_algebraic_bounds(samples, GROSS_NEVEU, k, seed=0)
-
-    ms = best_of(check, repeats) * 1e3
-    tracemalloc.start()
-    try:
-        check()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return ms, peak / 2**20
-
-
 def print_row(label, n, times):
     ratio = f"{times[-1] / times[0]:.1f}x" if len(times) == 2 else "n/a"
     cells = "".join(f"{t:>12.1f}" for t in times)
@@ -276,16 +255,6 @@ def bench(sizes, repeats):
         t_naive = best_of(lambda: kernels.q_upper_naive(a, b), repeats)
         print(f"{'q_upper':<16}{n:>6}{t_fast * 1e6:>12.1f}us")
         print(f"{'q_upper_naive':<16}{n:>6}{t_naive * 1e6:>12.1f}us{f'{t_naive / t_fast:.1f}x':>10}")
-
-    n = 100_000
-    before = kernels.backend_name()
-    try:
-        for bk in kernels.available_backends():
-            kernels.use_backend(bk)
-            ms, peak = algebraic_ms_and_peak(n, repeats)
-            print(f"{'algebraic audit, ' + bk:<26}{n:>7}{ms:>11.1f}ms{peak:>9.1f}MiB peak")
-    finally:
-        kernels.use_backend(before)
 
 
 def main():

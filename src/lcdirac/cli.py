@@ -73,8 +73,8 @@ ARTIFACTS = {
 # also caps them at 3.2 GB.
 MAX_SITE_UPDATES = 10**8
 
-# Largest audit.samples parse_config accepts: the algebraic audit checks its
-# tuples at about 2.3 M per second on one core, so 1e7 is a few seconds.
+# Largest audit.samples parse_config accepts. The key has no effect: the
+# algebraic audit evaluates a fixed set of tuples (model.check_algebraic_bounds).
 MAX_AUDIT_SAMPLES = 10**7
 
 
@@ -106,8 +106,7 @@ class RunConfig:
     kernel_b: str
     frequency: float
     audit_c0: Optional[float]
-    audit_samples: int
-    audit_seed: int
+    audit_samples: int  # no effect, see MAX_AUDIT_SAMPLES
     audit_perturbation: float
     artifacts: dict[str, Path]  # the path of every artifact the command writes, by name
 
@@ -127,7 +126,7 @@ class _Section:
                 raise ConfigurationError(f"missing required key '{self.path}{key}'")
             return default
         val = self.data.pop(key)
-        # bool is a subclass of int, but true/false is not a count or a seed;
+        # bool is a subclass of int, but true/false is not a count;
         # null is no value of any kind
         if kind is not None and (not isinstance(val, kind) or (kind is int and isinstance(val, bool))):
             raise ConfigurationError(f"key '{self.path}{key}' has wrong type")
@@ -286,7 +285,6 @@ def parse_config(text: str) -> RunConfig:
     asec = root.sub("audit")
     audit_c0 = _as_float(asec.take("c0"), "audit.c0") if "c0" in asec.data else None
     audit_samples = asec.take("samples", default=100_000, kind=int)
-    audit_seed = asec.take("seed", default=0, kind=int)
     audit_pert = _as_float(asec.take("perturbation", default=1e-3), "audit.perturbation")
     asec.finish()
     if audit_samples < 1:
@@ -323,7 +321,7 @@ def parse_config(text: str) -> RunConfig:
         constants=constants, c_tol=c_tol, command=command, audit_selection=selection,
         out_format=out_format, domain=domain, epsilons=epsilons,
         kernel=kernel, kernel_b=kernel_b, frequency=frequency, audit_c0=audit_c0,
-        audit_samples=audit_samples, audit_seed=audit_seed, audit_perturbation=audit_pert,
+        audit_samples=audit_samples, audit_perturbation=audit_pert,
         artifacts=_artifact_paths(command, out_path, out_format),
     )
 
@@ -558,7 +556,7 @@ def _cmd_audit(cfg: RunConfig) -> int:
         if name not in cfg.audit_selection:
             continue
         if name == "algebraic":
-            rep = check_algebraic_bounds(cfg.audit_samples, p, k, cfg.audit_seed)
+            rep = check_algebraic_bounds(cfg.audit_samples, p, k)
         else:
             rep = audits.report(name)
         records.append(_report_record(name, rep, k))

@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from ._records import record
 from .errors import ConfigurationError
 from .reports import AuditReport
@@ -93,12 +92,12 @@ def derive_constants(
     """Defaults satisfying the strict inequalities.
 
     c_star = 16(|alpha| + 4|beta|) dominates the difference-term envelope,
-    bound (c) of check_algebraic_bounds, lhs_c <= (c_star / 2) r2. The tight
-    value is about 3(|alpha| + 4|beta|): the largest lhs_c / r2 that 1e6
-    random tuples reach is 1.44-1.49 (|alpha| + 4|beta|) for Thirring,
-    Gross-Neveu and alpha = 1, beta = 1/4, and a hill climb reaches 1.4996.
-    So the default is about 5.3 times the tight value. K = 2 c_star + 2
-    then leaves -K + 2 c_star = -2.
+    bound (c) of check_algebraic_bounds, lhs_c <= (c_star / 2) r2. The
+    supremum of lhs_c / r2 is (3/2) max(|alpha|, |alpha + 4 beta|), so the
+    tight value is 3 max(|alpha|, |alpha + 4 beta|) <= 3(|alpha| + 4|beta|):
+    the default is at least 16/3 (about 5.3) times the tight value, and
+    more for couplings of mixed signs. K = 2 c_star + 2 then leaves
+    -K + 2 c_star = -2.
     """
     c = 8.0 * abs(p.beta)
     if delta0 is None:
@@ -172,21 +171,62 @@ def source_charge_rate(u, v, p: ModelParams):
 
 
 # ---------------------------------------------------------------------------
-# Randomized verification of the algebraic bounds
-
-# Tuples drawn at a time, and evaluated at a time by the pure backend. A
-# chunk draws all its uniforms before any block is evaluated, so BLOCK
-# changes no tuple and no bit of the report; it only keeps the temporaries
-# cache-sized.
-CHUNK = 200_000
-BLOCK = 8192
+# Deterministic verification of the algebraic bounds
 
 _BOUNDS = ("charge_rate", "product_difference", "difference_envelope")
+
+# Rational points of the unit circle: the axes and the 3-4-5 directions.
+_UNIT = np.array([1, 1j, -1, -1j, 0.6 + 0.8j, -0.8 + 0.6j, -0.6 - 0.8j, 0.8 - 0.6j,
+                  0.8 + 0.6j, -0.6 + 0.8j, -0.8 - 0.6j, 0.6 - 0.8j])
+
+# The separation of the extremisers: (u', v') -> (u, v) is where the
+# envelope ratios approach their suprema.
+EPS = 2.0**-20
 
 
 def _abs2(z):
     """|z|^2 as the sum of the squared parts."""
     return z.real**2 + z.imag**2
+
+
+def _complex(re, im):
+    z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def _grid():
+    """3888 tuples (u, v, u', v') with u = 1/2 (the common phase removed),
+    v = rho z and u' = u (1 + sigma w1), v' = v (1 + sigma w2) for rho and
+    sigma in {1/2, 1}, z a rational unit point and w1, w2 zero or one of
+    the first eight. Real arithmetic only, so every bit is IEEE's."""
+    rho = np.array([0.5, 1.0])[:, None]
+    v = _complex(rho * _UNIT.real, rho * _UNIT.imag).ravel()[:, None, None, None]
+    sigma = np.array([0.5, 1.0])[None, :, None, None]
+    w = np.concatenate([[0], _UNIT[:8]])
+    w1, w2 = w[None, None, :, None], w[None, None, None, :]
+    shape = np.broadcast_shapes(v.shape, sigma.shape, w1.shape, w2.shape)
+    a, b = 1.0 + sigma * w2.real, sigma * w2.imag
+    quad = (np.full(shape, 0.5 + 0j), v,
+            _complex(0.5 * (1.0 + sigma * w1.real), 0.5 * sigma * w1.imag),
+            _complex(v.real * a - v.imag * b, v.real * b + v.imag * a))
+    return [np.broadcast_to(z, shape).ravel() for z in quad]
+
+
+def _extremisers():
+    """The tuples at which the ratios approach their suprema, all exact:
+    u = 1/2, v = u e^{i phi} for phi in {0, pi/2}, u' = u - EPS u and
+    v' = v -+ EPS v, for (b) and (c); and v = (1 + i) / 2, a phase of pi/4
+    between u and v, for (a)."""
+    u, up = 0.5, 0.5 - EPS * 0.5
+    rows = [(u, v, up, v - sign * EPS * v) for v in (0.5, 0.5j) for sign in (1, -1)]
+    rows.append((u, 0.5 + 0.5j, up, 0.5 + 0.5j))
+    return [np.array(z, dtype=np.complex128) for z in zip(*rows)]
+
+
+def _tuples():
+    """The fixed tuples check_algebraic_bounds evaluates: the grid, then the extremisers."""
+    return [np.concatenate(z) for z in zip(_grid(), _extremisers())]
 
 
 def _abs2_product_difference(u, v, up, vp):
@@ -220,107 +260,51 @@ def _bound_terms(u, v, up, vp, p: ModelParams, k: EstimateConstants):
     return (lhs_a, rhs_a), (lhs_b, rhs_b), (lhs_c, rhs_c)
 
 
-def _feed(vals, at, lhs, rhs, lo: int):
-    """Update one bound's row of ``kernels.algebraic_extremes``' (vals, at)
-    with the block of terms that starts at tuple lo of the chunk.
-
-    vals: the largest positive excess lhs - rhs (1 + EXACT_SLACK), the
-    largest finite lhs / rhs over rhs > 0, and the lhs of the first tuple
-    with rhs == 0 and lhs > 0; at: the first tuple of that excess, that
-    first tuple, and the first tuple with a non-finite lhs or rhs (-1 for
-    none). Maxima are exact, only a strictly larger value replaces a kept
-    one, and a NaN or inf ratio never counts, so the blocks give the same
-    values and tuples as the whole chunk.
-    """
-    excess = lhs - rhs * (1.0 + EXACT_SLACK)
-    i = int(np.argmax(excess))
-    if excess[i] > vals[0]:
-        vals[0], at[0] = excess[i], lo + i
-    pos = rhs > 0
-    ratio = lhs / rhs if pos.all() else lhs[pos] / rhs[pos]
-    vals[1] = max(vals[1], np.max(ratio, initial=0.0, where=np.isfinite(ratio)))
-    # rhs == 0 demands lhs == 0 exactly
-    if at[1] < 0:
-        zero_bad = (~pos) & (lhs > 0)
-        if zero_bad.any():
-            j = int(np.argmax(zero_bad))
-            vals[2], at[1] = lhs[j], lo + j
-    # a NaN or +-inf in lhs or rhs makes the excess, and so its sum, non-finite
-    if at[2] < 0 and not np.isfinite(np.add.reduce(excess)):
-        bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
-        if bad.any():
-            at[2] = lo + int(np.argmax(bad))
-
-
-def _pure_extremes(draws, p: ModelParams, k: EstimateConstants):
-    """``kernels.algebraic_extremes`` in NumPy, BLOCK tuples at a time."""
-    vals, at = np.zeros((3, 3)), np.full((3, 3), -1, dtype=np.intp)
-    for lo in range(0, draws[0][0].shape[0], BLOCK):
-        quad = [np.sqrt(r[lo:lo + BLOCK]) * np.exp(1j * th[lo:lo + BLOCK]) for r, th in draws]
-        for row, (lhs, rhs) in enumerate(_bound_terms(*quad, p, k)):
-            _feed(vals[row], at[row], lhs, rhs, lo)
-    return vals, at
-
-
-def _draws(rng, n: int):
-    """The next chunk of n tuples as (r, theta) pairs for u, v, u' and v'."""
-    return [(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(4)]
-
-
-def _tuple_at(draws, i: int):
-    """Tuple i of a chunk, formed as the block loop forms it."""
-    return tuple(complex((np.sqrt(r[i:i + 1]) * np.exp(1j * th[i:i + 1]))[0]) for r, th in draws)
-
-
-def check_algebraic_bounds(
-    samples: int, p: ModelParams, k: EstimateConstants, seed: int = 0
-) -> AuditReport:
-    """Verify the three pointwise bounds on random complex tuples.
+def check_algebraic_bounds(samples: int, p: ModelParams, k: EstimateConstants) -> AuditReport:
+    """Verify the three pointwise bounds at their extremisers.
 
     (a) |2Re(i conj(N1) u)| + |2Re(i conj(N2) v)| <= 8|beta| |u|^2 |v|^2
     (b) |u v - u' v'|^2 <= 2 r2
     (c) |DN1 conj(U)| + |DN2 conj(V)| <= (c_star / 2) r2
 
     Each with multiplicative slack 1 + 1e-12; the bounds are exact in reals.
-    The tuples (u, v, u', v') lie in the unit disk, sqrt(r) exp(i theta).
-    They are drawn from default_rng(seed) CHUNK at a time: each chunk draws
-    its r then its theta for u, then for v, u' and v', n uniforms each. Each
-    chunk is evaluated in one pass, ``kernels.algebraic_extremes`` on the
-    compiled backend and BLOCK tuples at a time on pure, with the same
-    bits. A NaN or +-inf term fails the audit with max_violation inf; the
-    witness is the first such tuple of the first chunk that has one, in
-    the first of its bounds in (a), (b), (c). Returns the largest finite
-    ratio lhs / rhs per bound in info.
+    Both sides are homogeneous of degree 4 and invariant under a common
+    phase, and their suprema are closed forms: lhs_a / rhs_a is at most 1,
+    attained at a phase of pi/4 between u and v (lhs_a is 0 for beta = 0);
+    lhs_b / r2 is at most 1, and lhs_c / r2 at most
+    (3/2) max(|alpha|, |alpha + 4 beta|), both approached as (u', v') ->
+    (u, v) with u' - u, v' - v parallel to u, v, at phi = 0 or pi/2. So the
+    tight c_star is 3 max(|alpha|, |alpha + 4 beta|). The check evaluates
+    the bounds once, in NumPy, on _tuples(): a grid of rational points and
+    the extremisers at separation EPS, whose ratios come within about 1e-10
+    of the suprema.
+
+    A NaN or +-inf term fails the audit with max_violation inf; the witness
+    is the first such tuple in the first of the bounds (a), (b), (c) that
+    has one. Otherwise max_violation is the largest excess lhs - rhs
+    (1 + slack) and the witness its tuple, the first bound's on a tie.
+    Returns the largest finite ratio lhs / rhs over rhs > 0 per bound in
+    info. samples has no effect; it must be >= 1, as ``audit.samples``.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
-    compiled = kernels.backend_name() == "compiled"
-    rng = np.random.default_rng(seed)
-    worst = dict.fromkeys(_BOUNDS, 0.0)
+    quad = _tuples()
+    worst = {}
     failed_witness = nonfinite = None
     max_excess = 0.0
-    done = 0
-    while done < samples:
-        n = min(CHUNK, samples - done)
-        draws = _draws(rng, n)
-        # a non-finite term is reported as a violation, not warned about
-        with np.errstate(invalid="ignore", over="ignore"):
-            if compiled:
-                vals, at = kernels.algebraic_extremes(draws, p.alpha, p.beta, k.c_star, 1.0 + EXACT_SLACK)
-            else:
-                vals, at = _pure_extremes(draws, p, k)
-            # the update of a single pass over the chunk, in bound order
-            for name, (excess, ratio, zero_lhs), (excess_at, zero_at, nonfinite_at) in zip(
-                _BOUNDS, vals.tolist(), at.tolist()
-            ):
-                if excess > max_excess:
-                    max_excess, failed_witness = excess, (name, *_tuple_at(draws, excess_at))
-                worst[name] = max(worst[name], ratio)
-                if zero_at >= 0:
-                    max_excess, failed_witness = max(max_excess, zero_lhs), (name, *_tuple_at(draws, zero_at))
-                if nonfinite is None and nonfinite_at >= 0:
-                    nonfinite = (name, *_tuple_at(draws, nonfinite_at))
-        done += n
+    # a non-finite term is reported as a violation, not warned about
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, (lhs, rhs) in zip(_BOUNDS, _bound_terms(*quad, p, k)):
+            finite = np.isfinite(lhs) & np.isfinite(rhs)
+            if nonfinite is None and not finite.all():
+                nonfinite = (name, *(complex(z[np.argmin(finite)]) for z in quad))
+            excess = np.where(finite, lhs - rhs * (1.0 + EXACT_SLACK), -np.inf)
+            i = int(np.argmax(excess))
+            if excess[i] > max_excess:
+                max_excess, failed_witness = float(excess[i]), (name, *(complex(z[i]) for z in quad))
+            pos = rhs > 0
+            ratio = lhs[pos] / rhs[pos]
+            worst[name] = float(np.max(ratio, initial=0.0, where=np.isfinite(ratio)))
 
     if nonfinite is not None:
         max_excess, failed_witness = np.inf, nonfinite

@@ -326,7 +326,8 @@ def thirring_soliton(m: float, frequency: float, grid: GridSpec) -> SolitonOracl
     grids = [GridSpec(grid.x_min, grid.x_max, n, "zero_inflow") for n in sizes]
     residuals = []
     # A window the trial grids cannot resolve overflows here; its residuals
-    # come out non-finite or zero, and the order check refuses them.
+    # come out non-finite or zero, so an order is NaN or infinite, and the
+    # order check refuses both.
     with np.errstate(all="ignore"):
         for g in grids:
             f0 = SpinorField(g, 0.0, *_standing_profile(g.sites(), m, frequency))
@@ -334,6 +335,6 @@ def thirring_soliton(m: float, frequency: float, grid: GridSpec) -> SolitonOracl
                                   ModelParams(m, 1.0, 0.0), g, (g.x_max - g.x_min) / horizon_cells)
             residuals.append(np.hypot(ru, rv))
         orders = tuple(float(np.log2(residuals[i] / residuals[i + 1])) for i in range(2))
-        available = all(o >= min_order for o in orders)
+        available = all(min_order <= o < np.inf for o in orders)
         field = SpinorField(grid, 0.0, *_standing_profile(grid.sites(), m, frequency)) if available else None
     return SolitonOracle(available, m, frequency, grid, tuple(residuals), orders, field)

@@ -54,6 +54,12 @@ class TestParse:
         with pytest.raises(ConfigurationError, match=r"model\.mass"):
             parse_config(json.dumps(doc))
 
+    def test_audit_seed_is_an_unknown_key(self):
+        # the algebraic audit draws nothing, so there is no seed to give
+        doc = base_doc(command="audit", audit_selection=["algebraic"], audit={"seed": 0})
+        with pytest.raises(ConfigurationError, match=r"unknown key 'audit\.seed'"):
+            parse_config(json.dumps(doc))
+
     def test_constants_inequality_cited(self):
         doc = base_doc(constants={"K": 1.0, "c_star": 16.0})
         with pytest.raises(ConfigurationError, match=r"-K\+2c_\*<-1"):
@@ -102,7 +108,7 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "section,key",
-        [("time", "record_every"), ("grid", "n_points"), ("audit", "samples"), ("audit", "seed")],
+        [("time", "record_every"), ("grid", "n_points"), ("audit", "samples")],
     )
     @pytest.mark.parametrize("flag", [True, False])
     def test_boolean_for_integer_rejected(self, section, key, flag):
@@ -564,3 +570,21 @@ def test_cli_import_loads_no_subprocess():
     assert backend == "compiled"
     allowed = {"json", "json.decoder", "json.encoder", "json.scanner", "_json", "__future__"}
     assert set(added) <= allowed, sorted(set(added) - allowed)
+
+
+def test_algebraic_audit_imports_no_random_module(tmp_path):
+    """python -m lcdirac on an audit that runs the algebraic check never
+    imports numpy.random: the check evaluates fixed tuples, and the import
+    alone costs an audit process about 15 ms."""
+    doc = base_doc(command="audit", audit_selection=["algebraic", "charge"], time={"T": 0.25},
+                   output={"path": str(tmp_path / "run")})
+    cfg = write_cfg(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(kernels.__file__).parents[2]))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "lcdirac", str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert {"numpy", "lcdirac.model"} <= imported
+    assert not {m for m in imported if m == "numpy.random" or m.startswith("numpy.random.")}
+    assert (tmp_path / "run_audits.csv").read_text().count('\n"algebraic",') == 1

@@ -1,4 +1,3 @@
-import ctypes
 import math
 import tracemalloc
 
@@ -18,14 +17,6 @@ finite_c = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=F
 needs_compiled = pytest.mark.skipif(
     "compiled" not in kernels.available_backends(), reason=f"compiled kernels not built ({kernels.backend_reason()})"
 )
-
-
-@pytest.fixture
-def pure_backend():
-    """The NumPy block loop: the tests that patch model's evaluation
-    functions or BLOCK reach only it; the compiled pass calls neither."""
-    with backend("pure"):
-        yield
 
 
 class TestNonlinearity:
@@ -167,14 +158,24 @@ class TestConstants:
             lc.derive_constants(lc.GROSS_NEVEU, delta0=10.0)
 
 
+def _supremum(p):
+    """The supremum of lhs_c / r2, the difference envelope's worst ratio."""
+    return 1.5 * max(abs(p.alpha), abs(p.alpha + 4.0 * p.beta))
+
+
+# Thirring, Gross-Neveu, and couplings of the same and of mixed signs
+COUPLINGS = [lc.THIRRING, lc.GROSS_NEVEU, lc.ModelParams(1.0, 1.0, 0.25), lc.ModelParams(1.0, -0.5, 0.3),
+             lc.ModelParams(1.0, 1.0, -0.25), lc.ModelParams(1.0, 0.3, -1.0)]
+
+
 class TestAlgebraicBounds:
     def test_gross_neveu_clean(self, gn, gn_constants):
-        rep = lc.check_algebraic_bounds(50_000, gn, gn_constants, seed=3)
+        rep = lc.check_algebraic_bounds(100_000, gn, gn_constants)
         assert rep.passed and rep.max_violation == 0.0
 
     def test_thirring_charge_rate_exactly_zero(self):
         p = lc.ModelParams(1.0, 1.0, 0.0)
-        rep = lc.check_algebraic_bounds(50_000, p, lc.derive_constants(p), seed=4)
+        rep = lc.check_algebraic_bounds(100_000, p, lc.derive_constants(p))
         assert rep.passed
         assert rep.info["max_ratio_charge_rate"] == 0.0
 
@@ -188,9 +189,42 @@ class TestAlgebraicBounds:
         _, _, r2 = lc.eval_difference_terms(0.0, 0.0, 0.0, 0.0)
         assert r2 == 0.0  # both sides of every bound are 0 at the origin
 
+    @pytest.mark.parametrize("factor, passed", [(0.99, False), (1.01, True)])
+    @pytest.mark.parametrize("p", COUPLINGS)
+    def test_c_star_around_the_computed_supremum(self, p, factor, passed):
+        c_star = factor * 2.0 * _supremum(p)
+        rep = lc.check_algebraic_bounds(1, p, lc.derive_constants(p, c_star=c_star))
+        assert rep.passed is passed
+        want = [1.0 if p.beta else 0.0, 0.5, _supremum(p) / (c_star / 2.0)]
+        assert list(rep.info.values()) == pytest.approx(want, rel=1e-9, abs=0.0)
+        if not passed:
+            extremisers = list(zip(*model._extremisers()))
+            assert rep.witness[0] == "difference_envelope" and rep.witness[1:] in extremisers
+
+    def test_no_tuple_exceeds_the_suprema(self, rng):
+        """Random tuples, far apart and nearly equal, on random couplings:
+        no ratio exceeds the closed forms, and the fixed tuples come within
+        1e-9 of each."""
+        n = 50_000
+        for p in COUPLINGS + [lc.ModelParams(1.0, *rng.normal(size=2)) for _ in range(14)]:
+            k = lc.derive_constants(p, c_star=2.0 * _supremum(p))  # (c) then has ratio lhs_c / (sup r2)
+            u, v = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+            for scale in (1.0, 1e-4):
+                up, vp = (z + scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) for z in (u, v))
+                for (lhs, rhs), bound in zip(model._bound_terms(u, v, up, vp, p, k), (1.0, 0.5, 1.0)):
+                    assert np.all(lhs <= bound * rhs * (1 + 1e-9))
+            rep = lc.check_algebraic_bounds(1, p, k)
+            assert list(rep.info.values()) == pytest.approx([1.0 if p.beta else 0.0, 0.5, 1.0], rel=1e-9)
+
+    def test_tuples_are_fixed_and_few(self):
+        first, again = model._tuples(), model._tuples()
+        assert [z.tobytes() for z in first] == [z.tobytes() for z in again]
+        assert first[0].shape == (3888 + 5,) and all(z.shape == first[0].shape for z in first)
+        assert np.all(first[0] == 0.5)  # the common phase removed
+
 
 def _quad(seed, n):
-    """The tuples (u, v, u', v') check_algebraic_bounds draws in a first chunk of n."""
+    """n random tuples (u, v, u', v') in the unit disk."""
     rng = np.random.default_rng(seed)
     draws = [(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(4)]
     return [np.sqrt(r) * np.exp(1j * th) for r, th in draws]
@@ -224,18 +258,19 @@ def _scalar_bound_terms(u, v, up, vp, p, k):
 @pytest.mark.parametrize("p", [lc.GROSS_NEVEU, lc.THIRRING, lc.ModelParams(1.0, 0.6, -0.8)])
 def test_bound_terms_match_a_scalar_evaluation_bit_for_bit(p):
     """No term depends on NumPy's complex multiply or np.abs, whose SIMD
-    loops round differently on different CPUs."""
+    loops round differently on different CPUs: on random tuples and on the
+    check's own."""
     k = lc.derive_constants(p)
-    quad = _quad(9, 2000)
-    terms = model._bound_terms(*quad, p, k)
-    for i in range(2000):
-        want = _scalar_bound_terms(*(complex(z[i]) for z in quad), p, k)
-        got = tuple((float(lhs[i]), float(rhs[i])) for lhs, rhs in terms)
-        assert got == want, i
+    for quad in (_quad(9, 2000), model._tuples()):
+        terms = model._bound_terms(*quad, p, k)
+        for i in range(quad[0].shape[0]):
+            want = _scalar_bound_terms(*(complex(z[i]) for z in quad), p, k)
+            got = tuple((float(lhs[i]), float(rhs[i])) for lhs, rhs in terms)
+            assert got == want, i
 
 
-def _tuples(seed, n, index):
-    return tuple(complex(z[index]) for z in _quad(seed, n))
+def _tuple(index):
+    return tuple(complex(z[index]) for z in model._tuples())
 
 
 def _poison_nonlinearity(monkeypatch, value, every, components=("N1",)):
@@ -250,112 +285,118 @@ def _poison_nonlinearity(monkeypatch, value, every, components=("N1",)):
     monkeypatch.setattr(model, "eval_nonlinearity", poisoned)
 
 
-@pytest.mark.usefixtures("pure_backend")
+def _poison_tuples(monkeypatch, point, index, value):
+    """Make the check's tuple at index carry value in its point-th entry (u, v, u', v')."""
+    real = model._tuples
+
+    def poisoned():
+        quad = real()
+        quad[point][index] = value
+        return quad
+
+    monkeypatch.setattr(model, "_tuples", poisoned)
+
+
 class TestNonFiniteTerms:
     """A NaN or +-inf bound term fails the audit with max_violation inf,
-    witnessed by that bound's first non-finite tuple (the pure block loop;
-    TestCompiledPass feeds both backends non-finite draws)."""
+    witnessed by that bound's first non-finite tuple."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_every_7th_n1(self, monkeypatch, gn, gn_constants, value):
         _poison_nonlinearity(monkeypatch, value, 7)
-        rep = lc.check_algebraic_bounds(20_000, gn, gn_constants, seed=3)
+        rep = lc.check_algebraic_bounds(1, gn, gn_constants)
         assert not rep.passed and rep.max_violation == np.inf
-        assert rep.witness == ("difference_envelope", *_tuples(3, 20_000, 6))
+        assert rep.witness == ("difference_envelope", *_tuple(6))
 
     def test_all_of_n1_and_n2(self, monkeypatch, thirring):
         _poison_nonlinearity(monkeypatch, np.nan, 1, ("N1", "N2"))
-        rep = lc.check_algebraic_bounds(2000, thirring, lc.derive_constants(thirring), seed=0)
+        rep = lc.check_algebraic_bounds(1, thirring, lc.derive_constants(thirring))
         assert not rep.passed and rep.max_violation == np.inf
-        assert rep.witness == ("difference_envelope", *_tuples(0, 2000, 0))
+        assert rep.witness == ("difference_envelope", *_tuple(0))
 
     def test_all_of_the_charge_rate(self, monkeypatch, gn, gn_constants):
         def nan_rate(u, v, p):
             return np.full(u.shape, np.nan), np.full(u.shape, np.nan)
 
         monkeypatch.setattr(model, "source_charge_rate", nan_rate)
-        rep = lc.check_algebraic_bounds(2000, gn, gn_constants, seed=11)
+        rep = lc.check_algebraic_bounds(1, gn, gn_constants)
         assert not rep.passed and rep.max_violation == np.inf
-        assert rep.witness == ("charge_rate", *_tuples(11, 2000, 0))
+        assert rep.witness == ("charge_rate", *_tuple(0))
 
     def test_outranks_a_finite_violation(self, monkeypatch, thirring):
-        # c_star = 2 fails the envelope by a finite excess; the last block's NaN still wins
+        # c_star = 2 fails the envelope by a finite excess; the last tuple's NaN still wins
         real = model.source_charge_rate
 
         def last_nan(u, v, p):
             ru, rv = real(u, v, p)
-            if u.size < model.BLOCK:
-                ru[-1] = np.nan
+            ru[-1] = np.nan
             return ru, rv
 
         monkeypatch.setattr(model, "source_charge_rate", last_nan)
         k = lc.derive_constants(thirring, c_star=2.0)
-        rep = lc.check_algebraic_bounds(20_000, thirring, k, seed=5)
+        rep = lc.check_algebraic_bounds(1, thirring, k)
         assert not rep.passed and rep.max_violation == np.inf
-        assert rep.witness == ("charge_rate", *_tuples(5, 20_000, 19_999))
+        assert rep.witness == ("charge_rate", *_tuple(-1))
+
+    def test_overflowing_rhs(self, gn):
+        # 0.5 c_star r2 overflows where r2 > 2.2 (the grid reaches 2.5); no other term does
+        k = EstimateConstants(c=2.0, delta0=0.125, c_star=1.6e308, K=1.0, delta=0.125)
+        with np.errstate(over="ignore"):
+            lhs, rhs = model._bound_terms(*model._tuples(), gn, k)[2]
+        first = int(np.argmax(np.isinf(rhs)))
+        rep = lc.check_algebraic_bounds(1, gn, k)
+        assert not rep.passed and rep.max_violation == np.inf
+        assert rep.witness == ("difference_envelope", *_tuple(first))
 
 
-@pytest.mark.usefixtures("pure_backend")
 class TestBlocks:
-    """The pure backend's blocks give bit for bit the report of one pass
-    over each chunk (BLOCK = CHUNK, the evaluation before the blocks)."""
+    """The check's tuples are two blocks, the rational grid and the
+    extremisers: the extremisers give every max_ratio_*, the grid less."""
 
     @staticmethod
-    def _both(monkeypatch, *args):
-        blocked = lc.check_algebraic_bounds(*args)
-        block = model.BLOCK
-        monkeypatch.setattr(model, "BLOCK", model.CHUNK)
-        one_pass = lc.check_algebraic_bounds(*args)
-        monkeypatch.setattr(model, "BLOCK", block)
-        return blocked, one_pass
+    def _ratios(quad, p, k):
+        out = []
+        for lhs, rhs in model._bound_terms(*quad, p, k):
+            pos = rhs > 0
+            out.append(float(np.max(lhs[pos] / rhs[pos], initial=0.0)))
+        return out
 
     @pytest.mark.parametrize("p", [lc.GROSS_NEVEU, lc.THIRRING, lc.ModelParams(1.0, 0.6, -0.8)])
-    def test_default_constants(self, monkeypatch, p):
-        samples = 3 * model.BLOCK + 5
-        blocked, one_pass = self._both(monkeypatch, samples, p, lc.derive_constants(p), 7)
-        assert blocked.passed and blocked == one_pass
+    def test_default_constants(self, p):
+        k = lc.derive_constants(p)
+        rep = lc.check_algebraic_bounds(1, p, k)
+        assert rep.passed and rep.max_violation == 0.0 and rep.witness is None
+        extremes = self._ratios(model._extremisers(), p, k)
+        assert list(rep.info.values()) == extremes
+        assert all(g <= 0.975 * e for g, e in zip(self._ratios(model._grid(), p, k), extremes))
 
     @pytest.mark.parametrize("c_star, passed", [(2.0, False), (4.0, True)])
-    def test_thirring_c_star_around_the_tight_value(self, monkeypatch, thirring, c_star, passed):
+    def test_thirring_c_star_around_the_tight_value(self, thirring, c_star, passed):
         # the tight envelope constant for Thirring is 3
-        k = lc.derive_constants(thirring, c_star=c_star)
-        blocked, one_pass = self._both(monkeypatch, 30_000, thirring, k, 5)
-        assert blocked == one_pass and blocked.passed is passed
+        rep = lc.check_algebraic_bounds(1, thirring, lc.derive_constants(thirring, c_star=c_star))
+        assert rep.passed is passed
+        assert rep.info["max_ratio_difference_envelope"] == pytest.approx(3.0 / c_star, rel=1e-9)
         if not passed:
-            assert blocked.witness[0] == "difference_envelope"
-
-    @pytest.mark.parametrize("c_star", [None, 2.0])
-    def test_across_chunks(self, monkeypatch, thirring, c_star):
-        monkeypatch.setattr(model, "CHUNK", 3000)
-        monkeypatch.setattr(model, "BLOCK", 700)
-        k = lc.derive_constants(thirring, c_star=c_star)
-        blocked, one_pass = self._both(monkeypatch, 7500, thirring, k, 2)
-        monkeypatch.setattr(model, "CHUNK", 7500)
-        assert blocked == one_pass and blocked.passed is (c_star is None)
-        assert lc.check_algebraic_bounds(7500, thirring, k, 2) != blocked  # other chunks, other tuples
+            assert rep.witness[0] == "difference_envelope" and 0 < rep.max_violation < np.inf
 
     def test_zero_rhs_violations_in_several_blocks(self, monkeypatch, thirring):
         # beta = 0 makes the charge-rate rhs 0, so every mutated tuple is a zero-rhs violation
         real = model.source_charge_rate
-        bad_per_call = []
 
-        def rim_rate(u, v, p):
+        def imaginary_v_rate(u, v, p):
             ru, rv = real(u, v, p)
-            bad = u.real**2 + u.imag**2 > 0.9999
-            bad_per_call.append(int(bad.sum()))
-            return np.where(bad, v.real**2 + v.imag**2, ru), rv
+            return np.where(v.imag != 0, v.real**2 + v.imag**2, ru), rv
 
-        monkeypatch.setattr(model, "source_charge_rate", rim_rate)
-        blocked, one_pass = self._both(monkeypatch, 40_000, thirring, lc.derive_constants(thirring), 6)
-        blocks = bad_per_call[:-1]
-        assert blocks[0] == 0 and sum(c > 0 for c in blocks) >= 3 and bad_per_call[-1] == sum(blocks)
-        assert blocked == one_pass
-        # the first zero-rhs tuple is the witness; the largest excess is max_violation
-        quad = _quad(6, 40_000)
-        rim = quad[0].real**2 + quad[0].imag**2 > 0.9999
-        first = int(np.argmax(rim))
-        assert blocked.witness == ("charge_rate", *(complex(z[first]) for z in quad))
-        assert blocked.max_violation == np.max(quad[1].real[rim] ** 2 + quad[1].imag[rim] ** 2) > 0
+        monkeypatch.setattr(model, "source_charge_rate", imaginary_v_rate)
+        rep = lc.check_algebraic_bounds(1, thirring, lc.derive_constants(thirring))
+        quad = model._tuples()
+        bad = quad[1].imag != 0
+        assert bad[:3888].any() and bad[3888:].any()  # in both blocks
+        # the largest excess is max_violation, its first tuple the witness
+        excess = np.where(bad, quad[1].real**2 + quad[1].imag**2, 0.0)
+        assert rep.max_violation == np.max(excess) > 0
+        assert rep.witness == ("charge_rate", *_tuple(int(np.argmax(excess))))
+        assert rep.info["max_ratio_charge_rate"] == 0.0  # a ratio needs rhs > 0
 
     def test_two_bounds_failing(self, monkeypatch, gn):
         real = model.source_charge_rate
@@ -366,19 +407,20 @@ class TestBlocks:
 
         monkeypatch.setattr(model, "source_charge_rate", tripled)
         k = lc.derive_constants(gn, c_star=lc.derive_constants(gn).c_star / 40)
-        blocked, one_pass = self._both(monkeypatch, 20_000, gn, k, 3)
-        assert blocked == one_pass and not blocked.passed
-        assert blocked.info["max_ratio_charge_rate"] > 1 and blocked.info["max_ratio_difference_envelope"] > 1
+        rep = lc.check_algebraic_bounds(1, gn, k)
+        assert not rep.passed
+        assert rep.info["max_ratio_charge_rate"] == pytest.approx(3.0)
+        assert rep.info["max_ratio_difference_envelope"] > 1
 
     def test_working_set(self, gn, gn_constants):
-        # the 100 000 tuples' eight uniform arrays are 6.1 MiB; the blocks add about 2.4 MiB
+        # 3893 tuples: four complex arrays of 61 KiB each, and their terms (about 1.1 MiB at the peak)
         tracemalloc.start()
         try:
-            lc.check_algebraic_bounds(100_000, gn, gn_constants, seed=0)
+            lc.check_algebraic_bounds(100_000, gn, gn_constants)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 2 * 2**20
 
 
 @given(finite_c, finite_c, st.floats(0, 2), st.floats(-1, 1), st.floats(-1, 1))
@@ -398,148 +440,74 @@ def _both_backends(*args):
     return reports
 
 
-def _poison_draws(monkeypatch, pair, part, index, value):
-    """Make every chunk's draws carry value in r (part 0) or theta (part 1)
-    of the tuple's pair-th point (u, v, u', v') at index."""
-    real = model._draws
-
-    def poisoned(rng, n):
-        draws = real(rng, n)
-        if index < n:
-            draws[pair][part][index] = value
-        return draws
-
-    monkeypatch.setattr(model, "_draws", poisoned)
-
-
-def _largest_finite_ratios(seed, n, p, k, skip=None):
-    """Per bound, the largest finite lhs / rhs over rhs > 0 of the first
-    chunk's tuples but skip, evaluated in one pass."""
-    quad = [np.delete(z, [] if skip is None else [skip]) for z in _quad(seed, n)]
-    out = []
-    for lhs, rhs in model._bound_terms(*quad, p, k):
-        pos = rhs > 0
-        out.append(float(np.max(lhs[pos] / rhs[pos], initial=0.0)))
-    return out
-
-
 @needs_compiled
 class TestCompiledPass:
-    """kernels.algebraic_extremes against the pure block loop, bit for bit."""
+    """The check runs the same NumPy pass on the compiled backend as on
+    pure, with the same report: it calls no kernel."""
 
     @pytest.mark.parametrize("p", [lc.THIRRING, lc.GROSS_NEVEU, lc.ModelParams(1.0, 0.6, -0.8)])
     @pytest.mark.parametrize("c_star", [None, 2.0, 4.0])
     def test_reports_match_pure(self, p, c_star):
-        # the tight c_star is 3 for Thirring and Gross-Neveu, and above 4 for (0.6, -0.8)
+        # the tight c_star is 3 for Thirring and Gross-Neveu, and 7.8 for (0.6, -0.8)
         passed = c_star is None or (c_star == 4.0 and p.alpha * p.beta == 0)
-        compiled, pure = _both_backends(30_000, p, lc.derive_constants(p, c_star=c_star), 5)
+        compiled, pure = _both_backends(1, p, lc.derive_constants(p, c_star=c_star))
         assert compiled == pure and compiled.passed is passed
         if not passed:
             assert compiled.witness[0] == "difference_envelope" and 0 < compiled.max_violation < np.inf
 
     def test_thirring_charge_rate_rhs_is_zero(self, thirring):
         # beta = 0: rhs and lhs of the charge rate are 0 at every tuple
-        compiled, pure = _both_backends(20_000, thirring, lc.derive_constants(thirring), 4)
+        compiled, pure = _both_backends(1, thirring, lc.derive_constants(thirring))
         assert compiled == pure and compiled.passed
         assert compiled.info["max_ratio_charge_rate"] == 0.0
-
-    @pytest.mark.parametrize("c_star", [None, 2.0])
-    def test_across_chunks(self, monkeypatch, thirring, c_star):
-        monkeypatch.setattr(model, "CHUNK", 3000)
-        k = lc.derive_constants(thirring, c_star=c_star)
-        compiled, pure = _both_backends(7500, thirring, k, 2)
-        assert compiled == pure and compiled.passed is (c_star is None)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("pair, bound", [(0, "charge_rate"), (3, "product_difference")])
     def test_nonfinite_draw(self, monkeypatch, gn, pair, bound, value):
         # u feeds all three bounds; v' only (b) and (c)
-        _poison_draws(monkeypatch, pair, 0, 4321, value)
+        _poison_tuples(monkeypatch, pair, 1234, value)
         k = lc.derive_constants(gn, c_star=2.0)  # a finite violation as well, which the non-finite term outranks
-        compiled, pure = _both_backends(20_000, gn, k, 3)
+        compiled, pure = _both_backends(1, gn, k)
         assert repr(compiled) == repr(pure)  # repr: a NaN in the witness is not == itself
         assert not compiled.passed and compiled.max_violation == np.inf
-        assert compiled.witness[0] == bound and not np.isfinite(compiled.witness[1 + pair])
-        assert repr(compiled.witness[1:]) == repr(_witness_at(3, 20_000, 4321, pair, value))
-
-    def test_nonfinite_theta_in_a_later_chunk(self, monkeypatch, thirring):
-        monkeypatch.setattr(model, "CHUNK", 3000)
-        _poison_draws(monkeypatch, 1, 1, 2999, np.inf)  # theta of v: the last tuple of every chunk
-        compiled, pure = _both_backends(7000, thirring, lc.derive_constants(thirring), 8)
-        assert repr(compiled) == repr(pure) and compiled.max_violation == np.inf
-        assert compiled.witness[0] == "charge_rate"
-
-    @pytest.mark.parametrize("scale, seed", [(1e-160, 0), (1e-162, 1)])
-    def test_underflowing_tuples(self, scale, seed):
-        """Tuples whose quartic terms underflow: charge-rate ratios above
-        the bound's 1 and, at 1e-162, a product difference > 0 over an rhs
-        of 0."""
-        p = lc.ModelParams(1.0, 0.6, -0.8)
-        k = lc.derive_constants(p)
-        rng = np.random.default_rng(seed)
-        draws = [(scale * rng.uniform(0.1, 1.0, 20_000), rng.uniform(0.0, 2.0 * np.pi, 20_000)) for _ in range(4)]
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-            want = model._pure_extremes(draws, p, k)
-        got = kernels.algebraic_extremes(draws, p.alpha, p.beta, k.c_star, 1.0 + model.EXACT_SLACK)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert want[0][0, 1] > 1.0  # the charge rate's ratio
-        assert bool(want[1][1, 1] >= 0) is (scale == 1e-162)
-
-    def test_disk_points_match_numpy_bit_for_bit(self):
-        """sqrt(r) (cos th, sin th) by sincos is np.sqrt(r) * np.exp(1j * th),
-        signed zeros included, at the quadrant angles and the ends of the
-        draws' ranges, and on random draws."""
-        angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, np.nextafter(2 * np.pi, 0.0)]
-        radii = [0.0, 1.0, np.nextafter(1.0, 0.0), 0.5]
-        r, th = (np.array(a, dtype=np.float64).ravel() for a in np.meshgrid(radii, angles))
-        rng = np.random.default_rng(25)
-        r = np.concatenate([r, rng.uniform(0.0, 1.0, 50_000)])
-        th = np.concatenate([th, rng.uniform(0.0, 2.0 * np.pi, 50_000)])
-        got = np.empty(r.shape, dtype=np.complex128)
-        disk = kernels._lib.lcd_disk_points  # exported for this test; lcdirac never calls it
-        disk.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t, ctypes.c_void_p]
-        disk.restype = None
-        disk(r.ctypes.data, th.ctypes.data, r.shape[0], got.ctypes.data)
-        want = np.sqrt(r) * np.exp(1j * th)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.signbit(got.real[:20]).any()  # -0 at r = 0, theta = pi
+        witness = list(_tuple(1234))
+        witness[pair] = complex(value)
+        assert compiled.witness[0] == bound and repr(compiled.witness[1:]) == repr(tuple(witness))
 
     def test_working_set(self, gn, gn_constants):
-        # the 100 000 tuples' eight uniform arrays are 6.1 MiB; the C pass adds nothing per tuple
         with backend("compiled"):
             tracemalloc.start()
             try:
-                lc.check_algebraic_bounds(100_000, gn, gn_constants, seed=0)
+                lc.check_algebraic_bounds(100_000, gn, gn_constants)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 7 * 2**20
+        assert peak < 2 * 2**20
 
 
-def _witness_at(seed, n, index, pair, value):
-    """The first chunk's tuple at index with value in r of its pair-th point."""
-    rng = np.random.default_rng(seed)
-    draws = [(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(4)]
-    draws[pair][0][index] = value
-    with np.errstate(invalid="ignore"):
-        return tuple(complex(np.sqrt(r[index]) * np.exp(1j * th[index])) for r, th in draws)
+def test_underflowing_tuples_fail(monkeypatch):
+    """Tuples scaled to about 1e-80, whose quartic terms are subnormal: the
+    rounding lifts a charge-rate ratio above its bound's 1, and the check
+    reports it."""
+    p = lc.ModelParams(1.0, 0.6, -0.8)
+    real = model._tuples
+    monkeypatch.setattr(model, "_tuples", lambda: [z * 2.0**-266 for z in real()])
+    rep = lc.check_algebraic_bounds(1, p, lc.derive_constants(p))
+    assert not rep.passed and rep.witness[0] == "charge_rate" and 0 < rep.max_violation < np.inf
+    assert rep.info["max_ratio_charge_rate"] > 1
 
 
-@pytest.mark.parametrize("name", kernels.available_backends())
-@pytest.mark.parametrize("block", [None, 700, model.CHUNK])
-def test_nan_ratio_keeps_the_largest_finite_ratio(monkeypatch, thirring, name, block):
-    """A NaN ratio drops only its own tuple, not its block: each
-    max_ratio_* is the largest finite ratio of the other tuples, whatever
-    BLOCK is."""
-    if block is not None:
-        monkeypatch.setattr(model, "BLOCK", block)
+def test_nan_ratio_keeps_the_largest_finite_ratio(monkeypatch, thirring):
+    """A NaN ratio drops only its own tuple: each max_ratio_* is the
+    largest finite ratio of the other tuples, on every backend."""
     k = lc.derive_constants(thirring)
-    lhs, rhs = model._bound_terms(*_quad(5, 30_000), thirring, k)[2]
-    index = int(np.argmax(lhs / rhs)) ^ 1  # beside the largest envelope ratio, in its block for any even BLOCK
-    _poison_draws(monkeypatch, 2, 0, index, np.inf)  # r of u': (b) and (c) are inf / inf there
-    with backend(name):
-        rep = lc.check_algebraic_bounds(30_000, thirring, k, seed=5)
-    assert not rep.passed and rep.witness[0] == "product_difference"
-    want = _largest_finite_ratios(5, 30_000, thirring, k, skip=index)
-    assert list(rep.info.values()) == want
+    lhs, rhs = model._bound_terms(*model._tuples(), thirring, k)[2]
+    index = int(np.argmax(lhs / np.where(rhs > 0, rhs, np.inf))) - 1  # beside the largest envelope ratio
+    want = TestBlocks._ratios([np.delete(z, index) for z in model._tuples()], thirring, k)
+    _poison_tuples(monkeypatch, 2, index, np.inf)  # u': (b) and (c) are inf / inf there
+    for name in kernels.available_backends():
+        with backend(name):
+            rep = lc.check_algebraic_bounds(1, thirring, k)
+        assert not rep.passed and rep.witness[0] == "product_difference"
+        assert list(rep.info.values()) == want
     assert want[2] > 0.1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lcdirac as lc
-from lcdirac import kernels
+from lcdirac import kernels, solver
 from lcdirac.errors import BlowUpError, FrequencyDomainError, UsageError
 
 from conftest import SOLITON_MUTANTS, apply_soliton_mutant, backend, random_field
@@ -263,6 +263,18 @@ class TestSolitonOracle:
         assert all(abs(o) < 0.5 for o in oracle.residual_orders), oracle.residual_orders
         with pytest.raises(UsageError, match="unavailable"):
             oracle.at(0.0)
+
+    def test_order_check_refuses_an_infinite_order(self, monkeypatch):
+        # a residual of 0 on the finest trial grid makes the second order inf
+        real = solver.pde_residual
+
+        def zero_on_the_finest(candidate, p, grid, T):
+            return (0.0, 0.0) if grid.n_points == 1024 else real(candidate, p, grid, T)
+
+        monkeypatch.setattr(solver, "pde_residual", zero_on_the_finest)
+        oracle = lc.thirring_soliton(1.0, 0.5, lc.GridSpec(-20, 20, 256, "zero_inflow"))
+        assert oracle.residual_orders[0] >= 1.8 and oracle.residual_orders[1] == np.inf
+        assert not oracle.available and oracle.field is None
 
     def test_solver_tracks_oracle(self):
         g = lc.make_grid(-16, 16, 1024, "zero_inflow")

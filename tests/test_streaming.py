@@ -76,7 +76,7 @@ def sequence_audits(cfg):
     tau = cli._snap_tau(dom, cfg.T, cfg.grid.dt)
     c0 = cfg.audit_c0 if cfg.audit_c0 is not None else lc.charge(f0) + 1.0
     reports = {
-        "algebraic": lambda: lc.check_algebraic_bounds(cfg.audit_samples, p, k, cfg.audit_seed),
+        "algebraic": lambda: lc.check_algebraic_bounds(cfg.audit_samples, p, k),
         "charge": lambda: functionals._audited("charge", [snaps], None, T=cfg.T, c_tol=cfg.c_tol),
         "triangle": lambda: lc.triangle_charge_audit(snaps, dom, tau, cfg.c_tol),
         "pointwise": lambda: lc.pointwise_audit(snaps, dom, c0, p, cfg.c_tol),
@@ -939,7 +939,7 @@ def _valid_document(draw):
 _paths = st.sampled_from([
     ("model", "m"), ("model", "beta"), ("grid", "x_max"), ("grid", "n_points"), ("grid", "boundary"),
     ("time", "T"), ("time", "record_every"), ("init", "u0", "amplitude"), ("init", "v0", "kind"),
-    ("init", "u0", "values"), ("domain", "a"), ("domain", "t0"), ("audit", "samples"), ("audit", "seed"),
+    ("init", "u0", "values"), ("domain", "a"), ("domain", "t0"), ("audit", "samples"),
     ("audit", "c0"), ("constants", "delta"), ("constants", "C_tol"), ("mollify", "epsilons"),
     ("mollify", "kernel_b"), ("soliton", "frequency"), ("audit_selection",), ("command",), ("output",),
     ("model",), ("extra",),
