@@ -474,6 +474,25 @@ class TestCompiledPass:
         witness[pair] = complex(value)
         assert compiled.witness[0] == bound and repr(compiled.witness[1:]) == repr(tuple(witness))
 
+    @pytest.mark.parametrize("scale, seed", [(1e-160, 0), (1e-162, 1)])
+    def test_underflowing_tuples(self, monkeypatch, scale, seed):
+        """Random tuples with |z|^2 about scale, whose quartic terms are
+        subnormal: the rounding lifts a charge-rate ratio above its bound's
+        1 and, at 1e-162, gives a product difference > 0 over an rhs of 0.
+        The check reports the violation, the same on both backends."""
+        p = lc.ModelParams(1.0, 0.6, -0.8)
+        rng = np.random.default_rng(seed)
+        draws = [(scale * rng.uniform(0.1, 1.0, 20_000), rng.uniform(0.0, 2.0 * np.pi, 20_000)) for _ in range(4)]
+        quad = [np.sqrt(r) * np.exp(1j * th) for r, th in draws]
+        monkeypatch.setattr(model, "_tuples", lambda: [z.copy() for z in quad])
+        compiled, pure = _both_backends(1, p, lc.derive_constants(p))
+        assert compiled == pure
+        assert not compiled.passed and compiled.witness[0] == "charge_rate" and 0 < compiled.max_violation < np.inf
+        assert compiled.info["max_ratio_charge_rate"] > 1
+        with np.errstate(under="ignore"):
+            lhs, rhs = model._bound_terms(*quad, p, lc.derive_constants(p))[1]
+        assert bool(((lhs > 0) & (rhs == 0)).any()) is (scale == 1e-162)
+
     def test_working_set(self, gn, gn_constants):
         with backend("compiled"):
             tracemalloc.start()
@@ -485,29 +504,19 @@ class TestCompiledPass:
         assert peak < 2 * 2**20
 
 
-def test_underflowing_tuples_fail(monkeypatch):
-    """Tuples scaled to about 1e-80, whose quartic terms are subnormal: the
-    rounding lifts a charge-rate ratio above its bound's 1, and the check
-    reports it."""
-    p = lc.ModelParams(1.0, 0.6, -0.8)
-    real = model._tuples
-    monkeypatch.setattr(model, "_tuples", lambda: [z * 2.0**-266 for z in real()])
-    rep = lc.check_algebraic_bounds(1, p, lc.derive_constants(p))
-    assert not rep.passed and rep.witness[0] == "charge_rate" and 0 < rep.max_violation < np.inf
-    assert rep.info["max_ratio_charge_rate"] > 1
-
-
-def test_nan_ratio_keeps_the_largest_finite_ratio(monkeypatch, thirring):
+@pytest.mark.parametrize("name", kernels.available_backends())
+@pytest.mark.parametrize("samples", [None, 700, 200_000])
+def test_nan_ratio_keeps_the_largest_finite_ratio(monkeypatch, thirring, name, samples):
     """A NaN ratio drops only its own tuple: each max_ratio_* is the
-    largest finite ratio of the other tuples, on every backend."""
+    largest finite ratio of the other tuples, on every backend and whatever
+    samples is (it has no effect; None passes the least, 1)."""
     k = lc.derive_constants(thirring)
     lhs, rhs = model._bound_terms(*model._tuples(), thirring, k)[2]
     index = int(np.argmax(lhs / np.where(rhs > 0, rhs, np.inf))) - 1  # beside the largest envelope ratio
     want = TestBlocks._ratios([np.delete(z, index) for z in model._tuples()], thirring, k)
     _poison_tuples(monkeypatch, 2, index, np.inf)  # u': (b) and (c) are inf / inf there
-    for name in kernels.available_backends():
-        with backend(name):
-            rep = lc.check_algebraic_bounds(1, thirring, k)
-        assert not rep.passed and rep.witness[0] == "product_difference"
-        assert list(rep.info.values()) == want
+    with backend(name):
+        rep = lc.check_algebraic_bounds(samples or 1, thirring, k)
+    assert not rep.passed and rep.witness[0] == "product_difference"
+    assert list(rep.info.values()) == want
     assert want[2] > 0.1
