@@ -25,12 +25,18 @@ triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
 257 levels evolved once and held) is fed every level, in microseconds per
 level, the t = 0 call included: as in ``evolve``, that first call also
 starts the pass (its t = 0 checks and charges come from that level's
-terms); ``level_terms`` is ``_level.c`` or its NumPy twin, and the sums are
-NumPy on both. Then the pair distances ``converge`` and ``unique`` take at
-every level (``_PairDistance.feed``: one ``distance_terms`` pass over two
-random Thirring-sized runs, the product in real arithmetic on both
-backends, and two NumPy sums), in microseconds per pair-level, on fresh
-levels and on levels in a ``LevelPool``, as ``converge`` feeds them. Then the standalone ordered pair sum ``q_upper`` (NumPy on
+sums); ``level_terms`` is ``_level.c`` or its NumPy twin, terms and sums
+alike. It is fed fresh levels and the same levels in a ``LevelPool``, as
+``evolve`` feeds them, and on ``compiled`` the bare ``lcd_level_terms``
+calls of the pooled pass are timed on their own (the arguments the pass
+gave, on the pool's bound addresses), so the Python per level stays
+visible. Then the pair distances ``converge`` and ``unique`` take at every
+level (``_PairDistance.feed``: one ``distance_terms`` pass over two random
+Thirring-sized runs, the product in real arithmetic on both backends, and
+the two sums), in microseconds per pair-level, on fresh levels and on
+levels in a ``LevelPool``, as ``converge`` feeds them, and on
+``compiled`` the bare ``lcd_distance_terms`` calls of the pooled feed.
+Then the standalone ordered pair sum ``q_upper`` (NumPy on
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
 oracle ``q_upper_naive`` that the tests compare the functionals with, and
@@ -137,41 +143,97 @@ def audit_levels():
     return levels
 
 
-def audit_us_per_level(levels, repeats) -> float:
+def pooled(pool, fields):
+    """The fields copied into buffers of the pool, as evolve passes levels."""
+    out = []
+    for f in fields:
+        pair = pool.take()
+        pair[0].base[:] = f.u, f.v
+        out.append(SpinorField._evolved(f.grid, f.t, *pair))
+    return tuple(out)
+
+
+def bare_calls(name, run):
+    """The argument tuples of every kernels._lib.<name> call that run()
+    makes, and run()'s result, which keeps the buffers they address alive."""
+    lib, calls = kernels._lib, []
+
+    def record(*args):
+        calls.append(args)
+        return getattr(lib, name)(*args)
+
+    class Recorder:
+        def __getattr__(self, attr):
+            return record if attr == name else getattr(lib, attr)
+
+    kernels._lib = Recorder()
+    try:
+        kept = run()
+    finally:
+        kernels._lib = lib
+    return calls, kept
+
+
+def bare_us(name, calls, repeats) -> float:
+    """The recorded calls of kernels._lib.<name> replayed, in us per call."""
+    fn = getattr(kernels._lib, name)
+
+    def replay():
+        for args in calls:
+            fn(*args)
+
+    return best_of(replay, repeats) / len(calls) * 1e6
+
+
+def audit_us_per_level(levels, repeats) -> list[float]:
+    """A full AuditPass in us per level: on fresh levels, on the same levels
+    in a LevelPool and, on compiled, its bare lcd_level_terms calls."""
     f0 = levels[0][0]
     dom = lc.TriangleDomain(-4.0, 4.0)
     k = lc.derive_constants(GROSS_NEVEU)
 
-    def feed():
-        audits = AuditPass(AUDITS, dom, k, GROSS_NEVEU, T=1.0, tau=levels[-1][0].t, C0=lc.charge(f0) + 1.0)
-        for lv in levels:
+    def feed(lvls):
+        audits = AuditPass(AUDITS, dom, k, GROSS_NEVEU, T=1.0, tau=lvls[-1][0].t, C0=lc.charge(f0) + 1.0)
+        for lv in lvls:
             audits(lv)
+        return audits
 
-    return best_of(feed, repeats) / len(levels) * 1e6
+    def us(lvls):
+        return best_of(lambda: feed(lvls), repeats) / len(lvls) * 1e6
+
+    with kernels.LevelPool(f0.grid.n_points) as pool:
+        in_pool = [pooled(pool, lv) for lv in levels]
+        times = [us(levels), us(in_pool)]
+        if kernels.backend_name() == "compiled":
+            calls, _audits = bare_calls("lcd_level_terms", lambda: feed(in_pool))
+            times.append(bare_us("lcd_level_terms", calls, repeats))
+    return times
 
 
-def distance_us_per_pair_level(n, rng, repeats) -> tuple[float, float]:
-    """_PairDistance.feed in us per pair-level: on fresh levels, and on the
-    same levels copied into a LevelPool's buffers."""
+def distance_us_per_pair_level(n, rng, repeats) -> list[float]:
+    """_PairDistance.feed in us per pair-level: on fresh levels, on the
+    same levels copied into a LevelPool's buffers and, on compiled, its
+    bare lcd_distance_terms calls."""
     grid = lc.make_grid(-8.0, 8.0, n, "periodic")
     a, b = (lc.SpinorField(grid, 0.0, 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
                            0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))) for _ in range(2))
 
-    def us(x, y):
-        def feed():
-            dist = _PairDistance(kernels.DistanceTerms(n))
-            for _ in range(CALLS):
-                dist.feed(x, y)
+    def feed(x, y):
+        dist = _PairDistance(kernels.DistanceTerms(n))
+        for _ in range(CALLS):
+            dist.feed(x, y)
+        return dist
 
-        return best_of(feed, repeats) / CALLS * 1e6
+    def us(x, y):
+        return best_of(lambda: feed(x, y), repeats) / CALLS * 1e6
 
     with kernels.LevelPool(n) as pool:
-        pooled = []
-        for f in (a, b):
-            pair = pool.take()
-            pair[0].base[:] = f.u, f.v
-            pooled.append(SpinorField._evolved(grid, 0.0, *pair))
-        return us(a, b), us(*pooled)
+        in_pool = pooled(pool, (a, b))
+        times = [us(a, b), us(*in_pool)]
+        if kernels.backend_name() == "compiled":
+            calls, _dist = bare_calls("lcd_distance_terms", lambda: feed(*in_pool))
+            times.append(bare_us("lcd_distance_terms", calls, repeats))
+    return times
 
 
 def print_row(label, n, times):
@@ -229,12 +291,16 @@ def bench(sizes, repeats):
             times.append(snapshots_ns_per_value(snaps, repeats))
         print_row("snapshots_csv, 65 levels", n, times)
         levels = audit_levels()
+        n = levels[0][0].grid.n_points
         print("audit pass: us per level")
-        times = []
+        rows = []
         for bk in backends:
             kernels.use_backend(bk)
-            times.append(audit_us_per_level(levels, repeats))
-        print_row("AuditPass, 5 audits", levels[0][0].grid.n_points, times)
+            rows.append(audit_us_per_level(levels, repeats))
+        print_row("AuditPass, 5 audits", n, [r[0] for r in rows])
+        print_row("AuditPass, pool", n, [r[1] for r in rows])
+        if len(rows[0]) > 2:
+            print_row("lcd_level_terms, bound", n, [rows[0][2]])
         print("pair distance: us per pair-level")
         for n in sizes:
             rows = []
@@ -243,6 +309,8 @@ def bench(sizes, repeats):
                 rows.append(distance_us_per_pair_level(n, rng, repeats))
             print_row("_PairDistance.feed", n, [r[0] for r in rows])
             print_row("_PairDistance.feed, pool", n, [r[1] for r in rows])
+            if len(rows[0]) > 2:
+                print_row("lcd_distance_terms, bound", n, [rows[0][2]])
     finally:
         kernels.use_backend(before)
 

@@ -156,8 +156,8 @@ class TriangleDomain:
         rlo = (lo - grid.x_min) / dx
         rhi = (hi - grid.x_min) / dx
         tol = _ALIGN_RTOL * max(1.0, abs(rlo), abs(rhi))
-        i0 = int(np.floor(rlo + tol)) + 1
-        i1 = int(np.ceil(rhi - tol))  # first excluded index
+        i0 = math.floor(rlo + tol) + 1
+        i1 = math.ceil(rhi - tol)  # first excluded index
         return max(i0, 0), min(i1, grid.n_points)
 
 

@@ -12,12 +12,13 @@ and for a pair of fields, with U = uA - uB, V = vA - vB:
     D1 = sum r2(x, x) dx
     Q1 = sum_{x<y} r2(x, y) dx^2
 
-Every one of them is a NumPy sum of the elementwise terms that one
-kernels.level_terms pass writes per level; Q0/Q1 take O(N) by suffix
-scans inside that pass. The single-level functions, the traces and the
-audits share that pass and the row rule _row. Each audit verifies a
-continuum inequality (or, for the total charge, a conservation law) on the
-discrete solution within a resolution-dependent budget.
+Every one of them is a sum, in NumPy's pairwise order, of the elementwise
+terms that one kernels.level_terms pass writes and sums per level; Q0/Q1
+take O(N) by suffix scans inside that pass. The single-level functions,
+the traces and the audits share that pass and the row rule _cone_row.
+Each audit verifies a continuum inequality (or, for the total charge, a
+conservation law) on the discrete solution within a resolution-dependent
+budget.
 """
 from __future__ import annotations
 
@@ -48,52 +49,34 @@ __all__ = [
 ]
 
 
-def _row(terms: kernels.LevelTerms, run: int = 0, pair: bool = False) -> tuple[float, float, float]:
+def _cone_row(sums: list, dx: float, run: int = 0, pair: bool = False) -> tuple[float, float, float]:
     """(L0, D0, Q0) of one run, or (L1, D1, Q1) of runs 0 and 1 when pair is
-    set, summed from the terms over the section they were last written for."""
-    i0, i1, dx = terms.i0, terms.i1, terms.dx
-    if i0 >= i1:
-        return 0.0, 0.0, 0.0
+    set, from the sums of a level_terms call (0.0 each over no section)."""
     if pair:
-        q = _upper_sum(terms.q1u[i0:i1]) + _upper_sum(terms.q1v[i0:i1])
-        return _sum(terms.l1[i0:i1]) * dx, _sum(terms.d1[i0:i1]) * dx, q * dx * dx
-    return (_sum(terms.dens[run, i0:i1]) * dx, _sum(terms.prod[run, i0:i1]) * dx,
-            _upper_sum(terms.q[run, i0:i1]) * dx * dx)
-
-
-def _sum(terms: np.ndarray) -> float:
-    return float(np.add.reduce(terms))
-
-
-def _section_charge(terms: kernels.LevelTerms, run: int = 0) -> float:
-    """charge(f, dom) bit for bit, f being the run's level last written."""
-    return _sum(terms.dens[run, terms.i0 : terms.i1]) * terms.dx
-
-
-def _upper_sum(terms: np.ndarray) -> float:
-    """q_upper(a, b) from the terms a_i suffix(b)_i: 0 below two sites."""
-    return _sum(terms) if len(terms) >= 2 else 0.0
+        l1, d1, q1u, q1v = sums[kernels.PAIR_SUMS :]
+        return l1 * dx, d1 * dx, (q1u + q1v) * dx * dx
+    at = kernels.SECTION_SUMS[run]
+    dens, prod, q = sums[at : at + 3]
+    return dens * dx, prod * dx, q * dx * dx
 
 
 def _terms(f: SpinorField, runs: int) -> kernels.LevelTerms:
     return kernels.LevelTerms(f.grid.n_points, runs, f.grid.dx)
 
 
-def _functionals(terms: kernels.LevelTerms, levels: tuple,
-                 dom: Optional[TriangleDomain]) -> tuple[float, float, float]:
+def _level_sums(terms: kernels.LevelTerms, levels: tuple, dom: Optional[TriangleDomain]) -> list:
     """Write levels (one run, or a pair) into terms over the cross-section of
-    dom at their time, or the full line, and sum their row."""
+    dom at their time, or the full line, and return their sums."""
     if len(levels) == 2:
         _check_same_frame(*levels)
     f = levels[0]
     i0, i1 = (0, f.grid.n_points) if dom is None else dom.section_indices(f.grid, f.t)
-    kernels.level_terms(terms, [(lv.u, lv.v) for lv in levels], i0, i1, 0, None)
-    return _row(terms, pair=len(levels) == 2)
+    return kernels.level_terms(terms, [(lv.u, lv.v) for lv in levels], i0, i1, 0, None)
 
 
 def base_functionals(f: SpinorField, dom: Optional[TriangleDomain] = None) -> tuple[float, float, float]:
     """(L0, D0, Q0) over the cross-section of dom at f.t, or the full line."""
-    return _functionals(_terms(f, 1), (f,), dom)
+    return _cone_row(_level_sums(_terms(f, 1), (f,), dom), f.grid.dx)
 
 
 def difference_functionals(
@@ -102,7 +85,7 @@ def difference_functionals(
     dom: Optional[TriangleDomain],
 ) -> tuple[float, float, float]:
     """(L1, D1, Q1) for the pair over the cross-section."""
-    return _functionals(_terms(fA, 2), (fA, fB), dom)
+    return _cone_row(_level_sums(_terms(fA, 2), (fA, fB), dom), fA.grid.dx, pair=True)
 
 
 def _cumtrapz(times: Sequence[float], values: Sequence[float]) -> list[float]:
@@ -179,7 +162,7 @@ def trace_base(snapshots: Sequence[SpinorField], dom: Optional[TriangleDomain] =
     """Base functionals of each snapshot; the charge column is L0, which is
     charge(s, dom) bit for bit."""
     terms = _terms(snapshots[0], 1)
-    return _trace(snapshots, [_functionals(terms, (s,), dom) for s in snapshots])
+    return _trace(snapshots, [_cone_row(_level_sums(terms, (s,), dom), terms.dx) for s in snapshots])
 
 
 def trace_pair(
@@ -194,25 +177,26 @@ def trace_pair(
     terms = _terms(snapsA[0], 2)
     rows, pair_rows = [], []
     for a, b in zip(snapsA, snapsB):
-        pair_rows.append(_functionals(terms, (a, b), dom))
-        rows.append(_row(terms, 0))
+        sums = _level_sums(terms, (a, b), dom)
+        pair_rows.append(_cone_row(sums, terms.dx, pair=True))
+        rows.append(_cone_row(sums, terms.dx))
     return _trace(snapsA, rows, pair_rows)
 
 
 # ---------------------------------------------------------------------------
 # Audits
 #
-# Each evolved audit is a reduction. start(levels, terms) takes the runs'
-# levels at t = 0 with their terms and raises every usage or precondition
-# error: AuditPass calls it on its first call, which evolve makes before
-# any step, so a refused audit costs no step. feed(levels, terms) takes the
-# runs' levels at one time, t = 0 included, with their elementwise terms (a
-# kernels.LevelTerms the pass writes once per level); report() returns the
-# AuditReport. The
-# reductions sum the terms with NumPy's pairwise np.add.reduce, and ConeRows
-# sum their rows with _row, so each row is the functionals' above. Bony and
-# gronwall have no feed of their own: they report from ConeRows, which are
-# fed instead. A reduction keeps numbers, never a level.
+# Each evolved audit is a reduction. start(levels, terms, sums) takes the
+# runs' levels at t = 0 with their terms and sums and raises every usage or
+# precondition error: AuditPass calls it on its first call, which evolve
+# makes before any step, so a refused audit costs no step. feed(levels,
+# terms, sums) takes the runs' levels at one time, t = 0 included, with the
+# kernels.LevelTerms the pass writes once per level and the sums
+# level_terms returns as Python floats; report() returns the AuditReport.
+# ConeRows turn the sums into rows with _cone_row, so each row is the
+# functionals' above. Bony and gronwall have no feed of their own: they
+# report from ConeRows, which are fed instead. A reduction keeps numbers,
+# never a level.
 # AuditPass drives one reduction per selected audit over runs evolved in
 # lockstep, and the sequence-taking functions below feed the same pass from
 # lists.
@@ -232,11 +216,11 @@ class TotalCharge:
         self.T, self.c_tol = T, c_tol
         self.drift = 0.0
 
-    def start(self, levels: tuple, terms: kernels.LevelTerms):
-        self.q0, self.dx = _sum(terms.dens[0]) * terms.dx, terms.dx  # charge(levels[0]) bit for bit
+    def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
+        self.q0, self.dx = sums[0] * terms.dx, terms.dx  # charge(levels[0]) bit for bit
 
-    def feed(self, levels: tuple, terms: kernels.LevelTerms):
-        self.drift = max(self.drift, abs(_sum(terms.dens[0]) * self.dx - self.q0))  # charge(levels[0]) bit for bit
+    def feed(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
+        self.drift = max(self.drift, abs(sums[0] * self.dx - self.q0))  # charge(levels[0]) bit for bit
 
     def report(self) -> AuditReport:
         # NumPy's power: inf, not OverflowError, for a grid spacing past 1e154;
@@ -262,16 +246,16 @@ class TriangleCharge:
         self.flux_v: list[float] = []
         self.interior_tau = None
 
-    def start(self, levels: tuple, terms: kernels.LevelTerms):
+    def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         f0, dom = levels[0], self.dom
         self.ia = f0.grid.index_of(dom.a)  # also validates lattice alignment
         self.ib = f0.grid.index_of(dom.b)
         if not -1e-12 <= self.tau <= dom.apex_time + 1e-12:
             raise UsageError(f"tau={self.tau} outside the cone's span [0.0, {dom.apex_time}]")
         self.dx, self.dt = f0.grid.dx, f0.grid.dt
-        self.interior0 = _section_charge(terms)
+        self.interior0 = sums[kernels.SECTION_SUMS[0]] * self.dx  # charge(f0, dom) bit for bit
 
-    def feed(self, levels: tuple, terms: kernels.LevelTerms):
+    def feed(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         f, tau = levels[0], self.tau
         if f.t > tau + 1e-12:
             return
@@ -280,7 +264,7 @@ class TriangleCharge:
         self.flux_v.append(terms.av[0, self.ia + kshift])
         # the last level fed must be the one at tau
         at_tau = abs(f.t - tau) <= 1e-9 * max(1.0, abs(tau))
-        self.interior_tau = _section_charge(terms) if at_tau else None
+        self.interior_tau = sums[kernels.SECTION_SUMS[0]] * self.dx if at_tau else None
 
     def report(self) -> AuditReport:
         if self.interior_tau is None:
@@ -315,12 +299,13 @@ class PointwiseGrowth:
         self.worst = 0.0
         self.witness = None
 
-    def start(self, levels: tuple, terms: kernels.LevelTerms):
+    def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         grid, dom = levels[0].grid, self.dom
         ia = grid.index_of(dom.a)
         ib = grid.index_of(dom.b)
         self.dx = grid.dx
-        self.charge0 = _sum(terms.dens[0, ia : ib + 1]) * grid.dx
+        # over the closed [a, b], not the section: one NumPy sum per pass
+        self.charge0 = float(np.add.reduce(terms.dens[0, ia : ib + 1])) * grid.dx
         if not self.charge0 < self.C0:
             raise PreconditionError(
                 f"initial charge {self.charge0} over [{dom.a}, {dom.b}] is not below C0={self.C0}"
@@ -330,7 +315,7 @@ class PointwiseGrowth:
         """E(t) = exp(2|beta| C0 + m t)."""
         return float(np.exp(2.0 * abs(self.p.beta) * self.C0 + self.p.m * t))
 
-    def feed(self, levels: tuple, terms: kernels.LevelTerms):
+    def feed(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         s = levels[0]
         for margin, site in zip(terms.margins.tolist(), terms.sites.tolist()):
             if margin > self.worst:
@@ -358,12 +343,12 @@ class ConeRows:
         self.times: list[float] = []
         self.rows: list[tuple[float, float, float]] = []
 
-    def feed(self, levels: tuple, terms: kernels.LevelTerms):
+    def feed(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         f = levels[self.run]
         if f.t > self.dom.apex_time + 1e-12:
             return
         self.times.append(f.t)
-        self.rows.append(_row(terms, self.run, self.pair))
+        self.rows.append(_cone_row(sums, terms.dx, self.run, self.pair))
 
     def columns(self) -> tuple[Sequence[float], ...]:
         """Times and the three columns of the rows."""
@@ -378,8 +363,8 @@ class BonyDecay:
     def __init__(self, rows: ConeRows, k: EstimateConstants, p: ModelParams, c_tol: float):
         self.rows, self.k, self.p, self.c_tol = rows, k, p, c_tol
 
-    def start(self, levels: tuple, terms: kernels.LevelTerms):
-        L00 = _section_charge(terms)  # the base row's L0
+    def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
+        L00 = sums[kernels.SECTION_SUMS[0]] * terms.dx  # the base row's L0
         if not L00 <= self.k.delta0:
             raise PreconditionError(
                 f"charge level {L00} over the base section exceeds the smallness threshold delta0={self.k.delta0}"
@@ -421,9 +406,9 @@ class GronwallEnvelope:
         self.rows_a, self.rows_b, self.pair = rows_a, rows_b, pair
         self.k, self.p, self.c_tol = k, p, c_tol
 
-    def start(self, levels: tuple, terms: kernels.LevelTerms):
+    def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         k = self.k
-        L0A, L0B = _section_charge(terms, 0), _section_charge(terms, 1)
+        L0A, L0B = (sums[at] * terms.dx for at in kernels.SECTION_SUMS)  # charge(f, dom) of each run
         if not (L0A < k.delta and L0B < k.delta):
             raise PreconditionError(
                 f"charge levels ({L0A}, {L0B}) not both below the pair smallness threshold delta={k.delta}"
@@ -484,8 +469,8 @@ class AuditPass:
     error in the order charge, triangle, pointwise, bony, gronwall.
 
     Each level is written once into the LevelTerms that the first call
-    allocates: one call to kernels.level_terms computes every elementwise
-    term the reductions sum, and the reductions keep only the sums.
+    allocates: one call to kernels.level_terms computes every term and sum
+    the reductions read, and the reductions keep only numbers.
     """
 
     def __init__(
@@ -523,47 +508,41 @@ class AuditPass:
             self.audits["gronwall"] = GronwallEnvelope(rows_a, rows_b, pair, k, p, c_tol)
 
     def __call__(self, levels: tuple):
-        # A huge but finite level may overflow in these products without a
-        # warning: the preconditions refuse an inf charge at t = 0, a later
-        # level's run blows up at the next step, or the report carries the inf.
+        f, dom = levels[0], self.dom
+        # The cone's section at this level, empty past the apex. A huge but
+        # finite level may overflow in the terms without a warning: the
+        # preconditions refuse an inf charge at t = 0, a later level's run
+        # blows up at the next step, or the report carries the inf.
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.terms is None:
-                self._start(levels)
-            else:
-                self._write_terms(levels, self.terms)
+            terms = self.terms or self._allocate(f)
+            runs = levels[: terms.runs]
+            if len(runs) == 2:
+                _check_same_frame(*runs)
+            i0 = i1 = kshift = 0
+            E = None
+            if dom is not None and f.t <= dom.apex_time + 1e-12:
+                i0, i1 = dom.section_indices(f.grid, f.t)
+                kshift = round(f.t / f.grid.dt)
+                if "pointwise" in self.audits:
+                    E = self.audits["pointwise"].growth(f.t)
+            sums = kernels.level_terms(terms, [(lv.u, lv.v) for lv in runs], i0, i1, kshift, E)
+            if self.terms is None:  # the pass is started once every start passed
+                for audit in self.audits.values():
+                    audit.start(levels, terms, sums)
+                self.terms = terms
             for reduction in self.fed:
-                reduction.feed(levels, self.terms)
+                reduction.feed(levels, terms, sums)
 
-    def _start(self, levels: tuple):
-        """The first call's own work; the pass is started once every start passed."""
-        f0, pointwise = levels[0], self.audits.get("pointwise")
+    def _allocate(self, f0: SpinorField) -> kernels.LevelTerms:
+        """The first call's terms, for run A's level f0 at t = 0."""
+        pointwise = self.audits.get("pointwise")
         if any(name != "charge" for name in self.audits) and abs(f0.t) > 1e-12:
             raise UsageError("snapshots must start at the cone's base time t = 0")
         growth = {}
         if pointwise is not None:
             growth = {"origin": (f0.u, f0.v), "m": pointwise.p.m, "C0": pointwise.C0}
         runs = 2 if "gronwall" in self.audits else 1
-        terms = kernels.LevelTerms(f0.grid.n_points, runs, f0.grid.dx, **growth)
-        self._write_terms(levels, terms)
-        for audit in self.audits.values():
-            audit.start(levels, terms)
-        self.terms = terms
-
-    def _write_terms(self, levels: tuple, terms: kernels.LevelTerms):
-        """The section of the cone at this level (empty past the apex), and
-        every term over it in one pass; growth margins when pointwise runs."""
-        f, dom = levels[0], self.dom
-        runs = levels[: terms.runs]
-        if len(runs) == 2:
-            _check_same_frame(*runs)
-        i0 = i1 = kshift = 0
-        E = None
-        if dom is not None and f.t <= dom.apex_time + 1e-12:
-            i0, i1 = dom.section_indices(f.grid, f.t)
-            kshift = round(f.t / f.grid.dt)
-            if "pointwise" in self.audits:
-                E = self.audits["pointwise"].growth(f.t)
-        kernels.level_terms(terms, [(lv.u, lv.v) for lv in runs], i0, i1, kshift, E)
+        return kernels.LevelTerms(f0.grid.n_points, runs, f0.grid.dx, **growth)
 
     def report(self, name: str) -> AuditReport:
         if self.terms is None:

@@ -8,6 +8,7 @@ strong solutions as limits of classical ones.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,12 +130,12 @@ class _PairDistance:
     once the next level arrives, so the latest row waits); over one level,
     a zero horizon, the product distance is 0.
 
-    Each level's terms are written in one kernels.distance_terms pass into
-    terms, a kernels.DistanceTerms of the grid's size, and summed with
-    np.add.reduce, the order of np.sum, so the field distance equals
-    l2_distance bit for bit. feed sums the terms before it returns, so the
-    pairs of one lockstep run share one terms. Only the sums are kept,
-    never a level."""
+    Each level's terms are written and summed in one kernels.distance_terms
+    pass into terms, a kernels.DistanceTerms of the grid's size; the sums
+    are np.add.reduce's, the order of np.sum, on both backends, so the field
+    distance equals l2_distance bit for bit. feed reads the sums before it
+    returns, so the pairs of one lockstep run share one terms. Only the sums
+    are kept, never a level."""
 
     def __init__(self, terms: kernels.DistanceTerms):
         self.terms = terms
@@ -145,14 +146,13 @@ class _PairDistance:
 
     def feed(self, a: SpinorField, b: SpinorField):
         grid = a.grid
-        kernels.distance_terms(self.terms, (a.u, a.v), (b.u, b.v))
-        l1, p1 = self.terms.out
-        d = float(np.sqrt(np.add.reduce(l1) * grid.dx))
+        l1, p1 = kernels.distance_terms(self.terms, (a.u, a.v), (b.u, b.v))
+        d = math.sqrt(l1 * grid.dx)
         self.field = d if self.field is None else max(self.field, d)
         if self.last is not None:
             w = 0.5 if self.levels == 1 else 1.0
             self.total += w * self.last * grid.dt
-        self.last = float(np.add.reduce(p1)) * grid.dx
+        self.last = p1 * grid.dx
         self.levels += 1
         self.dt = grid.dt
 

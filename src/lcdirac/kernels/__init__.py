@@ -20,11 +20,11 @@ for bit (but for the step's corner named in ``_step.c``):
 - ``level_terms`` writes every elementwise term the cone functionals and
   the audits sum at one level (densities, products, suffix-scan products,
   pair terms) into a ``LevelTerms``, with the growth margins and their
-  sites; it is the one formula for L0/D0/Q0 and L1/D1/Q1;
+  sites, and returns their sums: the one formula for L0/D0/Q0 and L1/D1/Q1;
 - ``distance_terms`` writes the terms of the field and product distances
   of two runs, which ``converge`` and ``unique`` take at every level, into
-  a ``DistanceTerms``; each complex product is four real products and two
-  sums on both backends.
+  a ``DistanceTerms`` and returns their two sums; each complex product is
+  four real products and two sums on both backends.
 
 While a ``LevelPool`` is open, its buffers' addresses are bound:
 ``step_unforced``, ``level_terms`` and ``distance_terms`` take such a
@@ -32,10 +32,11 @@ buffer as it is, with no address lookup (``a.ctypes.data`` costs about
 2 us) and no conversion; any other array is converted and checked as
 before.
 
-Every pairwise sum stays in NumPy on both backends: the callers sum the
-terms with ``np.add.reduce``, so moving the terms to C changes no
-summation order and no digit of an artifact. Only sequential scans (the
-``np.cumsum`` order) run in C.
+Every sum of terms is ``np.add.reduce``'s bit for bit: ``pure`` calls it
+and ``_level.c`` sums in NumPy's pairwise order, which
+``tests/test_kernels.py`` pins against NumPy, so a NumPy release that
+changed it would fail a test, not move an artifact's digits. Every scan
+keeps ``np.cumsum``'s sequential order.
 
 The backends:
 
@@ -203,7 +204,7 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
     fmt.restype = ctypes.c_ssize_t
     level.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int, ctypes.c_double]
     level.restype = None
-    dist.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_ssize_t]
+    dist.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_ssize_t]
     dist.restype = None
     return lib, f"compiled: {os.path.basename(target)} ({flags})"
 
@@ -412,10 +413,13 @@ class _Level(ctypes.Structure):
     """``lcd_level`` in ``_level.c``, field for field."""
 
     ARRAYS = ("au", "av", "dens", "prod", "q", "l1", "d1", "q1u", "q1v",
-              "pre_u", "pre_v", "au0", "av0", "pre_u0", "pre_v0", "margins", "sites")
+              "pre_u", "pre_v", "au0", "av0", "pre_u0", "pre_v0", "margins", "sites", "sums")
     _fields_ = ([("n", ctypes.c_ssize_t), ("runs", ctypes.c_ssize_t)]
                 + [(name, ctypes.c_double) for name in ("dx", "m", "C0")]
                 + [(name, ctypes.c_void_p) for name in ARRAYS])
+
+
+SECTION_SUMS, PAIR_SUMS = (1, 4), 7  # where LevelTerms.sums holds each run's section sums, and the pair's
 
 
 class LevelTerms:
@@ -423,14 +427,17 @@ class LevelTerms:
     for n sites and 1 or 2 runs (A, then B), with the addresses the C pass
     takes kept in one struct (``a.ctypes.data`` costs about 2 us a lookup).
 
-    Over the section [i0, i1) of the last level written (``i0 = i1 = 0``
-    when empty), per run r: ``au[r]`` = |u|^2, ``av[r]`` = |v|^2,
-    ``dens[r]`` = au + av (for run A over the whole grid), ``prod[r]`` =
-    au av and ``q[r]`` = au suffix(av), whose sum is q_upper(au, av); for
-    two runs, with U = uA - uB, V = vA - vB, umod = auA + auB and
-    vmod = avA + avB: ``l1`` = |U|^2 + |V|^2, ``d1`` = |U|^2 vmod + umod
-    |V|^2, ``q1u`` = |U|^2 suffix(vmod) and ``q1v`` = umod suffix(|V|^2).
-    Outside the section these hold what earlier levels left.
+    Over the section [i0, i1) of the last level written, per run r:
+    ``au[r]`` = |u|^2, ``av[r]`` = |v|^2, ``dens[r]`` = au + av (for run A
+    over the whole grid), ``prod[r]`` = au av and ``q[r]`` = au suffix(av),
+    whose sum is q_upper(au, av); for two runs, with U = uA - uB,
+    V = vA - vB, umod = auA + auB and vmod = avA + avB: ``l1`` = |U|^2 +
+    |V|^2, ``d1`` = |U|^2 vmod + umod |V|^2, ``q1u`` = |U|^2 suffix(vmod)
+    and ``q1v`` = umod suffix(|V|^2). Outside the section these hold what
+    earlier levels left. ``sums`` holds their sums: run A's dens over the
+    grid, then from ``SECTION_SUMS[r]`` run r's dens, prod and q over the
+    section, and for two runs from ``PAIR_SUMS`` l1, d1, q1u and q1v (those
+    of q, q1u and q1v 0.0 below two sites).
 
     With origin, run A's (u, v) at t = 0, and the run's m and C0, a level
     written with a growth factor also gets the growth margins: ``margins``
@@ -456,6 +463,7 @@ class LevelTerms:
             layout += [(name, (n,)) for name in ("au0", "av0")]
             layout += [(name, (n + 1,)) for name in ("pre_u", "pre_v", "pre_u0", "pre_v0")]
         layout.append(("margins", (3,)))
+        layout.append(("sums", (1 + 3 * runs + (4 if runs == 2 else 0),)))
         block = np.zeros(sum(math.prod(shape) for _, shape in layout))
         addresses, at = dict.fromkeys(_Level.ARRAYS), 0
         base = block.ctypes.data
@@ -473,7 +481,6 @@ class LevelTerms:
         self.margins.fill(-np.inf)
         self.sites = np.full(3, -1, dtype=np.intp)
         addresses["sites"] = self.sites.ctypes.data
-        self.i0 = self.i1 = 0
         self._struct = _Level(n, runs, dx, m, C0, *addresses.values())
         self._address = ctypes.addressof(self._struct)
 
@@ -486,8 +493,9 @@ def _field(a, n: int) -> tuple[np.ndarray, int]:
     return a, address
 
 
-def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E):
-    """Write one level's terms into terms (see ``LevelTerms``).
+def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E) -> list[float]:
+    """Write one level's terms into terms (see ``LevelTerms``) and return
+    ``terms.sums`` as Python floats.
 
     runs holds one (u, v) pair per run of terms; [i0, i1) is the section,
     empty when i1 <= i0. E, the growth factor at this level (None for
@@ -510,39 +518,42 @@ def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E):
     if i0 - reach < 0 or i1 + reach > terms.n:
         raise UsageError(f"section [{i0}, {i1}) with its feet {reach} sites out "
                          f"leaves the grid of {terms.n} sites")
-    terms.i0, terms.i1 = i0, i1
     if _active == "compiled":
         ptrs = [address for run in fields for _, address in run] + [None, None]  # NULL: no run B
         _lib.lcd_level_terms(terms._address, *ptrs[:4], i0, i1, kshift, E is not None, 0.0 if E is None else E)
     else:
         pure.level_terms(terms, [(u, v) for (u, _), (v, _) in fields], i0, i1, kshift, E)
+    return terms.sums.tolist()
 
 
 class DistanceTerms:
-    """The buffer ``distance_terms`` writes the pair-distance terms of one
-    level into, allocated once for n sites, with its address kept (the
+    """The buffers ``distance_terms`` writes the pair-distance terms of one
+    level into, allocated once for n sites, with their address kept (the
     lookup costs about 2 us): ``out``, a C-contiguous (2, n) float64 array;
     ``out[0]`` = |U|^2 + |V|^2 with U = uA - uB and V = vA - vB, the terms
-    of ``fields.l2_distance``, and ``out[1]`` = |uA vA - uB vB|^2.
+    of ``fields.l2_distance``, and ``out[1]`` = |uA vA - uB vB|^2; then
+    ``sums``, their two sums.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.out = np.zeros((2, n))
-        self._address = self.out.ctypes.data
+        block = np.zeros(2 * n + 2)
+        self.out, self.sums = block[: 2 * n].reshape(2, n), block[2 * n :]
+        self._address = block.ctypes.data
 
 
-def distance_terms(terms: DistanceTerms, run_a, run_b):
+def distance_terms(terms: DistanceTerms, run_a, run_b) -> list[float]:
     """Write the terms of the field and product distances of runs A and B,
-    each a (u, v) pair, into ``terms.out`` (see ``DistanceTerms``), each
-    complex product as four real products and two sums. The sums stay with
-    the caller. A field of another size raises UsageError before the pass
-    runs.
+    each a (u, v) pair, and their sums into terms (see ``DistanceTerms``),
+    each complex product as four real products and two sums, and return
+    the sums as Python floats. A field of another size raises UsageError
+    before the pass runs.
     """
     n = terms.n
     (ua, a), (va, b), (ub, c), (vb, d) = (_field(x, n) for x in (*run_a, *run_b))
     if _active == "compiled":
         l1 = terms._address
-        _lib.lcd_distance_terms(l1, l1 + 8 * n, a, b, c, d, n)
+        _lib.lcd_distance_terms(l1, l1 + 8 * n, l1 + 16 * n, a, b, c, d, n)
     else:
-        pure.distance_terms(terms.out, (ua, va), (ub, vb))
+        pure.distance_terms(terms, (ua, va), (ub, vb))
+    return terms.sums.tolist()

@@ -1,10 +1,11 @@
 /* The elementwise terms of one audited level, and of the distances of two
- * runs; see level_terms and distance_terms in kernels/pure.py, the NumPy
- * code this reproduces bit for bit. The pairwise sums of the terms stay in
- * NumPy (np.add.reduce on these buffers), so no summation order changes;
- * only the sequential scans (np.cumsum order) run here. Build with
- * -ffp-contract=off and never with -ffast-math: no multiply-add may be
- * fused, and the NaN tests must survive.
+ * runs, and their sums; see level_terms and distance_terms in
+ * kernels/pure.py, the NumPy code this reproduces bit for bit. Each sum is
+ * np.add.reduce's, in NumPy's pairwise order (add_reduce below, pinned
+ * against NumPy by tests/test_kernels.py), and each scan is np.cumsum's
+ * sequential one. Build with -ffp-contract=off and never with -ffast-math:
+ * no multiply-add may be fused, no sum reassociated, and the NaN tests must
+ * survive.
  *
  * With au = |u|^2, av = |v|^2 and the section [i0, i1):
  *   au, av, dens = au + av                  run A over the grid, run B over
@@ -17,6 +18,10 @@
  * where suffix(b)_i = sum_{j > i} b_j, accumulated from the right as
  * q_upper's reversed cumsum does.
  *
+ * Then the sums row: run A's dens over the grid; per run, the section's
+ * sums of dens, prod and q; for the pair, of l1, d1, q1u and q1v. The sums
+ * of q, q1u and q1v are 0.0 below two sites, where q_upper is 0.
+ *
  * With with_margins set, also run A's prefix sums over the grid and the growth
  * margins against the level at t = 0 (kshift sites back along each
  * characteristic): the pointwise margins of |u|^2 and |v|^2 and the margin
@@ -28,7 +33,7 @@
  *
  * lcd_distance_terms writes, over the whole grid, l1 as above and
  * p1 = |uA vA - uB vB|^2, each complex product in real arithmetic: four
- * products and two sums.
+ * products and two sums; and the sums of l1 and p1.
  */
 #include <math.h>
 #include <stddef.h>
@@ -36,7 +41,8 @@
 typedef struct { double re, im; } cplx;
 
 /* Mirrored field by field by kernels.LevelTerms. runs x n arrays are row
- * major; pre_* and the prefix sums at t = 0 hold n + 1 values. */
+ * major; pre_* and the prefix sums at t = 0 hold n + 1 values; sums holds
+ * 4 values for one run, 11 for two. */
 typedef struct {
     ptrdiff_t n, runs;
     double dx, m, C0;
@@ -46,11 +52,64 @@ typedef struct {
     const double *au0, *av0, *pre_u0, *pre_v0;
     double *margins;
     ptrdiff_t *sites;
+    double *sums;
 } lcd_level;
 
 static double abs2(cplx z)
 {
     return z.re * z.re + z.im * z.im;
+}
+
+/* NumPy's pairwise sum of n contiguous doubles: below 8 terms in order;
+ * up to 128, eight interleaved partial sums, combined as
+ * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
+ * order; above 128, the sums of two halves split at n / 2 rounded down to
+ * a multiple of 8. */
+static double pairwise(const double *a, ptrdiff_t n)
+{
+    double r[8], s;
+    ptrdiff_t i, j, n2;
+
+    if (n < 8) {
+        s = 0.0;
+        for (i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* np.add.reduce(a[:n]): NumPy's identity +0.0 plus the pairwise sum, so a
+ * sum of negative zeros is +0.0 */
+static double add_reduce(const double *a, ptrdiff_t n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* add_reduce for the tests that pin NumPy's order on any doubles, also
+ * those no term takes (negatives, -inf, negative zeros) */
+double lcd_add_reduce(const double *a, ptrdiff_t n)
+{
+    return add_reduce(a, n);
+}
+
+/* the sum of a_i suffix(b)_i over n sites: q_upper, 0.0 below two sites */
+static double upper_sum(const double *terms, ptrdiff_t n)
+{
+    return n < 2 ? 0.0 : add_reduce(terms, n);
 }
 
 /* np.argmax's pick, one candidate at a time; *at < 0 before the first.
@@ -140,6 +199,27 @@ static void pair_terms(const lcd_level *L, const cplx *ua, const cplx *va, const
     }
 }
 
+/* the sums row; see the header */
+static void level_sums(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1)
+{
+    const ptrdiff_t n = L->n, len = i1 - i0;
+    double *sums = L->sums;
+    ptrdiff_t r;
+
+    *sums++ = add_reduce(L->dens, n);
+    for (r = 0; r < L->runs; r++) {
+        *sums++ = add_reduce(L->dens + r * n + i0, len);
+        *sums++ = add_reduce(L->prod + r * n + i0, len);
+        *sums++ = upper_sum(L->q + r * n + i0, len);
+    }
+    if (L->runs == 2) {
+        *sums++ = add_reduce(L->l1 + i0, len);
+        *sums++ = add_reduce(L->d1 + i0, len);
+        *sums++ = upper_sum(L->q1u + i0, len);
+        *sums = upper_sum(L->q1v + i0, len);
+    }
+}
+
 static void growth_margins(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t kshift, double E)
 {
     const double *au = L->au, *av = L->av, *pre_u = L->pre_u, *pre_v = L->pre_v;
@@ -191,6 +271,7 @@ void lcd_level_terms(const lcd_level *L, const cplx *ua, const cplx *va, const c
     }
     if (L->runs == 2)
         pair_terms(L, ua, va, ub, vb, i0, i1);
+    level_sums(L, i0, i1);
     if (with_margins) {
         growth_margins(L, i0, i1, kshift, E);
         return;
@@ -207,10 +288,10 @@ static cplx cmul(cplx a, cplx b)
     return r;
 }
 
-/* l1 and p1 of runs A and B, n sites each, over the grid */
-void lcd_distance_terms(double *restrict l1, double *restrict p1, const cplx *restrict ua,
-                        const cplx *restrict va, const cplx *restrict ub, const cplx *restrict vb,
-                        ptrdiff_t n)
+/* l1 and p1 of runs A and B, n sites each, over the grid, and their sums */
+void lcd_distance_terms(double *restrict l1, double *restrict p1, double *restrict sums,
+                        const cplx *restrict ua, const cplx *restrict va, const cplx *restrict ub,
+                        const cplx *restrict vb, ptrdiff_t n)
 {
     ptrdiff_t i;
 
@@ -223,4 +304,6 @@ void lcd_distance_terms(double *restrict l1, double *restrict p1, const cplx *re
         l1[i] = abs2(U) + abs2(V);
         p1[i] = abs2(d);
     }
+    sums[0] = add_reduce(l1, n);
+    sums[1] = add_reduce(p1, n);
 }

@@ -2,8 +2,9 @@
 
 One light-cone step, unforced or forced, with its blow-up verdict (the
 reference that ``_step.c`` reproduces bit for bit); the elementwise terms
-of one audited level and of the distances of two runs (the references that
-``_level.c`` reproduces bit for bit); and the ordered pair sum
+of one audited level and of the distances of two runs, and their
+``np.add.reduce`` sums (the references that ``_level.c`` reproduces bit
+for bit); and the ordered pair sum
 q(a, b) = sum_{i<j} a_i b_j in both the O(N) suffix-scan form and the
 O(N^2) direct form kept as an oracle.
 """
@@ -112,10 +113,10 @@ def q_upper_naive(a, b):
 
 
 def level_terms(terms, runs, i0, i1, kshift, E):
-    """Write one level's elementwise terms into terms, a kernels.LevelTerms
-    (which names each one), for runs, one (u, v) pair per run, over the
-    section [i0, i1); with E, the growth factor at this level, also the
-    growth margins against the level at t = 0. The sums stay with the caller.
+    """Write one level's elementwise terms and their sums into terms, a
+    kernels.LevelTerms (which names each one), for runs, one (u, v) pair per
+    run, over the section [i0, i1); with E, the growth factor at this level,
+    also the growth margins against the level at t = 0.
 
     Overflow is left to the caller, as in the compiled backend.
     """
@@ -124,7 +125,9 @@ def level_terms(terms, runs, i0, i1, kshift, E):
 
 
 def _level_terms(terms, runs, i0, i1, kshift, E):
-    sec = slice(i0, i1)
+    sec, add = slice(i0, i1), np.add.reduce
+    upper = add if i1 - i0 >= 2 else lambda a: 0.0  # q_upper is 0 below two sites
+    sums = []
     for r, (u, v) in enumerate(runs):
         span = slice(None) if r == 0 else sec  # run B is read over the section only
         au, av = terms.au[r], terms.av[r]
@@ -133,6 +136,7 @@ def _level_terms(terms, runs, i0, i1, kshift, E):
         terms.dens[r, span] = au[span] + av[span]
         terms.prod[r, sec] = au[sec] * av[sec]
         terms.q[r, sec] = au[sec] * upper_suffix(av[sec])
+        sums += [add(terms.dens[r, sec]), add(terms.prod[r, sec]), upper(terms.q[r, sec])]
     if len(runs) == 2:
         (uA, vA), (uB, vB) = runs
         U = uA[sec] - uB[sec]
@@ -145,6 +149,8 @@ def _level_terms(terms, runs, i0, i1, kshift, E):
         terms.d1[sec] = aU2 * vmod + umod * aV2
         terms.q1u[sec] = aU2 * upper_suffix(vmod)
         terms.q1v[sec] = umod * upper_suffix(aV2)
+        sums += [add(terms.l1[sec]), add(terms.d1[sec]), upper(terms.q1u[sec]), upper(terms.q1v[sec])]
+    terms.sums[:] = [add(terms.dens[0]), *sums]  # run A's densities over the grid first
     terms.margins[:] = -np.inf
     terms.sites[:] = -1
     if E is not None:
@@ -188,15 +194,17 @@ def _growth_margins(terms, i0, i1, kshift, E):
     terms.margins[2], terms.sites[2] = vio_w[j], starts[j]
 
 
-def distance_terms(out, run_a, run_b):
-    """Write the field- and product-distance terms of two runs into out (see
-    kernels.distance_terms); each complex product is four real products and
-    two sums, not NumPy's complex multiply, whose rounding depends on the
-    CPU it dispatches to."""
+def distance_terms(terms, run_a, run_b):
+    """Write the field- and product-distance terms of two runs and their
+    np.add.reduce sums into terms, a kernels.DistanceTerms; each complex
+    product is four real products and two sums, not NumPy's complex
+    multiply, whose rounding depends on the CPU it dispatches to."""
     (uA, vA), (uB, vB) = run_a, run_b
+    out = terms.out
     with np.errstate(over="ignore", invalid="ignore"):
         U, V = uA - uB, vA - vB
         out[0] = (U.real**2 + U.imag**2) + (V.real**2 + V.imag**2)
         re = (uA.real * vA.real - uA.imag * vA.imag) - (uB.real * vB.real - uB.imag * vB.imag)
         im = (uA.real * vA.imag + uA.imag * vA.real) - (uB.real * vB.imag + uB.imag * vB.real)
         out[1] = re**2 + im**2
+        terms.sums[:] = np.add.reduce(out[0]), np.add.reduce(out[1])

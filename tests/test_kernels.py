@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import json
 import os
@@ -431,19 +432,21 @@ def _cornered(rng, n, count=3):
 
 
 def _distance_terms(runs, name="compiled"):
-    """(l1, p1) of one kernels.distance_terms call on backend name."""
+    """(l1, p1, their sums) of one kernels.distance_terms call on backend name."""
     terms = kernels.DistanceTerms(runs[0][0].shape[0])
     before = kernels.use_backend(name)
     try:
-        kernels.distance_terms(terms, *runs)
+        sums = kernels.distance_terms(terms, *runs)
     finally:
         kernels.use_backend(before)
-    return terms.out[0], terms.out[1]
+    _assert_bits_equal([np.array(sums)], [terms.sums])
+    return terms.out[0], terms.out[1], terms.sums
 
 
 def _real_distance_terms(runs):
-    """(l1, p1) in NumPy real arithmetic: each part of a complex product
-    rounded after each multiply and each sum."""
+    """(l1, p1, their sums) in NumPy real arithmetic: each part of a complex
+    product rounded after each multiply and each sum, each sum
+    np.add.reduce's."""
     (uA, vA), (uB, vB) = runs
 
     def mul(a, b):
@@ -452,7 +455,8 @@ def _real_distance_terms(runs):
     with np.errstate(over="ignore", invalid="ignore"):
         U, V = uA - uB, vA - vB
         (ar, ai), (br, bi) = mul(uA, vA), mul(uB, vB)
-        return (U.real**2 + U.imag**2) + (V.real**2 + V.imag**2), (ar - br) ** 2 + (ai - bi) ** 2
+        l1, p1 = (U.real**2 + U.imag**2) + (V.real**2 + V.imag**2), (ar - br) ** 2 + (ai - bi) ** 2
+        return l1, p1, np.array([np.add.reduce(l1), np.add.reduce(p1)])
 
 
 def _distance_cases(rng):
@@ -497,12 +501,12 @@ def test_pool_buffers_give_the_bits_of_fresh_arrays(rng, backend, name):
         terms, fresh = kernels.LevelTerms(n, 2, 0.1), kernels.LevelTerms(n, 2, 0.1)
         kernels.level_terms(terms, [b, c], 10, 80, 0, None)
         kernels.level_terms(fresh, [(u, v), (ub, vb)], 10, 80, 0, None)
-        _assert_bits_equal([getattr(terms, k) for k in ("au", "prod", "q", "d1", "q1v")],
-                           [getattr(fresh, k) for k in ("au", "prod", "q", "d1", "q1v")])
+        _assert_bits_equal([getattr(terms, k) for k in ("au", "prod", "q", "d1", "q1v", "sums")],
+                           [getattr(fresh, k) for k in ("au", "prod", "q", "d1", "q1v", "sums")])
         dist, fresh = kernels.DistanceTerms(n), kernels.DistanceTerms(n)
         kernels.distance_terms(dist, b, c)
         kernels.distance_terms(fresh, (u, v), (ub, vb))
-        _assert_bits_equal(dist.out, fresh.out)
+        _assert_bits_equal([dist.out, dist.sums], [fresh.out, fresh.sums])
     assert not any(id(buf) in kernels._BOUND for pair in (a, b, c) for buf in pair)
 
 
@@ -595,6 +599,119 @@ def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
             with pytest.raises(UsageError, match="sites"):
                 kernels.distance_terms(terms, other, run)
         assert len(calls) == 1, name
+
+
+# The lengths at which NumPy's pairwise sum changes shape: every length to
+# past two blocks of 128, and across the splits of larger arrays.
+SUM_LENGTHS = (*range(301), 3071, 3072, 4096, 8193)
+
+
+def _numpy_sums(terms, i0, i1):
+    """What LevelTerms.sums must hold, from np.add.reduce of the buffers the
+    pass wrote: 0.0 for the suffix-scan products below two sites."""
+    def upper(a):
+        return np.add.reduce(a[i0:i1]) if i1 - i0 >= 2 else 0.0
+
+    want = [np.add.reduce(terms.dens[0])]
+    for r in range(terms.runs):
+        want += [np.add.reduce(terms.dens[r, i0:i1]), np.add.reduce(terms.prod[r, i0:i1]), upper(terms.q[r])]
+    if terms.runs == 2:
+        want += [np.add.reduce(terms.l1[i0:i1]), np.add.reduce(terms.d1[i0:i1]), upper(terms.q1u), upper(terms.q1v)]
+    return np.array(want)
+
+
+def _assert_sums_equal(got, want, *context):
+    """Bit for bit, but that a NaN matches any NaN: IEEE 754 leaves the sign
+    and payload of a NaN result open (where two NaNs meet, they follow the
+    operand order a compiler picks), and no artifact prints them."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (context, got, want)
+
+
+def _summed_fields(rng, n, kind):
+    """A complex field of n sites whose squares span 1e-8 to 1e8 ("mixed"),
+    the same with corner values among them ("corners": NaN, infinities,
+    overflowing squares), or negative zeros throughout ("zeros")."""
+    if kind == "zeros":
+        return np.full(n, complex(-0.0, -0.0))
+    z = 10.0 ** rng.uniform(-4, 4, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    if kind == "corners" and n:
+        parts = z.view(np.float64)
+        count = 1 + n // 50
+        parts[rng.choice(2 * n, size=count, replace=False)] = rng.choice(CORNERS, size=count)
+    return z
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_sums_are_numpys_add_reduce_bit_for_bit(rng, backend, name):
+    """Every sum level_terms and distance_terms return equals np.add.reduce
+    of the terms they wrote, bit for bit, at every length where NumPy's
+    pairwise order changes shape; if a NumPy release changes that order,
+    this fails rather than an artifact's digits moving."""
+    backend(name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in SUM_LENGTHS:
+            for kind in ("mixed", "corners", "zeros"):
+                runs = [tuple(_summed_fields(rng, n, kind) for _ in "uv") for _ in range(2)]
+                terms, dist = kernels.LevelTerms(n, 2, 1.0), kernels.DistanceTerms(n)
+                sums = kernels.level_terms(terms, runs, 0, n, 0, None)
+                dist_sums = kernels.distance_terms(dist, *runs)
+                _assert_bits_equal([np.array(sums), np.array(dist_sums)], [terms.sums, dist.sums])
+                _assert_sums_equal(terms.sums, _numpy_sums(terms, 0, n), n, kind)
+                _assert_sums_equal(dist.sums, [np.add.reduce(dist.out[0]), np.add.reduce(dist.out[1])], n, kind)
+
+
+@needs_compiled
+def test_c_sum_is_numpys_add_reduce_on_any_doubles(rng):
+    """_level.c's sum, on values no term takes as well: negatives, -inf, a
+    sum of +inf and -inf, and negative zeros throughout, which NumPy sums to
+    +0.0 from its identity."""
+    fn = kernels._lib.lcd_add_reduce
+    fn.argtypes, fn.restype = [ctypes.c_void_p, ctypes.c_ssize_t], ctypes.c_double
+    for n in SUM_LENGTHS:
+        mixed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)
+        special = mixed.copy()
+        special[rng.choice(n, size=min(n, 1 + n // 50), replace=False)] = rng.choice(
+            [np.inf, -np.inf, np.nan, -0.0, 1e308], size=min(n, 1 + n // 50))
+        for values in (mixed, special, np.full(n, -0.0), np.full(n, 1e308)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.add.reduce(values)
+            _assert_sums_equal(fn(values.ctypes.data, n), want, n)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_sums_of_short_and_empty_sections(rng, backend, name):
+    """Sections of 0 to 129 sites: each sum is np.add.reduce's and both
+    backends agree bit for bit; an infinite density on a one-site section
+    gives Q0 = Q1 = 0.0 (the sum of its one term, inf * 0.0, would be NaN);
+    an empty section, as at and past the cone's apex, sums to rows of
+    (0, 0, 0), whatever an earlier level left in the buffers."""
+    from lcdirac.functionals import _cone_row
+
+    backend(name)
+    n, i0, dx = 140, 4, 0.05
+    runs = [(_cplx(rng, n), _cplx(rng, n)) for _ in range(2)]
+    terms = kernels.LevelTerms(n, 2, dx)
+    for length in (0, 1, 2, 7, 8, 9, 127, 128, 129):
+        sums = kernels.level_terms(terms, runs, i0, i0 + length, 0, None)
+        _assert_bits_equal([terms.sums], [_numpy_sums(terms, i0, i0 + length)], length)
+        if "compiled" in kernels.available_backends():
+            want = _terms_on("pure" if name == "compiled" else "compiled", n, runs, i0, i0 + length, dx=dx)
+            _assert_bits_equal([terms.sums], [want["sums"]], length)
+        if length == 0:
+            rows = [_cone_row(sums, dx), _cone_row(sums, dx, run=1), _cone_row(sums, dx, pair=True)]
+            assert rows == [(0.0, 0.0, 0.0)] * 3
+    infinite = [(runs[0][0].copy(), runs[0][1]), (runs[1][0], runs[1][1].copy())]
+    infinite[0][0][i0] = infinite[1][1][i0] = np.inf  # |u|^2 of A and |v|^2 of B
+    sums = kernels.level_terms(terms, infinite, i0, i0 + 1, 0, None)
+    assert np.isnan(terms.q[0, i0]) and np.isnan(terms.q1u[i0])
+    L0, D0, Q0 = _cone_row(sums, dx)
+    L1, D1, Q1 = _cone_row(sums, dx, pair=True)
+    assert L0 == D0 == L1 == D1 == np.inf and Q0 == 0.0 and Q1 == 0.0
+    for i1 in (i0, i0 - 1):  # no section: nothing to sum, only run A's grid
+        sums = kernels.level_terms(terms, runs, i0, i1, 0, None)
+        assert sums[1:] == [0.0] * 10
 
 
 ARTIFACT_DOCS = {
@@ -743,7 +860,8 @@ def test_build_removes_stale_libraries(tmp_path):
 def _kernel_outputs(monkeypatch, lib):
     """Every compiled kernel's output, as bytes, on random and corner inputs
     (NaN, infinities, overflowing and underflowing values, signed zeros),
-    computed by lib."""
+    computed by lib: the level and distance terms with their sums, also at
+    the lengths where NumPy's pairwise sum changes shape."""
     monkeypatch.setattr(kernels, "_lib", lib)
     kernels.use_backend("compiled")
     rng = np.random.default_rng(16)
@@ -767,6 +885,9 @@ def _kernel_outputs(monkeypatch, lib):
         out += [a.tobytes() for a in _terms_on("compiled", 300, fields, 20, 270, 20, 1.5, origin).values()]
     for runs in _distance_cases(rng):
         out += [a.tobytes() for a in _distance_terms(runs)]
+    for n in (1, 7, 8, 9, 127, 128, 129, 3071, 8193):
+        runs = [tuple(_summed_fields(rng, n, "corners") for _ in "uv") for _ in range(2)]
+        out += [_terms_on("compiled", n, runs, 0, n)["sums"].tobytes(), _distance_terms(runs)[2].tobytes()]
     return out
 
 
