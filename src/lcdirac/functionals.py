@@ -466,7 +466,8 @@ class AuditPass:
     and for gronwall run B's rows and the pair's. The first call, with the
     runs' levels at t = 0 that evolve passes before any step, starts each
     reduction on their terms and raises the first usage or precondition
-    error in the order charge, triangle, pointwise, bony, gronwall.
+    error in the order charge, triangle, pointwise, bony, gronwall. The
+    constructor refuses a cone audit without a domain, before any level.
 
     Each level is written once into the LevelTerms that the first call
     allocates: one call to kernels.level_terms computes every term and sum
@@ -485,6 +486,9 @@ class AuditPass:
         C0: Optional[float] = None,
         c_tol: float = C_TOL,
     ):
+        cone = [name for name in ("triangle", "pointwise", "bony", "gronwall") if name in names]
+        if cone and dom is None:
+            raise UsageError(f"the {cone[0]} audit needs a cone domain, got None")
         self.dom = dom
         self.terms: Optional[kernels.LevelTerms] = None  # allocated by the first call
         self.audits: dict = {}

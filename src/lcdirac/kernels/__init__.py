@@ -80,9 +80,12 @@ PORTABLE_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-sha
 # For the CPU of the build. Without SLP vectorisation: measured in one
 # process on a 2-core AVX-512 Xeon, 150 alternating rounds, the time with it
 # over the time without was 1.00-1.01 for format_rows (the pair-table digit
-# stores no longer care; it was 1.08 for the old per-digit loop), 1.00-1.01
-# for the step and 1.01-1.03 for level_terms. The loops are
-# loop-vectorised either way.
+# stores no longer care; it was 1.08 for the old per-digit loop), 0.99-1.01
+# for the step (split real and imaginary stages) and 1.01-1.03 for
+# level_terms. The loops are loop-vectorised either way, in 32-byte vectors:
+# GCC 12 prefers 256 bits there. -mprefer-vector-width=512 takes the
+# bare step to about 0.75 of its time at N = 3072-4096, but moved neither
+# converge_rough nor audit_cone past its run-to-run spread, so it is not set.
 CFLAGS = ("-O3", "-march=native", "-fno-tree-slp-vectorize", "-ffp-contract=off", "-fno-math-errno",
           "-fPIC", "-shared")
 _HERE = os.path.dirname(os.path.abspath(__file__))

@@ -11,12 +11,14 @@
  * there (equal as numbers). Only data near 1e-300 in magnitude reaches it.
  *
  * The step runs in blocks of BLOCK sites, two passes each: the half-step
- * stages of the block and of one site on either side go into two stack
- * arrays, then the block's updates read them. Neither inner loop carries a
- * value from one site to the next or branches, so at -O3 the compiler
- * vectorises both; each SIMD lane does the same IEEE operations as the
- * scalar code. The wrap (periodic) or zero (zero inflow) neighbours of the
- * first and last site are handled outside the loops.
+ * stages of the block and of one site on either side go into four stack
+ * arrays, the real and imaginary parts of uh and of vh, then the block's
+ * updates read them. Neither inner loop carries a value from one site to the
+ * next or branches, so at -O3 the compiler vectorises both, one site per
+ * SIMD lane: only the loads of u, v and the forcing and the stores of un and
+ * vn interleave real and imaginary parts. Each lane does the same IEEE
+ * operations as the scalar code. The wrap (periodic) or zero (zero inflow)
+ * stages past the first and last site are set outside the loops.
  *
  * The helpers that take forcing pointers are always inlined, so the loops
  * are compiled once with the pointers NULL and once without, and the
@@ -40,33 +42,25 @@ typedef struct { double re, im; } cplx;
 
 typedef struct { double h, hh, m, alpha, tb; } params; /* tb = 2 beta, hh = h / 2 */
 
-static const cplx zero = {0.0, 0.0};
+typedef struct { double ur[BLOCK + 2], ui[BLOCK + 2], vr[BLOCK + 2], vi[BLOCK + 2]; } stages;
 
-static inline cplx rmul(double c, cplx z) /* (c + 0i) * z */
+/* (wr, wi) = z + (c + 0i) * i (m q - n + f),  n = alpha p |q|^2 + 2 beta s q,
+ * s = 2 Re(p conj q); each product with a real factor promoted to (c, 0) as
+ * NumPy evaluates it; the forcing sample f is skipped when NULL */
+INLINE void advance(cplx z, double c, double pr, double pi, double qr, double qi,
+                    const params *k, const cplx *f, double *wr, double *wi)
 {
-    cplx r = {c * z.re - 0.0 * z.im, c * z.im + 0.0 * z.re};
-    return r;
-}
-
-static inline cplx add(cplx a, cplx b)
-{
-    cplx r = {a.re + b.re, a.im + b.im};
-    return r;
-}
-
-/* i (m q - n + f),  n = alpha p |q|^2 + 2 beta s q,  s = 2 Re(p conj q);
- * the forcing sample f is skipped when NULL */
-INLINE cplx source(cplx p, cplx q, const params *k, const cplx *f)
-{
-    double q2 = q.re * q.re + q.im * q.im;
-    double s = 2.0 * (p.re * q.re + p.im * q.im);
-    cplx n = add(rmul(q2, rmul(k->alpha, p)), rmul(k->tb * s, q));
-    cplx mq = rmul(k->m, q);
-    cplx d = {mq.re - n.re, mq.im - n.im};
+    double q2 = qr * qr + qi * qi;
+    double tbs = k->tb * (2.0 * (pr * qr + pi * qi));
+    double ar = k->alpha * pr - 0.0 * pi, ai = k->alpha * pi + 0.0 * pr; /* alpha p */
+    double nr = (q2 * ar - 0.0 * ai) + (tbs * qr - 0.0 * qi);
+    double ni = (q2 * ai + 0.0 * ar) + (tbs * qi + 0.0 * qr);
+    double dr = (k->m * qr - 0.0 * qi) - nr, di = (k->m * qi + 0.0 * qr) - ni;
     if (f)
-        d = add(d, *f);
-    cplx r = {0.0 * d.re - d.im, 0.0 * d.im + d.re}; /* (0 + 1i) * d */
-    return r;
+        dr = dr + f->re, di = di + f->im;
+    double rr = 0.0 * dr - di, ri = 0.0 * di + dr; /* (0 + 1i) * d */
+    *wr = z.re + (c * rr - 0.0 * ri);
+    *wi = z.im + (c * ri + 0.0 * rr);
 }
 
 INLINE const cplx *at(const cplx *f, ptrdiff_t i)
@@ -74,22 +68,24 @@ INLINE const cplx *at(const cplx *f, ptrdiff_t i)
     return f ? f + i : NULL;
 }
 
-/* uh_i ~ u(x_i + h/2, t + h/2) and vh_i ~ v(x_i - h/2, t + h/2) */
+/* entry j of s: uh ~ u(x_i + h/2, t + h/2) and vh ~ v(x_i - h/2, t + h/2) */
 INLINE void half(const cplx *u, const cplx *v, const cplx *fu, const cplx *fv,
-                 ptrdiff_t i, const params *k, cplx *uh, cplx *vh)
+                 ptrdiff_t i, const params *k, stages *s, ptrdiff_t j)
 {
-    *uh = add(u[i], rmul(k->hh, source(u[i], v[i], k, at(fu, i))));
-    *vh = add(v[i], rmul(k->hh, source(v[i], u[i], k, at(fv, i))));
+    advance(u[i], k->hh, u[i].re, u[i].im, v[i].re, v[i].im, k, at(fu, i), &s->ur[j], &s->ui[j]);
+    advance(v[i], k->hh, v[i].re, v[i].im, u[i].re, u[i].im, k, at(fv, i), &s->vr[j], &s->vi[j]);
 }
 
 /* un_i = u_{i-1} + h f_u(uh_{i-1}, vh_i), vn_i = v_{i+1} + h f_v(uh_i, vh_{i+1});
- * uh and vh point at the stages of site i - 1 */
-INLINE void update(cplx u_left, cplx v_right, const cplx *uh, const cplx *vh,
+ * entry j of s holds the stages of site i - 1 */
+INLINE void update(cplx u_left, cplx v_right, const stages *s, ptrdiff_t j,
                    const cplx *f2, const cplx *f3, ptrdiff_t i, const params *k,
                    cplx *un, cplx *vn)
 {
-    un[i] = add(u_left, rmul(k->h, source(uh[0], vh[1], k, at(f2, i))));
-    vn[i] = add(v_right, rmul(k->h, source(vh[2], uh[1], k, at(f3, i))));
+    advance(u_left, k->h, s->ur[j], s->ui[j], s->vr[j + 1], s->vi[j + 1], k, at(f2, i),
+            &un[i].re, &un[i].im);
+    advance(v_right, k->h, s->vr[j + 2], s->vi[j + 2], s->ur[j + 1], s->ui[j + 1], k, at(f3, i),
+            &vn[i].re, &vn[i].im);
 }
 
 #define EXPONENT UINT64_C(0x7ff0000000000000)
@@ -129,34 +125,31 @@ INLINE ptrdiff_t step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_
                       const params *k, int periodic,
                       const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
 {
-    cplx uh[BLOCK + 2], vh[BLOCK + 2]; /* entry j: the stages of site lo - 1 + j */
-    cplx uh_first = zero, vh_first = zero, uh_last = zero, vh_last = zero;
+    stages s; /* entry j: the stages of site lo - 1 + j */
+    const cplx zero = {0.0, 0.0};
     const cplx u_edge = periodic ? u[n - 1] : zero, v_edge = periodic ? v[0] : zero;
     ptrdiff_t lo, hi, i, j, bad = -1;
 
-    if (periodic) { /* the stages that wrap: of site 0 past the end, of site n - 1 before 0 */
-        half(u, v, f0, f1, 0, k, &uh_first, &vh_first);
-        half(u, v, f0, f1, n - 1, k, &uh_last, &vh_last);
-    }
     for (lo = 0; lo < n; lo = hi) {
         hi = n - lo > BLOCK ? lo + BLOCK : n;
         for (j = 1; j <= hi - lo; j++)
-            half(u, v, f0, f1, lo - 1 + j, k, &uh[j], &vh[j]);
-        if (lo > 0)
-            half(u, v, f0, f1, lo - 1, k, &uh[0], &vh[0]);
+            half(u, v, f0, f1, lo - 1 + j, k, &s, j);
+        if (lo > 0 || periodic) /* site n - 1 wraps to before site 0 */
+            half(u, v, f0, f1, lo > 0 ? lo - 1 : n - 1, k, &s, 0);
         else
-            uh[0] = uh_last, vh[0] = vh_last;
-        if (hi < n)
-            half(u, v, f0, f1, hi, k, &uh[hi - lo + 1], &vh[hi - lo + 1]);
+            s.ur[0] = s.ui[0] = s.vr[0] = s.vi[0] = 0.0;
+        j = hi - lo + 1;
+        if (hi < n || periodic) /* site 0 wraps to past site n - 1 */
+            half(u, v, f0, f1, hi < n ? hi : 0, k, &s, j);
         else
-            uh[hi - lo + 1] = uh_first, vh[hi - lo + 1] = vh_first;
+            s.ur[j] = s.ui[j] = s.vr[j] = s.vi[j] = 0.0;
 
         for (i = lo > 0 ? lo : 1; i < (hi < n ? hi : n - 1); i++)
-            update(u[i - 1], v[i + 1], uh + (i - lo), vh + (i - lo), f2, f3, i, k, un, vn);
+            update(u[i - 1], v[i + 1], &s, i - lo, f2, f3, i, k, un, vn);
         if (lo == 0)
-            update(u_edge, n > 1 ? v[1] : v_edge, uh, vh, f2, f3, 0, k, un, vn);
+            update(u_edge, n > 1 ? v[1] : v_edge, &s, 0, f2, f3, 0, k, un, vn);
         if (hi == n && n > 1)
-            update(u[n - 2], v_edge, uh + (n - 1 - lo), vh + (n - 1 - lo), f2, f3, n - 1, k, un, vn);
+            update(u[n - 2], v_edge, &s, n - 1 - lo, f2, f3, n - 1, k, un, vn);
         if (bad < 0) /* sites [lo, hi) are written */
             bad = first_bad(un, vn, lo, hi);
     }

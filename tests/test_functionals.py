@@ -293,6 +293,30 @@ class TestGronwallAudit:
             lc.gronwall_audit([f0], [f0], dom, gn_constants, gn)
 
 
+class TestConeAuditsNeedADomain:
+    def test_list_forms_refuse_no_domain(self, gn, gn_constants, cone_setup):
+        grid, _ = cone_setup
+        snaps = lc.evolve(lc.sample_initial(lc.zero_datum(), grid), gn, lc.SolverConfig(), 0.5)
+        calls = {
+            "triangle": lambda: lc.triangle_charge_audit(snaps, None, 0.5),
+            "pointwise": lambda: lc.pointwise_audit(snaps, None, 1.0, gn),
+            "bony": lambda: lc.bony_decay_audit(snaps, None, gn_constants, gn),
+            "gronwall": lambda: lc.gronwall_audit(snaps, snaps, None, gn_constants, gn),
+        }
+        for name, call in calls.items():
+            with pytest.raises(UsageError, match=f"the {name} audit needs a cone domain"):
+                call()
+
+    def test_audit_pass_refuses_before_any_level(self, gn, gn_constants):
+        for name in ("triangle", "pointwise", "bony", "gronwall"):
+            with pytest.raises(UsageError, match=f"the {name} audit needs a cone domain"):
+                functionals.AuditPass(["charge", name], None, gn_constants, gn, tau=0.5, C0=1.0)
+        # the first cone audit in the pass's order is named
+        with pytest.raises(UsageError, match="the triangle audit"):
+            functionals.AuditPass(["gronwall", "bony", "triangle"], None, gn_constants, gn)
+        functionals.AuditPass(["charge"], None, None, None, T=1.0)  # the total charge needs none
+
+
 class TestMonotoneSlack:
     def test_refined_audit_violation_not_worse(self, rng, gn):
         pu = random_bump_profile(rng, (-3, 3))

@@ -131,11 +131,22 @@ def test_backends_agree_on_step(backend, periodic, params):
 
 @needs_compiled
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("n", [1, 2, 3, 257, 600])
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 511, 512, 513, 600, 4096])
 def test_backends_agree_on_forced_step(backend, rng, periodic, n):
-    """Bit for bit over 20 steps, each with its own four forcing samples."""
-    u, v = rng.normal(size=(2, 2 * n)).view(np.complex128)
-    forcings = [rng.normal(size=(4, 2 * n)).view(np.complex128) for _ in range(20)]
+    """Bit for bit over 20 steps, each with its own four forcing samples.
+
+    The sizes put the last site at, and one either side of, the end of the
+    kernel's first and second block of 256 sites, where the stages wrap or
+    are handed from one block to the next; 4096 fills 16 blocks. About two
+    in five starting values and forcing samples are +0.0 or -0.0.
+    """
+    def with_zeros(x):
+        x[rng.random(x.shape) < 0.25] = 0.0
+        x[rng.random(x.shape) < 0.25] = -0.0
+        return x.view(np.complex128)
+
+    u, v = with_zeros(rng.normal(size=(2, 2 * n)))
+    forcings = [with_zeros(rng.normal(size=(4, 2 * n))) for _ in range(20)]
     ends = {}
     for name in ("pure", "compiled"):
         backend(name)
