@@ -14,7 +14,10 @@ lattice, in microseconds per level: the kernel call
 ``LevelPool`` pair into another as ``evolve`` makes it, ``solver.step``,
 which adds the Python around it (forcing check, the new ``SpinorField``
 and the blow-up verdict), and on ``compiled`` the bare ``lcd_step`` on
-the pool's bound addresses, so the overhead per level stays visible. Then ``format_rows`` writes one
+the pool's bound addresses, so the overhead per level stays visible; beside
+it the bare step of a compactly supported level (the same level, zero but
+for its central fifth, so most blocks read an all-zero window and are
+stepped once, as in ``converge_rough``). Then ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
 template), in nanoseconds per value, and beside it ``cli.snapshots_csv``
 writes a run of the ``simulate_csv`` workload's size (65 levels of 768
@@ -109,13 +112,17 @@ def level_us(n, p, rng, repeats):
 
         times = [best_of(kernel, repeats), best_of(pooled, repeats), best_of(step, repeats)]
         if kernels.backend_name() == "compiled":
-            bound = [kernels._BOUND[id(buf)] for buf in (*a, *b)]
+            c = pool.take()
+            c[0].base[:] = f.u, f.v
+            outside = np.r_[: 2 * n // 5, 3 * n // 5 : n]  # zero but for the central fifth
+            c[0].base[:, outside] = 0.0
 
-            def bare():
+            def bare(x):
+                bound = [kernels._BOUND[id(buf)] for buf in (*x, *b)]
                 for _ in range(CALLS):
                     kernels._lib.lcd_step(*bound, n, grid.dt, p.m, p.alpha, p.beta, True, None, None, None, None)
 
-            times.append(best_of(bare, repeats))
+            times += [best_of(lambda: bare(a), repeats), best_of(lambda: bare(c), repeats)]
     return [t / CALLS * 1e6 for t in times]
 
 
@@ -272,6 +279,7 @@ def bench(sizes, repeats):
             print_row("solver.step", n, [r[2] for r in rows])
             if len(rows[0]) > 3:
                 print_row("lcd_step, bound", n, [rows[0][3]])
+                print_row("lcd_step, bound, compact", n, [rows[0][4]])
         # one snapshot level: t, x and the four field components at 17 digits
         n = 768
         block = np.column_stack([np.full(n, 0.25), np.linspace(-8.0, 8.0, n, endpoint=False),

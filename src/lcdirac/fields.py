@@ -61,6 +61,8 @@ class GridSpec:
     def index_of(self, x: float) -> int:
         """Index of the lattice site at coordinate x; x must be aligned."""
         r = (x - self.x_min) / self.dx
+        if not math.isfinite(r):  # x near the double limit, far past the window
+            raise UsageError(f"coordinate {x} outside the grid window")
         i = round(r)
         if abs(r - i) > _ALIGN_RTOL * max(1.0, abs(r)):
             raise UsageError(f"coordinate {x} is not on the lattice (offset {r - i})")
@@ -153,8 +155,12 @@ class TriangleDomain:
         """
         lo, hi = self.cross_section(t)
         dx = grid.dx
-        rlo = (lo - grid.x_min) / dx
-        rhi = (hi - grid.x_min) / dx
+        # An endpoint near the double limit divides to +-inf, or overflows
+        # with the tolerance; clamped to half the largest double it is still
+        # far past the grid window, and gives the same section.
+        big = 0.5 * sys.float_info.max
+        rlo = min(max((lo - grid.x_min) / dx, -big), big)
+        rhi = min(max((hi - grid.x_min) / dx, -big), big)
         tol = _ALIGN_RTOL * max(1.0, abs(rlo), abs(rhi))
         i0 = math.floor(rlo + tol) + 1
         i1 = math.ceil(rhi - tol)  # first excluded index

@@ -77,6 +77,9 @@ def mollify(f: SpinorField, epsilon: float, kernel: str = "bump") -> SpinorField
     if kernel not in KERNELS:
         raise UsageError(f"unknown mollifier kernel {kernel!r}")
     grid = f.grid
+    window = grid.x_max - grid.x_min
+    if not epsilon <= window:  # the taps would wrap a periodic grid more than once
+        raise ResolutionError(f"mollification radius {epsilon} exceeds the grid window x_max - x_min = {window}")
     w = _kernel_taps(epsilon, grid.dx, kernel)
     periodic = grid.boundary == "periodic"
     with np.errstate(over="ignore", invalid="ignore"):  # a huge datum overflows: refused below
@@ -166,7 +169,12 @@ def _mollified(
     datum: InitialDatum, grid: GridSpec, eps: Sequence[float], families: Sequence[str]
 ) -> list[SpinorField]:
     """The datum sampled once and mollified at each radius by each family in
-    turn; the sample is not kept past this call, so the runs start without it."""
+    turn; the sample is not kept past this call, so the runs start without it.
+    The widest radius, eps[0], is checked against the grid window before the
+    sampling, as mollify checks it."""
+    window = grid.x_max - grid.x_min
+    if not eps[0] <= window:
+        raise ResolutionError(f"mollification radius {eps[0]} exceeds the grid window x_max - x_min = {window}")
     f = sample_initial(datum, grid)
     return [mollify(f, e, family) for e in eps for family in families]
 

@@ -9,7 +9,14 @@ for bit (but for the step's corner named in ``_step.c``):
   first site where either has a non-finite part (-1 for none), found in
   the pass that writes the level. Given ``out``, a pair of a
   ``LevelPool``'s buffers, it writes the level there, as ``evolve`` does
-  at every step; without, into fresh arrays;
+  at every step; without, into fresh arrays. On ``compiled``, an unforced
+  step computes a 256-site block whose input window (its sites and one on
+  either side, wrapped on a periodic grid; zero-inflow edge blocks
+  excepted) holds only +0.0 bits once, and stores that site across the
+  block: a site reads only itself and its neighbours (the light cone), so
+  every site there does the same IEEE operations on the same operands.
+  Compactly supported data stay +0.0 outside their light cone, so such
+  runs skip most blocks while the support is small;
 - ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
   values, byte for byte as Python's ``%`` operator does;
   ``format_rows_into`` writes the same rows as ASCII into a caller's

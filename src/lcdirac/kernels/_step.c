@@ -20,6 +20,24 @@
  * operations as the scalar code. The wrap (periodic) or zero (zero inflow)
  * stages past the first and last site are set outside the loops.
  *
+ * Zero windows. Site i of the new level reads only sites i - 1, i and
+ * i + 1 of the old one: the lattice light cone. So a block [lo, hi) reads
+ * u and v only over sites lo - 1 ... hi (wrapped on a periodic grid), and
+ * where every bit there is zero, every site of the block does the same IEEE
+ * operations on the same +0.0 operands and gets the same bits. The
+ * unforced step then computes one site of such a block through half and
+ * update, stores its (un, vn) across the block, and checks that one site
+ * for the verdict. A block with a -0.0 or any other nonzero word in its
+ * window takes the normal path. The scan tests the window's first word
+ * alone, so a dense block pays one load and one branch for it, and stops
+ * at the first chunk of words that holds a nonzero one. Compactly
+ * supported data stay +0.0 outside their light cone (each stage and update
+ * of +0.0 data adds a signed zero to +0.0, which gives +0.0), so while the
+ * support is small most blocks are stepped this way. Edge blocks under
+ * zero inflow always take the normal path: their outer neighbours and
+ * stages are literal +0.0, not sites of the grid, so the argument above
+ * does not cover them.
+ *
  * The helpers that take forcing pointers are always inlined, so the loops
  * are compiled once with the pointers NULL and once without, and the
  * unforced step tests no pointer per site.
@@ -117,6 +135,43 @@ static ptrdiff_t first_bad(const cplx *un, const cplx *vn, ptrdiff_t lo, ptrdiff
     return -1;
 }
 
+/* Whether every bit of the len doubles from p is zero. The first word is
+ * tested alone, so a dense window costs one load and one branch; then the
+ * words are ORed in chunks of ZERO_CHUNK, a loop the compiler vectorises,
+ * with one branch per chunk. */
+#define ZERO_CHUNK 32
+static int zero_words(const double *p, ptrdiff_t len)
+{
+    ptrdiff_t i, j, end;
+    uint64_t b, any;
+
+    memcpy(&b, p, sizeof b);
+    if (b)
+        return 0;
+    for (i = 1; i < len; i = end) {
+        end = len - i > ZERO_CHUNK ? i + ZERO_CHUNK : len;
+        for (any = 0, j = i; j < end; j++) {
+            memcpy(&b, &p[j], sizeof b);
+            any |= b;
+        }
+        if (any)
+            return 0;
+    }
+    return 1;
+}
+
+/* Whether every bit of u and v is zero over sites lo - 1 ... hi, the
+ * window that the updates of block [lo, hi) read, wrapped past either end
+ * of the grid (the caller passes an edge block only on a periodic grid). */
+static int zero_window(const cplx *u, const cplx *v, ptrdiff_t lo, ptrdiff_t hi, ptrdiff_t n)
+{
+    ptrdiff_t a = lo > 0 ? lo - 1 : 0, b = hi < n ? hi + 1 : n; /* the sites in [0, n) */
+
+    return zero_words(&u[a].re, 2 * (b - a)) && zero_words(&v[a].re, 2 * (b - a))
+        && (lo > 0 || (zero_words(&u[n - 1].re, 2) && zero_words(&v[n - 1].re, 2)))
+        && (hi < n || (zero_words(&u[0].re, 2) && zero_words(&v[0].re, 2)));
+}
+
 /* Neighbours past either end wrap (periodic) or are zero (zero inflow).
  * f[0], f[1]: F1 and F2 at (x_i, t); f[2]: F1 at (x_i - h/2, t + h/2);
  * f[3]: F2 at (x_i + h/2, t + h/2); all NULL for the unforced step.
@@ -132,6 +187,17 @@ INLINE ptrdiff_t step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_
 
     for (lo = 0; lo < n; lo = hi) {
         hi = n - lo > BLOCK ? lo + BLOCK : n;
+        if (!f0 && (periodic || (lo > 0 && hi < n)) && zero_window(u, v, lo, hi, n)) {
+            for (j = 0; j < 3; j++) /* every stage of the window is site lo's */
+                half(u, v, NULL, NULL, lo, k, &s, j);
+            update(u[lo], v[lo], &s, 0, NULL, NULL, lo, k, un, vn);
+            const cplx a = un[lo], b = vn[lo];
+            for (i = lo + 1; i < hi; i++)
+                un[i] = a, vn[i] = b;
+            if (bad < 0)
+                bad = first_bad(un, vn, lo, lo + 1);
+            continue;
+        }
         for (j = 1; j <= hi - lo; j++)
             half(u, v, f0, f1, lo - 1 + j, k, &s, j);
         if (lo > 0 || periodic) /* site n - 1 wraps to before site 0 */

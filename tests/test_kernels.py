@@ -298,6 +298,118 @@ def test_step_verdict_is_the_first_nonfinite_site(build, backend, request, monke
     assert read_sites >= set(VERDICT_SITES)
 
 
+# The unforced C step stores one computed site across a block whose input
+# window, sites lo - 1 ... hi (wrapped on a periodic grid), is all +0.0 bits.
+ZERO_WINDOW_SIZES = (255, 256, 257, 511, 512, 513, 768, 4096)
+ZERO_WINDOW_PARAMS = ((-1.0, 1.0, 0.25), (1.0, -0.5, 0.0), (0.5, 0.3, -0.2), (-0.7, -1.0, -0.3))
+PARTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (u or v, real or imaginary part)
+
+
+def _mixed_blocks(rng, n):
+    """u and v whose 256-site blocks are each all +0.0, all -0.0, +0.0 with
+    one -0.0 part, +0.0 with one tiny part, a random mix of signed zeros, or
+    dense; the +0.0 kind is drawn most often, so neighbours share it."""
+    uv = np.zeros((2, 2 * n))
+    for lo in range(0, n, 256):
+        part = uv[:, 2 * lo : 2 * min(lo + 256, n)]
+        kind = rng.choice(["plus", "plus", "plus", "minus", "one -0", "one tiny", "signed", "dense"])
+        if kind == "minus":
+            part[:] = -0.0
+        elif kind in ("one -0", "one tiny"):
+            part[rng.integers(2), rng.integers(part.shape[1])] = -0.0 if kind == "one -0" else 1e-3
+        elif kind == "signed":
+            part[:] = rng.choice([0.0, -0.0], size=part.shape)
+        elif kind == "dense":
+            part[:] = 0.3 * rng.normal(size=part.shape)
+    return uv.view(np.complex128)
+
+
+def _edge_levels(n, periodic):
+    """All-+0.0 levels with one part nonzero or -0.0 at a site lo - 1 or hi
+    of a block's window, for every block edge of the grid."""
+    for edge in range(0, n + 1, 256):
+        for site in (edge - 1, edge):
+            if not periodic and not 0 <= site < n:
+                continue
+            for (comp, im), value in itertools.product(PARTS, (0.5, -0.0)):
+                uv = np.zeros((2, 2 * n))
+                uv[comp, 2 * (site % n) + im] = value
+                yield (site % n, comp, im, value), uv.view(np.complex128)
+
+
+def _step_both(build, backend, u, v, params, periodic, steps=1):
+    """The levels and verdicts of `steps` unforced steps on compiled (or the
+    portable build) and on pure."""
+    out = {}
+    for name in (build, "pure"):
+        backend("pure" if name == "pure" else "compiled")
+        a, b, seq = u, v, []
+        for _ in range(steps):
+            a, b, bad = kernels.step_unforced(a, b, 16.0 / u.shape[0], *params, periodic)
+            seq.append((a, b, bad))
+        out[name] = seq
+    return out[build], out["pure"]
+
+
+def _assert_steps_equal(got, want, *context):
+    for k, ((a, b, bad), (a0, b0, bad0)) in enumerate(zip(got, want)):
+        assert bad == bad0, (k, *context)
+        assert np.array_equal(_bits(a), _bits(a0)) and np.array_equal(_bits(b), _bits(b0)), (k, *context)
+
+
+@pytest.mark.parametrize("build", ["compiled", "portable"])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_zero_windows_match_pure(build, backend, request, monkeypatch, periodic):
+    """Bit for bit and verdict for verdict against pure, over 5 steps of
+    levels mixing all-+0.0, -0.0, signed-zero, tiny and dense blocks, and
+    one step of all-+0.0 levels with one nonzero or -0.0 part at the edge
+    site lo - 1 or hi of a block's window, where the block must take the
+    normal path; with a negative m, alpha or beta, where the stages of zero
+    data are -0.0 in some part."""
+    if "compiled" not in kernels.available_backends():
+        pytest.skip(f"compiled kernels not built ({kernels.backend_reason()})")
+    if build == "portable":
+        lib, reason = request.getfixturevalue("portable_build")
+        assert lib is not None, reason
+        monkeypatch.setattr(kernels, "_lib", lib)
+    rng = np.random.default_rng(30)
+    for n, params in itertools.product(ZERO_WINDOW_SIZES, ZERO_WINDOW_PARAMS):
+        for draw in range(3):
+            u, v = _mixed_blocks(rng, n)
+            _assert_steps_equal(*_step_both(build, backend, u, v, params, periodic, steps=5), n, params, draw)
+        for case, (u, v) in _edge_levels(n, periodic):
+            _assert_steps_equal(*_step_both(build, backend, u, v, params, periodic), n, params, case)
+
+
+@needs_compiled
+@pytest.mark.parametrize("periodic", [True, False])
+def test_verdict_after_a_zero_block_names_its_site(backend, periodic):
+    """A NaN in u.real at site 296, in the block [256, 512) after the
+    all-+0.0 block [0, 256): site 295 is the first bad one (vn_295 reads
+    the stage of site 296), and the zero block before it is finite."""
+    u, v = np.zeros((2, 1024), complex)
+    u.real[296] = np.nan
+    for name in ("compiled", "pure"):
+        backend(name)
+        u_new, v_new, bad = kernels.step_unforced(u, v, 0.1, -1.0, -0.5, -0.25, periodic)
+        assert bad == 295 == _first_nonfinite(u_new, v_new), name
+        assert np.isfinite(v_new[:295]).all() and np.isnan(v_new.real[295])
+
+
+@needs_compiled
+@pytest.mark.parametrize("periodic", [True, False])
+def test_verdict_of_a_zero_block_is_checked(backend, periodic):
+    """An all-+0.0 level stepped with h = inf: inf * 0 makes every site NaN,
+    so the verdict is site 0, which on a periodic grid the C step finds in
+    the one site it computes for the zero block [0, 256)."""
+    u, v = np.zeros((2, 1024), complex)
+    for name in ("compiled", "pure"):
+        backend(name)
+        u_new, v_new, bad = kernels.step_unforced(u, v, np.inf, 1.0, 1.0, 0.25, periodic)
+        assert bad == 0 == _first_nonfinite(u_new, v_new), name
+        assert np.isnan(u_new.real).all() and np.isnan(v_new.real).all()
+
+
 def _terms_on(name, n, runs, i0, i1, kshift=0, E=None, origin=None, m=1.0, C0=0.3, dx=0.05):
     """Every buffer of kernels.LevelTerms after one level_terms call on backend name."""
     before = kernels.use_backend(name)

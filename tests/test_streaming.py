@@ -393,6 +393,53 @@ def test_ladder_samples_the_datum_once(tmp_path, capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
+# 64 sites on a periodic window of length 16: a radius past 16 wraps the
+# kernel around the grid more than once
+WINDOW_16 = {"x_min": -8.0, "x_max": 8.0, "n_points": 64, "boundary": "periodic"}
+ROUGH_INIT = {"u0": {"kind": "indicator_jump", "amplitude": 1.0, "center": 0.0, "halfwidth": 2.0},
+              "v0": {"kind": "uniform", "amplitude": 0.5}}
+
+
+@pytest.mark.parametrize("command", ["converge", "unique"])
+@pytest.mark.parametrize("eps", [16.5, 30.0, 1e6, 2**63, 1e308])
+def test_radius_wider_than_the_window_is_refused(tmp_path, capsys, monkeypatch, command, eps):
+    """Refused with exit 2, naming the radius and the window, before the
+    datum is sampled: past the window the wrapped sum is wrong, at 1e6 the
+    kernel has 8e6 taps on this grid, and 1e308 and 2**63 overflow the tap
+    count."""
+    calls = []
+    monkeypatch.setattr(lc.harness, "sample_initial", lambda *args: calls.append(args))
+    doc = audit_doc(tmp_path, command=command, grid=WINDOW_16, init=ROUGH_INIT, time={"T": 0.25},
+                    mollify={"epsilons": [eps, 1.0] if command == "converge" else [eps]})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 2 and "Traceback" not in err
+    assert f"mollification radius {float(eps)} exceeds the grid window x_max - x_min = 16.0" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["converge", "unique"])
+def test_radius_equal_to_the_window_is_accepted(tmp_path, capsys, command):
+    doc = audit_doc(tmp_path, command=command, grid=WINDOW_16, init=ROUGH_INIT, time={"T": 0.25},
+                    mollify={"epsilons": [16.0, 1.0] if command == "converge" else [16.0]})
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 0, err
+
+
+def test_mollify_at_the_window_equals_the_direct_periodic_sum():
+    """At a radius equal to the window the taps span 2 * 64 - 1 sites, and
+    the padded convolution still equals the sum over sites mod n."""
+    grid = lc.make_grid(**WINDOW_16)
+    f = lc.sample_initial(lc.InitialDatum(lc.ComponentSpec("indicator_jump", 1.0, center=0.0, halfwidth=2.0),
+                                          lc.ComponentSpec("uniform", 0.5)), grid)
+    w = lc.harness._kernel_taps(16.0, grid.dx, "bump")
+    half, n = len(w) // 2, grid.n_points
+    assert half == n - 1
+    g = lc.mollify(f, 16.0)
+    for data, got in ((f.u, g.u), (f.v, g.v)):
+        want = [sum(w[j + half] * data[(i - j) % n] for j in range(-half, half + 1)) * grid.dx for i in range(n)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "structured-report"])
 def test_every_audit_record_carries_the_run_constants(tmp_path, capsys, fmt):
     doc = audit_doc(tmp_path, time={"T": 0.5}, constants={"c_star": 20.0, "K": 45.0},
@@ -568,6 +615,29 @@ def test_huge_grid_spacing_exits_cleanly(tmp_path, capsys):
     status, err = run_main(tmp_path, doc, capsys)
     assert status == 0 and "Traceback" not in err
     assert ",inf," in (tmp_path / "run_audits.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize("end", ["a", "b"])
+def test_domain_endpoint_near_the_double_limit(tmp_path, capsys, command, end):
+    """An endpoint of +-1e308 divides past the double range in units of dx,
+    where +-1e300 does not; both behave alike: simulate clips the section and
+    writes the same trace, audit refuses the endpoint with exit 2."""
+    traces = []
+    for big in (1e300, 1e308):
+        out = tmp_path / str(big)
+        out.mkdir()
+        domain = {"a": -big, "b": 4.0} if end == "a" else {"a": -4.0, "b": big}
+        doc = audit_doc(out, command=command, domain=domain, time={"T": 0.5})
+        status, err = run_main(out, doc, capsys)
+        assert "Traceback" not in err
+        if command == "simulate":
+            assert status == 0, err
+            traces.append((out / "run_trace.csv").read_bytes())
+        else:
+            coordinate = -big if end == "a" else big
+            assert status == 2 and f"coordinate {coordinate} outside the grid window" in err
+    assert traces[:1] == traces[1:]
 
 
 HUGE_SPACING = {"x_min": -1.0, "x_max": 1e300, "n_points": 8, "boundary": "zero_inflow"}
