@@ -243,6 +243,8 @@ def parse_config(text: str) -> RunConfig:
                  for name in ("delta0", "c_star", "K", "delta") if name in csec.data}
     c_tol = _as_float(csec.take("C_tol", default=C_TOL), "constants.C_tol")
     csec.finish()
+    if c_tol < 0:
+        raise ConfigurationError("constants.C_tol must be nonnegative")
     constants = derive_constants(model, **overrides)
 
     command = root.take("command", kind=str)

@@ -161,9 +161,9 @@ class TriangleDomain:
         big = 0.5 * sys.float_info.max
         rlo = min(max((lo - grid.x_min) / dx, -big), big)
         rhi = min(max((hi - grid.x_min) / dx, -big), big)
-        tol = _ALIGN_RTOL * max(1.0, abs(rlo), abs(rhi))
-        i0 = math.floor(rlo + tol) + 1
-        i1 = math.ceil(rhi - tol)  # first excluded index
+        # each endpoint's tolerance scales with its own coordinate alone
+        i0 = math.floor(rlo + _ALIGN_RTOL * max(1.0, abs(rlo))) + 1
+        i1 = math.ceil(rhi - _ALIGN_RTOL * max(1.0, abs(rhi)))  # first excluded index
         return max(i0, 0), min(i1, grid.n_points)
 
 

@@ -1,13 +1,14 @@
 """Kernel backend selection.
 
 Four kernels have a compiled and a pure backend with the same results bit
-for bit (but for the step's corner named in ``_step.c``):
+for bit:
 
 - ``step_unforced`` is the one lattice step, unforced or, given
   ``forcing``, forced (the name predates forcing; ``perfbench`` wraps it by
   that name); it returns the new u and v and the blow-up verdict, the
   first site where either has a non-finite part (-1 for none), found in
-  the pass that writes the level. Given ``out``, a pair of a
+  the pass that writes the level; both backends evaluate it in the same
+  plain real arithmetic, operation for operation. Given ``out``, a pair of a
   ``LevelPool``'s buffers, it writes the level there, as ``evolve`` does
   at every step; without, into fresh arrays. On ``compiled``, an unforced
   step computes a 256-site block whose input window (its sites and one on

@@ -1,14 +1,10 @@
-/* One light-cone step in real arithmetic, with optional forcing; see
- * kernels/pure.py for the scheme. Each complex product is spelled out as
- * NumPy evaluates it, with a real factor promoted to (c, 0), so the result
- * matches the NumPy step bit for bit, signed zeros included. Build with
- * -ffp-contract=off and never with -ffast-math: the 0.0 * x terms must
- * survive, and no multiply-add may be fused.
- *
- * One corner differs: where c * x underflows to zero from a nonzero exact
- * product, NumPy's SIMD complex multiply on FMA hardware fuses it with the
- * 0.0 * y term and keeps the product's sign, so a -0.0 here can be +0.0
- * there (equal as numbers). Only data near 1e-300 in magnitude reaches it.
+/* One light-cone step in plain real arithmetic, with optional forcing; see
+ * kernels/pure.py for the scheme. Each stage and update is one complex
+ * multiply-add, z + c i d, written out in real and imaginary parts by
+ * advance below; pure.py applies the same advance, operation for
+ * operation, to NumPy arrays, so both backends give the same bits, signed
+ * zeros included. Build with -ffp-contract=off and never with -ffast-math:
+ * no multiply-add may be fused and no operation reordered.
  *
  * The step runs in blocks of BLOCK sites, two passes each: the half-step
  * stages of the block and of one site on either side go into four stack
@@ -62,23 +58,19 @@ typedef struct { double h, hh, m, alpha, tb; } params; /* tb = 2 beta, hh = h / 
 
 typedef struct { double ur[BLOCK + 2], ui[BLOCK + 2], vr[BLOCK + 2], vi[BLOCK + 2]; } stages;
 
-/* (wr, wi) = z + (c + 0i) * i (m q - n + f),  n = alpha p |q|^2 + 2 beta s q,
- * s = 2 Re(p conj q); each product with a real factor promoted to (c, 0) as
- * NumPy evaluates it; the forcing sample f is skipped when NULL */
+/* (wr, wi) = z + c i d,  d = m q - (alpha |q|^2 p + 2 beta s q) + f,
+ * s = 2 Re(p conj q); the forcing sample f is skipped when NULL */
 INLINE void advance(cplx z, double c, double pr, double pi, double qr, double qi,
                     const params *k, const cplx *f, double *wr, double *wi)
 {
     double q2 = qr * qr + qi * qi;
     double tbs = k->tb * (2.0 * (pr * qr + pi * qi));
-    double ar = k->alpha * pr - 0.0 * pi, ai = k->alpha * pi + 0.0 * pr; /* alpha p */
-    double nr = (q2 * ar - 0.0 * ai) + (tbs * qr - 0.0 * qi);
-    double ni = (q2 * ai + 0.0 * ar) + (tbs * qi + 0.0 * qr);
-    double dr = (k->m * qr - 0.0 * qi) - nr, di = (k->m * qi + 0.0 * qr) - ni;
+    double dr = k->m * qr - (q2 * (k->alpha * pr) + tbs * qr);
+    double di = k->m * qi - (q2 * (k->alpha * pi) + tbs * qi);
     if (f)
         dr = dr + f->re, di = di + f->im;
-    double rr = 0.0 * dr - di, ri = 0.0 * di + dr; /* (0 + 1i) * d */
-    *wr = z.re + (c * rr - 0.0 * ri);
-    *wi = z.im + (c * ri + 0.0 * rr);
+    *wr = z.re - c * di;
+    *wi = z.im + c * dr;
 }
 
 INLINE const cplx *at(const cplx *f, ptrdiff_t i)

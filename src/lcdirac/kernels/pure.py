@@ -1,7 +1,7 @@
 """Pure NumPy implementations of the hot kernels.
 
 One light-cone step, unforced or forced, with its blow-up verdict (the
-reference that ``_step.c`` reproduces bit for bit); the elementwise terms
+same real operations as ``_step.c``, so the same bits); the elementwise terms
 of one audited level and of the distances of two runs, and their
 ``np.add.reduce`` sums (the references that ``_level.c`` reproduces bit
 for bit); and the ordered pair sum
@@ -29,6 +29,10 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
     F1 and F2 at (x_i, t), F1 at (x_i - h/2, t + h/2) and F2 at
     (x_i + h/2, t + h/2).
 
+    Each stage and update is z + c i d in plain real arithmetic
+    (``_advance``), the operations of ``advance`` in ``_step.c`` in the
+    same order, so the backends agree bit for bit, signed zeros included.
+
     Returns ``(u_new, v_new, bad)``, where bad is the first site where
     u_new or v_new has a non-finite part, or -1: overflow is not raised but
     reported, as in the compiled backend.
@@ -40,53 +44,49 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
 
 
 def _step(u, v, h, m, alpha, beta, periodic, forcing):
-    au2 = u.real**2 + u.imag**2
-    av2 = v.real**2 + v.imag**2
-    s = 2.0 * (u.real * v.real + u.imag * v.imag)
-    n1 = alpha * u * av2 + (2.0 * beta) * s * v
-    n2 = alpha * v * au2 + (2.0 * beta) * s * u
-    du = m * v - n1
-    dv = m * u - n2
-    if forcing is not None:
-        du = du + forcing[0]
-        dv = dv + forcing[1]
-    uh = u + (0.5 * h) * (1j * du)
-    vh = v + (0.5 * h) * (1j * dv)
+    k = (m, alpha, 2.0 * beta)
+    f = [None] * 4 if forcing is None else [_parts(a) for a in forcing]
+    u, v = _parts(u), _parts(v)
+    uh = _advance(u, 0.5 * h, u, v, k, f[0])
+    vh = _advance(v, 0.5 * h, v, u, k, f[1])
+    # u update: stages at (x_i - h/2, t + h/2); v update: at (x_i + h/2, t + h/2)
+    u_new = _advance(_shift(u, 1, periodic), h, _shift(uh, 1, periodic), vh, k, f[2])
+    v_new = _advance(_shift(v, -1, periodic), h, _shift(vh, -1, periodic), uh, k, f[3])
+    return _complex(u_new), _complex(v_new)
 
-    if periodic:
-        u_base = np.roll(u, 1)
-        v_base = np.roll(v, -1)
-        uh_m = np.roll(uh, 1)
-        vh_p = np.roll(vh, -1)
-    else:
-        u_base = np.empty_like(u)
-        u_base[0] = 0.0
-        u_base[1:] = u[:-1]
-        v_base = np.empty_like(v)
-        v_base[-1] = 0.0
-        v_base[:-1] = v[1:]
-        uh_m = np.empty_like(uh)
-        uh_m[0] = 0.0
-        uh_m[1:] = uh[:-1]
-        vh_p = np.empty_like(vh)
-        vh_p[-1] = 0.0
-        vh_p[:-1] = vh[1:]
 
-    # u update: stages at (x_i - h/2, t + h/2)
-    b2 = vh.real**2 + vh.imag**2
-    sm = 2.0 * (uh_m.real * vh.real + uh_m.imag * vh.imag)
-    n1m = alpha * uh_m * b2 + (2.0 * beta) * sm * vh
-    du = m * vh - n1m
+def _advance(z, c, p, q, k, f):
+    """z + c i d with d = m q - (alpha |q|^2 p + 2 beta s q) + f and
+    s = 2 Re(p conj q), each complex value a (2, n) array of real and
+    imaginary parts: ``advance`` in ``_step.c``, operation for operation."""
+    m, alpha, tb = k
+    (pr, pi), (qr, qi) = p, q
+    q2 = qr * qr + qi * qi
+    tbs = tb * (2.0 * (pr * qr + pi * qi))
+    dr = m * qr - (q2 * (alpha * pr) + tbs * qr)
+    di = m * qi - (q2 * (alpha * pi) + tbs * qi)
+    if f is not None:
+        dr, di = dr + f[0], di + f[1]
+    return np.stack((z[0] - c * di, z[1] + c * dr))
 
-    # v update: stages at (x_i + h/2, t + h/2)
-    a2 = uh.real**2 + uh.imag**2
-    sp = 2.0 * (uh.real * vh_p.real + uh.imag * vh_p.imag)
-    n2p = alpha * vh_p * a2 + (2.0 * beta) * sp * uh
-    dv = m * uh - n2p
-    if forcing is not None:
-        du = du + forcing[2]
-        dv = dv + forcing[3]
-    return u_base + h * (1j * du), v_base + h * (1j * dv)
+
+def _parts(a):
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack((a.real, a.imag))
+
+
+def _complex(a):
+    """The complex128 array whose real and imaginary parts are the rows of a."""
+    return np.stack(a, axis=-1).view(np.complex128).reshape(-1)
+
+
+def _shift(a, by, periodic):
+    """The rows of a moved one site right (by = 1) or left (by = -1),
+    wrapped (periodic) or filled with +0.0 (zero inflow)."""
+    out = np.roll(a, by, axis=1)
+    if not periodic:
+        out[:, 0 if by > 0 else -1] = 0.0
+    return out
 
 
 def upper_suffix(b):

@@ -168,6 +168,19 @@ class TestTriangleDomain:
         assert x[0] > -1.0 and x[-1] < 1.0
         assert x[0] == -0.75 and x[-1] == 0.75
 
+    def test_section_indices_take_each_endpoint_alone(self):
+        """A far endpoint moves neither its own clipped end nor the near endpoint's site."""
+        g = lc.make_grid(-8.0, 8.0, 64)  # dx = 0.25
+        times = (0.0, 0.25, 1.0)
+        for t in times:
+            near_a = lc.TriangleDomain(-8.0, 1e3).section_indices(g, t)
+            near_b = lc.TriangleDomain(-1e3, 8.0).section_indices(g, t)
+            for far in (1e9, 1e10, 1e300):
+                assert lc.TriangleDomain(-8.0, far).section_indices(g, t) == near_a, (far, t)
+                assert lc.TriangleDomain(-far, 8.0).section_indices(g, t) == near_b, (far, t)
+        assert [lc.TriangleDomain(-8.0, 1e9).section_indices(g, t) for t in times] == [(1, 64), (2, 64), (5, 64)]
+        assert [lc.TriangleDomain(-1e10, 8.0).section_indices(g, t) for t in times] == [(0, 64), (0, 63), (0, 60)]
+
 
 class TestL2Distance:
     def test_identity_and_zero(self, rng):

@@ -162,8 +162,9 @@ def test_backends_agree_on_forced_step(backend, rng, periodic, n):
 def test_backends_agree_on_signed_zeros(backend):
     """One step on data, forcing and parameters drawn from {+-0, small integers}.
 
-    Here the 0 * x terms of NumPy's complex products decide the sign of
-    many zeros, so a kernel that drops them differs from NumPy.
+    Here the order and the signs of the step's real operations decide the
+    sign of many zeros, so a kernel that regroups a sum or flips a sign
+    differs from the other backend.
     """
     rng = np.random.default_rng(11)
     u, v = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0], size=(2, 2 * 20000)).view(np.complex128)
@@ -178,6 +179,29 @@ def test_backends_agree_on_signed_zeros(backend):
             assert ends["compiled"][2] == ends["pure"][2]
             for got, want in zip(ends["compiled"][:2], ends["pure"][:2]):
                 assert np.array_equal(_bits(got), _bits(want)), (m, alpha, beta, periodic, forcing is None)
+
+
+@needs_compiled
+def test_backends_agree_where_products_underflow(backend):
+    """One step on parts drawn from {+-0, 1e-160, -3e-170, 2e-155, -1e-162,
+    1, -0.5}, whose products underflow to signed zeros: bit for bit,
+    verdict included, on both boundaries, forced and unforced.
+
+    A kernel built on NumPy's complex multiply, which on FMA hardware may
+    fuse a product that underflows with the next term, differs here.
+    """
+    rng = np.random.default_rng(31)
+    parts = [0.0, -0.0, 1e-160, -3e-170, 2e-155, -1e-162, 1.0, -0.5]
+    u, v, *forcing = rng.choice(parts, size=(6, 2 * 4096)).view(np.complex128)
+    params = ((1.0, 0.5, 0.25), (-0.7, 1.0, -0.3), (0.0, -1.0, 1.0))
+    for (m, alpha, beta), periodic, f in itertools.product(params, (True, False), (None, forcing)):
+        ends = {}
+        for name in ("pure", "compiled"):
+            backend(name)
+            ends[name] = kernels.step_unforced(u, v, 1e-3, m, alpha, beta, periodic, forcing=f)
+        assert ends["compiled"][2] == ends["pure"][2]
+        for got, want in zip(ends["compiled"][:2], ends["pure"][:2]):
+            assert np.array_equal(_bits(got), _bits(want)), (m, alpha, beta, periodic, f is None)
 
 
 @needs_compiled

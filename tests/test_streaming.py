@@ -640,6 +640,34 @@ def test_domain_endpoint_near_the_double_limit(tmp_path, capsys, command, end):
     assert traces[:1] == traces[1:]
 
 
+@pytest.mark.parametrize("end", ["a", "b"])
+def test_far_domain_endpoint_leaves_the_near_one(tmp_path, capsys, end):
+    """simulate writes the same trace for a domain endpoint 1e9 away as
+    for one 1e3 away: the far endpoint's alignment tolerance does not move
+    the near endpoint's first or last site."""
+    traces = []
+    for far in (1e3, 1e9):
+        out = tmp_path / str(far)
+        out.mkdir()
+        domain = {"a": -far, "b": 4.0} if end == "a" else {"a": -4.0, "b": far}
+        doc = audit_doc(out, command="simulate", domain=domain, time={"T": 0.5})
+        status, err = run_main(out, doc, capsys)
+        assert status == 0, err
+        traces.append((out / "run_trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_negative_c_tol_is_a_configuration_error(tmp_path, capsys):
+    """A negative constants.C_tol would make every budget negative; it is
+    refused before the run (exit 2), while C_tol = 0 is accepted."""
+    status, err = run_main(tmp_path, audit_doc(tmp_path, constants={"C_tol": -1}), capsys)
+    assert status == 2 and "constants.C_tol" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    status, err = run_main(tmp_path, audit_doc(tmp_path, constants={"C_tol": 0}), capsys)
+    assert status in (0, 1) and "Traceback" not in err
+    assert (tmp_path / "run_audits.csv").exists()
+
+
 HUGE_SPACING = {"x_min": -1.0, "x_max": 1e300, "n_points": 8, "boundary": "zero_inflow"}
 
 
