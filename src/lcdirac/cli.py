@@ -658,5 +658,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return run_command(cfg)
 
 
+def entry():
+    """Process entry point (``python -m lcdirac`` and the ``lcdirac``
+    script): run main(), flush the standard streams and end the process
+    with os._exit, skipping the interpreter's teardown of its modules and
+    NumPy's objects (about 17 ms). Nothing is lost: every artifact is
+    closed before main() returns, lcdirac registers no atexit hook, and
+    its one log line reaches stderr at once. A closed stdout or stderr
+    exits 2 and prints nothing: a broken pipe out of main() gives 2, and
+    a flush that fails turns a 0 into 2."""
+    try:
+        status = main()
+    except BrokenPipeError:
+        status = 2
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):
+            status = status or 2
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

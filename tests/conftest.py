@@ -1,4 +1,8 @@
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,25 @@ def random_field(rng, grid, scale=1.0, t=0.0):
     u = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
     v = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
     return lc.SpinorField(grid, t, u, v)
+
+
+def child_env():
+    """The environment of a child interpreter that imports lcdirac from this
+    tree. PYTHONUNBUFFERED is dropped: an unbuffered stdout would hide a
+    stream the process forgot to flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(lc.__file__).parents[1])
+    return env
+
+
+def run_lcdirac(*args, options=(), **kwargs):
+    """Run ``python [OPTIONS] -m lcdirac ARGS`` in a child process and return
+    its CompletedProcess, both streams captured as text unless kwargs
+    redirect them."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *options, "-m", "lcdirac", *map(str, args)], env=child_env(),
+                          text=True, timeout=120, **kwargs)
 
 
 @contextlib.contextmanager

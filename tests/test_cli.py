@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import time
@@ -14,7 +13,7 @@ from lcdirac.cli import main, parse_config, run_command, trace_csv
 from lcdirac.errors import ConfigurationError
 from lcdirac.functionals import FunctionalTrace
 
-from conftest import SOLITON_MUTANTS, apply_soliton_mutant
+from conftest import SOLITON_MUTANTS, apply_soliton_mutant, child_env, run_lcdirac
 from ensembles import random_smooth_datum
 
 
@@ -413,10 +412,7 @@ class TestMain:
         assert err == ""
 
     def test_module_without_argument_exit_two(self):
-        src = str(Path(kernels.__file__).parents[2])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-m", "lcdirac"], env=env, capture_output=True, text=True,
-                              timeout=120)
+        done = run_lcdirac()
         assert done.returncode == 2
         assert done.stderr.startswith("usage: python -m lcdirac CONFIG\n")
         assert "Traceback" not in done.stderr and done.stdout == ""
@@ -556,15 +552,14 @@ def test_cli_import_loads_no_subprocess():
     build imports it, which keeps it out of every run's set-up time. Nor
     does it import anything else NumPy has not loaded but json: no
     dataclasses, logging or argparse, which cost milliseconds each."""
-    src = str(Path(kernels.__file__).parents[2])
     code = ("import sys, numpy\n"
             "before = set(sys.modules)\n"
             "import lcdirac.cli\n"
             "from lcdirac import kernels\n"
             "added = sorted(set(sys.modules) - before)\n"
             "print(kernels.backend_name(), *(m for m in added if m.split('.')[0] != 'lcdirac'))\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     backend, *added = done.stdout.split()
     assert backend == "compiled"
@@ -579,9 +574,7 @@ def test_algebraic_audit_imports_no_random_module(tmp_path):
     doc = base_doc(command="audit", audit_selection=["algebraic", "charge"], time={"T": 0.25},
                    output={"path": str(tmp_path / "run")})
     cfg = write_cfg(tmp_path, doc)
-    env = dict(os.environ, PYTHONPATH=str(Path(kernels.__file__).parents[2]))
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "lcdirac", str(cfg)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_lcdirac(cfg, options=("-X", "importtime"))
     assert done.returncode == 0, done.stderr
     imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:") and "|" in line}
