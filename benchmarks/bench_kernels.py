@@ -11,13 +11,16 @@ end-to-end workloads step: Thirring (alpha = 1) on a periodic lattice, as in
 pure/compiled ratio. Then one step per level for Thirring on a periodic
 lattice, in microseconds per level: the kernel call
 (``kernels.step_unforced``) on fresh arrays, the same call from one
-``LevelPool`` pair into another as ``evolve`` makes it, ``solver.step``,
-which adds the Python around it (forcing check, the new ``SpinorField``
-and the blow-up verdict), and on ``compiled`` the bare ``lcd_step`` on
-the pool's bound addresses, so the overhead per level stays visible; beside
-it the bare step of a compactly supported level (the same level, zero but
-for its central fifth, so most blocks read an all-zero window and are
-stepped once, as in ``converge_rough``). Then ``format_rows`` writes one
+``LevelPool`` generation into the other as ``evolve`` makes it,
+``solver.step``, which adds the Python around it (forcing check, the new
+``SpinorField`` and the blow-up verdict), and on ``compiled`` the bare
+``lcd_step`` on the pool's bound addresses, so the overhead per level stays
+visible; beside it the bare step of a compactly supported level (the same
+level, zero but for its central fifth, so most blocks read an all-zero
+window and are stepped once, as in ``converge_rough``). Then one lockstep
+level of R = 2 and 5 runs at N = 3072 and 4096, in microseconds per level:
+R single-run calls, one per run's rows, against the one batched call on the
+pool's generations that ``evolve`` makes. Then ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
 template), in nanoseconds per value, and beside it ``cli.snapshots_csv``
 writes a run of the ``simulate_csv`` workload's size (65 levels of 768
@@ -34,11 +37,14 @@ alike. It is fed fresh levels and the same levels in a ``LevelPool``, as
 calls of the pooled pass are timed on their own (the arguments the pass
 gave, on the pool's bound addresses), so the Python per level stays
 visible. Then the pair distances ``converge`` and ``unique`` take at every
-level (``_PairDistance.feed``: one ``distance_terms`` pass over two random
+level (``kernels.distance_sums``: the terms of every pair of random
 Thirring-sized runs, the product in real arithmetic on both backends, and
-the two sums), in microseconds per pair-level, on fresh levels and on
-levels in a ``LevelPool``, as ``converge`` feeds them, and on
-``compiled`` the bare ``lcd_distance_terms`` calls of the pooled feed.
+their two sums per pair), in microseconds per level of five runs and their four
+consecutive pairs, as ``converge_rough`` takes them: one ``distance_sums``
+call per pair against one call for all four pairs, on a ``LevelPool``'s
+rows, on dense levels and on compactly supported ones (zero but for their
+central fifth), and on ``compiled`` the bare ``lcd_distance_sums`` call of
+all four pairs.
 Then the standalone ordered pair sum ``q_upper`` (NumPy on
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
@@ -50,6 +56,7 @@ Usage: python benchmarks/bench_kernels.py [--sizes 768,3072,4096] [--repeats 7]
 from __future__ import annotations
 
 import argparse
+import itertools
 import time
 
 import numpy as np
@@ -57,7 +64,6 @@ import numpy as np
 import lcdirac as lc
 from lcdirac import GROSS_NEVEU, THIRRING, SpinorField, cli, kernels, solver
 from lcdirac.functionals import AuditPass
-from lcdirac.harness import _PairDistance
 
 CALLS = 20  # steps per timing
 AUDITS = ("charge", "triangle", "pointwise", "bony", "gronwall")
@@ -84,46 +90,73 @@ def step_ns_per_site(u, v, p, periodic, repeats) -> float:
     return best_of(steps, repeats) / (CALLS * u.shape[0]) * 1e9
 
 
+def random_rows(rng, runs, n):
+    """(runs, n) complex rows of u and of v, each part normal with deviation 0.1."""
+    return [0.1 * (rng.normal(size=(runs, n)) + 1j * rng.normal(size=(runs, n))) for _ in "uv"]
+
+
+def compact(pool):
+    """Zero every run of the pool's generation 0 but for its central fifth."""
+    n = pool.n
+    pool.blocks[0, :, :, np.r_[: 2 * n // 5, 3 * n // 5 : n]] = 0.0
+
+
 def level_us(n, p, rng, repeats):
-    """(kernel call, kernel call into a pool pair, solver.step and, on
-    compiled, bare lcd_step) in us per level on a periodic grid of n sites."""
+    """(kernel call, kernel call into a pool generation, solver.step and, on
+    compiled, bare lcd_step on a dense and on a compactly supported level)
+    in us per level on a periodic grid of n sites."""
     grid = lc.make_grid(-8.0, 8.0, n, "periodic")
-    f = lc.SpinorField(grid, 0.0, 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
-                       0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+    f = lc.SpinorField(grid, 0.0, *(a[0] for a in random_rows(rng, 1, n)))
     cfg = lc.SolverConfig()
+    args = (grid.dt, p.m, p.alpha, p.beta, True)
 
     def kernel():
         for _ in range(CALLS):
-            kernels.step_unforced(f.u, f.v, grid.dt, p.m, p.alpha, p.beta, True)
+            kernels.step_unforced(f.u, f.v, *args)
 
     def step():
         for _ in range(CALLS):
             solver.step(f, p, cfg)
 
-    with kernels.LevelPool(n) as pool:
-        a, b = pool.take(), pool.take()
-        a[0].base[:] = f.u, f.v  # a pair's buffers are the rows of one array
+    with kernels.LevelPool(1, n) as pool:
+        pool.load([(f.u, f.v)])
 
-        def pooled():  # from a into b and back, as evolve steps one run
-            x, y = a, b
-            for _ in range(CALLS):
-                kernels.step_unforced(*x, grid.dt, p.m, p.alpha, p.beta, True, out=y)
-                x, y = y, x
+        def pooled():  # from one generation into the other and back, as evolve steps one run
+            for k in range(CALLS):
+                kernels.step_unforced(pool.u[k % 2], pool.v[k % 2], *args, out=(pool.u[1 - k % 2], pool.v[1 - k % 2]))
 
         times = [best_of(kernel, repeats), best_of(pooled, repeats), best_of(step, repeats)]
         if kernels.backend_name() == "compiled":
-            c = pool.take()
-            c[0].base[:] = f.u, f.v
-            outside = np.r_[: 2 * n // 5, 3 * n // 5 : n]  # zero but for the central fifth
-            c[0].base[:, outside] = 0.0
+            bound = [kernels._BOUND[id(a)] for a in (pool.u[0], pool.v[0], pool.u[1], pool.v[1])]
 
-            def bare(x):
-                bound = [kernels._BOUND[id(buf)] for buf in (*x, *b)]
+            def bare():
                 for _ in range(CALLS):
-                    kernels._lib.lcd_step(*bound, n, grid.dt, p.m, p.alpha, p.beta, True, None, None, None, None)
+                    kernels._lib.lcd_step(*bound, 1, n, n, n, *args, None, None, None, None)
 
-            times += [best_of(lambda: bare(a), repeats), best_of(lambda: bare(c), repeats)]
+            times.append(best_of(bare, repeats))
+            compact(pool)
+            times.append(best_of(bare, repeats))
     return [t / CALLS * 1e6 for t in times]
+
+
+def lockstep_us(runs, n, p, rng, repeats):
+    """(runs single-run calls, one batched call) in us per lockstep level of
+    runs dense Thirring runs on a periodic grid of n sites, each stepping
+    the pool's generation 0 into generation 1."""
+    args = (16.0 / n, p.m, p.alpha, p.beta, True)
+    with kernels.LevelPool(runs, n) as pool:
+        pool.load(zip(*random_rows(rng, runs, n)))
+
+        def single():
+            for _ in range(CALLS):
+                for (u, v), out in zip(*pool.rows):
+                    kernels.step_unforced(u, v, *args, out=out)
+
+        def batched():
+            for _ in range(CALLS):
+                kernels.step_unforced(pool.u[0], pool.v[0], *args, out=(pool.u[1], pool.v[1]))
+
+        return [best_of(single, repeats) / CALLS * 1e6, best_of(batched, repeats) / CALLS * 1e6]
 
 
 def format_ns_per_value(block, repeats) -> float:
@@ -150,14 +183,12 @@ def audit_levels():
     return levels
 
 
-def pooled(pool, fields):
-    """The fields copied into buffers of the pool, as evolve passes levels."""
-    out = []
-    for f in fields:
-        pair = pool.take()
-        pair[0].base[:] = f.u, f.v
-        out.append(SpinorField._evolved(f.grid, f.t, *pair))
-    return tuple(out)
+def pooled(pool, levels):
+    """The levels copied into the rows of the pool's generation 0, one run
+    a field, as evolve passes levels."""
+    pool.load((f.u, f.v) for lv in levels for f in lv)
+    rows = iter(pool.rows[0])
+    return [tuple(SpinorField._evolved(f.grid, f.t, *next(rows)) for f in lv) for lv in levels]
 
 
 def bare_calls(name, run):
@@ -208,8 +239,9 @@ def audit_us_per_level(levels, repeats) -> list[float]:
     def us(lvls):
         return best_of(lambda: feed(lvls), repeats) / len(lvls) * 1e6
 
-    with kernels.LevelPool(f0.grid.n_points) as pool:
-        in_pool = [pooled(pool, lv) for lv in levels]
+    # generation 1 is never written, so its pages are never touched
+    with kernels.LevelPool(sum(len(lv) for lv in levels), f0.grid.n_points) as pool:
+        in_pool = pooled(pool, levels)
         times = [us(levels), us(in_pool)]
         if kernels.backend_name() == "compiled":
             calls, _audits = bare_calls("lcd_level_terms", lambda: feed(in_pool))
@@ -217,30 +249,40 @@ def audit_us_per_level(levels, repeats) -> list[float]:
     return times
 
 
-def distance_us_per_pair_level(n, rng, repeats) -> list[float]:
-    """_PairDistance.feed in us per pair-level: on fresh levels, on the
-    same levels copied into a LevelPool's buffers and, on compiled, its
-    bare lcd_distance_terms calls."""
-    grid = lc.make_grid(-8.0, 8.0, n, "periodic")
-    a, b = (lc.SpinorField(grid, 0.0, 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
-                           0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))) for _ in range(2))
+def distance_us_per_level(n, rng, repeats, runs=5) -> dict[str, float]:
+    """The distance sums of runs pool rows and their consecutive pairs in us
+    per level, by row label: one distance_sums call per pair, one call for
+    every pair and, on compiled, its bare lcd_distance_sums call; on dense
+    levels, then on the same levels zero but for their central fifth."""
+    pairs = [(j, j + 1) for j in range(runs - 1)]
+    each, every = kernels.DistanceSums(n, [(0, 1)]), kernels.DistanceSums(n, pairs)
+    times = {}
+    with kernels.LevelPool(runs, n) as pool:
+        pool.load(zip(*random_rows(rng, runs, n)))
+        level = pool.rows[0]
 
-    def feed(x, y):
-        dist = _PairDistance(kernels.DistanceTerms(n))
-        for _ in range(CALLS):
-            dist.feed(x, y)
-        return dist
+        def per_pair():
+            for _ in range(CALLS):
+                for i, j in pairs:
+                    kernels.distance_sums(each, [level[i], level[j]])
 
-    def us(x, y):
-        return best_of(lambda: feed(x, y), repeats) / CALLS * 1e6
+        def all_pairs():
+            for _ in range(CALLS):
+                kernels.distance_sums(every, level)
 
-    with kernels.LevelPool(n) as pool:
-        in_pool = pooled(pool, (a, b))
-        times = [us(a, b), us(*in_pool)]
-        if kernels.backend_name() == "compiled":
-            calls, _dist = bare_calls("lcd_distance_terms", lambda: feed(*in_pool))
-            times.append(bare_us("lcd_distance_terms", calls, repeats))
-    return times
+        def bare():
+            for _ in range(CALLS):
+                kernels._lib.lcd_distance_sums(*every._addresses)
+
+        for data in ("dense", "compact"):
+            if data == "compact":
+                compact(pool)
+            times[f"{len(pairs)} calls, {data}"] = best_of(per_pair, repeats)
+            times[f"1 call, {data}"] = best_of(all_pairs, repeats)
+            if kernels.backend_name() == "compiled":
+                kernels.distance_sums(every, level)  # writes the rows' addresses into the table
+                times[f"lcd_distance_sums, {data}"] = best_of(bare, repeats)
+    return {label: t / CALLS * 1e6 for label, t in times.items()}
 
 
 def print_row(label, n, times):
@@ -280,6 +322,14 @@ def bench(sizes, repeats):
             if len(rows[0]) > 3:
                 print_row("lcd_step, bound", n, [rows[0][3]])
                 print_row("lcd_step, bound, compact", n, [rows[0][4]])
+        print("lockstep level, thirring, periodic: us per level, R single-run calls, then one batched call")
+        for runs, n in itertools.product((2, 5), (3072, 4096)):
+            rows = []
+            for bk in backends:
+                kernels.use_backend(bk)
+                rows.append(lockstep_us(runs, n, THIRRING, rng, repeats))
+            print_row(f"R = {runs}, R calls", n, [r[0] for r in rows])
+            print_row(f"R = {runs}, one call", n, [r[1] for r in rows])
         # one snapshot level: t, x and the four field components at 17 digits
         n = 768
         block = np.column_stack([np.full(n, 0.25), np.linspace(-8.0, 8.0, n, endpoint=False),
@@ -309,16 +359,14 @@ def bench(sizes, repeats):
         print_row("AuditPass, pool", n, [r[1] for r in rows])
         if len(rows[0]) > 2:
             print_row("lcd_level_terms, bound", n, [rows[0][2]])
-        print("pair distance: us per pair-level")
+        print("pair distances, 5 runs and 4 pairs: us per level")
         for n in sizes:
             rows = []
             for bk in backends:
                 kernels.use_backend(bk)
-                rows.append(distance_us_per_pair_level(n, rng, repeats))
-            print_row("_PairDistance.feed", n, [r[0] for r in rows])
-            print_row("_PairDistance.feed, pool", n, [r[1] for r in rows])
-            if len(rows[0]) > 2:
-                print_row("lcd_distance_terms, bound", n, [rows[0][2]])
+                rows.append(distance_us_per_level(n, rng, repeats))
+            for label in rows[0]:
+                print_row(label, n, [r[label] for r in rows if label in r])
     finally:
         kernels.use_backend(before)
 

@@ -547,9 +547,10 @@ def _cmd_audit(cfg: RunConfig) -> int:
             evolve(runs, p, SolverConfig(), cfg.T, observers=[audits])
         except BlowUpError as exc:
             if exc.run > 0:
-                raise
+                exc.label = "the perturbed run B"
             print(f"blow-up: {exc}", file=sys.stderr)
-            emit_reports([], cfg.out_format, cfg.artifacts["audits"])
+            if exc.run == 0:
+                emit_reports([], cfg.out_format, cfg.artifacts["audits"])
             return 1
 
     records: list[dict] = []

@@ -28,13 +28,19 @@ class BlowUpError(RuntimeError):
     Carries the first offending site and time; evolve sets ``partial``
     (whatever snapshots were recorded before the failure) and ``run`` (the
     index of the failed run among runs evolved in lockstep, 0 for a single
-    run).
+    run). A caller that knows what the run is sets ``label`` (e.g. "the
+    run mollified at radius 0.2"), which the message then names.
     """
 
     def __init__(self, t: float, site: int, x: float):
-        super().__init__(f"non-finite field value at x={x!r} (site {site}) at t={t!r}")
+        super().__init__(t, site, x)
         self.t = t
         self.site = site
         self.x = x
         self.partial = []
         self.run = 0
+        self.label = None
+
+    def __str__(self):
+        where = f"non-finite field value at x={self.x!r} (site {self.site}) at t={self.t!r}"
+        return where if self.label is None else f"{where} in {self.label}"

@@ -108,7 +108,7 @@ class SpinorField:
     def _evolved(cls, grid: GridSpec, t: float, u: np.ndarray, v: np.ndarray) -> "SpinorField":
         """A level the step kernel wrote: u and v are C-contiguous
         complex128 arrays of grid length that the kernel found finite (fresh
-        arrays, copies of them, or a ``kernels.LevelPool``'s buffers, which
+        arrays, copies of them, or a ``kernels.LevelPool``'s views, which
         are read-only already), so only the read-only marking of the public
         constructor is left."""
         if u.flags.writeable:

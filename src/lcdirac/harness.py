@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from ._records import record
-from .errors import ConfigurationError, ResolutionError, UsageError
+from .errors import BlowUpError, ConfigurationError, ResolutionError, UsageError
 # l2_distance is unused here but kept importable: the benchmark's tracer wraps it by this name
 from .fields import GridSpec, InitialDatum, SpinorField, l2_distance, sample_initial  # noqa: F401
 from .model import ModelParams
@@ -126,43 +126,43 @@ class ConvergenceTable:
             raise UsageError("distances must be nonnegative")
 
 
-class _PairDistance:
-    """Distances between two lockstep runs, fed one level of each at a time:
-    the max-in-time L2 field distance and the space-time L2 distance of the
-    pointwise products u v, trapezoid in time (a level's weight is known
-    once the next level arrives, so the latest row waits); over one level,
-    a zero horizon, the product distance is 0.
+class _PairDistances:
+    """Distances between pairs of lockstep runs, fed one level of every run
+    at a time: per pair, the max-in-time L2 field distance and the
+    space-time L2 distance of the pointwise products u v, trapezoid in time
+    (a level's weight is known once the next level arrives, so the latest
+    row waits); over one level, a zero horizon, the product distance is 0.
 
-    Each level's terms are written and summed in one kernels.distance_terms
-    pass into terms, a kernels.DistanceTerms of the grid's size; the sums
-    are np.add.reduce's, the order of np.sum, on both backends, so the field
-    distance equals l2_distance bit for bit. feed reads the sums before it
-    returns, so the pairs of one lockstep run share one terms. Only the sums
-    are kept, never a level."""
+    Each level's terms of every pair are summed in one
+    kernels.distance_sums pass, which keeps only the sums; they are
+    np.add.reduce's, the order of np.sum, on both backends, so each field
+    distance equals l2_distance bit for bit. Only the sums are kept, never
+    a level."""
 
-    def __init__(self, terms: kernels.DistanceTerms):
-        self.terms = terms
-        self.field = None
-        self.total = 0.0
+    def __init__(self, grid: GridSpec, pairs: Sequence[tuple[int, int]]):
+        self.sums = kernels.DistanceSums(grid.n_points, pairs)
+        self.dx, self.dt = grid.dx, grid.dt
+        self.field = [None] * len(pairs)
+        self.total = [0.0] * len(pairs)
+        self.last = [None] * len(pairs)
         self.levels = 0
-        self.last = None
 
-    def feed(self, a: SpinorField, b: SpinorField):
-        grid = a.grid
-        l1, p1 = kernels.distance_terms(self.terms, (a.u, a.v), (b.u, b.v))
-        d = math.sqrt(l1 * grid.dx)
-        self.field = d if self.field is None else max(self.field, d)
-        if self.last is not None:
-            w = 0.5 if self.levels == 1 else 1.0
-            self.total += w * self.last * grid.dt
-        self.last = p1 * grid.dx
+    def __call__(self, levels):
+        sums = kernels.distance_sums(self.sums, [(f.u, f.v) for f in levels])
+        dx, dt, w = self.dx, self.dt, 0.5 if self.levels == 1 else 1.0
+        field, total, last = self.field, self.total, self.last
+        for k in range(len(field)):
+            d = math.sqrt(sums[2 * k] * dx)
+            field[k] = d if field[k] is None else max(field[k], d)
+            if last[k] is not None:
+                total[k] += w * last[k] * dt
+            last[k] = sums[2 * k + 1] * dx
         self.levels += 1
-        self.dt = grid.dt
 
-    def product_distance(self) -> float:
+    def product_distances(self) -> tuple[float, ...]:
         if self.levels == 1:
-            return 0.0
-        return float(np.sqrt(self.total + 0.5 * self.last * self.dt))
+            return (0.0,) * len(self.last)
+        return tuple(float(np.sqrt(total + 0.5 * last * self.dt)) for total, last in zip(self.total, self.last))
 
 
 def _mollified(
@@ -180,21 +180,18 @@ def _mollified(
 
 
 def _lockstep_distances(
-    f0s: Sequence[SpinorField], pairs: Sequence[tuple[int, int]], p: ModelParams, T: float
+    f0s: Sequence[SpinorField], pairs: Sequence[tuple[int, int]], p: ModelParams, T: float,
+    labels: Sequence[str],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Evolve every datum in lockstep; (field, product) distances per run pair."""
-    terms = kernels.DistanceTerms(f0s[0].grid.n_points)
-    dists = [_PairDistance(terms) for _ in pairs]
-
-    def observe(levels):
-        # silent overflow on a huge but finite level: its run blows up at
-        # the next step, or the distance carries the inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            for dist, (i, j) in zip(dists, pairs):
-                dist.feed(levels[i], levels[j])
-
-    evolve(f0s, p, SolverConfig(), T, observers=[observe])
-    return tuple(d.field for d in dists), tuple(d.product_distance() for d in dists)
+    """Evolve every datum in lockstep; (field, product) distances per run
+    pair. A blow-up is named by labels[run], the run that blew up."""
+    dists = _PairDistances(f0s[0].grid, pairs)
+    try:
+        evolve(f0s, p, SolverConfig(), T, observers=[dists])
+    except BlowUpError as exc:
+        exc.label = labels[exc.run]
+        raise
+    return tuple(dists.field), dists.product_distances()
 
 
 def convergence_study(
@@ -208,7 +205,8 @@ def convergence_study(
     """Evolve every smoothing level in lockstep; distances of consecutive levels."""
     eps = _ladder(epsilons)
     f0s = _mollified(datum, grid, eps, [kernel])
-    pair, prod = _lockstep_distances(f0s, [(j, j + 1) for j in range(len(eps) - 1)], p, T)
+    labels = [f"the run mollified at radius {e!r}" for e in eps]
+    pair, prod = _lockstep_distances(f0s, [(j, j + 1) for j in range(len(eps) - 1)], p, T, labels)
     return ConvergenceTable(eps, pair, prod, mode="consecutive")
 
 
@@ -225,5 +223,6 @@ def uniqueness_probe(
     distances per level."""
     eps = _ladder(epsilons)
     f0s = _mollified(datum, grid, eps, [family_a, family_b])
-    pair, prod = _lockstep_distances(f0s, [(2 * j, 2 * j + 1) for j in range(len(eps))], p, T)
+    labels = [f"the run mollified by {family} at radius {e!r}" for e in eps for family in (family_a, family_b)]
+    pair, prod = _lockstep_distances(f0s, [(2 * j, 2 * j + 1) for j in range(len(eps))], p, T, labels)
     return ConvergenceTable(eps, pair, prod, mode="cross")

@@ -5,19 +5,24 @@ for bit:
 
 - ``step_unforced`` is the one lattice step, unforced or, given
   ``forcing``, forced (the name predates forcing; ``perfbench`` wraps it by
-  that name); it returns the new u and v and the blow-up verdict, the
-  first site where either has a non-finite part (-1 for none), found in
-  the pass that writes the level; both backends evaluate it in the same
-  plain real arithmetic, operation for operation. Given ``out``, a pair of a
-  ``LevelPool``'s buffers, it writes the level there, as ``evolve`` does
-  at every step; without, into fresh arrays. On ``compiled``, an unforced
-  step computes a 256-site block whose input window (its sites and one on
-  either side, wrapped on a periodic grid; zero-inflow edge blocks
-  excepted) holds only +0.0 bits once, and stores that site across the
-  block: a site reads only itself and its neighbours (the light cone), so
-  every site there does the same IEEE operations on the same operands.
-  Compactly supported data stay +0.0 outside their light cone, so such
-  runs skip most blocks while the support is small;
+  that name), of one run (1-d u and v) or of a batch of runs (2-d, one row
+  per run, rows a fixed stride apart), which C steps row after row with
+  one call: ``evolve`` makes one call per step for all its lockstep runs,
+  with one set of forcing samples for every row. It returns the new u and
+  v and the blow-up verdict, the first site where either has a non-finite
+  part as a flat index ``run * n + site`` (-1 for none), found in the pass
+  that writes the level; the first bad run ends the call. Both backends
+  evaluate it in the same plain real arithmetic, operation for operation.
+  Given ``out``, two views of a ``LevelPool``'s other generation, it writes
+  the level there, as ``evolve`` does at every step; without, into fresh
+  arrays. On ``compiled``, an unforced step computes a 256-site block
+  whose input window (its sites and one on either side, wrapped on a
+  periodic grid; zero-inflow edge blocks excepted) holds only +0.0 bits
+  once, and stores that site across the block: a site reads only itself
+  and its neighbours (the light cone), so every site there does the same
+  IEEE operations on the same operands. Compactly supported data stay
+  +0.0 outside their light cone, so such runs skip most blocks while the
+  support is small;
 - ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
   values, byte for byte as Python's ``%`` operator does;
   ``format_rows_into`` writes the same rows as ASCII into a caller's
@@ -29,16 +34,23 @@ for bit:
   the audits sum at one level (densities, products, suffix-scan products,
   pair terms) into a ``LevelTerms``, with the growth margins and their
   sites, and returns their sums: the one formula for L0/D0/Q0 and L1/D1/Q1;
-- ``distance_terms`` writes the terms of the field and product distances
-  of two runs, which ``converge`` and ``unique`` take at every level, into
-  a ``DistanceTerms`` and returns their two sums; each complex product is
-  four real products and two sums on both backends.
+- ``distance_sums`` takes the sums of the field and product distance
+  terms of every run pair of one level, which ``converge`` and ``unique``
+  take at every level, in one call, and returns two sums per pair; each
+  complex product is four real products and two sums on both backends. On
+  ``compiled`` no term array is stored: each leaf of NumPy's pairwise sum
+  (at most 128 sites) is written into stack scratch and summed there;
+  ``pure`` writes the whole term arrays and sums them with
+  ``np.add.reduce``.
 
-While a ``LevelPool`` is open, its buffers' addresses are bound:
-``step_unforced``, ``level_terms`` and ``distance_terms`` take such a
-buffer as it is, with no address lookup (``a.ctypes.data`` costs about
-2 us) and no conversion; any other array is converted and checked as
-before.
+A ``LevelPool`` holds the two generation blocks of ``evolve``'s lockstep
+runs, each of shape (runs, 2, n): every step reads one generation and
+writes the other. Each of its views (a generation's (runs, n) u and v, and
+each run's u and v rows) is made once, and its address is bound while the
+pool is open: ``step_unforced``, ``level_terms`` and ``distance_sums``
+take such a view as it is, with no address lookup (``a.ctypes.data``
+costs about 2 us) and no conversion; any other array is converted and
+checked as before.
 
 Every sum of terms is ``np.add.reduce``'s bit for bit: ``pure`` calls it
 and ``_level.c`` sums in NumPy's pairwise order, which
@@ -205,17 +217,17 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
     try:
         target, flags = _cached_or_built(cache_dir, fingerprint)
         lib = ctypes.CDLL(target)
-        step, fmt, level, dist = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms, lib.lcd_distance_terms
+        step, fmt, level, dist = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms, lib.lcd_distance_sums
     except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
         return None, f"pure: {exc}"
-    step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 4 + [ctypes.c_int]
+    step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double] * 4 + [ctypes.c_int]
                      + [ctypes.c_void_p] * 4)
     step.restype = ctypes.c_ssize_t
     fmt.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t]
     fmt.restype = ctypes.c_ssize_t
     level.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int, ctypes.c_double]
     level.restype = None
-    dist.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_ssize_t]
+    dist.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
     dist.restype = None
     return lib, f"compiled: {os.path.basename(target)} ({flags})"
 
@@ -224,32 +236,38 @@ _lib, _reason = load_compiled()
 _active = "compiled" if _lib is not None else "pure"
 
 
-# The address of every buffer of an open LevelPool, by the buffer's id. A
-# pool adds each buffer when it makes it and removes them all when it
-# closes; while it is open it holds them, so no other object has their ids.
+# The address of every level view of an open LevelPool, by the view's id. A
+# pool adds each view when it makes it and removes them all when it closes;
+# while it is open it holds them, so no other object has their ids.
 _BOUND: dict[int, int] = {}
 
 
 class LevelPool:
-    """The level buffers of runs evolved in lockstep, written in turn.
+    """The two generation blocks of runs evolved in lockstep, written in turn.
 
-    A pair is the two rows (u, v) of one complex128 array of 2 x n sites,
-    each row a read-only C-contiguous view of it (the array is the rows'
-    ``base``, which only ``step_unforced`` writes). ``take`` returns a free
-    pair, made when none is free; ``give`` frees the pair whose u buffer it
-    is given and ignores any other array. Runs that each hold one pair, and
-    step into one free pair at a time, make one pair more than there are
-    runs.
-
-    Each buffer's address is bound once, when it is made, and unbound by
-    ``close`` (or at the end of a ``with`` block); the buffers stay valid
-    arrays.
+    ``blocks`` is one complex128 array of shape (2, runs, 2, n): generation
+    g holds run r's u at ``blocks[g, r, 0]`` and its v at ``blocks[g, r, 1]``.
+    ``u[g]`` and ``v[g]`` are the (runs, n) views of generation g that
+    ``step_unforced`` reads and writes whole, their rows 2 n sites apart;
+    ``rows[g]`` holds each run's (u, v) as 1-d C-contiguous views. Every
+    view is read-only (``blocks`` is their base, which only
+    ``step_unforced`` and ``load`` write), is made once, and has its address
+    bound when the pool is made and unbound by ``close`` (or at the end of a
+    ``with`` block); the views stay valid arrays. ``load`` copies the runs'
+    levels at t = 0 into generation 0.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        self._free: list[tuple[np.ndarray, np.ndarray]] = []
+    def __init__(self, runs: int, n: int):
+        self.runs, self.n = runs, n
+        self.blocks = np.empty((2, runs, 2, n), dtype=np.complex128)
+        self.u = tuple(self.blocks[g, :, 0] for g in range(2))
+        self.v = tuple(self.blocks[g, :, 1] for g in range(2))
+        self.rows = tuple(tuple((self.blocks[g, r, 0], self.blocks[g, r, 1]) for r in range(runs))
+                          for g in range(2))
+        self._views = [*self.u, *self.v, *(a for gen in self.rows for run in gen for a in run)]
+        for view in self._views:
+            view.setflags(write=False)
+            _BOUND[id(view)] = view.ctypes.data
 
     def __enter__(self) -> "LevelPool":
         return self
@@ -257,30 +275,19 @@ class LevelPool:
     def __exit__(self, *exc):
         self.close()
 
-    def take(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._free:
-            return self._free.pop()
-        pair = tuple(np.empty((2, self.n), dtype=np.complex128))
-        for buf in pair:
-            buf.setflags(write=False)
-            _BOUND[id(buf)] = buf.ctypes.data
-        self.pairs.append(pair)
-        return pair
-
-    def give(self, u: np.ndarray):
-        for pair in self.pairs:
-            if pair[0] is u:
-                self._free.append(pair)
-                return
+    def load(self, runs):
+        """Copy each run's (u, v) into generation 0."""
+        for r, (u, v) in enumerate(runs):
+            self.blocks[0, r, 0] = u
+            self.blocks[0, r, 1] = v
 
     def close(self):
-        for pair in self.pairs:
-            for buf in pair:
-                _BOUND.pop(id(buf), None)
+        for view in self._views:
+            _BOUND.pop(id(view), None)
 
 
 def _bound(a) -> tuple[np.ndarray, int]:
-    """a and its address: as it is for an open pool's buffer, else as a
+    """a and its address: as it is for an open pool's view, else as a
     C-contiguous complex128 array (a copy if need be, which the caller
     keeps alive while C reads it)."""
     address = _BOUND.get(id(a))
@@ -290,37 +297,55 @@ def _bound(a) -> tuple[np.ndarray, int]:
     return a, address
 
 
-def _out_addresses(out, u, v) -> tuple[int, int]:
-    """The addresses of out, two buffers of an open pool shaped like u that
-    are neither u nor v (the step reads u and v while it writes out)."""
+def _rows(u, v) -> tuple[np.ndarray, int, np.ndarray, int, int]:
+    """u and v as runs of equal shape, 1-d (one run) or 2-d (one row per
+    run), with their addresses and the sites from one row to the next: an
+    open pool's views as they are, any other arrays as ``_bound`` makes
+    them."""
+    (u, au), (v, av) = _bound(u), _bound(v)
+    if u.ndim not in (1, 2) or u.shape != v.shape:
+        raise ValueError(f"u and v must be 1-d or 2-d of equal length, got shapes {u.shape} and {v.shape}")
+    stride = u.strides[0] // 16 if u.ndim == 2 else u.shape[0]
+    if u.ndim == 2 and v.strides[0] != u.strides[0]:  # one stride serves both: make both C-contiguous
+        (u, au), (v, av) = ((a, a.ctypes.data) for a in (np.ascontiguousarray(u), np.ascontiguousarray(v)))
+        stride = u.shape[1]
+    return u, au, v, av, stride
+
+
+def _out_addresses(out, u, au, av) -> tuple[int, int]:
+    """The addresses of out, two views of an open pool shaped like u, with
+    equal strides, that are neither u nor v (the step reads u and v while
+    it writes out)."""
     u_out, v_out = out
     a, b = _BOUND.get(id(u_out)), _BOUND.get(id(v_out))
-    if a is None or b is None or u_out.shape != u.shape or v_out.shape != u.shape:
-        raise ValueError(f"out must be two buffers of an open LevelPool shaped like u {u.shape}")
-    if u_out is v_out or u_out is u or u_out is v or v_out is u or v_out is v:
-        raise ValueError("out must be two buffers apart from u and v")
+    if (a is None or b is None or u_out.shape != u.shape or v_out.shape != u.shape
+            or u_out.strides != v_out.strides):
+        raise ValueError(f"out must be two views of an open LevelPool shaped like u {u.shape}")
+    if a == b or a in (au, av) or b in (au, av):
+        raise ValueError("out must be two views apart from u and v")
     return a, b
 
 
 def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out):
-    (u, au), (v, av) = _bound(u), _bound(v)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"u and v must be 1-d of equal length, got shapes {u.shape} and {v.shape}")
+    u, au, v, av, stride = _rows(u, v)
+    n = u.shape[-1]
     f_ptrs = [None] * 4  # NULL: the unforced step
     if forcing is not None:
         f = [np.ascontiguousarray(a, dtype=np.complex128) for a in forcing]
         if len(f) != 4:
             raise ValueError(f"forcing needs 4 arrays, got {len(f)}")
-        if any(a.shape != u.shape for a in f):
-            raise ValueError(f"forcing arrays must be shaped like u {u.shape}, got {[a.shape for a in f]}")
+        if any(a.shape != (n,) for a in f):
+            raise ValueError(f"forcing arrays must be shaped like u's rows ({n},), got {[a.shape for a in f]}")
         f_ptrs = [a.ctypes.data for a in f]
     if out is None:
-        u_new, v_new = np.empty_like(u), np.empty_like(v)
-        a, b = u_new.ctypes.data, v_new.ctypes.data
+        u_new, v_new = np.empty(u.shape, dtype=np.complex128), np.empty(u.shape, dtype=np.complex128)
+        a, b, out_stride = u_new.ctypes.data, v_new.ctypes.data, n
     else:
         u_new, v_new = out
-        a, b = _out_addresses(out, u, v)
-    bad = _lib.lcd_step(au, av, a, b, u.shape[0], h, m, alpha, beta, bool(periodic), *f_ptrs)
+        a, b = _out_addresses(out, u, au, av)
+        out_stride = u_new.strides[0] // 16 if u.ndim == 2 else n
+    runs = u.shape[0] if u.ndim == 2 else 1
+    bad = _lib.lcd_step(au, av, a, b, runs, stride, out_stride, n, h, m, alpha, beta, bool(periodic), *f_ptrs)
     return u_new, v_new, bad
 
 
@@ -351,22 +376,28 @@ def use_backend(name: str):
 
 
 def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None, out=None):
-    """One step; forcing is None or the four samples ``pure.step_unforced`` names.
+    """One step of one run or of a batch of runs; forcing is None or the
+    four samples ``pure.step_unforced`` names, shaped like one run.
 
-    Returns ``(u_new, v_new, bad)``: the new level, shaped like u, and the
-    first site where u_new or v_new has a non-finite part, or -1 when both
-    are finite. Given out, two buffers of an open ``LevelPool`` other than
-    u and v, the level is written into them and they are u_new and v_new;
-    without, u_new and v_new are fresh C-contiguous complex128 arrays.
+    u and v are one run's fields (1-d) or the rows of several (2-d, one row
+    per run), stepped in turn. Returns ``(u_new, v_new, bad)``: the new
+    level, shaped like u, and the first site where u_new or v_new has a
+    non-finite part as a flat index over the rows (``run * n + site``), or
+    -1 when every row is finite; the first row with a bad site ends the
+    step, and the rows after it are left unwritten. Given out, two views of
+    an open ``LevelPool`` shaped like u other than u and v, the level is
+    written into them and they are u_new and v_new; without, u_new and
+    v_new are fresh C-contiguous complex128 arrays.
     """
     if _active == "compiled":
         return _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out)
     u_new, v_new, bad = pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
     if out is None:
         return u_new, v_new, bad
-    _out_addresses(out, np.asarray(u), np.asarray(v))
+    u, au, v, av, _ = _rows(u, v)
+    _out_addresses(out, u, au, av)
     for buf, new in zip(out, (u_new, v_new)):
-        buf.setflags(write=True)  # a row of a pool's array, which is writable
+        buf.setflags(write=True)  # a view of a pool's blocks, which are writable
         buf[...] = new
         buf.setflags(write=False)
     return out[0], out[1], bad
@@ -537,34 +568,43 @@ def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E) -> li
     return terms.sums.tolist()
 
 
-class DistanceTerms:
-    """The buffers ``distance_terms`` writes the pair-distance terms of one
-    level into, allocated once for n sites, with their address kept (the
-    lookup costs about 2 us): ``out``, a C-contiguous (2, n) float64 array;
-    ``out[0]`` = |U|^2 + |V|^2 with U = uA - uB and V = vA - vB, the terms
-    of ``fields.l2_distance``, and ``out[1]`` = |uA vA - uB vB|^2; then
-    ``sums``, their two sums.
+class DistanceSums:
+    """The run pairs whose distances ``distance_sums`` takes at one level,
+    and the buffers it writes, allocated once for n sites, with their
+    addresses kept (a lookup costs about 2 us): ``pairs``, an (npairs, 2)
+    intp array of run indices (A, B); ``sums``, an (npairs, 2) float64
+    array whose row k holds pair k's sums of |U|^2 + |V|^2, with
+    U = uA - uB and V = vA - vB, the terms of ``fields.l2_distance``, and
+    of |uA vA - uB vB|^2; and the table of the runs' field addresses the C
+    pass reads.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, pairs):
         self.n = n
-        block = np.zeros(2 * n + 2)
-        self.out, self.sums = block[: 2 * n].reshape(2, n), block[2 * n :]
-        self._address = block.ctypes.data
+        self.pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        if (self.pairs < 0).any():
+            raise ValueError("run indices must be nonnegative")
+        self.runs = int(self.pairs.max()) + 1 if self.pairs.size else 0
+        self.sums = np.zeros(self.pairs.shape)
+        self._rows = np.zeros(2 * self.runs, dtype=np.intp)
+        self._addresses = (self._rows.ctypes.data, self.pairs.ctypes.data, len(self.pairs), n,
+                           self.sums.ctypes.data)
 
 
-def distance_terms(terms: DistanceTerms, run_a, run_b) -> list[float]:
-    """Write the terms of the field and product distances of runs A and B,
-    each a (u, v) pair, and their sums into terms (see ``DistanceTerms``),
+def distance_sums(sums: DistanceSums, runs) -> list[float]:
+    """Write the sums of the field- and product-distance terms of every pair
+    of sums.pairs into ``sums.sums`` (see ``DistanceSums``) in one pass,
     each complex product as four real products and two sums, and return
-    the sums as Python floats. A field of another size raises UsageError
-    before the pass runs.
+    them as Python floats, pair by pair: [l1 of pair 0, p1 of pair 0, ...].
+    runs holds one (u, v) pair per run, at least as many as the pairs
+    name. A field of another size raises UsageError before the pass runs.
     """
-    n = terms.n
-    (ua, a), (va, b), (ub, c), (vb, d) = (_field(x, n) for x in (*run_a, *run_b))
+    if len(runs) < sums.runs:
+        raise ValueError(f"the pairs name {sums.runs} runs, got {len(runs)}")
+    fields = [_field(a, sums.n) for run in runs[: sums.runs] for a in run]  # (array, address)
     if _active == "compiled":
-        l1 = terms._address
-        _lib.lcd_distance_terms(l1, l1 + 8 * n, l1 + 16 * n, a, b, c, d, n)
+        sums._rows[:] = [address for _, address in fields]
+        _lib.lcd_distance_sums(*sums._addresses)
     else:
-        pure.distance_terms(terms, (ua, va), (ub, vb))
-    return terms.sums.tolist()
+        pure.distance_sums(sums, [(fields[2 * r][0], fields[2 * r + 1][0]) for r in range(sums.runs)])
+    return sums.sums.ravel().tolist()

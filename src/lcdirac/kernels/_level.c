@@ -1,5 +1,5 @@
 /* The elementwise terms of one audited level, and of the distances of two
- * runs, and their sums; see level_terms and distance_terms in
+ * runs, and their sums; see level_terms and distance_sums in
  * kernels/pure.py, the NumPy code this reproduces bit for bit. Each sum is
  * np.add.reduce's, in NumPy's pairwise order (add_reduce below, pinned
  * against NumPy by tests/test_kernels.py), and each scan is np.cumsum's
@@ -31,9 +31,12 @@
  * there is no candidate. The caller checks that the feet i0 - kshift and
  * i1 + kshift lie on the grid.
  *
- * lcd_distance_terms writes, over the whole grid, l1 as above and
- * p1 = |uA vA - uB vB|^2, each complex product in real arithmetic: four
- * products and two sums; and the sums of l1 and p1.
+ * lcd_distance_sums sums, for each pair of runs of one level, l1 as above
+ * and p1 = |uA vA - uB vB|^2 over the whole grid, each complex product in
+ * real arithmetic: four products and two sums. The terms are never stored
+ * past their pairwise-sum leaf: each leaf of at most 128 sites is written
+ * into stack scratch and summed there, in add_reduce's order, so the sums
+ * are np.add.reduce's of the term arrays pure.distance_sums writes.
  */
 #include <math.h>
 #include <stddef.h>
@@ -288,22 +291,65 @@ static cplx cmul(cplx a, cplx b)
     return r;
 }
 
-/* l1 and p1 of runs A and B, n sites each, over the grid, and their sums */
-void lcd_distance_terms(double *restrict l1, double *restrict p1, double *restrict sums,
-                        const cplx *restrict ua, const cplx *restrict va, const cplx *restrict ub,
-                        const cplx *restrict vb, ptrdiff_t n)
+#define LEAF 128 /* the longest run pairwise sums without splitting it */
+
+/* l1 and p1 of the runs A and B over the len <= LEAF sites from lo */
+static void distance_leaf(const cplx *restrict ua, const cplx *restrict va, const cplx *restrict ub,
+                          const cplx *restrict vb, ptrdiff_t lo, ptrdiff_t len, double *restrict l1,
+                          double *restrict p1)
 {
     ptrdiff_t i;
 
-    for (i = 0; i < n; i++) {
-        cplx U = {ua[i].re - ub[i].re, ua[i].im - ub[i].im};
-        cplx V = {va[i].re - vb[i].re, va[i].im - vb[i].im};
-        cplx pa = cmul(ua[i], va[i]), pb = cmul(ub[i], vb[i]);
+    for (i = 0; i < len; i++) {
+        const ptrdiff_t s = lo + i;
+        cplx U = {ua[s].re - ub[s].re, ua[s].im - ub[s].im};
+        cplx V = {va[s].re - vb[s].re, va[s].im - vb[s].im};
+        cplx pa = cmul(ua[s], va[s]), pb = cmul(ub[s], vb[s]);
         cplx d = {pa.re - pb.re, pa.im - pb.im};
 
         l1[i] = abs2(U) + abs2(V);
         p1[i] = abs2(d);
     }
-    sums[0] = add_reduce(l1, n);
-    sums[1] = add_reduce(p1, n);
+}
+
+/* pairwise(l1 terms) and pairwise(p1 terms) over the len sites from lo,
+ * split as pairwise splits them; each leaf's terms are written into stack
+ * scratch and summed there, so no term array outlives its leaf */
+static void distance_pairwise(const cplx *ua, const cplx *va, const cplx *ub, const cplx *vb,
+                              ptrdiff_t lo, ptrdiff_t len, double *s_l1, double *s_p1)
+{
+    double l1[LEAF], p1[LEAF], a_l1, a_p1, b_l1, b_p1;
+    ptrdiff_t n2;
+
+    if (len <= LEAF) {
+        distance_leaf(ua, va, ub, vb, lo, len, l1, p1);
+        *s_l1 = pairwise(l1, len);
+        *s_p1 = pairwise(p1, len);
+        return;
+    }
+    n2 = len / 2;
+    n2 -= n2 % 8;
+    distance_pairwise(ua, va, ub, vb, lo, n2, &a_l1, &a_p1);
+    distance_pairwise(ua, va, ub, vb, lo + n2, len - n2, &b_l1, &b_p1);
+    *s_l1 = a_l1 + b_l1;
+    *s_p1 = a_p1 + b_p1;
+}
+
+/* rows[2 r] and rows[2 r + 1] are u and v of run r, n sites each; pairs
+ * holds npairs (A, B) run indices. Writes sums[2 k] and sums[2 k + 1], the
+ * sums of l1 and p1 of pair k over the grid. */
+void lcd_distance_sums(const cplx *const *rows, const ptrdiff_t *pairs, ptrdiff_t npairs, ptrdiff_t n,
+                       double *sums)
+{
+    ptrdiff_t k;
+
+    for (k = 0; k < npairs; k++) {
+        const cplx *const *a = rows + 2 * pairs[2 * k], *const *b = rows + 2 * pairs[2 * k + 1];
+        double l1 = 0.0, p1 = 0.0;
+
+        if (n > 0)
+            distance_pairwise(a[0], a[1], b[0], b[1], 0, n, &l1, &p1);
+        sums[2 * k] = 0.0 + l1; /* add_reduce: NumPy's identity, then the pairwise sum */
+        sums[2 * k + 1] = 0.0 + p1;
+    }
 }

@@ -1,10 +1,10 @@
 """Pure NumPy implementations of the hot kernels.
 
-One light-cone step, unforced or forced, with its blow-up verdict (the
-same real operations as ``_step.c``, so the same bits); the elementwise terms
-of one audited level and of the distances of two runs, and their
-``np.add.reduce`` sums (the references that ``_level.c`` reproduces bit
-for bit); and the ordered pair sum
+One light-cone step, unforced or forced, of one run or a batch, with its
+blow-up verdict (the same real operations as ``_step.c``, so the same
+bits); the elementwise terms of one audited level and of the distances of
+pairs of runs, and their ``np.add.reduce`` sums (the references that
+``_level.c`` reproduces bit for bit); and the ordered pair sum
 q(a, b) = sum_{i<j} a_i b_j in both the O(N) suffix-scan form and the
 O(N^2) direct form kept as an oracle.
 """
@@ -35,12 +35,26 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
 
     Returns ``(u_new, v_new, bad)``, where bad is the first site where
     u_new or v_new has a non-finite part, or -1: overflow is not raised but
-    reported, as in the compiled backend.
+    reported, as in the compiled backend. 2-d u and v are a batch of runs,
+    one per row, stepped in turn with the same forcing: bad is then the
+    flat index ``run * n + site``, and the rows after the first bad one are
+    left unwritten, as in the compiled backend.
     """
+    if np.ndim(u) == 2:
+        return _step_rows(np.asarray(u), np.asarray(v), h, m, alpha, beta, periodic, forcing)
     with np.errstate(over="ignore", invalid="ignore"):
         u_new, v_new = _step(u, v, h, m, alpha, beta, periodic, forcing)
     finite = np.isfinite(u_new.real) & np.isfinite(u_new.imag) & np.isfinite(v_new.real) & np.isfinite(v_new.imag)
     return u_new, v_new, -1 if finite.all() else int(np.argmin(finite))
+
+
+def _step_rows(u, v, h, m, alpha, beta, periodic, forcing):
+    u_new, v_new = np.empty(u.shape, dtype=np.complex128), np.empty(u.shape, dtype=np.complex128)
+    for r in range(u.shape[0]):
+        u_new[r], v_new[r], bad = step_unforced(u[r], v[r], h, m, alpha, beta, periodic, forcing)
+        if bad >= 0:
+            return u_new, v_new, r * u.shape[1] + bad
+    return u_new, v_new, -1
 
 
 def _step(u, v, h, m, alpha, beta, periodic, forcing):
@@ -194,17 +208,24 @@ def _growth_margins(terms, i0, i1, kshift, E):
     terms.margins[2], terms.sites[2] = vio_w[j], starts[j]
 
 
-def distance_terms(terms, run_a, run_b):
-    """Write the field- and product-distance terms of two runs and their
-    np.add.reduce sums into terms, a kernels.DistanceTerms; each complex
-    product is four real products and two sums, not NumPy's complex
-    multiply, whose rounding depends on the CPU it dispatches to."""
+def distance_terms(run_a, run_b):
+    """The field- and product-distance terms of two runs, (l1, p1):
+    l1 = |uA - uB|^2 + |vA - vB|^2 and p1 = |uA vA - uB vB|^2, each complex
+    product four real products and two sums, not NumPy's complex multiply,
+    whose rounding depends on the CPU it dispatches to."""
     (uA, vA), (uB, vB) = run_a, run_b
-    out = terms.out
     with np.errstate(over="ignore", invalid="ignore"):
         U, V = uA - uB, vA - vB
-        out[0] = (U.real**2 + U.imag**2) + (V.real**2 + V.imag**2)
+        l1 = (U.real**2 + U.imag**2) + (V.real**2 + V.imag**2)
         re = (uA.real * vA.real - uA.imag * vA.imag) - (uB.real * vB.real - uB.imag * vB.imag)
         im = (uA.real * vA.imag + uA.imag * vA.real) - (uB.real * vB.imag + uB.imag * vB.real)
-        out[1] = re**2 + im**2
-        terms.sums[:] = np.add.reduce(out[0]), np.add.reduce(out[1])
+        return l1, re**2 + im**2
+
+
+def distance_sums(sums, runs):
+    """Write the np.add.reduce sums of each pair's distance terms into
+    sums.sums, a kernels.DistanceSums, for runs, one (u, v) pair per run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (a, b) in enumerate(sums.pairs):
+            l1, p1 = distance_terms(runs[a], runs[b])
+            sums.sums[k] = np.add.reduce(l1), np.add.reduce(p1)

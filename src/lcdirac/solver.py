@@ -35,19 +35,21 @@ class SolverConfig:
             raise ConfigurationError("record_every must be >= 1")
 
 
-def step(f: SpinorField, p: ModelParams, cfg: SolverConfig, out=None) -> SpinorField:
-    """Advance one light-cone step; returns the field at t + dt, written
-    into out, two buffers of an open ``kernels.LevelPool``, if given."""
+def _forcing(forcing: tuple[Forcing, Forcing], x: np.ndarray, t: float, h: float):
+    """The four forcing samples of a step from t: F1 and F2 at (x_i, t), F1
+    at (x_i - h/2, t + h/2) and F2 at (x_i + h/2, t + h/2)."""
+    F1, F2 = forcing
+    t_half = t + 0.5 * h
+    return F1(x, t), F2(x, t), F1(x - 0.5 * h, t_half), F2(x + 0.5 * h, t_half)
+
+
+def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
+    """Advance one light-cone step; returns the field at t + dt."""
     grid = f.grid
     h = grid.dt
-    forcing = None
-    if cfg.forcing is not None:
-        F1, F2 = cfg.forcing
-        x = grid.sites()
-        t_half = f.t + 0.5 * h
-        forcing = (F1(x, f.t), F2(x, f.t), F1(x - 0.5 * h, t_half), F2(x + 0.5 * h, t_half))
+    forcing = None if cfg.forcing is None else _forcing(cfg.forcing, grid.sites(), f.t, h)
     u_new, v_new, bad = kernels.step_unforced(
-        f.u, f.v, h, p.m, p.alpha, p.beta, grid.boundary == "periodic", forcing=forcing, out=out
+        f.u, f.v, h, p.m, p.alpha, p.beta, grid.boundary == "periodic", forcing=forcing
     )
     t_new = f.t + h
     if bad >= 0:  # the kernel's verdict is the level's only finiteness check
@@ -75,21 +77,23 @@ def evolve(
 ) -> list[SpinorField]:
     """Iterate step up to horizon T.
 
-    f0 is one field or, with observers, a sequence of fields on one grid,
-    advanced in lockstep. Each observer is called with the tuple of the
-    runs' levels at t=0, after every record_every-th step and after the
-    final step; the result is the list of the runs' final levels. The
-    first step that gives a non-finite level stops every run: its
-    BlowUpError is raised with ``run`` set to the index of the run that
-    blew up.
+    f0 is one field or, with observers, a sequence of fields on one grid at
+    one time, advanced in lockstep. Each observer is called with the tuple
+    of the runs' levels at t=0, after every record_every-th step and after
+    the final step; the result is the list of the runs' final levels. The
+    first step that gives a non-finite level stops every run, before any
+    observer sees that level: its BlowUpError is raised with ``run`` set to
+    the index of the first run that blew up.
 
-    The levels after t=0 live in buffers of one ``kernels.LevelPool``,
-    which holds one pair per run and one spare: each step writes a run's
-    new level into the spare, and the pair of the level it replaces becomes
-    the spare. So an observer gets read-only levels that are valid only
-    during its call: whatever it keeps past the call must be numbers or
-    copies. The t=0 fields are never written, and the final levels stay
-    valid once evolve returns.
+    The runs are stepped together, one ``kernels.step_unforced`` call per
+    step, in the two generation blocks of one ``kernels.LevelPool``: 2 x
+    runs level pairs. The t=0 fields are copied into the first block, and
+    each step writes the runs' new levels into the other block, over the
+    levels of two steps back. So an observer gets read-only levels that are
+    valid only during its call: whatever it keeps past the call must be
+    numbers or copies. The t=0 fields are never written (observers get
+    those objects themselves), and the final levels stay valid once evolve
+    returns.
 
     Without observers, f0 is one field and the result is the list of the
     levels an observer would see, each level after t=0 a copy; a blow-up
@@ -104,36 +108,45 @@ def evolve(
     levels = [f0] if isinstance(f0, SpinorField) else list(f0)
     if not levels or observers is None and len(levels) > 1:
         raise UsageError("evolve needs one field, or observers for several")
-    grid = levels[0].grid
-    if any(f.grid != grid for f in levels):
-        raise UsageError("lockstep runs need one grid")
+    grid, t = levels[0].grid, levels[0].t
+    if any(f.grid != grid or f.t != t for f in levels):
+        raise UsageError("lockstep runs need one grid and one start time")
     n, exact = horizon_steps(T, grid.dt)
     recorded = None
     if observers is None:
         recorded, first = [], levels[0]
         observers = [lambda lv: recorded.append(lv[0] if lv[0] is first else _copied(lv[0]))]
-    with kernels.LevelPool(grid.n_points) as pool:
-        for k in range(n + 1):
-            if k > 0:
-                for j, f in enumerate(levels):
-                    out = pool.take()
-                    try:
-                        levels[j] = new = step(f, p, cfg, out)
-                    except BlowUpError as exc:
-                        exc.run = j
-                        if recorded is not None:
-                            exc.partial = recorded
-                        raise
-                    pool.give(f.u)
-                    if new.u is not out[0]:  # a step that wrote a level of its own
-                        pool.give(out[0])
+    for observe in observers:
+        observe(tuple(levels))
+    if not exact:  # once the t=0 observers, which may refuse the run, accept it
+        import logging  # only here: the warning is all lcdirac logs, and logging costs milliseconds to import
+
+        logging.getLogger(__name__).warning("horizon %s is not a step multiple; evolving to %s", T, n * grid.dt)
+    if n == 0:
+        return levels if recorded is None else recorded
+    h, sites = grid.dt, grid.n_points
+    args = (h, p.m, p.alpha, p.beta, grid.boundary == "periodic")
+    x = None if cfg.forcing is None else grid.sites()
+    with kernels.LevelPool(len(levels), sites) as pool:
+        pool.load((f.u, f.v) for f in levels)
+        u, v = pool.u[0], pool.v[0]
+        for k in range(1, n + 1):
+            new = k % 2
+            forcing = None if x is None else _forcing(cfg.forcing, x, t, h)
+            u, v, bad = kernels.step_unforced(u, v, *args, forcing=forcing, out=(pool.u[new], pool.v[new]))
+            t = t + h
+            if bad >= 0:  # the kernel's verdict is the level's only finiteness check
+                run, site = divmod(bad, sites)
+                exc = BlowUpError(t, site, grid.x_min + site * grid.dx)
+                exc.run = run
+                if recorded is not None:
+                    exc.partial = recorded
+                raise exc
             if k % cfg.record_every == 0 or k == n:
+                rows = pool.rows[new] if u is pool.u[new] else zip(u, v)  # a step that wrote a level of its own
+                levels = [SpinorField._evolved(grid, t, a, b) for a, b in rows]
                 for observe in observers:
                     observe(tuple(levels))
-            if k == 0 and not exact:  # once the t=0 observers, which may refuse the run, accept it
-                import logging  # only here: the warning is all lcdirac logs, and logging costs milliseconds to import
-
-                logging.getLogger(__name__).warning("horizon %s is not a step multiple; evolving to %s", T, n * grid.dt)
     return levels if recorded is None else recorded
 
 

@@ -184,22 +184,31 @@ class TestEnsembleData:
 
 
 def test_lockstep_pairs_share_one_distance_buffer(monkeypatch):
-    """The pairs of one lockstep run write their terms into one
-    DistanceTerms, and get the distances of a run of each pair alone."""
-    made = []
+    """The pairs of one lockstep run take their sums in one DistanceSums,
+    with one distance_sums call per level for all of them, and get the
+    distances of a run of each pair alone."""
+    made, calls = [], []
 
-    class Recorded(kernels.DistanceTerms):
-        def __init__(self, n):
-            super().__init__(n)
+    class Recorded(kernels.DistanceSums):
+        def __init__(self, n, pairs):
+            super().__init__(n, pairs)
             made.append(self)
 
-    monkeypatch.setattr(kernels, "DistanceTerms", Recorded)
+    real = kernels.distance_sums
+
+    def counted(sums, runs):
+        calls.append(len(sums.pairs))
+        return real(sums, runs)
+
+    monkeypatch.setattr(kernels, "DistanceSums", Recorded)
+    monkeypatch.setattr(kernels, "distance_sums", counted)
     g = lc.make_grid(-8, 8, 512, "periodic")
     eps = [0.8, 0.4, 0.2, 0.1]
     table = lc.convergence_study(rough_datum(), eps, lc.THIRRING, g, 0.5)
-    assert len(made) == 1
+    levels = round(0.5 / g.dt) + 1
+    assert len(made) == 1 and calls == [3] * levels
     f0s = harness._mollified(rough_datum(), g, eps, ["bump"])
-    alone = [harness._lockstep_distances(f0s[j:j + 2], [(0, 1)], lc.THIRRING, 0.5) for j in range(3)]
-    assert len(made) == 4
+    alone = [harness._lockstep_distances(f0s[j:j + 2], [(0, 1)], lc.THIRRING, 0.5, ["A", "B"]) for j in range(3)]
+    assert len(made) == 4 and calls == [3] * levels + [1] * (3 * levels)
     assert table.pair_distances == tuple(field[0] for field, _ in alone)
     assert table.product_distances == tuple(prod[0] for _, prod in alone)

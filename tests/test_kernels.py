@@ -238,7 +238,9 @@ def test_compiled_step_coerces_and_checks_inputs(arrays, backend):
     with pytest.raises(ValueError, match="equal length"):
         kernels.step_unforced(u, v[:-1], 0.1, 1.0, 0.0, 0.25, True)
     with pytest.raises(ValueError, match="equal length"):
-        kernels.step_unforced(u.reshape(1, -1), v.reshape(1, -1), 0.1, 1.0, 0.0, 0.25, True)
+        kernels.step_unforced(u.reshape(1, 1, -1), v.reshape(1, 1, -1), 0.1, 1.0, 0.0, 0.25, True)
+    with pytest.raises(ValueError, match="equal length"):
+        kernels.step_unforced(u.reshape(1, -1), v, 0.1, 1.0, 0.0, 0.25, True)
 
     forcing = [u[::-1], v[::-1], 2 * u, list(v)]
     got = kernels.step_unforced(strided, v, 0.1, 1.0, 0.0, 0.25, True,
@@ -250,6 +252,128 @@ def test_compiled_step_coerces_and_checks_inputs(arrays, backend):
         kernels.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=forcing[:3])
     with pytest.raises(ValueError, match="shaped like u"):
         kernels.step_unforced(u, v, 0.1, 1.0, 0.0, 0.25, True, forcing=forcing[:3] + [v[:-1]])
+
+
+# The batched step: the sizes around the ends of the C step's first and
+# second 256-site block, and 16 blocks.
+BATCH_SIZES = (255, 256, 257, 511, 512, 513, 4096)
+
+
+def _batch(rng, n, kind, runs=3):
+    """(u, v) of shape (runs, n): dense random rows ("dense"), or rows zero
+    but for a pulse of 40 sites at a different place in each, so most
+    256-site blocks are all +0.0 ("compact")."""
+    u, v = _cplx(rng, (runs, n), 0.3), _cplx(rng, (runs, n), 0.3)
+    if kind == "compact":
+        for r in range(runs):
+            keep = slice((r * n) // runs, (r * n) // runs + 40)
+            for a in (u, v):
+                pulse = a[r, keep].copy()
+                a[r] = 0.0
+                a[r, keep] = pulse
+    return u, v
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+@pytest.mark.parametrize("periodic", [True, False])
+def test_batched_step_equals_single_run_steps(rng, backend, name, periodic):
+    """One call on R runs gives the bits and the verdict of R single-run
+    calls, over 3 steps, for fresh arrays and for a pool's generations, on
+    dense and compactly supported rows and with forcing, which one set of
+    samples gives every row."""
+    backend(name)
+    for n, kind in itertools.product(BATCH_SIZES, ("dense", "compact", "forced")):
+        u, v = _batch(rng, n, "dense" if kind == "forced" else kind)
+        forcing = [_cplx(rng, n, 0.1) for _ in range(4)] if kind == "forced" else None
+        args = (0.1, 1.0, 0.5, 0.25, periodic)
+        want = []
+        for a, b in zip(u, v):
+            for _ in range(3):
+                a, b, bad = kernels.step_unforced(a, b, *args, forcing=forcing)
+                assert bad == -1
+            want.append((a, b))
+        a, b = u, v
+        for _ in range(3):
+            a, b, bad = kernels.step_unforced(a, b, *args, forcing=forcing)
+            assert bad == -1 and a.shape == b.shape == (3, n)
+        with kernels.LevelPool(3, n) as pool:
+            pool.load(zip(u, v))
+            for k in range(1, 4):
+                x, y, bad = kernels.step_unforced(pool.u[1 - k % 2], pool.v[1 - k % 2], *args, forcing=forcing,
+                                                  out=(pool.u[k % 2], pool.v[k % 2]))
+                assert bad == -1 and x is pool.u[k % 2] and y is pool.v[k % 2]
+            pooled = pool.rows[1]
+        for r, (x, y) in enumerate(want):
+            _assert_bits_equal([a[r], b[r]], [x, y], n, kind, r)
+            _assert_bits_equal(pooled[r], [x, y], n, kind, r, "pool")
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+@pytest.mark.parametrize("periodic", [True, False])
+def test_batched_verdict_names_the_first_bad_run(rng, backend, name, periodic):
+    """A non-finite value in run j > 0 gives the verdict j n + site, where
+    site is the single-run verdict of that run; the rows before it are the
+    single-run levels, and of two bad runs the first is named. Run 0 is
+    all +0.0, so on compiled its blocks take the zero-window path."""
+    backend(name)
+    args = (0.1, 1.0, 0.5, 0.25, periodic)
+    for n in (257, 1100):
+        u, v = _batch(rng, n, "dense", runs=4)
+        u[0] = v[0] = 0.0
+        for j, site in ((1, 0), (2, 255), (3, n - 1), (2, 700 % n)):
+            a, b = u.copy(), v.copy()
+            a[j, site] = complex(np.nan, 0.0)
+            b[3, 5] = np.inf  # a later bad run
+            single = [kernels.step_unforced(a[r], b[r], *args) for r in range(j + 1)]
+            assert [s[2] for s in single[:j]] == [-1] * j and single[j][2] >= 0
+            x, y, bad = kernels.step_unforced(a, b, *args)
+            assert bad == j * n + single[j][2], (n, j, site)
+            for r in range(j + 1):
+                _assert_bits_equal([x[r], y[r]], single[r][:2], n, j, r)
+
+
+# Leaves of NumPy's pairwise sum hold at most 128 terms: lengths below one
+# leaf, at its edges, just past a split into blocks of 8, and larger sums.
+LEAF_LENGTHS = (2, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 4096, 4097)
+
+
+def _leaf_fields(rng, n):
+    """A complex field whose 128-site leaves are each all +0.0, dense, dense
+    with -0.0, NaN and infinite parts, or all -0.0."""
+    z = _cplx(rng, n)
+    parts = z.view(np.float64).reshape(n, 2)
+    for lo in range(0, n, 128):
+        leaf = parts[lo:lo + 128]
+        kind = rng.choice(["zero", "zero", "dense", "corners", "minus"])
+        if kind == "zero":
+            leaf[:] = 0.0
+        elif kind == "minus":
+            leaf[:] = -0.0
+        elif kind == "corners":
+            flat = leaf.reshape(-1)
+            count = min(flat.size, 3)
+            flat[rng.choice(flat.size, size=count, replace=False)] = rng.choice(
+                [-0.0, np.nan, np.inf, -np.inf], size=count)
+    return z
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_fused_distance_sums_are_add_reduce_of_the_terms(rng, backend, name):
+    """Each pair's two sums, taken in one call for every pair of a level,
+    equal np.add.reduce of pure's term arrays bit for bit (a NaN matching
+    any NaN), at every leaf edge, on levels mixing zero, dense, -0.0 and
+    NaN or infinite leaves."""
+    backend(name)
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (2, 2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in LEAF_LENGTHS:
+            for _ in range(3):
+                runs = [(_leaf_fields(rng, n), _leaf_fields(rng, n)) for _ in range(4)]
+                want = []
+                for i, j in pairs:
+                    l1, p1 = pure.distance_terms(runs[i], runs[j])
+                    want.append([np.add.reduce(l1), np.add.reduce(p1)])
+                _assert_sums_equal(_distance_sums(runs, name, pairs), want, n)
 
 
 VERDICT_N = 1100  # four 256-site blocks of the C step and a partial fifth
@@ -578,22 +702,23 @@ def _cornered(rng, n, count=3):
     return z
 
 
-def _distance_terms(runs, name="compiled"):
-    """(l1, p1, their sums) of one kernels.distance_terms call on backend name."""
-    terms = kernels.DistanceTerms(runs[0][0].shape[0])
+def _distance_sums(runs, name="compiled", pairs=((0, 1),)):
+    """The sums of one kernels.distance_sums call on backend name, as an
+    (npairs, 2) array: per pair, the sums of l1 and of p1."""
+    sums = kernels.DistanceSums(runs[0][0].shape[0], pairs)
     before = kernels.use_backend(name)
     try:
-        sums = kernels.distance_terms(terms, *runs)
+        got = kernels.distance_sums(sums, runs)
     finally:
         kernels.use_backend(before)
-    _assert_bits_equal([np.array(sums)], [terms.sums])
-    return terms.out[0], terms.out[1], terms.sums
+    _assert_bits_equal([np.array(got)], [sums.sums.ravel()])
+    return sums.sums.copy()
 
 
-def _real_distance_terms(runs):
-    """(l1, p1, their sums) in NumPy real arithmetic: each part of a complex
-    product rounded after each multiply and each sum, each sum
-    np.add.reduce's."""
+def _real_distance_sums(runs):
+    """The sums of l1 and p1 of runs A and B in NumPy real arithmetic: each
+    part of a complex product rounded after each multiply and each sum,
+    the whole term arrays summed by np.add.reduce."""
     (uA, vA), (uB, vB) = runs
 
     def mul(a, b):
@@ -603,7 +728,7 @@ def _real_distance_terms(runs):
         U, V = uA - uB, vA - vB
         (ar, ai), (br, bi) = mul(uA, vA), mul(uB, vB)
         l1, p1 = (U.real**2 + U.imag**2) + (V.real**2 + V.imag**2), (ar - br) ** 2 + (ai - bi) ** 2
-        return l1, p1, np.array([np.add.reduce(l1), np.add.reduce(p1)])
+        return np.array([[np.add.reduce(l1), np.add.reduce(p1)]])
 
 
 def _distance_cases(rng):
@@ -618,43 +743,40 @@ def _distance_cases(rng):
     return cases
 
 
-def _pooled(pool, u, v):
-    """A pair of pool buffers holding copies of u and v: the two rows of the
-    pair's array."""
-    pair = pool.take()
-    pair[0].base[:] = u, v
-    return pair
-
-
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_pool_buffers_give_the_bits_of_fresh_arrays(rng, backend, name):
-    """Stepping into a pool pair, stepping from one, and the level and
-    distance terms of pool buffers equal the same calls on fresh arrays,
-    bit for bit; the buffers are read-only, and bound only while the pool
-    is open."""
+    """Stepping a pool generation into the other, one run's rows or all
+    runs at once, and the level terms and distance sums of pool rows equal
+    the same calls on fresh arrays, bit for bit; every view is read-only,
+    each row C-contiguous, and bound only while the pool is open."""
     backend(name)
     n = 97
     u, v, ub, vb = (_cplx(rng, n, 0.3) for _ in range(4))
-    with kernels.LevelPool(n) as pool:
-        a, b, c = pool.take(), _pooled(pool, u, v), _pooled(pool, ub, vb)
-        assert all(not buf.flags.writeable and buf.flags.c_contiguous for pair in (a, b, c) for buf in pair)
+    with kernels.LevelPool(2, n) as pool:
+        pool.load([(u, v), (ub, vb)])
+        (b, c), (a, _) = pool.rows
+        views = [*pool.u, *pool.v, *(x for gen in pool.rows for run in gen for x in run)]
+        assert all(not x.flags.writeable for x in views)
+        assert all(x.flags.c_contiguous for gen in pool.rows for run in gen for x in run)
         for periodic in (True, False):
-            want = kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, periodic)
+            want = [kernels.step_unforced(x, y, 0.1, 1.0, 0.5, 0.25, periodic) for x, y in ((u, v), (ub, vb))]
             got = kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, periodic, out=a)
-            assert got[0] is a[0] and got[1] is a[1] and got[2] == want[2]
-            _assert_bits_equal(got[:2], want[:2], periodic)
+            assert got[0] is a[0] and got[1] is a[1] and got[2] == want[0][2]
+            _assert_bits_equal(got[:2], want[0][:2], periodic)
             _assert_bits_equal(kernels.step_unforced(*b, 0.1, 1.0, 0.5, 0.25, periodic, out=a)[:2],
-                               kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, periodic)[:2], periodic)
+                               want[0][:2], periodic)
+            got = kernels.step_unforced(pool.u[0], pool.v[0], 0.1, 1.0, 0.5, 0.25, periodic,
+                                        out=(pool.u[1], pool.v[1]))
+            assert got[0] is pool.u[1] and got[1] is pool.v[1] and got[2] == -1
+            for (x, y), w in zip(pool.rows[1], want):
+                _assert_bits_equal([x, y], w[:2], periodic)
         terms, fresh = kernels.LevelTerms(n, 2, 0.1), kernels.LevelTerms(n, 2, 0.1)
         kernels.level_terms(terms, [b, c], 10, 80, 0, None)
         kernels.level_terms(fresh, [(u, v), (ub, vb)], 10, 80, 0, None)
         _assert_bits_equal([getattr(terms, k) for k in ("au", "prod", "q", "d1", "q1v", "sums")],
                            [getattr(fresh, k) for k in ("au", "prod", "q", "d1", "q1v", "sums")])
-        dist, fresh = kernels.DistanceTerms(n), kernels.DistanceTerms(n)
-        kernels.distance_terms(dist, b, c)
-        kernels.distance_terms(fresh, (u, v), (ub, vb))
-        _assert_bits_equal([dist.out, dist.sums], [fresh.out, fresh.sums])
-    assert not any(id(buf) in kernels._BOUND for pair in (a, b, c) for buf in pair)
+        _assert_bits_equal([_distance_sums([b, c], name)], [_distance_sums([(u, v), (ub, vb)], name)])
+    assert not any(id(x) in kernels._BOUND for x in views)
 
 
 @pytest.mark.parametrize("name", kernels.available_backends())
@@ -662,15 +784,22 @@ def test_step_refuses_an_out_that_is_not_a_free_pool_pair(rng, backend, name):
     backend(name)
     n = 16
     u, v = _cplx(rng, n), _cplx(rng, n)
-    with kernels.LevelPool(n) as pool, kernels.LevelPool(n + 1) as other:
-        a, b, wide = pool.take(), _pooled(pool, u, v), other.take()
+    with kernels.LevelPool(2, n) as pool, kernels.LevelPool(2, n + 1) as other:
+        pool.load([(u, v), (u, v)])
+        (b, _), (a, _) = pool.rows
+        wide = other.rows[1][0]
         for out in ((np.empty(n, complex), np.empty(n, complex)),  # not a pool's
                     wide,  # another size
-                    (a[0], a[0]), (a[0], b[1]), (b[0], a[1])):  # one buffer twice, or the level read
+                    (a[0], a[0]), (a[0], b[1]), (b[0], a[1])):  # one view twice, or the level read
             with pytest.raises(ValueError):
                 kernels.step_unforced(*b, 0.1, 1.0, 0.5, 0.25, True, out=out)
+        for out in ((pool.u[1], pool.u[1]), (pool.u[0], pool.v[1]),  # one view twice, or the level read
+                    (other.u[1], other.v[1]),  # another size
+                    (pool.u[1], pool.blocks[1, :, 1])):  # not a view the pool made
+            with pytest.raises(ValueError):
+                kernels.step_unforced(pool.u[0], pool.v[0], 0.1, 1.0, 0.5, 0.25, True, out=out)
         with pytest.raises(UsageError):
-            kernels.distance_terms(kernels.DistanceTerms(n), b, wide)
+            kernels.distance_sums(kernels.DistanceSums(n, [(0, 1)]), [b, wide])
         with pytest.raises(UsageError):
             kernels.level_terms(kernels.LevelTerms(n + 1, 1, 0.1), [b], 0, 4, 0, None)
     with pytest.raises(ValueError):  # closed: no longer bound
@@ -684,30 +813,36 @@ def _assert_bits_equal(got, want, *context):
 
 @needs_compiled
 def test_backends_agree_on_distance_terms(rng):
-    """The compiled and pure backends write the same bits."""
+    """The compiled and pure backends give the same sums, bit for bit, for
+    one pair and for several pairs of one level in one call."""
     for runs in _distance_cases(rng):
-        _assert_bits_equal(_distance_terms(runs), _distance_terms(runs, "pure"), runs[0][0].shape)
+        _assert_bits_equal([_distance_sums(runs)], [_distance_sums(runs, "pure")], runs[0][0].shape)
+    for n in (3, 300):
+        runs = [(_cornered(rng, n), _cplx(rng, n)) for _ in range(4)]
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1), (0, 3)]
+        _assert_bits_equal([_distance_sums(runs, "compiled", pairs)], [_distance_sums(runs, "pure", pairs)], n)
 
 
 def test_unfused_distance_terms_match_real_arithmetic(rng):
-    """Each backend equals the real-arithmetic reference bit for bit: every
-    complex product is formed from four real products and two sums, none fused."""
+    """Each backend's sums equal those of the real-arithmetic reference bit
+    for bit: every complex product is formed from four real products and
+    two sums, none fused, and each sum is np.add.reduce's of the terms."""
     for runs in _distance_cases(rng):
-        want = _real_distance_terms(runs)
+        want = _real_distance_sums(runs)
         for name in kernels.available_backends():
-            _assert_bits_equal(_distance_terms(runs, name), want, name, runs[0][0].shape)
+            _assert_bits_equal([_distance_sums(runs, name)], [want], name, runs[0][0].shape)
 
 
 def _distance_digests():
-    """{backend: CRC-32 of its distance terms over _distance_cases at seed 5}."""
+    """{backend: CRC-32 of its distance sums over _distance_cases at seed 5}."""
     cases = _distance_cases(np.random.default_rng(5))
-    return {name: zlib.crc32(b"".join(a.tobytes() for runs in cases for a in _distance_terms(runs, name)))
+    return {name: zlib.crc32(b"".join(_distance_sums(runs, name).tobytes() for runs in cases))
             for name in kernels.available_backends()}
 
 
 def test_distance_terms_ignore_numpy_dispatch():
     """With NumPy's dispatched SIMD loops off (its complex product then
-    rounds differently on FMA hardware), both backends write the same bits."""
+    rounds differently on FMA hardware), both backends give the same bits."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__
     except ImportError:  # NumPy 1.x
@@ -724,27 +859,33 @@ def test_distance_terms_ignore_numpy_dispatch():
 
 
 def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
-    """On either backend, a field of another size is refused before the
-    pass runs; the buffer the pass writes is C-contiguous (2, n) float64."""
+    """On either backend, a field of another size, or too few runs for the
+    pairs, is refused before the pass runs; the sums the pass writes are a
+    C-contiguous (npairs, 2) float64 array, and the C pass gets the address
+    of each run's fields in order."""
     calls = []
-    monkeypatch.setattr(kernels, "_lib", type("Lib", (), {"lcd_distance_terms": lambda *a: calls.append(a)}))
-    monkeypatch.setattr(kernels.pure, "distance_terms", lambda *a: calls.append(a))
+    monkeypatch.setattr(kernels, "_lib", type("Lib", (), {"lcd_distance_sums": lambda *a: calls.append(a)}))
+    monkeypatch.setattr(kernels.pure, "distance_sums", lambda *a: calls.append(a))
     n = 8
     run = (_cplx(rng, n), _cplx(rng, n))
-    terms = kernels.DistanceTerms(n)
-    out = terms.out
-    assert out.dtype == np.float64 and out.shape == (2, n) and out.flags.c_contiguous
-    assert terms._address == out.ctypes.data
+    sums = kernels.DistanceSums(n, [(0, 1), (1, 0), (1, 1)])
+    out = sums.sums
+    assert out.dtype == np.float64 and out.shape == (3, 2) and out.flags.c_contiguous
+    assert sums._addresses == (sums._rows.ctypes.data, sums.pairs.ctypes.data, 3, n, out.ctypes.data)
     for name in ("compiled", "pure"):
         monkeypatch.setattr(kernels, "_active", name)
         calls.clear()
-        kernels.distance_terms(terms, run, run)
+        kernels.distance_sums(sums, [run, run[::-1]])
         assert len(calls) == 1, name
+        if name == "compiled":
+            assert sums._rows.tolist() == [a.ctypes.data for a in (*run, *run[::-1])]
         for other in ((_cplx(rng, n + 1), run[1]), (run[0], _cplx(rng, n - 1)), (run[0][:, None], run[1])):
             with pytest.raises(UsageError, match="sites"):
-                kernels.distance_terms(terms, run, other)
+                kernels.distance_sums(sums, [run, other])
             with pytest.raises(UsageError, match="sites"):
-                kernels.distance_terms(terms, other, run)
+                kernels.distance_sums(sums, [other, run])
+        with pytest.raises(ValueError, match="runs"):
+            kernels.distance_sums(sums, [run])
         assert len(calls) == 1, name
 
 
@@ -792,8 +933,8 @@ def _summed_fields(rng, n, kind):
 
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_sums_are_numpys_add_reduce_bit_for_bit(rng, backend, name):
-    """Every sum level_terms and distance_terms return equals np.add.reduce
-    of the terms they wrote, bit for bit, at every length where NumPy's
+    """Every sum level_terms and distance_sums return equals np.add.reduce
+    of the terms level_terms wrote, or pure.distance_terms writes, bit for bit, at every length where NumPy's
     pairwise order changes shape; if a NumPy release changes that order,
     this fails rather than an artifact's digits moving."""
     backend(name)
@@ -801,12 +942,12 @@ def test_sums_are_numpys_add_reduce_bit_for_bit(rng, backend, name):
         for n in SUM_LENGTHS:
             for kind in ("mixed", "corners", "zeros"):
                 runs = [tuple(_summed_fields(rng, n, kind) for _ in "uv") for _ in range(2)]
-                terms, dist = kernels.LevelTerms(n, 2, 1.0), kernels.DistanceTerms(n)
+                terms = kernels.LevelTerms(n, 2, 1.0)
                 sums = kernels.level_terms(terms, runs, 0, n, 0, None)
-                dist_sums = kernels.distance_terms(dist, *runs)
-                _assert_bits_equal([np.array(sums), np.array(dist_sums)], [terms.sums, dist.sums])
+                _assert_bits_equal([np.array(sums)], [terms.sums])
                 _assert_sums_equal(terms.sums, _numpy_sums(terms, 0, n), n, kind)
-                _assert_sums_equal(dist.sums, [np.add.reduce(dist.out[0]), np.add.reduce(dist.out[1])], n, kind)
+                l1, p1 = pure.distance_terms(*runs)
+                _assert_sums_equal(_distance_sums(runs, name), [[np.add.reduce(l1), np.add.reduce(p1)]], n, kind)
 
 
 @needs_compiled
@@ -1007,8 +1148,9 @@ def test_build_removes_stale_libraries(tmp_path):
 def _kernel_outputs(monkeypatch, lib):
     """Every compiled kernel's output, as bytes, on random and corner inputs
     (NaN, infinities, overflowing and underflowing values, signed zeros),
-    computed by lib: the level and distance terms with their sums, also at
-    the lengths where NumPy's pairwise sum changes shape."""
+    computed by lib: the level terms with their sums and the distance sums,
+    also at the lengths where NumPy's pairwise sum changes shape, and a
+    batched step."""
     monkeypatch.setattr(kernels, "_lib", lib)
     kernels.use_backend("compiled")
     rng = np.random.default_rng(16)
@@ -1031,10 +1173,17 @@ def _kernel_outputs(monkeypatch, lib):
                    [(_cornered(rng, 300), _cornered(rng, 300)) for _ in range(2)]):
         out += [a.tobytes() for a in _terms_on("compiled", 300, fields, 20, 270, 20, 1.5, origin).values()]
     for runs in _distance_cases(rng):
-        out += [a.tobytes() for a in _distance_terms(runs)]
+        out.append(_distance_sums(runs).tobytes())
     for n in (1, 7, 8, 9, 127, 128, 129, 3071, 8193):
         runs = [tuple(_summed_fields(rng, n, "corners") for _ in "uv") for _ in range(2)]
-        out += [_terms_on("compiled", n, runs, 0, n)["sums"].tobytes(), _distance_terms(runs)[2].tobytes()]
+        out += [_terms_on("compiled", n, runs, 0, n)["sums"].tobytes(), _distance_sums(runs).tobytes()]
+    u, v = _cplx(rng, (3, 513), 0.3), _cplx(rng, (3, 513), 0.3)
+    for bad_run in (None, 1):  # rows past a bad one are left unwritten
+        if bad_run is not None:
+            u[bad_run, 300] = np.nan
+        a, b, bad = kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, True)
+        written = 3 if bad < 0 else bad // 513 + 1
+        out += [a[:written].tobytes(), b[:written].tobytes(), str(bad).encode()]
     return out
 
 

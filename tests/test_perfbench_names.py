@@ -45,8 +45,9 @@ def test_perfbench_reference_runs_on_this_tree(tmp_path, workload):
 
 def test_traced_step_sees_every_level():
     # the benchmark's kernels.step_* metrics come from the calls of
-    # kernels.step_unforced that the child wraps: one per run per step, each
-    # with the level's u first
+    # kernels.step_unforced that the child wraps: one per step for all the
+    # lockstep runs, each with the runs' u first, so args[0].size is the
+    # number of sites stepped
     script = (
         "import child, tracing\n"
         "import lcdirac as lc\n"
@@ -63,12 +64,12 @@ def test_traced_step_sees_every_level():
         "                                       lc.ComponentSpec('gaussian_pulse', 0.2)), g)\n"
         "def run():\n"
         "    lc.evolve([f0, f0, f0], lc.THIRRING, lc.SolverConfig(), 5 * g.dt, observers=[lambda levels: None])\n"
-        "    assert sizes == [64] * 15, sizes\n"
+        "    assert sizes == [3 * 64] * 5, sizes\n"
         "    lc.evolve(f0, lc.THIRRING, lc.SolverConfig(record_every=2), 5 * g.dt)\n"
-        "    assert sizes == [64] * 20, sizes\n"
+        "    assert sizes == [3 * 64] * 5 + [64] * 5, sizes\n"
         "tracer.wrap(run, 'cli.run_command')()\n"
         "m = tracing.layer_metrics(tracer.document())\n"
-        "assert m['kernels.step_calls'] == 20 and m['solver.site_updates'] == 20 * 64, m\n"
+        "assert m['kernels.step_calls'] == 10 and m['solver.site_updates'] == 20 * 64, m\n"
         "assert m['kernels.step_s'] > 0 and m['kernels.step_ns_per_site'] > 0, m\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV, capture_output=True, text=True,

@@ -310,18 +310,18 @@ def test_charge_audit_takes_the_largest_drift():
 
 
 def test_pair_distance_weights_and_maximum():
-    from lcdirac.harness import _PairDistance
+    from lcdirac.harness import _PairDistances
 
     g = lc.make_grid(-2, 2, 64, "periodic")
     f0 = lc.sample_initial(GN_DATUM, g)
     scales = [(1.0, 1.0), (1.5, 1.0), (1.1, 0.95), (1.0, 0.9)]
     a = [lc.SpinorField(g, k * g.dt, f0.u, f0.v) for k in range(4)]
     b = [lc.SpinorField(g, k * g.dt, f0.u * su, f0.v * sv) for k, (su, sv) in enumerate(scales)]
-    dist = _PairDistance(kernels.DistanceTerms(g.n_points))
+    dist = _PairDistances(g, [(0, 1)])
     for x, y in zip(a, b):
-        dist.feed(x, y)
-    assert dist.field == max(lc.l2_distance(x, y) for x, y in zip(a, b)) == lc.l2_distance(a[1], b[1])
-    assert dist.product_distance() == _list_distances(a, b)[1]
+        dist((x, y))
+    assert dist.field[0] == max(lc.l2_distance(x, y) for x, y in zip(a, b)) == lc.l2_distance(a[1], b[1])
+    assert dist.product_distances()[0] == _list_distances(a, b)[1]
 
 
 def _real_product(a, b):
@@ -508,6 +508,54 @@ def test_blowup_in_b_alone_writes_no_audits(tmp_path, capsys):
     status, err = run_main(tmp_path, doc, capsys)
     assert status == 1 and "blow-up" in err and "Traceback" not in err
     assert not (tmp_path / "run_audits.csv").exists()
+
+
+def test_blowup_in_b_says_it_is_the_perturbed_run(tmp_path, capsys):
+    doc = audit_doc(tmp_path, init=outside_cone(1e-3), audit=HUGE_B)
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 1 and "Traceback" not in err
+    assert err.splitlines() == [err.strip()] and err.startswith("blow-up: non-finite field value at x=")
+    assert err.strip().endswith(" in the perturbed run B")
+    assert not (tmp_path / "run_audits.csv").exists()
+
+
+# Mollified at radius 1.0 this datum stays finite to T = 1; at radius 0.1
+# it blows up, so the run that blows up comes after the first.
+LADDER_BLOW_UP = {"u0": {"kind": "indicator_jump", "amplitude": 2.0, "halfwidth": 1.0},
+                  "v0": {"kind": "power_singularity_truncated", "amplitude": 2.0, "halfwidth": 1.5,
+                         "exponent": 0.3, "cap": 10.0}}
+
+
+@pytest.mark.parametrize("command, families, label", [
+    ("converge", ["bump"], "the run mollified at radius 0.1"),
+    ("unique", ["bump", "triangle"], "the run mollified by bump at radius 0.1"),
+])
+def test_ladder_blowup_names_the_run(tmp_path, capsys, command, families, label):
+    """A blow-up in converge or unique names the run's radius, and for
+    unique its kernel family: the run that blows up first on its own (the
+    first such in the ladder's order), at its own site and time. Exit 1, no
+    artifact and no traceback."""
+    from lcdirac import harness
+
+    g = lc.make_grid(-8, 8, 512, "periodic")
+    doc = {"model": {"m": 1.0, "alpha": 1.0, "beta": 0.0},
+           "grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 512, "boundary": "periodic"},
+           "time": {"T": 1.0}, "init": LADDER_BLOW_UP, "command": command,
+           "mollify": {"epsilons": [1.0, 0.1], "kernel": "bump", "kernel_b": "triangle"},
+           "output": {"path": str(tmp_path / "run"), "format": "csv"}}
+    f0s = harness._mollified(cli.parse_config(json.dumps(doc)).init, g, (1.0, 0.1), families)
+    alone = []
+    for run, f in enumerate(f0s):
+        try:
+            lc.evolve(f, lc.THIRRING, lc.SolverConfig(record_every=10**9), 1.0)
+        except BlowUpError as exc:
+            alone.append((exc.t, run, exc))
+    assert [r for _, r, _ in alone] == list(range(len(families), 2 * len(families)))  # the runs at 0.1
+    t, run, first = min(alone, key=lambda a: a[:2])
+    status, err = run_main(tmp_path, doc, capsys)
+    assert status == 1 and "Traceback" not in err
+    assert err == f"blow-up: {first} in {label}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 @pytest.mark.parametrize("over, message", [
@@ -759,11 +807,13 @@ def test_observers_see_the_recorded_levels(gn, every):
     assert all(np.array_equal(f.u, full[-1].u) for f in finals)
 
 
-def _poison_call(monkeypatch, call, part, site):
-    """Make the given kernel call (1-based) return NaN in one part of the
-    level at site and at a later site, and inf in the other component later,
-    with site as the blow-up verdict, as the kernel reports it. The poisoned
-    level is a copy: the level the kernel writes into a pool is read-only."""
+def _poison_call(monkeypatch, call, run, part, site):
+    """Make the given step kernel call (1-based), which steps every run,
+    return NaN in one part of the given run's level at site and at a later
+    site, and inf in the other component later, with that run's site as the
+    blow-up verdict (run * n + site), as the kernel reports it. The
+    poisoned level is a copy: the level the kernel writes into a pool is
+    read-only."""
     real, calls = kernels.step_unforced, [0]
     comp, attr = part.split(".")
 
@@ -772,10 +822,10 @@ def _poison_call(monkeypatch, call, part, site):
         calls[0] += 1
         if calls[0] == call:
             u, v = u.copy(), v.copy()
-            hit, other = (u, v) if comp == "u" else (v, u)
+            hit, other = (u[run], v[run]) if comp == "u" else (v[run], u[run])
             getattr(hit, attr)[[site, site + 20]] = np.nan
             other.real[site + 10] = np.inf
-            bad = site
+            bad = run * u.shape[-1] + site
         return u, v, bad
 
     monkeypatch.setattr(kernels, "step_unforced", poisoned)
@@ -789,7 +839,7 @@ def test_blow_up_names_the_first_bad_site(gn, monkeypatch, part):
     f0 = _gn_field(96)
     g, T = f0.grid, 12 * f0.grid.dt
     full = lc.evolve(f0, gn, lc.SolverConfig(), T)
-    _poison_call(monkeypatch, 5, part, 40)
+    _poison_call(monkeypatch, 5, 0, part, 40)
     with pytest.raises(BlowUpError) as exc_info:
         lc.evolve(f0, gn, lc.SolverConfig(record_every=2), T)
     err = exc_info.value
@@ -803,7 +853,7 @@ def test_lockstep_blow_up_names_the_first_bad_site(gn, monkeypatch, part):
     f0 = _gn_field(96)
     g, T = f0.grid, 12 * f0.grid.dt
     full = lc.evolve(f0, gn, lc.SolverConfig(), T)
-    _poison_call(monkeypatch, 10, part, 33)  # run 1's fifth step
+    _poison_call(monkeypatch, 5, 1, part, 33)  # run 1 at the fifth step
     seen = []
     with pytest.raises(BlowUpError) as exc_info:
         lc.evolve([f0, f0], gn, lc.SolverConfig(), T, observers=[keep_copies(seen)])
@@ -811,6 +861,33 @@ def test_lockstep_blow_up_names_the_first_bad_site(gn, monkeypatch, part):
     assert (err.site, err.t, err.x, err.run, err.partial) == (33, full[5].t, g.x_min + 33 * g.dx, 1, [])
     assert len(seen) == 5 and all(None not in lv for lv in seen)  # both runs stop at the blow-up
     assert np.array_equal(seen[-1][0].u, full[4].u) and np.array_equal(seen[-1][1].u, full[4].u)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_lockstep_blow_up_of_a_later_run_matches_its_run_alone(name):
+    """Runs 0 and 2 stay finite, run 1 blows up at step k: the lockstep
+    error names run 1, with the site, t and x of run 1 evolved alone, and
+    the observers see levels 0 ... k - 1 only."""
+    from lcdirac import harness
+
+    g = lc.make_grid(-8, 8, 512, "periodic")
+    cfg = cli.parse_config(json.dumps({"model": {"m": 1.0, "alpha": 1.0, "beta": 0.0},
+                                       "grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 512,
+                                                "boundary": "periodic"},
+                                       "time": {"T": 1.0}, "init": LADDER_BLOW_UP, "command": "converge",
+                                       "mollify": {"epsilons": [1.0, 0.1]}}))
+    calm, sharp = harness._mollified(cfg.init, g, (1.0, 0.1), ["bump"])
+    with backend(name):
+        with pytest.raises(BlowUpError) as alone:
+            lc.evolve(sharp, lc.THIRRING, lc.SolverConfig(record_every=10**9), 1.0)
+        times = []
+        with pytest.raises(BlowUpError) as lockstep:
+            lc.evolve([calm, sharp, calm], lc.THIRRING, lc.SolverConfig(), 1.0,
+                      observers=[lambda levels: times.append(levels[0].t)])
+    a, b = alone.value, lockstep.value
+    assert (b.run, b.site, b.t, b.x) == (1, a.site, a.t, a.x) and str(b) == str(a)
+    k = round(a.t / g.dt)
+    assert k > 1 and times == [j * g.dt for j in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -837,19 +914,19 @@ def _held_arrays(obj, seen=None):
 
 
 def test_reductions_hold_no_level(gn, gn_constants):
-    from lcdirac.harness import _PairDistance
+    from lcdirac.harness import _PairDistances
 
     g = lc.make_grid(-6, 6, 96, "zero_inflow")
     f0 = lc.sample_initial(GN_DATUM, g)
     dom = lc.TriangleDomain(-4.0, 4.0)
     audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
                                    C0=lc.charge(f0) + 1.0)
-    dist = _PairDistance(kernels.DistanceTerms(g.n_points))
+    dist = _PairDistances(g, [(0, 1)])
     fed = []
 
     def keep(levels):
         fed.extend(levels)
-        dist.feed(*levels)
+        dist(levels)
 
     runs = [f0, cli._perturbed(f0, 1e-3)]
     lc.evolve(runs, gn, lc.SolverConfig(), 1.0, observers=[audits, keep])
@@ -862,40 +939,37 @@ def test_reductions_hold_no_level(gn, gn_constants):
         assert not any(np.shares_memory(arr, level.u) or np.shares_memory(arr, level.v) for level in fed)
 
 
-def _recorded_pools(monkeypatch, reuse=True):
-    """Make evolve's pools record themselves into the returned list; without
-    reuse a pool never frees a pair, so each level keeps buffers of its own."""
+def _recorded_pools(monkeypatch):
+    """Make evolve's pools record themselves into the returned list."""
     pools = []
 
     class Pool(kernels.LevelPool):
-        def __init__(self, n):
-            super().__init__(n)
+        def __init__(self, runs, n):
+            super().__init__(runs, n)
             pools.append(self)
-
-        def give(self, u):
-            if reuse:
-                super().give(u)
 
     monkeypatch.setattr(kernels, "LevelPool", Pool)
     return pools
 
 
 def _poison(pools, keep=()):
-    """Fill every buffer of the pools with NaN but those of the levels in keep."""
+    """Fill every generation of the pools with NaN but the one holding the
+    levels in keep: at an observer call, that is the generation the next
+    step overwrites."""
     kept = {id(a) for f in keep for a in (f.u, f.v)}
     for pool in pools:
-        for buf in (b for pair in pool.pairs for b in pair):
-            if id(buf) not in kept:
-                buf.base[:] = np.nan
+        for gen, rows in enumerate(pool.rows):
+            if not any(id(a) in kept for run in rows for a in run):
+                pool.blocks[gen] = np.nan
 
 
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_constants):
-    """AuditPass and _PairDistance keep numbers, never a level: with each
-    buffer NaN from the observer call after its level is replaced, and
-    every buffer NaN once evolve returns, they report what a run on the
-    reused pool reports, bit for bit. No observer can write into a level."""
-    from lcdirac.harness import _PairDistance
+    """AuditPass and _PairDistances keep numbers, never a level: with the
+    generation the next step overwrites NaN from each observer call on,
+    and every level NaN once evolve returns, they report what an untouched
+    run reports, bit for bit. No observer can write into a level."""
+    from lcdirac.harness import _PairDistances
 
     g = lc.make_grid(-6, 6, 96, "zero_inflow")
     f0 = lc.sample_initial(GN_DATUM, g)
@@ -906,18 +980,17 @@ def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_co
     def measure(extra, after):
         audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
                                        C0=lc.charge(f0) + 1.0)
-        terms = kernels.DistanceTerms(g.n_points)
-        dists = [_PairDistance(terms) for _ in pairs]
+        dists = _PairDistances(g, pairs)
 
         def feed(levels):
             audits(levels[:2])
-            for dist, (i, j) in zip(dists, pairs):
-                dist.feed(levels[i], levels[j])
+            dists(levels)
 
         lc.evolve(runs, gn, lc.SolverConfig(), 1.0, observers=[feed, *extra])
         after()
-        return ([audits.report(a) for a in cli.EVOLVED_AUDITS],
-                [(d.field, d.product_distance()) for d in dists])
+        return ([audits.report(a) for a in cli.EVOLVED_AUDITS], list(zip(dists.field, dists.product_distances())))
+
+    poisoned_levels = []
 
     def poison_past(levels):
         for f in levels:
@@ -926,37 +999,45 @@ def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_co
                     a[0] = 0.0
                 with pytest.raises(ValueError):
                     np.copyto(a, 0.0)
+        before = [np.isnan(pool.blocks).sum() for pool in pools]
         _poison(pools, keep=levels)
+        poisoned_levels.append([np.isnan(pool.blocks).sum() - b for pool, b in zip(pools, before)])
 
     with backend(name):
-        reused = measure([], lambda: None)
-        pools = _recorded_pools(monkeypatch, reuse=False)
+        untouched = measure([], lambda: None)
+        pools = _recorded_pools(monkeypatch)
         poisoned = measure([poison_past], lambda: _poison(pools))
-    assert len(pools) == 1 and len(pools[0].pairs) == 3 * 8  # a pair for each run and step (dt = 1/8)
-    assert poisoned == reused
-    assert all(r.passed for r in reused[0]) and all(d > 0 for row in reused[1] for d in row)
+    assert len(pools) == 1 and pools[0].blocks.shape == (2, 3, 2, g.n_points)
+    assert np.isnan(pools[0].blocks).all()
+    # from the first step on (dt = 1/8), each call poisons a whole generation that the step overwrote
+    assert poisoned_levels == [[]] + [[3 * 2 * g.n_points]] * 8
+    assert poisoned == untouched
+    assert all(r.passed for r in untouched[0]) and all(d > 0 for row in untouched[1] for d in row)
 
 
 @pytest.mark.parametrize("name", kernels.available_backends())
-def test_pool_holds_a_pair_per_run_and_one_spare(monkeypatch, name, gn):
-    """Each step writes into the spare pair; the buffers are bound only while
-    evolve runs, and nothing keeps them once the levels are dropped."""
+def test_pool_holds_two_generations_of_every_run(monkeypatch, name, gn):
+    """Each step writes the other generation; a run of no step makes no
+    pool; the views are bound only while evolve runs, and nothing keeps
+    the blocks once the levels are dropped."""
     import gc
     import weakref
 
     pools = _recorded_pools(monkeypatch)
     f0 = _gn_field(96)
     with backend(name):
-        for runs, steps in ((1, 0), (1, 1), (1, 5), (3, 1), (3, 5)):
+        for runs, steps in ((1, 0), (1, 1), (1, 5), (3, 0), (3, 1), (3, 5)):
             pools.clear()
             if runs == 1:
                 lc.evolve(f0, gn, lc.SolverConfig(), steps * f0.grid.dt)
             else:
                 lc.evolve([f0] * runs, gn, lc.SolverConfig(), steps * f0.grid.dt, observers=[])
-            (pool,) = pools
-            assert len(pool.pairs) == min(steps, 1) * runs + (steps > 1), (runs, steps)
-            assert not any(id(b) in kernels._BOUND for pair in pool.pairs for b in pair)
-    refs = [weakref.ref(b) for pair in pool.pairs for b in pair]
+            assert len(pools) == min(steps, 1), (runs, steps)
+            if steps:
+                (pool,) = pools
+                assert pool.blocks.shape == (2, runs, 2, 96), (runs, steps)
+                assert not any(id(a) in kernels._BOUND for a in pool._views)
+    refs = [weakref.ref(a) for a in (pool.blocks, *pool._views)]
     pools.clear()
     del pool
     gc.collect()
