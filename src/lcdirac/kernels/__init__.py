@@ -11,7 +11,7 @@ for bit:
   with one set of forcing samples for every row. It returns the new u and
   v and the blow-up verdict, the first site where either has a non-finite
   part as a flat index ``run * n + site`` (-1 for none), found in the pass
-  that writes the level; the first bad run ends the call. Both backends
+  that writes the level, for the first bad run. Both backends
   evaluate it in the same plain real arithmetic, operation for operation.
   Given ``out``, two views of a ``LevelPool``'s other generation, it writes
   the level there, as ``evolve`` does at every step; without, into fresh
@@ -43,14 +43,16 @@ for bit:
   ``pure`` writes the whole term arrays and sums them with
   ``np.add.reduce``.
 
-A ``LevelPool`` holds the two generation blocks of ``evolve``'s lockstep
-runs, each of shape (runs, 2, n): every step reads one generation and
-writes the other. Each of its views (a generation's (runs, n) u and v, and
-each run's u and v rows) is made once, and its address is bound while the
-pool is open: ``step_unforced``, ``level_terms`` and ``distance_sums``
-take such a view as it is, with no address lookup (``a.ctypes.data``
-costs about 2 us) and no conversion; any other array is converted and
-checked as before.
+A ``LevelPool`` holds ``evolve``'s lockstep runs in runs + 1 level pairs,
+as two generations one pair apart: every step reads one generation and
+writes the other over it, each run's new level where an input already read
+lay (``lcd_step`` steps the rows first to last or last to first, as memmove
+copies), so the runs need one spare pair, not a second set. Each of its
+views (a generation's (runs, n) u and v, and each run's u and v rows) is
+made once, and its address is bound while the pool is open:
+``step_unforced``, ``level_terms`` and ``distance_sums`` take such a view
+as it is, with no address lookup (``a.ctypes.data`` costs about 2 us) and
+no conversion; any other array is converted and checked as before.
 
 Every sum of terms is ``np.add.reduce``'s bit for bit: ``pure`` calls it
 and ``_level.c`` sums in NumPy's pairwise order, which
@@ -243,11 +245,15 @@ _BOUND: dict[int, int] = {}
 
 
 class LevelPool:
-    """The two generation blocks of runs evolved in lockstep, written in turn.
+    """The levels of runs evolved in lockstep: one level pair a run and a spare.
 
-    ``blocks`` is one complex128 array of shape (2, runs, 2, n): generation
-    g holds run r's u at ``blocks[g, r, 0]`` and its v at ``blocks[g, r, 1]``.
-    ``u[g]`` and ``v[g]`` are the (runs, n) views of generation g that
+    ``blocks`` is one complex128 array of shape (runs + 1, 2, n), one level
+    pair (u at ``blocks[s, 0]``, v at ``blocks[s, 1]``) a slot. Generation 0
+    holds run r in slot r + 1, generation 1 holds it in slot r: the two
+    generations lie one slot apart, and ``step_unforced`` steps either into
+    the other over it, each run's new level written where the previous
+    run's (or the next run's) input lay once that input is read. ``u[g]``
+    and ``v[g]`` are the (runs, n) views of generation g that
     ``step_unforced`` reads and writes whole, their rows 2 n sites apart;
     ``rows[g]`` holds each run's (u, v) as 1-d C-contiguous views. Every
     view is read-only (``blocks`` is their base, which only
@@ -259,11 +265,11 @@ class LevelPool:
 
     def __init__(self, runs: int, n: int):
         self.runs, self.n = runs, n
-        self.blocks = np.empty((2, runs, 2, n), dtype=np.complex128)
-        self.u = tuple(self.blocks[g, :, 0] for g in range(2))
-        self.v = tuple(self.blocks[g, :, 1] for g in range(2))
-        self.rows = tuple(tuple((self.blocks[g, r, 0], self.blocks[g, r, 1]) for r in range(runs))
-                          for g in range(2))
+        self.blocks = np.empty((runs + 1, 2, n), dtype=np.complex128)
+        generations = (self.blocks[1:], self.blocks[:-1])
+        self.u = tuple(gen[:, 0] for gen in generations)
+        self.v = tuple(gen[:, 1] for gen in generations)
+        self.rows = tuple(tuple((gen[r, 0], gen[r, 1]) for r in range(runs)) for gen in generations)
         self._views = [*self.u, *self.v, *(a for gen in self.rows for run in gen for a in run)]
         for view in self._views:
             view.setflags(write=False)
@@ -278,8 +284,8 @@ class LevelPool:
     def load(self, runs):
         """Copy each run's (u, v) into generation 0."""
         for r, (u, v) in enumerate(runs):
-            self.blocks[0, r, 0] = u
-            self.blocks[0, r, 1] = v
+            self.blocks[r + 1, 0] = u
+            self.blocks[r + 1, 1] = v
 
     def close(self):
         for view in self._views:
@@ -314,15 +320,20 @@ def _rows(u, v) -> tuple[np.ndarray, int, np.ndarray, int, int]:
 
 def _out_addresses(out, u, au, av) -> tuple[int, int]:
     """The addresses of out, two views of an open pool shaped like u, with
-    equal strides, that are neither u nor v (the step reads u and v while
-    it writes out)."""
+    equal strides: the pool's other generation when u and v are one (each
+    out row one row from an input row, which ``lcd_step`` orders as memmove
+    does), or else two views whose extents are apart from u's and v's."""
     u_out, v_out = out
     a, b = _BOUND.get(id(u_out)), _BOUND.get(id(v_out))
     if (a is None or b is None or u_out.shape != u.shape or v_out.shape != u.shape
             or u_out.strides != v_out.strides):
         raise ValueError(f"out must be two views of an open LevelPool shaped like u {u.shape}")
-    if a == b or a in (au, av) or b in (au, av):
-        raise ValueError("out must be two views apart from u and v")
+    if u.ndim == 2 and a - au == b - av and abs(a - au) == u.strides[0] == u_out.strides[0]:
+        return a, b
+    span, out_span = ((u.shape[0] - 1) * x.strides[0] + u.nbytes // u.shape[0] if u.ndim == 2 else u.nbytes
+                      for x in (u, u_out))
+    if a == b or any(x < y + span and y < x + out_span for x in (a, b) for y in (au, av)):
+        raise ValueError("out must be a pool's other generation or lie apart from u and v")
     return a, b
 
 
@@ -383,11 +394,12 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None, out=None):
     per run), stepped in turn. Returns ``(u_new, v_new, bad)``: the new
     level, shaped like u, and the first site where u_new or v_new has a
     non-finite part as a flat index over the rows (``run * n + site``), or
-    -1 when every row is finite; the first row with a bad site ends the
-    step, and the rows after it are left unwritten. Given out, two views of
-    an open ``LevelPool`` shaped like u other than u and v, the level is
-    written into them and they are u_new and v_new; without, u_new and
-    v_new are fresh C-contiguous complex128 arrays.
+    -1 when every row is finite; rows after the first bad one may be left
+    unwritten. Given out, two views of an open ``LevelPool`` shaped like u
+    (its other generation when u and v are one, or views sharing no memory
+    with them), the level is written into them and they are u_new and
+    v_new; without, u_new and v_new are fresh C-contiguous complex128
+    arrays.
     """
     if _active == "compiled":
         return _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out)

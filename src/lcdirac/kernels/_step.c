@@ -41,10 +41,11 @@
  * lcd_step steps a batch of rows, the runs of one lockstep level, each
  * with the same step, and returns the first site whose new u or v has a
  * non-finite part (NaN or +-inf), as a flat index over the rows, or -1:
- * the blow-up verdict, so the caller scans no level again. Once a block is written, one more loop ORs the exponent fields of
- * its values, each plus one, which sets the sign bit only for an exponent
- * of all ones; only a block with that bit set is scanned site by site, and
- * only the first such block. The check reads the stores and changes none.
+ * the blow-up verdict, so the caller scans no level again. Once a block is
+ * written, one more loop ORs the exponent fields of its values, each plus
+ * one, which sets the sign bit only for an exponent of all ones; only a
+ * block with that bit set is scanned site by site, and only the first such
+ * block. The check reads the stores and changes none.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -215,32 +216,51 @@ INLINE ptrdiff_t step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_
     return bad;
 }
 
+/* One row, whose output never overlaps its input: restrict holds for a row,
+ * though not across the rows of a LevelPool's generations. */
+static ptrdiff_t step_row(const cplx *restrict u, const cplx *restrict v, cplx *restrict un,
+                          cplx *restrict vn, ptrdiff_t n, const params *k, int periodic,
+                          const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
+{
+    if (f0)
+        return step(u, v, un, vn, n, k, periodic, f0, f1, f2, f3);
+    return step(u, v, un, vn, n, k, periodic, NULL, NULL, NULL, NULL);
+}
+
 /* runs rows of n sites each: row r of u and v starts r * stride sites
  * after u and v, and row r of un and vn r * out_stride sites after un and
- * vn. un and vn must not overlap u, v or the forcing samples; f0 NULL
- * means no forcing, and then f1..f3 are not read; the forcing samples
- * depend only on (x, t), so one set of n sites serves every row. The rows
- * are stepped in turn, and the first row with a bad site ends the call, so
- * the rows after it are left unwritten. Returns r * n + i for the first
- * site i of that row r where un or vn is not finite, or -1. */
-ptrdiff_t lcd_step(const cplx *restrict u, const cplx *restrict v, cplx *restrict un,
-                   cplx *restrict vn, ptrdiff_t runs, ptrdiff_t stride, ptrdiff_t out_stride,
-                   ptrdiff_t n, double h, double m, double alpha, double beta, int periodic,
-                   const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
+ * vn. un and vn must not overlap the forcing samples, nor u and v except
+ * where row r of un and vn lies on row r - 1 or r + 1 of u and v, as a
+ * LevelPool's generations lie on each other. Like memmove, the rows are
+ * stepped in the order that reads every input row before a store
+ * overwrites it: first to last when un lies before u, else last to first.
+ * f0 NULL means no forcing, and then f1..f3 are not read; the forcing
+ * samples depend only on (x, t), so one set of n sites serves every row.
+ * Returns r * n + i for the first site i of the first row r where un or vn
+ * is not finite, or -1. Stepping first to last stops at that row, leaving
+ * the rows after it unwritten; stepping last to first steps every row,
+ * since a row stepped later may be the first bad one. */
+ptrdiff_t lcd_step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_t runs, ptrdiff_t stride,
+                   ptrdiff_t out_stride, ptrdiff_t n, double h, double m, double alpha, double beta,
+                   int periodic, const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
 {
     const params k = {h, 0.5 * h, m, alpha, 2.0 * beta};
-    ptrdiff_t r, bad;
+    ptrdiff_t r, bad, first = -1;
 
     if (n <= 0)
         return -1;
+    if ((uintptr_t)un > (uintptr_t)u) {
+        for (r = runs - 1; r >= 0; r--) {
+            bad = step_row(u + r * stride, v + r * stride, un + r * out_stride, vn + r * out_stride, n, &k,
+                           periodic, f0, f1, f2, f3);
+            if (bad >= 0)
+                first = r * n + bad;
+        }
+        return first;
+    }
     for (r = 0; r < runs; r++) {
-        const cplx *ur = u + r * stride, *vr = v + r * stride;
-        cplx *unr = un + r * out_stride, *vnr = vn + r * out_stride;
-
-        if (f0)
-            bad = step(ur, vr, unr, vnr, n, &k, periodic, f0, f1, f2, f3);
-        else
-            bad = step(ur, vr, unr, vnr, n, &k, periodic, NULL, NULL, NULL, NULL);
+        bad = step_row(u + r * stride, v + r * stride, un + r * out_stride, vn + r * out_stride, n, &k,
+                       periodic, f0, f1, f2, f3);
         if (bad >= 0)
             return r * n + bad;
     }

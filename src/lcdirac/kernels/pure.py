@@ -37,8 +37,8 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None):
     u_new or v_new has a non-finite part, or -1: overflow is not raised but
     reported, as in the compiled backend. 2-d u and v are a batch of runs,
     one per row, stepped in turn with the same forcing: bad is then the
-    flat index ``run * n + site``, and the rows after the first bad one are
-    left unwritten, as in the compiled backend.
+    flat index ``run * n + site`` of the first bad run, as in the compiled
+    backend, and the rows after it are left unwritten.
     """
     if np.ndim(u) == 2:
         return _step_rows(np.asarray(u), np.asarray(v), h, m, alpha, beta, periodic, forcing)

@@ -86,11 +86,11 @@ def evolve(
     the index of the first run that blew up.
 
     The runs are stepped together, one ``kernels.step_unforced`` call per
-    step, in the two generation blocks of one ``kernels.LevelPool``: 2 x
-    runs level pairs. The t=0 fields are copied into the first block, and
-    each step writes the runs' new levels into the other block, over the
-    levels of two steps back. So an observer gets read-only levels that are
-    valid only during its call: whatever it keeps past the call must be
+    step, in one ``kernels.LevelPool``: runs + 1 level pairs, two
+    generations one pair apart. The t=0 fields are copied into the first
+    generation, and each step writes the runs' new levels into the other,
+    over the levels it has read. So an observer gets read-only levels that
+    are valid only during its call: whatever it keeps past the call must be
     numbers or copies. The t=0 fields are never written (observers get
     those objects themselves), and the final levels stay valid once evolve
     returns.

@@ -313,8 +313,9 @@ def test_batched_step_equals_single_run_steps(rng, backend, name, periodic):
 def test_batched_verdict_names_the_first_bad_run(rng, backend, name, periodic):
     """A non-finite value in run j > 0 gives the verdict j n + site, where
     site is the single-run verdict of that run; the rows before it are the
-    single-run levels, and of two bad runs the first is named. Run 0 is
-    all +0.0, so on compiled its blocks take the zero-window path."""
+    single-run levels, and of two bad runs the first is named, also
+    between a pool's generations, whichever way the rows are stepped. Run 0
+    is all +0.0, so on compiled its blocks take the zero-window path."""
     backend(name)
     args = (0.1, 1.0, 0.5, 0.25, periodic)
     for n in (257, 1100):
@@ -330,6 +331,14 @@ def test_batched_verdict_names_the_first_bad_run(rng, backend, name, periodic):
             assert bad == j * n + single[j][2], (n, j, site)
             for r in range(j + 1):
                 _assert_bits_equal([x[r], y[r]], single[r][:2], n, j, r)
+            with kernels.LevelPool(4, n) as pool:
+                for g in (0, 1):  # generation 1 lies before generation 0: stepped last to first
+                    pool.blocks[1 - g:5 - g, 0], pool.blocks[1 - g:5 - g, 1] = a, b
+                    x, y, bad = kernels.step_unforced(pool.u[g], pool.v[g], *args,
+                                                      out=(pool.u[1 - g], pool.v[1 - g]))
+                    assert bad == j * n + single[j][2], (n, j, site, g)
+                    for r in range(j + 1):
+                        _assert_bits_equal([x[r], y[r]], single[r][:2], n, j, r, g)
 
 
 # Leaves of NumPy's pairwise sum hold at most 128 terms: lengths below one
@@ -753,12 +762,12 @@ def test_pool_buffers_give_the_bits_of_fresh_arrays(rng, backend, name):
     n = 97
     u, v, ub, vb = (_cplx(rng, n, 0.3) for _ in range(4))
     with kernels.LevelPool(2, n) as pool:
-        pool.load([(u, v), (ub, vb)])
         (b, c), (a, _) = pool.rows
         views = [*pool.u, *pool.v, *(x for gen in pool.rows for run in gen for x in run)]
         assert all(not x.flags.writeable for x in views)
         assert all(x.flags.c_contiguous for gen in pool.rows for run in gen for x in run)
         for periodic in (True, False):
+            pool.load([(u, v), (ub, vb)])  # the generation step below writes run 1's level over b
             want = [kernels.step_unforced(x, y, 0.1, 1.0, 0.5, 0.25, periodic) for x, y in ((u, v), (ub, vb))]
             got = kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, periodic, out=a)
             assert got[0] is a[0] and got[1] is a[1] and got[2] == want[0][2]
@@ -770,6 +779,7 @@ def test_pool_buffers_give_the_bits_of_fresh_arrays(rng, backend, name):
             assert got[0] is pool.u[1] and got[1] is pool.v[1] and got[2] == -1
             for (x, y), w in zip(pool.rows[1], want):
                 _assert_bits_equal([x, y], w[:2], periodic)
+        pool.load([(u, v), (ub, vb)])
         terms, fresh = kernels.LevelTerms(n, 2, 0.1), kernels.LevelTerms(n, 2, 0.1)
         kernels.level_terms(terms, [b, c], 10, 80, 0, None)
         kernels.level_terms(fresh, [(u, v), (ub, vb)], 10, 80, 0, None)
@@ -795,7 +805,8 @@ def test_step_refuses_an_out_that_is_not_a_free_pool_pair(rng, backend, name):
                 kernels.step_unforced(*b, 0.1, 1.0, 0.5, 0.25, True, out=out)
         for out in ((pool.u[1], pool.u[1]), (pool.u[0], pool.v[1]),  # one view twice, or the level read
                     (other.u[1], other.v[1]),  # another size
-                    (pool.u[1], pool.blocks[1, :, 1])):  # not a view the pool made
+                    (pool.u[1], pool.v[0]),  # v's rows written over v's rows of the same run
+                    (pool.u[1], pool.blocks[:-1, 1])):  # not a view the pool made
             with pytest.raises(ValueError):
                 kernels.step_unforced(pool.u[0], pool.v[0], 0.1, 1.0, 0.5, 0.25, True, out=out)
         with pytest.raises(UsageError):

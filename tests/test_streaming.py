@@ -953,22 +953,36 @@ def _recorded_pools(monkeypatch):
 
 
 def _poison(pools, keep=()):
-    """Fill every generation of the pools with NaN but the one holding the
-    levels in keep: at an observer call, that is the generation the next
-    step overwrites."""
-    kept = {id(a) for f in keep for a in (f.u, f.v)}
+    """Fill every level pair of the pools with NaN but those holding the
+    levels in keep: at an observer call, every pair but the call's levels."""
     for pool in pools:
-        for gen, rows in enumerate(pool.rows):
-            if not any(id(a) in kept for run in rows for a in run):
-                pool.blocks[gen] = np.nan
+        for pair in pool.blocks:
+            if not any(np.shares_memory(pair, a) for f in keep for a in (f.u, f.v)):
+                pair[...] = np.nan
+
+
+class _Stale:
+    """An observer that keeps a level past its call: the largest change of
+    each run since the previous call, read from the previous call's levels."""
+
+    def __init__(self):
+        self.previous, self.change = None, []
+
+    def __call__(self, levels):
+        if self.previous is not None:
+            self.change.append([float(np.abs(f.u - p.u).max()) for f, p in zip(levels, self.previous)])
+        self.previous = levels
 
 
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_constants):
-    """AuditPass and _PairDistances keep numbers, never a level: with the
-    generation the next step overwrites NaN from each observer call on,
-    and every level NaN once evolve returns, they report what an untouched
-    run reports, bit for bit. No observer can write into a level."""
+    """AuditPass and _PairDistances keep numbers, never a level. Each
+    observer call first fills every level pair of the pool but the call's
+    levels with NaN, and every pair is NaN once evolve returns, so a kept
+    level reads NaN or another run's level at any later call: still they
+    report what they report when fed copies of the levels, bit for bit,
+    while an observer that keeps the previous level does not. No observer
+    can write into a level."""
     from lcdirac.harness import _PairDistances
 
     g = lc.make_grid(-6, 6, 96, "zero_inflow")
@@ -976,20 +990,6 @@ def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_co
     runs = [f0, cli._perturbed(f0, 1e-3), cli._perturbed(f0, -2e-3)]
     dom = lc.TriangleDomain(-4.0, 4.0)
     pairs = [(0, 1), (1, 2), (0, 2)]
-
-    def measure(extra, after):
-        audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
-                                       C0=lc.charge(f0) + 1.0)
-        dists = _PairDistances(g, pairs)
-
-        def feed(levels):
-            audits(levels[:2])
-            dists(levels)
-
-        lc.evolve(runs, gn, lc.SolverConfig(), 1.0, observers=[feed, *extra])
-        after()
-        return ([audits.report(a) for a in cli.EVOLVED_AUDITS], list(zip(dists.field, dists.product_distances())))
-
     poisoned_levels = []
 
     def poison_past(levels):
@@ -1003,23 +1003,45 @@ def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_co
         _poison(pools, keep=levels)
         poisoned_levels.append([np.isnan(pool.blocks).sum() - b for pool, b in zip(pools, before)])
 
+    def measure(copies):
+        audits = functionals.AuditPass(cli.EVOLVED_AUDITS, dom, gn_constants, gn, T=1.0, tau=1.0,
+                                       C0=lc.charge(f0) + 1.0)
+        dists, stale = _PairDistances(g, pairs), _Stale()
+
+        def feed(levels):
+            if copies:
+                levels = tuple(lc.SpinorField(f.grid, f.t, f.u.copy(), f.v.copy()) for f in levels)
+            audits(levels[:2])
+            dists(levels)
+            stale(levels)
+
+        lc.evolve(runs, gn, lc.SolverConfig(), 1.0, observers=[feed] if copies else [poison_past, feed])
+        _poison(pools)
+        reports = [audits.report(a) for a in cli.EVOLVED_AUDITS], list(zip(dists.field, dists.product_distances()))
+        return reports, stale.change
+
+    pools = []
     with backend(name):
-        untouched = measure([], lambda: None)
+        fed_copies, stale_copies = measure(copies=True)
         pools = _recorded_pools(monkeypatch)
-        poisoned = measure([poison_past], lambda: _poison(pools))
-    assert len(pools) == 1 and pools[0].blocks.shape == (2, 3, 2, g.n_points)
+        poisoned, stale_poisoned = measure(copies=False)
+    assert len(pools) == 1 and pools[0].blocks.shape == (4, 2, g.n_points)
     assert np.isnan(pools[0].blocks).all()
-    # from the first step on (dt = 1/8), each call poisons a whole generation that the step overwrote
-    assert poisoned_levels == [[]] + [[3 * 2 * g.n_points]] * 8
-    assert poisoned == untouched
-    assert all(r.passed for r in untouched[0]) and all(d > 0 for row in untouched[1] for d in row)
+    # from the first step on (dt = 1/8), each call poisons the one pair its levels leave
+    assert poisoned_levels == [[]] + [[2 * g.n_points]] * 8
+    assert poisoned == fed_copies
+    assert all(r.passed for r in fed_copies[0]) and all(d > 0 for row in fed_copies[1] for d in row)
+    # the t = 0 levels are never written; every later level kept past its call is
+    assert len(stale_copies) == 8 and stale_poisoned[0] == stale_copies[0]
+    assert all(np.isfinite(stale_copies).all(axis=1)) and all(
+        p != c for p, c in zip(stale_poisoned[1:], stale_copies[1:]))
 
 
 @pytest.mark.parametrize("name", kernels.available_backends())
-def test_pool_holds_two_generations_of_every_run(monkeypatch, name, gn):
-    """Each step writes the other generation; a run of no step makes no
-    pool; the views are bound only while evolve runs, and nothing keeps
-    the blocks once the levels are dropped."""
+def test_pool_holds_a_pair_per_run_and_one_spare(monkeypatch, name, gn):
+    """A pool holds runs + 1 level pairs; a run of no step makes no pool;
+    the views are bound only while evolve runs, and nothing keeps the
+    blocks once the levels are dropped."""
     import gc
     import weakref
 
@@ -1035,7 +1057,7 @@ def test_pool_holds_two_generations_of_every_run(monkeypatch, name, gn):
             assert len(pools) == min(steps, 1), (runs, steps)
             if steps:
                 (pool,) = pools
-                assert pool.blocks.shape == (2, runs, 2, 96), (runs, steps)
+                assert pool.blocks.shape == (runs + 1, 2, 96), (runs, steps)
                 assert not any(id(a) in kernels._BOUND for a in pool._views)
     refs = [weakref.ref(a) for a in (pool.blocks, *pool._views)]
     pools.clear()
