@@ -32,15 +32,19 @@ triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
 level, the t = 0 call included: as in ``evolve``, that first call also
 starts the pass (its t = 0 checks and charges come from that level's
 sums); ``level_terms`` is ``_level.c`` or its NumPy twin, terms and sums
-alike. It is fed fresh levels and the same levels in a ``LevelPool``, as
-``evolve`` feeds them, and on ``compiled`` the bare ``lcd_level_terms``
-calls of the pooled pass are timed on their own (the arguments the pass
-gave, on the pool's bound addresses), so the Python per level stays
-visible. Then the pair distances ``converge`` and ``unique`` take at every
-level (``kernels.distance_sums``: the terms of every pair of random
-Thirring-sized runs, the product in real arithmetic on both backends, and
-their two sums per pair), in microseconds per level of five runs and their four
-consecutive pairs, as ``converge_rough`` takes them: one ``distance_sums``
+alike. It is fed fresh levels (its construction timed with them), and the
+same levels as ``evolve`` feeds them: the t = 0 level as it is, and level k
+on the rows of a ``LevelPool``'s generation k % 2, copied there untimed
+before its call, so the pass reads each generation at the addresses it
+checked once. On ``compiled`` the bare ``lcd_level_terms`` calls of that
+pass are replayed the same way, one per level with the arguments the pass
+gave, so the Python per level stays visible. Both pooled rows sum each
+level's best time over the repeats; the bench refuses a pass whose calls it
+cannot record by name on ``kernels._lib``. Then the pair distances
+``converge`` and ``unique`` take at every level (``kernels.distance_sums``:
+the terms of every pair of random Thirring-sized runs, the product in real
+arithmetic on both backends, and their two sums per pair), in microseconds
+per level of five runs and their four consecutive pairs, as ``converge_rough`` takes them: one ``distance_sums``
 call per pair against one call for all four pairs, on a ``LevelPool``'s
 rows, on dense levels and on compactly supported ones (zero but for their
 central fifth), and on ``compiled`` the bare ``lcd_distance_sums`` call of
@@ -168,10 +172,10 @@ def snapshots_ns_per_value(levels, repeats) -> float:
     return best_of(lambda: cli.snapshots_csv(levels), repeats) / (len(levels) * levels[0].grid.n_points * 6) * 1e9
 
 
-def audit_levels():
-    """Levels of audit_cone's size: Gross-Neveu pulses on 3072 sites and a
-    copy perturbed by 1e-3, both evolved to T = 1."""
-    grid = lc.make_grid(-6.0, 6.0, 3072, "zero_inflow")
+def audit_levels(n=3072, T=1.0):
+    """Levels of audit_cone's size by default: Gross-Neveu pulses on n sites
+    of [-6, 6) and a copy perturbed by 1e-3, both evolved to T."""
+    grid = lc.make_grid(-6.0, 6.0, n, "zero_inflow")
     datum = lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", 0.07, center=-0.5, width=0.8),
                             lc.ComponentSpec("gaussian_pulse", 0.055, center=0.5, width=0.9))
     f0 = lc.sample_initial(datum, grid)
@@ -180,21 +184,48 @@ def audit_levels():
     def keep(lv):  # evolve's levels are valid only during the call
         levels.append(tuple(lc.SpinorField(f.grid, f.t, f.u.copy(), f.v.copy()) for f in lv))
 
-    lc.evolve(runs, GROSS_NEVEU, lc.SolverConfig(), 1.0, observers=[keep])
+    lc.evolve(runs, GROSS_NEVEU, lc.SolverConfig(), T, observers=[keep])
     return levels
 
 
-def pooled(pool, levels):
-    """The levels copied into the rows of the pool's generation 0, one run
-    a field, as evolve passes levels."""
-    pool.load((f.u, f.v) for lv in levels for f in lv)
-    rows = iter(pool.rows[0])
-    return [tuple(SpinorField._evolved(f.grid, f.t, *next(rows)) for f in lv) for lv in levels]
+def audit_pass(levels) -> AuditPass:
+    """The five evolved audits of the audit_cone command over levels."""
+    f0 = levels[0][0]
+    return AuditPass(AUDITS, lc.TriangleDomain(-4.0, 4.0), lc.derive_constants(GROSS_NEVEU), GROSS_NEVEU,
+                     T=levels[-1][0].t, tau=levels[-1][0].t, C0=lc.charge(f0) + 1.0)
+
+
+def in_generation(pool, g, level):
+    """level's runs copied into generation g of pool, where evolve's step
+    writes them, and the level on the generation's rows."""
+    for r, f in enumerate(level):
+        pool.blocks[r + 1 - g] = f.u, f.v  # generation 0 holds run r in slot r + 1, generation 1 in slot r
+    return tuple(SpinorField._evolved(f.grid, f.t, *pool.rows[g][r]) for r, f in enumerate(level))
+
+
+def fed_as_evolve_feeds(levels, pool, call) -> list[float]:
+    """The seconds call(k, level) takes for each level: the t = 0 level as
+    it is, and level k >= 1 on the rows of the pool's generation k % 2,
+    where evolve's step k writes it (the copy there untimed)."""
+    times = []
+    for k, level in enumerate(levels):
+        if k:
+            level = in_generation(pool, k % 2, level)
+        t0 = time.perf_counter()
+        call(k, level)
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def best_per_level(passes) -> float:
+    """The sum over levels of each level's best time in passes, lists of
+    fed_as_evolve_feeds' times, the first (a warm-up) left out."""
+    return sum(min(level) for level in zip(*passes[1:]))
 
 
 def bare_calls(name, run):
     """The argument tuples of every kernels._lib.<name> call that run()
-    makes, and run()'s result, which keeps the buffers they address alive."""
+    makes, looked up by name as the library's callers do."""
     lib, calls = kernels._lib, []
 
     def record(*args):
@@ -207,47 +238,39 @@ def bare_calls(name, run):
 
     kernels._lib = Recorder()
     try:
-        kept = run()
+        run()
     finally:
         kernels._lib = lib
-    return calls, kept
+    return calls
 
 
-def bare_us(name, calls, repeats) -> float:
-    """The recorded calls of kernels._lib.<name> replayed, in us per call."""
-    fn = getattr(kernels._lib, name)
+def audit_us_per_level(levels, repeats) -> dict[str, float]:
+    """A full AuditPass in us per level, by row label: fed fresh levels
+    (its construction included), fed the levels as evolve feeds them from a
+    LevelPool's two generations and, on compiled, its bare lcd_level_terms
+    calls on those generations, with the arguments the pass gave."""
 
-    def replay():
-        for args in calls:
-            fn(*args)
+    def feed():
+        audits = audit_pass(levels)
+        for level in levels:
+            audits(level)
 
-    return best_of(replay, repeats) / len(calls) * 1e6
+    rows = {"AuditPass, 5 audits": best_of(feed, repeats)}
+    with kernels.LevelPool(len(levels[0]), levels[0][0].grid.n_points) as pool:
+        def pooled():
+            audits = audit_pass(levels)
+            return fed_as_evolve_feeds(levels, pool, lambda k, level: audits(level))
 
-
-def audit_us_per_level(levels, repeats) -> list[float]:
-    """A full AuditPass in us per level: on fresh levels, on the same levels
-    in a LevelPool and, on compiled, its bare lcd_level_terms calls."""
-    f0 = levels[0][0]
-    dom = lc.TriangleDomain(-4.0, 4.0)
-    k = lc.derive_constants(GROSS_NEVEU)
-
-    def feed(lvls):
-        audits = AuditPass(AUDITS, dom, k, GROSS_NEVEU, T=1.0, tau=lvls[-1][0].t, C0=lc.charge(f0) + 1.0)
-        for lv in lvls:
-            audits(lv)
-        return audits
-
-    def us(lvls):
-        return best_of(lambda: feed(lvls), repeats) / len(lvls) * 1e6
-
-    # the levels fill generation 0, and nothing is stepped
-    with kernels.LevelPool(sum(len(lv) for lv in levels), f0.grid.n_points) as pool:
-        in_pool = pooled(pool, levels)
-        times = [us(levels), us(in_pool)]
+        rows["AuditPass, pool"] = best_per_level([pooled() for _ in range(repeats + 1)])
         if kernels.backend_name() == "compiled":
-            calls, _audits = bare_calls("lcd_level_terms", lambda: feed(in_pool))
-            times.append(bare_us("lcd_level_terms", calls, repeats))
-    return times
+            audits = audit_pass(levels)  # holds the buffers the recorded calls address
+            calls = bare_calls("lcd_level_terms", lambda: fed_as_evolve_feeds(levels, pool, lambda k, lv: audits(lv)))
+            if len(calls) != len(levels):
+                raise RuntimeError(f"recorded {len(calls)} lcd_level_terms calls for {len(levels)} levels")
+            fn = kernels._lib.lcd_level_terms
+            rows["lcd_level_terms, bound"] = best_per_level(
+                [fed_as_evolve_feeds(levels, pool, lambda k, level: fn(*calls[k])) for _ in range(repeats + 1)])
+    return {label: t / len(levels) * 1e6 for label, t in rows.items()}
 
 
 def distance_us_per_level(n, rng, repeats, runs=5) -> dict[str, float]:
@@ -356,10 +379,8 @@ def bench(sizes, repeats):
         for bk in backends:
             kernels.use_backend(bk)
             rows.append(audit_us_per_level(levels, repeats))
-        print_row("AuditPass, 5 audits", n, [r[0] for r in rows])
-        print_row("AuditPass, pool", n, [r[1] for r in rows])
-        if len(rows[0]) > 2:
-            print_row("lcd_level_terms, bound", n, [rows[0][2]])
+        for label in rows[0]:
+            print_row(label, n, [r[label] for r in rows if label in r])
         print("pair distances, 5 runs and 4 pairs: us per level")
         for n in sizes:
             rows = []

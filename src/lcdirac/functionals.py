@@ -15,7 +15,7 @@ and for a pair of fields, with U = uA - uB, V = vA - vB:
 Every one of them is a sum, in NumPy's pairwise order, of the elementwise
 terms that one kernels.level_terms pass writes and sums per level; Q0/Q1
 take O(N) by suffix scans inside that pass. The single-level functions,
-the traces and the audits share that pass and the row rule _cone_row.
+the traces and the audits share that pass and the rule _cone_columns.
 Each audit verifies a continuum inequality (or, for the total charge, a
 conservation law) on the discrete solution within a resolution-dependent
 budget.
@@ -49,15 +49,22 @@ __all__ = [
 ]
 
 
-def _cone_row(sums: list, dx: float, run: int = 0, pair: bool = False) -> tuple[float, float, float]:
-    """(L0, D0, Q0) of one run, or (L1, D1, Q1) of runs 0 and 1 when pair is
-    set, from the sums of a level_terms call (0.0 each over no section)."""
+def _cone_columns(sums: Sequence[list], dx: float, run: int = 0, pair: bool = False) -> tuple[list, list, list]:
+    """The columns (L0, D0, Q0) of one run, or (L1, D1, Q1) of runs 0 and 1
+    when pair is set, over levels given by the sums of their level_terms
+    calls (0.0 each over no section)."""
     if pair:
-        l1, d1, q1u, q1v = sums[kernels.PAIR_SUMS :]
-        return l1 * dx, d1 * dx, (q1u + q1v) * dx * dx
+        at = kernels.PAIR_SUMS
+        return ([s[at] * dx for s in sums], [s[at + 1] * dx for s in sums],
+                [(s[at + 2] + s[at + 3]) * dx * dx for s in sums])
     at = kernels.SECTION_SUMS[run]
-    dens, prod, q = sums[at : at + 3]
-    return dens * dx, prod * dx, q * dx * dx
+    return [s[at] * dx for s in sums], [s[at + 1] * dx for s in sums], [s[at + 2] * dx * dx for s in sums]
+
+
+def _cone_row(sums: list, dx: float, run: int = 0, pair: bool = False) -> tuple[float, float, float]:
+    """_cone_columns of one level."""
+    (L,), (D,), (Q,) = _cone_columns([sums], dx, run, pair)
+    return L, D, Q
 
 
 def _terms(f: SpinorField, runs: int) -> kernels.LevelTerms:
@@ -186,18 +193,20 @@ def trace_pair(
 # ---------------------------------------------------------------------------
 # Audits
 #
-# Each evolved audit is a reduction. start(levels, terms, sums) takes the
-# runs' levels at t = 0 with their terms and sums and raises every usage or
+# Each evolved audit is a reduction over the rows AuditPass keeps, one per
+# level, t = 0 included: (t, sums, margins, sites, edge_u, edge_v), where
+# sums, margins and sites are what the level's kernels.level_terms pass left
+# in its LevelTerms, as Python numbers, and edge_u and edge_v are run A's
+# |u|^2 at the cone's right edge and |v|^2 at its left edge (None past tau,
+# or without the triangle audit). start(levels, terms, sums) takes the runs'
+# levels at t = 0 with their terms and sums and raises every usage or
 # precondition error: AuditPass calls it on its first call, which evolve
-# makes before any step, so a refused audit costs no step. feed(levels,
-# terms, sums) takes the runs' levels at one time, t = 0 included, with the
-# kernels.LevelTerms the pass writes once per level and the sums
-# level_terms returns as Python floats; report() returns the AuditReport.
-# ConeRows turn the sums into rows with _cone_row, so each row is the
-# functionals' above. Bony and gronwall have no feed of their own: they
-# report from ConeRows, which are fed instead. A reduction keeps numbers,
-# never a level.
-# AuditPass drives one reduction per selected audit over runs evolved in
+# makes before any step, so a refused audit costs no step. report(rows)
+# reads the rows once and returns the AuditReport, with the float
+# operations, in the order, that a reduction fed each level as it came
+# would make; _cone_columns turns the sums of the levels inside the cone
+# into the functionals' columns. A reduction keeps numbers, never a level.
+# AuditPass serves every selected audit from one pass over runs evolved in
 # lockstep, and the sequence-taking functions below feed the same pass from
 # lists.
 
@@ -209,42 +218,46 @@ def _require_every_step(snapshots: Sequence[SpinorField]):
         raise UsageError("audit needs snapshots recorded at every step")
 
 
+def _inside(rows: list, dom: TriangleDomain) -> tuple[list, list]:
+    """The times and the sums of the rows of the levels inside the cone up
+    to its apex."""
+    apex = dom.apex_time + 1e-12
+    inside = [row for row in rows if row[0] <= apex]
+    return [row[0] for row in inside], [row[1] for row in inside]
+
+
 class TotalCharge:
     """Drift of the total charge over the run against an O(dx^2) budget."""
 
     def __init__(self, T: float, c_tol: float):
         self.T, self.c_tol = T, c_tol
-        self.drift = 0.0
 
     def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         self.q0, self.dx = sums[0] * terms.dx, terms.dx  # charge(levels[0]) bit for bit
 
-    def feed(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
-        self.drift = max(self.drift, abs(sums[0] * self.dx - self.q0))  # charge(levels[0]) bit for bit
-
-    def report(self) -> AuditReport:
+    def report(self, rows: list) -> AuditReport:
+        drift = 0.0
+        for _, sums, _, _, _, _ in rows:
+            drift = max(drift, abs(sums[0] * self.dx - self.q0))  # charge() of each level bit for bit
         # NumPy's power: inf, not OverflowError, for a grid spacing past 1e154;
         # a zero C_tol times an inf charge is nan, and the audit fails
         with np.errstate(over="ignore", invalid="ignore"):
             budget = self.c_tol * np.float64(self.dx) ** 2 * (1.0 + self.q0) * max(self.T, 1.0)
         return AuditReport(
             inequality="total charge conservation over the run",
-            passed=self.drift <= budget,
-            max_violation=self.drift,
+            passed=drift <= budget,
+            max_violation=drift,
             tolerance_budget=budget,
             info={"initial_charge": float(self.q0)},
         )
 
 
 class TriangleCharge:
-    """Cone charge balance up to tau: keeps the edge flux densities of each
-    level and the interior charges at t = 0 and at tau."""
+    """Cone charge balance up to tau, from the edge flux densities of each
+    level up to tau and the interior charges at t = 0 and at tau."""
 
     def __init__(self, dom: TriangleDomain, tau: float, c_tol: float):
         self.dom, self.tau, self.c_tol = dom, tau, c_tol
-        self.flux_u: list[float] = []
-        self.flux_v: list[float] = []
-        self.interior_tau = None
 
     def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         f0, dom = levels[0], self.dom
@@ -255,26 +268,24 @@ class TriangleCharge:
         self.dx, self.dt = f0.grid.dx, f0.grid.dt
         self.interior0 = sums[kernels.SECTION_SUMS[0]] * self.dx  # charge(f0, dom) bit for bit
 
-    def feed(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
-        f, tau = levels[0], self.tau
-        if f.t > tau + 1e-12:
-            return
-        kshift = round(f.t / self.dt)
-        self.flux_u.append(terms.au[0, self.ib - kshift])
-        self.flux_v.append(terms.av[0, self.ia + kshift])
-        # the last level fed must be the one at tau
-        at_tau = abs(f.t - tau) <= 1e-9 * max(1.0, abs(tau))
-        self.interior_tau = sums[kernels.SECTION_SUMS[0]] * self.dx if at_tau else None
-
-    def report(self) -> AuditReport:
-        if self.interior_tau is None:
+    def report(self, rows: list) -> AuditReport:
+        tau, interior0, dt = self.tau, self.interior0, self.dt
+        flux_u, flux_v, interior_tau = [], [], None
+        for t, sums, _, _, edge_u, edge_v in rows:
+            if t > tau + 1e-12:
+                continue
+            flux_u.append(edge_u)
+            flux_v.append(edge_v)
+            # the last level up to tau must be the one at tau
+            at_tau = abs(t - tau) <= 1e-9 * max(1.0, abs(tau))
+            interior_tau = sums[kernels.SECTION_SUMS[0]] * self.dx if at_tau else None
+        if interior_tau is None:
             raise UsageError("snapshots do not reach tau")
-        interior0, interior_tau, dt = self.interior0, self.interior_tau, self.dt
-        n = len(self.flux_u)
+        n = len(flux_u)
         # the trapezoid weights; a single level (tau = 0) spans no time and has none
         w = [0.5 * dt] + [dt] * (n - 2) + [0.5 * dt] if n > 1 else []
         # each edge's trapezoid sum: the products rounded as NumPy's, summed by np.add.reduce
-        flux_u, flux_v = (np.array([float(f) * x for f, x in zip(flux, w)]) for flux in (self.flux_u, self.flux_v))
+        flux_u, flux_v = (np.array([f * x for f, x in zip(flux, w)]) for flux in (flux_u, flux_v))
         boundary = 2.0 * float(np.add.reduce(flux_u)) + 2.0 * float(np.add.reduce(flux_v))
         residual = abs(interior_tau + boundary - interior0)
         budget = tolerance_budget(self.dx, interior0, self.c_tol)
@@ -296,14 +307,12 @@ class PointwiseGrowth:
 
     def __init__(self, dom: TriangleDomain, C0: float, p: ModelParams, c_tol: float):
         self.dom, self.C0, self.p, self.c_tol = dom, C0, p, c_tol
-        self.worst = 0.0
-        self.witness = None
 
     def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         grid, dom = levels[0].grid, self.dom
         ia = grid.index_of(dom.a)
         ib = grid.index_of(dom.b)
-        self.dx = grid.dx
+        self.x_min, self.dx = grid.x_min, grid.dx
         # over the closed [a, b], not the section: one NumPy sum per pass
         self.charge0 = float(np.add.reduce(terms.dens[0, ia : ib + 1])) * grid.dx
         if not self.charge0 < self.C0:
@@ -313,55 +322,36 @@ class PointwiseGrowth:
 
     def growth(self, t: float) -> float:
         """E(t) = exp(2|beta| C0 + m t)."""
-        return float(np.exp(2.0 * abs(self.p.beta) * self.C0 + self.p.m * t))
+        x = 2.0 * abs(self.p.beta) * self.C0 + self.p.m * t
+        if x < 709.0:  # exp(x) is finite: no overflow for an errstate to silence
+            return float(np.exp(x))
+        with np.errstate(over="ignore"):
+            return float(np.exp(x))
 
-    def feed(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
-        s = levels[0]
-        for margin, site in zip(terms.margins.tolist(), terms.sites.tolist()):
-            if margin > self.worst:
-                self.worst = margin
-                self.witness = (s.t, s.grid.x_min + site * s.grid.dx)
-
-    def report(self) -> AuditReport:
+    def report(self, rows: list) -> AuditReport:
+        worst, witness = 0.0, None
+        for t, _, margins, sites, _, _ in rows:
+            for margin, site in zip(margins, sites):
+                if margin > worst:
+                    worst = margin
+                    witness = (t, self.x_min + site * self.dx)
         budget = tolerance_budget(self.dx, self.charge0, self.c_tol)
         return AuditReport(
             inequality="exponential pointwise/interval growth bounds in the cone",
-            passed=self.worst <= budget,
-            max_violation=self.worst,
+            passed=worst <= budget,
+            max_violation=worst,
             tolerance_budget=budget,
-            witness=self.witness,
+            witness=witness,
             info={"C0": self.C0, "initial_charge": self.charge0},
         )
 
 
-class ConeRows:
-    """One row per level inside the cone up to its apex: (L0, D0, Q0) of one
-    run, or (L1, D1, Q1) of runs 0 and 1 when pair is set."""
-
-    def __init__(self, dom: TriangleDomain, run: int = 0, pair: bool = False):
-        self.dom, self.run, self.pair = dom, run, pair
-        self.times: list[float] = []
-        self.rows: list[tuple[float, float, float]] = []
-
-    def feed(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
-        f = levels[self.run]
-        if f.t > self.dom.apex_time + 1e-12:
-            return
-        self.times.append(f.t)
-        self.rows.append(_cone_row(sums, terms.dx, self.run, self.pair))
-
-    def columns(self) -> tuple[Sequence[float], ...]:
-        """Times and the three columns of the rows."""
-        return (self.times, *zip(*self.rows))
-
-
 class BonyDecay:
     """Decay of the interaction potential net of dissipation, from run A's
-    cone rows (fed by AuditPass); the smallness hypothesis is checked at
-    start."""
+    rows inside the cone; the smallness hypothesis is checked at start."""
 
-    def __init__(self, rows: ConeRows, k: EstimateConstants, p: ModelParams, c_tol: float):
-        self.rows, self.k, self.p, self.c_tol = rows, k, p, c_tol
+    def __init__(self, dom: TriangleDomain, k: EstimateConstants, p: ModelParams, c_tol: float):
+        self.dom, self.k, self.p, self.c_tol = dom, k, p, c_tol
 
     def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         L00 = sums[kernels.SECTION_SUMS[0]] * terms.dx  # the base row's L0
@@ -371,9 +361,10 @@ class BonyDecay:
             )
         self.dx = levels[0].grid.dx
 
-    def report(self) -> AuditReport:
+    def report(self, rows: list) -> AuditReport:
         p = self.p
-        times, L0, D0, Q0 = self.rows.columns()
+        times, sums = _inside(rows, self.dom)
+        L0, D0, Q0 = _cone_columns(sums, self.dx)
         L00 = np.float64(L0[0])  # squared to inf, not OverflowError, past 1e154
         rise = float(2.0 * p.m * L00**2)
         vio = [q + c - (rise * (t - times[0]) + Q0[0]) for t, q, c in zip(times, Q0, _cumtrapz(times, D0))]
@@ -397,14 +388,11 @@ class BonyDecay:
 
 
 class GronwallEnvelope:
-    """Pair-difference envelope from the cone rows of runs A and B and of the
-    pair (fed by AuditPass); the pair smallness hypothesis is checked at
-    start."""
+    """Pair-difference envelope from the rows inside the cone of runs A and
+    B and of the pair; the pair smallness hypothesis is checked at start."""
 
-    def __init__(self, rows_a: ConeRows, rows_b: ConeRows, pair: ConeRows,
-                 k: EstimateConstants, p: ModelParams, c_tol: float):
-        self.rows_a, self.rows_b, self.pair = rows_a, rows_b, pair
-        self.k, self.p, self.c_tol = k, p, c_tol
+    def __init__(self, dom: TriangleDomain, k: EstimateConstants, p: ModelParams, c_tol: float):
+        self.dom, self.k, self.p, self.c_tol = dom, k, p, c_tol
 
     def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         k = self.k
@@ -415,11 +403,12 @@ class GronwallEnvelope:
             )
         self.dx = levels[0].grid.dx
 
-    def report(self) -> AuditReport:
+    def report(self, rows: list) -> AuditReport:
         k, p = self.k, self.p
-        times, L0A, D0A, _ = self.rows_a.columns()
-        _, L0B, D0B, _ = self.rows_b.columns()
-        _, L1, D1, Q1 = self.pair.columns()
+        times, sums = _inside(rows, self.dom)
+        L0A, D0A, _ = _cone_columns(sums, self.dx)
+        L0B, D0B, _ = _cone_columns(sums, self.dx, run=1)
+        L1, D1, Q1 = _cone_columns(sums, self.dx, pair=True)
         # each term is rounded as the elementwise NumPy expression in its comment
         elapsed = [t - times[0] for t in times]
         rise = 2.0 * p.m * (L0A[0] + L0B[0])
@@ -457,21 +446,23 @@ class GronwallEnvelope:
 
 
 class AuditPass:
-    """Observer of run A, or of runs A and B in lockstep, that feeds each
-    level once to one reduction per selected evolved audit.
+    """Observer of run A, or of runs A and B in lockstep, that keeps one row
+    of numbers per level, from which each selected evolved audit reports.
 
     names are among charge, triangle, pointwise, bony and gronwall; run B
-    (the perturbed run) is read only by gronwall. Bony and gronwall report
-    from cone rows the pass builds and feeds: run A's rows, shared by both,
-    and for gronwall run B's rows and the pair's. The first call, with the
+    (the perturbed run) is read only by gronwall. The first call, with the
     runs' levels at t = 0 that evolve passes before any step, starts each
-    reduction on their terms and raises the first usage or precondition
-    error in the order charge, triangle, pointwise, bony, gronwall. The
-    constructor refuses a cone audit without a domain, before any level.
+    audit on their terms and raises the first usage or precondition error in
+    the order charge, triangle, pointwise, bony, gronwall. The constructor
+    refuses a cone audit without a domain, before any level. The runs of one
+    call share one grid and one time, as evolve's lockstep runs do.
 
-    Each level is written once into the LevelTerms that the first call
-    allocates: one call to kernels.level_terms computes every term and sum
-    the reductions read, and the reductions keep only numbers.
+    Each level costs one ``LevelTerms.write`` into the terms the first call
+    allocates, which computes every term and sum the audits read (on a
+    ``LevelPool``'s views, with the addresses checked once per generation),
+    and one row appended to ``rows``: (t, sums, margins, sites, edge_u,
+    edge_v), as the comment at the head of the audits lays out.
+    ``report(name)`` reduces the rows once.
     """
 
     def __init__(
@@ -489,8 +480,10 @@ class AuditPass:
         cone = [name for name in ("triangle", "pointwise", "bony", "gronwall") if name in names]
         if cone and dom is None:
             raise UsageError(f"the {cone[0]} audit needs a cone domain, got None")
-        self.dom = dom
+        self.dom, self.tau = dom, tau
+        self.runs = 2 if "gronwall" in names else 1
         self.terms: Optional[kernels.LevelTerms] = None  # allocated by the first call
+        self.rows: list[tuple] = []
         self.audits: dict = {}
         if "charge" in names:
             self.audits["charge"] = TotalCharge(T, c_tol)
@@ -498,60 +491,62 @@ class AuditPass:
             self.audits["triangle"] = TriangleCharge(dom, tau, c_tol)
         if "pointwise" in names:
             self.audits["pointwise"] = PointwiseGrowth(dom, C0, p, c_tol)
-        # what each level is fed to, once: the reductions above and the
-        # cone rows that bony and gronwall report from
-        self.fed = list(self.audits.values())
-        if "bony" in names or "gronwall" in names:
-            rows_a = ConeRows(dom)  # shared by bony and gronwall
-            self.fed.append(rows_a)
         if "bony" in names:
-            self.audits["bony"] = BonyDecay(rows_a, k, p, c_tol)
+            self.audits["bony"] = BonyDecay(dom, k, p, c_tol)
         if "gronwall" in names:
-            rows_b, pair = ConeRows(dom, run=1), ConeRows(dom, pair=True)
-            self.fed += [rows_b, pair]
-            self.audits["gronwall"] = GronwallEnvelope(rows_a, rows_b, pair, k, p, c_tol)
+            self.audits["gronwall"] = GronwallEnvelope(dom, k, p, c_tol)
+        self._growth = self.audits["pointwise"].growth if "pointwise" in names else None
+        self._edges = None  # the triangle audit's (ia, ib), once started
 
     def __call__(self, levels: tuple):
         f, dom = levels[0], self.dom
-        # The cone's section at this level, empty past the apex. A huge but
-        # finite level may overflow in the terms without a warning: the
-        # preconditions refuse an inf charge at t = 0, a later level's run
-        # blows up at the next step, or the report carries the inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.terms or self._allocate(f)
-            runs = levels[: terms.runs]
-            if len(runs) == 2:
-                _check_same_frame(*runs)
-            i0 = i1 = kshift = 0
-            E = None
-            if dom is not None and f.t <= dom.apex_time + 1e-12:
-                i0, i1 = dom.section_indices(f.grid, f.t)
-                kshift = round(f.t / f.grid.dt)
-                if "pointwise" in self.audits:
-                    E = self.audits["pointwise"].growth(f.t)
-            sums = kernels.level_terms(terms, [(lv.u, lv.v) for lv in runs], i0, i1, kshift, E)
-            if self.terms is None:  # the pass is started once every start passed
-                for audit in self.audits.values():
-                    audit.start(levels, terms, sums)
-                self.terms = terms
-            for reduction in self.fed:
-                reduction.feed(levels, terms, sums)
+        t = f.t
+        i0 = i1 = kshift = 0
+        E = None
+        if dom is not None:
+            kshift = round(t / f.grid.dt)  # the feet, kshift sites back along each characteristic
+            if t <= dom.apex_time + 1e-12:  # the cone's section at this level, empty past the apex
+                i0, i1 = dom.section_indices(f.grid, t)
+                if self._growth is not None:
+                    E = self._growth(t)
+        fields = (f.u, f.v) if self.runs == 1 else (f.u, f.v, levels[1].u, levels[1].v)
+        terms = self.terms
+        if terms is None:
+            terms = self._start(levels, fields, i0, i1, kshift, E)
+        else:
+            terms.write(fields, i0, i1, kshift, E)
+        edge_u = edge_v = None
+        if self._edges is not None and t <= self.tau + 1e-12:
+            ia, ib = self._edges
+            edge_u, edge_v = terms.au.item(0, ib - kshift), terms.av.item(0, ia + kshift)
+        self.rows.append((t, terms.sums.tolist(), terms.margins.tolist(), terms.sites.tolist(), edge_u, edge_v))
 
-    def _allocate(self, f0: SpinorField) -> kernels.LevelTerms:
-        """The first call's terms, for run A's level f0 at t = 0."""
-        pointwise = self.audits.get("pointwise")
+    def _start(self, levels: tuple, fields: tuple, i0: int, i1: int, kshift: int, E) -> kernels.LevelTerms:
+        """The first call's terms, written for the levels at t = 0, with
+        every audit started on them."""
+        f0, pointwise = levels[0], self.audits.get("pointwise")
         if any(name != "charge" for name in self.audits) and abs(f0.t) > 1e-12:
             raise UsageError("snapshots must start at the cone's base time t = 0")
-        growth = {}
-        if pointwise is not None:
-            growth = {"origin": (f0.u, f0.v), "m": pointwise.p.m, "C0": pointwise.C0}
-        runs = 2 if "gronwall" in self.audits else 1
-        return kernels.LevelTerms(f0.grid.n_points, runs, f0.grid.dx, **growth)
+        growth = {} if pointwise is None else {"origin": (f0.u, f0.v), "m": pointwise.p.m, "C0": pointwise.C0}
+        # A huge but finite datum may overflow in the terms and the start
+        # values without a warning: the preconditions refuse an inf charge.
+        # A later level's run blows up at the next step, or its report
+        # carries the inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = kernels.LevelTerms(f0.grid.n_points, self.runs, f0.grid.dx, **growth)
+            terms.write(fields, i0, i1, kshift, E)
+            sums = terms.sums.tolist()
+            for audit in self.audits.values():
+                audit.start(levels, terms, sums)
+        self.terms = terms  # the pass is started once every start passed
+        if "triangle" in self.audits:
+            self._edges = self.audits["triangle"].ia, self.audits["triangle"].ib
+        return terms
 
     def report(self, name: str) -> AuditReport:
         if self.terms is None:
             raise UsageError("the audit pass has been fed no level")
-        return self.audits[name].report()
+        return self.audits[name].report(self.rows)
 
 
 def _audited(name: str, runs: Sequence[Sequence[SpinorField]], dom, k=None, p=None, **kw) -> AuditReport:
@@ -563,6 +558,8 @@ def _audited(name: str, runs: Sequence[Sequence[SpinorField]], dom, k=None, p=No
             _require_every_step(snaps)
     audits = AuditPass([name], dom, k, p, **kw)
     for levels in zip(*runs):
+        if len(levels) == 2:
+            _check_same_frame(*levels)
         audits(levels)
     return audits.report(name)
 

@@ -33,13 +33,19 @@ for bit:
 - ``level_terms`` writes every elementwise term the cone functionals and
   the audits sum at one level (densities, products, suffix-scan products,
   pair terms) into a ``LevelTerms``, with the growth margins and their
-  sites, and returns their sums: the one formula for L0/D0/Q0 and L1/D1/Q1;
+  sites, and returns their sums: the one formula for L0/D0/Q0 and L1/D1/Q1.
+  ``LevelTerms.write`` is the same pass without the list, which
+  ``AuditPass`` makes once per level; on ``compiled`` the pointwise
+  margins are picked in chunks, each picked from one candidate at a time
+  only if it holds one ``np.argmax`` would take;
 - ``distance_sums`` takes the sums of the field and product distance
   terms of every run pair of one level, which ``converge`` and ``unique``
   take at every level, in one call, and returns two sums per pair; each
   complex product is four real products and two sums on both backends. On
   ``compiled`` no term array is stored: each leaf of NumPy's pairwise sum
-  (at most 128 sites) is written into stack scratch and summed there;
+  (at most 128 sites) is written into stack scratch and summed there, the
+  leaves in turn and every pair within each, so a run that is one pair's
+  run B and the next pair's run A has its product formed once a leaf;
   ``pure`` writes the whole term arrays and sums them with
   ``np.add.reduce``.
 
@@ -52,7 +58,11 @@ views (a generation's (runs, n) u and v, and each run's u and v rows) is
 made once, and its address is bound while the pool is open:
 ``step_unforced``, ``level_terms`` and ``distance_sums`` take such a view
 as it is, with no address lookup (``a.ctypes.data`` costs about 2 us) and
-no conversion; any other array is converted and checked as before.
+no conversion; any other array is converted and checked as before. The
+pool also binds ``lcd_step``'s checked arguments for stepping either
+generation into the other, so ``evolve``'s step is one dictionary lookup
+and the C call, and a ``LevelTerms`` keeps the checked addresses of each
+generation's fields from their first level while the pool stays open.
 
 Every sum of terms is ``np.add.reduce``'s bit for bit: ``pure`` calls it
 and ``_level.c`` sums in NumPy's pairwise order, which
@@ -229,7 +239,7 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
     fmt.restype = ctypes.c_ssize_t
     level.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int, ctypes.c_double]
     level.restype = None
-    dist.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
+    dist.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p] * 2
     dist.restype = None
     return lib, f"compiled: {os.path.basename(target)} ({flags})"
 
@@ -238,10 +248,20 @@ _lib, _reason = load_compiled()
 _active = "compiled" if _lib is not None else "pure"
 
 
-# The address of every level view of an open LevelPool, by the view's id. A
-# pool adds each view when it makes it and removes them all when it closes;
-# while it is open it holds them, so no other object has their ids.
-_BOUND: dict[int, int] = {}
+# What every open LevelPool binds: the address of each of its views, by the
+# view's id, and the address arguments of lcd_step that step one of its
+# generations into the other (``_rows`` and ``_out_addresses`` of the pair),
+# by the ids of (u, v, u_out, v_out). A pool binds its entries when it is
+# made and unbinds them when it closes; while it is open it holds its views,
+# so no other object has their ids. The dict is replaced, never changed in
+# place, so an address checked against it stays valid while ``_BOUND`` is
+# that dict: ``LevelTerms`` keeps its runs' addresses so.
+_BOUND: dict = {}
+
+
+def _rebind(add=None, drop=()):
+    global _BOUND
+    _BOUND = {**{key: x for key, x in _BOUND.items() if key not in drop}, **(add or {})}
 
 
 class LevelPool:
@@ -259,8 +279,9 @@ class LevelPool:
     view is read-only (``blocks`` is their base, which only
     ``step_unforced`` and ``load`` write), is made once, and has its address
     bound when the pool is made and unbound by ``close`` (or at the end of a
-    ``with`` block); the views stay valid arrays. ``load`` copies the runs'
-    levels at t = 0 into generation 0.
+    ``with`` block), as are the checked arguments of both generation steps;
+    the views stay valid arrays. ``load`` copies the runs' levels at t = 0
+    into generation 0.
     """
 
     def __init__(self, runs: int, n: int):
@@ -273,7 +294,15 @@ class LevelPool:
         self._views = [*self.u, *self.v, *(a for gen in self.rows for run in gen for a in run)]
         for view in self._views:
             view.setflags(write=False)
-            _BOUND[id(view)] = view.ctypes.data
+        _rebind({id(view): view.ctypes.data for view in self._views})
+        steps = {}
+        for g in (0, 1):
+            u, au, v, av, stride = _rows(self.u[g], self.v[g])
+            out = (self.u[1 - g], self.v[1 - g])
+            a, b = _out_addresses(out, u, au, av)
+            steps[(id(u), id(v), *map(id, out))] = (au, av, a, b, runs, stride, out[0].strides[0] // 16, n)
+        _rebind(steps)
+        self._keys = {*map(id, self._views), *steps}
 
     def __enter__(self) -> "LevelPool":
         return self
@@ -288,8 +317,7 @@ class LevelPool:
             self.blocks[r + 1, 1] = v
 
     def close(self):
-        for view in self._views:
-            _BOUND.pop(id(view), None)
+        _rebind(drop=self._keys)
 
 
 def _bound(a) -> tuple[np.ndarray, int]:
@@ -338,8 +366,20 @@ def _out_addresses(out, u, au, av) -> tuple[int, int]:
 
 
 def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out):
-    u, au, v, av, stride = _rows(u, v)
-    n = u.shape[-1]
+    bound = None if out is None else _BOUND.get((id(u), id(v), id(out[0]), id(out[1])))
+    if bound is not None:  # a pool's generation step, checked when the pool was made
+        u_new, v_new = out
+    else:
+        u, au, v, av, stride = _rows(u, v)
+        if out is None:
+            u_new, v_new = np.empty(u.shape, dtype=np.complex128), np.empty(u.shape, dtype=np.complex128)
+            a, b, out_stride = u_new.ctypes.data, v_new.ctypes.data, u.shape[-1]
+        else:
+            u_new, v_new = out
+            a, b = _out_addresses(out, u, au, av)
+            out_stride = u_new.strides[0] // 16 if u.ndim == 2 else u.shape[-1]
+        bound = (au, av, a, b, u.shape[0] if u.ndim == 2 else 1, stride, out_stride, u.shape[-1])
+    n = bound[-1]
     f_ptrs = [None] * 4  # NULL: the unforced step
     if forcing is not None:
         f = [np.ascontiguousarray(a, dtype=np.complex128) for a in forcing]
@@ -348,16 +388,7 @@ def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out):
         if any(a.shape != (n,) for a in f):
             raise ValueError(f"forcing arrays must be shaped like u's rows ({n},), got {[a.shape for a in f]}")
         f_ptrs = [a.ctypes.data for a in f]
-    if out is None:
-        u_new, v_new = np.empty(u.shape, dtype=np.complex128), np.empty(u.shape, dtype=np.complex128)
-        a, b, out_stride = u_new.ctypes.data, v_new.ctypes.data, n
-    else:
-        u_new, v_new = out
-        a, b = _out_addresses(out, u, au, av)
-        out_stride = u_new.strides[0] // 16 if u.ndim == 2 else n
-    runs = u.shape[0] if u.ndim == 2 else 1
-    bad = _lib.lcd_step(au, av, a, b, runs, stride, out_stride, n, h, m, alpha, beta, bool(periodic), *f_ptrs)
-    return u_new, v_new, bad
+    return u_new, v_new, _lib.lcd_step(*bound, h, m, alpha, beta, bool(periodic), *f_ptrs)
 
 
 def available_backends() -> tuple[str, ...]:
@@ -537,6 +568,49 @@ class LevelTerms:
         addresses["sites"] = self.sites.ctypes.data
         self._struct = _Level(n, runs, dx, m, C0, *addresses.values())
         self._address = ctypes.addressof(self._struct)
+        self._bound, self._fields = None, {}  # see write
+
+    def write(self, fields, i0: int, i1: int, kshift: int, E) -> None:
+        """``level_terms`` of fields, u and v of each run in turn, without
+        the list of sums.
+
+        On ``compiled``, the addresses of an open pool's views are checked at
+        their first call and kept, by the views' ids, while ``_BOUND`` is the
+        dict they were checked against: a pool's level then costs the feet
+        check and the C call. Any other arrays are checked, and converted if
+        need be, at every call.
+        """
+        # The key is unpacked, not made by tuple(map(...)): CPython counts a
+        # tuple built by resizing toward the next garbage collection even
+        # after it is freed, and three such tuples a level brought a 1 ms
+        # collection into a short simulate run.
+        key = (*map(id, fields),)
+        addresses = self._fields.get(key) if self._bound is _BOUND else None
+        if addresses is None:
+            if len(fields) != 2 * self.runs:
+                raise ValueError(f"terms hold {self.runs} runs, got {len(fields) // 2}")
+            checked = [_field(a, self.n) for a in fields]  # (array, address)
+            addresses = (*(address for _, address in checked), None, None)[:4]  # NULL: no run B
+            if all(id(a) in _BOUND for a in fields):  # an open pool's views: keep their addresses
+                if self._bound is not _BOUND:
+                    self._bound, self._fields = _BOUND, {}
+                self._fields[key] = addresses
+            fields = [a for a, _ in checked]  # converted where need be, and alive through the call
+        if i1 <= i0:  # no section, so no margins
+            i0 = i1 = 0
+            E = None
+        reach = 0  # how far past the section the C pass reads
+        if E is not None:
+            if self.au0 is None:
+                raise ValueError("growth margins need terms made with an origin")
+            reach = abs(kshift)
+        if i0 - reach < 0 or i1 + reach > self.n:
+            raise UsageError(f"section [{i0}, {i1}) with its feet {reach} sites out "
+                             f"leaves the grid of {self.n} sites")
+        if _active == "compiled":
+            _lib.lcd_level_terms(self._address, *addresses, i0, i1, kshift, E is not None, 0.0 if E is None else E)
+        else:
+            pure.level_terms(self, list(zip(fields[::2], fields[1::2])), i0, i1, kshift, E)
 
 
 def _field(a, n: int) -> tuple[np.ndarray, int]:
@@ -556,28 +630,14 @@ def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E) -> li
     none), asks for the growth margins of a nonempty section, with the feet
     kshift sites along each characteristic. A section whose feet leave the
     grid raises UsageError, as does a field of another size, so the C pass
-    never reads past a buffer.
+    never reads past a buffer. ``LevelTerms.write`` makes the same call
+    without building the list.
     """
-    fields = [(_field(u, terms.n), _field(v, terms.n)) for u, v in runs]  # ((u, address), (v, address))
-    if len(fields) != terms.runs:
-        raise ValueError(f"terms hold {terms.runs} runs, got {len(fields)}")
-    if i1 <= i0:  # no section, so no margins
-        i0 = i1 = 0
-        E = None
-    reach = 0  # how far past the section the C pass reads
-    if E is not None:
-        if terms.au0 is None:
-            raise ValueError("growth margins need terms made with an origin")
-        reach = abs(kshift)
-    if i0 - reach < 0 or i1 + reach > terms.n:
-        raise UsageError(f"section [{i0}, {i1}) with its feet {reach} sites out "
-                         f"leaves the grid of {terms.n} sites")
-    if _active == "compiled":
-        ptrs = [address for run in fields for _, address in run] + [None, None]  # NULL: no run B
-        _lib.lcd_level_terms(terms._address, *ptrs[:4], i0, i1, kshift, E is not None, 0.0 if E is None else E)
-    else:
-        pure.level_terms(terms, [(u, v) for (u, _), (v, _) in fields], i0, i1, kshift, E)
+    terms.write([a for run in runs for a in run], i0, i1, kshift, E)
     return terms.sums.tolist()
+
+
+DISTANCE_DEPTH = 64  # the depths of the pairwise split lcd_distance_sums keeps partial sums for
 
 
 class DistanceSums:
@@ -587,8 +647,10 @@ class DistanceSums:
     intp array of run indices (A, B); ``sums``, an (npairs, 2) float64
     array whose row k holds pair k's sums of |U|^2 + |V|^2, with
     U = uA - uB and V = vA - vB, the terms of ``fields.l2_distance``, and
-    of |uA vA - uB vB|^2; and the table of the runs' field addresses the C
-    pass reads.
+    of |uA vA - uB vB|^2; the table of the runs' field addresses the C
+    pass reads; and its scratch, the partial sums of every pair at each of
+    at most ``DISTANCE_DEPTH`` depths of the pairwise split (see
+    ``lcd_distance_sums``).
     """
 
     def __init__(self, n: int, pairs):
@@ -599,8 +661,9 @@ class DistanceSums:
         self.runs = int(self.pairs.max()) + 1 if self.pairs.size else 0
         self.sums = np.zeros(self.pairs.shape)
         self._rows = np.zeros(2 * self.runs, dtype=np.intp)
+        self._partial = np.empty((DISTANCE_DEPTH, *self.pairs.shape))
         self._addresses = (self._rows.ctypes.data, self.pairs.ctypes.data, len(self.pairs), n,
-                           self.sums.ctypes.data)
+                           self.sums.ctypes.data, self._partial.ctypes.data)
 
 
 def distance_sums(sums: DistanceSums, runs) -> list[float]:

@@ -34,9 +34,12 @@
  * lcd_distance_sums sums, for each pair of runs of one level, l1 as above
  * and p1 = |uA vA - uB vB|^2 over the whole grid, each complex product in
  * real arithmetic: four products and two sums. The terms are never stored
- * past their pairwise-sum leaf: each leaf of at most 128 sites is written
- * into stack scratch and summed there, in add_reduce's order, so the sums
- * are np.add.reduce's of the term arrays pure.distance_sums writes.
+ * past their pairwise-sum leaf: every pair's terms of each leaf of at most
+ * 128 sites are written into stack scratch and summed there, in
+ * add_reduce's order, so the sums are np.add.reduce's of the term arrays
+ * pure.distance_sums writes. The leaves are taken in turn and the pairs
+ * within each, so a run that is one pair's run B and the next pair's run A
+ * (converge's consecutive pairs) has its product u v formed once a leaf.
  */
 #include <math.h>
 #include <stddef.h>
@@ -223,6 +226,35 @@ static void level_sums(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1)
     }
 }
 
+#define CHUNK 16 /* pointwise candidates tested at once for a new best */
+
+/* pick over the pointwise candidates a_i - E (a0_{i + shift} + mC0), i in
+ * [i0, i1) (shift reaches the feet), one chunk at a time: the candidates of a
+ * chunk are formed and tested against the best so far in one vectorisable
+ * loop, and only a chunk with one that pick would take (a larger one or a
+ * NaN, while the best is no NaN; any, before the first) is picked from one
+ * candidate at a time, so the pick is np.argmax's */
+static void pointwise_picks(const double *a, const double *a0, ptrdiff_t shift, double E, double mC0,
+                            ptrdiff_t i0, ptrdiff_t i1, double *best, ptrdiff_t *at)
+{
+    double x[CHUNK];
+    ptrdiff_t lo, len, j;
+
+    for (lo = i0; lo < i1; lo += CHUNK) {
+        const double b = *best;
+        int hit = *at < 0;
+
+        len = i1 - lo < CHUNK ? i1 - lo : CHUNK;
+        for (j = 0; j < len; j++) {
+            x[j] = a[lo + j] - E * (a0[lo + j + shift] + mC0);
+            hit |= !(x[j] <= b);
+        }
+        if (hit && b == b)
+            for (j = 0; j < len; j++)
+                pick(x[j], lo + j, best, at);
+    }
+}
+
 static void growth_margins(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t kshift, double E)
 {
     const double *au = L->au, *av = L->av, *pre_u = L->pre_u, *pre_v = L->pre_v;
@@ -232,10 +264,8 @@ static void growth_margins(const lcd_level *L, ptrdiff_t i0, ptrdiff_t i1, ptrdi
     ptrdiff_t at[3] = {-1, -1, -1}, i, s, w;
 
     prefix2(au, av, L->pre_u, L->pre_v, L->n);
-    for (i = i0; i < i1; i++) {
-        pick(au[i] - E * (au0[i - kshift] + mC0), i, &best[0], &at[0]);
-        pick(av[i] - E * (av0[i + kshift] + mC0), i, &best[1], &at[1]);
-    }
+    pointwise_picks(au, au0, -kshift, E, mC0, i0, i1, &best[0], &at[0]);
+    pointwise_picks(av, av0, kshift, E, mC0, i0, i1, &best[1], &at[1]);
     for (w = 2; w <= i1 - i0; w *= 2) {
         const double slack = emc * ((double)w * dx);
         for (s = i0; s + w <= i1; s += w / 2) {
@@ -293,63 +323,109 @@ static cplx cmul(cplx a, cplx b)
 
 #define LEAF 128 /* the longest run pairwise sums without splitting it */
 
-/* l1 and p1 of the runs A and B over the len <= LEAF sites from lo */
-static void distance_leaf(const cplx *restrict ua, const cplx *restrict va, const cplx *restrict ub,
-                          const cplx *restrict vb, ptrdiff_t lo, ptrdiff_t len, double *restrict l1,
-                          double *restrict p1)
+/* One level of runs and the pairs whose distances lcd_distance_sums takes:
+ * rows[2 r] and rows[2 r + 1] are u and v of run r, and pairs holds npairs
+ * (A, B) run indices. */
+typedef struct {
+    const cplx *const *rows;
+    const ptrdiff_t *pairs;
+    ptrdiff_t npairs;
+} distances;
+
+/* l1 and p1 of the runs A and B over len <= LEAF sites. Run B's product
+ * u v is formed and kept in pb_re and pb_im; run A's is read from pa_re and
+ * pa_im where they are given (the previous pair's run B is this pair's run
+ * A), else formed. The products are kept as real and imaginary parts apart:
+ * as complex values GCC's vectoriser finds a complex multiply and fuses it
+ * into vfmaddsub, even under -ffp-contract=off. */
+static void distance_terms(const cplx *restrict ua, const cplx *restrict va, const cplx *restrict ub,
+                           const cplx *restrict vb, const double *restrict pa_re,
+                           const double *restrict pa_im, double *restrict pb_re, double *restrict pb_im,
+                           ptrdiff_t len, double *restrict l1, double *restrict p1)
 {
     ptrdiff_t i;
 
-    for (i = 0; i < len; i++) {
-        const ptrdiff_t s = lo + i;
-        cplx U = {ua[s].re - ub[s].re, ua[s].im - ub[s].im};
-        cplx V = {va[s].re - vb[s].re, va[s].im - vb[s].im};
-        cplx pa = cmul(ua[s], va[s]), pb = cmul(ub[s], vb[s]);
-        cplx d = {pa.re - pb.re, pa.im - pb.im};
+    if (pa_re)
+        for (i = 0; i < len; i++) {
+            cplx U = {ua[i].re - ub[i].re, ua[i].im - ub[i].im};
+            cplx V = {va[i].re - vb[i].re, va[i].im - vb[i].im};
+            cplx pb = cmul(ub[i], vb[i]);
+            cplx d = {pa_re[i] - pb.re, pa_im[i] - pb.im};
 
-        l1[i] = abs2(U) + abs2(V);
-        p1[i] = abs2(d);
+            pb_re[i] = pb.re;
+            pb_im[i] = pb.im;
+            l1[i] = abs2(U) + abs2(V);
+            p1[i] = abs2(d);
+        }
+    else
+        for (i = 0; i < len; i++) {
+            cplx U = {ua[i].re - ub[i].re, ua[i].im - ub[i].im};
+            cplx V = {va[i].re - vb[i].re, va[i].im - vb[i].im};
+            cplx pa = cmul(ua[i], va[i]), pb = cmul(ub[i], vb[i]);
+            cplx d = {pa.re - pb.re, pa.im - pb.im};
+
+            pb_re[i] = pb.re;
+            pb_im[i] = pb.im;
+            l1[i] = abs2(U) + abs2(V);
+            p1[i] = abs2(d);
+        }
+}
+
+/* the sums of l1 and p1 of every pair k over the len <= LEAF sites from lo,
+ * into out[2 k] and out[2 k + 1]: each pair's terms are written into stack
+ * scratch and summed there in add_reduce's order; a run that is one pair's
+ * run B and the next pair's run A has its product formed once */
+static void distance_leaf(const distances *D, ptrdiff_t lo, ptrdiff_t len, double *out)
+{
+    const cplx *const *rows = D->rows;
+    double l1[LEAF], p1[LEAF], prod[2][2][LEAF]; /* the last two pairs' run B products */
+    ptrdiff_t k;
+
+    for (k = 0; k < D->npairs; k++) {
+        const ptrdiff_t a = D->pairs[2 * k], b = D->pairs[2 * k + 1];
+        double(*kept)[LEAF] = prod[(k + 1) % 2], (*made)[LEAF] = prod[k % 2];
+        const int reuse = k > 0 && a == D->pairs[2 * k - 1];
+
+        distance_terms(rows[2 * a] + lo, rows[2 * a + 1] + lo, rows[2 * b] + lo, rows[2 * b + 1] + lo,
+                       reuse ? kept[0] : NULL, reuse ? kept[1] : NULL, made[0], made[1], len, l1, p1);
+        out[2 * k] = pairwise(l1, len);
+        out[2 * k + 1] = pairwise(p1, len);
     }
 }
 
-/* pairwise(l1 terms) and pairwise(p1 terms) over the len sites from lo,
- * split as pairwise splits them; each leaf's terms are written into stack
- * scratch and summed there, so no term array outlives its leaf */
-static void distance_pairwise(const cplx *ua, const cplx *va, const cplx *ub, const cplx *vb,
-                              ptrdiff_t lo, ptrdiff_t len, double *s_l1, double *s_p1)
+/* the sums of every pair over the len sites from lo, split as pairwise
+ * splits them, into out[0 .. 2 npairs); the right half's sums go into the
+ * next 2 npairs values, so each depth of the split takes one such slot */
+static void distance_pairwise(const distances *D, ptrdiff_t lo, ptrdiff_t len, double *out)
 {
-    double l1[LEAF], p1[LEAF], a_l1, a_p1, b_l1, b_p1;
-    ptrdiff_t n2;
+    double *right = out + 2 * D->npairs;
+    ptrdiff_t n2, k;
 
     if (len <= LEAF) {
-        distance_leaf(ua, va, ub, vb, lo, len, l1, p1);
-        *s_l1 = pairwise(l1, len);
-        *s_p1 = pairwise(p1, len);
+        distance_leaf(D, lo, len, out);
         return;
     }
     n2 = len / 2;
     n2 -= n2 % 8;
-    distance_pairwise(ua, va, ub, vb, lo, n2, &a_l1, &a_p1);
-    distance_pairwise(ua, va, ub, vb, lo + n2, len - n2, &b_l1, &b_p1);
-    *s_l1 = a_l1 + b_l1;
-    *s_p1 = a_p1 + b_p1;
+    distance_pairwise(D, lo, n2, out);
+    distance_pairwise(D, lo + n2, len - n2, right);
+    for (k = 0; k < 2 * D->npairs; k++)
+        out[k] = out[k] + right[k];
 }
 
 /* rows[2 r] and rows[2 r + 1] are u and v of run r, n sites each; pairs
  * holds npairs (A, B) run indices. Writes sums[2 k] and sums[2 k + 1], the
- * sums of l1 and p1 of pair k over the grid. */
+ * sums of l1 and p1 of pair k over the grid. partial holds 128 npairs
+ * doubles: a slot of every pair's partial sums for each of at most 64
+ * depths of the split, which leaves at most n / 2^d + 16 sites at depth d. */
 void lcd_distance_sums(const cplx *const *rows, const ptrdiff_t *pairs, ptrdiff_t npairs, ptrdiff_t n,
-                       double *sums)
+                       double *sums, double *partial)
 {
+    const distances D = {rows, pairs, npairs};
     ptrdiff_t k;
 
-    for (k = 0; k < npairs; k++) {
-        const cplx *const *a = rows + 2 * pairs[2 * k], *const *b = rows + 2 * pairs[2 * k + 1];
-        double l1 = 0.0, p1 = 0.0;
-
-        if (n > 0)
-            distance_pairwise(a[0], a[1], b[0], b[1], 0, n, &l1, &p1);
-        sums[2 * k] = 0.0 + l1; /* add_reduce: NumPy's identity, then the pairwise sum */
-        sums[2 * k + 1] = 0.0 + p1;
-    }
+    if (n > 0)
+        distance_pairwise(&D, 0, n, partial);
+    for (k = 0; k < 2 * npairs; k++) /* add_reduce: NumPy's identity, then the pairwise sum */
+        sums[k] = 0.0 + (n > 0 ? partial[k] : 0.0);
 }

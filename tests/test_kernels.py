@@ -371,9 +371,11 @@ def test_fused_distance_sums_are_add_reduce_of_the_terms(rng, backend, name):
     """Each pair's two sums, taken in one call for every pair of a level,
     equal np.add.reduce of pure's term arrays bit for bit (a NaN matching
     any NaN), at every leaf edge, on levels mixing zero, dense, -0.0 and
-    NaN or infinite leaves."""
+    NaN or infinite leaves, also where a pair's run A is the run B of the
+    pair before it, whose product the C pass forms once."""
     backend(name)
-    pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (2, 2)]
+    # chains whose run B is the next pair's run A, as converge's are, also into and out of a self pair
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (2, 2), (3, 3), (3, 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in LEAF_LENGTHS:
             for _ in range(3):
@@ -658,6 +660,69 @@ def test_backends_agree_on_level_terms_of_small_and_odd_sections(rng):
                 assert (got["sites"][2] >= 0) == has_window and (got["sites"][0] >= 0) == (length > 0)
 
 
+CHUNK = 16  # the pointwise candidates _level.c's growth_margins tests against the best at once
+
+
+def _chunk_cases(length):
+    """(name, candidates) for a section of length sites: the pointwise
+    candidates a margin is picked from, with NaN, tied and -inf ones at the
+    chunk edges and in later chunks than the best before them."""
+    edges = sorted({0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, length - 1} & set(range(length)))
+    base = -((1.0 + np.arange(length) / 64) ** 2)  # falling, and exact squares: the first site is the best
+    cases = [("falling", base), ("all -inf", np.full(length, -np.inf)), ("all tied", np.full(length, -0.25))]
+    for p in edges:
+        for kind, value in (("nan", np.nan), ("-inf", -np.inf), ("best", 1.0)):
+            x = base.copy()
+            x[p] = value
+            cases.append((f"{kind} at {p}", x))
+        for q in edges:
+            if q > p:  # a tie, a larger value and a NaN after the best, each in a later chunk or the same
+                for kind, value in (("tie", 1.0), ("larger", 4.0), ("nan", np.nan)):
+                    x = base.copy()
+                    x[p], x[q] = 1.0, value
+                    cases.append((f"best at {p}, {kind} at {q}", x))
+                x = base.copy()
+                x[p], x[q] = np.nan, 4.0  # a NaN first stays the pick
+                cases.append((f"nan at {p}, larger at {q}", x))
+    return cases
+
+
+def _with_candidates(xu, xv, i0, n, kshift):
+    """Levels, and their levels at t = 0, whose pointwise candidates (E = 1,
+    m = 0) over the section from i0 are xu and xv: a candidate |u|^2 - |u0|^2
+    at a foot is x, x >= 0 as |u|^2, x < 0 as -|u0|^2 (-inf an infinite u0,
+    NaN a NaN u)."""
+    u, v, u0, v0 = (np.zeros(n, complex) for _ in range(4))
+    for x, a, a0, foot in ((xu, u, u0, -kshift), (xv, v, v0, kshift)):
+        for j, value in enumerate(x):
+            if value >= 0 or value != value:
+                a[i0 + j] = np.sqrt(value)
+            else:
+                a0[i0 + j + foot] = np.sqrt(-value)
+    return [(u, v)], (u0, v0)
+
+
+@needs_compiled
+def test_backends_agree_on_pointwise_picks_at_chunk_edges():
+    """The pointwise margins and their sites, compiled against pure, bit for
+    bit, for sections of 1, 2, CHUNK - 1, CHUNK, CHUNK + 1 and 2 CHUNK + 1
+    sites, with NaN, tied and -inf candidates at the edges of the chunks
+    the C pass tests at once, and in a later chunk than the best so far;
+    each pick is np.argmax's: the first NaN, else the first largest."""
+    for length in (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+        for kshift in (0, 3):
+            i0 = kshift + 2
+            n = i0 + length + kshift + 2
+            cases = _chunk_cases(length)
+            for (name_u, xu), (name_v, xv) in zip(cases, cases[1:] + cases[:1]):
+                runs, origin = _with_candidates(xu, xv, i0, n, kshift)
+                got = _assert_terms_agree(runs, i0, i0 + length, kshift, 1.0, origin, m=0.0)
+                for k, x in ((0, xu), (1, xv)):
+                    j = int(np.argmax(x))
+                    assert got["sites"][k] == i0 + j, (length, kshift, name_u, name_v, k)
+                    assert got["margins"][k] == x[j] or x[j] != x[j], (length, kshift, name_u, name_v, k)
+
+
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_level_terms_refuse_feet_off_the_grid(rng, name):
     n = 64
@@ -882,7 +947,9 @@ def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
     sums = kernels.DistanceSums(n, [(0, 1), (1, 0), (1, 1)])
     out = sums.sums
     assert out.dtype == np.float64 and out.shape == (3, 2) and out.flags.c_contiguous
-    assert sums._addresses == (sums._rows.ctypes.data, sums.pairs.ctypes.data, 3, n, out.ctypes.data)
+    assert sums._addresses == (sums._rows.ctypes.data, sums.pairs.ctypes.data, 3, n, out.ctypes.data,
+                               sums._partial.ctypes.data)
+    assert sums._partial.shape == (64, 3, 2)  # every pair's two partial sums at each depth of the split
     for name in ("compiled", "pure"):
         monkeypatch.setattr(kernels, "_active", name)
         calls.clear()

@@ -284,19 +284,20 @@ def test_cone_rows_equal_the_list_functionals(name, gn, gn_constants):
             "bony": lc.bony_decay_audit(snaps_a, dom, gn_constants, gn),
             "gronwall": lc.gronwall_audit(snaps_a, snaps_b, dom, gn_constants, gn),
         }
-    gronwall = audits.audits["gronwall"]
     inside = [lv for lv in seen if lv[0].t <= dom.apex_time + 1e-12]
     assert {len(range(*dom.section_indices(g, a.t))) for a, _ in inside} >= {0, 1, 3}
+    _, sums = functionals._inside(audits.rows, dom)
+    rows_a, rows_b, pair = (list(zip(*functionals._cone_columns(sums, g.dx, **kw)))
+                            for kw in ({}, {"run": 1}, {"pair": True}))
     for other in kernels.available_backends():
         with backend(other):
-            assert gronwall.rows_a.rows == [lc.base_functionals(a, dom) for a, _ in inside]
-            assert gronwall.rows_b.rows == [lc.base_functionals(b, dom) for _, b in inside]
-            assert gronwall.pair.rows == [lc.difference_functionals(a, b, dom) for a, b in inside]
-    for rows, levels in ((gronwall.rows_a, [(a,) for a, _ in inside]),
-                         (gronwall.rows_b, [(b,) for _, b in inside]), (gronwall.pair, inside)):
-        np.testing.assert_allclose(np.array(rows.rows), _cone_rows_oracle(levels, dom), rtol=1e-12, atol=0)
+            assert rows_a == [lc.base_functionals(a, dom) for a, _ in inside]
+            assert rows_b == [lc.base_functionals(b, dom) for _, b in inside]
+            assert pair == [lc.difference_functionals(a, b, dom) for a, b in inside]
+    for rows, levels in ((rows_a, [(a,) for a, _ in inside]), (rows_b, [(b,) for _, b in inside]), (pair, inside)):
+        np.testing.assert_allclose(np.array(rows), _cone_rows_oracle(levels, dom), rtol=1e-12, atol=0)
     q0 = lc.charge(f0)
-    assert audits.audits["charge"].drift == max(abs(lc.charge(a) - q0) for a, _ in seen)
+    assert reports["charge"].max_violation == max(abs(lc.charge(a) - q0) for a, _ in seen)
 
 
 def test_charge_audit_takes_the_largest_drift():
