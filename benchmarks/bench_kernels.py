@@ -11,16 +11,17 @@ end-to-end workloads step: Thirring (alpha = 1) on a periodic lattice, as in
 pure/compiled ratio. Then one step per level for Thirring on a periodic
 lattice, in microseconds per level: the kernel call
 (``kernels.step_unforced``) on fresh arrays, the same call from one
-``LevelPool`` generation into the other as ``evolve`` makes it,
-``solver.step``, which adds the Python around it (forcing check, the new
-``SpinorField`` and the blow-up verdict), and on ``compiled`` the bare
-``lcd_step`` on the pool's bound addresses, so the overhead per level stays
-visible; beside it the bare step of a compactly supported level (the same
-level, zero but for its central fifth, so most blocks read an all-zero
-window and are stepped once, as in ``converge_rough``). Then one lockstep
-level of R = 2 and 5 runs at N = 3072 and 4096, in microseconds per level:
-R single-run calls, one per run's rows, against the one batched call on the
-pool's generations that ``evolve`` makes. Then ``format_rows`` writes one
+``LevelPool`` generation into the other (``out=pool``) as ``evolve`` makes
+it, ``solver.step``, which adds the Python around it (forcing check, the
+new ``SpinorField`` and the blow-up verdict), and on ``compiled`` the bare
+``lcd_step`` on the pool's own step arguments (``LevelPool.steps``), so the
+overhead per level stays visible; beside it the bare step of a compactly
+supported level (the same level, zero but for its central fifth, so most
+blocks read an all-zero window and are stepped once, as in
+``converge_rough``). Then one lockstep level of R = 2 and 5 runs at N = 3072
+and 4096, in microseconds per level: the one batched call on the pool's
+generations that ``evolve`` makes (``BENCH_33.json`` records it against R
+single-run calls). Then ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
 template), in nanoseconds per value, and beside it ``cli.snapshots_csv``
 writes a run of the ``simulate_csv`` workload's size (65 levels of 768
@@ -35,8 +36,8 @@ sums); ``level_terms`` is ``_level.c`` or its NumPy twin, terms and sums
 alike. It is fed fresh levels (its construction timed with them), and the
 same levels as ``evolve`` feeds them: the t = 0 level as it is, and level k
 on the rows of a ``LevelPool``'s generation k % 2, copied there untimed
-before its call, so the pass reads each generation at the addresses it
-checked once. On ``compiled`` the bare ``lcd_level_terms`` calls of that
+before its call, so the pass reads each generation's bound views. On
+``compiled`` the bare ``lcd_level_terms`` calls of that
 pass are replayed the same way, one per level with the arguments the pass
 gave, so the Python per level stays visible. Both pooled rows sum each
 level's best time over the repeats; the bench refuses a pass whose calls it
@@ -128,15 +129,13 @@ def level_us(n, p, rng, repeats):
 
         def pooled():  # from one generation into the other and back, as evolve steps one run
             for k in range(CALLS):
-                kernels.step_unforced(pool.u[k % 2], pool.v[k % 2], *args, out=(pool.u[1 - k % 2], pool.v[1 - k % 2]))
+                kernels.step_unforced(pool.u[k % 2], pool.v[k % 2], *args, out=pool)
 
         times = [best_of(kernel, repeats), best_of(pooled, repeats), best_of(step, repeats)]
         if kernels.backend_name() == "compiled":
-            bound = [kernels._BOUND[id(a)] for a in (pool.u[0], pool.v[0], pool.u[1], pool.v[1])]
-
             def bare():
                 for _ in range(CALLS):
-                    kernels._lib.lcd_step(*bound, 1, n, n, n, *args, None, None, None, None)
+                    kernels._lib.lcd_step(*pool.steps[0], *args, None, None, None, None)
 
             times.append(best_of(bare, repeats))
             compact(pool)
@@ -144,24 +143,19 @@ def level_us(n, p, rng, repeats):
     return [t / CALLS * 1e6 for t in times]
 
 
-def lockstep_us(runs, n, p, rng, repeats):
-    """(runs single-run calls, one batched call) in us per lockstep level of
-    runs dense Thirring runs on a periodic grid of n sites, each stepping
-    the pool's generation 0 into generation 1."""
+def lockstep_us(runs, n, p, rng, repeats) -> float:
+    """One batched call in us per lockstep level of runs dense Thirring runs
+    on a periodic grid of n sites, stepping the pool's generation 0 into
+    generation 1."""
     args = (16.0 / n, p.m, p.alpha, p.beta, True)
     with kernels.LevelPool(runs, n) as pool:
         pool.load(zip(*random_rows(rng, runs, n)))
 
-        def single():
-            for _ in range(CALLS):
-                for (u, v), out in zip(*pool.rows):
-                    kernels.step_unforced(u, v, *args, out=out)
-
         def batched():
             for _ in range(CALLS):
-                kernels.step_unforced(pool.u[0], pool.v[0], *args, out=(pool.u[1], pool.v[1]))
+                kernels.step_unforced(pool.u[0], pool.v[0], *args, out=pool)
 
-        return [best_of(single, repeats) / CALLS * 1e6, best_of(batched, repeats) / CALLS * 1e6]
+        return best_of(batched, repeats) / CALLS * 1e6
 
 
 def format_ns_per_value(block, repeats) -> float:
@@ -346,14 +340,13 @@ def bench(sizes, repeats):
             if len(rows[0]) > 3:
                 print_row("lcd_step, bound", n, [rows[0][3]])
                 print_row("lcd_step, bound, compact", n, [rows[0][4]])
-        print("lockstep level, thirring, periodic: us per level, R single-run calls, then one batched call")
+        print("lockstep level, thirring, periodic: us per level, one batched call")
         for runs, n in itertools.product((2, 5), (3072, 4096)):
-            rows = []
+            times = []
             for bk in backends:
                 kernels.use_backend(bk)
-                rows.append(lockstep_us(runs, n, THIRRING, rng, repeats))
-            print_row(f"R = {runs}, R calls", n, [r[0] for r in rows])
-            print_row(f"R = {runs}, one call", n, [r[1] for r in rows])
+                times.append(lockstep_us(runs, n, THIRRING, rng, repeats))
+            print_row(f"R = {runs}, one call", n, times)
         # one snapshot level: t, x and the four field components at 17 digits
         n = 768
         block = np.column_stack([np.full(n, 0.25), np.linspace(-8.0, 8.0, n, endpoint=False),

@@ -667,7 +667,14 @@ def entry():
     closed before main() returns, lcdirac registers no atexit hook, and
     its one log line reaches stderr at once. A closed stdout or stderr
     exits 2 and prints nothing: a broken pipe out of main() gives 2, and
-    a flush that fails turns a 0 into 2."""
+    a flush that fails turns a 0 into 2. The objects made at import are
+    frozen first (gc.freeze): the process's first generation-1 collection
+    would scan them all (about 1 ms), inside main() or not depending only
+    on how many objects the run leaves counted, and the process never
+    needs them collected."""
+    import gc  # here, not at the top: importing lcdirac.cli loads nothing NumPy has not
+
+    gc.freeze()
     try:
         status = main()
     except BrokenPipeError:

@@ -459,7 +459,7 @@ class AuditPass:
 
     Each level costs one ``LevelTerms.write`` into the terms the first call
     allocates, which computes every term and sum the audits read (on a
-    ``LevelPool``'s views, with the addresses checked once per generation),
+    ``LevelPool``'s views, checked at every call with no address lookup),
     and one row appended to ``rows``: (t, sums, margins, sites, edge_u,
     edge_v), as the comment at the head of the audits lays out.
     ``report(name)`` reduces the rows once.

@@ -13,16 +13,16 @@ for bit:
   part as a flat index ``run * n + site`` (-1 for none), found in the pass
   that writes the level, for the first bad run. Both backends
   evaluate it in the same plain real arithmetic, operation for operation.
-  Given ``out``, two views of a ``LevelPool``'s other generation, it writes
-  the level there, as ``evolve`` does at every step; without, into fresh
-  arrays. On ``compiled``, an unforced step computes a 256-site block
-  whose input window (its sites and one on either side, wrapped on a
-  periodic grid; zero-inflow edge blocks excepted) holds only +0.0 bits
-  once, and stores that site across the block: a site reads only itself
-  and its neighbours (the light cone), so every site there does the same
-  IEEE operations on the same operands. Compactly supported data stay
-  +0.0 outside their light cone, so such runs skip most blocks while the
-  support is small;
+  Given ``out``, a ``LevelPool`` one of whose generations u and v are, it
+  writes the level into the other generation, as ``evolve`` does at every
+  step; without, into fresh arrays. On ``compiled``, an unforced step
+  computes a 256-site block whose input window (its sites and one on
+  either side, wrapped on a periodic grid; zero-inflow edge blocks
+  excepted) holds only +0.0 bits once, and stores that site across the
+  block: a site reads only itself and its neighbours (the light cone), so
+  every site there does the same IEEE operations on the same operands.
+  Compactly supported data stay +0.0 outside their light cone, so such
+  runs skip most blocks while the support is small;
 - ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
   values, byte for byte as Python's ``%`` operator does;
   ``format_rows_into`` writes the same rows as ASCII into a caller's
@@ -53,16 +53,15 @@ A ``LevelPool`` holds ``evolve``'s lockstep runs in runs + 1 level pairs,
 as two generations one pair apart: every step reads one generation and
 writes the other over it, each run's new level where an input already read
 lay (``lcd_step`` steps the rows first to last or last to first, as memmove
-copies), so the runs need one spare pair, not a second set. Each of its
-views (a generation's (runs, n) u and v, and each run's u and v rows) is
-made once, and its address is bound while the pool is open:
-``step_unforced``, ``level_terms`` and ``distance_sums`` take such a view
-as it is, with no address lookup (``a.ctypes.data`` costs about 2 us) and
-no conversion; any other array is converted and checked as before. The
-pool also binds ``lcd_step``'s checked arguments for stepping either
-generation into the other, so ``evolve``'s step is one dictionary lookup
-and the C call, and a ``LevelTerms`` keeps the checked addresses of each
-generation's fields from their first level while the pool stays open.
+copies), so the runs need one spare pair, not a second set. The pool
+holds ``lcd_step``'s arguments for stepping either generation into the
+other, computed when it is made, so ``step_unforced(u, v, ..., out=pool)``
+is two identity checks and the C call. Each of its views (a generation's
+(runs, n) u and v, and each run's u and v rows) is made once, and its
+address is bound while the pool is open: ``level_terms``,
+``LevelTerms.write`` and ``distance_sums`` check such a view at every call
+but take it as it is, with no address lookup (``a.ctypes.data`` costs
+about 2 us) and no conversion; any other array is converted and checked.
 
 Every sum of terms is ``np.add.reduce``'s bit for bit: ``pure`` calls it
 and ``_level.c`` sums in NumPy's pairwise order, which
@@ -248,20 +247,10 @@ _lib, _reason = load_compiled()
 _active = "compiled" if _lib is not None else "pure"
 
 
-# What every open LevelPool binds: the address of each of its views, by the
-# view's id, and the address arguments of lcd_step that step one of its
-# generations into the other (``_rows`` and ``_out_addresses`` of the pair),
-# by the ids of (u, v, u_out, v_out). A pool binds its entries when it is
-# made and unbinds them when it closes; while it is open it holds its views,
-# so no other object has their ids. The dict is replaced, never changed in
-# place, so an address checked against it stays valid while ``_BOUND`` is
-# that dict: ``LevelTerms`` keeps its runs' addresses so.
+# The address of each view of every open LevelPool, by the view's id: a
+# pool adds its views when it is made and removes them when it closes; while
+# it is open it holds its views, so no other object has their ids.
 _BOUND: dict = {}
-
-
-def _rebind(add=None, drop=()):
-    global _BOUND
-    _BOUND = {**{key: x for key, x in _BOUND.items() if key not in drop}, **(add or {})}
 
 
 class LevelPool:
@@ -270,18 +259,18 @@ class LevelPool:
     ``blocks`` is one complex128 array of shape (runs + 1, 2, n), one level
     pair (u at ``blocks[s, 0]``, v at ``blocks[s, 1]``) a slot. Generation 0
     holds run r in slot r + 1, generation 1 holds it in slot r: the two
-    generations lie one slot apart, and ``step_unforced`` steps either into
-    the other over it, each run's new level written where the previous
-    run's (or the next run's) input lay once that input is read. ``u[g]``
-    and ``v[g]`` are the (runs, n) views of generation g that
-    ``step_unforced`` reads and writes whole, their rows 2 n sites apart;
-    ``rows[g]`` holds each run's (u, v) as 1-d C-contiguous views. Every
-    view is read-only (``blocks`` is their base, which only
-    ``step_unforced`` and ``load`` write), is made once, and has its address
-    bound when the pool is made and unbound by ``close`` (or at the end of a
-    ``with`` block), as are the checked arguments of both generation steps;
-    the views stay valid arrays. ``load`` copies the runs' levels at t = 0
-    into generation 0.
+    generations lie one slot apart, and ``step_unforced(..., out=pool)``
+    steps either into the other over it, each run's new level written where
+    the previous run's (or the next run's) input lay once that input is
+    read. ``u[g]`` and ``v[g]`` are the (runs, n) views of generation g that
+    the step reads and writes whole, their rows 2 n sites apart; ``rows[g]``
+    holds each run's (u, v) as 1-d C-contiguous views; ``steps[g]`` holds
+    ``lcd_step``'s address and size arguments for stepping generation g into
+    the other. Every view is read-only (``blocks`` is their base, which only
+    the step and ``load`` write), is made once, and has its address bound
+    when the pool is made and unbound by ``close`` (or at the end of a
+    ``with`` block); the views stay valid arrays, but a closed pool steps
+    nothing.
     """
 
     def __init__(self, runs: int, n: int):
@@ -294,15 +283,9 @@ class LevelPool:
         self._views = [*self.u, *self.v, *(a for gen in self.rows for run in gen for a in run)]
         for view in self._views:
             view.setflags(write=False)
-        _rebind({id(view): view.ctypes.data for view in self._views})
-        steps = {}
-        for g in (0, 1):
-            u, au, v, av, stride = _rows(self.u[g], self.v[g])
-            out = (self.u[1 - g], self.v[1 - g])
-            a, b = _out_addresses(out, u, au, av)
-            steps[(id(u), id(v), *map(id, out))] = (au, av, a, b, runs, stride, out[0].strides[0] // 16, n)
-        _rebind(steps)
-        self._keys = {*map(id, self._views), *steps}
+            _BOUND[id(view)] = view.ctypes.data
+        self.steps = tuple((*(_BOUND[id(a)] for a in (self.u[g], self.v[g], self.u[1 - g], self.v[1 - g])),
+                            runs, 2 * n, 2 * n, n) for g in (0, 1))  # rows 2 n sites apart
 
     def __enter__(self) -> "LevelPool":
         return self
@@ -310,14 +293,25 @@ class LevelPool:
     def __exit__(self, *exc):
         self.close()
 
-    def load(self, runs):
-        """Copy each run's (u, v) into generation 0."""
+    def load(self, runs, g: int = 0):
+        """Copy each run's (u, v) into generation g."""
         for r, (u, v) in enumerate(runs):
-            self.blocks[r + 1, 0] = u
-            self.blocks[r + 1, 1] = v
+            self.blocks[r + 1 - g, 0] = u
+            self.blocks[r + 1 - g, 1] = v
+
+    def generation(self, u, v) -> int:
+        """The generation g whose views u and v are (``u[g]`` and ``v[g]``
+        themselves); ValueError for any other arrays, or once closed."""
+        if self.steps:
+            for g in (0, 1):
+                if u is self.u[g] and v is self.v[g]:
+                    return g
+        raise ValueError("u and v must be the u and v of one generation of an open LevelPool")
 
     def close(self):
-        _rebind(drop=self._keys)
+        self.steps = ()
+        for view in self._views:
+            _BOUND.pop(id(view), None)
 
 
 def _bound(a) -> tuple[np.ndarray, int]:
@@ -346,40 +340,10 @@ def _rows(u, v) -> tuple[np.ndarray, int, np.ndarray, int, int]:
     return u, au, v, av, stride
 
 
-def _out_addresses(out, u, au, av) -> tuple[int, int]:
-    """The addresses of out, two views of an open pool shaped like u, with
-    equal strides: the pool's other generation when u and v are one (each
-    out row one row from an input row, which ``lcd_step`` orders as memmove
-    does), or else two views whose extents are apart from u's and v's."""
-    u_out, v_out = out
-    a, b = _BOUND.get(id(u_out)), _BOUND.get(id(v_out))
-    if (a is None or b is None or u_out.shape != u.shape or v_out.shape != u.shape
-            or u_out.strides != v_out.strides):
-        raise ValueError(f"out must be two views of an open LevelPool shaped like u {u.shape}")
-    if u.ndim == 2 and a - au == b - av and abs(a - au) == u.strides[0] == u_out.strides[0]:
-        return a, b
-    span, out_span = ((u.shape[0] - 1) * x.strides[0] + u.nbytes // u.shape[0] if u.ndim == 2 else u.nbytes
-                      for x in (u, u_out))
-    if a == b or any(x < y + span and y < x + out_span for x in (a, b) for y in (au, av)):
-        raise ValueError("out must be a pool's other generation or lie apart from u and v")
-    return a, b
-
-
-def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out):
-    bound = None if out is None else _BOUND.get((id(u), id(v), id(out[0]), id(out[1])))
-    if bound is not None:  # a pool's generation step, checked when the pool was made
-        u_new, v_new = out
-    else:
-        u, au, v, av, stride = _rows(u, v)
-        if out is None:
-            u_new, v_new = np.empty(u.shape, dtype=np.complex128), np.empty(u.shape, dtype=np.complex128)
-            a, b, out_stride = u_new.ctypes.data, v_new.ctypes.data, u.shape[-1]
-        else:
-            u_new, v_new = out
-            a, b = _out_addresses(out, u, au, av)
-            out_stride = u_new.strides[0] // 16 if u.ndim == 2 else u.shape[-1]
-        bound = (au, av, a, b, u.shape[0] if u.ndim == 2 else 1, stride, out_stride, u.shape[-1])
-    n = bound[-1]
+def _lcd_step(steps, h, m, alpha, beta, periodic, forcing) -> int:
+    """``lcd_step`` with steps, its address and size arguments, and forcing
+    checked against the rows' n sites; returns its verdict."""
+    n = steps[-1]
     f_ptrs = [None] * 4  # NULL: the unforced step
     if forcing is not None:
         f = [np.ascontiguousarray(a, dtype=np.complex128) for a in forcing]
@@ -388,7 +352,7 @@ def _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out):
         if any(a.shape != (n,) for a in f):
             raise ValueError(f"forcing arrays must be shaped like u's rows ({n},), got {[a.shape for a in f]}")
         f_ptrs = [a.ctypes.data for a in f]
-    return u_new, v_new, _lib.lcd_step(*bound, h, m, alpha, beta, bool(periodic), *f_ptrs)
+    return _lib.lcd_step(*steps, h, m, alpha, beta, bool(periodic), *f_ptrs)
 
 
 def available_backends() -> tuple[str, ...]:
@@ -426,24 +390,27 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None, out=None):
     level, shaped like u, and the first site where u_new or v_new has a
     non-finite part as a flat index over the rows (``run * n + site``), or
     -1 when every row is finite; rows after the first bad one may be left
-    unwritten. Given out, two views of an open ``LevelPool`` shaped like u
-    (its other generation when u and v are one, or views sharing no memory
-    with them), the level is written into them and they are u_new and
-    v_new; without, u_new and v_new are fresh C-contiguous complex128
-    arrays.
+    unwritten. Given out, an open ``LevelPool``, u and v must be the u and
+    v of one of its generations (``LevelPool.generation``, else
+    ValueError): the level is written into the other generation, whose u
+    and v are u_new and v_new. Without, u_new and v_new are fresh
+    C-contiguous complex128 arrays.
     """
-    if _active == "compiled":
-        return _compiled_step(u, v, h, m, alpha, beta, periodic, forcing, out)
-    u_new, v_new, bad = pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
-    if out is None:
-        return u_new, v_new, bad
-    u, au, v, av, _ = _rows(u, v)
-    _out_addresses(out, u, au, av)
-    for buf, new in zip(out, (u_new, v_new)):
-        buf.setflags(write=True)  # a view of a pool's blocks, which are writable
-        buf[...] = new
-        buf.setflags(write=False)
-    return out[0], out[1], bad
+    if out is not None:
+        g = out.generation(u, v)
+        if _active == "compiled":
+            bad = _lcd_step(out.steps[g], h, m, alpha, beta, periodic, forcing)
+        else:
+            u_new, v_new, bad = pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
+            out.load(zip(u_new, v_new), 1 - g)
+        return out.u[1 - g], out.v[1 - g], bad
+    if _active == "pure":
+        return pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
+    u, au, v, av, stride = _rows(u, v)
+    u_new, v_new = np.empty(u.shape, dtype=np.complex128), np.empty(u.shape, dtype=np.complex128)
+    n = u.shape[-1]
+    steps = (au, av, u_new.ctypes.data, v_new.ctypes.data, u.shape[0] if u.ndim == 2 else 1, stride, n, n)
+    return u_new, v_new, _lcd_step(steps, h, m, alpha, beta, periodic, forcing)
 
 
 def _block(values) -> np.ndarray:
@@ -568,34 +535,16 @@ class LevelTerms:
         addresses["sites"] = self.sites.ctypes.data
         self._struct = _Level(n, runs, dx, m, C0, *addresses.values())
         self._address = ctypes.addressof(self._struct)
-        self._bound, self._fields = None, {}  # see write
 
     def write(self, fields, i0: int, i1: int, kshift: int, E) -> None:
         """``level_terms`` of fields, u and v of each run in turn, without
-        the list of sums.
-
-        On ``compiled``, the addresses of an open pool's views are checked at
-        their first call and kept, by the views' ids, while ``_BOUND`` is the
-        dict they were checked against: a pool's level then costs the feet
-        check and the C call. Any other arrays are checked, and converted if
-        need be, at every call.
-        """
-        # The key is unpacked, not made by tuple(map(...)): CPython counts a
-        # tuple built by resizing toward the next garbage collection even
-        # after it is freed, and three such tuples a level brought a 1 ms
-        # collection into a short simulate run.
-        key = (*map(id, fields),)
-        addresses = self._fields.get(key) if self._bound is _BOUND else None
-        if addresses is None:
-            if len(fields) != 2 * self.runs:
-                raise ValueError(f"terms hold {self.runs} runs, got {len(fields) // 2}")
-            checked = [_field(a, self.n) for a in fields]  # (array, address)
-            addresses = (*(address for _, address in checked), None, None)[:4]  # NULL: no run B
-            if all(id(a) in _BOUND for a in fields):  # an open pool's views: keep their addresses
-                if self._bound is not _BOUND:
-                    self._bound, self._fields = _BOUND, {}
-                self._fields[key] = addresses
-            fields = [a for a, _ in checked]  # converted where need be, and alive through the call
+        the list of sums: each field is checked, and converted if need be,
+        as ``distance_sums`` checks its runs (an open pool's view as it is,
+        with no address lookup)."""
+        if len(fields) != 2 * self.runs:
+            raise ValueError(f"terms hold {self.runs} runs, got {len(fields) // 2}")
+        # converted where need be, and alive through the call
+        fields, addresses = zip(*[_field(a, self.n) for a in fields])
         if i1 <= i0:  # no section, so no margins
             i0 = i1 = 0
             E = None
@@ -608,7 +557,8 @@ class LevelTerms:
             raise UsageError(f"section [{i0}, {i1}) with its feet {reach} sites out "
                              f"leaves the grid of {self.n} sites")
         if _active == "compiled":
-            _lib.lcd_level_terms(self._address, *addresses, i0, i1, kshift, E is not None, 0.0 if E is None else E)
+            _lib.lcd_level_terms(self._address, *(addresses + (None, None))[:4],  # NULL: no run B
+                                 i0, i1, kshift, E is not None, 0.0 if E is None else E)
         else:
             pure.level_terms(self, list(zip(fields[::2], fields[1::2])), i0, i1, kshift, E)
 

@@ -85,11 +85,13 @@ def evolve(
     observer sees that level: its BlowUpError is raised with ``run`` set to
     the index of the first run that blew up.
 
-    The runs are stepped together, one ``kernels.step_unforced`` call per
-    step, in one ``kernels.LevelPool``: runs + 1 level pairs, two
-    generations one pair apart. The t=0 fields are copied into the first
-    generation, and each step writes the runs' new levels into the other,
-    over the levels it has read. So an observer gets read-only levels that
+    The runs are stepped together in one ``kernels.LevelPool``: runs + 1
+    level pairs, two generations one pair apart. The t=0 fields are copied
+    into the first generation, and each step is one
+    ``kernels.step_unforced(u, v, ..., out=pool)`` call on one generation's
+    (runs, n) u and v, which writes the runs' new levels into the other,
+    over the levels it has read (a wrapped step that returns arrays of its
+    own has them copied there). So an observer gets read-only levels that
     are valid only during its call: whatever it keeps past the call must be
     numbers or copies. The t=0 fields are never written (observers get
     those objects themselves), and the final levels stay valid once evolve
@@ -129,11 +131,10 @@ def evolve(
     x = None if cfg.forcing is None else grid.sites()
     with kernels.LevelPool(len(levels), sites) as pool:
         pool.load((f.u, f.v) for f in levels)
-        u, v = pool.u[0], pool.v[0]
         for k in range(1, n + 1):
             new = k % 2
             forcing = None if x is None else _forcing(cfg.forcing, x, t, h)
-            u, v, bad = kernels.step_unforced(u, v, *args, forcing=forcing, out=(pool.u[new], pool.v[new]))
+            u, v, bad = kernels.step_unforced(pool.u[1 - new], pool.v[1 - new], *args, forcing=forcing, out=pool)
             t = t + h
             if bad >= 0:  # the kernel's verdict is the level's only finiteness check
                 run, site = divmod(bad, sites)
@@ -142,9 +143,10 @@ def evolve(
                 if recorded is not None:
                     exc.partial = recorded
                 raise exc
+            if u is not pool.u[new]:  # a wrapped step that returned a level of its own: step on from it
+                pool.load(zip(u, v), new)
             if k % cfg.record_every == 0 or k == n:
-                rows = pool.rows[new] if u is pool.u[new] else zip(u, v)  # a step that wrote a level of its own
-                levels = [SpinorField._evolved(grid, t, a, b) for a, b in rows]
+                levels = [SpinorField._evolved(grid, t, a, b) for a, b in pool.rows[new]]
                 for observe in observers:
                     observe(tuple(levels))
     return levels if recorded is None else recorded

@@ -2,6 +2,7 @@ import ctypes
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -300,7 +301,7 @@ def test_batched_step_equals_single_run_steps(rng, backend, name, periodic):
             pool.load(zip(u, v))
             for k in range(1, 4):
                 x, y, bad = kernels.step_unforced(pool.u[1 - k % 2], pool.v[1 - k % 2], *args, forcing=forcing,
-                                                  out=(pool.u[k % 2], pool.v[k % 2]))
+                                                  out=pool)
                 assert bad == -1 and x is pool.u[k % 2] and y is pool.v[k % 2]
             pooled = pool.rows[1]
         for r, (x, y) in enumerate(want):
@@ -334,8 +335,7 @@ def test_batched_verdict_names_the_first_bad_run(rng, backend, name, periodic):
             with kernels.LevelPool(4, n) as pool:
                 for g in (0, 1):  # generation 1 lies before generation 0: stepped last to first
                     pool.blocks[1 - g:5 - g, 0], pool.blocks[1 - g:5 - g, 1] = a, b
-                    x, y, bad = kernels.step_unforced(pool.u[g], pool.v[g], *args,
-                                                      out=(pool.u[1 - g], pool.v[1 - g]))
+                    x, y, bad = kernels.step_unforced(pool.u[g], pool.v[g], *args, out=pool)
                     assert bad == j * n + single[j][2], (n, j, site, g)
                     for r in range(j + 1):
                         _assert_bits_equal([x[r], y[r]], single[r][:2], n, j, r, g)
@@ -819,28 +819,22 @@ def _distance_cases(rng):
 
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_pool_buffers_give_the_bits_of_fresh_arrays(rng, backend, name):
-    """Stepping a pool generation into the other, one run's rows or all
-    runs at once, and the level terms and distance sums of pool rows equal
-    the same calls on fresh arrays, bit for bit; every view is read-only,
-    each row C-contiguous, and bound only while the pool is open."""
+    """Stepping a pool generation into the other, and the level terms and
+    distance sums of pool rows, equal the same calls on fresh arrays, bit
+    for bit; every view is read-only, each row C-contiguous, and bound only
+    while the pool is open."""
     backend(name)
     n = 97
     u, v, ub, vb = (_cplx(rng, n, 0.3) for _ in range(4))
     with kernels.LevelPool(2, n) as pool:
-        (b, c), (a, _) = pool.rows
+        (b, c), _ = pool.rows
         views = [*pool.u, *pool.v, *(x for gen in pool.rows for run in gen for x in run)]
         assert all(not x.flags.writeable for x in views)
         assert all(x.flags.c_contiguous for gen in pool.rows for run in gen for x in run)
         for periodic in (True, False):
-            pool.load([(u, v), (ub, vb)])  # the generation step below writes run 1's level over b
+            pool.load([(u, v), (ub, vb)])
             want = [kernels.step_unforced(x, y, 0.1, 1.0, 0.5, 0.25, periodic) for x, y in ((u, v), (ub, vb))]
-            got = kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, periodic, out=a)
-            assert got[0] is a[0] and got[1] is a[1] and got[2] == want[0][2]
-            _assert_bits_equal(got[:2], want[0][:2], periodic)
-            _assert_bits_equal(kernels.step_unforced(*b, 0.1, 1.0, 0.5, 0.25, periodic, out=a)[:2],
-                               want[0][:2], periodic)
-            got = kernels.step_unforced(pool.u[0], pool.v[0], 0.1, 1.0, 0.5, 0.25, periodic,
-                                        out=(pool.u[1], pool.v[1]))
+            got = kernels.step_unforced(pool.u[0], pool.v[0], 0.1, 1.0, 0.5, 0.25, periodic, out=pool)
             assert got[0] is pool.u[1] and got[1] is pool.v[1] and got[2] == -1
             for (x, y), w in zip(pool.rows[1], want):
                 _assert_bits_equal([x, y], w[:2], periodic)
@@ -856,30 +850,29 @@ def test_pool_buffers_give_the_bits_of_fresh_arrays(rng, backend, name):
 
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_step_refuses_an_out_that_is_not_a_free_pool_pair(rng, backend, name):
+    """A pool steps only its own generations, and only while open: fresh
+    arrays, another pool's generation, u and v of different generations and
+    a 2-d view the pool did not make are refused, as are fields of another
+    size in level_terms and distance_sums."""
     backend(name)
     n = 16
     u, v = _cplx(rng, n), _cplx(rng, n)
-    with kernels.LevelPool(2, n) as pool, kernels.LevelPool(2, n + 1) as other:
-        pool.load([(u, v), (u, v)])
-        (b, _), (a, _) = pool.rows
-        wide = other.rows[1][0]
-        for out in ((np.empty(n, complex), np.empty(n, complex)),  # not a pool's
-                    wide,  # another size
-                    (a[0], a[0]), (a[0], b[1]), (b[0], a[1])):  # one view twice, or the level read
+    with kernels.LevelPool(2, n) as pool, kernels.LevelPool(2, n) as twin, kernels.LevelPool(2, n + 1) as other:
+        for p in (pool, twin):
+            p.load([(u, v), (u, v)])
+        b, wide = pool.rows[0][0], other.rows[1][0]
+        for x, y in ((np.stack([u, u]), np.stack([v, v])),  # fresh arrays
+                     (twin.u[0], twin.v[0]),  # a generation of another pool
+                     (pool.u[0], pool.v[1]), (pool.u[1], pool.v[0]),  # u of one generation, v of the other
+                     (pool.blocks[1:, 0], pool.v[0])):  # a 2-d view the pool did not make
             with pytest.raises(ValueError):
-                kernels.step_unforced(*b, 0.1, 1.0, 0.5, 0.25, True, out=out)
-        for out in ((pool.u[1], pool.u[1]), (pool.u[0], pool.v[1]),  # one view twice, or the level read
-                    (other.u[1], other.v[1]),  # another size
-                    (pool.u[1], pool.v[0]),  # v's rows written over v's rows of the same run
-                    (pool.u[1], pool.blocks[:-1, 1])):  # not a view the pool made
-            with pytest.raises(ValueError):
-                kernels.step_unforced(pool.u[0], pool.v[0], 0.1, 1.0, 0.5, 0.25, True, out=out)
+                kernels.step_unforced(x, y, 0.1, 1.0, 0.5, 0.25, True, out=pool)
         with pytest.raises(UsageError):
             kernels.distance_sums(kernels.DistanceSums(n, [(0, 1)]), [b, wide])
         with pytest.raises(UsageError):
             kernels.level_terms(kernels.LevelTerms(n + 1, 1, 0.1), [b], 0, 4, 0, None)
-    with pytest.raises(ValueError):  # closed: no longer bound
-        kernels.step_unforced(u, v, 0.1, 1.0, 0.5, 0.25, True, out=a)
+    with pytest.raises(ValueError):  # closed: steps nothing
+        kernels.step_unforced(pool.u[0], pool.v[0], 0.1, 1.0, 0.5, 0.25, True, out=pool)
 
 
 def _assert_bits_equal(got, want, *context):
@@ -1276,6 +1269,35 @@ def test_portable_build_matches_native(portable_build, monkeypatch, backend):
     got = _kernel_outputs(monkeypatch, portable)
     assert len(got) == len(want)
     assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+
+
+def _fused_multiply_adds(library) -> list[str]:
+    """The instructions of objdump -d's listing of library whose mnemonic
+    is a fused multiply-add: vfmadd*, vfmsub*, vfnmadd*, vfnmsub*, and so
+    vfmaddsub* and vfmsubadd*."""
+    done = subprocess.run(["objdump", "-d", library], capture_output=True, text=True, timeout=120, check=True)
+    return [line for line in done.stdout.splitlines() if re.search(r"\tvfn?m(add|sub)", line)]
+
+
+needs_objdump = pytest.mark.skipif(shutil.which("objdump") is None, reason="no objdump on PATH")
+
+
+@needs_objdump
+@needs_compiled
+def test_compiled_library_has_no_fused_multiply_adds():
+    """-ffp-contract=off keeps every a * b + c of the sources two roundings,
+    but a vectorised loop may still be fused (GCC 12 turned a complex
+    multiply into vfmaddsub), which would make the bits depend on the
+    loops' shapes: the loaded library holds no fused multiply-add."""
+    assert _fused_multiply_adds(kernels._lib._name) == []
+
+
+@needs_objdump
+@needs_compiled
+def test_portable_build_has_no_fused_multiply_adds(portable_build):
+    portable, reason = portable_build
+    assert portable is not None, reason
+    assert _fused_multiply_adds(portable._name) == []
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")

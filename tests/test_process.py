@@ -131,6 +131,22 @@ def test_process_skips_exit_hooks(module):
     assert done.stdout == HELP + "\n"
 
 
+def test_entry_freezes_the_import_heap_before_main(monkeypatch):
+    import gc
+
+    from lcdirac import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count() > 0) or 0)
+    monkeypatch.setattr(os, "_exit", seen.append)
+    assert gc.get_freeze_count() == 0
+    try:
+        cli.entry()
+    finally:
+        gc.unfreeze()
+    assert seen == [True, 0]
+
+
 def test_script_ends_through_entry():
     text = (ROOT / "pyproject.toml").read_text()
     assert '[project.scripts]\nlcdirac = "lcdirac.cli:entry"\n\n' in text

@@ -1041,14 +1041,19 @@ def test_observers_read_levels_only_during_the_call(monkeypatch, name, gn, gn_co
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_pool_holds_a_pair_per_run_and_one_spare(monkeypatch, name, gn):
     """A pool holds runs + 1 level pairs; a run of no step makes no pool;
-    the views are bound only while evolve runs, and nothing keeps the
-    blocks once the levels are dropped."""
+    the views are bound only while evolve runs, also when a lockstep run
+    blows up, and nothing keeps the blocks once the levels are dropped."""
     import gc
     import weakref
 
     pools = _recorded_pools(monkeypatch)
     f0 = _gn_field(96)
     with backend(name):
+        with monkeypatch.context() as mp, pytest.raises(BlowUpError):
+            _poison_call(mp, 3, 1, "u.real", 33)  # run 1 at the third step
+            lc.evolve([f0] * 3, gn, lc.SolverConfig(), 5 * f0.grid.dt, observers=[])
+        (pool,) = pools
+        assert not any(id(a) in kernels._BOUND for a in pool._views)
         for runs, steps in ((1, 0), (1, 1), (1, 5), (3, 0), (3, 1), (3, 5)):
             pools.clear()
             if runs == 1:
