@@ -15,13 +15,14 @@ lattice, in microseconds per level: the kernel call
 it, ``solver.step``, which adds the Python around it (forcing check, the
 new ``SpinorField`` and the blow-up verdict), and on ``compiled`` the bare
 ``lcd_step`` on the pool's own step arguments (``LevelPool.steps``), so the
-overhead per level stays visible; beside it the bare step of a compactly
-supported level (the same level, zero but for its central fifth, so most
-blocks read an all-zero window and are stepped once, as in
-``converge_rough``). Then one lockstep level of R = 2 and 5 runs at N = 3072
-and 4096, in microseconds per level: the one batched call on the pool's
-generations that ``evolve`` makes (``BENCH_33.json`` records it against R
-single-run calls). Then ``format_rows`` writes one
+overhead per level stays visible. Then one lockstep level of R = 2 and 5
+dense runs at N = 3072 and 4096, in microseconds per level: the one batched
+call on the pool's generations that ``evolve`` makes (``BENCH_33.json``
+records it against R single-run calls); and the same call on 5 compactly
+supported runs of different widths (5 to 40 % of the grid, each at its own
+place, as ``converge_rough``'s mollified runs differ), stepped from one
+generation into the other as ``evolve`` steps them, so the compiled step
+computes only each run's extent. Then ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
 template), in nanoseconds per value, and beside it ``cli.snapshots_csv``
 writes a run of the ``simulate_csv`` workload's size (65 levels of 768
@@ -39,17 +40,21 @@ on the rows of a ``LevelPool``'s generation k % 2, copied there untimed
 before its call, so the pass reads each generation's bound views. On
 ``compiled`` the bare ``lcd_level_terms`` calls of that
 pass are replayed the same way, one per level with the arguments the pass
-gave, so the Python per level stays visible. Both pooled rows sum each
-level's best time over the repeats; the bench refuses a pass whose calls it
-cannot record by name on ``kernels._lib``. Then the pair distances
+gave, each right after the pass's own call on that level. Both rows sum
+each level's best time over the repeats, and a third row shows the Python
+per level: the sum over levels of each level's median difference between
+the pass's call and its replay, so the machine's drift between repeats
+cannot turn it negative. The bench refuses a pass whose calls it cannot
+record by name on ``kernels._lib``. Then the pair distances
 ``converge`` and ``unique`` take at every level (``kernels.distance_sums``:
 the terms of every pair of random Thirring-sized runs, the product in real
 arithmetic on both backends, and their two sums per pair), in microseconds
-per level of five runs and their four consecutive pairs, as ``converge_rough`` takes them: one ``distance_sums``
-call per pair against one call for all four pairs, on a ``LevelPool``'s
-rows, on dense levels and on compactly supported ones (zero but for their
-central fifth), and on ``compiled`` the bare ``lcd_distance_sums`` call of
-all four pairs.
+per level of five runs and their four consecutive pairs, as
+``converge_rough`` takes them: one ``distance_sums`` call per pair against
+one call for all four pairs, on a ``LevelPool``'s rows, on dense levels and
+on the five compactly supported runs above (the compiled pass skips every
+128-site leaf outside a pair's extents), and on ``compiled`` the bare
+``lcd_distance_sums`` call of all four pairs.
 Then the standalone ordered pair sum ``q_upper`` (NumPy on
 every backend, and no longer called by lcdirac: the cone functionals sum
 ``level_terms``' suffix-scan products) is timed once, beside its O(N^2)
@@ -100,17 +105,22 @@ def random_rows(rng, runs, n):
     return [0.1 * (rng.normal(size=(runs, n)) + 1j * rng.normal(size=(runs, n))) for _ in "uv"]
 
 
-def compact(pool):
-    """Zero every run of the pool's generation 0 (slots 1 to runs) but for
-    its central fifth."""
-    n = pool.n
-    pool.blocks[1:, :, np.r_[: 2 * n // 5, 3 * n // 5 : n]] = 0.0
+COMPACT_WIDTHS = (0.05, 0.1, 0.2, 0.3, 0.4)  # of the grid, one a run
+
+
+def compact_rows(rng, n, widths=COMPACT_WIDTHS):
+    """(runs, n) rows of u and of v as random_rows makes them, each zero
+    but for an arc of its width in COMPACT_WIDTHS, at its own place."""
+    u, v = random_rows(rng, len(widths), n)
+    for r, width in enumerate(widths):
+        outside = (np.arange(n) - r * n // len(widths)) % n >= max(1, int(width * n))
+        u[r, outside] = v[r, outside] = 0.0
+    return u, v
 
 
 def level_us(n, p, rng, repeats):
     """(kernel call, kernel call into a pool generation, solver.step and, on
-    compiled, bare lcd_step on a dense and on a compactly supported level)
-    in us per level on a periodic grid of n sites."""
+    compiled, bare lcd_step) in us per level on a periodic grid of n sites."""
     grid = lc.make_grid(-8.0, 8.0, n, "periodic")
     f = lc.SpinorField(grid, 0.0, *(a[0] for a in random_rows(rng, 1, n)))
     cfg = lc.SolverConfig()
@@ -138,24 +148,35 @@ def level_us(n, p, rng, repeats):
                     kernels._lib.lcd_step(*pool.steps[0], *args, None, None, None, None)
 
             times.append(best_of(bare, repeats))
-            compact(pool)
-            times.append(best_of(bare, repeats))
     return [t / CALLS * 1e6 for t in times]
 
 
-def lockstep_us(runs, n, p, rng, repeats) -> float:
-    """One batched call in us per lockstep level of runs dense Thirring runs
-    on a periodic grid of n sites, stepping the pool's generation 0 into
-    generation 1."""
+def lockstep_us(runs, n, p, rng, repeats, compact=False) -> float:
+    """One batched call in us per lockstep level of runs Thirring runs on a
+    periodic grid of n sites, stepping the pool's generation 0 into
+    generation 1: dense runs or, with compact, the runs of compact_rows,
+    loaded afresh before each timing and stepped from one generation into
+    the other and back, as evolve steps them, so each call steps the
+    runs' extents, widened by one site per side and call."""
     args = (16.0 / n, p.m, p.alpha, p.beta, True)
     with kernels.LevelPool(runs, n) as pool:
-        pool.load(zip(*random_rows(rng, runs, n)))
+        if not compact:
+            pool.load(zip(*random_rows(rng, runs, n)))
 
-        def batched():
-            for _ in range(CALLS):
-                kernels.step_unforced(pool.u[0], pool.v[0], *args, out=pool)
+            def batched():
+                for _ in range(CALLS):
+                    kernels.step_unforced(pool.u[0], pool.v[0], *args, out=pool)
 
-        return best_of(batched, repeats) / CALLS * 1e6
+            return best_of(batched, repeats) / CALLS * 1e6
+        rows = list(zip(*compact_rows(rng, n, COMPACT_WIDTHS[:runs])))
+        best = float("inf")
+        for _ in range(repeats + 1):
+            pool.load(rows)
+            t0 = time.perf_counter()
+            for k in range(CALLS):
+                kernels.step_unforced(pool.u[k % 2], pool.v[k % 2], *args, out=pool)
+            best = min(best, time.perf_counter() - t0)
+        return best / CALLS * 1e6
 
 
 def format_ns_per_value(block, repeats) -> float:
@@ -192,15 +213,15 @@ def audit_pass(levels) -> AuditPass:
 def in_generation(pool, g, level):
     """level's runs copied into generation g of pool, where evolve's step
     writes them, and the level on the generation's rows."""
-    for r, f in enumerate(level):
-        pool.blocks[r + 1 - g] = f.u, f.v  # generation 0 holds run r in slot r + 1, generation 1 in slot r
+    pool.load([(f.u, f.v) for f in level], g)
     return tuple(SpinorField._evolved(f.grid, f.t, *pool.rows[g][r]) for r, f in enumerate(level))
 
 
-def fed_as_evolve_feeds(levels, pool, call) -> list[float]:
+def fed_as_evolve_feeds(levels, pool, call, after=None) -> list[float]:
     """The seconds call(k, level) takes for each level: the t = 0 level as
     it is, and level k >= 1 on the rows of the pool's generation k % 2,
-    where evolve's step k writes it (the copy there untimed)."""
+    where evolve's step k writes it (the copy there untimed); after(k), if
+    given, runs right after each timed call."""
     times = []
     for k, level in enumerate(levels):
         if k:
@@ -208,6 +229,8 @@ def fed_as_evolve_feeds(levels, pool, call) -> list[float]:
         t0 = time.perf_counter()
         call(k, level)
         times.append(time.perf_counter() - t0)
+        if after is not None:
+            after(k)
     return times
 
 
@@ -242,7 +265,10 @@ def audit_us_per_level(levels, repeats) -> dict[str, float]:
     """A full AuditPass in us per level, by row label: fed fresh levels
     (its construction included), fed the levels as evolve feeds them from a
     LevelPool's two generations and, on compiled, its bare lcd_level_terms
-    calls on those generations, with the arguments the pass gave."""
+    calls on those generations, with the arguments the pass gave, each
+    replayed right after the pass's own call on the same level; and the
+    Python around the C call: the sum over levels of each level's median
+    difference between the two, taken back to back."""
 
     def feed():
         audits = audit_pass(levels)
@@ -251,19 +277,31 @@ def audit_us_per_level(levels, repeats) -> dict[str, float]:
 
     rows = {"AuditPass, 5 audits": best_of(feed, repeats)}
     with kernels.LevelPool(len(levels[0]), levels[0][0].grid.n_points) as pool:
-        def pooled():
-            audits = audit_pass(levels)
-            return fed_as_evolve_feeds(levels, pool, lambda k, level: audits(level))
-
-        rows["AuditPass, pool"] = best_per_level([pooled() for _ in range(repeats + 1)])
+        replay = None
         if kernels.backend_name() == "compiled":
-            audits = audit_pass(levels)  # holds the buffers the recorded calls address
-            calls = bare_calls("lcd_level_terms", lambda: fed_as_evolve_feeds(levels, pool, lambda k, lv: audits(lv)))
+            recorded = audit_pass(levels)  # holds the buffers the recorded calls address
+            calls = bare_calls("lcd_level_terms",
+                               lambda: fed_as_evolve_feeds(levels, pool, lambda k, lv: recorded(lv)))
             if len(calls) != len(levels):
                 raise RuntimeError(f"recorded {len(calls)} lcd_level_terms calls for {len(levels)} levels")
             fn = kernels._lib.lcd_level_terms
-            rows["lcd_level_terms, bound"] = best_per_level(
-                [fed_as_evolve_feeds(levels, pool, lambda k, level: fn(*calls[k])) for _ in range(repeats + 1)])
+
+            def replay(k):
+                t0 = time.perf_counter()
+                fn(*calls[k])
+                return time.perf_counter() - t0
+
+        pooled, bare = [], []
+        for _ in range(repeats + 1):
+            audits, replays = audit_pass(levels), []
+            after = None if replay is None else (lambda k: replays.append(replay(k)))
+            pooled.append(fed_as_evolve_feeds(levels, pool, lambda k, level: audits(level), after))
+            bare.append(replays)
+        rows["AuditPass, pool"] = best_per_level(pooled)
+        if replay is not None:
+            rows["lcd_level_terms, bound"] = best_per_level(bare)
+            rows["AuditPass, pool - bound"] = sum(float(np.median(np.subtract(p, b)))
+                                                  for p, b in zip(zip(*pooled[1:]), zip(*bare[1:])))
     return {label: t / len(levels) * 1e6 for label, t in rows.items()}
 
 
@@ -271,7 +309,8 @@ def distance_us_per_level(n, rng, repeats, runs=5) -> dict[str, float]:
     """The distance sums of runs pool rows and their consecutive pairs in us
     per level, by row label: one distance_sums call per pair, one call for
     every pair and, on compiled, its bare lcd_distance_sums call; on dense
-    levels, then on the same levels zero but for their central fifth."""
+    levels, then on the compactly supported runs of compact_rows, whose
+    extents the pool's load finds."""
     pairs = [(j, j + 1) for j in range(runs - 1)]
     each, every = kernels.DistanceSums(n, [(0, 1)]), kernels.DistanceSums(n, pairs)
     times = {}
@@ -294,7 +333,7 @@ def distance_us_per_level(n, rng, repeats, runs=5) -> dict[str, float]:
 
         for data in ("dense", "compact"):
             if data == "compact":
-                compact(pool)
+                pool.load(zip(*compact_rows(rng, n, COMPACT_WIDTHS[:runs])))
             times[f"{len(pairs)} calls, {data}"] = best_of(per_pair, repeats)
             times[f"1 call, {data}"] = best_of(all_pairs, repeats)
             if kernels.backend_name() == "compiled":
@@ -339,14 +378,13 @@ def bench(sizes, repeats):
             print_row("solver.step", n, [r[2] for r in rows])
             if len(rows[0]) > 3:
                 print_row("lcd_step, bound", n, [rows[0][3]])
-                print_row("lcd_step, bound, compact", n, [rows[0][4]])
         print("lockstep level, thirring, periodic: us per level, one batched call")
-        for runs, n in itertools.product((2, 5), (3072, 4096)):
+        for (runs, compact), n in itertools.product(((2, False), (5, False), (5, True)), (3072, 4096)):
             times = []
             for bk in backends:
                 kernels.use_backend(bk)
-                times.append(lockstep_us(runs, n, THIRRING, rng, repeats))
-            print_row(f"R = {runs}, one call", n, times)
+                times.append(lockstep_us(runs, n, THIRRING, rng, repeats, compact))
+            print_row(f"R = {runs}, {'compact' if compact else 'dense'}, one call", n, times)
         # one snapshot level: t, x and the four field components at 17 digits
         n = 768
         block = np.column_stack([np.full(n, 0.25), np.linspace(-8.0, 8.0, n, endpoint=False),

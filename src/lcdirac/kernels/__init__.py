@@ -16,13 +16,10 @@ for bit:
   Given ``out``, a ``LevelPool`` one of whose generations u and v are, it
   writes the level into the other generation, as ``evolve`` does at every
   step; without, into fresh arrays. On ``compiled``, an unforced step
-  computes a 256-site block whose input window (its sites and one on
-  either side, wrapped on a periodic grid; zero-inflow edge blocks
-  excepted) holds only +0.0 bits once, and stores that site across the
-  block: a site reads only itself and its neighbours (the light cone), so
-  every site there does the same IEEE operations on the same operands.
-  Compactly supported data stay +0.0 outside their light cone, so such
-  runs skip most blocks while the support is small;
+  into a pool computes each run only over its extent (see below) widened
+  by one site per side: a site reads only itself and its neighbours (the
+  light cone), and a site whose three inputs are all +0.0 steps to +0.0,
+  so compactly supported runs cost what their support costs;
 - ``format_rows`` writes a 2-d float64 block as CSV rows of ``%.17g``
   values, byte for byte as Python's ``%`` operator does;
   ``format_rows_into`` writes the same rows as ASCII into a caller's
@@ -45,9 +42,10 @@ for bit:
   ``compiled`` no term array is stored: each leaf of NumPy's pairwise sum
   (at most 128 sites) is written into stack scratch and summed there, the
   leaves in turn and every pair within each, so a run that is one pair's
-  run B and the next pair's run A has its product formed once a leaf;
-  ``pure`` writes the whole term arrays and sums them with
-  ``np.add.reduce``.
+  run B and the next pair's run A has its product formed once a leaf, and
+  a leaf that none of a pair's pool extents meets is skipped, its sums
+  +0.0 as summing its +0.0 terms gives; ``pure`` writes the whole term
+  arrays and sums them with ``np.add.reduce``.
 
 A ``LevelPool`` holds ``evolve``'s lockstep runs in runs + 1 level pairs,
 as two generations one pair apart: every step reads one generation and
@@ -62,6 +60,15 @@ address is bound while the pool is open: ``level_terms``,
 ``LevelTerms.write`` and ``distance_sums`` check such a view at every call
 but take it as it is, with no address lookup (``a.ctypes.data`` costs
 about 2 us) and no conversion; any other array is converted and checked.
+The pool also keeps one extent per slot: the arc of sites, possibly
+wrapping past the last site to the first, outside which every bit of the
+slot's u and v is +0.0. ``load`` finds it with one scan (a -0.0 part is
+not zero); ``lcd_step`` reads each input row's extent, steps only that arc
+widened by one site per side (clipped at a zero-inflow edge, all of the
+row once it covers it), stores +0.0 where the output slot's older level
+reached past the new extent, and writes the new one. ``distance_sums``
+finds a row's extent from its bound view, as it finds the address.
+Fresh arrays, and a forced step, have no extents: every site is stepped.
 
 Every sum of terms is ``np.add.reduce``'s bit for bit: ``pure`` calls it
 and ``_level.c`` sums in NumPy's pairwise order, which
@@ -231,14 +238,14 @@ def load_compiled(cache_dir: str = os.path.join(_HERE, "__pycache__"), fingerpri
         step, fmt, level, dist = lib.lcd_step, lib.lcd_format_rows, lib.lcd_level_terms, lib.lcd_distance_sums
     except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
         return None, f"pure: {exc}"
-    step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double] * 4 + [ctypes.c_int]
-                     + [ctypes.c_void_p] * 4)
+    step.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 2 + [ctypes.c_double] * 4
+                     + [ctypes.c_int] + [ctypes.c_void_p] * 4)
     step.restype = ctypes.c_ssize_t
     fmt.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t]
     fmt.restype = ctypes.c_ssize_t
     level.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] * 3 + [ctypes.c_int, ctypes.c_double]
     level.restype = None
-    dist.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p] * 2
+    dist.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p] * 2
     dist.restype = None
     return lib, f"compiled: {os.path.basename(target)} ({flags})"
 
@@ -247,10 +254,12 @@ _lib, _reason = load_compiled()
 _active = "compiled" if _lib is not None else "pure"
 
 
-# The address of each view of every open LevelPool, by the view's id: a
-# pool adds its views when it is made and removes them when it closes; while
-# it is open it holds its views, so no other object has their ids.
+# The address of each view of every open LevelPool, by the view's id, and
+# for each run's u and v rows the address of their slot's extent: a pool
+# adds its views when it is made and removes them when it closes; while it
+# is open it holds its views, so no other object has their ids.
 _BOUND: dict = {}
+_EXTENTS: dict = {}
 
 
 class LevelPool:
@@ -265,17 +274,25 @@ class LevelPool:
     read. ``u[g]`` and ``v[g]`` are the (runs, n) views of generation g that
     the step reads and writes whole, their rows 2 n sites apart; ``rows[g]``
     holds each run's (u, v) as 1-d C-contiguous views; ``steps[g]`` holds
-    ``lcd_step``'s address and size arguments for stepping generation g into
-    the other. Every view is read-only (``blocks`` is their base, which only
-    the step and ``load`` write), is made once, and has its address bound
-    when the pool is made and unbound by ``close`` (or at the end of a
-    ``with`` block); the views stay valid arrays, but a closed pool steps
-    nothing.
+    ``lcd_step``'s address, size and extent arguments for stepping
+    generation g into the other. ``extents`` holds one (first, count) a
+    slot: sites first to first + count - 1, counted mod n, outside which
+    every bit of the slot's u and v is +0.0 (count 0 for none, n for the
+    whole row, which it is before the first ``load``). ``load`` sets the
+    extents of the slots it writes, and the compiled step keeps them, so
+    stepping and ``distance_sums`` on pool rows read and write only where
+    the runs can be nonzero; ``pure`` ignores them. Every view is read-only
+    (``blocks`` is their base, which only the step and ``load`` write, so
+    the extents stay true), is made once, and has its address bound when
+    the pool is made and unbound by ``close`` (or at the end of a ``with``
+    block); the views stay valid arrays, but a closed pool steps nothing.
     """
 
     def __init__(self, runs: int, n: int):
         self.runs, self.n = runs, n
         self.blocks = np.empty((runs + 1, 2, n), dtype=np.complex128)
+        self.extents = np.empty((runs + 1, 2), dtype=np.intp)
+        self.extents[:] = 0, n  # the whole row: blocks holds no level yet
         generations = (self.blocks[1:], self.blocks[:-1])
         self.u = tuple(gen[:, 0] for gen in generations)
         self.v = tuple(gen[:, 1] for gen in generations)
@@ -284,8 +301,14 @@ class LevelPool:
         for view in self._views:
             view.setflags(write=False)
             _BOUND[id(view)] = view.ctypes.data
+        extent = [self.extents.ctypes.data + slot * self.extents.strides[0] for slot in range(runs + 1)]
+        for g, gen in enumerate(self.rows):
+            for r, run in enumerate(gen):
+                for view in run:
+                    _EXTENTS[id(view)] = extent[r + 1 - g]
+        # rows 2 n sites apart; generation g holds its first run in slot 1 - g and steps into slot g
         self.steps = tuple((*(_BOUND[id(a)] for a in (self.u[g], self.v[g], self.u[1 - g], self.v[1 - g])),
-                            runs, 2 * n, 2 * n, n) for g in (0, 1))  # rows 2 n sites apart
+                            runs, 2 * n, 2 * n, n, extent[1 - g], extent[g]) for g in (0, 1))
 
     def __enter__(self) -> "LevelPool":
         return self
@@ -294,10 +317,12 @@ class LevelPool:
         self.close()
 
     def load(self, runs, g: int = 0):
-        """Copy each run's (u, v) into generation g."""
+        """Copy each run's (u, v) into generation g and set each slot's extent."""
         for r, (u, v) in enumerate(runs):
-            self.blocks[r + 1 - g, 0] = u
-            self.blocks[r + 1 - g, 1] = v
+            slot = self.blocks[r + 1 - g]
+            slot[0] = u
+            slot[1] = v
+            self.extents[r + 1 - g] = _extent(slot)
 
     def generation(self, u, v) -> int:
         """The generation g whose views u and v are (``u[g]`` and ``v[g]``
@@ -312,6 +337,23 @@ class LevelPool:
         self.steps = ()
         for view in self._views:
             _BOUND.pop(id(view), None)
+            _EXTENTS.pop(id(view), None)
+
+
+def _extent(slot) -> tuple[int, int]:
+    """The extent (first, count) of a slot's (2, n) u and v: the shortest
+    arc of sites, wrapping past the last to the first, outside which every
+    bit is zero; (0, 0) for none. A -0.0 part is not zero."""
+    n = slot.shape[1]
+    words = slot.view(np.uint64).reshape(2, n, 2)  # (u or v, site, real or imaginary part)
+    sites = np.flatnonzero(words[0, :, 0] | words[0, :, 1] | words[1, :, 0] | words[1, :, 1])
+    if not sites.size:
+        return 0, 0
+    gaps = np.diff(sites)  # one more than the zero sites between two nonzero ones
+    j = int(np.argmax(gaps)) if gaps.size else 0
+    if gaps.size and gaps[j] > sites[0] + n - sites[-1]:  # the longest zero gap is inside the row
+        return int(sites[j + 1]), int(n - gaps[j] + 1)
+    return int(sites[0]), int(sites[-1] - sites[0] + 1)
 
 
 def _bound(a) -> tuple[np.ndarray, int]:
@@ -341,9 +383,9 @@ def _rows(u, v) -> tuple[np.ndarray, int, np.ndarray, int, int]:
 
 
 def _lcd_step(steps, h, m, alpha, beta, periodic, forcing) -> int:
-    """``lcd_step`` with steps, its address and size arguments, and forcing
-    checked against the rows' n sites; returns its verdict."""
-    n = steps[-1]
+    """``lcd_step`` with steps, its address, size and extent arguments, and
+    forcing checked against the rows' n sites; returns its verdict."""
+    n = steps[7]
     f_ptrs = [None] * 4  # NULL: the unforced step
     if forcing is not None:
         f = [np.ascontiguousarray(a, dtype=np.complex128) for a in forcing]
@@ -409,7 +451,8 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None, out=None):
     u, au, v, av, stride = _rows(u, v)
     u_new, v_new = np.empty(u.shape, dtype=np.complex128), np.empty(u.shape, dtype=np.complex128)
     n = u.shape[-1]
-    steps = (au, av, u_new.ctypes.data, v_new.ctypes.data, u.shape[0] if u.ndim == 2 else 1, stride, n, n)
+    steps = (au, av, u_new.ctypes.data, v_new.ctypes.data, u.shape[0] if u.ndim == 2 else 1, stride, n, n,
+             None, None)  # no extents: every site is stepped
     return u_new, v_new, _lcd_step(steps, h, m, alpha, beta, periodic, forcing)
 
 
@@ -597,10 +640,12 @@ class DistanceSums:
     intp array of run indices (A, B); ``sums``, an (npairs, 2) float64
     array whose row k holds pair k's sums of |U|^2 + |V|^2, with
     U = uA - uB and V = vA - vB, the terms of ``fields.l2_distance``, and
-    of |uA vA - uB vB|^2; the table of the runs' field addresses the C
-    pass reads; and its scratch, the partial sums of every pair at each of
-    at most ``DISTANCE_DEPTH`` depths of the pairwise split (see
-    ``lcd_distance_sums``).
+    of |uA vA - uB vB|^2; the tables of the runs' field addresses and of
+    their extents (the address of a ``LevelPool`` slot's extent for a pool
+    row, NULL for any other field) the C pass reads, which skips each leaf
+    of the pairwise split that no extent of a pair meets; and its scratch,
+    the partial sums of every pair at each of at most ``DISTANCE_DEPTH``
+    depths of the split (see ``lcd_distance_sums``).
     """
 
     def __init__(self, n: int, pairs):
@@ -611,9 +656,10 @@ class DistanceSums:
         self.runs = int(self.pairs.max()) + 1 if self.pairs.size else 0
         self.sums = np.zeros(self.pairs.shape)
         self._rows = np.zeros(2 * self.runs, dtype=np.intp)
+        self._extents = np.zeros(2 * self.runs, dtype=np.intp)
         self._partial = np.empty((DISTANCE_DEPTH, *self.pairs.shape))
-        self._addresses = (self._rows.ctypes.data, self.pairs.ctypes.data, len(self.pairs), n,
-                           self.sums.ctypes.data, self._partial.ctypes.data)
+        self._addresses = (self._rows.ctypes.data, self._extents.ctypes.data, self.pairs.ctypes.data,
+                           len(self.pairs), n, self.sums.ctypes.data, self._partial.ctypes.data)
 
 
 def distance_sums(sums: DistanceSums, runs) -> list[float]:
@@ -629,6 +675,7 @@ def distance_sums(sums: DistanceSums, runs) -> list[float]:
     fields = [_field(a, sums.n) for run in runs[: sums.runs] for a in run]  # (array, address)
     if _active == "compiled":
         sums._rows[:] = [address for _, address in fields]
+        sums._extents[:] = [_EXTENTS.get(id(a), 0) for a, _ in fields]  # 0: NULL, the whole row
         _lib.lcd_distance_sums(*sums._addresses)
     else:
         pure.distance_sums(sums, [(fields[2 * r][0], fields[2 * r + 1][0]) for r in range(sums.runs)])

@@ -40,6 +40,10 @@
  * pure.distance_sums writes. The leaves are taken in turn and the pairs
  * within each, so a run that is one pair's run B and the next pair's run A
  * (converge's consecutive pairs) has its product u v formed once a leaf.
+ * Each field may come with its LevelPool row's extent (see _step.c),
+ * outside which every bit is +0.0: a leaf that meets none of a pair's four
+ * extents has only +0.0 terms, whose sum is +0.0, so it is skipped and its
+ * sums set to +0.0, which keeps every bit.
  */
 #include <math.h>
 #include <stddef.h>
@@ -324,13 +328,24 @@ static cplx cmul(cplx a, cplx b)
 #define LEAF 128 /* the longest run pairwise sums without splitting it */
 
 /* One level of runs and the pairs whose distances lcd_distance_sums takes:
- * rows[2 r] and rows[2 r + 1] are u and v of run r, and pairs holds npairs
- * (A, B) run indices. */
+ * rows[2 r] and rows[2 r + 1] are u and v of run r, of n sites, with their
+ * extents ext[2 r] and ext[2 r + 1] (NULL: the whole row), and pairs holds
+ * npairs (A, B) run indices. */
 typedef struct {
     const cplx *const *rows;
+    const ptrdiff_t *const *ext;
     const ptrdiff_t *pairs;
-    ptrdiff_t npairs;
+    ptrdiff_t npairs, n;
 } distances;
+
+/* Whether field f's extent {first, count}, an arc of the n sites that may
+ * wrap past the last, meets the sites [lo, hi) */
+static int meets(const distances *D, ptrdiff_t f, ptrdiff_t lo, ptrdiff_t hi)
+{
+    const ptrdiff_t *e = D->ext[f];
+
+    return !e || (e[1] > 0 && ((e[0] < hi && e[0] + e[1] > lo) || e[0] + e[1] - D->n > lo));
+}
 
 /* l1 and p1 of the runs A and B over len <= LEAF sites. Run B's product
  * u v is formed and kept in pb_re and pb_im; run A's is read from pa_re and
@@ -374,17 +389,26 @@ static void distance_terms(const cplx *restrict ua, const cplx *restrict va, con
 /* the sums of l1 and p1 of every pair k over the len <= LEAF sites from lo,
  * into out[2 k] and out[2 k + 1]: each pair's terms are written into stack
  * scratch and summed there in add_reduce's order; a run that is one pair's
- * run B and the next pair's run A has its product formed once */
+ * run B and the next pair's run A has its product formed once, unless the
+ * previous pair skipped the leaf, which no extent of its runs meets */
 static void distance_leaf(const distances *D, ptrdiff_t lo, ptrdiff_t len, double *out)
 {
     const cplx *const *rows = D->rows;
     double l1[LEAF], p1[LEAF], prod[2][2][LEAF]; /* the last two pairs' run B products */
     ptrdiff_t k;
+    int formed = 0; /* whether the previous pair formed its run B product */
 
     for (k = 0; k < D->npairs; k++) {
         const ptrdiff_t a = D->pairs[2 * k], b = D->pairs[2 * k + 1];
         double(*kept)[LEAF] = prod[(k + 1) % 2], (*made)[LEAF] = prod[k % 2];
-        const int reuse = k > 0 && a == D->pairs[2 * k - 1];
+        const int reuse = formed && a == D->pairs[2 * k - 1];
+
+        formed = meets(D, 2 * a, lo, lo + len) || meets(D, 2 * a + 1, lo, lo + len)
+                 || meets(D, 2 * b, lo, lo + len) || meets(D, 2 * b + 1, lo, lo + len);
+        if (!formed) {
+            out[2 * k] = out[2 * k + 1] = 0.0;
+            continue;
+        }
 
         distance_terms(rows[2 * a] + lo, rows[2 * a + 1] + lo, rows[2 * b] + lo, rows[2 * b + 1] + lo,
                        reuse ? kept[0] : NULL, reuse ? kept[1] : NULL, made[0], made[1], len, l1, p1);
@@ -413,15 +437,16 @@ static void distance_pairwise(const distances *D, ptrdiff_t lo, ptrdiff_t len, d
         out[k] = out[k] + right[k];
 }
 
-/* rows[2 r] and rows[2 r + 1] are u and v of run r, n sites each; pairs
- * holds npairs (A, B) run indices. Writes sums[2 k] and sums[2 k + 1], the
+/* rows[2 r] and rows[2 r + 1] are u and v of run r, n sites each, and
+ * ext[2 r] and ext[2 r + 1] their extents or NULL; pairs holds npairs
+ * (A, B) run indices. Writes sums[2 k] and sums[2 k + 1], the
  * sums of l1 and p1 of pair k over the grid. partial holds 128 npairs
  * doubles: a slot of every pair's partial sums for each of at most 64
  * depths of the split, which leaves at most n / 2^d + 16 sites at depth d. */
-void lcd_distance_sums(const cplx *const *rows, const ptrdiff_t *pairs, ptrdiff_t npairs, ptrdiff_t n,
-                       double *sums, double *partial)
+void lcd_distance_sums(const cplx *const *rows, const ptrdiff_t *const *ext, const ptrdiff_t *pairs,
+                       ptrdiff_t npairs, ptrdiff_t n, double *sums, double *partial)
 {
-    const distances D = {rows, pairs, npairs};
+    const distances D = {rows, ext, pairs, npairs, n};
     ptrdiff_t k;
 
     if (n > 0)

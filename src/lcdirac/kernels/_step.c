@@ -16,23 +16,22 @@
  * operations as the scalar code. The wrap (periodic) or zero (zero inflow)
  * stages past the first and last site are set outside the loops.
  *
- * Zero windows. Site i of the new level reads only sites i - 1, i and
- * i + 1 of the old one: the lattice light cone. So a block [lo, hi) reads
- * u and v only over sites lo - 1 ... hi (wrapped on a periodic grid), and
- * where every bit there is zero, every site of the block does the same IEEE
- * operations on the same +0.0 operands and gets the same bits. The
- * unforced step then computes one site of such a block through half and
- * update, stores its (un, vn) across the block, and checks that one site
- * for the verdict. A block with a -0.0 or any other nonzero word in its
- * window takes the normal path. The scan tests the window's first word
- * alone, so a dense block pays one load and one branch for it, and stops
- * at the first chunk of words that holds a nonzero one. Compactly
- * supported data stay +0.0 outside their light cone (each stage and update
- * of +0.0 data adds a signed zero to +0.0, which gives +0.0), so while the
- * support is small most blocks are stepped this way. Edge blocks under
- * zero inflow always take the normal path: their outer neighbours and
- * stages are literal +0.0, not sites of the grid, so the argument above
- * does not cover them.
+ * Extents. Site i of the new level reads only sites i - 1, i and i + 1 of
+ * the old one: the lattice light cone. A LevelPool keeps, for each row, an
+ * extent {first, count}: sites first ... first + count - 1, counted mod n,
+ * so an arc that may wrap past site n - 1 to site 0 (count 0 for none, n
+ * for the whole row), outside which every bit of u and v is +0.0. A site
+ * whose three input sites are all +0.0 steps to +0.0 (each stage and update
+ * adds a signed zero to +0.0, for finite parameters), so the unforced step
+ * of a row computes only its extent widened by one site per side, wrapped
+ * on a periodic grid and clipped at a zero-inflow edge, and the new level
+ * is +0.0 elsewhere. The output row held another run's older level (a
+ * pool's slots alternate runs), so the step stores +0.0 over the part of
+ * that level's extent outside the new one, then records the new extent.
+ * Compactly supported data stay within their light cone, so while their
+ * support is small most sites are neither read nor written. Without
+ * extents (fresh arrays), with forcing, or where a zero site would not
+ * stay +0.0, every site is stepped.
  *
  * The helpers that take forcing pointers are always inlined, so the loops
  * are compiled once with the pointers NULL and once without, and the
@@ -129,49 +128,13 @@ static ptrdiff_t first_bad(const cplx *un, const cplx *vn, ptrdiff_t lo, ptrdiff
     return -1;
 }
 
-/* Whether every bit of the len doubles from p is zero. The first word is
- * tested alone, so a dense window costs one load and one branch; then the
- * words are ORed in chunks of ZERO_CHUNK, a loop the compiler vectorises,
- * with one branch per chunk. */
-#define ZERO_CHUNK 32
-static int zero_words(const double *p, ptrdiff_t len)
-{
-    ptrdiff_t i, j, end;
-    uint64_t b, any;
-
-    memcpy(&b, p, sizeof b);
-    if (b)
-        return 0;
-    for (i = 1; i < len; i = end) {
-        end = len - i > ZERO_CHUNK ? i + ZERO_CHUNK : len;
-        for (any = 0, j = i; j < end; j++) {
-            memcpy(&b, &p[j], sizeof b);
-            any |= b;
-        }
-        if (any)
-            return 0;
-    }
-    return 1;
-}
-
-/* Whether every bit of u and v is zero over sites lo - 1 ... hi, the
- * window that the updates of block [lo, hi) read, wrapped past either end
- * of the grid (the caller passes an edge block only on a periodic grid). */
-static int zero_window(const cplx *u, const cplx *v, ptrdiff_t lo, ptrdiff_t hi, ptrdiff_t n)
-{
-    ptrdiff_t a = lo > 0 ? lo - 1 : 0, b = hi < n ? hi + 1 : n; /* the sites in [0, n) */
-
-    return zero_words(&u[a].re, 2 * (b - a)) && zero_words(&v[a].re, 2 * (b - a))
-        && (lo > 0 || (zero_words(&u[n - 1].re, 2) && zero_words(&v[n - 1].re, 2)))
-        && (hi < n || (zero_words(&u[0].re, 2) && zero_words(&v[0].re, 2)));
-}
-
 /* Neighbours past either end wrap (periodic) or are zero (zero inflow).
  * f[0], f[1]: F1 and F2 at (x_i, t); f[2]: F1 at (x_i - h/2, t + h/2);
  * f[3]: F2 at (x_i + h/2, t + h/2); all NULL for the unforced step.
- * Returns the first site of un or vn with a non-finite part, or -1. */
+ * Writes sites [from, to) of un and vn and returns the first of them with a
+ * non-finite part, or -1. */
 INLINE ptrdiff_t step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_t n,
-                      const params *k, int periodic,
+                      const params *k, int periodic, ptrdiff_t from, ptrdiff_t to,
                       const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
 {
     stages s; /* entry j: the stages of site lo - 1 + j */
@@ -179,19 +142,8 @@ INLINE ptrdiff_t step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_
     const cplx u_edge = periodic ? u[n - 1] : zero, v_edge = periodic ? v[0] : zero;
     ptrdiff_t lo, hi, i, j, bad = -1;
 
-    for (lo = 0; lo < n; lo = hi) {
-        hi = n - lo > BLOCK ? lo + BLOCK : n;
-        if (!f0 && (periodic || (lo > 0 && hi < n)) && zero_window(u, v, lo, hi, n)) {
-            for (j = 0; j < 3; j++) /* every stage of the window is site lo's */
-                half(u, v, NULL, NULL, lo, k, &s, j);
-            update(u[lo], v[lo], &s, 0, NULL, NULL, lo, k, un, vn);
-            const cplx a = un[lo], b = vn[lo];
-            for (i = lo + 1; i < hi; i++)
-                un[i] = a, vn[i] = b;
-            if (bad < 0)
-                bad = first_bad(un, vn, lo, lo + 1);
-            continue;
-        }
+    for (lo = from; lo < to; lo = hi) {
+        hi = to - lo > BLOCK ? lo + BLOCK : to;
         for (j = 1; j <= hi - lo; j++)
             half(u, v, f0, f1, lo - 1 + j, k, &s, j);
         if (lo > 0 || periodic) /* site n - 1 wraps to before site 0 */
@@ -216,15 +168,94 @@ INLINE ptrdiff_t step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_
     return bad;
 }
 
-/* One row, whose output never overlaps its input: restrict holds for a row,
- * though not across the rows of a LevelPool's generations. */
-static ptrdiff_t step_row(const cplx *restrict u, const cplx *restrict v, cplx *restrict un,
-                          cplx *restrict vn, ptrdiff_t n, const params *k, int periodic,
-                          const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
+/* step over sites [from, to) of one row, whose output never overlaps its
+ * input: restrict holds for a row, though not across the rows of a
+ * LevelPool's generations. */
+static ptrdiff_t step_span(const cplx *restrict u, const cplx *restrict v, cplx *restrict un,
+                           cplx *restrict vn, ptrdiff_t n, const params *k, int periodic,
+                           ptrdiff_t from, ptrdiff_t to,
+                           const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
 {
     if (f0)
-        return step(u, v, un, vn, n, k, periodic, f0, f1, f2, f3);
-    return step(u, v, un, vn, n, k, periodic, NULL, NULL, NULL, NULL);
+        return step(u, v, un, vn, n, k, periodic, from, to, f0, f1, f2, f3);
+    return step(u, v, un, vn, n, k, periodic, from, to, NULL, NULL, NULL, NULL);
+}
+
+/* Whether the stages and the new (u, v) of a site whose three input sites
+ * are all +0.0 are +0.0 in every part, as they are for finite h, m, alpha
+ * and beta: each stage and update then adds a signed zero to +0.0. Only
+ * then are the sites outside a widened extent, and a zero-inflow edge's
+ * literal +0.0 neighbour and stage, what stepping them would give. */
+static int zeros_stay_zero(const params *k)
+{
+    static const cplx zero[1];
+    stages s;
+    cplx w[2];
+    uint64_t b, any = 0;
+    int j;
+
+    for (j = 0; j < 3; j++)
+        half(zero, zero, NULL, NULL, 0, k, &s, j);
+    update(zero[0], zero[0], &s, 0, NULL, NULL, 0, k, &w[0], &w[1]);
+    const double parts[] = {s.ur[0], s.ui[0], s.vr[0], s.vi[0], w[0].re, w[0].im, w[1].re, w[1].im};
+    for (j = 0; j < 8; j++) {
+        memcpy(&b, &parts[j], sizeof b);
+        any |= b;
+    }
+    return !any;
+}
+
+static void zero_sites(cplx *un, cplx *vn, ptrdiff_t lo, ptrdiff_t hi)
+{
+    for (; lo < hi; lo++)
+        un[lo] = vn[lo] = (cplx){0.0, 0.0};
+}
+
+/* Store +0.0 over sites [lo, hi) of un and vn, but for [0, w) and [a, b)
+ * (w <= a <= b). */
+static void clear_outside(cplx *un, cplx *vn, ptrdiff_t lo, ptrdiff_t hi, ptrdiff_t w, ptrdiff_t a,
+                          ptrdiff_t b)
+{
+    lo = lo > w ? lo : w;
+    zero_sites(un, vn, lo, hi < a ? hi : a);
+    zero_sites(un, vn, lo > b ? lo : b, hi);
+}
+
+/* One row. With in, the row's input extent, it steps only the sites the
+ * extent reaches: the extent widened by one site per side, wrapped on a
+ * periodic grid and clipped at a zero-inflow edge, all of the row once
+ * that covers it. out is the output row's extent, that of the older level
+ * it holds: every site there outside the new extent is set to +0.0, and
+ * out becomes the new extent. Without in the row is stepped whole, and out,
+ * if given, becomes the whole row. */
+static ptrdiff_t step_row(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_t n, const params *k,
+                          int periodic, const ptrdiff_t *in, ptrdiff_t *out,
+                          const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
+{
+    ptrdiff_t first = 0, end = n, stale;
+
+    if (in) {
+        first = in[0], end = in[0] + in[1];
+        if (in[1] > 0) {
+            first -= periodic || first > 0;
+            end += periodic || end != n;
+            if (first < 0)
+                first += n, end += n;
+            if (end - first >= n)
+                first = 0, end = n;
+        }
+        stale = out[0] + out[1]; /* the sites from out[0] to stale, wrapped past n */
+        clear_outside(un, vn, out[0], stale < n ? stale : n, end - n, first, end);
+        clear_outside(un, vn, 0, stale - n, end - n, first, end);
+    }
+    if (out)
+        out[0] = first, out[1] = end - first;
+    if (end <= n)
+        return step_span(u, v, un, vn, n, k, periodic, first, end, f0, f1, f2, f3);
+    /* a wrapped extent: its sites from 0 first, so the verdict is the lowest bad site */
+    const ptrdiff_t bad = step_span(u, v, un, vn, n, k, periodic, 0, end - n, f0, f1, f2, f3);
+    const ptrdiff_t later = step_span(u, v, un, vn, n, k, periodic, first, n, f0, f1, f2, f3);
+    return bad >= 0 ? bad : later;
 }
 
 /* runs rows of n sites each: row r of u and v starts r * stride sites
@@ -236,33 +267,40 @@ static ptrdiff_t step_row(const cplx *restrict u, const cplx *restrict v, cplx *
  * overwrites it: first to last when un lies before u, else last to first.
  * f0 NULL means no forcing, and then f1..f3 are not read; the forcing
  * samples depend only on (x, t), so one set of n sites serves every row.
+ *
+ * in_ext and out_ext, NULL or not together, hold the rows' extents, two
+ * values a row: row r's input extent from in_ext[2 r], and the extent of
+ * the level row r of un and vn holds until this step, replaced by the new
+ * one, from out_ext[2 r] (step_row). The extents of a row's input and
+ * output may lie on another row's, as its fields do. They are used only for
+ * an unforced step with zeros_stay_zero; otherwise every row is stepped
+ * whole and its output extent set to the whole row.
+ *
  * Returns r * n + i for the first site i of the first row r where un or vn
  * is not finite, or -1. Stepping first to last stops at that row, leaving
- * the rows after it unwritten; stepping last to first steps every row,
- * since a row stepped later may be the first bad one. */
+ * the rows after it, and their extents, unwritten; stepping last to first
+ * steps every row, since a row stepped later may be the first bad one. */
 ptrdiff_t lcd_step(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_t runs, ptrdiff_t stride,
-                   ptrdiff_t out_stride, ptrdiff_t n, double h, double m, double alpha, double beta,
-                   int periodic, const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
+                   ptrdiff_t out_stride, ptrdiff_t n, const ptrdiff_t *in_ext, ptrdiff_t *out_ext,
+                   double h, double m, double alpha, double beta, int periodic,
+                   const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
 {
     const params k = {h, 0.5 * h, m, alpha, 2.0 * beta};
-    ptrdiff_t r, bad, first = -1;
+    const int backward = (uintptr_t)un > (uintptr_t)u;
+    ptrdiff_t i, r, bad, first = -1;
 
     if (n <= 0)
         return -1;
-    if ((uintptr_t)un > (uintptr_t)u) {
-        for (r = runs - 1; r >= 0; r--) {
-            bad = step_row(u + r * stride, v + r * stride, un + r * out_stride, vn + r * out_stride, n, &k,
-                           periodic, f0, f1, f2, f3);
-            if (bad >= 0)
-                first = r * n + bad;
-        }
-        return first;
-    }
-    for (r = 0; r < runs; r++) {
-        bad = step_row(u + r * stride, v + r * stride, un + r * out_stride, vn + r * out_stride, n, &k,
-                       periodic, f0, f1, f2, f3);
-        if (bad >= 0)
+    if (f0 || !zeros_stay_zero(&k))
+        in_ext = NULL;
+    for (i = 0; i < runs; i++) {
+        r = backward ? runs - 1 - i : i;
+        bad = step_row(u + r * stride, v + r * stride, un + r * out_stride, vn + r * out_stride, n, &k, periodic,
+                       in_ext ? in_ext + 2 * r : NULL, out_ext ? out_ext + 2 * r : NULL, f0, f1, f2, f3);
+        if (bad >= 0 && !backward)
             return r * n + bad;
+        if (bad >= 0)
+            first = r * n + bad;
     }
-    return -1;
+    return first;
 }

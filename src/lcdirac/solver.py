@@ -87,11 +87,13 @@ def evolve(
 
     The runs are stepped together in one ``kernels.LevelPool``: runs + 1
     level pairs, two generations one pair apart. The t=0 fields are copied
-    into the first generation, and each step is one
+    into the first generation, which finds each run's extent (the sites
+    outside which it is all +0.0), and each step is one
     ``kernels.step_unforced(u, v, ..., out=pool)`` call on one generation's
     (runs, n) u and v, which writes the runs' new levels into the other,
-    over the levels it has read (a wrapped step that returns arrays of its
-    own has them copied there). So an observer gets read-only levels that
+    over the levels it has read, computing on ``compiled`` only each run's
+    extent widened by its light cone (a wrapped step that returns arrays of
+    its own has them copied there, extents found anew). So an observer gets read-only levels that
     are valid only during its call: whatever it keeps past the call must be
     numbers or copies. The t=0 fields are never written (observers get
     those objects themselves), and the final levels stay valid once evolve

@@ -37,12 +37,14 @@ def test_helpers_run_at_a_tiny_size(bench, levels, name):
     with backend(name):
         steps = bench.level_us(64, lc.THIRRING, rng, 1)
         lockstep = bench.lockstep_us(2, 64, lc.THIRRING, rng, 1)
+        compact = bench.lockstep_us(5, 64, lc.THIRRING, rng, 1, compact=True)
         audit = bench.audit_us_per_level(levels, 1)
         distance = bench.distance_us_per_level(64, rng, 1)
-    assert len(steps) == (5 if compiled else 3)
-    assert list(audit) == ["AuditPass, 5 audits", "AuditPass, pool"] + ["lcd_level_terms, bound"] * compiled
+    assert len(steps) == (4 if compiled else 3)
+    assert list(audit) == (["AuditPass, 5 audits", "AuditPass, pool"]
+                           + ["lcd_level_terms, bound", "AuditPass, pool - bound"] * compiled)
     assert len(distance) == (6 if compiled else 4)
-    assert all(t > 0 for t in [*steps, lockstep, *audit.values(), *distance.values()])
+    assert all(t > 0 for t in [*steps, lockstep, compact, *audit.values(), *distance.values()])
 
 
 needs_compiled = pytest.mark.skipif("compiled" not in kernels.available_backends(),

@@ -262,8 +262,8 @@ BATCH_SIZES = (255, 256, 257, 511, 512, 513, 4096)
 
 def _batch(rng, n, kind, runs=3):
     """(u, v) of shape (runs, n): dense random rows ("dense"), or rows zero
-    but for a pulse of 40 sites at a different place in each, so most
-    256-site blocks are all +0.0 ("compact")."""
+    but for a pulse of 40 sites at a different place in each, the extent
+    a pool finds for it ("compact")."""
     u, v = _cplx(rng, (runs, n), 0.3), _cplx(rng, (runs, n), 0.3)
     if kind == "compact":
         for r in range(runs):
@@ -316,7 +316,7 @@ def test_batched_verdict_names_the_first_bad_run(rng, backend, name, periodic):
     site is the single-run verdict of that run; the rows before it are the
     single-run levels, and of two bad runs the first is named, also
     between a pool's generations, whichever way the rows are stepped. Run 0
-    is all +0.0, so on compiled its blocks take the zero-window path."""
+    is all +0.0, so on compiled its pool extent is empty."""
     backend(name)
     args = (0.1, 1.0, 0.5, 0.25, periodic)
     for n in (257, 1100):
@@ -334,7 +334,7 @@ def test_batched_verdict_names_the_first_bad_run(rng, backend, name, periodic):
                 _assert_bits_equal([x[r], y[r]], single[r][:2], n, j, r)
             with kernels.LevelPool(4, n) as pool:
                 for g in (0, 1):  # generation 1 lies before generation 0: stepped last to first
-                    pool.blocks[1 - g:5 - g, 0], pool.blocks[1 - g:5 - g, 1] = a, b
+                    pool.load(zip(a, b), g)
                     x, y, bad = kernels.step_unforced(pool.u[g], pool.v[g], *args, out=pool)
                     assert bad == j * n + single[j][2], (n, j, site, g)
                     for r in range(j + 1):
@@ -457,17 +457,20 @@ def test_step_verdict_is_the_first_nonfinite_site(build, backend, request, monke
     assert read_sites >= set(VERDICT_SITES)
 
 
-# The unforced C step stores one computed site across a block whose input
-# window, sites lo - 1 ... hi (wrapped on a periodic grid), is all +0.0 bits.
-ZERO_WINDOW_SIZES = (255, 256, 257, 511, 512, 513, 768, 4096)
-ZERO_WINDOW_PARAMS = ((-1.0, 1.0, 0.25), (1.0, -0.5, 0.0), (0.5, 0.3, -0.2), (-0.7, -1.0, -0.3))
+# A LevelPool's compiled step reads and writes only each row's extent, the
+# arc of sites outside which every bit is +0.0, widened by one site per
+# side; its distance sums skip the 128-site leaves no extent of a pair
+# meets. pure steps and sums every site, so it is the oracle for both.
+EXTENT_SIZES = (255, 256, 257, 511, 512, 513, 768, 4096)
+EXTENT_PARAMS = ((-1.0, 1.0, 0.25), (1.0, -0.5, 0.0), (0.5, 0.3, -0.2), (-0.7, -1.0, -0.3))
 PARTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (u or v, real or imaginary part)
 
 
 def _mixed_blocks(rng, n):
     """u and v whose 256-site blocks are each all +0.0, all -0.0, +0.0 with
     one -0.0 part, +0.0 with one tiny part, a random mix of signed zeros, or
-    dense; the +0.0 kind is drawn most often, so neighbours share it."""
+    dense; the +0.0 kind is drawn most often, so neighbours share it and
+    the extents hold interior zero gaps."""
     uv = np.zeros((2, 2 * n))
     for lo in range(0, n, 256):
         part = uv[:, 2 * lo : 2 * min(lo + 256, n)]
@@ -484,8 +487,8 @@ def _mixed_blocks(rng, n):
 
 
 def _edge_levels(n, periodic):
-    """All-+0.0 levels with one part nonzero or -0.0 at a site lo - 1 or hi
-    of a block's window, for every block edge of the grid."""
+    """All-+0.0 levels with one part nonzero or -0.0 at one site, a one-site
+    extent, next to every 256-site block edge and at both ends of the grid."""
     for edge in range(0, n + 1, 256):
         for site in (edge - 1, edge):
             if not periodic and not 0 <= site < n:
@@ -496,61 +499,186 @@ def _edge_levels(n, periodic):
                 yield (site % n, comp, im, value), uv.view(np.complex128)
 
 
-def _step_both(build, backend, u, v, params, periodic, steps=1):
-    """The levels and verdicts of `steps` unforced steps on compiled (or the
-    portable build) and on pure."""
-    out = {}
-    for name in (build, "pure"):
-        backend("pure" if name == "pure" else "compiled")
-        a, b, seq = u, v, []
-        for _ in range(steps):
-            a, b, bad = kernels.step_unforced(a, b, 16.0 / u.shape[0], *params, periodic)
-            seq.append((a, b, bad))
-        out[name] = seq
-    return out[build], out["pure"]
+def _pooled(name, u, v, params, periodic, steps, h=None, pairs=None, tamper=None):
+    """Each level of `steps` unforced steps of the rows of u and v in one
+    LevelPool on backend name, as evolve steps them, and the distance sums
+    of pairs (consecutive runs by default) on each level's pool rows:
+    [(level bits, sums, verdict), ...], up to the first bad verdict. tamper,
+    if given, is called with the pool once the rows are loaded."""
+    runs, n = u.shape
+    pairs = [(r, r + 1) for r in range(runs - 1)] if pairs is None else pairs
+    sums = kernels.DistanceSums(n, pairs) if pairs else None
+    out = []
+    with kernels.LevelPool(runs, n) as pool:
+        kernels.use_backend(name)
+        pool.load(zip(u, v))
+        if tamper is not None:
+            tamper(pool)
+        for k in range(1, steps + 1):
+            new = k % 2
+            x, y, bad = kernels.step_unforced(pool.u[1 - new], pool.v[1 - new], 16.0 / n if h is None else h,
+                                              *params, periodic, out=pool)
+            level = np.stack([x, y]).view(np.uint64).copy()
+            if bad >= 0:
+                out.append((level, None, bad))
+                break
+            out.append((level, kernels.distance_sums(sums, pool.rows[new]) if pairs else None, bad))
+    return out
 
 
-def _assert_steps_equal(got, want, *context):
-    for k, ((a, b, bad), (a0, b0, bad0)) in enumerate(zip(got, want)):
+def _pooled_both(u, v, params, periodic, steps=1, **kw):
+    """_pooled on compiled (or the portable build in its place) and on pure."""
+    got = _pooled("compiled", u, v, params, periodic, steps, **kw)
+    return got, _pooled("pure", u, v, params, periodic, steps, **kw)
+
+
+def _assert_pooled_equal(got, want, *context):
+    assert len(got) == len(want), context
+    for k, ((level, sums, bad), (level0, sums0, bad0)) in enumerate(zip(got, want)):
         assert bad == bad0, (k, *context)
-        assert np.array_equal(_bits(a), _bits(a0)) and np.array_equal(_bits(b), _bits(b0)), (k, *context)
+        if bad < 0:  # a bad row may be followed by rows left unwritten
+            assert np.array_equal(level, level0), (k, *context)
+        assert sums == sums0 or np.array_equal(np.array(sums).view(np.uint64), np.array(sums0).view(np.uint64)), \
+            (k, *context)
+
+
+def _use_build(build, backend, request, monkeypatch):
+    if "compiled" not in kernels.available_backends():
+        pytest.skip(f"compiled kernels not built ({kernels.backend_reason()})")
+    backend("compiled")  # restored after the test
+    if build == "portable":
+        lib, reason = request.getfixturevalue("portable_build")
+        assert lib is not None, reason
+        monkeypatch.setattr(kernels, "_lib", lib)
 
 
 @pytest.mark.parametrize("build", ["compiled", "portable"])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_zero_windows_match_pure(build, backend, request, monkeypatch, periodic):
-    """Bit for bit and verdict for verdict against pure, over 5 steps of
-    levels mixing all-+0.0, -0.0, signed-zero, tiny and dense blocks, and
-    one step of all-+0.0 levels with one nonzero or -0.0 part at the edge
-    site lo - 1 or hi of a block's window, where the block must take the
-    normal path; with a negative m, alpha or beta, where the stages of zero
-    data are -0.0 in some part."""
-    if "compiled" not in kernels.available_backends():
-        pytest.skip(f"compiled kernels not built ({kernels.backend_reason()})")
-    if build == "portable":
-        lib, reason = request.getfixturevalue("portable_build")
-        assert lib is not None, reason
-        monkeypatch.setattr(kernels, "_lib", lib)
+    """A pool's extents against pure, bit for bit, sums and verdicts too:
+    over 5 steps of runs whose 256-site blocks mix all-+0.0 windows, -0.0,
+    signed-zero, tiny and dense blocks, so their extents hold interior zero
+    gaps and differ from run to run; and over one step of all-+0.0 levels
+    with one nonzero or -0.0 part next to a block edge or at either end of
+    the grid, a one-site extent; with a negative m, alpha or beta, where
+    the stages of zero data are -0.0 in some part."""
+    _use_build(build, backend, request, monkeypatch)
     rng = np.random.default_rng(30)
-    for n, params in itertools.product(ZERO_WINDOW_SIZES, ZERO_WINDOW_PARAMS):
-        for draw in range(3):
-            u, v = _mixed_blocks(rng, n)
-            _assert_steps_equal(*_step_both(build, backend, u, v, params, periodic, steps=5), n, params, draw)
+    for n, params in itertools.product(EXTENT_SIZES, EXTENT_PARAMS):
+        u, v = np.stack([_mixed_blocks(rng, n) for _ in range(3)], axis=1)
+        _assert_pooled_equal(*_pooled_both(u, v, params, periodic, steps=5), n, params)
         for case, (u, v) in _edge_levels(n, periodic):
-            _assert_steps_equal(*_step_both(build, backend, u, v, params, periodic), n, params, case)
+            _assert_pooled_equal(*_pooled_both(u[None], v[None], params, periodic, pairs=[]),
+                                 n, params, case)
+
+
+def _supports(rng, n):
+    """(u, v) of 6 runs, each zero but for an arc of random data: one wraps
+    past the last site to the first, one meets site 0, one the last site,
+    one is all +0.0, and the widths range from 1 site to most of the grid,
+    so a slot's older level often reaches past the new one; -0.0 parts and
+    subnormal values lie at the arcs' ends."""
+    arcs = [(n - 7, 20), (0, 30), (n - 25, 25), (0, 0), (n // 3, 1), (n // 5, 3 * n // 5)]
+    u, v = np.zeros((2, len(arcs), n), complex)
+    for r, (first, count) in enumerate(arcs):
+        sites = (first + np.arange(count)) % n
+        u[r, sites], v[r, sites] = _cplx(rng, count, 0.3), _cplx(rng, count, 0.3)
+        if count > 2:
+            u[r, sites[0]] = complex(-0.0, 0.0)
+            v[r, sites[-1]] = complex(0.0, 5e-324)
+            u[r, sites[-2]] = complex(1e-310, -0.0)
+    return u, v
+
+
+@pytest.mark.parametrize("build", ["compiled", "portable"])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_extents_through_evolve_match_pure(build, backend, request, monkeypatch, periodic):
+    """evolve's levels, as its observers see them, and the distance sums of
+    every consecutive pair on their pool rows, bit for bit against pure, on
+    runs whose supports wrap the grid, meet an edge, hold -0.0 and
+    subnormal parts at their ends and differ between runs, over enough
+    steps that the widest extent covers the grid; and the blow-up of a NaN
+    inside a wrapped extent, at each end and in the middle of the arc,
+    names the same run, site and time."""
+    _use_build(build, backend, request, monkeypatch)
+    rng = np.random.default_rng(36)
+    p = lc.ModelParams(1.0, 1.0, 0.25)
+    for n in (300, 517):
+        grid = lc.make_grid(-8.0, 8.0, n, "periodic" if periodic else "zero_inflow")
+        u, v = _supports(rng, n)
+        pairs = [(r, r + 1) for r in range(len(u) - 1)]
+        got = {}
+        for name in ("compiled", "pure"):
+            kernels.use_backend(name)
+            sums, levels = kernels.DistanceSums(n, pairs), []
+
+            def keep(lv):
+                levels.append((np.stack([[f.u, f.v] for f in lv]).view(np.uint64).copy(),
+                               kernels.distance_sums(sums, [(f.u, f.v) for f in lv])))
+
+            lc.evolve([lc.SpinorField(grid, 0.0, a, b) for a, b in zip(u, v)], p, lc.SolverConfig(),
+                      n // 2 * grid.dt, observers=[keep])
+            got[name] = levels
+        assert len(got["compiled"]) == len(got["pure"]) == n // 2 + 1
+        for k, ((level, sums), (level0, sums0)) in enumerate(zip(got["compiled"], got["pure"])):
+            assert np.array_equal(level, level0) and sums == sums0, (n, k)
+        for site in (n - 7, n - 1, 0, 12):  # the arc of run 0 runs from site n - 7 to site 12
+            a = u.copy()
+            a[0, site] = complex(0.0, np.nan)
+            verdicts = set()
+            for name in ("compiled", "pure"):
+                kernels.use_backend(name)
+                runs = [lc.SpinorField._evolved(grid, 0.0, x, y) for x, y in zip(a[::-1], v[::-1])]
+                with pytest.raises(lc.BlowUpError) as err:
+                    lc.evolve(runs, p, lc.SolverConfig(), 4 * grid.dt, observers=[lambda lv: None])
+                verdicts.add((err.value.run, err.value.site, err.value.t))
+            assert len(verdicts) == 1 and verdicts.pop()[0] == len(u) - 1, (n, site)
+
+
+@needs_compiled
+@pytest.mark.parametrize("periodic", [True, False])
+def test_extent_one_site_short_differs_from_pure(backend, periodic):
+    """An extent shrunk by one site in the pool's extents array, at either
+    end: compiled no longer steps the level's edge site, so its level, or
+    its distance sums where the edge site is alone in its 128-site leaf,
+    differ from pure's. Unshrunk, they agree."""
+    rng = np.random.default_rng(1)
+    n = 512
+    u, v = np.zeros((2, 3, n), complex)
+    u[:, 100:129], v[:, 100:129] = _cplx(rng, (3, 29), 0.3), _cplx(rng, (3, 29), 0.3)  # site 128 opens a leaf
+    args = (u, v, (1.0, 1.0, 0.25), periodic)
+    want = _pooled("pure", *args, 3)
+    _assert_pooled_equal(_pooled("compiled", *args, 3), want, "unshrunk")
+    for shrink in ((1, -1), (0, -1)):  # the extent's first site dropped, or its last
+        def short(pool):
+            assert pool.extents[2].tolist() == [100, 29]  # generation 0 holds run 1 in slot 2
+            pool.extents[2] += shrink
+
+        level, sums, bad = _pooled("compiled", *args, 1, tamper=short)[0]
+        assert bad == want[0][2] == -1
+        assert not np.array_equal(level, want[0][0]), shrink
+    u[:], v[:] = 0.0, 0.0
+    u[1, 128] = v[1, 128] = 0.5  # run 1's extent is site 128 alone, the first of the leaf [128, 256)
+    with kernels.LevelPool(3, n) as pool:
+        pool.load(zip(u, v))
+        sums = kernels.DistanceSums(n, [(0, 1), (1, 2)])
+        want = kernels.distance_sums(sums, pool.rows[0])
+        assert pool.extents[2].tolist() == [128, 1] and min(want) > 0
+        pool.extents[2] = 128, 0
+        assert kernels.distance_sums(sums, pool.rows[0]) == [0.0] * 4
 
 
 @needs_compiled
 @pytest.mark.parametrize("periodic", [True, False])
 def test_verdict_after_a_zero_block_names_its_site(backend, periodic):
-    """A NaN in u.real at site 296, in the block [256, 512) after the
-    all-+0.0 block [0, 256): site 295 is the first bad one (vn_295 reads
-    the stage of site 296), and the zero block before it is finite."""
-    u, v = np.zeros((2, 1024), complex)
-    u.real[296] = np.nan
+    """A NaN in u.real at site 296 of an otherwise all-+0.0 pool row, a
+    one-site extent: site 295 is the first bad one (vn_295 reads the stage
+    of site 296), and the sites before it are finite."""
+    u, v = np.zeros((2, 1, 1024), complex)
+    u.real[0, 296] = np.nan
     for name in ("compiled", "pure"):
-        backend(name)
-        u_new, v_new, bad = kernels.step_unforced(u, v, 0.1, -1.0, -0.5, -0.25, periodic)
+        (level, _, bad), = _pooled(name, u, v, (-1.0, -0.5, -0.25), periodic, 1, h=0.1, pairs=[])
+        u_new, v_new = level.view(np.complex128)[:, 0]
         assert bad == 295 == _first_nonfinite(u_new, v_new), name
         assert np.isfinite(v_new[:295]).all() and np.isnan(v_new.real[295])
 
@@ -558,13 +686,13 @@ def test_verdict_after_a_zero_block_names_its_site(backend, periodic):
 @needs_compiled
 @pytest.mark.parametrize("periodic", [True, False])
 def test_verdict_of_a_zero_block_is_checked(backend, periodic):
-    """An all-+0.0 level stepped with h = inf: inf * 0 makes every site NaN,
-    so the verdict is site 0, which on a periodic grid the C step finds in
-    the one site it computes for the zero block [0, 256)."""
-    u, v = np.zeros((2, 1024), complex)
+    """An all-+0.0 pool row, an empty extent, stepped with h = inf: inf * 0
+    makes every site NaN, so a zero site does not stay +0.0, the row is
+    stepped whole, and the verdict is site 0."""
+    u, v = np.zeros((2, 1, 1024), complex)
     for name in ("compiled", "pure"):
-        backend(name)
-        u_new, v_new, bad = kernels.step_unforced(u, v, np.inf, 1.0, 1.0, 0.25, periodic)
+        (level, _, bad), = _pooled(name, u, v, (1.0, 1.0, 0.25), periodic, 1, h=np.inf, pairs=[])
+        u_new, v_new = level.view(np.complex128)[:, 0]
         assert bad == 0 == _first_nonfinite(u_new, v_new), name
         assert np.isnan(u_new.real).all() and np.isnan(v_new.real).all()
 
@@ -931,7 +1059,7 @@ def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
     """On either backend, a field of another size, or too few runs for the
     pairs, is refused before the pass runs; the sums the pass writes are a
     C-contiguous (npairs, 2) float64 array, and the C pass gets the address
-    of each run's fields in order."""
+    of each run's fields in order, with a NULL extent for each fresh field."""
     calls = []
     monkeypatch.setattr(kernels, "_lib", type("Lib", (), {"lcd_distance_sums": lambda *a: calls.append(a)}))
     monkeypatch.setattr(kernels.pure, "distance_sums", lambda *a: calls.append(a))
@@ -940,8 +1068,8 @@ def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
     sums = kernels.DistanceSums(n, [(0, 1), (1, 0), (1, 1)])
     out = sums.sums
     assert out.dtype == np.float64 and out.shape == (3, 2) and out.flags.c_contiguous
-    assert sums._addresses == (sums._rows.ctypes.data, sums.pairs.ctypes.data, 3, n, out.ctypes.data,
-                               sums._partial.ctypes.data)
+    assert sums._addresses == (sums._rows.ctypes.data, sums._extents.ctypes.data, sums.pairs.ctypes.data, 3, n,
+                               out.ctypes.data, sums._partial.ctypes.data)
     assert sums._partial.shape == (64, 3, 2)  # every pair's two partial sums at each depth of the split
     for name in ("compiled", "pure"):
         monkeypatch.setattr(kernels, "_active", name)
@@ -950,6 +1078,7 @@ def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
         assert len(calls) == 1, name
         if name == "compiled":
             assert sums._rows.tolist() == [a.ctypes.data for a in (*run, *run[::-1])]
+            assert sums._extents.tolist() == [0] * 4
         for other in ((_cplx(rng, n + 1), run[1]), (run[0], _cplx(rng, n - 1)), (run[0][:, None], run[1])):
             with pytest.raises(UsageError, match="sites"):
                 kernels.distance_sums(sums, [run, other])
