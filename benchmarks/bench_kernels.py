@@ -20,9 +20,10 @@ dense runs at N = 3072 and 4096, in microseconds per level: the one batched
 call on the pool's generations that ``evolve`` makes (``BENCH_33.json``
 records it against R single-run calls); and the same call on 5 compactly
 supported runs of different widths (5 to 40 % of the grid, each at its own
-place, as ``converge_rough``'s mollified runs differ), stepped from one
-generation into the other as ``evolve`` steps them, so the compiled step
-computes only each run's extent. Then ``format_rows`` writes one
+place clear of the grid's ends, as ``converge_rough``'s mollified runs
+differ); both are loaded into a pool and stepped from one generation into
+the other as ``evolve`` steps them, so the compiled step computes only
+each run's extent. Then ``format_rows`` writes one
 snapshot level of 768 sites x 6 columns (``_format.c`` against the ``%``
 template), in nanoseconds per value, and beside it ``cli.snapshots_csv``
 writes a run of the ``simulate_csv`` workload's size (65 levels of 768
@@ -110,11 +111,15 @@ COMPACT_WIDTHS = (0.05, 0.1, 0.2, 0.3, 0.4)  # of the grid, one a run
 
 def compact_rows(rng, n, widths=COMPACT_WIDTHS):
     """(runs, n) rows of u and of v as random_rows makes them, each zero
-    but for an arc of its width in COMPACT_WIDTHS, at its own place."""
+    but for an interval of its width in COMPACT_WIDTHS, from (r + 1) / 10
+    of the grid for run r: at its own place and clear of both ends, as
+    converge_rough's supports are."""
     u, v = random_rows(rng, len(widths), n)
     for r, width in enumerate(widths):
-        outside = (np.arange(n) - r * n // len(widths)) % n >= max(1, int(width * n))
-        u[r, outside] = v[r, outside] = 0.0
+        first = (r + 1) * n // 10
+        end = first + max(1, int(width * n))
+        for a in (u, v):
+            a[r, :first] = a[r, end:] = 0.0
     return u, v
 
 
@@ -151,32 +156,23 @@ def level_us(n, p, rng, repeats):
     return [t / CALLS * 1e6 for t in times]
 
 
-def lockstep_us(runs, n, p, rng, repeats, compact=False) -> float:
-    """One batched call in us per lockstep level of runs Thirring runs on a
-    periodic grid of n sites, stepping the pool's generation 0 into
-    generation 1: dense runs or, with compact, the runs of compact_rows,
-    loaded afresh before each timing and stepped from one generation into
-    the other and back, as evolve steps them, so each call steps the
-    runs' extents, widened by one site per side and call."""
+def lockstep_us(rows, p, repeats) -> float:
+    """One batched call in us per lockstep level of Thirring runs on a
+    periodic grid: rows holds each run's (u, v), loaded into a pool before
+    each timing and stepped from one generation into the other and back,
+    as evolve steps them, so on compactly supported rows each call steps
+    the runs' extents, widened by one site per side and call."""
+    n = len(rows[0][0])
     args = (16.0 / n, p.m, p.alpha, p.beta, True)
-    with kernels.LevelPool(runs, n) as pool:
-        if not compact:
-            pool.load(zip(*random_rows(rng, runs, n)))
-
-            def batched():
-                for _ in range(CALLS):
-                    kernels.step_unforced(pool.u[0], pool.v[0], *args, out=pool)
-
-            return best_of(batched, repeats) / CALLS * 1e6
-        rows = list(zip(*compact_rows(rng, n, COMPACT_WIDTHS[:runs])))
-        best = float("inf")
+    best = float("inf")
+    with kernels.LevelPool(len(rows), n) as pool:
         for _ in range(repeats + 1):
             pool.load(rows)
             t0 = time.perf_counter()
             for k in range(CALLS):
                 kernels.step_unforced(pool.u[k % 2], pool.v[k % 2], *args, out=pool)
             best = min(best, time.perf_counter() - t0)
-        return best / CALLS * 1e6
+    return best / CALLS * 1e6
 
 
 def format_ns_per_value(block, repeats) -> float:
@@ -379,12 +375,13 @@ def bench(sizes, repeats):
             if len(rows[0]) > 3:
                 print_row("lcd_step, bound", n, [rows[0][3]])
         print("lockstep level, thirring, periodic: us per level, one batched call")
-        for (runs, compact), n in itertools.product(((2, False), (5, False), (5, True)), (3072, 4096)):
+        for (runs, data), n in itertools.product(((2, "dense"), (5, "dense"), (5, "compact")), (3072, 4096)):
+            rows = random_rows(rng, runs, n) if data == "dense" else compact_rows(rng, n, COMPACT_WIDTHS[:runs])
             times = []
             for bk in backends:
                 kernels.use_backend(bk)
-                times.append(lockstep_us(runs, n, THIRRING, rng, repeats, compact))
-            print_row(f"R = {runs}, {'compact' if compact else 'dense'}, one call", n, times)
+                times.append(lockstep_us(list(zip(*rows)), THIRRING, repeats))
+            print_row(f"R = {runs}, {data}, one call", n, times)
         # one snapshot level: t, x and the four field components at 17 digits
         n = 768
         block = np.column_stack([np.full(n, 0.25), np.linspace(-8.0, 8.0, n, endpoint=False),

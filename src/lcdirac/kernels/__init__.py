@@ -60,15 +60,16 @@ address is bound while the pool is open: ``level_terms``,
 ``LevelTerms.write`` and ``distance_sums`` check such a view at every call
 but take it as it is, with no address lookup (``a.ctypes.data`` costs
 about 2 us) and no conversion; any other array is converted and checked.
-The pool also keeps one extent per slot: the arc of sites, possibly
-wrapping past the last site to the first, outside which every bit of the
-slot's u and v is +0.0. ``load`` finds it with one scan (a -0.0 part is
-not zero); ``lcd_step`` reads each input row's extent, steps only that arc
-widened by one site per side (clipped at a zero-inflow edge, all of the
-row once it covers it), stores +0.0 where the output slot's older level
-reached past the new extent, and writes the new one. ``distance_sums``
-finds a row's extent from its bound view, as it finds the address.
-Fresh arrays, and a forced step, have no extents: every site is stepped.
+The pool also keeps one extent per slot: the interval of sites outside
+which every bit of the slot's u and v is +0.0. ``load`` finds it with one
+scan (a -0.0 part is not zero); ``lcd_step`` reads each input row's
+extent, steps only that interval widened by one site per side (clipped at
+a zero-inflow edge; on a periodic grid, all of the row once it reaches
+either end), stores +0.0 where the output slot's older level reached past
+the new extent, and writes the new one. ``distance_sums`` finds a row's
+extent next to its address, in the entry of its bound view. Fresh arrays,
+and a forced step, have no extents: every site is stepped; the ``pure``
+step into a pool marks every slot it writes as the whole row.
 
 Every sum of terms is ``np.add.reduce``'s bit for bit: ``pure`` calls it
 and ``_level.c`` sums in NumPy's pairwise order, which
@@ -254,12 +255,12 @@ _lib, _reason = load_compiled()
 _active = "compiled" if _lib is not None else "pure"
 
 
-# The address of each view of every open LevelPool, by the view's id, and
-# for each run's u and v rows the address of their slot's extent: a pool
-# adds its views when it is made and removes them when it closes; while it
-# is open it holds its views, so no other object has their ids.
+# (address, extent address) of each view of every open LevelPool, by the
+# view's id: the extent address is that of the slot's extent for a run's u
+# and v rows, 0 (NULL) for a generation's 2-d views. A pool adds its views
+# when it is made and removes them when it closes; while it is open it holds
+# its views, so no other object has their ids.
 _BOUND: dict = {}
-_EXTENTS: dict = {}
 
 
 class LevelPool:
@@ -275,13 +276,14 @@ class LevelPool:
     the step reads and writes whole, their rows 2 n sites apart; ``rows[g]``
     holds each run's (u, v) as 1-d C-contiguous views; ``steps[g]`` holds
     ``lcd_step``'s address, size and extent arguments for stepping
-    generation g into the other. ``extents`` holds one (first, count) a
-    slot: sites first to first + count - 1, counted mod n, outside which
-    every bit of the slot's u and v is +0.0 (count 0 for none, n for the
-    whole row, which it is before the first ``load``). ``load`` sets the
-    extents of the slots it writes, and the compiled step keeps them, so
-    stepping and ``distance_sums`` on pool rows read and write only where
-    the runs can be nonzero; ``pure`` ignores them. Every view is read-only
+    generation g into the other. ``extents`` holds one (first, end) a
+    slot: the sites [first, end) outside which every bit of the slot's u
+    and v is +0.0 ((0, 0) for none, (0, n) for the whole row, which it is
+    before the first ``load``). ``load`` scans the slots it writes for
+    their extents, and the compiled step keeps them, so stepping and
+    ``distance_sums`` on pool rows read and write only where the runs can
+    be nonzero; ``pure`` reads none and sets the slots it steps into to
+    the whole row. Every view is read-only
     (``blocks`` is their base, which only the step and ``load`` write, so
     the extents stay true), is made once, and has its address bound when
     the pool is made and unbound by ``close`` (or at the end of a ``with``
@@ -297,17 +299,16 @@ class LevelPool:
         self.u = tuple(gen[:, 0] for gen in generations)
         self.v = tuple(gen[:, 1] for gen in generations)
         self.rows = tuple(tuple((gen[r, 0], gen[r, 1]) for r in range(runs)) for gen in generations)
-        self._views = [*self.u, *self.v, *(a for gen in self.rows for run in gen for a in run)]
-        for view in self._views:
-            view.setflags(write=False)
-            _BOUND[id(view)] = view.ctypes.data
         extent = [self.extents.ctypes.data + slot * self.extents.strides[0] for slot in range(runs + 1)]
-        for g, gen in enumerate(self.rows):
-            for r, run in enumerate(gen):
-                for view in run:
-                    _EXTENTS[id(view)] = extent[r + 1 - g]
+        bound = [(view, 0) for view in (*self.u, *self.v)]
+        bound += [(view, extent[r + 1 - g]) for g, gen in enumerate(self.rows) for r, run in enumerate(gen)
+                  for view in run]
+        self._views = [view for view, _ in bound]
+        for view, at in bound:
+            view.setflags(write=False)
+            _BOUND[id(view)] = view.ctypes.data, at
         # rows 2 n sites apart; generation g holds its first run in slot 1 - g and steps into slot g
-        self.steps = tuple((*(_BOUND[id(a)] for a in (self.u[g], self.v[g], self.u[1 - g], self.v[1 - g])),
+        self.steps = tuple((*(a.ctypes.data for a in (self.u[g], self.v[g], self.u[1 - g], self.v[1 - g])),
                             runs, 2 * n, 2 * n, n, extent[1 - g], extent[g]) for g in (0, 1))
 
     def __enter__(self) -> "LevelPool":
@@ -324,6 +325,14 @@ class LevelPool:
             slot[1] = v
             self.extents[r + 1 - g] = _extent(slot)
 
+    def _put(self, u, v, g: int):
+        """Copy the (runs, n) u and v into generation g and set its slots'
+        extents to the whole row, which is always true, with no scan."""
+        slots = slice(1 - g, 1 - g + self.runs)  # generation g holds run r in slot r + 1 - g
+        self.blocks[slots, 0] = u
+        self.blocks[slots, 1] = v
+        self.extents[slots] = 0, self.n
+
     def generation(self, u, v) -> int:
         """The generation g whose views u and v are (``u[g]`` and ``v[g]``
         themselves); ValueError for any other arrays, or once closed."""
@@ -337,34 +346,27 @@ class LevelPool:
         self.steps = ()
         for view in self._views:
             _BOUND.pop(id(view), None)
-            _EXTENTS.pop(id(view), None)
 
 
 def _extent(slot) -> tuple[int, int]:
-    """The extent (first, count) of a slot's (2, n) u and v: the shortest
-    arc of sites, wrapping past the last to the first, outside which every
-    bit is zero; (0, 0) for none. A -0.0 part is not zero."""
+    """The extent (first, end) of a slot's (2, n) u and v: the sites
+    [first, end) outside which every bit is zero, from the first nonzero
+    site to the last; (0, 0) for none. A -0.0 part is not zero."""
     n = slot.shape[1]
     words = slot.view(np.uint64).reshape(2, n, 2)  # (u or v, site, real or imaginary part)
     sites = np.flatnonzero(words[0, :, 0] | words[0, :, 1] | words[1, :, 0] | words[1, :, 1])
-    if not sites.size:
-        return 0, 0
-    gaps = np.diff(sites)  # one more than the zero sites between two nonzero ones
-    j = int(np.argmax(gaps)) if gaps.size else 0
-    if gaps.size and gaps[j] > sites[0] + n - sites[-1]:  # the longest zero gap is inside the row
-        return int(sites[j + 1]), int(n - gaps[j] + 1)
-    return int(sites[0]), int(sites[-1] - sites[0] + 1)
+    return (int(sites[0]), int(sites[-1]) + 1) if sites.size else (0, 0)
 
 
 def _bound(a) -> tuple[np.ndarray, int]:
     """a and its address: as it is for an open pool's view, else as a
     C-contiguous complex128 array (a copy if need be, which the caller
     keeps alive while C reads it)."""
-    address = _BOUND.get(id(a))
-    if address is None:
+    bound = _BOUND.get(id(a))
+    if bound is None:
         a = np.ascontiguousarray(a, dtype=np.complex128)
-        address = a.ctypes.data
-    return a, address
+        return a, a.ctypes.data
+    return a, bound[0]
 
 
 def _rows(u, v) -> tuple[np.ndarray, int, np.ndarray, int, int]:
@@ -444,7 +446,7 @@ def step_unforced(u, v, h, m, alpha, beta, periodic, forcing=None, out=None):
             bad = _lcd_step(out.steps[g], h, m, alpha, beta, periodic, forcing)
         else:
             u_new, v_new, bad = pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
-            out.load(zip(u_new, v_new), 1 - g)
+            out._put(u_new, v_new, 1 - g)
         return out.u[1 - g], out.v[1 - g], bad
     if _active == "pure":
         return pure.step_unforced(u, v, h, m, alpha, beta, periodic, forcing)
@@ -675,7 +677,7 @@ def distance_sums(sums: DistanceSums, runs) -> list[float]:
     fields = [_field(a, sums.n) for run in runs[: sums.runs] for a in run]  # (array, address)
     if _active == "compiled":
         sums._rows[:] = [address for _, address in fields]
-        sums._extents[:] = [_EXTENTS.get(id(a), 0) for a, _ in fields]  # 0: NULL, the whole row
+        sums._extents[:] = [_BOUND.get(id(a), (0, 0))[1] for a, _ in fields]  # 0: NULL, the whole row
         _lib.lcd_distance_sums(*sums._addresses)
     else:
         pure.distance_sums(sums, [(fields[2 * r][0], fields[2 * r + 1][0]) for r in range(sums.runs)])

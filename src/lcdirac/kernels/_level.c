@@ -328,23 +328,22 @@ static cplx cmul(cplx a, cplx b)
 #define LEAF 128 /* the longest run pairwise sums without splitting it */
 
 /* One level of runs and the pairs whose distances lcd_distance_sums takes:
- * rows[2 r] and rows[2 r + 1] are u and v of run r, of n sites, with their
+ * rows[2 r] and rows[2 r + 1] are u and v of run r, with their
  * extents ext[2 r] and ext[2 r + 1] (NULL: the whole row), and pairs holds
  * npairs (A, B) run indices. */
 typedef struct {
     const cplx *const *rows;
     const ptrdiff_t *const *ext;
     const ptrdiff_t *pairs;
-    ptrdiff_t npairs, n;
+    ptrdiff_t npairs;
 } distances;
 
-/* Whether field f's extent {first, count}, an arc of the n sites that may
- * wrap past the last, meets the sites [lo, hi) */
+/* Whether field f's extent, the sites [e[0], e[1]), meets the sites [lo, hi) */
 static int meets(const distances *D, ptrdiff_t f, ptrdiff_t lo, ptrdiff_t hi)
 {
     const ptrdiff_t *e = D->ext[f];
 
-    return !e || (e[1] > 0 && ((e[0] < hi && e[0] + e[1] > lo) || e[0] + e[1] - D->n > lo));
+    return !e || (e[0] < hi && e[1] > lo);
 }
 
 /* l1 and p1 of the runs A and B over len <= LEAF sites. Run B's product
@@ -446,7 +445,7 @@ static void distance_pairwise(const distances *D, ptrdiff_t lo, ptrdiff_t len, d
 void lcd_distance_sums(const cplx *const *rows, const ptrdiff_t *const *ext, const ptrdiff_t *pairs,
                        ptrdiff_t npairs, ptrdiff_t n, double *sums, double *partial)
 {
-    const distances D = {rows, ext, pairs, npairs, n};
+    const distances D = {rows, ext, pairs, npairs};
     ptrdiff_t k;
 
     if (n > 0)

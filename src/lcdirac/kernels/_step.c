@@ -18,18 +18,18 @@
  *
  * Extents. Site i of the new level reads only sites i - 1, i and i + 1 of
  * the old one: the lattice light cone. A LevelPool keeps, for each row, an
- * extent {first, count}: sites first ... first + count - 1, counted mod n,
- * so an arc that may wrap past site n - 1 to site 0 (count 0 for none, n
- * for the whole row), outside which every bit of u and v is +0.0. A site
- * whose three input sites are all +0.0 steps to +0.0 (each stage and update
- * adds a signed zero to +0.0, for finite parameters), so the unforced step
- * of a row computes only its extent widened by one site per side, wrapped
- * on a periodic grid and clipped at a zero-inflow edge, and the new level
- * is +0.0 elsewhere. The output row held another run's older level (a
- * pool's slots alternate runs), so the step stores +0.0 over the part of
- * that level's extent outside the new one, then records the new extent.
- * Compactly supported data stay within their light cone, so while their
- * support is small most sites are neither read nor written. Without
+ * extent {first, end}: the sites [first, end) ({0, 0} for none, {0, n} for
+ * the whole row), outside which every bit of u and v is +0.0. A site whose
+ * three input sites are all +0.0 steps to +0.0 (each stage and update adds
+ * a signed zero to +0.0, for finite parameters), so the unforced step of a
+ * row computes only its extent widened by one site per side, clipped at a
+ * zero-inflow edge, and the new level is +0.0 elsewhere. On a periodic grid
+ * an extent that reaches site 0 or site n - 1 would widen across the seam,
+ * so the whole row is stepped. The output row held another run's older
+ * level (a pool's slots alternate runs), so the step stores +0.0 over the
+ * part of that level's extent outside the new one, then records the new
+ * extent. Compactly supported data stay within their light cone, so while
+ * their support is small most sites are neither read nor written. Without
  * extents (fresh arrays), with forcing, or where a zero site would not
  * stay +0.0, every site is stepped.
  *
@@ -205,57 +205,38 @@ static int zeros_stay_zero(const params *k)
     return !any;
 }
 
+/* Store +0.0 over sites [lo, hi) of un and vn. */
 static void zero_sites(cplx *un, cplx *vn, ptrdiff_t lo, ptrdiff_t hi)
 {
     for (; lo < hi; lo++)
         un[lo] = vn[lo] = (cplx){0.0, 0.0};
 }
 
-/* Store +0.0 over sites [lo, hi) of un and vn, but for [0, w) and [a, b)
- * (w <= a <= b). */
-static void clear_outside(cplx *un, cplx *vn, ptrdiff_t lo, ptrdiff_t hi, ptrdiff_t w, ptrdiff_t a,
-                          ptrdiff_t b)
-{
-    lo = lo > w ? lo : w;
-    zero_sites(un, vn, lo, hi < a ? hi : a);
-    zero_sites(un, vn, lo > b ? lo : b, hi);
-}
-
 /* One row. With in, the row's input extent, it steps only the sites the
- * extent reaches: the extent widened by one site per side, wrapped on a
- * periodic grid and clipped at a zero-inflow edge, all of the row once
- * that covers it. out is the output row's extent, that of the older level
- * it holds: every site there outside the new extent is set to +0.0, and
- * out becomes the new extent. Without in the row is stepped whole, and out,
- * if given, becomes the whole row. */
+ * extent reaches: the extent widened by one site per side, clipped at a
+ * zero-inflow edge; on a periodic grid, an extent that reaches either end
+ * widens past it, so the whole row is stepped. out is the output row's
+ * extent, that of the older level it holds: every site there outside the
+ * new extent is set to +0.0, and out becomes the new extent. Without in the
+ * row is stepped whole, and out, if given, becomes the whole row. */
 static ptrdiff_t step_row(const cplx *u, const cplx *v, cplx *un, cplx *vn, ptrdiff_t n, const params *k,
                           int periodic, const ptrdiff_t *in, ptrdiff_t *out,
                           const cplx *f0, const cplx *f1, const cplx *f2, const cplx *f3)
 {
-    ptrdiff_t first = 0, end = n, stale;
+    ptrdiff_t first = 0, end = n;
 
     if (in) {
-        first = in[0], end = in[0] + in[1];
-        if (in[1] > 0) {
-            first -= periodic || first > 0;
-            end += periodic || end != n;
-            if (first < 0)
-                first += n, end += n;
-            if (end - first >= n)
-                first = 0, end = n;
-        }
-        stale = out[0] + out[1]; /* the sites from out[0] to stale, wrapped past n */
-        clear_outside(un, vn, out[0], stale < n ? stale : n, end - n, first, end);
-        clear_outside(un, vn, 0, stale - n, end - n, first, end);
+        first = in[0], end = in[1];
+        if (first < end && periodic && (first == 0 || end == n))
+            first = 0, end = n;
+        else if (first < end)
+            first -= first > 0, end += end < n;
+        zero_sites(un, vn, out[0], out[1] < first ? out[1] : first);
+        zero_sites(un, vn, out[0] > end ? out[0] : end, out[1]);
     }
     if (out)
-        out[0] = first, out[1] = end - first;
-    if (end <= n)
-        return step_span(u, v, un, vn, n, k, periodic, first, end, f0, f1, f2, f3);
-    /* a wrapped extent: its sites from 0 first, so the verdict is the lowest bad site */
-    const ptrdiff_t bad = step_span(u, v, un, vn, n, k, periodic, 0, end - n, f0, f1, f2, f3);
-    const ptrdiff_t later = step_span(u, v, un, vn, n, k, periodic, first, n, f0, f1, f2, f3);
-    return bad >= 0 ? bad : later;
+        out[0] = first, out[1] = end;
+    return step_span(u, v, un, vn, n, k, periodic, first, end, f0, f1, f2, f3);
 }
 
 /* runs rows of n sites each: row r of u and v starts r * stride sites

@@ -36,8 +36,8 @@ def test_helpers_run_at_a_tiny_size(bench, levels, name):
     compiled = name == "compiled"
     with backend(name):
         steps = bench.level_us(64, lc.THIRRING, rng, 1)
-        lockstep = bench.lockstep_us(2, 64, lc.THIRRING, rng, 1)
-        compact = bench.lockstep_us(5, 64, lc.THIRRING, rng, 1, compact=True)
+        lockstep = bench.lockstep_us(list(zip(*bench.random_rows(rng, 2, 64))), lc.THIRRING, 1)
+        compact = bench.lockstep_us(list(zip(*bench.compact_rows(rng, 64))), lc.THIRRING, 1)
         audit = bench.audit_us_per_level(levels, 1)
         distance = bench.distance_us_per_level(64, rng, 1)
     assert len(steps) == (4 if compiled else 3)

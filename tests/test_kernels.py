@@ -458,8 +458,8 @@ def test_step_verdict_is_the_first_nonfinite_site(build, backend, request, monke
 
 
 # A LevelPool's compiled step reads and writes only each row's extent, the
-# arc of sites outside which every bit is +0.0, widened by one site per
-# side; its distance sums skip the 128-site leaves no extent of a pair
+# interval of sites outside which every bit is +0.0, widened by one site per
+# side (the whole row once it reaches either end of a periodic grid); its distance sums skip the 128-site leaves no extent of a pair
 # meets. pure steps and sums every site, so it is the oracle for both.
 EXTENT_SIZES = (255, 256, 257, 511, 512, 513, 768, 4096)
 EXTENT_PARAMS = ((-1.0, 1.0, 0.25), (1.0, -0.5, 0.0), (0.5, 0.3, -0.2), (-0.7, -1.0, -0.3))
@@ -598,8 +598,8 @@ def test_extents_through_evolve_match_pure(build, backend, request, monkeypatch,
     runs whose supports wrap the grid, meet an edge, hold -0.0 and
     subnormal parts at their ends and differ between runs, over enough
     steps that the widest extent covers the grid; and the blow-up of a NaN
-    inside a wrapped extent, at each end and in the middle of the arc,
-    names the same run, site and time."""
+    inside a support that wraps the grid, at each end and in the middle of
+    the arc, names the same run, site and time."""
     _use_build(build, backend, request, monkeypatch)
     rng = np.random.default_rng(36)
     p = lc.ModelParams(1.0, 1.0, 0.25)
@@ -649,9 +649,9 @@ def test_extent_one_site_short_differs_from_pure(backend, periodic):
     args = (u, v, (1.0, 1.0, 0.25), periodic)
     want = _pooled("pure", *args, 3)
     _assert_pooled_equal(_pooled("compiled", *args, 3), want, "unshrunk")
-    for shrink in ((1, -1), (0, -1)):  # the extent's first site dropped, or its last
+    for shrink in ((1, 0), (0, -1)):  # the extent's first site dropped, or its last
         def short(pool):
-            assert pool.extents[2].tolist() == [100, 29]  # generation 0 holds run 1 in slot 2
+            assert pool.extents[2].tolist() == [100, 129]  # generation 0 holds run 1 in slot 2
             pool.extents[2] += shrink
 
         level, sums, bad = _pooled("compiled", *args, 1, tamper=short)[0]
@@ -663,8 +663,8 @@ def test_extent_one_site_short_differs_from_pure(backend, periodic):
         pool.load(zip(u, v))
         sums = kernels.DistanceSums(n, [(0, 1), (1, 2)])
         want = kernels.distance_sums(sums, pool.rows[0])
-        assert pool.extents[2].tolist() == [128, 1] and min(want) > 0
-        pool.extents[2] = 128, 0
+        assert pool.extents[2].tolist() == [128, 129] and min(want) > 0
+        pool.extents[2] = 128, 128
         assert kernels.distance_sums(sums, pool.rows[0]) == [0.0] * 4
 
 
@@ -695,6 +695,33 @@ def test_verdict_of_a_zero_block_is_checked(backend, periodic):
         u_new, v_new = level.view(np.complex128)[:, 0]
         assert bad == 0 == _first_nonfinite(u_new, v_new), name
         assert np.isnan(u_new.real).all() and np.isnan(v_new.real).all()
+
+
+@needs_compiled
+@pytest.mark.parametrize("periodic", [True, False])
+def test_pure_step_into_a_pool_marks_its_slots_whole(backend, monkeypatch, periodic):
+    """pure's step into a pool scans nothing: it sets the extents of the
+    slots it writes to the whole row, so a compiled step after it, and the
+    distance sums on its rows, give pure's bits."""
+    rng = np.random.default_rng(5)
+    n = 300
+    u, v = np.zeros((2, 3, n), complex)
+    u[:, 140:160], v[:, 140:160] = _cplx(rng, (3, 20), 0.3), _cplx(rng, (3, 20), 0.3)
+    args = (16.0 / n, 1.0, 1.0, 0.25, periodic)
+    want = _pooled("pure", u, v, args[1:4], periodic, 2)
+    sums = kernels.DistanceSums(n, [(0, 1), (1, 2)])
+    with kernels.LevelPool(3, n) as pool:
+        pool.load(zip(u, v))
+        assert pool.extents[1:].tolist() == [[140, 160]] * 3
+        backend("pure")
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_extent", None)  # a scan would raise
+            kernels.step_unforced(pool.u[0], pool.v[0], *args, out=pool)
+        assert pool.extents[:3].tolist() == [[0, n]] * 3  # generation 1: slots 0 to 2
+        backend("compiled")
+        assert kernels.distance_sums(sums, pool.rows[1]) == want[0][1]
+        x, y, bad = kernels.step_unforced(pool.u[1], pool.v[1], *args, out=pool)
+        assert bad == -1 and np.array_equal(np.stack([x, y]).view(np.uint64), want[1][0])
 
 
 def _terms_on(name, n, runs, i0, i1, kshift=0, E=None, origin=None, m=1.0, C0=0.3, dx=0.05):
