@@ -91,19 +91,19 @@ def derive_constants(
 ) -> EstimateConstants:
     """Defaults satisfying the strict inequalities.
 
-    c_star = 16(|alpha| + 4|beta|) dominates the difference-term envelope,
-    bound (c) of check_algebraic_bounds, lhs_c <= (c_star / 2) r2. The
-    supremum of lhs_c / r2 is (3/2) max(|alpha|, |alpha + 4 beta|), so the
-    tight value is 3 max(|alpha|, |alpha + 4 beta|) <= 3(|alpha| + 4|beta|):
-    the default is at least 16/3 (about 5.3) times the tight value, and
-    more for couplings of mixed signs. K = 2 c_star + 2 then leaves
-    -K + 2 c_star = -2.
+    c_star = 6 max(|alpha|, |alpha + 4 beta|) dominates the difference-term
+    envelope, bound (c) of check_algebraic_bounds, lhs_c <= (c_star / 2) r2:
+    the supremum of lhs_c / r2 is (3/2) max(|alpha|, |alpha + 4 beta|), so
+    the tight value is 3 max(|alpha|, |alpha + 4 beta|), and the default is
+    twice it (0 for zero coupling). K = 2 c_star + 2 then leaves
+    -K + 2 c_star = -2, and delta = min(delta0, 1 / (4 c_star)) keeps
+    -2 + 2 c_star delta <= -3/2.
     """
     c = 8.0 * abs(p.beta)
     if delta0 is None:
         delta0 = 1.0 / (4.0 * c) if c > 0 else UNCONSTRAINED
     if c_star is None:
-        c_star = 16.0 * (abs(p.alpha) + 4.0 * abs(p.beta))
+        c_star = 6.0 * max(abs(p.alpha), abs(p.alpha + 4.0 * p.beta))
     if K is None:
         K = 2.0 * c_star + 2.0
     if delta is None:
