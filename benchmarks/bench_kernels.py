@@ -12,10 +12,8 @@ pure/compiled ratio. Then one step per level for Thirring on a periodic
 lattice, in microseconds per level: the kernel call
 (``kernels.step_unforced``) on fresh arrays, the same call from one
 ``LevelPool`` generation into the other (``out=pool``) as ``evolve`` makes
-it, ``solver.step``, which adds the Python around it (forcing check, the
-new ``SpinorField`` and the blow-up verdict), and on ``compiled`` the bare
-``lcd_step`` on the pool's own step arguments (``LevelPool.steps``), so the
-overhead per level stays visible. Then one lockstep level of R = 2 and 5
+it, and on ``compiled`` the bare ``lcd_step`` on the pool's own step
+arguments (``LevelPool.steps``), so the overhead per level stays visible. Then one lockstep level of R = 2 and 5
 dense runs at N = 3072 and 4096, in microseconds per level: the one batched
 call on the pool's generations that ``evolve`` makes (``BENCH_33.json``
 records it against R single-run calls); and the same call on 5 compactly
@@ -73,7 +71,7 @@ import time
 import numpy as np
 
 import lcdirac as lc
-from lcdirac import GROSS_NEVEU, THIRRING, SpinorField, cli, kernels, solver
+from lcdirac import GROSS_NEVEU, THIRRING, SpinorField, cli, kernels
 from lcdirac.functionals import AuditPass
 
 CALLS = 20  # steps per timing
@@ -124,20 +122,15 @@ def compact_rows(rng, n, widths=COMPACT_WIDTHS):
 
 
 def level_us(n, p, rng, repeats):
-    """(kernel call, kernel call into a pool generation, solver.step and, on
-    compiled, bare lcd_step) in us per level on a periodic grid of n sites."""
+    """(kernel call, kernel call into a pool generation and, on compiled,
+    bare lcd_step) in us per level on a periodic grid of n sites."""
     grid = lc.make_grid(-8.0, 8.0, n, "periodic")
     f = lc.SpinorField(grid, 0.0, *(a[0] for a in random_rows(rng, 1, n)))
-    cfg = lc.SolverConfig()
     args = (grid.dt, p.m, p.alpha, p.beta, True)
 
     def kernel():
         for _ in range(CALLS):
             kernels.step_unforced(f.u, f.v, *args)
-
-    def step():
-        for _ in range(CALLS):
-            solver.step(f, p, cfg)
 
     with kernels.LevelPool(1, n) as pool:
         pool.load([(f.u, f.v)])
@@ -146,7 +139,7 @@ def level_us(n, p, rng, repeats):
             for k in range(CALLS):
                 kernels.step_unforced(pool.u[k % 2], pool.v[k % 2], *args, out=pool)
 
-        times = [best_of(kernel, repeats), best_of(pooled, repeats), best_of(step, repeats)]
+        times = [best_of(kernel, repeats), best_of(pooled, repeats)]
         if kernels.backend_name() == "compiled":
             def bare():
                 for _ in range(CALLS):
@@ -371,9 +364,8 @@ def bench(sizes, repeats):
                 rows.append(level_us(n, THIRRING, rng, repeats))
             print_row("kernels.step_unforced", n, [r[0] for r in rows])
             print_row("step_unforced, pool", n, [r[1] for r in rows])
-            print_row("solver.step", n, [r[2] for r in rows])
-            if len(rows[0]) > 3:
-                print_row("lcd_step, bound", n, [rows[0][3]])
+            if len(rows[0]) > 2:
+                print_row("lcd_step, bound", n, [rows[0][2]])
         print("lockstep level, thirring, periodic: us per level, one batched call")
         for (runs, data), n in itertools.product(((2, "dense"), (5, "dense"), (5, "compact")), (3072, 4096)):
             rows = random_rows(rng, runs, n) if data == "dense" else compact_rows(rng, n, COMPACT_WIDTHS[:runs])

@@ -47,7 +47,6 @@ from .model import (
     ModelParams,
     check_algebraic_bounds,
     derive_constants,
-    eval_difference_terms,
     eval_nonlinearity,
 )
 from .solver import (
@@ -57,7 +56,6 @@ from .solver import (
     evolve,
     manufactured_case,
     pde_residual,
-    step,
     thirring_soliton,
 )
 

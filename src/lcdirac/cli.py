@@ -74,7 +74,8 @@ ARTIFACTS = {
 MAX_SITE_UPDATES = 10**8
 
 # Largest audit.samples parse_config accepts. The key has no effect: the
-# algebraic audit evaluates a fixed set of tuples (model.check_algebraic_bounds).
+# algebraic audit is a closed form in (alpha, beta, c_star) and samples
+# nothing (model.check_algebraic_bounds).
 MAX_AUDIT_SAMPLES = 10**7
 
 
@@ -106,7 +107,7 @@ class RunConfig:
     kernel_b: str
     frequency: float
     audit_c0: Optional[float]
-    audit_samples: int  # no effect, see MAX_AUDIT_SAMPLES
+    audit_samples: int  # no effect: the algebraic audit samples nothing (MAX_AUDIT_SAMPLES)
     audit_perturbation: float
     artifacts: dict[str, Path]  # the path of every artifact the command writes, by name
 

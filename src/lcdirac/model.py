@@ -1,12 +1,15 @@
-"""Cubic nonlinearity, pointwise algebraic bounds, and difference quantities.
+"""Cubic nonlinearity, estimate constants, and the pointwise algebraic bounds.
 
 The interaction density is W(u, v) = alpha |u|^2 |v|^2 + beta (conj(u) v
 + u conj(v))^2; the source terms N1, N2 are its Wirtinger derivatives in
 conj(u) and conj(v). alpha = 1, beta = 0 is the Thirring interaction,
-alpha = 0, beta = 1/4 the Gross-Neveu one.
+alpha = 0, beta = 1/4 the Gross-Neveu one. The algebraic bounds the
+estimates rest on are checked from their suprema in closed form, which
+depend only on (alpha, beta, c_star); no field values are evaluated.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -17,9 +20,6 @@ from .reports import AuditReport
 
 # delta0 sentinel when no smallness constraint is active (coupling c = 0).
 UNCONSTRAINED = 1.0e6
-
-# Multiplicative slack absorbing rounding in bounds that are exact in reals.
-EXACT_SLACK = 1e-12
 
 
 @record
@@ -134,186 +134,60 @@ def eval_nonlinearity(u, v, p: ModelParams):
     return W, N1, N2
 
 
-def eval_difference_terms(uA, vA, uB, vB):
-    """Difference fields and their quadratic envelope (U, V, r2).
-
-    U = uA - uB, V = vA - vB;
-    r2 = |U|^2 (|vA|^2 + |vB|^2) + (|uA|^2 + |uB|^2) |V|^2.
-    """
-    uA = np.asarray(uA, dtype=np.complex128)
-    vA = np.asarray(vA, dtype=np.complex128)
-    uB = np.asarray(uB, dtype=np.complex128)
-    vB = np.asarray(vB, dtype=np.complex128)
-    U = uA - uB
-    V = vA - vB
-    aU2 = U.real**2 + U.imag**2
-    aV2 = V.real**2 + V.imag**2
-    umod = (uA.real**2 + uA.imag**2) + (uB.real**2 + uB.imag**2)
-    vmod = (vA.real**2 + vA.imag**2) + (vB.real**2 + vB.imag**2)
-    return U, V, aU2 * vmod + umod * aV2
-
-
-def source_charge_rate(u, v, p: ModelParams):
-    """The two source contributions 2 Re(i conj(N1) u) and 2 Re(i conj(N2) v).
-
-    Evaluated through the reduced form -4 beta s Im(u conj(v)) (with
-    s = conj(u)v + u conj(v)), which is algebraically identical to the
-    generic product but cancels the alpha part exactly, also in floating
-    point. The two contributions sum to zero identically, which is what
-    makes the charge continuity equation source-free.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    s = 2.0 * (u.real * v.real + u.imag * v.imag)
-    im_uvbar = u.imag * v.real - u.real * v.imag
-    ru = -4.0 * p.beta * s * im_uvbar
-    return ru, -ru
-
-
 # ---------------------------------------------------------------------------
-# Deterministic verification of the algebraic bounds
-
-_BOUNDS = ("charge_rate", "product_difference", "difference_envelope")
-
-# Rational points of the unit circle: the axes and the 3-4-5 directions.
-_UNIT = np.array([1, 1j, -1, -1j, 0.6 + 0.8j, -0.8 + 0.6j, -0.6 - 0.8j, 0.8 - 0.6j,
-                  0.8 + 0.6j, -0.6 + 0.8j, -0.8 - 0.6j, 0.6 - 0.8j])
-
-# The separation of the extremisers: (u', v') -> (u, v) is where the
-# envelope ratios approach their suprema.
-EPS = 2.0**-20
-
-
-def _abs2(z):
-    """|z|^2 as the sum of the squared parts."""
-    return z.real**2 + z.imag**2
-
-
-def _complex(re, im):
-    z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
-    z.real, z.imag = re, im
-    return z
-
-
-def _grid():
-    """3888 tuples (u, v, u', v') with u = 1/2 (the common phase removed),
-    v = rho z and u' = u (1 + sigma w1), v' = v (1 + sigma w2) for rho and
-    sigma in {1/2, 1}, z a rational unit point and w1, w2 zero or one of
-    the first eight. Real arithmetic only, so every bit is IEEE's."""
-    rho = np.array([0.5, 1.0])[:, None]
-    v = _complex(rho * _UNIT.real, rho * _UNIT.imag).ravel()[:, None, None, None]
-    sigma = np.array([0.5, 1.0])[None, :, None, None]
-    w = np.concatenate([[0], _UNIT[:8]])
-    w1, w2 = w[None, None, :, None], w[None, None, None, :]
-    shape = np.broadcast_shapes(v.shape, sigma.shape, w1.shape, w2.shape)
-    a, b = 1.0 + sigma * w2.real, sigma * w2.imag
-    quad = (np.full(shape, 0.5 + 0j), v,
-            _complex(0.5 * (1.0 + sigma * w1.real), 0.5 * sigma * w1.imag),
-            _complex(v.real * a - v.imag * b, v.real * b + v.imag * a))
-    return [np.broadcast_to(z, shape).ravel() for z in quad]
-
-
-def _extremisers():
-    """The tuples at which the ratios approach their suprema, all exact:
-    u = 1/2, v = u e^{i phi} for phi in {0, pi/2}, u' = u - EPS u and
-    v' = v -+ EPS v, for (b) and (c); and v = (1 + i) / 2, a phase of pi/4
-    between u and v, for (a)."""
-    u, up = 0.5, 0.5 - EPS * 0.5
-    rows = [(u, v, up, v - sign * EPS * v) for v in (0.5, 0.5j) for sign in (1, -1)]
-    rows.append((u, 0.5 + 0.5j, up, 0.5 + 0.5j))
-    return [np.array(z, dtype=np.complex128) for z in zip(*rows)]
-
-
-def _tuples():
-    """The fixed tuples check_algebraic_bounds evaluates: the grid, then the extremisers."""
-    return [np.concatenate(z) for z in zip(_grid(), _extremisers())]
-
-
-def _abs2_product_difference(u, v, up, vp):
-    """|u v - u' v'|^2, each product four real products and two sums."""
-    re = (u.real * v.real - u.imag * v.imag) - (up.real * vp.real - up.imag * vp.imag)
-    im = (u.real * v.imag + u.imag * v.real) - (up.real * vp.imag + up.imag * vp.real)
-    return re**2 + im**2
-
-
-def _bound_terms(u, v, up, vp, p: ModelParams, k: EstimateConstants):
-    """(lhs, rhs) of each bound in _BOUNDS order, at the tuples (u, v, u', v').
-
-    The complex products and moduli are real arithmetic, as in
-    ``kernels.pure.distance_terms``: NumPy's complex multiply and ``np.abs``
-    round differently in the SIMD loops a CPU dispatches to, so the ratios
-    would too.
-    """
-    ru, rv = source_charge_rate(u, v, p)
-    lhs_a = np.abs(ru) + np.abs(rv)
-    rhs_a = 8.0 * abs(p.beta) * (u.real**2 + u.imag**2) * (v.real**2 + v.imag**2)
-
-    U, V, r2 = eval_difference_terms(u, v, up, vp)
-    lhs_b = _abs2_product_difference(u, v, up, vp)
-    rhs_b = 2.0 * r2
-
-    _, N1, N2 = eval_nonlinearity(u, v, p)
-    _, N1p, N2p = eval_nonlinearity(up, vp, p)
-    # |a conj(b)| = sqrt(|a|^2 |b|^2)
-    lhs_c = np.sqrt(_abs2(N1 - N1p) * _abs2(U)) + np.sqrt(_abs2(N2 - N2p) * _abs2(V))
-    rhs_c = 0.5 * k.c_star * r2
-    return (lhs_a, rhs_a), (lhs_b, rhs_b), (lhs_c, rhs_c)
+# The pointwise algebraic bounds, in closed form
 
 
 def check_algebraic_bounds(samples: int, p: ModelParams, k: EstimateConstants) -> AuditReport:
-    """Verify the three pointwise bounds at their extremisers.
+    """The three pointwise bounds, from their suprema in closed form.
 
     (a) |2Re(i conj(N1) u)| + |2Re(i conj(N2) v)| <= 8|beta| |u|^2 |v|^2
     (b) |u v - u' v'|^2 <= 2 r2
     (c) |DN1 conj(U)| + |DN2 conj(V)| <= (c_star / 2) r2
 
-    Each with multiplicative slack 1 + 1e-12; the bounds are exact in reals.
-    Both sides are homogeneous of degree 4 and invariant under a common
-    phase, and their suprema are closed forms: lhs_a / rhs_a is at most 1,
-    attained at a phase of pi/4 between u and v (lhs_a is 0 for beta = 0);
-    lhs_b / r2 is at most 1, and lhs_c / r2 at most
-    (3/2) max(|alpha|, |alpha + 4 beta|), both approached as (u', v') ->
-    (u, v) with u' - u, v' - v parallel to u, v, at phi = 0 or pi/2. So the
-    tight c_star is 3 max(|alpha|, |alpha + 4 beta|). The check evaluates
-    the bounds once, in NumPy, on _tuples(): a grid of rational points and
-    the extremisers at separation EPS, whose ratios come within about 1e-10
-    of the suprema.
+    with U = u - u', V = v - v', DN = N(u, v) - N(u', v') and
+    r2 = |U|^2 (|v|^2 + |v'|^2) + (|u|^2 + |u'|^2) |V|^2. Both sides are
+    homogeneous of degree 4 and invariant under a common phase, and the
+    suprema of the ratios are closed forms: lhs_a / rhs_a is 1, attained at
+    a phase of pi/4 between u and v (lhs_a is 0 for beta = 0); lhs_b / rhs_b
+    is 1/2; lhs_c / rhs_c is 3 max(|alpha|, |alpha + 4 beta|) / c_star,
+    approached as (u', v') -> (u, v) along (u, v), at v = u (phase 0) when
+    |alpha + 4 beta| >= |alpha| and at v = i u (phase pi/2) otherwise.
+    ``tests/algebraic_oracle.py`` evaluates the bounds on tuples against
+    these forms.
 
-    A NaN or +-inf term fails the audit with max_violation inf; the witness
-    is the first such tuple in the first of the bounds (a), (b), (c) that
-    has one. Otherwise max_violation is the largest excess lhs - rhs
-    (1 + slack) and the witness its tuple, the first bound's on a tie.
-    Returns the largest finite ratio lhs / rhs over rhs > 0 per bound in
-    info. samples has no effect; it must be >= 1, as ``audit.samples``.
+    (a) and (b) hold for every coupling, so the audit passes iff (c) does,
+    c_star >= 3 max(|alpha|, |alpha + 4 beta|), with no slack. Failing,
+    max_violation is the ratio of (c) less 1, inf for a zero c_star with a
+    nonzero coupling or where alpha + 4 beta overflows, and the witness is
+    ("difference_envelope", u, v, u', v') at the limit of (c)'s extremiser,
+    u = u' = 1/2, v = v' = u or i u. info holds the three ratios. samples
+    has no effect; it must be >= 1, as ``audit.samples``.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
-    quad = _tuples()
-    worst = {}
-    failed_witness = nonfinite = None
-    max_excess = 0.0
-    # a non-finite term is reported as a violation, not warned about
-    with np.errstate(invalid="ignore", over="ignore"):
-        for name, (lhs, rhs) in zip(_BOUNDS, _bound_terms(*quad, p, k)):
-            finite = np.isfinite(lhs) & np.isfinite(rhs)
-            if nonfinite is None and not finite.all():
-                nonfinite = (name, *(complex(z[np.argmin(finite)]) for z in quad))
-            excess = np.where(finite, lhs - rhs * (1.0 + EXACT_SLACK), -np.inf)
-            i = int(np.argmax(excess))
-            if excess[i] > max_excess:
-                max_excess, failed_witness = float(excess[i]), (name, *(complex(z[i]) for z in quad))
-            pos = rhs > 0
-            ratio = lhs[pos] / rhs[pos]
-            worst[name] = float(np.max(ratio, initial=0.0, where=np.isfinite(ratio)))
-
-    if nonfinite is not None:
-        max_excess, failed_witness = np.inf, nonfinite
-    passed = max_excess <= 0.0
+    a, b = abs(p.alpha), abs(p.alpha + 4.0 * p.beta)
+    sup = 3.0 * max(a, b)
+    c_star = k.c_star
+    if sup <= c_star:
+        ratio = sup / c_star if sup else 0.0
+        excess = 0.0
+    elif c_star > 0:
+        ratio = sup / c_star
+        excess = (sup - c_star) / c_star  # ratio - 1, > 0 exactly when (c) fails
+    else:
+        ratio = excess = math.inf
+    passed = excess == 0.0
+    v = 0.5 + 0j if b >= a else 0.5j
     return AuditReport(
         inequality="pointwise algebraic bounds (charge rate, product difference, difference envelope)",
         passed=passed,
-        max_violation=max(max_excess, 0.0),
+        max_violation=excess,
         tolerance_budget=0.0,
-        witness=failed_witness if not passed else None,
-        info={f"max_ratio_{n}": r for n, r in worst.items()},
+        witness=None if passed else ("difference_envelope", 0.5 + 0j, v, 0.5 + 0j, v),
+        info={
+            "max_ratio_charge_rate": 1.0 if p.beta else 0.0,
+            "max_ratio_product_difference": 0.5,
+            "max_ratio_difference_envelope": ratio,
+        },
     )

@@ -43,20 +43,6 @@ def _forcing(forcing: tuple[Forcing, Forcing], x: np.ndarray, t: float, h: float
     return F1(x, t), F2(x, t), F1(x - 0.5 * h, t_half), F2(x + 0.5 * h, t_half)
 
 
-def step(f: SpinorField, p: ModelParams, cfg: SolverConfig) -> SpinorField:
-    """Advance one light-cone step; returns the field at t + dt."""
-    grid = f.grid
-    h = grid.dt
-    forcing = None if cfg.forcing is None else _forcing(cfg.forcing, grid.sites(), f.t, h)
-    u_new, v_new, bad = kernels.step_unforced(
-        f.u, f.v, h, p.m, p.alpha, p.beta, grid.boundary == "periodic", forcing=forcing
-    )
-    t_new = f.t + h
-    if bad >= 0:  # the kernel's verdict is the level's only finiteness check
-        raise BlowUpError(t_new, bad, grid.x_min + bad * grid.dx)
-    return SpinorField._evolved(grid, t_new, u_new, v_new)
-
-
 def horizon_steps(T: float, dt: float) -> tuple[int, bool]:
     """The number of steps evolve takes to horizon T, and whether T is a
     step multiple: T / dt rounded when it is within 1e-12 relative of an
@@ -75,7 +61,7 @@ def evolve(
     T: float,
     observers: Optional[Sequence[Observer]] = None,
 ) -> list[SpinorField]:
-    """Iterate step up to horizon T.
+    """Step the lattice up to horizon T.
 
     f0 is one field or, with observers, a sequence of fields on one grid at
     one time, advanced in lockstep. Each observer is called with the tuple

@@ -40,7 +40,7 @@ def test_helpers_run_at_a_tiny_size(bench, levels, name):
         compact = bench.lockstep_us(list(zip(*bench.compact_rows(rng, 64))), lc.THIRRING, 1)
         audit = bench.audit_us_per_level(levels, 1)
         distance = bench.distance_us_per_level(64, rng, 1)
-    assert len(steps) == (4 if compiled else 3)
+    assert len(steps) == (3 if compiled else 2)
     assert list(audit) == (["AuditPass, 5 audits", "AuditPass, pool"]
                            + ["lcd_level_terms, bound", "AuditPass, pool - bound"] * compiled)
     assert len(distance) == (6 if compiled else 4)

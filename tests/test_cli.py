@@ -259,6 +259,17 @@ class TestAudit:
         assert all("tolerance_budget" in r for r in records)
 
 
+    @pytest.mark.parametrize("factor, status", [(0.99, 1), (1.01, 0)])
+    def test_c_star_around_the_tight_value(self, tmp_path, factor, status):
+        """Gross-Neveu's tight c_star is 3: below it the algebraic record
+        fails and names the difference envelope; above it, it passes."""
+        doc = self.audit_doc(tmp_path, audit_selection=["algebraic"], constants={"c_star": factor * 3.0})
+        done = run_lcdirac(write_cfg(tmp_path, doc))
+        assert done.returncode == status, done.stderr
+        text = (tmp_path / "aud_audits.csv").read_text()
+        assert ('"difference_envelope"' in text) is (status == 1)
+
+
 class TestConvergeUnique:
     def test_converge_command(self, tmp_path):
         doc = base_doc(
@@ -569,8 +580,8 @@ def test_cli_import_loads_no_subprocess():
 
 def test_algebraic_audit_imports_no_random_module(tmp_path):
     """python -m lcdirac on an audit that runs the algebraic check never
-    imports numpy.random: the check evaluates fixed tuples, and the import
-    alone costs an audit process about 15 ms."""
+    imports numpy.random: the check is a closed form and draws nothing, and
+    the import alone costs an audit process about 15 ms."""
     doc = base_doc(command="audit", audit_selection=["algebraic", "charge"], time={"T": 0.25},
                    output={"path": str(tmp_path / "run")})
     cfg = write_cfg(tmp_path, doc)

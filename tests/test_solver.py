@@ -91,7 +91,7 @@ class TestTransport:
         g = lc.make_grid(-4, 4, 128, "zero_inflow")
         f0 = random_field(rng, g)
         p = lc.ModelParams(0.0, 0.0, 0.0)
-        f1 = lc.step(f0, p, lc.SolverConfig())
+        f1 = lc.evolve(f0, p, lc.SolverConfig(), g.dt)[-1]
         assert f1.u[0] == 0.0 and f1.v[-1] == 0.0
         assert np.array_equal(f1.u[1:], f0.u[:-1])
         assert np.array_equal(f1.v[:-1], f0.v[1:])
