@@ -15,8 +15,6 @@ import numpy as np
 from lcdirac import model
 from lcdirac.model import EstimateConstants, ModelParams
 
-BOUNDS = ("charge_rate", "product_difference", "difference_envelope")
-
 # Multiplicative slack absorbing rounding in bounds that are exact in reals.
 EXACT_SLACK = 1e-12
 
@@ -111,7 +109,8 @@ def abs2_product_difference(u, v, up, vp):
 
 
 def bound_terms(u, v, up, vp, p: ModelParams, k: EstimateConstants):
-    """(lhs, rhs) of each bound in BOUNDS order, at the tuples (u, v, u', v').
+    """(lhs, rhs) of the charge rate (a), the product difference (b) and the
+    difference envelope (c), at the tuples (u, v, u', v').
 
     The complex products and moduli are real arithmetic, as in
     ``kernels.pure.distance_terms``: NumPy's complex multiply and ``np.abs``
@@ -140,6 +139,5 @@ def ratios(quad, p: ModelParams, k: EstimateConstants) -> list[float]:
     out = []
     for lhs, rhs in bound_terms(*quad, p, k):
         pos = rhs > 0
-        r = lhs[pos] / rhs[pos]
-        out.append(float(np.nan if np.isnan(r).any() else np.max(r, initial=0.0)))
+        out.append(float(np.max(lhs[pos] / rhs[pos], initial=0.0)))
     return out
