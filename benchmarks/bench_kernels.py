@@ -32,8 +32,9 @@ triangle, pointwise, bony and gronwall on runs A and B, N = 3072 on
 257 levels evolved once and held) is fed every level, in microseconds per
 level, the t = 0 call included: as in ``evolve``, that first call also
 starts the pass (its t = 0 checks and charges come from that level's
-sums); ``level_terms`` is ``_level.c`` or its NumPy twin, terms and sums
-alike. It is fed fresh levels (its construction timed with them), and the
+row); ``level_terms`` is ``_level.c``'s one fused pass a level, which
+stores no term, or its NumPy twin, which forms every term array. It is fed
+fresh levels (its construction timed with them), and the
 same levels as ``evolve`` feeds them: the t = 0 level as it is, and level k
 on the rows of a ``LevelPool``'s generation k % 2, copied there untimed
 before its call, so the pass reads each generation's bound views. On
@@ -44,7 +45,13 @@ each level's best time over the repeats, and a third row shows the Python
 per level: the sum over levels of each level's median difference between
 the pass's call and its replay, so the machine's drift between repeats
 cannot turn it negative. The bench refuses a pass whose calls it cannot
-record by name on ``kernels._lib``. Then the pair distances
+record by name on ``kernels._lib``. Beside them, one level's growth
+margins at N = 3072, in microseconds per call (on ``compiled`` the bare
+``lcd_level_terms`` call that ``LevelTerms.write`` makes): a level grown
+by 5 % along each characteristic, with a slack per site (m C0 = 100) that
+lets the pass skip every window width from 4 up, as on ``audit_cone``, and
+the same level with almost none (m C0 = 1e-6), where the widest windows
+win and no width can be skipped. Then the pair distances
 ``converge`` and ``unique`` take at every level (``kernels.distance_sums``:
 the terms of every pair of random Thirring-sized runs, the product in real
 arithmetic on both backends, and their two sums per pair), in microseconds
@@ -294,6 +301,38 @@ def audit_us_per_level(levels, repeats) -> dict[str, float]:
     return {label: t / len(levels) * 1e6 for label, t in rows.items()}
 
 
+def margins_us(n, rng, repeats) -> dict[str, float]:
+    """One level's terms with growth margins in us per call, by row label:
+    a level of n sites grown by 5 % along each characteristic over its
+    feet n / 16 sites back, on a section of 3 n / 4 sites, with m C0 = 100
+    (the window widths from 4 up are skipped) and 1e-6 (the widest windows
+    win); on compiled the bare lcd_level_terms call LevelTerms.write makes."""
+    kshift, dx = n // 16, 12.0 / n
+    u0, v0 = (0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in "uv")
+    u, v = np.zeros(n, complex), np.zeros(n, complex)
+    u[kshift:], v[: n - kshift] = np.sqrt(1.05) * u0[: n - kshift], np.sqrt(1.05) * v0[kshift:]
+    args = ((u, v), n // 8, n - n // 8, kshift, 1.0)
+    times = {}
+    for label, m in (("margins, widths skipped", 100.0), ("margins, wide windows win", 1e-6)):
+        terms = kernels.LevelTerms(n, 1, dx, (u0, v0), m=m, C0=1.0)
+
+        def call(terms=terms):
+            terms.write(*args)
+
+        if kernels.backend_name() == "compiled":
+            (bare,) = bare_calls("lcd_level_terms", call)
+
+            def call(bare=bare, fn=kernels._lib.lcd_level_terms):
+                fn(*bare)
+
+        def calls(call=call):
+            for _ in range(CALLS):
+                call()
+
+        times[label] = best_of(calls, repeats) / CALLS * 1e6
+    return times
+
+
 def distance_us_per_level(n, rng, repeats, runs=5) -> dict[str, float]:
     """The distance sums of runs pool rows and their consecutive pairs in us
     per level, by row label: one distance_sums call per pair, one call for
@@ -401,6 +440,13 @@ def bench(sizes, repeats):
             rows.append(audit_us_per_level(levels, repeats))
         for label in rows[0]:
             print_row(label, n, [r[label] for r in rows if label in r])
+        print("one level's growth margins: us per call")
+        rows = []
+        for bk in backends:
+            kernels.use_backend(bk)
+            rows.append(margins_us(n, rng, repeats))
+        for label in rows[0]:
+            print_row(label, n, [r[label] for r in rows])
         print("pair distances, 5 runs and 4 pairs: us per level")
         for n in sizes:
             rows = []

@@ -414,16 +414,24 @@ def convergence_csv(table: ConvergenceTable) -> str:
 
 def _report_record(name: str, rep: AuditReport, k: EstimateConstants) -> dict:
     """The flat record of one audit report; every record carries the run's
-    estimate constants."""
+    estimate constants. A witness is (time, location), or for the algebraic
+    audit (bound, u, v, u', v'): its record has no time or location but the
+    bound's name and the four values, each as Python writes a complex."""
+    witness = rep.witness
+    algebraic = witness is not None and isinstance(witness[0], str)
     rec: dict[str, Any] = {
         "audit": name,
         "inequality": rep.inequality,
         "passed": rep.passed,
         "max_violation": rep.max_violation,
         "tolerance_budget": rep.tolerance_budget,
-        "witness_time": rep.witness[0] if rep.witness else None,
-        "witness_location": rep.witness[1] if rep.witness else None,
+        "witness_time": witness[0] if witness and not algebraic else None,
+        "witness_location": witness[1] if witness and not algebraic else None,
     }
+    if algebraic:
+        rec["witness_bound"] = witness[0]
+        for key, value in zip(("u", "v", "u_prime", "v_prime"), witness[1:]):
+            rec[f"witness_{key}"] = str(value)
     for f in ("c", "delta0", "c_star", "K", "delta"):
         rec[f"constants_{f}"] = getattr(k, f)
     for key, val in rep.info.items():

@@ -19,6 +19,7 @@ BOUNDARIES = ("periodic", "zero_inflow")
 
 # Slack for deciding whether a coordinate sits on a lattice point.
 _ALIGN_RTOL = 1e-9
+_BIG = 0.5 * sys.float_info.max  # a bound no lattice index reaches
 
 
 @record
@@ -154,17 +155,20 @@ class TriangleDomain:
         Sites x_i with lo < x_i < hi; returns i0 >= i1 for an empty section.
         """
         lo, hi = self.cross_section(t)
-        dx = grid.dx
+        x_min, dx = grid.x_min, grid.dx
+        rlo, rhi = (lo - x_min) / dx, (hi - x_min) / dx
         # An endpoint near the double limit divides to +-inf, or overflows
         # with the tolerance; clamped to half the largest double it is still
         # far past the grid window, and gives the same section.
-        big = 0.5 * sys.float_info.max
-        rlo = min(max((lo - grid.x_min) / dx, -big), big)
-        rhi = min(max((hi - grid.x_min) / dx, -big), big)
-        # each endpoint's tolerance scales with its own coordinate alone
-        i0 = math.floor(rlo + _ALIGN_RTOL * max(1.0, abs(rlo))) + 1
-        i1 = math.ceil(rhi - _ALIGN_RTOL * max(1.0, abs(rhi)))  # first excluded index
-        return max(i0, 0), min(i1, grid.n_points)
+        if not (-_BIG <= rlo <= _BIG and -_BIG <= rhi <= _BIG):
+            rlo, rhi = min(max(rlo, -_BIG), _BIG), min(max(rhi, -_BIG), _BIG)
+        # each endpoint's tolerance scales with its own coordinate alone:
+        # _ALIGN_RTOL max(1, |r|)
+        alo, ahi = abs(rlo), abs(rhi)
+        i0 = math.floor(rlo + _ALIGN_RTOL * (alo if alo > 1.0 else 1.0)) + 1
+        i1 = math.ceil(rhi - _ALIGN_RTOL * (ahi if ahi > 1.0 else 1.0))  # first excluded index
+        n = grid.n_points
+        return i0 if i0 > 0 else 0, i1 if i1 < n else n
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,13 @@ def trace_pair(
 # Audits
 #
 # Each evolved audit is a reduction over the rows AuditPass keeps, one per
-# level, t = 0 included: (t, sums, margins, sites, edge_u, edge_v), where
-# sums, margins and sites are what the level's kernels.level_terms pass left
-# in its LevelTerms, as Python numbers, and edge_u and edge_v are run A's
-# |u|^2 at the cone's right edge and |v|^2 at its left edge (None past tau,
-# or without the triangle audit). start(levels, terms, sums) takes the runs'
-# levels at t = 0 with their terms and sums and raises every usage or
+# level, t = 0 included: (t, row), where row is what the level's
+# kernels.level_terms pass left in its LevelTerms.row, as Python numbers:
+# the sums first, then the margins, their sites and, with the triangle
+# audit, run A's |u|^2 at the cone's right edge and |v|^2 at its left edge
+# (read up to tau), at the terms' offsets. start(levels, terms, sums) takes
+# the runs' levels at t = 0 with their terms and their row and raises every
+# usage or
 # precondition error: AuditPass calls it on its first call, which evolve
 # makes before any step, so a refused audit costs no step. report(rows)
 # reads the rows once and returns the AuditReport, with the float
@@ -222,8 +223,8 @@ def _inside(rows: list, dom: TriangleDomain) -> tuple[list, list]:
     """The times and the sums of the rows of the levels inside the cone up
     to its apex."""
     apex = dom.apex_time + 1e-12
-    inside = [row for row in rows if row[0] <= apex]
-    return [row[0] for row in inside], [row[1] for row in inside]
+    inside = [(t, row) for t, row in rows if t <= apex]
+    return [t for t, _ in inside], [row for _, row in inside]
 
 
 class TotalCharge:
@@ -237,7 +238,7 @@ class TotalCharge:
 
     def report(self, rows: list) -> AuditReport:
         drift = 0.0
-        for _, sums, _, _, _, _ in rows:
+        for _, sums in rows:
             drift = max(drift, abs(sums[0] * self.dx - self.q0))  # charge() of each level bit for bit
         # NumPy's power: inf, not OverflowError, for a grid spacing past 1e154;
         # a zero C_tol times an inf charge is nan, and the audit fails
@@ -267,15 +268,16 @@ class TriangleCharge:
             raise UsageError(f"tau={self.tau} outside the cone's span [0.0, {dom.apex_time}]")
         self.dx, self.dt = f0.grid.dx, f0.grid.dt
         self.interior0 = sums[kernels.SECTION_SUMS[0]] * self.dx  # charge(f0, dom) bit for bit
+        self.edges = terms.edges_at
 
     def report(self, rows: list) -> AuditReport:
         tau, interior0, dt = self.tau, self.interior0, self.dt
-        flux_u, flux_v, interior_tau = [], [], None
-        for t, sums, _, _, edge_u, edge_v in rows:
+        flux_u, flux_v, interior_tau, at = [], [], None, self.edges
+        for t, sums in rows:
             if t > tau + 1e-12:
                 continue
-            flux_u.append(edge_u)
-            flux_v.append(edge_v)
+            flux_u.append(sums[at])
+            flux_v.append(sums[at + 1])
             # the last level up to tau must be the one at tau
             at_tau = abs(t - tau) <= 1e-9 * max(1.0, abs(tau))
             interior_tau = sums[kernels.SECTION_SUMS[0]] * self.dx if at_tau else None
@@ -313,8 +315,10 @@ class PointwiseGrowth:
         ia = grid.index_of(dom.a)
         ib = grid.index_of(dom.b)
         self.x_min, self.dx = grid.x_min, grid.dx
-        # over the closed [a, b], not the section: one NumPy sum per pass
-        self.charge0 = float(np.add.reduce(terms.dens[0, ia : ib + 1])) * grid.dx
+        self.margins, self.sites = terms.margins_at, terms.sites_at
+        # over the closed [a, b], not the section: the densities the pass sums, one NumPy sum per pass
+        u, v = levels[0].u[ia : ib + 1], levels[0].v[ia : ib + 1]
+        self.charge0 = float(np.add.reduce((u.real**2 + u.imag**2) + (v.real**2 + v.imag**2))) * grid.dx
         if not self.charge0 < self.C0:
             raise PreconditionError(
                 f"initial charge {self.charge0} over [{dom.a}, {dom.b}] is not below C0={self.C0}"
@@ -329,12 +333,12 @@ class PointwiseGrowth:
             return float(np.exp(x))
 
     def report(self, rows: list) -> AuditReport:
-        worst, witness = 0.0, None
-        for t, _, margins, sites, _, _ in rows:
-            for margin, site in zip(margins, sites):
-                if margin > worst:
-                    worst = margin
-                    witness = (t, self.x_min + site * self.dx)
+        worst, witness, at = 0.0, None, self.margins
+        for t, row in rows:
+            for k in (0, 1, 2):
+                if row[at + k] > worst:
+                    worst = row[at + k]
+                    witness = (t, self.x_min + row[self.sites + k] * self.dx)
         budget = tolerance_budget(self.dx, self.charge0, self.c_tol)
         return AuditReport(
             inequality="exponential pointwise/interval growth bounds in the cone",
@@ -458,10 +462,10 @@ class AuditPass:
     call share one grid and one time, as evolve's lockstep runs do.
 
     Each level costs one ``LevelTerms.write`` into the terms the first call
-    allocates, which computes every term and sum the audits read (on a
-    ``LevelPool``'s views, checked at every call with no address lookup),
-    and one row appended to ``rows``: (t, sums, margins, sites, edge_u,
-    edge_v), as the comment at the head of the audits lays out.
+    allocates, one C pass that computes every sum, margin and edge density
+    the audits read (on a ``LevelPool``'s views, checked at every call with
+    no address lookup), and one row appended to ``rows``: (t, the terms'
+    row as one list), as the comment at the head of the audits lays out.
     ``report(name)`` reduces the rows once.
     """
 
@@ -496,7 +500,8 @@ class AuditPass:
         if "gronwall" in names:
             self.audits["gronwall"] = GronwallEnvelope(dom, k, p, c_tol)
         self._growth = self.audits["pointwise"].growth if "pointwise" in names else None
-        self._edges = None  # the triangle audit's (ia, ib), once started
+        self._apex = None if dom is None else dom.apex_time + 1e-12  # the last level time with a section
+        self._row = None  # the terms' row, once started
 
     def __call__(self, levels: tuple):
         f, dom = levels[0], self.dom
@@ -504,44 +509,39 @@ class AuditPass:
         i0 = i1 = kshift = 0
         E = None
         if dom is not None:
-            kshift = round(t / f.grid.dt)  # the feet, kshift sites back along each characteristic
-            if t <= dom.apex_time + 1e-12:  # the cone's section at this level, empty past the apex
-                i0, i1 = dom.section_indices(f.grid, t)
+            grid = f.grid
+            kshift = round(t / grid.dt)  # the feet, kshift sites back along each characteristic
+            if t <= self._apex:  # the cone's section at this level, empty past the apex
+                i0, i1 = dom.section_indices(grid, t)
                 if self._growth is not None:
                     E = self._growth(t)
         fields = (f.u, f.v) if self.runs == 1 else (f.u, f.v, levels[1].u, levels[1].v)
-        terms = self.terms
-        if terms is None:
-            terms = self._start(levels, fields, i0, i1, kshift, E)
+        if self._row is None:
+            self._start(levels, fields, i0, i1, kshift, E)
         else:
-            terms.write(fields, i0, i1, kshift, E)
-        edge_u = edge_v = None
-        if self._edges is not None and t <= self.tau + 1e-12:
-            ia, ib = self._edges
-            edge_u, edge_v = terms.au.item(0, ib - kshift), terms.av.item(0, ia + kshift)
-        self.rows.append((t, terms.sums.tolist(), terms.margins.tolist(), terms.sites.tolist(), edge_u, edge_v))
+            self.terms.write(fields, i0, i1, kshift, E)
+        self.rows.append((t, self._row.tolist()))
 
-    def _start(self, levels: tuple, fields: tuple, i0: int, i1: int, kshift: int, E) -> kernels.LevelTerms:
-        """The first call's terms, written for the levels at t = 0, with
-        every audit started on them."""
-        f0, pointwise = levels[0], self.audits.get("pointwise")
+    def _start(self, levels: tuple, fields: tuple, i0: int, i1: int, kshift: int, E):
+        """Write the levels at t = 0 into the terms, which this allocates,
+        and start every audit on them."""
+        f0, grid, pointwise = levels[0], levels[0].grid, self.audits.get("pointwise")
         if any(name != "charge" for name in self.audits) and abs(f0.t) > 1e-12:
             raise UsageError("snapshots must start at the cone's base time t = 0")
-        growth = {} if pointwise is None else {"origin": (f0.u, f0.v), "m": pointwise.p.m, "C0": pointwise.C0}
+        kw = {} if pointwise is None else {"origin": (f0.u, f0.v), "m": pointwise.p.m, "C0": pointwise.C0}
+        if "triangle" in self.audits:  # raises what TriangleCharge.start would, the first audit that can raise
+            kw["edges"] = grid.index_of(self.dom.a), grid.index_of(self.dom.b)
         # A huge but finite datum may overflow in the terms and the start
         # values without a warning: the preconditions refuse an inf charge.
         # A later level's run blows up at the next step, or its report
         # carries the inf.
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = kernels.LevelTerms(f0.grid.n_points, self.runs, f0.grid.dx, **growth)
+            terms = kernels.LevelTerms(grid.n_points, self.runs, grid.dx, **kw)
             terms.write(fields, i0, i1, kshift, E)
-            sums = terms.sums.tolist()
+            row = terms.row.tolist()
             for audit in self.audits.values():
-                audit.start(levels, terms, sums)
-        self.terms = terms  # the pass is started once every start passed
-        if "triangle" in self.audits:
-            self._edges = self.audits["triangle"].ia, self.audits["triangle"].ib
-        return terms
+                audit.start(levels, terms, row)
+        self.terms, self._row = terms, terms.row  # the pass is started once every start passed
 
     def report(self, name: str) -> AuditReport:
         if self.terms is None:

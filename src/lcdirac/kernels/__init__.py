@@ -509,76 +509,78 @@ def format_rows_into(buf: np.ndarray, at: int, values) -> int:
 class _Level(ctypes.Structure):
     """``lcd_level`` in ``_level.c``, field for field."""
 
-    ARRAYS = ("au", "av", "dens", "prod", "q", "l1", "d1", "q1u", "q1v",
-              "pre_u", "pre_v", "au0", "av0", "pre_u0", "pre_v0", "margins", "sites", "sums")
+    ARRAYS = ("au0", "av0", "pre_u0", "pre_v0", "pre_u", "pre_v")
     _fields_ = ([("n", ctypes.c_ssize_t), ("runs", ctypes.c_ssize_t)]
                 + [(name, ctypes.c_double) for name in ("dx", "m", "C0")]
-                + [(name, ctypes.c_void_p) for name in ARRAYS])
+                + [(name, ctypes.c_void_p) for name in ARRAYS]
+                + [("ia", ctypes.c_ssize_t), ("ib", ctypes.c_ssize_t), ("row", ctypes.c_void_p)])
 
 
 SECTION_SUMS, PAIR_SUMS = (1, 4), 7  # where LevelTerms.sums holds each run's section sums, and the pair's
 
 
 class LevelTerms:
-    """The buffers ``level_terms`` writes one level into, allocated once
-    for n sites and 1 or 2 runs (A, then B), with the addresses the C pass
-    takes kept in one struct (``a.ctypes.data`` costs about 2 us a lookup).
+    """The row ``level_terms`` writes one level into, and the origin and
+    scratch its growth margins read, allocated once for n sites and 1 or 2
+    runs (A, then B), with the addresses the C pass takes kept in one
+    struct (``a.ctypes.data`` costs about 2 us a lookup).
 
-    Over the section [i0, i1) of the last level written, per run r:
-    ``au[r]`` = |u|^2, ``av[r]`` = |v|^2, ``dens[r]`` = au + av (for run A
-    over the whole grid), ``prod[r]`` = au av and ``q[r]`` = au suffix(av),
-    whose sum is q_upper(au, av); for two runs, with U = uA - uB,
-    V = vA - vB, umod = auA + auB and vmod = avA + avB: ``l1`` = |U|^2 +
-    |V|^2, ``d1`` = |U|^2 vmod + umod |V|^2, ``q1u`` = |U|^2 suffix(vmod)
-    and ``q1v`` = umod suffix(|V|^2). Outside the section these hold what
-    earlier levels left. ``sums`` holds their sums: run A's dens over the
-    grid, then from ``SECTION_SUMS[r]`` run r's dens, prod and q over the
-    section, and for two runs from ``PAIR_SUMS`` l1, d1, q1u and q1v (those
-    of q, q1u and q1v 0.0 below two sites).
+    No term is kept: ``row``, one float64 array, holds what the pass leaves
+    of a level, and ``sums``, ``margins``, ``sites`` and ``edges`` are its
+    parts, at the offsets 0, ``margins_at``, ``sites_at`` and ``edges_at``.
+    With au = |u|^2, av = |v|^2 and the section [i0, i1), and for two runs
+    U = uA - uB, V = vA - vB, umod = auA + auB and vmod = avA + avB,
+    ``sums`` holds the sums of the terms: run A's au + av over the grid,
+    then from ``SECTION_SUMS[r]`` run r's au + av, au av and au suffix(av)
+    (whose sum is q_upper(au, av)) over the section, and for two runs from
+    ``PAIR_SUMS`` those of |U|^2 + |V|^2, |U|^2 vmod + umod |V|^2,
+    |U|^2 suffix(vmod) and umod suffix(|V|^2) (the sums of the suffix-scan
+    products 0.0 below two sites).
 
     With origin, run A's (u, v) at t = 0, and the run's m and C0, a level
     written with a growth factor also gets the growth margins: ``margins``
     and ``sites`` hold the largest margin, and its site as ``np.argmax``
     finds it, of |u|^2 and of |v|^2 against their feet at t = 0 and of the
     bound over every dyadic window (-inf and -1 without a candidate);
-    ``pre_u`` and ``pre_v`` are the level's prefix sums, and ``au0``,
-    ``av0``, ``pre_u0`` and ``pre_v0`` the origin's.
+    ``au0``, ``av0``, ``pre_u0`` and ``pre_v0`` are the origin's densities
+    and prefix sums, ``pre_u`` and ``pre_v`` the pass's scratch for the
+    level's. With edges, the triangle's edge sites (ia, ib), ``edges``
+    holds run A's |u|^2 at ib - kshift and |v|^2 at ia + kshift (NaN where
+    a site leaves the grid, and both NaN without edges).
     """
 
-    def __init__(self, n: int, runs: int, dx: float, origin=None, m: float = 0.0, C0: float = 0.0):
+    def __init__(self, n: int, runs: int, dx: float, origin=None, m: float = 0.0, C0: float = 0.0,
+                 edges=None):
         if runs not in (1, 2):
             raise ValueError(f"runs must be 1 or 2, got {runs}")
         self.n, self.runs, self.dx, self.m, self.C0 = n, runs, dx, m, C0
-        # the float64 buffers are views of one block, so their addresses
-        # take one lookup
-        layout = [(name, (runs, n)) for name in ("au", "av", "dens", "prod", "q")]
-        self.l1 = self.d1 = self.q1u = self.q1v = None
-        if runs == 2:
-            layout += [(name, (n,)) for name in ("l1", "d1", "q1u", "q1v")]
-        self.pre_u = self.pre_v = self.au0 = self.av0 = self.pre_u0 = self.pre_v0 = None
+        self._shape = (n,)
+        self.margins_at = 1 + 3 * runs + (4 if runs == 2 else 0)
+        self.sites_at, self.edges_at = self.margins_at + 3, self.margins_at + 6
+        self.row = np.empty(self.edges_at + 2)
+        self.sums, self.margins = self.row[: self.margins_at], self.row[self.margins_at : self.sites_at]
+        self.sites, self.edges = self.row[self.sites_at : self.edges_at], self.row[self.edges_at :]
+        self.row[:] = [0.0] * self.margins_at + [-np.inf] * 3 + [-1.0] * 3 + [np.nan] * 2
+        self.edge_sites = None if edges is None else tuple(int(i) for i in edges)
+        addresses = dict.fromkeys(_Level.ARRAYS)
+        self.au0 = self.av0 = self.pre_u0 = self.pre_v0 = self.pre_u = self.pre_v = None
         if origin is not None:
-            layout += [(name, (n,)) for name in ("au0", "av0")]
-            layout += [(name, (n + 1,)) for name in ("pre_u", "pre_v", "pre_u0", "pre_v0")]
-        layout.append(("margins", (3,)))
-        layout.append(("sums", (1 + 3 * runs + (4 if runs == 2 else 0),)))
-        block = np.zeros(sum(math.prod(shape) for _, shape in layout))
-        addresses, at = dict.fromkeys(_Level.ARRAYS), 0
-        base = block.ctypes.data
-        for name, shape in layout:
-            size = math.prod(shape)
-            setattr(self, name, block[at : at + size].reshape(shape))
-            addresses[name] = base + 8 * at
-            at += size
-        if origin is not None:
+            # the float64 buffers are views of one block, so their addresses take one lookup
+            block = np.zeros(2 * n + 4 * (n + 1))
+            self.au0, self.av0 = block[:n], block[n : 2 * n]
+            self.pre_u0, self.pre_v0, self.pre_u, self.pre_v = block[2 * n :].reshape(4, n + 1)
             u0, v0 = (_field(a, n)[0] for a in origin)
-            np.add(u0.real**2, u0.imag**2, out=self.au0)
-            np.add(v0.real**2, v0.imag**2, out=self.av0)
-            np.cumsum(self.au0, out=self.pre_u0[1:])
-            np.cumsum(self.av0, out=self.pre_v0[1:])
-        self.margins.fill(-np.inf)
-        self.sites = np.full(3, -1, dtype=np.intp)
-        addresses["sites"] = self.sites.ctypes.data
-        self._struct = _Level(n, runs, dx, m, C0, *addresses.values())
+            with np.errstate(over="ignore", invalid="ignore"):  # left to the caller, as in the pass
+                np.add(u0.real**2, u0.imag**2, out=self.au0)
+                np.add(v0.real**2, v0.imag**2, out=self.av0)
+                np.cumsum(self.au0, out=self.pre_u0[1:])
+                np.cumsum(self.av0, out=self.pre_v0[1:])
+            base = block.ctypes.data
+            addresses.update(au0=base, av0=base + 8 * n,
+                             **{name: base + 8 * (2 * n + k * (n + 1))
+                                for k, name in enumerate(("pre_u0", "pre_v0", "pre_u", "pre_v"))})
+        ia, ib = (-1, -1) if edges is None else self.edge_sites
+        self._struct = _Level(n, runs, dx, m, C0, *addresses.values(), ia, ib, self.row.ctypes.data)
         self._address = ctypes.addressof(self._struct)
 
     def write(self, fields, i0: int, i1: int, kshift: int, E) -> None:
@@ -586,10 +588,18 @@ class LevelTerms:
         the list of sums: each field is checked, and converted if need be,
         as ``distance_sums`` checks its runs (an open pool's view as it is,
         with no address lookup)."""
+        n, shape = self.n, self._shape
         if len(fields) != 2 * self.runs:
             raise ValueError(f"terms hold {self.runs} runs, got {len(fields) // 2}")
-        # converted where need be, and alive through the call
-        fields, addresses = zip(*[_field(a, self.n) for a in fields])
+        kept, addresses = [], []  # converted fields, kept alive through the call, and every address
+        for a in fields:
+            bound = _BOUND.get(id(a))
+            if bound is None or a.shape != shape:
+                a, address = _field(a, n)
+                kept.append(a)
+            else:
+                address = bound[0]
+            addresses.append(address)
         if i1 <= i0:  # no section, so no margins
             i0 = i1 = 0
             E = None
@@ -597,15 +607,17 @@ class LevelTerms:
         if E is not None:
             if self.au0 is None:
                 raise ValueError("growth margins need terms made with an origin")
-            reach = abs(kshift)
-        if i0 - reach < 0 or i1 + reach > self.n:
+            reach = kshift if kshift >= 0 else -kshift
+        if i0 < reach or i1 + reach > n:
             raise UsageError(f"section [{i0}, {i1}) with its feet {reach} sites out "
-                             f"leaves the grid of {self.n} sites")
+                             f"leaves the grid of {n} sites")
         if _active == "compiled":
-            _lib.lcd_level_terms(self._address, *(addresses + (None, None))[:4],  # NULL: no run B
-                                 i0, i1, kshift, E is not None, 0.0 if E is None else E)
+            if self.runs == 1:
+                addresses += None, None  # NULL: no run B
+            _lib.lcd_level_terms(self._address, *addresses, i0, i1, kshift, E is not None, 0.0 if E is None else E)
         else:
-            pure.level_terms(self, list(zip(fields[::2], fields[1::2])), i0, i1, kshift, E)
+            runs = [_field(a, n)[0] for a in fields]
+            pure.level_terms(self, list(zip(runs[::2], runs[1::2])), i0, i1, kshift, E)
 
 
 def _field(a, n: int) -> tuple[np.ndarray, int]:
@@ -617,7 +629,7 @@ def _field(a, n: int) -> tuple[np.ndarray, int]:
 
 
 def level_terms(terms: LevelTerms, runs, i0: int, i1: int, kshift: int, E) -> list[float]:
-    """Write one level's terms into terms (see ``LevelTerms``) and return
+    """Write one level's row into terms (see ``LevelTerms``) and return
     ``terms.sums`` as Python floats.
 
     runs holds one (u, v) pair per run of terms; [i0, i1) is the section,

@@ -127,10 +127,12 @@ def q_upper_naive(a, b):
 
 
 def level_terms(terms, runs, i0, i1, kshift, E):
-    """Write one level's elementwise terms and their sums into terms, a
-    kernels.LevelTerms (which names each one), for runs, one (u, v) pair per
-    run, over the section [i0, i1); with E, the growth factor at this level,
-    also the growth margins against the level at t = 0.
+    """Write one level's row into terms.row, a kernels.LevelTerms (which
+    names its parts), for runs, one (u, v) pair per run, over the section
+    [i0, i1): the sums of the elementwise terms, formed here as whole
+    arrays and summed by np.add.reduce; with E, the growth factor at this
+    level, also the growth margins against the level at t = 0; and the
+    edge densities at terms.edge_sites.
 
     Overflow is left to the caller, as in the compiled backend.
     """
@@ -141,44 +143,44 @@ def level_terms(terms, runs, i0, i1, kshift, E):
 def _level_terms(terms, runs, i0, i1, kshift, E):
     sec, add = slice(i0, i1), np.add.reduce
     upper = add if i1 - i0 >= 2 else lambda a: 0.0  # q_upper is 0 below two sites
-    sums = []
+    au, av, sums = [], [], []
     for r, (u, v) in enumerate(runs):
         span = slice(None) if r == 0 else sec  # run B is read over the section only
-        au, av = terms.au[r], terms.av[r]
-        au[span] = u[span].real**2 + u[span].imag**2
-        av[span] = v[span].real**2 + v[span].imag**2
-        terms.dens[r, span] = au[span] + av[span]
-        terms.prod[r, sec] = au[sec] * av[sec]
-        terms.q[r, sec] = au[sec] * upper_suffix(av[sec])
-        sums += [add(terms.dens[r, sec]), add(terms.prod[r, sec]), upper(terms.q[r, sec])]
+        au.append(u[span].real**2 + u[span].imag**2)
+        av.append(v[span].real**2 + v[span].imag**2)
+        a, b = (x if r else x[sec] for x in (au[r], av[r]))  # over the section
+        sums += [add(a + b), add(a * b), upper(a * upper_suffix(b))]
     if len(runs) == 2:
         (uA, vA), (uB, vB) = runs
         U = uA[sec] - uB[sec]
         V = vA[sec] - vB[sec]
         aU2 = U.real**2 + U.imag**2
         aV2 = V.real**2 + V.imag**2
-        terms.l1[sec] = aU2 + aV2
-        vmod = terms.av[0, sec] + terms.av[1, sec]
-        umod = terms.au[0, sec] + terms.au[1, sec]
-        terms.d1[sec] = aU2 * vmod + umod * aV2
-        terms.q1u[sec] = aU2 * upper_suffix(vmod)
-        terms.q1v[sec] = umod * upper_suffix(aV2)
-        sums += [add(terms.l1[sec]), add(terms.d1[sec]), upper(terms.q1u[sec]), upper(terms.q1v[sec])]
-    terms.sums[:] = [add(terms.dens[0]), *sums]  # run A's densities over the grid first
+        vmod = av[0][sec] + av[1]
+        umod = au[0][sec] + au[1]
+        sums += [add(aU2 + aV2), add(aU2 * vmod + umod * aV2), upper(aU2 * upper_suffix(vmod)),
+                 upper(umod * upper_suffix(aV2))]
+    terms.sums[:] = [add(au[0] + av[0]), *sums]  # run A's densities over the grid first
     terms.margins[:] = -np.inf
     terms.sites[:] = -1
     if E is not None:
-        _growth_margins(terms, i0, i1, kshift, E)
+        _growth_margins(terms, au[0], av[0], i0, i1, kshift, E)
+    terms.edges[:] = np.nan
+    if terms.edge_sites is not None:
+        ia, ib = terms.edge_sites
+        if 0 <= ib - kshift < terms.n:
+            terms.edges[0] = au[0][ib - kshift]
+        if 0 <= ia + kshift < terms.n:
+            terms.edges[1] = av[0][ia + kshift]
 
 
-def _growth_margins(terms, i0, i1, kshift, E):
+def _growth_margins(terms, au, av, i0, i1, kshift, E):
     """Largest margin, and the site where np.argmax finds it, of the
-    pointwise bounds on |u|^2 and |v|^2 and of the bound over every sliding
-    dyadic window of the section (width-major, then by start)."""
+    pointwise bounds on au = |u|^2 and av = |v|^2 of run A and of the bound
+    over every sliding dyadic window of the section (width-major, then by
+    start)."""
     dx, mC0 = terms.dx, terms.m * terms.C0
-    au, av = terms.au[0], terms.av[0]
-    pre_u, pre_v = terms.pre_u, terms.pre_v
-    pre_u[0] = pre_v[0] = 0.0
+    pre_u, pre_v = np.zeros(terms.n + 1), np.zeros(terms.n + 1)
     np.cumsum(au, out=pre_u[1:])
     np.cumsum(av, out=pre_v[1:])
     vio_u = au[i0:i1] - E * (terms.au0[i0 - kshift : i1 - kshift] + mC0)

@@ -97,7 +97,9 @@ def derive_constants(
     the tight value is 3 max(|alpha|, |alpha + 4 beta|), and the default is
     twice it (0 for zero coupling). K = 2 c_star + 2 then leaves
     -K + 2 c_star = -2, and delta = min(delta0, 1 / (4 c_star)) keeps
-    -2 + 2 c_star delta <= -3/2.
+    -2 + 2 c_star delta <= -3/2. Once 2 c_star reaches 2^54 the + 2 is lost
+    to rounding, and K is the next double above 2 c_star instead, which
+    keeps -K + 2 c_star < -1 in floating point for every finite 2 c_star.
     """
     c = 8.0 * abs(p.beta)
     if delta0 is None:
@@ -106,6 +108,8 @@ def derive_constants(
         c_star = 6.0 * max(abs(p.alpha), abs(p.alpha + 4.0 * p.beta))
     if K is None:
         K = 2.0 * c_star + 2.0
+        if not -K + 2.0 * c_star < -1.0:  # the + 2 rounded away
+            K = math.nextafter(2.0 * c_star, math.inf)
     if delta is None:
         delta = min(delta0, 1.0 / (4.0 * c_star)) if c_star > 0 else delta0
     k = EstimateConstants(c=c, delta0=delta0, c_star=c_star, K=K, delta=delta)

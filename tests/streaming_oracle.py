@@ -7,8 +7,11 @@ report the same bits.
 
 ``StreamingAuditPass`` takes the constructor arguments of
 ``functionals.AuditPass`` and is fed the same levels. Each level is written
-with ``kernels.level_terms``, the kernels' checked entry, so only the
-reductions differ from the pass under test.
+with ``kernels.level_terms``, the kernels' checked entry, for its sums and
+margins, so only the reductions differ from the pass under test; the
+densities the reductions read at single sites (the edge fluxes) and over
+the cone's base (its charge) are computed here from the fields with NumPy,
+as the pass's terms are: |u|^2 = re^2 + im^2.
 """
 from __future__ import annotations
 
@@ -19,6 +22,11 @@ from lcdirac.errors import PreconditionError, UsageError
 from lcdirac.fields import _check_same_frame
 from lcdirac.functionals import _argmax, _cumtrapz
 from lcdirac.reports import C_TOL, AuditReport, tolerance_budget
+
+
+def _density(z):
+    """|z|^2 of complex z, elementwise, rounded as the pass's terms are."""
+    return z.real**2 + z.imag**2
 
 
 def _cone_row(sums, dx, run=0, pair=False):
@@ -73,8 +81,8 @@ class TriangleCharge:
         if f.t > tau + 1e-12:
             return
         kshift = round(f.t / self.dt)
-        self.flux_u.append(terms.au[0, self.ib - kshift])
-        self.flux_v.append(terms.av[0, self.ia + kshift])
+        self.flux_u.append(_density(f.u[self.ib - kshift]))
+        self.flux_v.append(_density(f.v[self.ia + kshift]))
         at_tau = abs(f.t - tau) <= 1e-9 * max(1.0, abs(tau))
         self.interior_tau = sums[kernels.SECTION_SUMS[0]] * self.dx if at_tau else None
 
@@ -109,7 +117,9 @@ class PointwiseGrowth:
         ia = grid.index_of(dom.a)
         ib = grid.index_of(dom.b)
         self.dx = grid.dx
-        self.charge0 = float(np.add.reduce(terms.dens[0, ia : ib + 1])) * grid.dx
+        f0 = levels[0]
+        dens = _density(f0.u[ia : ib + 1]) + _density(f0.v[ia : ib + 1])
+        self.charge0 = float(np.add.reduce(dens)) * grid.dx
         if not self.charge0 < self.C0:
             raise PreconditionError(
                 f"initial charge {self.charge0} over [{dom.a}, {dom.b}] is not below C0={self.C0}"

@@ -107,7 +107,13 @@ def test_tau_before_T(name, gn, gn_constants):
     dom = lc.TriangleDomain(-4.0, 4.0)
     reports, both = _evolved(name, gn, gn_constants, g, dom, 1.0, 0.5)
     assert reports["triangle"][1]["witness"] in (None, [(0.5).hex(), None])
-    assert sum(row[4] is not None for row in both.rows.rows) == 5  # the edge samples up to tau only
+    # the edge samples of the 5 levels up to tau are read, those past it never
+    at, rows = both.rows.terms.edges_at, both.rows.rows
+    assert sum(t <= 0.5 + 1e-12 and np.isfinite(row[at : at + 2]).all() for t, row in rows) == 5
+    for t, row in rows:
+        if t > 0.5 + 1e-12:
+            row[at] = row[at + 1] = np.nan
+    assert _outcome(both.rows, "triangle") == reports["triangle"]
 
 
 @pytest.mark.parametrize("name", kernels.available_backends())
@@ -151,5 +157,6 @@ def test_free_transport_ties_every_pointwise_margin(name, gn_constants):
         both = Both(["pointwise"], dom, gn_constants, free, T=1.0, C0=lc.charge(f0) + 1.0)
         lc.evolve(f0, free, lc.SolverConfig(), 1.0, observers=[both])
         reports = _assert_same(both)
-    assert all(row[2][:2] == [0.0, 0.0] for row in both.rows.rows)
+    at = both.rows.terms.margins_at
+    assert all(row[at : at + 2] == [0.0, 0.0] for _, row in both.rows.rows)
     assert reports["pointwise"][1]["witness"] is None

@@ -39,12 +39,14 @@ def test_helpers_run_at_a_tiny_size(bench, levels, name):
         lockstep = bench.lockstep_us(list(zip(*bench.random_rows(rng, 2, 64))), lc.THIRRING, 1)
         compact = bench.lockstep_us(list(zip(*bench.compact_rows(rng, 64))), lc.THIRRING, 1)
         audit = bench.audit_us_per_level(levels, 1)
+        margins = bench.margins_us(64, rng, 1)
         distance = bench.distance_us_per_level(64, rng, 1)
     assert len(steps) == (3 if compiled else 2)
     assert list(audit) == (["AuditPass, 5 audits", "AuditPass, pool"]
                            + ["lcd_level_terms, bound", "AuditPass, pool - bound"] * compiled)
+    assert list(margins) == ["margins, widths skipped", "margins, wide windows win"]
     assert len(distance) == (6 if compiled else 4)
-    assert all(t > 0 for t in [*steps, lockstep, compact, *audit.values(), *distance.values()])
+    assert all(t > 0 for t in [*steps, lockstep, compact, *audit.values(), *margins.values(), *distance.values()])
 
 
 needs_compiled = pytest.mark.skipif("compiled" not in kernels.available_backends(),

@@ -270,6 +270,40 @@ class TestAudit:
         assert ('"difference_envelope"' in text) is (status == 1)
 
 
+    def test_huge_coupling_gets_a_default_K_that_holds(self, tmp_path):
+        """model.alpha = 1e16: 2 c_star is past 2^54, where 2 c_star + 2
+        rounds to 2 c_star; the default K is accepted and the algebraic
+        audit passes."""
+        doc = self.audit_doc(tmp_path, model={"m": 1.0, "alpha": 1e16, "beta": 0.0},
+                             audit_selection=["algebraic"],
+                             output={"path": str(tmp_path / "aud"), "format": "structured-report"})
+        assert main([str(write_cfg(tmp_path, doc))]) == 0
+        [rec] = json.loads((tmp_path / "aud_audits.json").read_text())
+        assert rec["passed"] and rec["constants_c_star"] == 6e16
+        assert rec["constants_K"] > 2.0 * rec["constants_c_star"] and -rec["constants_K"] + 1.2e17 < -1.0
+
+    @pytest.mark.parametrize("model, v", [({"m": 1.0, "alpha": 0.0, "beta": 0.25}, "(0.5+0j)"),
+                                          ({"m": 1.0, "alpha": 1.0, "beta": -0.2}, "0.5j")],
+                             ids=["gross_neveu_phase_0", "phase_pi_over_2"])
+    def test_failing_algebraic_record_names_its_whole_witness(self, tmp_path, model, v):
+        """c_star = 2.97, below the supremum 3 of both models: the record
+        names the bound and all four values of the extremiser's limit, whose
+        phase (v = u, or v = i u) tells the two apart; it has no time or
+        location. The passing charge record beside it has neither key."""
+        doc = self.audit_doc(tmp_path, model=model, audit_selection=["algebraic", "charge"],
+                             constants={"c_star": 2.97}, time={"T": 0.125},
+                             output={"path": str(tmp_path / "aud"), "format": "structured-report"})
+        assert main([str(write_cfg(tmp_path, doc))]) == 1
+        algebraic, charge = json.loads((tmp_path / "aud_audits.json").read_text())
+        assert not algebraic["passed"] and charge["passed"]
+        assert algebraic["witness_time"] is None and algebraic["witness_location"] is None
+        witness = {key: algebraic[f"witness_{key}"] for key in ("bound", "u", "v", "u_prime", "v_prime")}
+        assert witness == {"bound": "difference_envelope", "u": "(0.5+0j)", "v": v, "u_prime": "(0.5+0j)",
+                           "v_prime": v}
+        assert not any(key.startswith("witness_") and key not in ("witness_time", "witness_location")
+                       for key in charge)
+
+
 class TestConvergeUnique:
     def test_converge_command(self, tmp_path):
         doc = base_doc(

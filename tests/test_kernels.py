@@ -724,16 +724,19 @@ def test_pure_step_into_a_pool_marks_its_slots_whole(backend, monkeypatch, perio
         assert bad == -1 and np.array_equal(np.stack([x, y]).view(np.uint64), want[1][0])
 
 
-def _terms_on(name, n, runs, i0, i1, kshift=0, E=None, origin=None, m=1.0, C0=0.3, dx=0.05):
-    """Every buffer of kernels.LevelTerms after one level_terms call on backend name."""
+ROW_PARTS = ("sums", "margins", "sites", "edges")
+
+
+def _terms_on(name, n, runs, i0, i1, kshift=0, E=None, origin=None, m=1.0, C0=0.3, dx=0.05, edges=None):
+    """Every part of kernels.LevelTerms.row after one level_terms call on backend name."""
     before = kernels.use_backend(name)
     try:
         growth = {} if origin is None else {"origin": origin, "m": m, "C0": C0}
-        terms = kernels.LevelTerms(n, len(runs), dx, **growth)
+        terms = kernels.LevelTerms(n, len(runs), dx, edges=edges, **growth)
         kernels.level_terms(terms, runs, i0, i1, kshift, E)
     finally:
         kernels.use_backend(before)
-    return {name: getattr(terms, name) for name in kernels._Level.ARRAYS if getattr(terms, name) is not None}
+    return {part: getattr(terms, part).copy() for part in ROW_PARTS}
 
 
 def _assert_terms_agree(runs, i0, i1, kshift=0, E=None, origin=None, **kw):
@@ -762,10 +765,13 @@ def test_backends_agree_on_level_terms(rng, runs):
         i0 = int(rng.integers(kshift, 150))
         i1 = int(rng.integers(i0, n - kshift + 1))
         got = _assert_terms_agree(fields, i0, i1)
-        if runs == 2:  # run B's densities are written over the section only
-            outside = np.r_[0:i0, i1:n]
-            assert not any(got[name][1, outside].any() for name in ("au", "av", "dens"))
-        _assert_terms_agree(fields, i0, i1, kshift, float(rng.uniform(0.5, 3.0)), origin)
+        if runs == 2:  # run B is read over the section only
+            blind = [fields[0], tuple(a.copy() for a in fields[1])]
+            for a in blind[1]:
+                a[np.r_[0:i0, i1:n]] = np.nan
+            _assert_bits_equal(list(_assert_terms_agree(blind, i0, i1).values()), list(got.values()))
+        E = float(rng.uniform(0.5, 3.0))
+        _assert_terms_agree(fields, i0, i1, kshift, E, origin, edges=(kshift + 3, n - kshift - 4))
 
 
 @needs_compiled
@@ -806,13 +812,122 @@ def test_backends_agree_on_level_terms_of_small_and_odd_sections(rng):
     n = 160
     origin = (_cplx(rng, n), _cplx(rng, n))
     fields = [(_cplx(rng, n), _cplx(rng, n)), (_cplx(rng, n), _cplx(rng, n))]
-    lengths = [0, 1, 2, 3] + [2**k + d for k in range(2, 7) for d in (-1, 0, 1)]
+    lengths = [0, 1, 2, 3] + [2**k + d for k in range(2, 8) for d in (-1, 0, 1)]
     for length in lengths:
         for kshift in (0, 5):
             for i0 in (kshift, n - kshift - length):  # the section at either end of the grid
                 got = _assert_terms_agree(fields, i0, i0 + length, kshift, 1.5, origin)
                 has_window = length >= 2
                 assert (got["sites"][2] >= 0) == has_window and (got["sites"][0] >= 0) == (length > 0)
+
+
+@needs_compiled
+def test_backends_agree_on_every_level_of_an_audit_cone_run():
+    """Every row of an AuditPass over runs A and B at the audit_cone
+    workload's size (N = 3072, 257 levels, all five evolved audits), the
+    t = 0 level included: sums, margins, sites and edge densities, compiled
+    against pure, bit for bit. Here m C0 dominates the window slack, so the
+    compiled pass skips every width from 4 or 8 up."""
+    grid = lc.make_grid(-6.0, 6.0, 3072, "zero_inflow")
+    datum = lc.InitialDatum(lc.ComponentSpec("gaussian_pulse", 0.07, center=-0.5, width=0.8),
+                            lc.ComponentSpec("gaussian_pulse", 0.055, center=0.5, width=0.9))
+    f0 = lc.sample_initial(datum, grid)
+    levels = []
+    lc.evolve([f0, lc.SpinorField(grid, 0.0, f0.u * (1.0 + 1e-3), f0.v)], lc.GROSS_NEVEU, lc.SolverConfig(), 1.0,
+              observers=[lambda lv: levels.append(tuple(lc.SpinorField(f.grid, f.t, f.u.copy(), f.v.copy())
+                                                        for f in lv))])
+    rows = {}
+    for name in ("compiled", "pure"):
+        before = kernels.use_backend(name)
+        try:
+            audits = lc.functionals.AuditPass(("charge", "triangle", "pointwise", "bony", "gronwall"),
+                                              lc.TriangleDomain(-4.0, 4.0), lc.derive_constants(lc.GROSS_NEVEU),
+                                              lc.GROSS_NEVEU, T=1.0, tau=1.0, C0=lc.charge(f0) + 1.0)
+            for level in levels:
+                audits(level)
+        finally:
+            kernels.use_backend(before)
+        rows[name] = np.array([[t, *row] for t, row in audits.rows])
+    assert len(rows["pure"]) == 257 and np.isfinite(rows["pure"]).all()
+    _assert_bits_equal([rows["compiled"]], [rows["pure"]])
+
+
+def _grown(rng, n, kshift, gain_u, gain_v, scale=1.0):
+    """A level, and its level at t = 0, whose |u|^2 and |v|^2 are their feet's
+    times gain_u and gain_v (u carried right and v left by kshift sites)."""
+    u0, v0 = _cplx(rng, n, scale), _cplx(rng, n, scale)
+    u, v = np.zeros(n, complex), np.zeros(n, complex)
+    u[kshift:] = np.sqrt(gain_u) * u0[: n - kshift]
+    v[: n - kshift] = np.sqrt(gain_v) * v0[kshift:]
+    return [(u, v)], (u0, v0)
+
+
+@needs_compiled
+@pytest.mark.parametrize("gains", [(1.5, 1.0), (1e-6, 1.5)])
+def test_window_margin_where_a_wide_window_wins(rng, gains):
+    """A level that grew beyond E along either characteristic, with a small
+    slack: the widest windows gain most, so no width can be skipped and
+    the window margin is found at the widest width, on both backends, bit
+    for bit; with v the one that grew, a bound taken from the smaller of the
+    two densities' totals would skip the winner."""
+    n, kshift, dx, m, C0 = 300, 10, 0.05, 1e-3, 0.5
+    runs, origin = _grown(rng, n, kshift, *gains)
+    (u, v), (u0, v0) = runs[0], origin
+    starts = np.arange(kshift, n - kshift - 1)  # the width-2 windows, near enough
+    for E in (1.0, 1.2):
+        got = _assert_terms_agree(runs, kshift, n - kshift, kshift, E, origin, m=m, C0=C0, dx=dx)
+        pair = [(abs(a[starts]) ** 2 + abs(a[starts + 1]) ** 2
+                 - E * (abs(a0[starts + d]) ** 2 + abs(a0[starts + d + 1]) ** 2)) * dx
+                for a, a0, d in ((u, u0, -kshift), (v, v0, kshift))]
+        narrow = np.maximum(*pair).max() - E * m * C0 * 2 * dx
+        assert got["margins"][2] > 2 * max(narrow, 0.0) > 0
+
+
+@needs_compiled
+def test_window_margins_with_a_negative_growth_factor(rng):
+    """With E < 0 a window's margin exceeds its sum at t: the bound that
+    skips widths does not hold, and every width is taken, on both backends.
+    A nearly zero level on a large origin makes the widest window win."""
+    n, kshift = 200, 4
+    runs, origin = _grown(rng, n, kshift, 1e-6, 1e-6, scale=3.0)
+    for E in (-1.0, -0.5, -0.0, 0.0):
+        got = _assert_terms_agree(runs, kshift, n - kshift, kshift, E, origin, m=1.0, C0=0.5)
+        if E < 0:
+            assert got["margins"][2] > 0
+
+
+@needs_compiled
+@pytest.mark.parametrize("where", ["level", "origin"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e154, 1e300])
+def test_window_margins_with_nonfinite_values_and_an_overflowing_E(rng, where, bad):
+    """NaN, infinities and overflowing squares in the level or at t = 0, at
+    the section's first, middle and last sites, and growth factors that
+    overflow (E, or E m C0, or the slack of a wide window, infinite): the
+    margins and sites of both backends agree bit for bit."""
+    n, kshift = 96, 5
+    for site in (kshift, n // 2, n - kshift - 1, n - kshift - 2):
+        (level,), origin = _grown(rng, n, kshift, 1.2, 0.9)
+        runs, origin = [list(level)], list(origin)
+        (runs[0] if where == "level" else origin)[site % 2][site] = bad
+        for E, m, C0 in ((1.3, 1.0, 0.5), (np.inf, 1.0, 0.5), (np.inf, 0.0, 0.5), (1e300, 1e10, 1.0),
+                         (2.0, 1e300, 1e300), (1.0, 1e306, 1.0)):
+            _assert_terms_agree(runs, kshift, n - kshift, kshift, E, origin, m=m, C0=C0,
+                                edges=(kshift, n - kshift - 1))
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_window_margin_tied_between_widths(name):
+    """A width-2 window and the width-4 window over it tie (dx = E = 1,
+    m C0 = 1/8: 1 - 2/8 = 1.25 - 4/8), and no window does better: the
+    margin is the tie and its site the first width-2 window's, [9, 11),
+    before the width-4 window [10, 14); the width-4 bound equals the best,
+    so that width may be skipped."""
+    n, i0, i1 = 40, 4, 36
+    u = np.zeros(n, complex)
+    u[10], u[12] = 1.0, 0.5
+    zero = np.zeros(n, complex)
+    got = _terms_on(name, n, [(u, zero)], i0, i1, 0, 1.0, (zero, zero), m=0.5, C0=0.25, dx=1.0)
+    assert (got["margins"][2], got["sites"][2]) == (0.75, 9.0)
 
 
 CHUNK = 16  # the pointwise candidates _level.c's growth_margins tests against the best at once
@@ -994,11 +1109,10 @@ def test_pool_buffers_give_the_bits_of_fresh_arrays(rng, backend, name):
             for (x, y), w in zip(pool.rows[1], want):
                 _assert_bits_equal([x, y], w[:2], periodic)
         pool.load([(u, v), (ub, vb)])
-        terms, fresh = kernels.LevelTerms(n, 2, 0.1), kernels.LevelTerms(n, 2, 0.1)
-        kernels.level_terms(terms, [b, c], 10, 80, 0, None)
-        kernels.level_terms(fresh, [(u, v), (ub, vb)], 10, 80, 0, None)
-        _assert_bits_equal([getattr(terms, k) for k in ("au", "prod", "q", "d1", "q1v", "sums")],
-                           [getattr(fresh, k) for k in ("au", "prod", "q", "d1", "q1v", "sums")])
+        terms, fresh = (kernels.LevelTerms(n, 2, 0.1, (u, v), 1.0, 0.5, edges=(5, 90)) for _ in range(2))
+        kernels.level_terms(terms, [b, c], 10, 80, 3, 1.5)
+        kernels.level_terms(fresh, [(u, v), (ub, vb)], 10, 80, 3, 1.5)
+        _assert_bits_equal([terms.row], [fresh.row])
         _assert_bits_equal([_distance_sums([b, c], name)], [_distance_sums([(u, v), (ub, vb)], name)])
     assert not any(id(x) in kernels._BOUND for x in views)
 
@@ -1121,17 +1235,52 @@ def test_distance_terms_refuse_other_shapes(rng, monkeypatch):
 SUM_LENGTHS = (*range(301), 3071, 3072, 4096, 8193)
 
 
-def _numpy_sums(terms, i0, i1):
-    """What LevelTerms.sums must hold, from np.add.reduce of the buffers the
-    pass wrote: 0.0 for the suffix-scan products below two sites."""
-    def upper(a):
-        return np.add.reduce(a[i0:i1]) if i1 - i0 >= 2 else 0.0
+def _numpy_terms(runs, i0, i1):
+    """The elementwise terms of one level, formed here with NumPy from the
+    fields as kernels.LevelTerms names them: run A's densities over the
+    grid ("grid"), and over the section [i0, i1) each run r's densities,
+    products and suffix-scan products ("dens0", "prod0", "q0", ...) and the
+    pair's terms ("l1", "d1", "q1u", "q1v")."""
+    sec = slice(i0, i1)
 
-    want = [np.add.reduce(terms.dens[0])]
-    for r in range(terms.runs):
-        want += [np.add.reduce(terms.dens[r, i0:i1]), np.add.reduce(terms.prod[r, i0:i1]), upper(terms.q[r])]
-    if terms.runs == 2:
-        want += [np.add.reduce(terms.l1[i0:i1]), np.add.reduce(terms.d1[i0:i1]), upper(terms.q1u), upper(terms.q1v)]
+    def square(z):
+        return z.real**2 + z.imag**2
+
+    def suffix(b):  # sum_{j > i} b_j, from the right as np.cumsum scans
+        out = np.zeros(len(b))
+        out[:-1] = np.cumsum(b[::-1])[::-1][1:]
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = {"grid": square(runs[0][0]) + square(runs[0][1])}
+        au, av = [], []
+        for r, (u, v) in enumerate(runs):
+            a, b = square(u[sec]), square(v[sec])
+            au.append(a)
+            av.append(b)
+            terms.update({f"dens{r}": a + b, f"prod{r}": a * b, f"q{r}": a * suffix(b)})
+        if len(runs) == 2:
+            (uA, vA), (uB, vB) = runs
+            U, V = square(uA[sec] - uB[sec]), square(vA[sec] - vB[sec])
+            umod, vmod = au[0] + au[1], av[0] + av[1]
+            terms.update(l1=U + V, d1=U * vmod + umod * V, q1u=U * suffix(vmod), q1v=umod * suffix(V))
+    return terms
+
+
+def _numpy_sums(runs, i0, i1):
+    """What LevelTerms.sums must hold, from np.add.reduce of the terms
+    _numpy_terms forms: 0.0 for the suffix-scan products below two sites."""
+    t = _numpy_terms(runs, i0, i1)
+
+    def upper(a):
+        return np.add.reduce(a) if len(a) >= 2 else 0.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [np.add.reduce(t["grid"])]
+        for r in range(len(runs)):
+            want += [np.add.reduce(t[f"dens{r}"]), np.add.reduce(t[f"prod{r}"]), upper(t[f"q{r}"])]
+        if len(runs) == 2:
+            want += [np.add.reduce(t["l1"]), np.add.reduce(t["d1"]), upper(t["q1u"]), upper(t["q1v"])]
     return np.array(want)
 
 
@@ -1161,7 +1310,8 @@ def _summed_fields(rng, n, kind):
 @pytest.mark.parametrize("name", kernels.available_backends())
 def test_sums_are_numpys_add_reduce_bit_for_bit(rng, backend, name):
     """Every sum level_terms and distance_sums return equals np.add.reduce
-    of the terms level_terms wrote, or pure.distance_terms writes, bit for bit, at every length where NumPy's
+    of the terms formed with NumPy from the fields (_numpy_terms, and
+    pure.distance_terms), bit for bit, at every length where NumPy's
     pairwise order changes shape; if a NumPy release changes that order,
     this fails rather than an artifact's digits moving."""
     backend(name)
@@ -1172,7 +1322,7 @@ def test_sums_are_numpys_add_reduce_bit_for_bit(rng, backend, name):
                 terms = kernels.LevelTerms(n, 2, 1.0)
                 sums = kernels.level_terms(terms, runs, 0, n, 0, None)
                 _assert_bits_equal([np.array(sums)], [terms.sums])
-                _assert_sums_equal(terms.sums, _numpy_sums(terms, 0, n), n, kind)
+                _assert_sums_equal(terms.sums, _numpy_sums(runs, 0, n), n, kind)
                 l1, p1 = pure.distance_terms(*runs)
                 _assert_sums_equal(_distance_sums(runs, name), [[np.add.reduce(l1), np.add.reduce(p1)]], n, kind)
 
@@ -1210,7 +1360,7 @@ def test_sums_of_short_and_empty_sections(rng, backend, name):
     terms = kernels.LevelTerms(n, 2, dx)
     for length in (0, 1, 2, 7, 8, 9, 127, 128, 129):
         sums = kernels.level_terms(terms, runs, i0, i0 + length, 0, None)
-        _assert_bits_equal([terms.sums], [_numpy_sums(terms, i0, i0 + length)], length)
+        _assert_bits_equal([terms.sums], [_numpy_sums(runs, i0, i0 + length)], length)
         if "compiled" in kernels.available_backends():
             want = _terms_on("pure" if name == "compiled" else "compiled", n, runs, i0, i0 + length, dx=dx)
             _assert_bits_equal([terms.sums], [want["sums"]], length)
@@ -1220,7 +1370,8 @@ def test_sums_of_short_and_empty_sections(rng, backend, name):
     infinite = [(runs[0][0].copy(), runs[0][1]), (runs[1][0], runs[1][1].copy())]
     infinite[0][0][i0] = infinite[1][1][i0] = np.inf  # |u|^2 of A and |v|^2 of B
     sums = kernels.level_terms(terms, infinite, i0, i0 + 1, 0, None)
-    assert np.isnan(terms.q[0, i0]) and np.isnan(terms.q1u[i0])
+    one = _numpy_terms(infinite, i0, i0 + 1)
+    assert np.isnan(one["q0"][0]) and np.isnan(one["q1u"][0])
     L0, D0, Q0 = _cone_row(sums, dx)
     L1, D1, Q1 = _cone_row(sums, dx, pair=True)
     assert L0 == D0 == L1 == D1 == np.inf and Q0 == 0.0 and Q1 == 0.0

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -120,6 +122,17 @@ class TestConstants:
             assert -2 + 2 * k.delta0 * k.c < -1
             assert -2 + 2 * k.c_star * k.delta < -1
             assert -k.K + 2 * k.c_star < -1
+
+    @pytest.mark.parametrize("alpha", [1e15, 1.5e15, 3e15, 1e16, 1e300])
+    def test_default_K_holds_its_inequality_for_huge_couplings(self, alpha):
+        """K = 2 c_star + 2 loses its + 2 once 2 c_star reaches 2^54; the
+        default is then the next double above 2 c_star, and 2 c_star + 2
+        everywhere the + 2 survives."""
+        k = lc.derive_constants(lc.ModelParams(1.0, alpha, 0.0))
+        assert -k.K + 2.0 * k.c_star < -1.0 and k.K > 2.0 * k.c_star
+        lost = -(2.0 * k.c_star + 2.0) + 2.0 * k.c_star == 0.0
+        assert k.K == (math.nextafter(2.0 * k.c_star, math.inf) if lost else 2.0 * k.c_star + 2.0)
+        assert lost is (alpha >= 3e15)
 
     def test_weight_constant_violation_names_inequality(self):
         with pytest.raises(ConfigurationError, match=r"-K\+2c_\*<-1"):
