@@ -13,8 +13,8 @@ and for a pair of fields, with U = uA - uB, V = vA - vB:
     Q1 = sum_{x<y} r2(x, y) dx^2
 
 Every one of them is a sum, in NumPy's pairwise order, of the elementwise
-terms that one kernels.level_terms pass writes and sums per level; Q0/Q1
-take O(N) by suffix scans inside that pass. The single-level functions,
+terms that one kernels.level_terms pass sums per level; Q0/Q1 take O(N) by
+suffix scans inside that pass. The single-level functions,
 the traces and the audits share that pass and the rule _cone_columns.
 Each audit verifies a continuum inequality (or, for the total charge, a
 conservation law) on the discrete solution within a resolution-dependent
@@ -200,8 +200,7 @@ def trace_pair(
 # audit, run A's |u|^2 at the cone's right edge and |v|^2 at its left edge
 # (read up to tau), at the terms' offsets. start(levels, terms, sums) takes
 # the runs' levels at t = 0 with their terms and their row and raises every
-# usage or
-# precondition error: AuditPass calls it on its first call, which evolve
+# usage or precondition error: AuditPass calls it on its first call, which evolve
 # makes before any step, so a refused audit costs no step. report(rows)
 # reads the rows once and returns the AuditReport, with the float
 # operations, in the order, that a reduction fed each level as it came
@@ -260,19 +259,22 @@ class TriangleCharge:
     def __init__(self, dom: TriangleDomain, tau: float, c_tol: float):
         self.dom, self.tau, self.c_tol = dom, tau, c_tol
 
+    def edges(self, grid) -> tuple[int, int]:
+        """The sites of the cone's base ends a and b, whose densities at the
+        edges the pass reads; raises unless both lie on the lattice."""
+        return grid.index_of(self.dom.a), grid.index_of(self.dom.b)
+
     def start(self, levels: tuple, terms: kernels.LevelTerms, sums: list):
         f0, dom = levels[0], self.dom
-        self.ia = f0.grid.index_of(dom.a)  # also validates lattice alignment
-        self.ib = f0.grid.index_of(dom.b)
         if not -1e-12 <= self.tau <= dom.apex_time + 1e-12:
             raise UsageError(f"tau={self.tau} outside the cone's span [0.0, {dom.apex_time}]")
         self.dx, self.dt = f0.grid.dx, f0.grid.dt
         self.interior0 = sums[kernels.SECTION_SUMS[0]] * self.dx  # charge(f0, dom) bit for bit
-        self.edges = terms.edges_at
+        self.edges_at = terms.edges_at
 
     def report(self, rows: list) -> AuditReport:
         tau, interior0, dt = self.tau, self.interior0, self.dt
-        flux_u, flux_v, interior_tau, at = [], [], None, self.edges
+        flux_u, flux_v, interior_tau, at = [], [], None, self.edges_at
         for t, sums in rows:
             if t > tau + 1e-12:
                 continue
@@ -315,7 +317,7 @@ class PointwiseGrowth:
         ia = grid.index_of(dom.a)
         ib = grid.index_of(dom.b)
         self.x_min, self.dx = grid.x_min, grid.dx
-        self.margins, self.sites = terms.margins_at, terms.sites_at
+        self.margins_at, self.sites_at = terms.margins_at, terms.sites_at
         # over the closed [a, b], not the section: the densities the pass sums, one NumPy sum per pass
         u, v = levels[0].u[ia : ib + 1], levels[0].v[ia : ib + 1]
         self.charge0 = float(np.add.reduce((u.real**2 + u.imag**2) + (v.real**2 + v.imag**2))) * grid.dx
@@ -333,12 +335,12 @@ class PointwiseGrowth:
             return float(np.exp(x))
 
     def report(self, rows: list) -> AuditReport:
-        worst, witness, at = 0.0, None, self.margins
+        worst, witness, at = 0.0, None, self.margins_at
         for t, row in rows:
             for k in (0, 1, 2):
                 if row[at + k] > worst:
                     worst = row[at + k]
-                    witness = (t, self.x_min + row[self.sites + k] * self.dx)
+                    witness = (t, self.x_min + row[self.sites_at + k] * self.dx)
         budget = tolerance_budget(self.dx, self.charge0, self.c_tol)
         return AuditReport(
             inequality="exponential pointwise/interval growth bounds in the cone",
@@ -529,8 +531,8 @@ class AuditPass:
         if any(name != "charge" for name in self.audits) and abs(f0.t) > 1e-12:
             raise UsageError("snapshots must start at the cone's base time t = 0")
         kw = {} if pointwise is None else {"origin": (f0.u, f0.v), "m": pointwise.p.m, "C0": pointwise.C0}
-        if "triangle" in self.audits:  # raises what TriangleCharge.start would, the first audit that can raise
-            kw["edges"] = grid.index_of(self.dom.a), grid.index_of(self.dom.b)
+        if "triangle" in self.audits:  # the first audit that can raise: charge never does
+            kw["edges"] = self.audits["triangle"].edges(grid)
         # A huge but finite datum may overflow in the terms and the start
         # values without a warning: the preconditions refuse an inf charge.
         # A later level's run blows up at the next step, or its report

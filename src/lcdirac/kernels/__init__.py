@@ -27,14 +27,20 @@ for bit:
   on ``compiled``, ``_format.c`` writes every double, with no fallback
   (``tests/test_format_proof.py`` proves that its rounding decides each
   one);
-- ``level_terms`` writes every elementwise term the cone functionals and
-  the audits sum at one level (densities, products, suffix-scan products,
-  pair terms) into a ``LevelTerms``, with the growth margins and their
-  sites, and returns their sums: the one formula for L0/D0/Q0 and L1/D1/Q1.
-  ``LevelTerms.write`` is the same pass without the list, which
-  ``AuditPass`` makes once per level; on ``compiled`` the pointwise
-  margins are picked in chunks, each picked from one candidate at a time
-  only if it holds one ``np.argmax`` would take;
+- ``level_terms`` takes the sums of every elementwise term the cone
+  functionals and the audits read at one level (densities, products,
+  suffix-scan products, pair terms), the growth margins and their sites,
+  and run A's densities at the triangle's edges, into the one row of a
+  ``LevelTerms``, and returns the sums: the one formula for L0/D0/Q0 and
+  L1/D1/Q1. ``LevelTerms.write`` is the same pass without the list, which
+  ``AuditPass`` makes once per level. On ``compiled`` it is one fused C
+  pass that stores no term: run A's grid forward and the section
+  backward, each in the leaves of NumPy's pairwise split, every leaf's
+  terms summed in stack scratch; a dyadic window width that provably
+  cannot beat the best margin so far is skipped, and the margins are
+  picked in chunks, each searched only if it holds one ``np.argmax``
+  would take; ``pure`` forms every term array and sums it with
+  ``np.add.reduce``;
 - ``distance_sums`` takes the sums of the field and product distance
   terms of every run pair of one level, which ``converge`` and ``unique``
   take at every level, in one call, and returns two sums per pair; each
@@ -96,8 +102,8 @@ The backends:
 ``backend_reason()`` says which one runs and why: for ``compiled``, the
 library and its flag set (native, or portable and why). The ordered pair sums
 ``q_upper`` (O(N)) and ``q_upper_naive`` (O(N^2)) are NumPy for every
-backend and on no production path: ``level_terms`` writes the suffix-scan
-products the cone functionals sum. The tests keep ``q_upper_naive`` as
+backend and on no production path: ``level_terms`` sums the suffix-scan
+products the cone functionals read. The tests keep ``q_upper_naive`` as
 their oracle, and ``perfbench`` wraps ``q_upper`` by name. The active
 backend is fixed at import and can be overridden with ``use_backend``
 (benchmarks and cross-backend tests).
@@ -562,6 +568,8 @@ class LevelTerms:
         self.sites, self.edges = self.row[self.sites_at : self.edges_at], self.row[self.edges_at :]
         self.row[:] = [0.0] * self.margins_at + [-np.inf] * 3 + [-1.0] * 3 + [np.nan] * 2
         self.edge_sites = None if edges is None else tuple(int(i) for i in edges)
+        if self.edge_sites is not None and not all(0 <= i < n for i in self.edge_sites):
+            raise ValueError(f"edge sites {self.edge_sites} must lie on the grid of {n} sites")
         addresses = dict.fromkeys(_Level.ARRAYS)
         self.au0 = self.av0 = self.pre_u0 = self.pre_v0 = self.pre_u = self.pre_v = None
         if origin is not None:
@@ -591,14 +599,14 @@ class LevelTerms:
         n, shape = self.n, self._shape
         if len(fields) != 2 * self.runs:
             raise ValueError(f"terms hold {self.runs} runs, got {len(fields) // 2}")
-        kept, addresses = [], []  # converted fields, kept alive through the call, and every address
+        arrays, addresses = [], []  # the fields, converted where need be and alive through the call
         for a in fields:
             bound = _BOUND.get(id(a))
             if bound is None or a.shape != shape:
                 a, address = _field(a, n)
-                kept.append(a)
             else:
                 address = bound[0]
+            arrays.append(a)
             addresses.append(address)
         if i1 <= i0:  # no section, so no margins
             i0 = i1 = 0
@@ -616,8 +624,7 @@ class LevelTerms:
                 addresses += None, None  # NULL: no run B
             _lib.lcd_level_terms(self._address, *addresses, i0, i1, kshift, E is not None, 0.0 if E is None else E)
         else:
-            runs = [_field(a, n)[0] for a in fields]
-            pure.level_terms(self, list(zip(runs[::2], runs[1::2])), i0, i1, kshift, E)
+            pure.level_terms(self, list(zip(arrays[::2], arrays[1::2])), i0, i1, kshift, E)
 
 
 def _field(a, n: int) -> tuple[np.ndarray, int]:
