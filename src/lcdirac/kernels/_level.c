@@ -87,6 +87,13 @@ static double abs2(cplx z)
     return z.re * z.re + z.im * z.im;
 }
 
+/* where NumPy's pairwise sum splits n > LEAF terms: at n / 2 rounded down
+ * to a multiple of 8 */
+static ptrdiff_t split(ptrdiff_t n)
+{
+    return n / 2 - n / 2 % 8;
+}
+
 /* NumPy's pairwise sum of n contiguous doubles: below 8 terms in order;
  * up to 128, eight interleaved partial sums, combined as
  * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
@@ -114,15 +121,8 @@ static double pairwise(const double *a, ptrdiff_t n)
             s += a[i];
         return s;
     }
-    n2 = n / 2;
-    n2 -= n2 % 8;
+    n2 = split(n);
     return pairwise(a, n2) + pairwise(a + n2, n - n2);
-}
-
-/* where pairwise splits n > LEAF sites */
-static ptrdiff_t split(ptrdiff_t n)
-{
-    return n / 2 - n / 2 % 8;
 }
 
 /* np.add.reduce(a[:n]): NumPy's identity +0.0 plus the pairwise sum, so a
@@ -176,9 +176,8 @@ static double maximum(double a, double b)
     return a != a ? a : m;
 }
 
-/* One level's pass: its runs, section, feet and growth factor, the sums
- * of both passes, the margins picked so far, and the backward pass's
- * suffix chains. */
+/* One level's pass: its runs, section, feet and growth factor, the
+ * margins picked so far, and the backward pass's suffix chains. */
 typedef struct {
     const lcd_level *L;
     const cplx *u[2], *v[2];
