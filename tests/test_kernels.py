@@ -816,7 +816,7 @@ def test_backends_agree_on_level_terms_of_small_and_odd_sections(rng):
     for length in lengths:
         for kshift in (0, 5):
             for i0 in (kshift, n - kshift - length):  # the section at either end of the grid
-                got = _assert_terms_agree(fields, i0, i0 + length, kshift, 1.5, origin)
+                got = _assert_terms_agree(fields, i0, i0 + length, kshift, 1.5, origin, edges=(0, n - 1))
                 has_window = length >= 2
                 assert (got["sites"][2] >= 0) == has_window and (got["sites"][0] >= 0) == (length > 0)
 
